@@ -230,7 +230,7 @@ fn run_report(label: &str, mk: impl Fn() -> RunReport, out: &mut Vec<BenchEntry>
 /// instrumented/bare wall ratios, minus 1.
 fn e2e_benches(out: &mut Vec<BenchEntry>, quick: bool) -> (f64, f64, f64) {
     // Paper-scale flux_1 cell (Fig. 5(b) rightmost point): 1,024 nodes,
-    // nodes*56*4 single-core tasks, seed 1000 (= exp_flux1 rep 0).
+    // nodes*56*4 single-core tasks, seed 1000 (= `rp-exp flux1` rep 0).
     let nodes: u32 = if quick { 64 } else { 1024 };
     // Bare cell and the same cell with the streaming-telemetry collector
     // attached. The ratio is the telemetry overhead on the hot path
@@ -417,7 +417,7 @@ fn e2e_benches(out: &mut Vec<BenchEntry>, quick: bool) -> (f64, f64, f64) {
         out,
     );
 
-    // The IMPECCABLE campaign at the exp_impeccable --quick scale (256
+    // The IMPECCABLE campaign at the `rp-exp impeccable --quick` scale (256
     // nodes, srun + flux, seed 31).
     let camp_nodes: u32 = if quick { 64 } else { 256 };
     for backend in ["srun", "flux"] {

@@ -9,7 +9,7 @@
 //! Flags: `--seeds N` (default 16) fault seeds per backend, `--faults
 //! <spec>` overrides the soak spec, `--lineage-dir <dir>` as everywhere.
 
-use rp_bench::RunOpts;
+use rp_bench::Cli;
 use rp_core::{FaultSpec, PilotConfig, SimSession, TaskState};
 use rp_sim::SimDuration;
 use rp_workloads::dummy_workload;
@@ -17,14 +17,19 @@ use rp_workloads::dummy_workload;
 const NODES: u32 = 4;
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let opts = RunOpts::from_args(&args);
-    let seeds: u64 = args
-        .iter()
-        .position(|a| a == "--seeds")
-        .and_then(|i| args.get(i + 1))
-        .map(|v| v.parse().expect("--seeds N: not an integer"))
-        .unwrap_or(16);
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let Cli {
+        opts, seeds, words, ..
+    } = Cli::parse_or_exit(
+        &args,
+        &["seeds", "faults", "lineage-dir"],
+        "usage: chaos_soak [--seeds N] [--faults SPEC] [--lineage-dir DIR]",
+    );
+    if let Some(w) = words.first() {
+        eprintln!("chaos_soak: unexpected argument `{w}`");
+        std::process::exit(2);
+    }
+    let seeds = seeds.unwrap_or(16);
     let spec = opts.faults.clone().map(|(s, _)| s).unwrap_or_else(|| {
         FaultSpec::parse(
             "nodes=1,crashes=1,hangs=2,window=30..200,downtime=60,restart=15,watchdog=30,retries=5",

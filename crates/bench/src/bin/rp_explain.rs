@@ -28,7 +28,7 @@ usage:
   rp-explain [--dir DIR] --report  aggregate blame report for every lineage file
   rp-explain --diff A_DIR B_DIR    differential blame attribution between two runs
 
-Lineage files are produced by any exp_* binary via --lineage-dir <DIR>.
+Lineage files are produced by `rp-exp <id>... --lineage-dir <DIR>`.
 ";
 
 /// Every `*.lineage.jsonl` under `dir`, sorted by file name so output
@@ -60,7 +60,7 @@ fn run_explain(dir: &Path, uid: u64) -> Result<String, String> {
     let files = lineage_files(dir);
     if files.is_empty() {
         return Err(format!(
-            "no *.lineage.jsonl files under {} (run an exp_* binary with --lineage-dir)",
+            "no *.lineage.jsonl files under {} (run rp-exp with --lineage-dir)",
             dir.display()
         ));
     }

@@ -16,21 +16,26 @@
 //! <spec>` overrides the soak spec (the sweep still forces the process),
 //! `--lineage-dir` / `--telemetry-dir` as everywhere.
 
-use rp_bench::{write_serving, write_telemetry, RunOpts};
+use rp_bench::{write_serving, write_telemetry, Cli};
 use rp_core::{PilotConfig, ServingSpec, SimSession};
 use rp_sim::SimDuration;
 
 const NODES: u32 = 4;
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let opts = RunOpts::from_args(&args);
-    let seeds: u64 = args
-        .iter()
-        .position(|a| a == "--seeds")
-        .and_then(|i| args.get(i + 1))
-        .map(|v| v.parse().expect("--seeds N: not an integer"))
-        .unwrap_or(8);
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let Cli {
+        opts, seeds, words, ..
+    } = Cli::parse_or_exit(
+        &args,
+        &["seeds", "serving", "lineage-dir", "telemetry-dir"],
+        "usage: serving_soak [--seeds N] [--serving SPEC] [--lineage-dir DIR] [--telemetry-dir DIR]",
+    );
+    if let Some(w) = words.first() {
+        eprintln!("serving_soak: unexpected argument `{w}`");
+        std::process::exit(2);
+    }
+    let seeds = seeds.unwrap_or(8);
     let base_spec = opts.serving.clone().map(|(s, _)| s).unwrap_or_else(|| {
         ServingSpec::parse("rate=120,horizon=40,clients=3,weights=3:2:1,queue=256,kind=mixed,dur=2")
             .expect("soak spec parses")

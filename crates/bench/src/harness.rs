@@ -1,5 +1,7 @@
-//! Shared experiment machinery: run a configuration over several seeds,
-//! digest each run, aggregate, and render table rows.
+//! Shared experiment machinery: parse the command line strictly, fan work
+//! out over threads in a fixed order, run a configuration over several
+//! seeds through the one session runner, digest each run, aggregate, and
+//! render table rows.
 
 use rp_analytics::{critical_path, digest, RunDigest};
 use rp_core::{
@@ -7,9 +9,10 @@ use rp_core::{
 };
 use rp_profiler::ProfileData;
 use rp_sim::SimDuration;
-use std::fmt::Write as _;
 use std::fs;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc;
 
 /// One aggregated experiment row (a cell of a paper figure/table).
 #[derive(Debug, Clone)]
@@ -106,146 +109,158 @@ impl ExpRow {
     }
 }
 
-/// Gauge sampling period used when an experiment rep runs profiled.
+/// Gauge sampling period used when an experiment rep runs instrumented,
+/// unless [`RunOpts::period`] overrides it.
 const PROFILE_PERIOD: SimDuration = SimDuration::from_secs(1);
-
-/// Parse `--<flag> <value>` (or `--<flag>=<value>`) from argv.
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    let eq = format!("--{flag}=");
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == &format!("--{flag}") {
-            return it.next().cloned();
-        }
-        if let Some(v) = a.strip_prefix(&eq) {
-            return Some(v.to_string());
-        }
-    }
-    None
-}
-
-/// Parse `--<flag> <dir>` (or `--<flag>=<dir>`) from argv.
-fn dir_from_args(args: &[String], flag: &str) -> Option<PathBuf> {
-    flag_value(args, flag).map(PathBuf::from)
-}
-
-/// Parse `--profile-dir <dir>` (or `--profile-dir=<dir>`) from argv. When
-/// present, the repetition helpers profile rep 0 of every configuration and
-/// write the profiles there, next to the `results/*.csv` outputs.
-pub fn profile_dir_from_args(args: &[String]) -> Option<PathBuf> {
-    dir_from_args(args, "profile-dir")
-}
-
-/// Parse `--metrics-dir <dir>` (or `--metrics-dir=<dir>`) from argv. When
-/// present, the repetition helpers run rep 0 of every configuration with
-/// the metrics registry attached and write an OpenMetrics document plus a
-/// human-readable summary table there.
-pub fn metrics_dir_from_args(args: &[String]) -> Option<PathBuf> {
-    dir_from_args(args, "metrics-dir")
-}
-
-/// Parse `--telemetry-dir <dir>` (or `--telemetry-dir=<dir>`) from argv.
-/// When present, the repetition helpers run rep 0 of every configuration
-/// with the streaming-telemetry collector attached and write the
-/// time-series JSONL, the flight-recorder JSONL, and a self-contained HTML
-/// dashboard there.
-pub fn telemetry_dir_from_args(args: &[String]) -> Option<PathBuf> {
-    dir_from_args(args, "telemetry-dir")
-}
-
-/// Parse `--lineage-dir <dir>` (or `--lineage-dir=<dir>`) from argv. When
-/// present, the repetition helpers run rep 0 of every configuration with
-/// the causal-lineage recorder attached and write the per-task event
-/// chains as byte-deterministic JSONL plus an aggregate blame report
-/// there. `rp-explain` consumes these files.
-pub fn lineage_dir_from_args(args: &[String]) -> Option<PathBuf> {
-    dir_from_args(args, "lineage-dir")
-}
-
-/// Parse `--jobs <n>` (or `--jobs=<n>`) from argv: the number of worker
-/// threads the repetition helpers may use. Defaults to 1 (sequential);
-/// values below 1 are clamped up. Every simulation is single-threaded and
-/// seeded, so repetitions are embarrassingly parallel and the aggregated
-/// rows are identical at any job count.
-pub fn jobs_from_args(args: &[String]) -> usize {
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == "--jobs" {
-            if let Some(v) = it.next() {
-                return v.parse().map(|n: usize| n.max(1)).unwrap_or(1);
-            }
-        } else if let Some(v) = a.strip_prefix("--jobs=") {
-            return v.parse().map(|n: usize| n.max(1)).unwrap_or(1);
-        }
-    }
-    1
-}
 
 /// Fault seed used when `--faults` is given without `--fault-seed`.
 pub const DEFAULT_FAULT_SEED: u64 = 0xFA17;
 
-/// Parse `--faults <spec>` (or `--faults=<spec>`) plus `--fault-seed <n>`
-/// from argv. Returns the parsed [`FaultSpec`] paired with its fault seed
-/// ([`DEFAULT_FAULT_SEED`] unless overridden), or `None` when `--faults`
-/// is absent. Exits with the parse error on a malformed spec, so a typo
-/// fails loudly instead of silently running fault-free.
-pub fn faults_from_args(args: &[String]) -> Option<(FaultSpec, u64)> {
-    let raw = flag_value(args, "faults")?;
-    let spec = match FaultSpec::parse(&raw) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("--faults {raw}: {e}");
-            std::process::exit(2);
-        }
-    };
-    let seed = match flag_value(args, "fault-seed") {
-        Some(v) => match v.parse() {
-            Ok(n) => n,
-            Err(_) => {
-                eprintln!("--fault-seed {v}: not an integer");
-                std::process::exit(2);
-            }
-        },
-        None => DEFAULT_FAULT_SEED,
-    };
-    Some((spec, seed))
-}
-
 /// Serving seed used when `--serving` is given without `--serving-seed`.
 pub const DEFAULT_SERVING_SEED: u64 = 0x5EED;
 
-/// Parse `--serving <spec>` (or `--serving=<spec>`) plus `--serving-seed
-/// <n>` from argv. Returns the parsed [`ServingSpec`] paired with its
-/// serving seed ([`DEFAULT_SERVING_SEED`] unless overridden), or `None`
-/// when `--serving` is absent. Exits with the parse error on a malformed
-/// spec, so a typo fails loudly instead of silently running batch-only.
-pub fn serving_from_args(args: &[String]) -> Option<(ServingSpec, u64)> {
-    let raw = flag_value(args, "serving")?;
-    let spec = match ServingSpec::parse(&raw) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("--serving {raw}: {e}");
-            std::process::exit(2);
-        }
-    };
-    let seed = match flag_value(args, "serving-seed") {
-        Some(v) => match v.parse() {
-            Ok(n) => n,
-            Err(_) => {
-                eprintln!("--serving-seed {v}: not an integer");
-                std::process::exit(2);
-            }
-        },
-        None => DEFAULT_SERVING_SEED,
-    };
-    Some((spec, seed))
+/// The flags `rp-exp` accepts: `--quick` plus the value flags that fill
+/// [`RunOpts`].
+pub const EXP_FLAGS: &[&str] = &[
+    "quick",
+    "jobs",
+    "profile-dir",
+    "metrics-dir",
+    "telemetry-dir",
+    "lineage-dir",
+    "faults",
+    "fault-seed",
+    "serving",
+    "serving-seed",
+];
+
+/// A parsed command line: the common experiment options, `--quick`,
+/// `--seeds N` (the soaks) and the positional words.
+#[derive(Debug, Clone, Default)]
+pub struct Cli {
+    /// Options handed to the session runner.
+    pub opts: RunOpts,
+    /// `--quick`: small grids and fewer repetitions.
+    pub quick: bool,
+    /// `--seeds N`: seeds per soak cell.
+    pub seeds: Option<u64>,
+    /// Positional arguments, in order.
+    pub words: Vec<String>,
 }
 
-/// Common experiment options parsed from argv: worker threads, the four
-/// instrumentation output directories, and the deterministic
-/// fault-injection plan. Every `exp_*` binary accepts the same flags;
-/// build one with [`RunOpts::from_args`] and hand it to the repetition
-/// helpers.
+impl Cli {
+    /// Parse `args` (program name excluded). Flags take `--flag value` or
+    /// `--flag=value`; only the flags named in `allowed` are accepted.
+    /// Returns the first problem found — an unknown or repeated flag, a
+    /// value flag with no value, a malformed number or spec — so that a
+    /// typo fails loudly instead of silently changing the run.
+    pub fn parse(args: &[String], allowed: &[&str]) -> Result<Cli, String> {
+        let mut cli = Cli::default();
+        let mut seen: Vec<&str> = Vec::new();
+        let (mut fault_seed, mut serving_seed) = (None, None);
+        let mut it = args.iter();
+        while let Some(arg) = it.next() {
+            let Some(flag) = arg.strip_prefix("--") else {
+                cli.words.push(arg.clone());
+                continue;
+            };
+            let (name, inline) = match flag.split_once('=') {
+                Some((name, value)) => (name, Some(value.to_string())),
+                None => (flag, None),
+            };
+            if !allowed.contains(&name) {
+                return Err(format!("unknown flag --{name}"));
+            }
+            if seen.contains(&name) {
+                return Err(format!("--{name} given twice"));
+            }
+            seen.push(name);
+            if name == "quick" {
+                if inline.is_some() {
+                    return Err("--quick takes no value".into());
+                }
+                cli.quick = true;
+                continue;
+            }
+            let value = match inline {
+                Some(v) => v,
+                None => match it.next() {
+                    Some(v) if !v.starts_with("--") => v.clone(),
+                    _ => return Err(format!("--{name} needs a value")),
+                },
+            };
+            let opts = &mut cli.opts;
+            match name {
+                "jobs" => opts.jobs = positive(name, &value)? as usize,
+                "seeds" => cli.seeds = Some(positive(name, &value)?),
+                "profile-dir" => opts.profile_dir = Some(value.into()),
+                "metrics-dir" => opts.metrics_dir = Some(value.into()),
+                "telemetry-dir" => opts.telemetry_dir = Some(value.into()),
+                "lineage-dir" => opts.lineage_dir = Some(value.into()),
+                "faults" => {
+                    let spec =
+                        FaultSpec::parse(&value).map_err(|e| format!("--faults {value}: {e}"))?;
+                    opts.faults = Some((spec, DEFAULT_FAULT_SEED));
+                }
+                "serving" => {
+                    let spec = ServingSpec::parse(&value)
+                        .map_err(|e| format!("--serving {value}: {e}"))?;
+                    opts.serving = Some((spec, DEFAULT_SERVING_SEED));
+                }
+                "fault-seed" => fault_seed = Some(integer(name, &value)?),
+                "serving-seed" => serving_seed = Some(integer(name, &value)?),
+                _ => return Err(format!("unknown flag --{name}")),
+            }
+        }
+        if let Some(seed) = fault_seed {
+            let (_, s) = cli
+                .opts
+                .faults
+                .as_mut()
+                .ok_or("--fault-seed needs --faults")?;
+            *s = seed;
+        }
+        if let Some(seed) = serving_seed {
+            let (_, s) = cli
+                .opts
+                .serving
+                .as_mut()
+                .ok_or("--serving-seed needs --serving")?;
+            *s = seed;
+        }
+        Ok(cli)
+    }
+
+    /// [`Cli::parse`] for a binary's `main`: on error, print it with the
+    /// usage line and exit with status 2.
+    pub fn parse_or_exit(args: &[String], allowed: &[&str], usage: &str) -> Cli {
+        Cli::parse(args, allowed).unwrap_or_else(|e| {
+            eprintln!("{e}\n{usage}");
+            std::process::exit(2)
+        })
+    }
+}
+
+/// Parse a `--<name>` value as an unsigned integer.
+fn integer(name: &str, value: &str) -> Result<u64, String> {
+    value
+        .parse()
+        .map_err(|_| format!("--{name} {value}: not an unsigned integer"))
+}
+
+/// Parse a `--<name>` value as an integer of at least 1.
+fn positive(name: &str, value: &str) -> Result<u64, String> {
+    match integer(name, value)? {
+        0 => Err(format!("--{name} 0: must be at least 1")),
+        n => Ok(n),
+    }
+}
+
+/// Experiment options shared by every session the runner builds: worker
+/// threads, the four instrumentation output directories, the deterministic
+/// fault-injection and serving plans, and the per-call knobs an experiment
+/// sets on a copy ([`RunOpts::fault_hint`], [`RunOpts::period`]). Parse the
+/// flags with [`Cli::parse`] and hand the options to [`repeat`].
 #[derive(Debug, Clone, Default)]
 pub struct RunOpts {
     /// `--jobs N`: worker threads for the repetition helpers (0 and 1 both
@@ -276,30 +291,22 @@ pub struct RunOpts {
     /// the serving seed — never on the rep's workload seed — so each rep
     /// sees the identical traffic at any `--jobs` count.
     pub serving: Option<(ServingSpec, u64)>,
+    /// Gauge sampling period of instrumented reps; `None` samples every
+    /// second. Long campaigns sample coarsely to keep the profile ring
+    /// within bounds.
+    pub period: Option<SimDuration>,
 }
 
 impl RunOpts {
-    /// Parse every common experiment flag from argv.
-    pub fn from_args(args: &[String]) -> RunOpts {
-        RunOpts {
-            jobs: jobs_from_args(args),
-            profile_dir: profile_dir_from_args(args),
-            metrics_dir: metrics_dir_from_args(args),
-            telemetry_dir: telemetry_dir_from_args(args),
-            lineage_dir: lineage_dir_from_args(args),
-            faults: faults_from_args(args),
-            fault_hint: None,
-            serving: serving_from_args(args),
-        }
-    }
-
-    /// Replace the serving plan (e.g. `exp_serving` sweeping rates).
+    /// Replace the serving plan (e.g. the `serving` experiment sweeping
+    /// rates).
     pub fn with_serving(mut self, spec: ServingSpec, serving_seed: u64) -> RunOpts {
         self.serving = Some((spec, serving_seed));
         self
     }
 
-    /// Replace the fault plan (e.g. `exp_faults` sweeping policies).
+    /// Replace the fault plan (e.g. the `faults` experiment sweeping
+    /// policies).
     pub fn with_faults(mut self, spec: FaultSpec, fault_seed: u64) -> RunOpts {
         self.faults = Some((spec, fault_seed));
         self
@@ -308,6 +315,12 @@ impl RunOpts {
     /// Drop the fault plan (fault-free baseline rows).
     pub fn without_faults(mut self) -> RunOpts {
         self.faults = None;
+        self
+    }
+
+    /// Sample instrumented reps every `period` instead of every second.
+    pub fn with_period(mut self, period: SimDuration) -> RunOpts {
+        self.period = Some(period);
         self
     }
 }
@@ -329,7 +342,7 @@ fn sanitize(label: &str) -> String {
 /// Write one run's profile under `dir`: the RP-style CSV
 /// (`<label>.prof.csv`) and a Chrome `trace_event` JSON
 /// (`<label>.trace.json`, viewable in Perfetto / `chrome://tracing`).
-pub fn write_profile(dir: &Path, label: &str, data: &ProfileData) {
+fn write_profile(dir: &Path, label: &str, data: &ProfileData) {
     let _ = fs::create_dir_all(dir);
     let base = sanitize(label);
     let _ = fs::write(dir.join(format!("{base}.prof.csv")), data.csv());
@@ -340,7 +353,7 @@ pub fn write_profile(dir: &Path, label: &str, data: &ProfileData) {
 /// (`<label>.om.txt`, registry families plus the derived critical-path
 /// families appended before `# EOF`) and a human-readable summary
 /// (`<label>.summary.txt`). No-op when the report carries no snapshot.
-pub fn write_metrics(dir: &Path, label: &str, report: &RunReport) {
+fn write_metrics(dir: &Path, label: &str, report: &RunReport) {
     let Some(snap) = &report.metrics else { return };
     let _ = fs::create_dir_all(dir);
     let base = sanitize(label);
@@ -386,7 +399,7 @@ pub fn write_telemetry(dir: &Path, label: &str, report: &RunReport) {
 /// aggregate blame decomposition (`<label>.blame.txt`). `rp-explain`
 /// answers `why was task X slow?` and `what moved between runs A and B?`
 /// from these files. No-op when the report carries no lineage.
-pub fn write_lineage(dir: &Path, label: &str, report: &RunReport) {
+fn write_lineage(dir: &Path, label: &str, report: &RunReport) {
     let Some(lin) = &report.lineage else { return };
     let _ = fs::create_dir_all(dir);
     let base = sanitize(label);
@@ -411,25 +424,72 @@ pub fn write_serving(dir: &Path, label: &str, report: &RunReport) {
     let _ = fs::write(dir.join(format!("{base}.serving.txt")), s.summary());
 }
 
-/// Run `reps` repetitions of a configuration with distinct seeds, digesting
+/// Run `work(0..n)` over up to `jobs` scoped worker threads and hand each
+/// result to `sink` in index order, on the calling thread, as soon as every
+/// lower index has been handed over. Workers claim indices from a shared
+/// counter, so the set of results — and, when `work` is deterministic,
+/// their contents — never depends on the job count or completion order.
+/// `jobs <= 1` runs everything sequentially on the calling thread.
+pub fn fan_out<T: Send>(
+    n: usize,
+    jobs: usize,
+    work: impl Fn(usize) -> T + Sync,
+    mut sink: impl FnMut(T),
+) {
+    let jobs = jobs.min(n);
+    if jobs <= 1 {
+        (0..n).for_each(|i| sink(work(i)));
+        return;
+    }
+    let next = AtomicUsize::new(0);
+    let (tx, rx) = mpsc::channel();
+    std::thread::scope(|s| {
+        for _ in 0..jobs {
+            let (tx, next, work) = (tx.clone(), &next, &work);
+            s.spawn(move || loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= n {
+                    break;
+                }
+                if tx.send((i, work(i))).is_err() {
+                    break;
+                }
+            });
+        }
+        drop(tx);
+        // Park out-of-order results until the prefix before them is done.
+        let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
+        let mut flushed = 0;
+        for (i, result) in rx {
+            slots[i] = Some(result);
+            while let Some(result) = slots.get_mut(flushed).and_then(Option::take) {
+                sink(result);
+                flushed += 1;
+            }
+        }
+    });
+}
+
+/// The session runner, the one place an experiment session is built,
+/// instrumented, fault- or serving-planned, run and written out: run `reps`
+/// repetitions of a configuration with distinct seeds, digesting
 /// each. `mk_workload` builds a fresh workload per rep (workload sources
-/// are consumed by the run); `mk_cfg` gets the rep's seed. With
-/// `opts.profile_dir`, rep 0 runs with profiling enabled and its profile
-/// CSV + Chrome trace land in that directory under the experiment label;
-/// with `opts.metrics_dir`, rep 0 runs with metrics attached and its
-/// OpenMetrics document + summary land there the same way; with
-/// `opts.telemetry_dir`, rep 0 runs with the streaming-telemetry collector
-/// attached and its JSONL time-series + flight recorder + HTML dashboard
-/// land there too; with `opts.lineage_dir`, rep 0 records every task's
-/// causal chain and its lineage JSONL + blame report land there for
-/// `rp-explain`. With `opts.faults`, every rep runs under the same
-/// deterministic fault plan.
-/// `opts.jobs > 1` runs repetitions across that many scoped worker
-/// threads. Each rep's seed depends only on its index and each simulation
-/// is single-threaded and deterministic, so the reports are identical to
-/// the sequential run's; results are collected into per-rep slots and
-/// aggregated in rep order, making the output independent of completion
-/// order.
+/// are consumed by the run); `mk_cfg` gets the rep's seed (a single-session
+/// cell with a fixed seed ignores it). With `opts.profile_dir`, rep 0 runs
+/// with profiling enabled and its profile CSV + Chrome trace land in that
+/// directory under the experiment label; with `opts.metrics_dir`, rep 0
+/// runs with metrics attached and its OpenMetrics document + summary land
+/// there the same way; with `opts.telemetry_dir`, rep 0 runs with the
+/// streaming-telemetry collector attached and its JSONL time-series +
+/// flight recorder + HTML dashboard (+ serving books) land there too; with
+/// `opts.lineage_dir`, rep 0 records every task's causal chain and its
+/// lineage JSONL + blame report land there for `rp-explain`. With
+/// `opts.faults` / `opts.serving`, every rep runs under the same
+/// deterministic fault / serving plan.
+/// `opts.jobs > 1` runs repetitions across that many scoped worker threads
+/// via [`fan_out`]. Each rep's seed depends only on its index and each
+/// simulation is single-threaded and deterministic, so the reports are
+/// identical to the sequential run's and aggregated in rep order.
 pub fn repeat(
     label: &str,
     reps: usize,
@@ -437,19 +497,18 @@ pub fn repeat(
     mk_workload: impl (Fn() -> Box<dyn WorkloadSource>) + Sync,
     opts: &RunOpts,
 ) -> (ExpRow, Vec<RunReport>) {
-    let jobs = opts.jobs.max(1);
+    let period = opts.period.unwrap_or(PROFILE_PERIOD);
     let run_rep = |rep: usize| -> RunReport {
         let seed = 1000 + 7919 * rep as u64;
-        let cfg = mk_cfg(seed);
-        let mut session = SimSession::new(cfg, mk_workload());
+        let mut session = SimSession::new(mk_cfg(seed), mk_workload());
         if rep == 0 && opts.profile_dir.is_some() {
-            session = session.with_profiling(PROFILE_PERIOD);
+            session = session.with_profiling(period);
         }
         if rep == 0 && opts.metrics_dir.is_some() {
-            session = session.with_metrics(PROFILE_PERIOD);
+            session = session.with_metrics(period);
         }
         if rep == 0 && opts.telemetry_dir.is_some() {
-            session = session.with_telemetry(PROFILE_PERIOD);
+            session = session.with_telemetry(period);
         }
         if rep == 0 && opts.lineage_dir.is_some() {
             session = session.with_lineage();
@@ -462,34 +521,10 @@ pub fn repeat(
         }
         session.run()
     };
-    let reports: Vec<RunReport> = if jobs <= 1 || reps <= 1 {
-        (0..reps).map(run_rep).collect()
-    } else {
-        let slots = std::sync::Mutex::new((0..reps).map(|_| None).collect::<Vec<_>>());
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        std::thread::scope(|s| {
-            for _ in 0..jobs.min(reps) {
-                s.spawn(|| loop {
-                    let rep = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    if rep >= reps {
-                        break;
-                    }
-                    let report = run_rep(rep);
-                    slots.lock().expect("worker panicked")[rep] = Some(report);
-                });
-            }
-        });
-        slots
-            .into_inner()
-            .expect("worker panicked")
-            .into_iter()
-            .map(|r| r.expect("every rep slot filled"))
-            .collect()
-    };
-    if let Some(dir) = &opts.profile_dir {
-        if let Some(data) = &reports[0].profile {
-            write_profile(dir, label, data);
-        }
+    let mut reports = Vec::with_capacity(reps);
+    fan_out(reps, opts.jobs, run_rep, |report| reports.push(report));
+    if let (Some(dir), Some(data)) = (&opts.profile_dir, &reports[0].profile) {
+        write_profile(dir, label, data);
     }
     if let Some(dir) = &opts.metrics_dir {
         write_metrics(dir, label, &reports[0]);
@@ -528,19 +563,6 @@ pub fn repeat_static(
         || Box::new(rp_core::StaticWorkload::new(mk_tasks())),
         &opts,
     )
-}
-
-/// Write experiment output under `results/` (text + csv side by side).
-pub fn write_results(name: &str, text: &str, rows: &[ExpRow]) {
-    let dir = Path::new("results");
-    let _ = fs::create_dir_all(dir);
-    let _ = fs::write(dir.join(format!("{name}.txt")), text);
-    let mut csv = String::from(ExpRow::csv_header());
-    csv.push('\n');
-    for r in rows {
-        let _ = writeln!(csv, "{}", r.csv_line());
-    }
-    let _ = fs::write(dir.join(format!("{name}.csv")), csv);
 }
 
 #[cfg(test)]
@@ -692,19 +714,32 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
+    fn argv(s: &[&str]) -> Vec<String> {
+        s.iter().map(|a| a.to_string()).collect()
+    }
+
+    fn parse(s: &[&str]) -> Result<Cli, String> {
+        Cli::parse(&argv(s), EXP_FLAGS)
+    }
+
     /// `--faults` flag parsing: spec + seed round-trip, default seed
     /// applies, absent flag disables.
     #[test]
     fn faults_from_args_parses_spec_and_seed() {
-        let argv = |s: &[&str]| -> Vec<String> { s.iter().map(|a| a.to_string()).collect() };
-        assert!(faults_from_args(&argv(&["exp"])).is_none());
-        let (spec, seed) =
-            faults_from_args(&argv(&["exp", "--faults", "nodes=2,crashes=1"])).expect("parsed");
+        assert!(parse(&[]).expect("empty").opts.faults.is_none());
+        let (spec, seed) = parse(&["--faults", "nodes=2,crashes=1"])
+            .expect("parsed")
+            .opts
+            .faults
+            .expect("plan");
         assert_eq!(spec.node_failures, 2);
         assert_eq!(spec.crashes, 1);
         assert_eq!(seed, DEFAULT_FAULT_SEED);
-        let (_, seed) = faults_from_args(&argv(&["exp", "--faults=nodes=1", "--fault-seed", "99"]))
-            .expect("parsed");
+        let (_, seed) = parse(&["--faults=nodes=1", "--fault-seed", "99"])
+            .expect("parsed")
+            .opts
+            .faults
+            .expect("plan");
         assert_eq!(seed, 99);
     }
 
@@ -712,21 +747,80 @@ mod tests {
     /// applies, absent flag disables.
     #[test]
     fn serving_from_args_parses_spec_and_seed() {
-        let argv = |s: &[&str]| -> Vec<String> { s.iter().map(|a| a.to_string()).collect() };
-        assert!(serving_from_args(&argv(&["exp"])).is_none());
-        let (spec, seed) =
-            serving_from_args(&argv(&["exp", "--serving", "rate=100,horizon=30"])).expect("parsed");
+        assert!(parse(&[]).expect("empty").opts.serving.is_none());
+        let (spec, seed) = parse(&["--serving", "rate=100,horizon=30"])
+            .expect("parsed")
+            .opts
+            .serving
+            .expect("plan");
         assert_eq!(spec.rate, 100.0);
         assert_eq!(spec.horizon_s, 30.0);
         assert_eq!(seed, DEFAULT_SERVING_SEED);
-        let (_, seed) = serving_from_args(&argv(&[
-            "exp",
-            "--serving=rate=10,horizon=5",
-            "--serving-seed",
-            "77",
-        ]))
-        .expect("parsed");
+        let (_, seed) = parse(&["--serving=rate=10,horizon=5", "--serving-seed", "77"])
+            .expect("parsed")
+            .opts
+            .serving
+            .expect("plan");
         assert_eq!(seed, 77);
+    }
+
+    /// Every accepted flag lands in its field, in both spellings, and
+    /// positional words are kept in order.
+    #[test]
+    fn cli_parses_every_flag() {
+        let cli = parse(&[
+            "srun",
+            "--quick",
+            "--jobs=3",
+            "--profile-dir",
+            "p",
+            "--metrics-dir=m",
+            "--telemetry-dir",
+            "t",
+            "--lineage-dir",
+            "l",
+            "flux1",
+        ])
+        .expect("parsed");
+        assert!(cli.quick);
+        assert_eq!(cli.opts.jobs, 3);
+        assert_eq!(cli.opts.profile_dir, Some(PathBuf::from("p")));
+        assert_eq!(cli.opts.metrics_dir, Some(PathBuf::from("m")));
+        assert_eq!(cli.opts.telemetry_dir, Some(PathBuf::from("t")));
+        assert_eq!(cli.opts.lineage_dir, Some(PathBuf::from("l")));
+        assert_eq!(cli.words, ["srun", "flux1"]);
+        assert_eq!(cli.seeds, None);
+    }
+
+    /// Input that must not silently change the run is an error: unknown
+    /// or misspelled flags, malformed numbers, value flags with no value,
+    /// and seeds without their plan.
+    #[test]
+    fn cli_rejects_malformed_input() {
+        for bad in [
+            &["--jobs", "x"][..],
+            &["--jobs=0"],
+            &["--jobs"],
+            &["--lineage_dir", "out/"],
+            &["--seeds", "4"],
+            &["--faults"],
+            &["--quick", "--faults"],
+            &["--faults", "--quick"],
+            &["--faults", "bogus=1"],
+            &["--faults", "nodes=1", "--fault-seed", "x"],
+            &["--fault-seed", "3"],
+            &["--serving", "rate=10,horizon=5", "--serving-seed", "-1"],
+            &["--serving-seed", "3"],
+            &["--serving"],
+            &["--quick=yes"],
+            &["--jobs", "2", "--jobs", "3"],
+        ] {
+            assert!(parse(bad).is_err(), "{bad:?} must be rejected");
+        }
+        let soak = |s: &[&str]| Cli::parse(&argv(s), &["seeds", "faults", "lineage-dir"]);
+        assert_eq!(soak(&["--seeds", "4"]).expect("parsed").seeds, Some(4));
+        assert!(soak(&["--seeds", "x"]).is_err());
+        assert!(soak(&["--quick"]).is_err(), "flags outside the allowed set");
     }
 
     /// Serving flows through the repetition helper into every rep with the

@@ -10,13 +10,24 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 cargo build --release --offline --workspace
 cargo test -q --offline --workspace
 
+# Determinism: the whole quick suite, run in-process at --jobs 1 and at
+# --jobs 2 from two scratch working dirs, must write byte-identical
+# results/ trees and print byte-identical transcripts.
+RP_EXP="$PWD/target/release/rp-exp"
+DET1="$(mktemp -d)"
+DET2="$(mktemp -d)"
+(cd "$DET1" && "$RP_EXP" all --quick --jobs 1 > transcript.txt)
+(cd "$DET2" && "$RP_EXP" all --quick --jobs 2 > transcript.txt)
+diff -r "$DET1" "$DET2"
+rm -rf "$DET1" "$DET2"
+
 # Metrics smoke: a quick deterministic run must produce a parseable
 # OpenMetrics document, and the snapshot diff vs the checked-in baseline
 # is ENFORCING — the simulation is seeded and deterministic, so any drift
 # is a real behavior change. Known-noisy micro-latency families carry
 # looser per-metric bounds in baselines/metrics.tolerances.
 METRICS_DIR="$(mktemp -d)"
-./target/release/exp_overhead --quick --metrics-dir "$METRICS_DIR" > /dev/null
+./target/release/rp-exp overhead --quick --metrics-dir "$METRICS_DIR" > /dev/null
 test -s "$METRICS_DIR/overhead_flux_n_4.om.txt"
 ./target/release/compare_metrics baselines/metrics.txt \
     "$METRICS_DIR/overhead_flux_n_4.om.txt" \
@@ -27,7 +38,7 @@ rm -rf "$METRICS_DIR"
 # collector attached must produce non-empty JSONL time-series and a
 # self-contained HTML dashboard (uploaded as a CI artifact in ci.yml).
 TELEMETRY_DIR="${TELEMETRY_DIR:-$(mktemp -d)}"
-./target/release/exp_flux1 --quick --telemetry-dir "$TELEMETRY_DIR" > /dev/null
+./target/release/rp-exp flux1 --quick --telemetry-dir "$TELEMETRY_DIR" > /dev/null
 test -s "$TELEMETRY_DIR/flux_1_null_n_1.telemetry.jsonl"
 test -s "$TELEMETRY_DIR/flux_1_null_n_1.dashboard.html"
 grep -q "<!DOCTYPE html>" "$TELEMETRY_DIR/flux_1_null_n_1.dashboard.html"
@@ -37,7 +48,7 @@ grep -q "<!DOCTYPE html>" "$TELEMETRY_DIR/flux_1_null_n_1.dashboard.html"
 # report, every task uid must narrate through `rp-explain`, and two
 # lineage dirs must diff. Artifacts are uploaded in ci.yml.
 LINEAGE_DIR="${LINEAGE_DIR:-$(mktemp -d)}"
-./target/release/exp_flux1 --quick --lineage-dir "$LINEAGE_DIR" > /dev/null
+./target/release/rp-exp flux1 --quick --lineage-dir "$LINEAGE_DIR" > /dev/null
 test -s "$LINEAGE_DIR/flux_1_null_n_1.lineage.jsonl"
 test -s "$LINEAGE_DIR/flux_1_null_n_1.blame.txt"
 UID0="$(sed -n 's/^{"uid":\([0-9]*\).*/\1/p' \
