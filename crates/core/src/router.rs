@@ -53,19 +53,11 @@ impl Router {
     /// Backends able to host this task kind, in static preference order
     /// (used by `LeastLoaded` to enumerate candidates).
     pub fn candidates(&self, task: &TaskDescription) -> Vec<BackendKind> {
-        let order: &[BackendKind] = if task.kind.is_function() {
-            // Neither srun nor the scheduler-less DVM host in-process
-            // functions.
-            &[BackendKind::Dragon, BackendKind::Flux]
-        } else {
-            &[
-                BackendKind::Flux,
-                BackendKind::Prrte,
-                BackendKind::Dragon,
-                BackendKind::Srun,
-            ]
-        };
-        order.iter().copied().filter(|k| self.has(*k)).collect()
+        preference(task.kind.is_function())
+            .iter()
+            .copied()
+            .filter(|k| self.has(*k))
+            .collect()
     }
 
     /// Route one task.
@@ -77,31 +69,37 @@ impl Router {
                 Err(RouteError::HintUnavailable(hint))
             };
         }
-        if task.kind.is_function() {
-            // Functions prefer Dragon; Flux can run them via a wrapper
-            // process at executable cost; srun cannot host them at all.
-            for k in [BackendKind::Dragon, BackendKind::Flux] {
-                if self.has(k) {
-                    return Ok(k);
-                }
-            }
-            Err(RouteError::NoBackend)
-        } else {
-            // Executables prefer Flux's placement; PRRTE's fast DVM comes
-            // next; Dragon supports them in spawn mode; srun is the
-            // baseline path.
-            for k in [
-                BackendKind::Flux,
-                BackendKind::Prrte,
-                BackendKind::Dragon,
-                BackendKind::Srun,
-            ] {
-                if self.has(k) {
-                    return Ok(k);
-                }
-            }
-            Err(RouteError::NoBackend)
-        }
+        self.route_kind(task.kind.is_function())
+    }
+
+    /// Route an unhinted task by kind alone: what [`Router::route`]
+    /// answers for any task of that kind without a backend hint.
+    pub(crate) fn route_kind(&self, is_function: bool) -> Result<BackendKind, RouteError> {
+        preference(is_function)
+            .iter()
+            .copied()
+            .find(|k| self.has(*k))
+            .ok_or(RouteError::NoBackend)
+    }
+}
+
+/// Every backend able to host a task kind, most preferred first.
+fn preference(is_function: bool) -> &'static [BackendKind] {
+    if is_function {
+        // Functions prefer Dragon; Flux can run them via a wrapper process
+        // at executable cost; neither srun nor the scheduler-less DVM host
+        // in-process functions.
+        &[BackendKind::Dragon, BackendKind::Flux]
+    } else {
+        // Executables prefer Flux's placement; PRRTE's fast DVM comes
+        // next; Dragon supports them in spawn mode; srun is the baseline
+        // path.
+        &[
+            BackendKind::Flux,
+            BackendKind::Prrte,
+            BackendKind::Dragon,
+            BackendKind::Srun,
+        ]
     }
 }
 

@@ -3,9 +3,10 @@
 //! The same architecture as the simulated Agent — task-type-aware routing
 //! across concurrently deployed backends, a watcher thread consuming
 //! serialized Dragon events, an `srun`-like ceiling-limited launcher — but
-//! payloads are real: `FnOnce` closures on a Flux-like scheduler thread,
-//! registered functions on a Dragon-like worker pool, both over actual OS
-//! threads. The examples and the quickstart run on this plane; it shares
+//! payloads are real: `FnOnce` closures on a Flux-like instance's reused
+//! worker threads, registered functions on a Dragon-like worker pool, both
+//! over actual OS threads. A panicking payload is logged as a failed task
+//! on every backend. The examples and the quickstart run on this plane; it shares
 //! the routing and resource-algebra logic with the simulation, so what the
 //! experiments characterize is the same system the examples exercise.
 
@@ -20,7 +21,8 @@ use rp_serving::{
 };
 use rp_slurm::SrunRt;
 use rp_telemetry::{SampleInput, Telemetry, TelemetryConfig, TelemetryData};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -90,7 +92,8 @@ pub struct RtRecord {
     pub started: Duration,
     /// End offset from pilot start.
     pub ended: Duration,
-    /// Whether the payload failed (Dragon function errors).
+    /// Whether the payload failed: it panicked, or its Dragon function
+    /// errored.
     pub failed: bool,
 }
 
@@ -104,11 +107,40 @@ pub enum RtError {
 }
 
 struct Shared {
+    /// Completion log. Its capacity is grown by [`RtPilot::submit`], so
+    /// the threads that log completions only push into spare room.
     records: Mutex<Vec<RtRecord>>,
     dragon_pending: AtomicU64,
     // Submit stamps for Dragon tasks: the watcher thread needs them when it
     // writes the completion record (Flux/srun closures capture theirs).
     dragon_submitted: Mutex<std::collections::HashMap<u64, Duration>>,
+}
+
+impl Shared {
+    /// Run an executable payload and log its record. A panic marks the
+    /// task failed instead of unwinding into the backend's thread.
+    fn run_exec(
+        &self,
+        f: Box<dyn FnOnce() + Send>,
+        uid: TaskId,
+        backend: BackendKind,
+        submitted: Duration,
+        t0: Instant,
+    ) {
+        let started = t0.elapsed();
+        let failed = panic::catch_unwind(AssertUnwindSafe(f)).is_err();
+        self.records
+            .lock()
+            .expect("records poisoned")
+            .push(RtRecord {
+                uid,
+                backend,
+                submitted,
+                started,
+                ended: t0.elapsed(),
+                failed,
+            });
+    }
 }
 
 /// The threaded pilot.
@@ -141,6 +173,8 @@ pub struct RtPilot {
     srun_handles: Mutex<Vec<JoinHandle<()>>>,
     router: Router,
     shared: Arc<Shared>,
+    /// Routed submits so far: an upper bound on the records to come.
+    accepted: AtomicUsize,
     watcher: Option<JoinHandle<()>>,
     t0: Instant,
 }
@@ -175,64 +209,44 @@ impl RtPilot {
             // update the task registry.
             let events = pool.events().clone();
             let shared2 = shared.clone();
-            let watcher =
-                std::thread::Builder::new()
-                    .name("rp-watcher".into())
-                    .spawn(move || {
-                        let mut starts: std::collections::HashMap<u64, Duration> =
-                            std::collections::HashMap::new();
-                        while let Ok(frame) = events.recv() {
-                            match decode_event(&frame) {
-                                Ok(PipeEvent::Started { id }) => {
-                                    starts.insert(id, t0.elapsed());
-                                }
-                                Ok(PipeEvent::Completed { id, .. }) => {
-                                    let started =
-                                        starts.remove(&id).unwrap_or_else(|| t0.elapsed());
-                                    let submitted = shared2
-                                        .dragon_submitted
-                                        .lock()
-                                        .expect("submits poisoned")
-                                        .remove(&id)
-                                        .unwrap_or(started);
-                                    shared2.records.lock().expect("records poisoned").push(
-                                        RtRecord {
-                                            uid: TaskId(id),
-                                            backend: BackendKind::Dragon,
-                                            submitted,
-                                            started,
-                                            ended: t0.elapsed(),
-                                            failed: false,
-                                        },
-                                    );
-                                    shared2.dragon_pending.fetch_sub(1, Ordering::AcqRel);
-                                }
-                                Ok(PipeEvent::Failed { id, .. }) => {
-                                    let started =
-                                        starts.remove(&id).unwrap_or_else(|| t0.elapsed());
-                                    let submitted = shared2
-                                        .dragon_submitted
-                                        .lock()
-                                        .expect("submits poisoned")
-                                        .remove(&id)
-                                        .unwrap_or(started);
-                                    shared2.records.lock().expect("records poisoned").push(
-                                        RtRecord {
-                                            uid: TaskId(id),
-                                            backend: BackendKind::Dragon,
-                                            submitted,
-                                            started,
-                                            ended: t0.elapsed(),
-                                            failed: true,
-                                        },
-                                    );
-                                    shared2.dragon_pending.fetch_sub(1, Ordering::AcqRel);
-                                }
-                                Err(_) => {}
+            let watcher = std::thread::Builder::new()
+                .name("rp-watcher".into())
+                .spawn(move || {
+                    let mut starts: std::collections::HashMap<u64, Duration> =
+                        std::collections::HashMap::new();
+                    while let Ok(frame) = events.recv() {
+                        let (id, failed) = match decode_event(&frame) {
+                            Ok(PipeEvent::Started { id }) => {
+                                starts.insert(id, t0.elapsed());
+                                continue;
                             }
-                        }
-                    })
-                    .expect("spawn watcher");
+                            Ok(PipeEvent::Completed { id, .. }) => (id, false),
+                            Ok(PipeEvent::Failed { id, .. }) => (id, true),
+                            Err(_) => continue,
+                        };
+                        let started = starts.remove(&id).unwrap_or_else(|| t0.elapsed());
+                        let submitted = shared2
+                            .dragon_submitted
+                            .lock()
+                            .expect("submits poisoned")
+                            .remove(&id)
+                            .unwrap_or(started);
+                        shared2
+                            .records
+                            .lock()
+                            .expect("records poisoned")
+                            .push(RtRecord {
+                                uid: TaskId(id),
+                                backend: BackendKind::Dragon,
+                                submitted,
+                                started,
+                                ended: t0.elapsed(),
+                                failed,
+                            });
+                        shared2.dragon_pending.fetch_sub(1, Ordering::AcqRel);
+                    }
+                })
+                .expect("spawn watcher");
             (Some(pool), Some(watcher))
         } else {
             (None, None)
@@ -252,6 +266,7 @@ impl RtPilot {
             srun_handles: Mutex::new(Vec::new()),
             router: Router::new(deployed),
             shared,
+            accepted: AtomicUsize::new(0),
             watcher,
             t0,
         }
@@ -260,14 +275,8 @@ impl RtPilot {
     /// Submit a task; it is routed by payload kind exactly as on the
     /// simulated plane.
     pub fn submit(&self, task: RtTask) -> Result<BackendKind, RtError> {
-        let is_function = matches!(task.payload, RtPayload::Func { .. });
-        // Build a minimal description for the shared router.
-        let desc = if is_function {
-            crate::task::TaskDescription::function(task.uid, "f", rp_sim::SimDuration::ZERO)
-        } else {
-            crate::task::TaskDescription::dummy(task.uid, rp_sim::SimDuration::ZERO)
-        };
-        let kind = self.router.route(&desc).map_err(RtError::Route)?;
+        let kind = self.route(&task.payload).map_err(RtError::Route)?;
+        self.reserve_record();
         let submitted = self.t0.elapsed();
         match (kind, task.payload) {
             (BackendKind::Dragon, RtPayload::Func { name, args }) => {
@@ -319,20 +328,7 @@ impl RtPilot {
                     .as_ref()
                     .expect("flux deployed")
                     .submit(task.uid, req, move || {
-                        let started = t0.elapsed();
-                        f();
-                        shared
-                            .records
-                            .lock()
-                            .expect("records poisoned")
-                            .push(RtRecord {
-                                uid,
-                                backend: BackendKind::Flux,
-                                submitted,
-                                started,
-                                ended: t0.elapsed(),
-                                failed: false,
-                            });
+                        shared.run_exec(f, uid, BackendKind::Flux, submitted, t0)
                     })
                     .map_err(|e| RtError::Backend(format!("{e:?}")))?;
                 Ok(BackendKind::Flux)
@@ -345,22 +341,11 @@ impl RtPilot {
                 let shared = self.shared.clone();
                 let t0 = self.t0;
                 let uid = TaskId(task.uid);
-                let handle = self.srun.as_ref().expect("srun deployed").launch(move || {
-                    let started = t0.elapsed();
-                    f();
-                    shared
-                        .records
-                        .lock()
-                        .expect("records poisoned")
-                        .push(RtRecord {
-                            uid,
-                            backend: BackendKind::Srun,
-                            submitted,
-                            started,
-                            ended: t0.elapsed(),
-                            failed: false,
-                        });
-                });
+                let handle = self
+                    .srun
+                    .as_ref()
+                    .expect("srun deployed")
+                    .launch(move || shared.run_exec(f, uid, BackendKind::Srun, submitted, t0));
                 self.srun_handles
                     .lock()
                     .expect("handles poisoned")
@@ -371,6 +356,23 @@ impl RtPilot {
                 "payload/backend mismatch for {kind}"
             ))),
         }
+    }
+
+    /// The backend [`Router::route`] picks for an unhinted task of this
+    /// payload's kind, without building a task description.
+    fn route(&self, payload: &RtPayload) -> Result<BackendKind, RouteError> {
+        self.router
+            .route_kind(matches!(payload, RtPayload::Func { .. }))
+    }
+
+    /// Grow the record log on the submitting thread, under its lock, to
+    /// hold a record for every accepted task; the worker and watcher
+    /// threads then never reallocate it.
+    fn reserve_record(&self) {
+        let mut records = self.shared.records.lock().expect("records poisoned");
+        let accepted = self.accepted.fetch_add(1, Ordering::Relaxed) + 1;
+        let len = records.len();
+        records.reserve(accepted - len);
     }
 
     /// Block until every submitted task has completed.
@@ -605,12 +607,7 @@ impl RtPilot {
         if let Some(w) = self.watcher.take() {
             let _ = w.join();
         }
-        let records = self
-            .shared
-            .records
-            .lock()
-            .expect("records poisoned")
-            .clone();
+        let records = std::mem::take(&mut *self.shared.records.lock().expect("records poisoned"));
         records
     }
 }
@@ -773,6 +770,98 @@ mod tests {
             ServingPlan::generate(&spec, 42)
         );
         pilot.shutdown();
+    }
+
+    /// Run `f` on its own thread and fail if it does not return within
+    /// `secs`, so a hung pilot fails the test instead of stalling it.
+    fn within<T: Send + 'static>(secs: u64, f: impl FnOnce() -> T + Send + 'static) -> T {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = tx.send(f());
+        });
+        rx.recv_timeout(Duration::from_secs(secs))
+            .expect("pilot hung past its deadline, or the test body panicked")
+    }
+
+    #[test]
+    fn panicking_payloads_are_failed_records_not_hangs() {
+        let records = within(20, || {
+            let reg = registry();
+            reg.register("boom", |_| panic!("function panic"));
+            let cfg = RtConfig {
+                flux_cores: 1,
+                dragon_workers: 1,
+                ..RtConfig::default()
+            };
+            let pilot = RtPilot::start(cfg, reg);
+            let exec = |uid, boom: bool| RtTask {
+                uid,
+                cores: 1,
+                payload: RtPayload::Exec(Box::new(move || assert!(!boom, "closure panic"))),
+            };
+            let func = |uid, name: &str| RtTask {
+                uid,
+                cores: 1,
+                payload: RtPayload::Func {
+                    name: name.into(),
+                    args: 2u64.to_le_bytes().to_vec(),
+                },
+            };
+            pilot.submit(exec(0, true)).unwrap();
+            pilot.submit(func(1, "boom")).unwrap();
+            // The same single Flux worker and Dragon worker run these.
+            pilot.submit(exec(2, false)).unwrap();
+            pilot.submit(func(3, "square")).unwrap();
+            pilot.wait_idle();
+            pilot.shutdown()
+        });
+        let mut outcome: Vec<_> = records.iter().map(|r| (r.uid.0, r.failed)).collect();
+        outcome.sort_unstable();
+        assert_eq!(outcome, vec![(0, true), (1, true), (2, false), (3, false)]);
+    }
+
+    #[test]
+    fn submit_routes_exactly_as_the_router_over_every_deployed_set() {
+        for mask in 0..8u32 {
+            let on = |bit: u32| mask & (1 << bit) != 0;
+            let cfg = RtConfig {
+                flux_cores: if on(0) { 1 } else { 0 },
+                dragon_workers: if on(1) { 1 } else { 0 },
+                srun_ceiling: if on(2) { 1 } else { 0 },
+                ..RtConfig::default()
+            };
+            let deployed: Vec<_> = [BackendKind::Flux, BackendKind::Dragon, BackendKind::Srun]
+                .into_iter()
+                .enumerate()
+                .filter(|(bit, _)| on(*bit as u32))
+                .map(|(_, k)| k)
+                .collect();
+            let router = Router::new(deployed.clone());
+            let pilot = RtPilot::start(cfg, registry());
+            let exec = RtPayload::Exec(Box::new(|| {}));
+            let func = RtPayload::Func {
+                name: "square".into(),
+                args: Vec::new(),
+            };
+            let desc = |f: bool| {
+                if f {
+                    crate::task::TaskDescription::function(0, "square", rp_sim::SimDuration::ZERO)
+                } else {
+                    crate::task::TaskDescription::dummy(0, rp_sim::SimDuration::ZERO)
+                }
+            };
+            assert_eq!(
+                pilot.route(&exec),
+                router.route(&desc(false)),
+                "{deployed:?}"
+            );
+            assert_eq!(
+                pilot.route(&func),
+                router.route(&desc(true)),
+                "{deployed:?}"
+            );
+            pilot.shutdown();
+        }
     }
 
     #[test]

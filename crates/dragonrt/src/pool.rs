@@ -9,6 +9,8 @@ use crate::function::{FunctionCall, FunctionRegistry};
 use crate::pipe::{decode_call, encode_call, encode_event, PipeEvent};
 use crate::shmem::ShmemQueue;
 use rp_platform::sync::{mpmc_channel, Receiver, Sender};
+use std::any::Any;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
@@ -115,14 +117,19 @@ fn worker_loop(
                     Ok(call) => {
                         let started = PipeEvent::Started { id: call.id };
                         tx.send(encode_event(&started));
-                        match registry.call(&call) {
-                            Ok(result) => PipeEvent::Completed {
+                        // A panicking function fails its task, not the worker.
+                        match panic::catch_unwind(AssertUnwindSafe(|| registry.call(&call))) {
+                            Ok(Ok(result)) => PipeEvent::Completed {
                                 id: call.id,
                                 result,
                             },
-                            Err(e) => PipeEvent::Failed {
+                            Ok(Err(e)) => PipeEvent::Failed {
                                 id: call.id,
                                 error: format!("{e:?}"),
+                            },
+                            Err(payload) => PipeEvent::Failed {
+                                id: call.id,
+                                error: format!("panicked: {}", panic_message(&*payload)),
                             },
                         }
                     }
@@ -142,6 +149,15 @@ fn worker_loop(
             }
         }
     }
+}
+
+/// The message a panic was raised with, when it is a string.
+fn panic_message(payload: &(dyn Any + Send)) -> &str {
+    payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("non-string panic payload")
 }
 
 #[cfg(test)]
@@ -215,6 +231,38 @@ mod tests {
             }
         }
         assert!(failed);
+        pool.shutdown();
+    }
+
+    #[test]
+    fn panicking_function_fails_its_task_and_keeps_the_worker() {
+        let reg = echo_registry();
+        reg.register("boom", |_| panic!("function panic"));
+        let pool = DragonPool::start(1, 8, reg);
+        for (id, name) in [(1, "boom"), (2, "echo")] {
+            pool.submit(&FunctionCall {
+                id,
+                name: name.into(),
+                args: vec![9],
+            })
+            .unwrap();
+        }
+        let mut terminal = Vec::new();
+        while terminal.len() < 2 {
+            let frame = pool
+                .events()
+                .recv_timeout(std::time::Duration::from_secs(5))
+                .expect("the single worker survived the panic");
+            match decode_event(&frame).unwrap() {
+                PipeEvent::Started { .. } => {}
+                PipeEvent::Failed { id, error } => {
+                    assert!(error.contains("function panic"), "{error}");
+                    terminal.push((id, false));
+                }
+                PipeEvent::Completed { id, .. } => terminal.push((id, true)),
+            }
+        }
+        assert_eq!(terminal, vec![(1, false), (2, true)]);
         pool.shutdown();
     }
 

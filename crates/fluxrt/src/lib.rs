@@ -4,8 +4,9 @@
 //! jobspecs and the job lifecycle ([`job`]), pluggable scheduling policies
 //! — FCFS and EASY backfill — over a real resource pool ([`policy`]), the
 //! simulated instance pipeline calibrated to the paper's measured rates
-//! ([`instance`]), and a real-threaded instance executing closures
-//! ([`rt`]). Multiple instances over disjoint partitions (the paper's
+//! ([`instance`]), and a real-threaded instance executing closures on a
+//! bounded set of reused worker threads with completion-driven first-fit
+//! placement ([`rt`]). Multiple instances over disjoint partitions (the paper's
 //! `flux_n` configuration) are composed by RP's agent in `rp-core`.
 
 #![warn(missing_docs)]

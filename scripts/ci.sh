@@ -8,7 +8,9 @@ cd "$(dirname "$0")/.."
 cargo fmt --all -- --check
 cargo clippy --workspace --all-targets --offline -- -D warnings
 cargo build --release --offline --workspace
-cargo test -q --offline --workspace
+# A hung test (an rt-plane deadlock) fails the gate after 20 minutes
+# instead of stalling it.
+timeout 20m cargo test -q --offline --workspace
 
 # Determinism: the whole quick suite, run in-process at --jobs 1 and at
 # --jobs 2 from two scratch working dirs, must write byte-identical
