@@ -213,6 +213,36 @@ fn placement_benches(out: &mut Vec<BenchEntry>, nodes: u32) {
         std::hint::black_box(pool.free_cores())
     });
     out.push(entry(format!("placement_spread_n{nodes}"), PAIRS * 2, wall));
+
+    // IMPECCABLE's shape: whole-node MPI spreads of 4-128 ranks (capped at
+    // the pool), one in three with 8 GPUs per node, 384 GiB per rank,
+    // churned FIFO — the oldest placement is freed until the next fits.
+    const WIDE: u64 = 20_000;
+    let max_ranks = 128.min(nodes);
+    let mut ops = 0u64;
+    let wall = median_wall(2.0, || {
+        let mut pool = ResourcePool::over_range(spec, 0, nodes);
+        let mut live = std::collections::VecDeque::new();
+        let mut state = 0x2545_F491_u64;
+        ops = 0;
+        for i in 0..WIDE {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            let ranks = 4 + (state >> 33) as u32 % (max_ranks - 3);
+            let gpus = if i % 3 == 0 { 8 } else { 0 };
+            let req = ResourceRequest::mpi(ranks, spec.cores, gpus).with_mem(384);
+            while !pool.fits_now(&req) {
+                pool.free(&live.pop_front().expect("fits an empty pool"));
+                ops += 1;
+            }
+            live.push_back(pool.try_alloc(&req).expect("fits_now"));
+            ops += 1;
+        }
+        std::hint::black_box(pool.free_cores())
+    });
+    // allocs + frees per iteration.
+    out.push(entry(format!("placement_wide_churn_n{nodes}"), ops, wall));
 }
 
 fn run_report(label: &str, mk: impl Fn() -> RunReport, out: &mut Vec<BenchEntry>) {

@@ -94,7 +94,7 @@ impl SchedPolicy for EasyBackfill {
         // Compute the shadow time: clone the pool, free running placements
         // in end-time order until the head fits. (Only reached when the
         // head is blocked — the hot path above never touches `running`.)
-        let mut shadow_pool = pool.scratch_clone();
+        let mut shadow_pool = pool.clone();
         let mut order: Vec<&RunningJob> = running.values().collect();
         order.sort_by_key(|r| r.expected_end);
         let mut shadow_time = None;

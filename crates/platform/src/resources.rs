@@ -131,57 +131,99 @@ impl Placement {
     }
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct NodeFree {
     id: NodeId,
     /// 1-bits are FREE cores.
     cores: u64,
     /// 1-bits are FREE gpus.
     gpus: u16,
+    /// `cores.count_ones()`, kept next to the mask so planning and the
+    /// index never popcount.
+    ncores: u16,
+    /// `gpus.count_ones()`.
+    ngpus: u16,
     /// Free memory, GiB.
     mem_gb: u32,
     /// Out of service (fault injection). The free masks keep tracking what
     /// *would* be free — frees park into them — but the node contributes
-    /// nothing to the pool totals and both planners skip it until
+    /// nothing to the pool totals and the planner skips it until
     /// [`ResourcePool::node_up`].
     down: bool,
 }
 
 impl NodeFree {
-    /// Free-count triple the [`FitIndex`] sees: forced to zero while the
-    /// node is down, so the indexed planner skips it exactly like the
-    /// linear scan's `down` check.
-    fn index_counts(&self) -> (u16, u16, u32) {
+    /// Free counts the [`FitIndex`] sees: zero while the node is down, so
+    /// the planner never visits it.
+    fn fit(&self) -> Fit {
         if self.down {
-            (0, 0, 0)
+            Fit::default()
         } else {
-            (
-                self.cores.count_ones() as u16,
-                self.gpus.count_ones() as u16,
-                self.mem_gb,
-            )
+            Fit {
+                cores: self.ncores,
+                gpus: self.ngpus,
+                mem: self.mem_gb,
+            }
+        }
+    }
+
+    /// Mark one rank busy: masks `core_mask`/`gpu_mask`, whose popcounts
+    /// the caller knows (`used.cores`/`used.gpus`), and `used.mem` GiB.
+    fn take(&mut self, core_mask: u64, gpu_mask: u16, used: Fit) {
+        debug_assert_eq!(self.cores & core_mask, core_mask, "double-booked cores");
+        debug_assert_eq!(self.gpus & gpu_mask, gpu_mask, "double-booked gpus");
+        debug_assert!(self.mem_gb >= used.mem, "double-booked memory");
+        debug_assert_eq!(core_mask.count_ones(), used.cores as u32);
+        debug_assert_eq!(gpu_mask.count_ones(), used.gpus as u32);
+        self.cores &= !core_mask;
+        self.gpus &= !gpu_mask;
+        self.ncores -= used.cores;
+        self.ngpus -= used.gpus;
+        self.mem_gb -= used.mem;
+    }
+}
+
+/// Free `(cores, GPUs, memory)` of one node, or per-component maxima over
+/// a subtree of the [`FitIndex`]; also the per-rank need of a request.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Fit {
+    cores: u16,
+    gpus: u16,
+    mem: u32,
+}
+
+impl Fit {
+    #[inline]
+    fn covers(self, need: Fit) -> bool {
+        self.cores >= need.cores && self.gpus >= need.gpus && self.mem >= need.mem
+    }
+
+    #[inline]
+    fn max(self, o: Fit) -> Fit {
+        Fit {
+            cores: self.cores.max(o.cores),
+            gpus: self.gpus.max(o.gpus),
+            mem: self.mem.max(o.mem),
         }
     }
 }
 
 /// A segment tree over the pool's nodes holding per-subtree maxima of
-/// `(free core count, free GPU count, free memory)`.
+/// free `(cores, GPUs, memory)` counts.
 ///
 /// Rank eligibility in [`carve`] is purely count-based — a rank fits a node
-/// iff `popcount(free_cores) >= cores && popcount(free_gpus) >= gpus &&
-/// free_mem >= mem`, never contiguity — so "leftmost node at index ≥ lo
-/// where a rank fits" is answerable from these maxima in O(log n). The
-/// descent prefers the left child, which makes the result *exactly* the
-/// node a left-to-right linear scan would pick; the original linear scan is
-/// kept verbatim as `plan_linear` (also the production path for wide
-/// requests) and differential tests assert placement-for-placement
-/// equality.
+/// iff its free core, GPU and memory counts cover the rank, never
+/// contiguity — so "the eligible nodes at index ≥ lo, left to right" is
+/// answerable from these maxima. [`FitIndex::walk`] enumerates exactly the
+/// nodes a left-to-right linear scan would try, in the same order, so every
+/// placement equals the first-fit scan's; the scan is kept as the test-only
+/// reference `plan_linear`, and differential tests assert
+/// placement-for-placement equality.
 ///
 /// Internal maxima are taken per component, so an internal node can look
 /// eligible when no single leaf below it is (core max from one leaf, GPU
-/// max from another); the descent then discards that subtree in O(log n).
-/// Worst case degrades to the linear scan's O(n); the dominant single-core
-/// no-GPU requests never produce such false positives.
+/// max from another); the walk then discards that subtree. The dominant
+/// single-core no-GPU requests never produce such false positives.
 #[derive(Debug, Clone)]
 struct FitIndex {
     /// Number of real leaves (pool nodes).
@@ -189,139 +231,122 @@ struct FitIndex {
     /// Leaf `i` lives at `base + i`; `base` is a power of two. Padding
     /// leaves hold zero free resources.
     base: usize,
-    max_cores: Vec<u16>,
-    max_gpus: Vec<u16>,
-    max_mem: Vec<u32>,
+    max: Vec<Fit>,
+    /// Reused level buffer of [`FitIndex::update_many`].
+    level: Vec<usize>,
 }
 
 impl FitIndex {
-    /// Sentinel for pools that opt out of index maintenance (scratch
-    /// clones used for what-if planning): no storage, never consulted.
-    fn disabled() -> Self {
-        FitIndex {
-            n: 0,
-            base: 0,
-            max_cores: Vec::new(),
-            max_gpus: Vec::new(),
-            max_mem: Vec::new(),
-        }
-    }
-
-    fn is_disabled(&self) -> bool {
-        self.max_cores.is_empty()
-    }
-
     fn build(nodes: &[NodeFree]) -> Self {
         let n = nodes.len();
         let base = n.next_power_of_two().max(1);
-        let mut idx = FitIndex {
-            n,
-            base,
-            max_cores: vec![0; 2 * base],
-            max_gpus: vec![0; 2 * base],
-            max_mem: vec![0; 2 * base],
-        };
-        for (i, node) in nodes.iter().enumerate() {
-            let (c, g, m) = node.index_counts();
-            idx.max_cores[base + i] = c;
-            idx.max_gpus[base + i] = g;
-            idx.max_mem[base + i] = m;
+        let mut max = vec![Fit::default(); 2 * base];
+        for (leaf, node) in max[base..].iter_mut().zip(nodes) {
+            *leaf = node.fit();
         }
         for i in (1..base).rev() {
-            idx.pull_up(i);
+            max[i] = max[2 * i].max(max[2 * i + 1]);
         }
-        idx
+        FitIndex {
+            n,
+            base,
+            max,
+            level: Vec::new(),
+        }
     }
 
+    /// Recompute internal node `i` from its children; whether it changed.
     #[inline]
-    fn pull_up(&mut self, i: usize) {
-        self.max_cores[i] = self.max_cores[2 * i].max(self.max_cores[2 * i + 1]);
-        self.max_gpus[i] = self.max_gpus[2 * i].max(self.max_gpus[2 * i + 1]);
-        self.max_mem[i] = self.max_mem[2 * i].max(self.max_mem[2 * i + 1]);
+    fn pull_up(&mut self, i: usize) -> bool {
+        let new = self.max[2 * i].max(self.max[2 * i + 1]);
+        let changed = self.max[i] != new;
+        self.max[i] = new;
+        changed
     }
 
-    /// Refresh leaf `idx` from its node's current free state. Pull-ups stop
-    /// as soon as an ancestor's maxima are unchanged (typical when a
-    /// sibling subtree dominates — e.g. packing one node of a mostly-free
-    /// pool), making the common update O(1) amortized.
-    fn update(&mut self, idx: usize, node: &NodeFree) {
-        let mut i = self.base + idx;
-        let (c, g, m) = node.index_counts();
-        self.max_cores[i] = c;
-        self.max_gpus[i] = g;
-        self.max_mem[i] = m;
-        i /= 2;
-        while i >= 1 {
-            let before = (self.max_cores[i], self.max_gpus[i], self.max_mem[i]);
-            self.pull_up(i);
-            if (self.max_cores[i], self.max_gpus[i], self.max_mem[i]) == before {
-                break;
+    /// Refresh the leaves of `touched` (node indices, ascending as every
+    /// placement lists them; repeats allowed) from their nodes, then their
+    /// ancestors, stopping wherever the maxima did not change. One leaf —
+    /// every single-rank placement and node fault — just climbs. Several
+    /// leaves refresh their ancestors one level at a time, each once, so
+    /// a placement spanning the pool costs O(n) rather than O(k·log n).
+    fn update_many(&mut self, nodes: &[NodeFree], touched: impl ExactSizeIterator<Item = usize>) {
+        if touched.len() == 1 {
+            for idx in touched {
+                let fit = nodes[idx].fit();
+                let mut i = self.base + idx;
+                if self.max[i] != fit {
+                    self.max[i] = fit;
+                    i /= 2;
+                    while i >= 1 && self.pull_up(i) {
+                        i /= 2;
+                    }
+                }
             }
-            i /= 2;
+            return;
         }
+        let mut level = std::mem::take(&mut self.level);
+        for idx in touched {
+            let fit = nodes[idx].fit();
+            let leaf = self.base + idx;
+            if self.max[leaf] != fit {
+                self.max[leaf] = fit;
+                level.push(leaf);
+            }
+        }
+        while !level.is_empty() {
+            for i in level.iter_mut() {
+                *i /= 2;
+            }
+            level.dedup();
+            level.retain(|&i| i >= 1 && self.pull_up(i));
+        }
+        self.level = level;
     }
 
-    /// Refresh every leaf and rebuild all internal maxima in one O(n)
-    /// bottom-up pass. Cheaper than per-leaf `update` when a single
-    /// placement touches a large fraction of the pool (wide MPI jobs:
-    /// k·log n pull-ups vs n+k work).
-    fn rebuild(&mut self, nodes: &[NodeFree]) {
-        for (i, node) in nodes.iter().enumerate() {
-            let (c, g, m) = node.index_counts();
-            self.max_cores[self.base + i] = c;
-            self.max_gpus[self.base + i] = g;
-            self.max_mem[self.base + i] = m;
+    /// Visit, left to right, every node index `>= lo` whose free counts
+    /// cover `need`, until `visit` returns `true` (done). Returns whether
+    /// it did. One traversal serves a whole plan: from each visited leaf
+    /// it climbs only while on a right edge and re-descends into the first
+    /// covering subtree, so `k` visits cost O(k·log(n/k) + log n), and a
+    /// `lo` that itself fits is visited in O(1).
+    fn walk(&self, lo: usize, need: Fit, mut visit: impl FnMut(usize) -> bool) -> bool {
+        if lo >= self.n {
+            return false;
         }
-        for i in (1..self.base).rev() {
-            self.pull_up(i);
+        let mut i = self.base + lo;
+        loop {
+            if self.max[i].covers(need) {
+                if i < self.base {
+                    i *= 2;
+                    continue;
+                }
+                let idx = i - self.base;
+                if idx >= self.n {
+                    return false; // only padding lies to the right
+                }
+                if visit(idx) {
+                    return true;
+                }
+            }
+            // Next subtree to the right: climb off right edges, step over.
+            while i & 1 == 1 {
+                i /= 2;
+            }
+            if i == 0 {
+                return false;
+            }
+            i += 1;
         }
-    }
-
-    /// Leftmost node index `>= lo` whose free counts satisfy the rank
-    /// thresholds, or `None`.
-    fn find_first(&self, lo: usize, cores: u16, gpus: u16, mem: u32) -> Option<usize> {
-        if self.n == 0 || lo >= self.n {
-            return None;
-        }
-        // Fast path: when `lo` itself is eligible it is by definition the
-        // leftmost answer — the shape of every Pack alloc on a mostly-free
-        // pool (the `first_not_full` node keeps fitting), restoring the
-        // O(1) behavior the linear scan had there.
-        let leaf = self.base + lo;
-        if self.max_cores[leaf] >= cores && self.max_gpus[leaf] >= gpus && self.max_mem[leaf] >= mem
-        {
-            return Some(lo);
-        }
-        self.descend(1, 0, self.base, lo, cores, gpus, mem)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn descend(
-        &self,
-        i: usize,
-        seg_lo: usize,
-        seg_hi: usize,
-        lo: usize,
-        cores: u16,
-        gpus: u16,
-        mem: u32,
-    ) -> Option<usize> {
-        if seg_hi <= lo || seg_lo >= self.n {
-            return None;
-        }
-        if self.max_cores[i] < cores || self.max_gpus[i] < gpus || self.max_mem[i] < mem {
-            return None;
-        }
-        if seg_hi - seg_lo == 1 {
-            return Some(seg_lo);
-        }
-        let mid = seg_lo.midpoint(seg_hi);
-        self.descend(2 * i, seg_lo, mid, lo, cores, gpus, mem)
-            .or_else(|| self.descend(2 * i + 1, mid, seg_hi, lo, cores, gpus, mem))
     }
 }
 
 /// Occupancy bookkeeping over a fixed set of nodes.
+///
+/// Each node keeps its free core/GPU bitmaps plus their popcounts, and a
+/// [`FitIndex`] over those counts drives first-fit planning: one
+/// left-to-right walk per request, whatever its width or policy. Commits,
+/// frees and node faults refresh the index in one batched pass per call.
 ///
 /// ```
 /// use rp_platform::{frontier, ResourcePool, ResourceRequest};
@@ -347,17 +372,9 @@ pub struct ResourcePool {
     /// scan accelerator — never changes placement decisions, because only
     /// exhausted nodes are skipped.
     first_not_full: usize,
-    /// Count-maxima segment tree answering "leftmost node where a rank
-    /// fits" in O(log n); returns exactly what the linear first-fit scan
-    /// would (see [`FitIndex`]).
+    /// Count-maxima segment tree the planner walks; visits exactly the
+    /// nodes the linear first-fit scan would (see [`FitIndex`]).
     index: FitIndex,
-    /// Whether the index's maxima lag the free state. Wide placements
-    /// (a large fraction of the pool) mark the index stale instead of
-    /// paying an O(n) rebuild per commit; planning falls back to the
-    /// always-correct linear scan while stale, and the next narrow
-    /// `try_alloc` repairs the index with a single rebuild. Workloads of
-    /// mostly-wide jobs therefore never rebuild at all.
-    index_stale: bool,
     /// Monotone state stamp: bumped by every committed alloc/free, so
     /// cached plans can tell whether the free state they saw is current.
     version: u64,
@@ -380,14 +397,14 @@ impl ResourcePool {
     /// A pool over `node_ids`, all initially free, each shaped by `spec`.
     pub fn new(spec: NodeSpec, node_ids: impl IntoIterator<Item = NodeId>) -> Self {
         spec.validate();
-        let full_cores = mask_of(spec.cores);
-        let full_gpus = mask_of(spec.gpus) as u16;
         let nodes: Vec<NodeFree> = node_ids
             .into_iter()
             .map(|id| NodeFree {
                 id,
-                cores: full_cores,
-                gpus: full_gpus,
+                cores: mask_of(spec.cores),
+                gpus: mask_of(spec.gpus) as u16,
+                ncores: spec.cores,
+                ngpus: spec.gpus,
                 mem_gb: spec.mem_gb,
                 down: false,
             })
@@ -402,7 +419,6 @@ impl ResourcePool {
             free_gpus,
             first_not_full: 0,
             index,
-            index_stale: false,
             version: 0,
             plan_cache: RefCell::new(None),
         }
@@ -500,21 +516,19 @@ impl ResourcePool {
         by_cores.min(by_gpus).min(by_mem)
     }
 
-    /// Clone for what-if planning (backfill shadow pools): identical
-    /// placement behavior through the linear planner, but no [`FitIndex`]
-    /// maintenance — a throwaway clone that frees many wide placements
-    /// would otherwise pay an O(n) index rebuild per free.
-    pub fn scratch_clone(&self) -> ResourcePool {
-        ResourcePool {
-            spec: self.spec,
-            nodes: self.nodes.clone(),
-            free_cores: self.free_cores,
-            free_gpus: self.free_gpus,
-            first_not_full: self.first_not_full,
-            index: FitIndex::disabled(),
-            index_stale: false,
-            version: self.version,
-            plan_cache: self.plan_cache.clone(),
+    /// The free counts one rank of `req` takes from its node.
+    fn rank_fit(&self, req: &ResourceRequest) -> Fit {
+        match req.policy {
+            PlacementPolicy::NodeExclusive => Fit {
+                cores: self.spec.cores,
+                gpus: self.spec.gpus,
+                mem: self.spec.mem_gb,
+            },
+            PlacementPolicy::Pack | PlacementPolicy::Spread => Fit {
+                cores: req.cores_per_rank,
+                gpus: req.gpus_per_rank,
+                mem: req.mem_per_rank_gb,
+            },
         }
     }
 
@@ -529,54 +543,20 @@ impl ResourcePool {
         if req.total_cores() > self.free_cores || req.total_gpus() > self.free_gpus {
             return None;
         }
-
-        let indexed = !self.index.is_disabled();
-        // A narrow request wants the indexed planner; repair a stale index
-        // first. One O(n) rebuild here amortizes every wide commit since
-        // the last narrow alloc.
-        if indexed && self.index_stale && (req.ranks as usize) * 8 < self.nodes.len() {
-            self.index.rebuild(&self.nodes);
-            self.index_stale = false;
-        }
-
         let plan = self.plan_take_cached(req)?;
         self.version += 1;
-        // Commit. Ranks on the same node are consecutive in plan order, so
-        // one index refresh per touched node suffices; a placement touching
-        // a large fraction of the pool just marks the index stale — the
-        // next narrow alloc rebuilds it once, and all-wide workloads never
-        // pay for it.
-        let maintain = indexed && !self.index_stale;
-        let wide = plan.ranks.len() * 8 >= self.nodes.len();
-        let mut dirty: Option<u32> = None;
+        let rank = self.rank_fit(req);
         for r in &plan.ranks {
-            let n = &mut self.nodes[r.node_idx as usize];
-            debug_assert_eq!(n.cores & r.core_mask, r.core_mask, "double-booked cores");
-            debug_assert_eq!(n.gpus & r.gpu_mask, r.gpu_mask, "double-booked gpus");
-            debug_assert!(n.mem_gb >= r.mem_gb, "double-booked memory");
-            n.cores &= !r.core_mask;
-            n.gpus &= !r.gpu_mask;
-            n.mem_gb -= r.mem_gb;
-            self.free_cores -= r.core_mask.count_ones() as u64;
-            self.free_gpus -= r.gpu_mask.count_ones() as u64;
-            if maintain && !wide {
-                if dirty.is_some_and(|d| d != r.node_idx) {
-                    let d = dirty.expect("checked") as usize;
-                    self.index.update(d, &self.nodes[d]);
-                }
-                dirty = Some(r.node_idx);
-            }
+            self.nodes[r.node_idx as usize].take(r.core_mask, r.gpu_mask, rank);
         }
-        if maintain {
-            if wide {
-                self.index_stale = true;
-            } else if let Some(d) = dirty {
-                self.index.update(d as usize, &self.nodes[d as usize]);
-            }
-        }
+        let placed = plan.ranks.len() as u64;
+        self.free_cores -= placed * rank.cores as u64;
+        self.free_gpus -= placed * rank.gpus as u64;
+        self.index
+            .update_many(&self.nodes, plan.ranks.iter().map(|r| r.node_idx as usize));
         while self.first_not_full < self.nodes.len() {
             let n = &self.nodes[self.first_not_full];
-            if n.cores == 0 && n.gpus == 0 {
+            if n.ncores == 0 && n.ngpus == 0 {
                 self.first_not_full += 1;
             } else {
                 break;
@@ -585,261 +565,74 @@ impl ResourcePool {
         Some(plan)
     }
 
-    /// Plan without committing (used by backfill look-ahead).
-    ///
-    /// Hybrid dispatch: narrow requests (the single-core tasks that
-    /// dominate every experiment) go through the [`FitIndex`]-driven
-    /// planner, amortized O(log n) per placed rank; requests whose rank
-    /// count is a large fraction of the pool fall back to the linear scan,
-    /// whose O(n + k) beats k·log n there. Both planners return identical
-    /// placements (differential tests prove it), so the cutover is purely
-    /// a cost decision.
+    /// Plan without committing: one [`FitIndex::walk`] over the nodes a
+    /// rank fits, left to right, carving ranks until the request is
+    /// complete. Placements are identical to the linear first-fit scan:
+    /// the walk visits the same eligible nodes in the same order, and
+    /// eligibility is the same count-based predicate `carve` uses.
     fn plan(&self, req: &ResourceRequest) -> Option<Placement> {
-        if self.index.is_disabled()
-            || self.index_stale
-            || req.ranks as usize * 8 >= self.nodes.len()
-        {
-            self.plan_linear(req)
-        } else {
-            self.plan_indexed(req)
-        }
-    }
-
-    /// Index-driven planner: jump between eligible nodes via
-    /// [`FitIndex::find_first`] instead of scanning every node. Placements
-    /// are identical to [`ResourcePool::plan_linear`]: the index descent is
-    /// left-biased, eligibility is the same count-based predicate `carve`
-    /// uses, and ties therefore resolve to the same node in the same order.
-    fn plan_indexed(&self, req: &ResourceRequest) -> Option<Placement> {
+        let need = self.rank_fit(req);
         let mut ranks = Vec::with_capacity(req.ranks as usize);
-        match req.policy {
-            PlacementPolicy::Pack => {
-                let mut remaining = req.ranks;
-                // Skip the fully-busy prefix (pure acceleration, exactly as
-                // the linear scan did).
-                let mut next = self.first_not_full;
-                while remaining > 0 {
-                    let idx = self.index.find_first(
-                        next,
-                        req.cores_per_rank,
-                        req.gpus_per_rank,
-                        req.mem_per_rank_gb,
-                    )?;
-                    let n = &self.nodes[idx];
-                    // Local shadow masks so later ranks of this same request
-                    // see the resources its earlier ranks already carved.
-                    let mut cores = n.cores;
-                    let mut gpus = n.gpus;
-                    let mut mem = n.mem_gb;
-                    while remaining > 0 {
-                        let Some((cm, gm)) = carve(
-                            cores,
-                            gpus,
-                            mem,
-                            req.cores_per_rank,
-                            req.gpus_per_rank,
-                            req.mem_per_rank_gb,
-                        ) else {
-                            break;
-                        };
-                        cores &= !cm;
-                        gpus &= !gm;
-                        mem -= req.mem_per_rank_gb;
-                        ranks.push(RankPlacement {
-                            node: n.id,
-                            node_idx: idx as u32,
-                            core_mask: cm,
-                            gpu_mask: gm,
-                            mem_gb: req.mem_per_rank_gb,
-                        });
-                        remaining -= 1;
+        let mut remaining = req.ranks;
+        let mut place = |n: &NodeFree, idx: usize, core_mask: u64, gpu_mask: u16| {
+            ranks.push(RankPlacement {
+                node: n.id,
+                node_idx: idx as u32,
+                core_mask,
+                gpu_mask,
+                mem_gb: need.mem,
+            });
+            remaining -= 1;
+            remaining == 0
+        };
+        let done = match req.policy {
+            // Skip the fully-busy prefix (pure acceleration).
+            PlacementPolicy::Pack => self.index.walk(self.first_not_full, need, |idx| {
+                let n = &self.nodes[idx];
+                if n.down {
+                    return false; // only a rank needing nothing gets here
+                }
+                // A shadow copy so later ranks of this same request see the
+                // resources its earlier ranks already carved.
+                let mut left = *n;
+                while let Some((cm, gm)) = carve(
+                    left.cores,
+                    left.ncores,
+                    left.gpus,
+                    left.ngpus,
+                    left.mem_gb,
+                    need,
+                ) {
+                    left.take(cm, gm, need);
+                    if place(n, idx, cm, gm) {
+                        return true;
                     }
-                    next = idx + 1;
                 }
-            }
-            PlacementPolicy::Spread => {
-                let mut remaining = req.ranks;
-                let mut next = 0usize;
-                while remaining > 0 {
-                    let idx = self.index.find_first(
-                        next,
-                        req.cores_per_rank,
-                        req.gpus_per_rank,
-                        req.mem_per_rank_gb,
-                    )?;
-                    let n = &self.nodes[idx];
-                    let (cm, gm) = carve(
-                        n.cores,
-                        n.gpus,
-                        n.mem_gb,
-                        req.cores_per_rank,
-                        req.gpus_per_rank,
-                        req.mem_per_rank_gb,
-                    )
-                    .expect("index said the rank fits");
-                    ranks.push(RankPlacement {
-                        node: n.id,
-                        node_idx: idx as u32,
-                        core_mask: cm,
-                        gpu_mask: gm,
-                        mem_gb: req.mem_per_rank_gb,
-                    });
-                    remaining -= 1;
-                    next = idx + 1;
+                false
+            }),
+            PlacementPolicy::Spread => self.index.walk(0, need, |idx| {
+                let n = &self.nodes[idx];
+                match carve(n.cores, n.ncores, n.gpus, n.ngpus, n.mem_gb, need) {
+                    Some((cm, gm)) if !n.down => place(n, idx, cm, gm),
+                    _ => false, // down: only a rank needing nothing gets here
                 }
-            }
-            PlacementPolicy::NodeExclusive => {
-                // A node is fully free iff its free *counts* equal the spec
-                // (free masks are subsets of the full mask, so count
-                // equality implies mask equality) — answerable by the same
-                // index query with full-node thresholds.
-                let full_cores = mask_of(self.spec.cores);
-                let full_gpus = mask_of(self.spec.gpus) as u16;
-                let mut remaining = req.ranks;
-                let mut next = 0usize;
-                while remaining > 0 {
-                    let idx = self.index.find_first(
-                        next,
-                        self.spec.cores,
-                        self.spec.gpus,
-                        self.spec.mem_gb,
-                    )?;
-                    let n = &self.nodes[idx];
-                    debug_assert!(
-                        n.cores == full_cores
-                            && n.gpus == full_gpus
-                            && n.mem_gb == self.spec.mem_gb
-                    );
-                    ranks.push(RankPlacement {
-                        node: n.id,
-                        node_idx: idx as u32,
-                        core_mask: full_cores,
-                        gpu_mask: full_gpus,
-                        mem_gb: self.spec.mem_gb,
-                    });
-                    remaining -= 1;
-                    next = idx + 1;
-                }
-            }
-        }
-        Some(Placement { ranks })
+            }),
+            // A node is fully free iff its free *counts* equal the spec
+            // (free masks are subsets of the full mask), so the walk with
+            // full-node thresholds visits exactly the fully free nodes.
+            PlacementPolicy::NodeExclusive => self.index.walk(0, need, |idx| {
+                let n = &self.nodes[idx];
+                debug_assert!(
+                    n.cores == mask_of(need.cores) && n.gpus as u64 == mask_of(need.gpus)
+                );
+                place(n, idx, n.cores, n.gpus)
+            }),
+        };
+        done.then_some(Placement { ranks })
     }
 
-    /// The original O(nodes) linear first-fit scan, kept verbatim. It is
-    /// both the reference implementation for differential tests (`plan`
-    /// must return placement-for-placement identical results) and the
-    /// production path for wide requests, where one sweep over the node
-    /// array beats `ranks` separate index descents.
-    fn plan_linear(&self, req: &ResourceRequest) -> Option<Placement> {
-        let mut ranks = Vec::with_capacity(req.ranks as usize);
-        match req.policy {
-            PlacementPolicy::Pack => {
-                let mut remaining = req.ranks;
-                // Skip the fully-busy prefix (pure acceleration).
-                let start = self.first_not_full;
-                for (idx, n) in self.nodes.iter().enumerate().skip(start) {
-                    if remaining == 0 {
-                        break;
-                    }
-                    if n.down {
-                        continue;
-                    }
-                    // Local shadow masks so later ranks of this same request
-                    // see the resources its earlier ranks already carved.
-                    let mut cores = n.cores;
-                    let mut gpus = n.gpus;
-                    let mut mem = n.mem_gb;
-                    while remaining > 0 {
-                        let Some((cm, gm)) = carve(
-                            cores,
-                            gpus,
-                            mem,
-                            req.cores_per_rank,
-                            req.gpus_per_rank,
-                            req.mem_per_rank_gb,
-                        ) else {
-                            break;
-                        };
-                        cores &= !cm;
-                        gpus &= !gm;
-                        mem -= req.mem_per_rank_gb;
-                        ranks.push(RankPlacement {
-                            node: n.id,
-                            node_idx: idx as u32,
-                            core_mask: cm,
-                            gpu_mask: gm,
-                            mem_gb: req.mem_per_rank_gb,
-                        });
-                        remaining -= 1;
-                    }
-                }
-                if remaining > 0 {
-                    return None;
-                }
-            }
-            PlacementPolicy::Spread => {
-                let mut remaining = req.ranks;
-                for (idx, n) in self.nodes.iter().enumerate() {
-                    if remaining == 0 {
-                        break;
-                    }
-                    if n.down {
-                        continue;
-                    }
-                    if let Some((cm, gm)) = carve(
-                        n.cores,
-                        n.gpus,
-                        n.mem_gb,
-                        req.cores_per_rank,
-                        req.gpus_per_rank,
-                        req.mem_per_rank_gb,
-                    ) {
-                        ranks.push(RankPlacement {
-                            node: n.id,
-                            node_idx: idx as u32,
-                            core_mask: cm,
-                            gpu_mask: gm,
-                            mem_gb: req.mem_per_rank_gb,
-                        });
-                        remaining -= 1;
-                    }
-                }
-                if remaining > 0 {
-                    return None;
-                }
-            }
-            PlacementPolicy::NodeExclusive => {
-                let full_cores = mask_of(self.spec.cores);
-                let full_gpus = mask_of(self.spec.gpus) as u16;
-                let mut remaining = req.ranks;
-                for (idx, n) in self.nodes.iter().enumerate() {
-                    if remaining == 0 {
-                        break;
-                    }
-                    if n.down {
-                        continue;
-                    }
-                    if n.cores == full_cores && n.gpus == full_gpus && n.mem_gb == self.spec.mem_gb
-                    {
-                        ranks.push(RankPlacement {
-                            node: n.id,
-                            node_idx: idx as u32,
-                            core_mask: full_cores,
-                            gpu_mask: full_gpus,
-                            mem_gb: self.spec.mem_gb,
-                        });
-                        remaining -= 1;
-                    }
-                }
-                if remaining > 0 {
-                    return None;
-                }
-            }
-        }
-        Some(Placement { ranks })
-    }
-
-    /// Whether `req` fits *right now* without committing.
+    /// Whether `req` fits *right now* without committing. The plan it
+    /// computes is memoized for the `try_alloc` that usually follows.
     pub fn fits_now(&self, req: &ResourceRequest) -> bool {
         if req.ranks == 0
             || req.total_cores() > self.free_cores
@@ -847,35 +640,27 @@ impl ResourcePool {
         {
             return false;
         }
-        self.plan_cached(req).is_some()
-    }
-
-    /// Plan through the one-slot memo: a hit costs one `u64` compare and a
-    /// `Placement` clone instead of a planning pass. Correct because the
-    /// planner is a pure function of the free state (stamped by
-    /// `version`) and the request.
-    fn plan_cached(&self, req: &ResourceRequest) -> Option<Placement> {
-        if let Some(c) = self.plan_cache.borrow().as_ref() {
+        let mut cache = self.plan_cache.borrow_mut();
+        if let Some(c) = cache.as_ref() {
             if c.version == self.version && c.req == *req {
-                return c.plan.clone();
+                return c.plan.is_some();
             }
         }
         let plan = self.plan(req);
-        *self.plan_cache.borrow_mut() = Some(PlanCache {
+        let fits = plan.is_some();
+        *cache = Some(PlanCache {
             version: self.version,
             req: *req,
-            plan: plan.clone(),
+            plan,
         });
-        plan
+        fits
     }
 
-    /// [`ResourcePool::plan_cached`] for the commit path: a hit is *moved*
-    /// out of the cache (the commit bumps `version` immediately, so the
-    /// entry dies either way) and a miss plans directly without storing.
-    /// Populating the memo here would clone a plan the very next statement
-    /// invalidates — for whole-machine placements that clone is the
-    /// dominant cost of `try_alloc` (the `placement_spread_n1024`
-    /// regression).
+    /// Plan for the commit path: a memo hit is *moved* out of the cache
+    /// (the commit bumps `version` immediately, so the entry dies either
+    /// way) and a miss plans directly without storing. Correct because the
+    /// planner is a pure function of the free state (stamped by `version`)
+    /// and the request.
     fn plan_take_cached(&mut self, req: &ResourceRequest) -> Option<Placement> {
         if let Some(c) = self.plan_cache.get_mut() {
             if c.version == self.version && c.req == *req {
@@ -886,97 +671,110 @@ impl ResourcePool {
     }
 
     /// Return a placement's resources to the pool. Freeing resources that
-    /// are not currently busy is a bookkeeping bug and panics.
+    /// are not currently busy is a bookkeeping bug and panics; every rank
+    /// is checked before any is returned, so such a panic leaves the pool
+    /// exactly as it was.
     pub fn free(&mut self, placement: &Placement) {
-        self.version += 1;
-        let maintain = !self.index.is_disabled() && !self.index_stale;
-        let wide = placement.ranks.len() * 8 >= self.nodes.len();
-        let mut dirty: Option<u32> = None;
+        // The planner lists ranks in node order, so the ranks one node
+        // holds are adjacent and one running union per node run validates
+        // them together.
+        let mut run: Option<(u32, u64, u16, u32)> = None;
         for r in &placement.ranks {
-            let n = &mut self.nodes[r.node_idx as usize];
+            let n = &self.nodes[r.node_idx as usize];
+            let (cores, gpus, mem) = match run {
+                Some((idx, c, g, m)) if idx == r.node_idx => (c, g, m),
+                Some((idx, ..)) if idx > r.node_idx => {
+                    panic!("freeing a placement whose ranks are out of node order")
+                }
+                _ => (n.cores, n.gpus, n.mem_gb),
+            };
             assert_eq!(
-                n.cores & r.core_mask,
+                cores & r.core_mask,
                 0,
                 "freeing cores that were not busy on {}",
                 n.id
             );
             assert_eq!(
-                n.gpus & r.gpu_mask,
+                gpus & r.gpu_mask,
                 0,
                 "freeing gpus that were not busy on {}",
                 n.id
             );
-            n.cores |= r.core_mask;
-            n.gpus |= r.gpu_mask;
-            n.mem_gb += r.mem_gb;
             assert!(
-                n.mem_gb <= self.spec.mem_gb,
+                mem as u64 + r.mem_gb as u64 <= self.spec.mem_gb as u64,
                 "freeing more memory than the node has on {}",
                 n.id
             );
+            run = Some((
+                r.node_idx,
+                cores | r.core_mask,
+                gpus | r.gpu_mask,
+                mem + r.mem_gb,
+            ));
+        }
+        self.version += 1;
+        for r in &placement.ranks {
+            let idx = r.node_idx as usize;
+            let n = &mut self.nodes[idx];
+            let (c, g) = (
+                r.core_mask.count_ones() as u16,
+                r.gpu_mask.count_ones() as u16,
+            );
+            n.cores |= r.core_mask;
+            n.gpus |= r.gpu_mask;
+            n.ncores += c;
+            n.ngpus += g;
+            n.mem_gb += r.mem_gb;
             if n.down {
                 // Parked: the node is out of service, so these resources do
                 // not return to the pool totals (node_up re-counts them) and
                 // the index leaf stays zero.
                 continue;
             }
-            self.free_cores += r.core_mask.count_ones() as u64;
-            self.free_gpus += r.gpu_mask.count_ones() as u64;
-            self.first_not_full = self.first_not_full.min(r.node_idx as usize);
-            if maintain && !wide {
-                if dirty.is_some_and(|d| d != r.node_idx) {
-                    let d = dirty.expect("checked") as usize;
-                    self.index.update(d, &self.nodes[d]);
-                }
-                dirty = Some(r.node_idx);
-            }
+            self.free_cores += c as u64;
+            self.free_gpus += g as u64;
+            self.first_not_full = self.first_not_full.min(idx);
         }
-        if maintain {
-            if wide {
-                self.index_stale = true;
-            } else if let Some(d) = dirty {
-                self.index.update(d as usize, &self.nodes[d as usize]);
-            }
-        }
+        self.index.update_many(
+            &self.nodes,
+            placement.ranks.iter().map(|r| r.node_idx as usize),
+        );
         debug_assert!(self.free_cores <= self.total_cores());
         debug_assert!(self.free_gpus <= self.total_gpus());
     }
 
     /// Take node `idx` out of service (fault injection). Its free capacity
-    /// vanishes from the pool totals and both planners skip it; resources
+    /// vanishes from the pool totals and the planner skips it; resources
     /// still held by placements stay attributed until those placements are
     /// freed (they park on the node rather than returning to the totals).
     /// Returns `false` when the node was already down.
     pub fn node_down(&mut self, idx: usize) -> bool {
-        if self.nodes[idx].down {
+        let n = &mut self.nodes[idx];
+        if n.down {
             return false;
         }
-        self.nodes[idx].down = true;
-        self.free_cores -= self.nodes[idx].cores.count_ones() as u64;
-        self.free_gpus -= self.nodes[idx].gpus.count_ones() as u64;
+        n.down = true;
+        self.free_cores -= n.ncores as u64;
+        self.free_gpus -= n.ngpus as u64;
         self.version += 1;
-        if !self.index.is_disabled() && !self.index_stale {
-            self.index.update(idx, &self.nodes[idx]);
-        }
+        self.index.update_many(&self.nodes, std::iter::once(idx));
         true
     }
 
     /// Return node `idx` to service: whatever is free on it (including
     /// resources parked by frees during the outage) rejoins the pool
-    /// totals and both planners. Returns `false` when the node was not
-    /// down.
+    /// totals and the planner. Returns `false` when the node was not down.
     pub fn node_up(&mut self, idx: usize) -> bool {
-        if !self.nodes[idx].down {
+        let n = &mut self.nodes[idx];
+        if !n.down {
             return false;
         }
-        self.nodes[idx].down = false;
-        self.free_cores += self.nodes[idx].cores.count_ones() as u64;
-        self.free_gpus += self.nodes[idx].gpus.count_ones() as u64;
+        n.down = false;
+        self.free_cores += n.ncores as u64;
+        self.free_gpus += n.ngpus as u64;
         self.first_not_full = self.first_not_full.min(idx);
         self.version += 1;
-        if !self.index.is_disabled() && !self.index_stale {
-            self.index.update(idx, &self.nodes[idx]);
-        }
+        self.index.update_many(&self.nodes, std::iter::once(idx));
         true
     }
 
@@ -1000,30 +798,39 @@ fn mask_of(n: u16) -> u64 {
     }
 }
 
-/// Carve `cores`/`gpus`/`mem` out of a node's free resources, lowest bit
-/// indices first. Returns the occupied masks, or `None` if they don't fit.
+/// Carve one rank of `need` out of a node's free resources, lowest bit
+/// indices first; `ncores`/`ngpus` are the popcounts of the free masks.
+/// Returns the occupied masks, or `None` if the rank doesn't fit.
 fn carve(
     free_cores: u64,
+    ncores: u16,
     free_gpus: u16,
+    ngpus: u16,
     free_mem: u32,
-    cores: u16,
-    gpus: u16,
-    mem: u32,
+    need: Fit,
 ) -> Option<(u64, u16)> {
-    if (free_cores.count_ones() as u16) < cores
-        || (free_gpus.count_ones() as u16) < gpus
-        || free_mem < mem
-    {
+    if ncores < need.cores || ngpus < need.gpus || free_mem < need.mem {
         return None;
     }
     Some((
-        lowest_bits(free_cores, cores as u32),
-        lowest_bits(free_gpus as u64, gpus as u32) as u16,
+        lowest_bits(free_cores, ncores, need.cores),
+        lowest_bits(free_gpus as u64, ngpus, need.gpus) as u16,
     ))
 }
 
-/// The lowest `want` set bits of `mask` (caller guarantees enough bits).
-fn lowest_bits(mut mask: u64, want: u32) -> u64 {
+/// The lowest `want` set bits of `mask`, which has `have >= want` set
+/// bits. Clears the `have - want` highest bits when that is fewer than
+/// `want`, so a whole-node and a single-bit rank both cost O(1).
+fn lowest_bits(mut mask: u64, have: u16, want: u16) -> u64 {
+    debug_assert_eq!(mask.count_ones(), have as u32);
+    debug_assert!(want <= have);
+    let drop = have - want;
+    if drop < want {
+        for _ in 0..drop {
+            mask ^= 1 << (63 - mask.leading_zeros());
+        }
+        return mask;
+    }
     let mut out = 0u64;
     for _ in 0..want {
         let bit = mask & mask.wrapping_neg(); // lowest set bit
@@ -1032,7 +839,6 @@ fn lowest_bits(mut mask: u64, want: u32) -> u64 {
     }
     out
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1040,6 +846,81 @@ mod tests {
 
     fn pool(nodes: u32) -> ResourcePool {
         ResourcePool::over_range(frontier().node, 0, nodes)
+    }
+
+    impl ResourcePool {
+        /// The original O(nodes) linear first-fit scan: the reference the
+        /// indexed planner must match placement for placement. It popcounts
+        /// the free masks itself, so it does not trust the stored counts.
+        fn plan_linear(&self, req: &ResourceRequest) -> Option<Placement> {
+            let need = self.rank_fit(req);
+            let carve_node = |cores: u64, gpus: u16, mem: u32| {
+                carve(
+                    cores,
+                    cores.count_ones() as u16,
+                    gpus,
+                    gpus.count_ones() as u16,
+                    mem,
+                    need,
+                )
+            };
+            let rank = |n: &NodeFree, idx: usize, core_mask: u64, gpu_mask: u16| RankPlacement {
+                node: n.id,
+                node_idx: idx as u32,
+                core_mask,
+                gpu_mask,
+                mem_gb: need.mem,
+            };
+            let mut ranks = Vec::with_capacity(req.ranks as usize);
+            let mut remaining = req.ranks;
+            // Pack skips the fully-busy prefix (pure acceleration).
+            let start = match req.policy {
+                PlacementPolicy::Pack => self.first_not_full,
+                PlacementPolicy::Spread | PlacementPolicy::NodeExclusive => 0,
+            };
+            for (idx, n) in self.nodes.iter().enumerate().skip(start) {
+                if remaining == 0 {
+                    break;
+                }
+                if n.down {
+                    continue;
+                }
+                match req.policy {
+                    PlacementPolicy::Pack => {
+                        // Local shadow masks so later ranks of this same
+                        // request see what its earlier ranks carved.
+                        let (mut cores, mut gpus, mut mem) = (n.cores, n.gpus, n.mem_gb);
+                        while remaining > 0 {
+                            let Some((cm, gm)) = carve_node(cores, gpus, mem) else {
+                                break;
+                            };
+                            cores &= !cm;
+                            gpus &= !gm;
+                            mem -= need.mem;
+                            ranks.push(rank(n, idx, cm, gm));
+                            remaining -= 1;
+                        }
+                    }
+                    PlacementPolicy::Spread => {
+                        if let Some((cm, gm)) = carve_node(n.cores, n.gpus, n.mem_gb) {
+                            ranks.push(rank(n, idx, cm, gm));
+                            remaining -= 1;
+                        }
+                    }
+                    PlacementPolicy::NodeExclusive => {
+                        let (full_cores, full_gpus) = (mask_of(need.cores), mask_of(need.gpus));
+                        if n.cores == full_cores
+                            && n.gpus as u64 == full_gpus
+                            && n.mem_gb == need.mem
+                        {
+                            ranks.push(rank(n, idx, n.cores, n.gpus));
+                            remaining -= 1;
+                        }
+                    }
+                }
+            }
+            (remaining == 0).then_some(Placement { ranks })
+        }
     }
 
     #[test]
@@ -1167,9 +1048,33 @@ mod tests {
 
     #[test]
     fn lowest_bits_picks_low_indices() {
-        assert_eq!(lowest_bits(0b1011, 2), 0b0011);
-        assert_eq!(lowest_bits(0b1100, 1), 0b0100);
-        assert_eq!(lowest_bits(u64::MAX, 0), 0);
+        assert_eq!(lowest_bits(0b1011, 3, 2), 0b0011);
+        assert_eq!(lowest_bits(0b1100, 2, 1), 0b0100);
+        assert_eq!(lowest_bits(u64::MAX, 64, 0), 0);
+        // Clearing-from-the-top path (fewer bits to drop than to keep).
+        assert_eq!(lowest_bits(u64::MAX, 64, 64), u64::MAX);
+        assert_eq!(lowest_bits(u64::MAX, 64, 63), u64::MAX >> 1);
+        assert_eq!(lowest_bits(0b1011_0110, 5, 4), 0b0011_0110);
+        // Both paths agree with the bit-at-a-time definition.
+        let mut state = 0x5EED_u64;
+        for _ in 0..2000 {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            let have = state.count_ones() as u16;
+            let want = (state >> 58) as u16 % (have + 1);
+            let mut reference = 0u64;
+            let mut m = state;
+            for _ in 0..want {
+                reference |= m & m.wrapping_neg();
+                m &= m - 1;
+            }
+            assert_eq!(
+                lowest_bits(state, have, want),
+                reference,
+                "{state:#x} want {want}"
+            );
+        }
     }
 
     #[test]
@@ -1195,16 +1100,10 @@ mod tests {
         assert!(p.try_alloc(&big).is_some(), "full-node memory free again");
     }
 
-    /// Exercise the indexed planner against the linear scan over a long
-    /// randomized alloc/free churn covering every policy, asserting
-    /// placement-for-placement equality at every step. `plan_indexed` is
-    /// called directly (not via the hybrid `plan` dispatcher) so wide
-    /// requests also take the index path here, proving the dispatch cutover
-    /// is purely a cost decision and never changes results.
-    /// A scratch clone must make exactly the same alloc/free decisions as
-    /// the indexed pool it was cloned from (backfill shadows depend on it).
+    /// A clone must make exactly the same alloc/free decisions as the pool
+    /// it was cloned from (backfill shadow pools depend on it).
     #[test]
-    fn scratch_clone_matches_indexed_pool() {
+    fn cloned_pool_matches_original() {
         let mut state = 0xDEAD_BEEF_u64;
         let mut rng = move || {
             state ^= state << 13;
@@ -1213,7 +1112,7 @@ mod tests {
             state
         };
         let mut p = pool(64);
-        let mut scratch = p.scratch_clone();
+        let mut shadow = p.clone();
         let mut live: Vec<Placement> = Vec::new();
         for _ in 0..800 {
             let r = rng();
@@ -1225,7 +1124,7 @@ mod tests {
                     _ => ResourceRequest::single(2, 1).with_mem((r as u32 % 300) + 1),
                 };
                 let a = p.try_alloc(&req);
-                let b = scratch.try_alloc(&req);
+                let b = shadow.try_alloc(&req);
                 assert_eq!(a, b, "alloc divergence for {req:?}");
                 if let Some(pl) = a {
                     live.push(pl);
@@ -1233,13 +1132,16 @@ mod tests {
             } else {
                 let pl = live.swap_remove(r as usize % live.len());
                 p.free(&pl);
-                scratch.free(&pl);
+                shadow.free(&pl);
             }
-            assert_eq!(p.free_cores(), scratch.free_cores());
-            assert_eq!(p.free_gpus(), scratch.free_gpus());
+            assert_eq!(p.free_cores(), shadow.free_cores());
+            assert_eq!(p.free_gpus(), shadow.free_gpus());
         }
     }
 
+    /// Exercise the indexed planner against the linear scan over a long
+    /// randomized alloc/free churn covering every policy, asserting
+    /// placement-for-placement equality at every step.
     #[test]
     fn indexed_plan_matches_linear_reference() {
         // Deterministic xorshift so the test is reproducible without deps.
@@ -1275,15 +1177,8 @@ mod tests {
                     policy: PlacementPolicy::Pack,
                 },
             };
-            // `plan_indexed` is only ever consulted on a fresh index (the
-            // `plan` dispatcher routes stale pools to the linear scan), so
-            // repair staleness before comparing the two planners.
-            if p.index_stale {
-                p.index.rebuild(&p.nodes);
-                p.index_stale = false;
-            }
             assert_eq!(
-                p.plan_indexed(&req),
+                p.plan(&req),
                 p.plan_linear(&req),
                 "divergence at step {step} for {req:?}"
             );
@@ -1302,12 +1197,8 @@ mod tests {
         for pl in held.drain(..) {
             p.free(&pl);
         }
-        if p.index_stale {
-            p.index.rebuild(&p.nodes);
-            p.index_stale = false;
-        }
         let req = ResourceRequest::mpi(17, 56, 8);
-        assert_eq!(p.plan_indexed(&req), p.plan_linear(&req));
+        assert_eq!(p.plan(&req), p.plan_linear(&req));
         assert_eq!(p.free_cores(), p.total_cores());
     }
 
@@ -1321,7 +1212,7 @@ mod tests {
         let filler = p.try_alloc(&ResourceRequest::single(56, 0)).unwrap();
         assert_eq!(filler.ranks[0].node, NodeId(0));
         let req = ResourceRequest::single(0, 1);
-        assert_eq!(p.plan_indexed(&req), p.plan_linear(&req));
+        assert_eq!(p.plan(&req), p.plan_linear(&req));
         let pl = p.try_alloc(&req).expect("gpu free on node 0");
         assert_eq!(pl.ranks[0].node, NodeId(0), "must not skip node 0");
     }
@@ -1337,7 +1228,7 @@ mod tests {
         assert_eq!(p.free_cores(), total - 56);
         let pl = p.try_alloc(&ResourceRequest::single(1, 0)).unwrap();
         assert_eq!(pl.ranks[0].node, NodeId(1), "pack skips the down node");
-        assert_eq!(p.plan_indexed(&pl_req()), p.plan_linear(&pl_req()));
+        assert_eq!(p.plan(&pl_req()), p.plan_linear(&pl_req()));
         assert!(p.node_up(0));
         assert!(!p.node_up(0), "already up");
         assert_eq!(p.free_cores(), total - 1);
@@ -1395,12 +1286,8 @@ mod tests {
                         1 => ResourceRequest::single((r as u16 % 56) + 1, r as u16 % 3),
                         _ => ResourceRequest::mpi((r as u32 % 6) + 1, 8, 1),
                     };
-                    if p.index_stale {
-                        p.index.rebuild(&p.nodes);
-                        p.index_stale = false;
-                    }
                     assert_eq!(
-                        p.plan_indexed(&req),
+                        p.plan(&req),
                         p.plan_linear(&req),
                         "divergence at step {step} for {req:?}"
                     );
@@ -1429,6 +1316,194 @@ mod tests {
         for i in 0..17 {
             p.node_up(i);
         }
+        assert_eq!(p.free_cores(), p.total_cores());
+        assert_eq!(p.free_gpus(), p.total_gpus());
+    }
+
+    /// A free that panics on a bad rank must leave the pool exactly as it
+    /// was: no earlier rank returned, counts and index unchanged.
+    #[test]
+    fn failed_free_leaves_pool_untouched() {
+        let mut p = pool(6);
+        let a = p.try_alloc(&ResourceRequest::mpi(4, 56, 8)).unwrap();
+        p.free(&a);
+        // Ranks 0-2 of `a` are busy again; rank 3 is already free.
+        let b = p.try_alloc(&ResourceRequest::mpi(3, 56, 8)).unwrap();
+        assert_eq!(&b.ranks[..], &a.ranks[..3]);
+        let probe = ResourceRequest::mpi(3, 56, 8);
+        let before = (p.free_cores(), p.free_gpus(), p.plan(&probe));
+        assert!(free_panic(&mut p, &a).contains("not busy"));
+        assert_eq!((p.free_cores(), p.free_gpus(), p.plan(&probe)), before);
+        assert_eq!(p.plan(&probe), p.plan_linear(&probe));
+        check_invariants(&p);
+        p.free(&b);
+        assert_eq!(p.free_cores(), p.total_cores());
+        check_invariants(&p);
+    }
+
+    /// The message of the panic `p.free(pl)` must raise.
+    fn free_panic(p: &mut ResourcePool, pl: &Placement) -> String {
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| p.free(pl)))
+            .expect_err("free must panic");
+        err.downcast_ref::<String>()
+            .cloned()
+            .or_else(|| err.downcast_ref::<&str>().map(|s| s.to_string()))
+            .unwrap_or_default()
+    }
+
+    /// A placement listing one busy core twice on the same node is caught
+    /// by the per-node running union before anything is returned.
+    #[test]
+    fn free_validates_repeated_node_ranks_together() {
+        let mut p = pool(2);
+        let a = p.try_alloc(&ResourceRequest::single(1, 0)).unwrap();
+        let twice = Placement {
+            ranks: vec![a.ranks[0].clone(), a.ranks[0].clone()],
+        };
+        assert!(free_panic(&mut p, &twice).contains("not busy"));
+        assert_eq!(p.busy_cores(), 1);
+        check_invariants(&p);
+        p.free(&a);
+        assert_eq!(p.free_cores(), p.total_cores());
+    }
+
+    /// Ranks must come in node order, or the per-node union above could
+    /// miss a repeat; each rank of this placement is valid on its own.
+    #[test]
+    fn free_refuses_ranks_out_of_node_order() {
+        let mut p = pool(2);
+        let a = p.try_alloc(&ResourceRequest::single(56, 0)).unwrap();
+        let b = p.try_alloc(&ResourceRequest::single(56, 0)).unwrap();
+        let backwards = Placement {
+            ranks: vec![b.ranks[0].clone(), a.ranks[0].clone()],
+        };
+        assert!(free_panic(&mut p, &backwards).contains("out of node order"));
+        assert_eq!(p.free_cores(), 0);
+        check_invariants(&p);
+    }
+
+    /// Every structural invariant of the pool: stored counts equal the
+    /// mask popcounts, each index leaf equals its node's counts (zero when
+    /// down, zero for padding), each internal maximum is the max of its
+    /// children, the totals sum the up nodes, and no up node below
+    /// `first_not_full` has anything free.
+    fn check_invariants(p: &ResourcePool) {
+        let idx = &p.index;
+        let (mut cores, mut gpus) = (0u64, 0u64);
+        for (i, n) in p.nodes.iter().enumerate() {
+            assert_eq!(n.ncores as u32, n.cores.count_ones(), "node {i} core count");
+            assert_eq!(n.ngpus as u32, n.gpus.count_ones(), "node {i} gpu count");
+            let want = if n.down {
+                Fit::default()
+            } else {
+                cores += n.ncores as u64;
+                gpus += n.ngpus as u64;
+                Fit {
+                    cores: n.ncores,
+                    gpus: n.ngpus,
+                    mem: n.mem_gb,
+                }
+            };
+            assert_eq!(idx.max[idx.base + i], want, "leaf {i}");
+            if i < p.first_not_full && !n.down {
+                assert_eq!((n.cores, n.gpus), (0, 0), "node {i} below first_not_full");
+            }
+        }
+        for pad in idx.base + p.nodes.len()..2 * idx.base {
+            assert_eq!(idx.max[pad], Fit::default(), "padding leaf {pad}");
+        }
+        for i in 1..idx.base {
+            assert_eq!(
+                idx.max[i],
+                idx.max[2 * i].max(idx.max[2 * i + 1]),
+                "inner {i}"
+            );
+        }
+        assert_eq!(
+            (p.free_cores(), p.free_gpus()),
+            (cores, gpus),
+            "pool totals"
+        );
+    }
+
+    /// Seeded churn over every policy at every width — including the
+    /// `ranks >= nodes/8` requests that once bypassed the index — with
+    /// random-order frees and node faults, checking the production plan
+    /// against the linear reference and every invariant after each step.
+    #[test]
+    fn index_invariants_hold_under_churn() {
+        const NODES: u32 = 33; // not a power of two: padding leaves exist
+        let mut state = 0x1DEA_5EED_u64;
+        let mut rng = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut p = pool(NODES);
+        let mut held: Vec<Placement> = Vec::new();
+        for step in 0..6000 {
+            let r = rng();
+            match r % 16 {
+                0 => {
+                    p.node_down((r as usize >> 8) % NODES as usize);
+                }
+                1 => {
+                    p.node_up((r as usize >> 8) % NODES as usize);
+                }
+                2..=9 => {
+                    let ranks = match (r >> 8) % 3 {
+                        0 => 1,
+                        1 => (r >> 12) as u32 % 4 + 1,
+                        _ => (r >> 12) as u32 % NODES + 1,
+                    };
+                    let policy = match (r >> 20) % 3 {
+                        0 => PlacementPolicy::Pack,
+                        1 => PlacementPolicy::Spread,
+                        _ => PlacementPolicy::NodeExclusive,
+                    };
+                    let cores_per_rank = match (r >> 24) % 5 {
+                        0 => 1,
+                        1 => 56,
+                        2 => 0, // GPU-only, or nothing at all
+                        _ => (r >> 28) as u16 % 56 + 1,
+                    };
+                    let req = ResourceRequest {
+                        ranks,
+                        cores_per_rank,
+                        gpus_per_rank: (r >> 36) as u16 % 9,
+                        mem_per_rank_gb: if r >> 40 & 1 == 0 {
+                            0
+                        } else {
+                            (r >> 44) as u32 % 513
+                        },
+                        policy,
+                    };
+                    assert_eq!(
+                        p.plan(&req),
+                        p.plan_linear(&req),
+                        "divergence at step {step} for {req:?}"
+                    );
+                    if p.fits_now(&req) {
+                        held.push(p.try_alloc(&req).expect("fits_now said it fits"));
+                    }
+                }
+                _ => {
+                    if !held.is_empty() {
+                        let pl = held.swap_remove((r as usize >> 8) % held.len());
+                        p.free(&pl);
+                    }
+                }
+            }
+            check_invariants(&p);
+        }
+        for pl in held.drain(..) {
+            p.free(&pl);
+        }
+        for i in 0..NODES as usize {
+            p.node_up(i);
+        }
+        check_invariants(&p);
         assert_eq!(p.free_cores(), p.total_cores());
         assert_eq!(p.free_gpus(), p.total_gpus());
     }

@@ -11,6 +11,10 @@ cargo build --release --offline --workspace
 # A hung test (an rt-plane deadlock) fails the gate after 20 minutes
 # instead of stalling it.
 timeout 20m cargo test -q --offline --workspace
+# The benchmark runs optimized code, where the placement count arithmetic
+# wraps instead of trapping and debug_asserts compile out: run the
+# placement differential and invariant tests on that build too.
+cargo test -q --offline --release -p rp-platform
 
 # Determinism: the whole quick suite, run in-process at --jobs 1 and at
 # --jobs 2 from two scratch working dirs, must write byte-identical
