@@ -16,6 +16,12 @@
 //! rejects, broker hops) never open segments; they decorate the story
 //! [`explain`] narrates and feed the reject/retry counters.
 //!
+//! [`blame_report`] folds every task's segments per phase and picks the
+//! critical path: the blame of the task whose terminal milestone comes
+//! last, preceded by a `pending` segment from the run's first submission
+//! to that task's submission. Pending plus the task's segments equal the
+//! makespan exactly, by the same telescoping.
+//!
 //! [`diff_reports`] compares two runs phase-by-phase — the differential
 //! attribution behind `rp-explain --diff a/ b/`: which blame segment
 //! moved between a baseline and a candidate run.
@@ -204,6 +210,29 @@ pub fn blame_task(data: &LineageData, uid: u64) -> Option<TaskBlame> {
     })
 }
 
+/// The chain that decides a run's makespan (first submission → last
+/// terminal milestone): a `pending` wait until the last-finishing task
+/// was submitted, then that task's own blame segments.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CriticalPath {
+    /// Exact makespan in integer microseconds.
+    pub makespan_us: u64,
+    /// The run's first submission → the critical task's submission.
+    pub pending_us: u64,
+    /// The task with the latest terminal milestone (ties go to the
+    /// lowest uid).
+    pub task: TaskBlame,
+}
+
+impl CriticalPath {
+    /// `pending` plus the task's segments — by construction equal to
+    /// [`CriticalPath::makespan_us`]; exposed so tests can assert the
+    /// identity.
+    pub fn segments_total_us(&self) -> u64 {
+        self.pending_us + self.task.segments_total_us()
+    }
+}
+
 /// Aggregate blame across every task in a run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BlameReport {
@@ -220,9 +249,13 @@ pub struct BlameReport {
     pub retries: u64,
     /// Tasks by outcome: done, failed, canceled, incomplete.
     pub outcomes: [u64; 4],
+    /// The makespan-deciding chain; `None` when no task reached a
+    /// terminal milestone.
+    pub critical: Option<CriticalPath>,
 }
 
-/// Decompose every task in `data` and fold the segments per phase.
+/// Decompose every task in `data`, fold the segments per phase, and pick
+/// the critical path.
 pub fn blame_report(data: &LineageData) -> BlameReport {
     let mut rep = BlameReport {
         tasks: 0,
@@ -231,11 +264,20 @@ pub fn blame_report(data: &LineageData) -> BlameReport {
         rejects: 0,
         retries: 0,
         outcomes: [0; 4],
+        critical: None,
     };
+    let mut first_submit: Option<SimTime> = None;
+    // (terminal time, uid) of the last-finishing task so far; uids come
+    // in ascending order, so a strict comparison keeps the lowest on ties.
+    let mut last: Option<(SimTime, u64)> = None;
     for uid in data.uids() {
         let Some(tb) = blame_task(data, uid) else {
             continue;
         };
+        first_submit = Some(first_submit.map_or(tb.submitted, |t| t.min(tb.submitted)));
+        if tb.outcome != "incomplete" && last.is_none_or(|(t, _)| tb.finished > t) {
+            last = Some((tb.finished, uid));
+        }
         rep.tasks += 1;
         rep.total_us += tb.end_to_end_us;
         for seg in &tb.segments {
@@ -252,12 +294,19 @@ pub fn blame_report(data: &LineageData) -> BlameReport {
         };
         rep.outcomes[o] += 1;
     }
+    if let (Some(first), Some((_, uid))) = (first_submit, last) {
+        rep.critical = blame_task(data, uid).map(|task| CriticalPath {
+            makespan_us: task.finished.as_micros() - first.as_micros(),
+            pending_us: task.submitted.as_micros() - first.as_micros(),
+            task,
+        });
+    }
     rep
 }
 
 /// Exact-microsecond formatter: `S.UUUUUU` from integers, never floats,
 /// so rendered reports are byte-deterministic.
-fn fmt_us(us: u64) -> String {
+pub(crate) fn fmt_us(us: u64) -> String {
     format!("{}.{:06}", us / 1_000_000, us % 1_000_000)
 }
 
@@ -418,6 +467,37 @@ pub fn render_report(label: &str, rep: &BlameReport) -> String {
             fmt_permille(permille(us, rep.total_us))
         );
     }
+    let Some(cp) = &rep.critical else {
+        let _ = writeln!(out, "critical path: no task reached a terminal milestone");
+        return out;
+    };
+    let _ = writeln!(
+        out,
+        "critical path (segments sum exactly to makespan {} s):",
+        fmt_us(cp.makespan_us)
+    );
+    let _ = writeln!(
+        out,
+        "  task {} finishes last ({})",
+        cp.task.uid, cp.task.outcome
+    );
+    let pending = std::iter::once(("pending", cp.pending_us));
+    let segs = cp.task.segments.iter().map(|s| (s.phase, s.duration_us));
+    for (phase, us) in pending.chain(segs) {
+        let _ = writeln!(
+            out,
+            "  {:<13} {:>16} s  {:>6}",
+            phase,
+            fmt_us(us),
+            fmt_permille(permille(us, cp.makespan_us))
+        );
+    }
+    let _ = writeln!(
+        out,
+        "  {:<13} {:>16} s  100.0%",
+        "total",
+        fmt_us(cp.segments_total_us())
+    );
     out
 }
 
@@ -573,6 +653,53 @@ mod tests {
         let diff = diff_reports("a", &a, "b", &b);
         assert!(diff.contains("verdict: `execute` moved most"), "{diff}");
         assert!(diff.contains("grew 4000"), "{diff}");
+    }
+
+    #[test]
+    fn critical_path_is_the_last_finisher_after_pending() {
+        let clock = SimClock::new();
+        let lin = Lineage::new(clock.clone());
+        // uid 5 and uid 2 both finish at t=900 (tie → lowest uid, 2);
+        // uid 7 is still running at t=1500 and never finishes.
+        at(&clock, 100);
+        lin.record(5, EV_SUBMIT);
+        at(&clock, 300);
+        lin.record(2, EV_SUBMIT);
+        lin.record(7, EV_SUBMIT);
+        at(&clock, 400);
+        lin.record(2, EV_EXEC);
+        at(&clock, 900);
+        lin.record(5, EV_DONE);
+        lin.record(2, EV_DONE);
+        at(&clock, 1500);
+        lin.record(7, EV_EXEC);
+        let rep = blame_report(&lin.snapshot());
+        let cp = rep.critical.as_ref().expect("two tasks finished");
+        assert_eq!(cp.task.uid, 2);
+        assert_eq!(cp.makespan_us, 800, "first submit 100 → last terminal 900");
+        assert_eq!(cp.pending_us, 200);
+        assert_eq!(cp.segments_total_us(), cp.makespan_us);
+        let text = render_report("cp", &rep);
+        assert!(
+            text.contains("critical path (segments sum exactly to makespan 0.000800 s):"),
+            "{text}"
+        );
+        assert!(text.contains("task 2 finishes last (done)"), "{text}");
+        assert!(
+            text.contains("  pending               0.000200 s   25.0%"),
+            "{text}"
+        );
+        assert!(
+            text.contains("  total                 0.000800 s  100.0%"),
+            "{text}"
+        );
+
+        // Nothing terminal ⇒ no critical path, and the report says so.
+        let lin = Lineage::new(SimClock::new());
+        lin.record(1, EV_SUBMIT);
+        let rep = blame_report(&lin.snapshot());
+        assert!(rep.critical.is_none());
+        assert!(render_report("none", &rep).contains("no task reached a terminal milestone"));
     }
 
     #[test]

@@ -1,13 +1,13 @@
 //! Self-contained HTML dashboard for a run's streaming telemetry.
 //!
 //! Renders the telemetry time-series as inline SVG charts plus the SLO
-//! percentiles, the flight-recorder alarm log, and (when span data was
-//! collected) the critical-path attribution — one HTML file with zero
+//! percentiles, the flight-recorder alarm log, and (when lineage was
+//! recorded) the blame totals and critical path — one HTML file with zero
 //! external assets, so it can ship as a CI artifact and open anywhere.
 //! Output is deterministic: fixed float formatting, fixed section order,
 //! no timestamps other than the ones in the data.
 
-use crate::critical_path::CriticalPath;
+use crate::blame::{fmt_us, BlameReport, PHASES};
 use rp_telemetry::{ExemplarSet, Sample, TelemetryData, BACKEND_NAMES, STATE_NAMES};
 use std::fmt::Write as _;
 
@@ -259,46 +259,40 @@ fn alarms_table(tel: &TelemetryData) -> String {
     out
 }
 
-fn critical_path_section(cp: &CriticalPath) -> String {
+fn critical_path_section(rep: &BlameReport) -> String {
     let mut out = String::from("<h2>Critical path</h2>\n");
     let _ = writeln!(
         out,
-        "<p>{} task(s), makespan {}s, busy {}s, overhead {}s.</p>",
-        cp.tasks,
-        num(cp.makespan_s),
-        num(cp.busy_s),
-        num(cp.overhead_s())
+        "<p>{} task(s), {}s task-time.</p>",
+        rep.tasks,
+        fmt_us(rep.total_us)
     );
     // Phase totals as a horizontal bar list.
-    let max = cp
-        .component_totals
-        .iter()
-        .map(|(_, v)| *v)
-        .fold(0.0f64, f64::max)
-        .max(1e-12);
+    let max = rep.phase_total_us.iter().copied().max().unwrap_or(0).max(1);
     out.push_str("<table><tr><th>phase</th><th>total (s)</th><th></th></tr>");
-    for (name, v) in &cp.component_totals {
-        let pct = (v / max * 100.0).clamp(0.0, 100.0);
+    for (name, &us) in PHASES.iter().zip(&rep.phase_total_us) {
+        let pct = us as f64 / max as f64 * 100.0;
         let _ = write!(
             out,
-            "<tr><td>{}</td><td>{}</td>\
+            "<tr><td>{name}</td><td>{}</td>\
              <td class=\"barcell\"><div class=\"bar\" style=\"width:{pct:.1}%\"></div></td></tr>",
-            esc(name),
-            num(*v)
+            fmt_us(us)
         );
     }
     out.push_str("</table>\n");
-    if let Some(crit) = &cp.critical {
+    if let Some(cp) = &rep.critical {
         let _ = write!(
             out,
-            "<p>Deciding chain: task {} ({}s pending, then ",
-            crit.uid,
-            num(cp.critical_pending_s)
+            "<p>Deciding chain (makespan {}s): task {} ({}s pending, then ",
+            fmt_us(cp.makespan_us),
+            cp.task.uid,
+            fmt_us(cp.pending_us)
         );
-        let segs: Vec<String> = crit
-            .components
+        let segs: Vec<String> = cp
+            .task
+            .segments
             .iter()
-            .map(|(n, v)| format!("{} {}s", esc(n), num(*v)))
+            .map(|s| format!("{} {}s", s.phase, fmt_us(s.duration_us)))
             .collect();
         let _ = writeln!(out, "{}).</p>", segs.join(" → "));
     }
@@ -378,12 +372,13 @@ fn serving_table(s: &rp_core::ServingReport) -> String {
 
 /// Render a self-contained HTML dashboard: summary counters, time-series
 /// charts, SLO table, serving books (when the run carried open-loop
-/// traffic), flight-recorder log, and (optionally) the span-side
-/// critical path. `title` names the run (e.g. the experiment label).
+/// traffic), flight-recorder log, and (optionally) the lineage blame
+/// totals with the critical path. `title` names the run (e.g. the
+/// experiment label).
 pub fn render_dashboard(
     title: &str,
     tel: &TelemetryData,
-    cp: Option<&CriticalPath>,
+    blame: Option<&BlameReport>,
     serving: Option<&rp_core::ServingReport>,
 ) -> String {
     let mut html = String::with_capacity(32 * 1024);
@@ -535,8 +530,8 @@ pub fn render_dashboard(
 
     html.push_str(&alarms_table(tel));
 
-    if let Some(cp) = cp {
-        html.push_str(&critical_path_section(cp));
+    if let Some(rep) = blame {
+        html.push_str(&critical_path_section(rep));
     }
 
     html.push_str("</body></html>\n");
@@ -628,6 +623,33 @@ mod tests {
         // Without books the section is absent.
         let bare = render_dashboard("serving", tel, None, None);
         assert!(!bare.contains("Serving plane"));
+    }
+
+    #[test]
+    fn dashboard_renders_critical_path_from_blame() {
+        let report = rp_core::SimSession::with_tasks(
+            rp_core::PilotConfig::flux(2, 1).with_seed(3),
+            (0..8)
+                .map(|i| rp_core::TaskDescription::dummy(i, SimDuration::from_secs(2)))
+                .collect(),
+        )
+        .with_telemetry(SimDuration::from_secs(1))
+        .with_lineage()
+        .run();
+        let rep = crate::blame_report(report.lineage.as_ref().expect("lineage attached"));
+        let cp = rep.critical.as_ref().expect("tasks finished");
+        let tel = report.telemetry.as_ref().expect("telemetry attached");
+        let html = render_dashboard("cp", tel, Some(&rep), None);
+        assert!(html.contains("<h2>Critical path</h2>"));
+        assert!(html.contains(&format!(
+            "Deciding chain (makespan {}s): task {}",
+            fmt_us(cp.makespan_us),
+            cp.task.uid
+        )));
+        for phase in PHASES {
+            assert!(html.contains(&format!("<tr><td>{phase}</td>")), "{phase}");
+        }
+        assert!(!render_dashboard("cp", tel, None, None).contains("Critical path"));
     }
 
     #[test]

@@ -11,7 +11,6 @@
 
 pub mod blame;
 pub mod compare;
-pub mod critical_path;
 pub mod dashboard;
 pub mod durations;
 pub mod metrics;
@@ -24,18 +23,14 @@ pub mod trace;
 
 pub use blame::{
     blame_report, blame_task, diff_reports, explain, render_report, BlameReport, BlameSegment,
-    TaskBlame, PHASES,
+    CriticalPath, TaskBlame, PHASES,
 };
 pub use compare::{compare, paired_timeline_csv, Comparison};
-pub use critical_path::{critical_path, CriticalPath, TaskAttribution};
 pub use dashboard::render_dashboard;
 pub use durations::{duration_breakdown, duration_breakdown_by, DurationBreakdown, Interval};
 pub use metrics::{overheads, throughput, utilization, Overheads, Throughput, Utilization};
 pub use plot::{bar_chart, line_plot, md_table};
-pub use profile::{
-    ovh_breakdown, parse_profile_csv, parse_profile_csv_with_meta, task_timelines, OvhBreakdown,
-    ProfileRow, TaskTimeline,
-};
+pub use profile::{parse_profile_csv, parse_profile_csv_with_meta, ProfileRow};
 pub use report::{digest, summarize_run, tasks_csv, timeline_csv, RunDigest};
 pub use stats::{percentile, summarize, Summary};
 pub use timeline::{peak_concurrency, timeline, TimelinePoint};

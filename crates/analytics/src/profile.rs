@@ -1,8 +1,7 @@
-//! Profile mining: parse the runtime profiler's CSV back into events,
-//! reconstruct per-task milestone timelines from the agent's state-
-//! transition instants, and derive the per-component overhead (OVH)
-//! breakdown — the RADICAL-Analytics role for profiles, mirroring what
-//! [`crate::trace`] does for task records.
+//! Profile mining: parse the runtime profiler's CSV back into events —
+//! the RADICAL-Analytics role for profiles, mirroring what
+//! [`crate::trace`] does for task records. The per-component overhead
+//! decomposition lives in [`crate::blame`], over lineage.
 //!
 //! The input format is the one [`rp_profiler::ProfileData::csv`] emits:
 //! `time,kind,comp,uid,event,detail`, one event per line, time in seconds
@@ -10,7 +9,6 @@
 
 use crate::trace::{err, ParseError};
 use rp_profiler::Phase;
-use std::collections::BTreeMap;
 
 /// One parsed profile event.
 #[derive(Debug, Clone, PartialEq)]
@@ -106,153 +104,6 @@ pub fn parse_profile_csv_with_meta(csv: &str) -> Result<(Vec<ProfileRow>, u64), 
     Ok((out, dropped))
 }
 
-/// Per-task milestone timestamps reconstructed from the agent's
-/// state-transition instants — the profile-side mirror of the timestamp
-/// fields on `rp_core::TaskRecord` (seconds of virtual time).
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct TaskTimeline {
-    /// Submission (`NEW`).
-    pub submitted: Option<f64>,
-    /// Staging complete (`SCHEDULING` entry; latest, so retries match the
-    /// record's overwrite semantics).
-    pub staged: Option<f64>,
-    /// Scheduler decision complete (`SUBMITTING` entry).
-    pub scheduled: Option<f64>,
-    /// Backend accepted (`SUBMITTED` entry).
-    pub backend_accepted: Option<f64>,
-    /// Payload start (`EXECUTING` entry).
-    pub exec_start: Option<f64>,
-    /// Payload end (first `DONE`).
-    pub exec_end: Option<f64>,
-    /// A later milestone was observed without an earlier one: the ring
-    /// evicted the front of this task's event stream, so the timeline is
-    /// partial (and excluded from OVH sums) rather than merely in-flight.
-    pub truncated: bool,
-}
-
-impl TaskTimeline {
-    /// Milestones in pipeline order.
-    fn milestones(&self) -> [Option<f64>; 6] {
-        [
-            self.submitted,
-            self.staged,
-            self.scheduled,
-            self.backend_accepted,
-            self.exec_start,
-            self.exec_end,
-        ]
-    }
-}
-
-/// Reconstruct per-task timelines from the `agent` track's state instants.
-/// Tasks whose earliest milestones were lost to ring eviction come back
-/// with [`TaskTimeline::truncated`] set instead of poisoning the parse.
-pub fn task_timelines(rows: &[ProfileRow]) -> BTreeMap<u64, TaskTimeline> {
-    let mut out: BTreeMap<u64, TaskTimeline> = BTreeMap::new();
-    for row in rows {
-        if row.phase != Phase::Instant || row.comp != "agent" {
-            continue;
-        }
-        let Some(uid) = row.uid else {
-            continue; // pilot lifecycle instants carry no uid
-        };
-        let tl = out.entry(uid).or_default();
-        match row.what.as_str() {
-            "NEW" => {
-                tl.submitted.get_or_insert(row.at);
-            }
-            "SCHEDULING" => tl.staged = Some(row.at),
-            "SUBMITTING" => tl.scheduled = Some(row.at),
-            "SUBMITTED" => tl.backend_accepted = Some(row.at),
-            "EXECUTING" => tl.exec_start = Some(row.at),
-            "DONE" => {
-                tl.exec_end.get_or_insert(row.at);
-            }
-            _ => {}
-        }
-    }
-    for tl in out.values_mut() {
-        // Front-truncation signature: a gap before a present milestone.
-        let ms = tl.milestones();
-        let first_present = ms.iter().position(|m| m.is_some());
-        if let Some(first) = first_present {
-            tl.truncated = first > 0;
-        }
-    }
-    out
-}
-
-/// Per-component overhead breakdown over the tasks of a profile: for every
-/// task with a complete milestone set, the time between submission and
-/// payload start is attributed to the pipeline component that held it, so
-/// the components sum (exactly, up to CSV rounding) to end-to-end time
-/// minus busy time.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct OvhBreakdown {
-    /// Input staging: submission → staged.
-    pub staging_s: f64,
-    /// Agent scheduler: staged → scheduler decision.
-    pub scheduling_s: f64,
-    /// Executor adapter: decision → backend accepted.
-    pub submitting_s: f64,
-    /// Backend queue + launch: accepted → payload start.
-    pub backend_s: f64,
-    /// Payload execution (busy time, not overhead).
-    pub busy_s: f64,
-    /// End-to-end: submission → payload end.
-    pub end_to_end_s: f64,
-    /// Tasks with a complete milestone set (others are skipped).
-    pub tasks: usize,
-    /// Tasks excluded because ring eviction truncated their timeline.
-    pub truncated: usize,
-}
-
-impl OvhBreakdown {
-    /// Total overhead across components — everything that is not payload.
-    pub fn overhead_total(&self) -> f64 {
-        self.staging_s + self.scheduling_s + self.submitting_s + self.backend_s
-    }
-
-    /// Named components, for tables and plots.
-    pub fn components(&self) -> [(&'static str, f64); 4] {
-        [
-            ("staging", self.staging_s),
-            ("scheduling", self.scheduling_s),
-            ("submitting", self.submitting_s),
-            ("backend", self.backend_s),
-        ]
-    }
-}
-
-/// Derive the OVH breakdown from reconstructed task timelines.
-pub fn ovh_breakdown(timelines: &BTreeMap<u64, TaskTimeline>) -> OvhBreakdown {
-    let mut b = OvhBreakdown::default();
-    for tl in timelines.values() {
-        if tl.truncated {
-            b.truncated += 1;
-            continue;
-        }
-        let (Some(sub), Some(staged), Some(sched), Some(acc), Some(start), Some(end)) = (
-            tl.submitted,
-            tl.staged,
-            tl.scheduled,
-            tl.backend_accepted,
-            tl.exec_start,
-            tl.exec_end,
-        ) else {
-            continue;
-        };
-        b.staging_s += staged - sub;
-        b.scheduling_s += sched - staged;
-        b.submitting_s += acc - sched;
-        b.backend_s += start - acc;
-        b.busy_s += end - start;
-        b.end_to_end_s += end - sub;
-        b.tasks += 1;
-    }
-    b
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -297,68 +148,21 @@ time,kind,comp,uid,event,detail
     }
 
     #[test]
-    fn timelines_and_ovh_sum_to_non_busy_time() {
-        let rows = parse_profile_csv(DOC).unwrap();
-        let tls = task_timelines(&rows);
-        assert_eq!(tls.len(), 1);
-        let tl = tls[&7];
-        assert_eq!(tl.submitted, Some(0.0));
-        assert_eq!(tl.staged, Some(0.2));
-        assert_eq!(tl.scheduled, Some(0.5));
-        assert_eq!(tl.backend_accepted, Some(0.7));
-        assert_eq!(tl.exec_start, Some(1.5));
-        assert_eq!(tl.exec_end, Some(4.5));
-        let b = ovh_breakdown(&tls);
-        assert_eq!(b.tasks, 1);
-        assert!((b.busy_s - 3.0).abs() < 1e-9);
-        assert!((b.end_to_end_s - 4.5).abs() < 1e-9);
-        // Components account exactly for end-to-end minus busy.
-        assert!((b.overhead_total() - (b.end_to_end_s - b.busy_s)).abs() < 1e-9);
-    }
-
-    #[test]
-    fn incomplete_tasks_are_skipped() {
-        let doc = "time,kind,comp,uid,event,detail\n\
-                   0.000000,I,agent,1,NEW,0.000000\n\
-                   0.100000,I,agent,1,SCHEDULING,0.000000\n";
-        let tls = task_timelines(&parse_profile_csv(doc).unwrap());
-        assert_eq!(tls.len(), 1);
-        assert!(!tls[&1].truncated, "in-flight, not truncated");
-        let b = ovh_breakdown(&tls);
-        assert_eq!(b.tasks, 0);
-        assert_eq!(b.truncated, 0);
-    }
-
-    #[test]
-    fn dropped_comment_and_truncated_timelines_degrade_gracefully() {
+    fn dropped_comment_is_reported() {
         // Ring eviction removed task 1's earliest milestones; the exporter
-        // flagged it with the `# dropped=` comment. Task 2 is complete.
+        // flagged it with the `# dropped=` comment.
         let doc = "\
 # dropped=3
 time,kind,comp,uid,event,detail
 0.400000,I,agent,1,SUBMITTED,0.000000
 0.500000,I,agent,1,EXECUTING,0.000000
 2.500000,I,agent,1,DONE,0.000000
-0.000000,I,agent,2,NEW,0.000000
-0.100000,I,agent,2,SCHEDULING,0.000000
-0.200000,I,agent,2,SUBMITTING,0.000000
-0.300000,I,agent,2,SUBMITTED,0.000000
-0.600000,I,agent,2,EXECUTING,0.000000
-3.600000,I,agent,2,DONE,0.000000
 ";
         let (rows, dropped) = parse_profile_csv_with_meta(doc).unwrap();
         assert_eq!(dropped, 3);
-        assert_eq!(rows.len(), 9);
+        assert_eq!(rows.len(), 3);
         // Plain parse tolerates the comment too.
-        assert_eq!(parse_profile_csv(doc).unwrap().len(), 9);
-        let tls = task_timelines(&rows);
-        assert!(tls[&1].truncated, "front-evicted task flagged");
-        assert_eq!(tls[&1].exec_end, Some(2.5), "partial data kept");
-        assert!(!tls[&2].truncated);
-        let b = ovh_breakdown(&tls);
-        assert_eq!(b.tasks, 1, "only the complete task contributes");
-        assert_eq!(b.truncated, 1);
-        assert!((b.busy_s - 3.0).abs() < 1e-9);
+        assert_eq!(parse_profile_csv(doc).unwrap().len(), 3);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! seeds through the one session runner, digest each run, aggregate, and
 //! render table rows.
 
-use rp_analytics::{critical_path, digest, RunDigest};
+use rp_analytics::{blame_report, digest, RunDigest};
 use rp_core::{
     FaultSpec, PilotConfig, RunReport, ServingSpec, SimSession, TaskDescription, WorkloadSource,
 };
@@ -350,29 +350,24 @@ fn write_profile(dir: &Path, label: &str, data: &ProfileData) {
 }
 
 /// Write one run's metrics under `dir`: the OpenMetrics text document
-/// (`<label>.om.txt`, registry families plus the derived critical-path
-/// families appended before `# EOF`) and a human-readable summary
+/// (`<label>.om.txt`) and a human-readable summary
 /// (`<label>.summary.txt`). No-op when the report carries no snapshot.
 fn write_metrics(dir: &Path, label: &str, report: &RunReport) {
     let Some(snap) = &report.metrics else { return };
     let _ = fs::create_dir_all(dir);
     let base = sanitize(label);
-    let cp = critical_path(&snap.spans);
-    let om = format!(
-        "{}{}# EOF\n",
-        snap.openmetrics_body(),
-        cp.openmetrics_body()
+    let _ = fs::write(dir.join(format!("{base}.om.txt")), snap.openmetrics());
+    let _ = fs::write(
+        dir.join(format!("{base}.summary.txt")),
+        snap.summary_table(),
     );
-    let _ = fs::write(dir.join(format!("{base}.om.txt")), om);
-    let summary = format!("{}\n{}", snap.summary_table(), cp.summary_table());
-    let _ = fs::write(dir.join(format!("{base}.summary.txt")), summary);
 }
 
 /// Write one run's telemetry under `dir`: the sampler time-series
 /// (`<label>.telemetry.jsonl`), the flight-recorder alarm log
 /// (`<label>.flightrec.jsonl`), and a self-contained HTML dashboard
-/// (`<label>.dashboard.html`). The dashboard includes the span-side
-/// critical path when the report also carries a metrics snapshot. No-op
+/// (`<label>.dashboard.html`). The dashboard includes the blame totals
+/// and the critical path when the report also carries lineage. No-op
 /// when the report carries no telemetry.
 pub fn write_telemetry(dir: &Path, label: &str, report: &RunReport) {
     let Some(tel) = &report.telemetry else { return };
@@ -386,11 +381,8 @@ pub fn write_telemetry(dir: &Path, label: &str, report: &RunReport) {
         dir.join(format!("{base}.flightrec.jsonl")),
         tel.flight_recorder_jsonl(),
     );
-    let cp = report
-        .metrics
-        .as_ref()
-        .map(|snap| critical_path(&snap.spans));
-    let html = rp_analytics::render_dashboard(label, tel, cp.as_ref(), report.serving.as_ref());
+    let blame = report.lineage.as_ref().map(blame_report);
+    let html = rp_analytics::render_dashboard(label, tel, blame.as_ref(), report.serving.as_ref());
     let _ = fs::write(dir.join(format!("{base}.dashboard.html")), html);
 }
 
@@ -404,7 +396,7 @@ fn write_lineage(dir: &Path, label: &str, report: &RunReport) {
     let _ = fs::create_dir_all(dir);
     let base = sanitize(label);
     let _ = fs::write(dir.join(format!("{base}.lineage.jsonl")), lin.to_jsonl());
-    let rep = rp_analytics::blame_report(lin);
+    let rep = blame_report(lin);
     let _ = fs::write(
         dir.join(format!("{base}.blame.txt")),
         rp_analytics::render_report(label, &rep),
@@ -601,9 +593,9 @@ mod tests {
     }
 
     /// `--metrics-dir` plumbing end to end: rep 0 runs with the registry
-    /// attached, the OpenMetrics document parses, and the derived
-    /// overhead attribution satisfies `overhead == end_to_end − busy`
-    /// within the 1% acceptance bound.
+    /// attached, the OpenMetrics document parses, and it carries only the
+    /// registry's own families — the end-to-end decomposition lives in
+    /// the lineage blame report.
     #[test]
     fn write_metrics_emits_parseable_attribution() {
         let dir = std::env::temp_dir().join(format!("rp-bench-metrics-{}", std::process::id()));
@@ -624,20 +616,18 @@ mod tests {
         assert!(reports[0].metrics.is_some(), "rep 0 must carry a snapshot");
         let om = fs::read_to_string(dir.join("tiny_metrics.om.txt")).expect("om written");
         let samples = rp_metrics::parse_openmetrics(&om).expect("document parses");
-        let end_to_end = samples["rp_ovh_end_to_end_seconds"];
-        let busy = samples["rp_ovh_busy_seconds"];
-        let overhead: f64 = samples
-            .iter()
-            .filter(|(k, _)| k.starts_with("rp_ovh_component_seconds") && !k.contains("execute"))
-            .map(|(_, v)| v)
-            .sum();
-        assert!(
-            (overhead - (end_to_end - busy)).abs() <= 0.01 * (end_to_end - busy).max(1e-9),
-            "attribution {overhead} vs end-to-end−busy {}",
-            end_to_end - busy
-        );
+        assert_eq!(samples["rp_tasks_completed_total"], 20.0);
+        for gone in [
+            "rp_ovh_",
+            "rp_span_makespan_seconds",
+            "rp_critical_path_seconds",
+            "rp_spans_dropped_total",
+        ] {
+            assert!(!om.contains(gone), "{gone} families are removed");
+        }
         let summary = fs::read_to_string(dir.join("tiny_metrics.summary.txt")).expect("summary");
-        assert!(summary.contains("critical path"));
+        assert!(summary.contains("rp_tasks_completed_total"));
+        assert!(!summary.contains("critical path"));
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -711,6 +701,12 @@ mod tests {
         let blame = fs::read_to_string(dir.join("tiny_lin.blame.txt")).expect("blame");
         assert!(blame.contains("20 tasks"));
         assert!(blame.contains("execute"));
+        let cp = blame_report(lin).critical.expect("tasks finished");
+        assert!(
+            blame.contains("critical path (segments sum exactly to makespan"),
+            "{blame}"
+        );
+        assert!(blame.contains(&format!("task {} finishes last (done)", cp.task.uid)));
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -31,7 +31,7 @@ use rp_fluxrt::{
     JobSpec, SchedPolicy,
 };
 use rp_lineage::Lineage;
-use rp_metrics::{Counter as MCounter, Gauge as MGauge, Histogram as MHistogram, Registry, SpanId};
+use rp_metrics::{Counter as MCounter, Gauge as MGauge, Histogram as MHistogram, Registry};
 use rp_platform::{Allocation, Cluster, Placement, ResourcePool};
 use rp_profiler::{Profiler, Sym};
 use rp_prrte::{PrrteAction, PrrteDvm, PrrteTask, PrrteToken};
@@ -241,41 +241,9 @@ pub struct AgentGauges {
     backend_queue_peaks: Cell<[f64; 4]>,
 }
 
-/// Which lifecycle child span is currently open for a task. The four
-/// phases tile the `task` root span exactly (see `rp_metrics::span`):
-/// `schedule` covers NEW→Submitting (staging + scheduler queue+service),
-/// `launch` covers Submitting→Executing, `execute` covers the payload,
-/// and `collect` covers launcher-completion→Done (watcher latency).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SpanPhase {
-    Schedule,
-    Launch,
-    Execute,
-    Collect,
-}
-
-impl SpanPhase {
-    fn name(self) -> &'static str {
-        match self {
-            SpanPhase::Schedule => "schedule",
-            SpanPhase::Launch => "launch",
-            SpanPhase::Execute => "execute",
-            SpanPhase::Collect => "collect",
-        }
-    }
-}
-
-/// Open span handles for one in-flight task.
-struct TaskSpans {
-    root: SpanId,
-    child: SpanId,
-    phase: SpanPhase,
-}
-
 /// Metrics instruments for the agent pipeline (built by
 /// [`SimAgent::attach_metrics`]). Interior mutability throughout so the
-/// `with_task` transition hook (`&self`) can drive span trees and dwell
-/// histograms.
+/// `with_task` transition hook (`&self`) can drive the dwell histograms.
 struct AgentMetrics {
     reg: Registry,
     /// Dwell-time histogram per task state, indexed by [`state_index`].
@@ -308,69 +276,24 @@ struct AgentMetrics {
     srun_inflight: MGauge,
     busy_cores: MGauge,
     busy_gpus: MGauge,
-    /// Open spans per in-flight task.
-    spans: RefCell<FxHashMap<u64, TaskSpans>>,
 }
 
 impl AgentMetrics {
-    /// First submission: open the `task` root with its `schedule` child and
-    /// stamp the dwell clock.
+    /// First submission: count it and stamp the dwell clock.
     fn task_open(&self, uid: u64) {
         self.submitted.inc();
-        let root = self.reg.span_root("task", uid);
-        let child = self.reg.span_child(SpanPhase::Schedule.name(), uid, root);
-        self.spans.borrow_mut().insert(
-            uid,
-            TaskSpans {
-                root,
-                child,
-                phase: SpanPhase::Schedule,
-            },
-        );
         self.entered.borrow_mut().insert(uid, self.reg.now());
     }
 
-    /// Close the open child and start `phase` at the same instant, keeping
-    /// the phases contiguous under the root.
-    fn enter_phase(&self, uid: u64, phase: SpanPhase) {
-        let mut spans = self.spans.borrow_mut();
-        let Some(ts) = spans.get_mut(&uid) else {
-            return;
-        };
-        if ts.phase == phase && ts.child.is_valid() {
-            return;
-        }
-        self.reg.span_end(ts.child);
-        ts.child = self.reg.span_child(phase.name(), uid, ts.root);
-        ts.phase = phase;
-    }
-
-    /// Launcher-side completion observed (watcher event enqueued): the
-    /// remaining time to the record update is collection overhead.
-    fn mark_collect(&self, uid: u64) {
-        self.enter_phase(uid, SpanPhase::Collect);
-    }
-
-    /// Close a task's span tree. `through_collect` is the Done path: a
-    /// (possibly zero-length) `collect` child is guaranteed so the four
-    /// phases always tile the root.
-    fn close_task(&self, uid: u64, through_collect: bool) {
-        let Some(ts) = self.spans.borrow_mut().remove(&uid) else {
-            return;
-        };
-        self.reg.span_end(ts.child);
-        if through_collect && ts.phase != SpanPhase::Collect {
-            let c = self.reg.span_child(SpanPhase::Collect.name(), uid, ts.root);
-            self.reg.span_end(c);
-        }
-        self.reg.span_end(ts.root);
+    /// The task left the pipeline for good: stop its dwell clock.
+    fn close_task(&self, uid: u64) {
         self.entered.borrow_mut().remove(&uid);
     }
 
-    /// Permanent failure: close the tree where it stands.
+    /// Permanent failure.
     fn abandon(&self, uid: u64) {
         self.failed.inc();
-        self.close_task(uid, false);
+        self.close_task(uid);
     }
 
     /// Observe the dwell time in the state being left and restamp.
@@ -385,30 +308,16 @@ impl AgentMetrics {
     fn on_transition(&self, uid: u64, from: TaskState, to: TaskState) {
         self.observe_dwell(uid, from);
         match to {
-            TaskState::Submitting => self.enter_phase(uid, SpanPhase::Launch),
-            TaskState::Executing => self.enter_phase(uid, SpanPhase::Execute),
-            TaskState::StagingInput => {
-                // Retry path (initial submission never funnels through
-                // `with_task`): reopen `schedule` under the surviving root.
-                self.retried.inc();
-                self.enter_phase(uid, SpanPhase::Schedule);
-            }
+            // Retry path (initial submission never funnels through
+            // `with_task`).
+            TaskState::StagingInput => self.retried.inc(),
             TaskState::Done => {
                 self.completed.inc();
-                self.close_task(uid, true);
-            }
-            TaskState::Failed => {
-                // Close the open child only; `fail_task` then either
-                // retries (StagingInput reopens `schedule`) or abandons.
-                let mut spans = self.spans.borrow_mut();
-                if let Some(ts) = spans.get_mut(&uid) {
-                    self.reg.span_end(ts.child);
-                    ts.child = SpanId::INVALID;
-                }
+                self.close_task(uid);
             }
             TaskState::Canceled => {
                 self.canceled.inc();
-                self.close_task(uid, false);
+                self.close_task(uid);
             }
             _ => {}
         }
@@ -878,8 +787,8 @@ impl SimAgent {
         })
     }
 
-    /// Attach a metrics registry: dwell-time histograms and per-task span
-    /// trees flow from the agent's state funnel, pipeline-server service
+    /// Attach a metrics registry: dwell-time histograms and lifecycle
+    /// counters flow from the agent's state funnel, pipeline-server service
     /// times from the pump sites, and every backend sub-machine records
     /// submit/launch/complete latencies under its kind label (partitions
     /// of one kind merge into a single distribution by registry dedup).
@@ -989,7 +898,6 @@ impl SimAgent {
                 "Busy cores/workers across non-srun partitions",
             ),
             busy_gpus: reg.gauge("rp_busy_gpus", &[], "Busy GPUs across non-srun partitions"),
-            spans: RefCell::new(FxHashMap::default()),
             reg: reg.clone(),
         });
         self.update_gauges();
@@ -1995,25 +1903,18 @@ impl SimAgent {
 
     /// Enqueue an event for `kind`'s watcher thread.
     fn watch(&mut self, kind: BackendKind, ev: WatcherEvent, ctx: &mut Ctx<AgentMsg>) {
-        if let WatcherEvent::Term(t) = &ev {
-            if self.metrics.is_some() || self.lineage.is_some() {
-                // The launcher is done; everything until the record update
-                // is collection overhead. Guard against stale events for
-                // tasks already failed over elsewhere.
-                let executing = self
-                    .state
-                    .borrow()
-                    .tasks
-                    .get(t.0)
-                    .is_some_and(|r| r.state == TaskState::Executing);
-                if executing {
-                    if let Some(m) = &self.metrics {
-                        m.mark_collect(t.0);
-                    }
-                    if let Some(l) = &self.lineage {
-                        l.record(t.0, rp_lineage::EV_TERM_SEEN);
-                    }
-                }
+        if let (WatcherEvent::Term(t), Some(l)) = (&ev, &self.lineage) {
+            // The launcher is done; everything until the record update is
+            // collection overhead. Guard against stale events for tasks
+            // already failed over elsewhere.
+            let executing = self
+                .state
+                .borrow()
+                .tasks
+                .get(t.0)
+                .is_some_and(|r| r.state == TaskState::Executing);
+            if executing {
+                l.record(t.0, rp_lineage::EV_TERM_SEEN);
             }
         }
         self.watcher_q[kind as usize].push_back(ev);

@@ -866,7 +866,7 @@ mod tests {
     }
 
     #[test]
-    fn metrics_snapshot_covers_lifecycle_and_spans_tile() {
+    fn metrics_snapshot_covers_lifecycle() {
         let tasks: Vec<TaskDescription> = (0..50)
             .map(|i| TaskDescription::dummy(i, SimDuration::from_secs(10)))
             .collect();
@@ -891,42 +891,6 @@ mod tests {
         // tracks the 10 s payload to within the watcher latencies.
         assert!(dwell.min() > 9.5, "payload runs 10 s: {}", dwell.min());
         assert!(snap.counter("rp_engine_events_total").unwrap() > 0);
-        // Span trees: one closed `task` root per uid whose four phases
-        // tile the root interval exactly.
-        let spans = &snap.spans;
-        let roots: Vec<_> = spans
-            .spans
-            .iter()
-            .filter(|s| spans.name(s) == "task")
-            .collect();
-        assert_eq!(roots.len(), 50);
-        for root in roots {
-            let dur = root
-                .end
-                .expect("root closed")
-                .saturating_since(root.start)
-                .as_secs_f64();
-            let children: Vec<_> = spans
-                .spans
-                .iter()
-                .filter(|s| s.uid == root.uid && s.parent.is_some())
-                .collect();
-            assert_eq!(children.len(), 4, "schedule/launch/execute/collect");
-            let sum: f64 = children
-                .iter()
-                .map(|s| {
-                    s.end
-                        .expect("closed")
-                        .saturating_since(s.start)
-                        .as_secs_f64()
-                })
-                .sum();
-            assert!(
-                (sum - dur).abs() < 1e-6,
-                "phases must tile the root: {sum} vs {dur} (uid {})",
-                root.uid
-            );
-        }
     }
 
     #[test]

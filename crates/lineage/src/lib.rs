@@ -484,14 +484,28 @@ impl LineageData {
     /// Parse a JSONL export back into a snapshot. Accepts exactly the
     /// `to_jsonl` schema; unknown names or malformed lines are errors (the
     /// export is a machine artifact, not a lenient interchange format).
+    /// The snapshot invariants are checked too: lines sorted by uid with
+    /// meta lines last, and timestamps never going backwards within a uid
+    /// — [`LineageData::events_for`] and the blame telescoping rely on
+    /// both.
     pub fn from_jsonl(text: &str) -> Result<LineageData, String> {
-        let mut events = Vec::new();
+        let mut events: Vec<Event> = Vec::new();
         for (ln, line) in text.lines().enumerate() {
             let line = line.trim();
             if line.is_empty() {
                 continue;
             }
-            events.push(parse_line(line).map_err(|e| format!("line {}: {e}", ln + 1))?);
+            let at = |e: String| format!("line {}: {e}", ln + 1);
+            let ev = parse_line(line).map_err(at)?;
+            if let Some(prev) = events.last() {
+                if ev.uid < prev.uid {
+                    return Err(at("not sorted by uid (meta lines go last)".into()));
+                }
+                if ev.uid == prev.uid && ev.t < prev.t {
+                    return Err(at(format!("time goes backwards for uid {}", ev.uid)));
+                }
+            }
+            events.push(ev);
         }
         Ok(LineageData { events })
     }
@@ -519,6 +533,23 @@ fn field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
     Some(rest[..end].trim_matches('"'))
 }
 
+/// `S.UUUUUU` — whole seconds and exactly six fraction digits, as
+/// `to_jsonl` prints them — into exact microseconds. `None` on any other
+/// shape or on overflow.
+fn parse_time(raw: &str) -> Option<SimTime> {
+    let (secs, micros) = raw.split_once('.')?;
+    let digits = |s: &str| !s.is_empty() && s.bytes().all(|b| b.is_ascii_digit());
+    if !digits(secs) || !digits(micros) || micros.len() != 6 {
+        return None;
+    }
+    let us = secs
+        .parse::<u64>()
+        .ok()?
+        .checked_mul(1_000_000)?
+        .checked_add(micros.parse::<u64>().ok()?)?;
+    Some(SimTime::from_micros(us))
+}
+
 fn parse_line(line: &str) -> Result<Event, String> {
     let uid = match field(line, "uid") {
         Some(v) => v.parse::<u64>().map_err(|_| format!("bad uid `{v}`"))?,
@@ -531,15 +562,7 @@ fn parse_line(line: &str) -> Result<Event, String> {
         }
     };
     let t_raw = field(line, "t").ok_or("missing t")?;
-    let (secs, micros) = t_raw
-        .split_once('.')
-        .ok_or_else(|| format!("bad t `{t_raw}`"))?;
-    let t = secs
-        .parse::<u64>()
-        .ok()
-        .zip(micros.parse::<u64>().ok())
-        .map(|(s, u)| SimTime::from_micros(s * 1_000_000 + u))
-        .ok_or_else(|| format!("bad t `{t_raw}`"))?;
+    let t = parse_time(t_raw).ok_or_else(|| format!("bad t `{t_raw}`"))?;
     let ev_name = field(line, "ev").ok_or("missing ev")?;
     let kind = EVENT_NAMES
         .iter()
@@ -556,8 +579,7 @@ fn parse_line(line: &str) -> Result<Event, String> {
         Some(name) => BACKEND_NAMES
             .iter()
             .position(|&n| n == name)
-            .map(|i| i as u8)
-            .unwrap_or(NO_BACKEND),
+            .ok_or_else(|| format!("unknown backend `{name}`"))? as u8,
         None => NO_BACKEND,
     };
     let partition = match field(line, "partition") {
@@ -670,6 +692,55 @@ mod tests {
         assert_eq!(lin.snapshot().events, expect);
         assert_eq!(lin.event_count(), seq.len());
         assert_eq!(lin.snapshot().uids(), vec![3, 9, big]);
+    }
+
+    #[test]
+    fn time_needs_exactly_six_fraction_digits() {
+        let line = |t: &str| format!("{{\"uid\":1,\"t\":{t},\"ev\":\"submit\"}}\n");
+        let ok = LineageData::from_jsonl(&line("1.500000")).expect("six digits parse");
+        assert_eq!(ok.events[0].t, SimTime::from_micros(1_500_000));
+        for bad in ["1.5", "1.5000000", "1.", ".500000", "1.+50000", "-1.000000"] {
+            let e = LineageData::from_jsonl(&line(bad)).unwrap_err();
+            assert!(e.contains("bad t"), "{bad}: {e}");
+        }
+    }
+
+    #[test]
+    fn time_overflow_is_an_error() {
+        let text = "{\"uid\":1,\"t\":18446744073709551.000000,\"ev\":\"submit\"}\n";
+        let e = LineageData::from_jsonl(text).unwrap_err();
+        assert!(e.contains("bad t"), "{e}");
+    }
+
+    #[test]
+    fn unknown_backend_is_an_error() {
+        let text = "{\"uid\":1,\"t\":0.000000,\"ev\":\"handoff\",\"backend\":\"slurmd\"}\n";
+        let e = LineageData::from_jsonl(text).unwrap_err();
+        assert!(e.contains("unknown backend `slurmd`"), "{e}");
+    }
+
+    #[test]
+    fn backwards_time_within_a_uid_is_an_error() {
+        let text = "{\"uid\":1,\"t\":2.000000,\"ev\":\"submit\"}\n\
+                    {\"uid\":1,\"t\":1.000000,\"ev\":\"done\"}\n";
+        let e = LineageData::from_jsonl(text).unwrap_err();
+        assert!(e.contains("line 2: time goes backwards for uid 1"), "{e}");
+        // Different uids may interleave in time.
+        let text = "{\"uid\":1,\"t\":2.000000,\"ev\":\"submit\"}\n\
+                    {\"uid\":2,\"t\":1.000000,\"ev\":\"submit\"}\n";
+        assert!(LineageData::from_jsonl(text).is_ok());
+    }
+
+    #[test]
+    fn unsorted_uids_and_early_meta_lines_are_errors() {
+        let text = "{\"uid\":2,\"t\":0.000000,\"ev\":\"submit\"}\n\
+                    {\"uid\":1,\"t\":0.000000,\"ev\":\"submit\"}\n";
+        let e = LineageData::from_jsonl(text).unwrap_err();
+        assert!(e.contains("line 2: not sorted by uid"), "{e}");
+        let text = "{\"scope\":\"run\",\"t\":0.000000,\"ev\":\"pilot\",\"detail\":\"active\"}\n\
+                    {\"uid\":1,\"t\":0.000000,\"ev\":\"submit\"}\n";
+        let e = LineageData::from_jsonl(text).unwrap_err();
+        assert!(e.contains("line 2: not sorted by uid"), "{e}");
     }
 
     #[test]

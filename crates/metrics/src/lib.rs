@@ -1,24 +1,21 @@
 //! `rp-metrics` — aggregate telemetry for the reproduction.
 //!
-//! PR 1's `rp-profiler` captures the raw event stream (the analog of
+//! `rp-profiler` captures the raw event stream (the analog of
 //! RADICAL-Pilot's `.prof` files). This crate is the layer above: the
 //! *queryable, comparable* aggregates the paper's characterization is
-//! actually built from — latency distributions, utilization, throughput,
-//! and the per-component overhead (OVH) decomposition — plus the span
-//! trees `analytics::critical_path` consumes to attribute end-to-end
-//! makespan to schedule / launch / execute / collect.
+//! built from — latency distributions, state dwell times, utilization and
+//! throughput. The per-task decomposition of end-to-end time (the OVH
+//! breakdown and the critical path) is not kept here: it is derived
+//! exactly from causal lineage by `rp-analytics::blame`.
 //!
-//! Three pieces:
+//! Two pieces:
 //!
 //! 1. [`Registry`] — counters, gauges, and mergeable log-bucketed
 //!    [`HistData`] histograms behind cheap-clone handles, sharing the
 //!    profiler's cost model (one branch when disabled, no allocation on
 //!    the hot path) and the sim clock (so reactive backends need no
 //!    `now` plumbing).
-//! 2. Spans ([`SpanId`], [`SpanData`]) — hierarchical intervals with
-//!    explicit parent links, because a discrete-event simulation has no
-//!    call stack to infer nesting from.
-//! 3. [`openmetrics`] — deterministic OpenMetrics text export, a parser
+//! 2. [`openmetrics`] — deterministic OpenMetrics text export, a parser
 //!    for it, and [`openmetrics::diff_openmetrics`] snapshot diffing:
 //!    the seed of the perf gate wired into CI.
 
@@ -28,7 +25,6 @@ mod backend;
 mod hist;
 pub mod openmetrics;
 mod registry;
-mod span;
 
 pub use backend::BackendInstruments;
 pub use hist::{HistData, BUCKETS};
@@ -36,4 +32,3 @@ pub use openmetrics::{
     diff_openmetrics, diff_openmetrics_with, parse_openmetrics, DiffEntry, MetricsDiff, Tolerances,
 };
 pub use registry::{Counter, Gauge, Histogram, MetricMeta, Registry, Snapshot};
-pub use span::{SpanData, SpanId, SpanRecord};

@@ -18,7 +18,6 @@
 //! histogram.
 
 use crate::hist::HistData;
-use crate::span::{SpanData, SpanId, SpanSink};
 use rp_sim::{SimClock, SimTime};
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
@@ -125,7 +124,6 @@ struct RegInner {
     clock: SimClock,
     entries: Vec<Entry>,
     index: HashMap<(String, Vec<(String, String)>), usize>,
-    spans: SpanSink,
 }
 
 /// The per-run metrics registry. Cloning shares the underlying store.
@@ -150,7 +148,6 @@ impl Registry {
                 clock,
                 entries: Vec::new(),
                 index: HashMap::new(),
-                spans: SpanSink::new(),
             }))),
         }
     }
@@ -265,41 +262,7 @@ impl Registry {
         Histogram(Some(cell))
     }
 
-    /// Open a root span named `name` for entity `uid` at the current time.
-    pub fn span_root(&self, name: &str, uid: u64) -> SpanId {
-        let Some(inner) = &self.inner else {
-            return SpanId::INVALID;
-        };
-        let mut inner = inner.borrow_mut();
-        let now = inner.clock.now();
-        inner.spans.open(name, uid, None, now)
-    }
-
-    /// Open a child span below `parent` at the current time. A no-op
-    /// (returning [`SpanId::INVALID`]) when `parent` is invalid.
-    pub fn span_child(&self, name: &str, uid: u64, parent: SpanId) -> SpanId {
-        let Some(inner) = &self.inner else {
-            return SpanId::INVALID;
-        };
-        let mut inner = inner.borrow_mut();
-        let now = inner.clock.now();
-        inner.spans.open(name, uid, Some(parent), now)
-    }
-
-    /// Close a span at the current time. Closing an already-closed or
-    /// invalid span is a no-op.
-    pub fn span_end(&self, id: SpanId) {
-        if !id.is_valid() {
-            return;
-        }
-        if let Some(inner) = &self.inner {
-            let mut inner = inner.borrow_mut();
-            let now = inner.clock.now();
-            inner.spans.close(id, now);
-        }
-    }
-
-    /// Copy out every instrument value and all spans.
+    /// Copy out every instrument value.
     pub fn snapshot(&self) -> Snapshot {
         let Some(inner) = &self.inner else {
             return Snapshot::default();
@@ -313,12 +276,11 @@ impl Registry {
                 Slot::Hist(h) => snap.histograms.push((e.meta.clone(), h.borrow().clone())),
             }
         }
-        snap.spans = inner.spans.snapshot();
         snap
     }
 }
 
-/// Point-in-time copy of a registry: instrument values plus span data.
+/// Point-in-time copy of a registry's instrument values.
 #[derive(Debug, Clone, Default)]
 pub struct Snapshot {
     /// Counters in registration order.
@@ -327,8 +289,6 @@ pub struct Snapshot {
     pub gauges: Vec<(MetricMeta, f64)>,
     /// Histograms in registration order.
     pub histograms: Vec<(MetricMeta, HistData)>,
-    /// All recorded spans.
-    pub spans: SpanData,
 }
 
 impl Snapshot {
@@ -367,9 +327,6 @@ mod tests {
         let c = reg.counter("x_total", &[], "x");
         c.inc();
         assert_eq!(c.get(), 0);
-        let root = reg.span_root("task", 1);
-        assert!(!root.is_valid());
-        reg.span_end(root);
         assert!(reg.snapshot().counters.is_empty());
     }
 
@@ -385,24 +342,5 @@ mod tests {
         let other = reg.counter("n_total", &[("backend", "dragon")], "n");
         other.inc();
         assert_eq!(reg.snapshot().counters.len(), 2);
-    }
-
-    #[test]
-    fn spans_stamp_clock_time_and_link_parents() {
-        let clock = SimClock::new();
-        let reg = Registry::new(clock.clone());
-        let root = reg.span_root("task", 7);
-        clock.set(rp_sim::SimTime::from_secs(2));
-        let child = reg.span_child("schedule", 7, root);
-        clock.set(rp_sim::SimTime::from_secs(5));
-        reg.span_end(child);
-        reg.span_end(root);
-        let spans = reg.snapshot().spans;
-        assert_eq!(spans.spans.len(), 2);
-        let c = &spans.spans[1];
-        assert_eq!(spans.name(c), "schedule");
-        assert_eq!(c.parent, Some(root));
-        assert_eq!(c.start, rp_sim::SimTime::from_secs(2));
-        assert_eq!(c.end, Some(rp_sim::SimTime::from_secs(5)));
     }
 }

@@ -51,12 +51,15 @@ grep -q "<!DOCTYPE html>" "$TELEMETRY_DIR/flux_1_null_n_1.dashboard.html"
 
 # Lineage smoke: the same quick flux_1 cell with the causal-lineage
 # recorder attached must produce per-task JSONL chains and a blame
-# report, every task uid must narrate through `rp-explain`, and two
-# lineage dirs must diff. Artifacts are uploaded in ci.yml.
+# report with its critical path, every task uid must narrate through
+# `rp-explain`, and two lineage dirs must diff. Artifacts are uploaded in
+# ci.yml.
 LINEAGE_DIR="${LINEAGE_DIR:-$(mktemp -d)}"
 ./target/release/rp-exp flux1 --quick --lineage-dir "$LINEAGE_DIR" > /dev/null
 test -s "$LINEAGE_DIR/flux_1_null_n_1.lineage.jsonl"
 test -s "$LINEAGE_DIR/flux_1_null_n_1.blame.txt"
+grep -q "critical path (segments sum exactly to makespan" \
+    "$LINEAGE_DIR/flux_1_null_n_1.blame.txt"
 UID0="$(sed -n 's/^{"uid":\([0-9]*\).*/\1/p' \
     "$LINEAGE_DIR/flux_1_null_n_1.lineage.jsonl" | head -n 1)"
 ./target/release/rp-explain --dir "$LINEAGE_DIR" "$UID0" \

@@ -36,9 +36,14 @@ fn blame_identity_is_exact_on_every_backend() {
             "{name}: every task must have a causal chain"
         );
         let mut blamed = 0;
+        let (mut first_submit, mut last_terminal) = (u64::MAX, 0);
         for uid in lin.uids() {
             let tb = radical_rs::analytics::blame_task(lin, uid)
                 .unwrap_or_else(|| panic!("{name}: task {uid} unblamed"));
+            first_submit = first_submit.min(tb.submitted.as_micros());
+            if tb.outcome != "incomplete" {
+                last_terminal = last_terminal.max(tb.finished.as_micros());
+            }
             assert_eq!(
                 tb.segments_total_us(),
                 tb.end_to_end_us,
@@ -54,6 +59,21 @@ fn blame_identity_is_exact_on_every_backend() {
             }
         }
         assert_eq!(blamed, done, "{name}: done outcomes match task records");
+        // The critical path telescopes the same way: pending plus the
+        // last-finishing task's segments is the makespan, exactly.
+        let cp = radical_rs::analytics::blame_report(lin)
+            .critical
+            .unwrap_or_else(|| panic!("{name}: no critical path"));
+        assert_eq!(
+            cp.makespan_us,
+            last_terminal - first_submit,
+            "{name}: makespan is first submit → last terminal"
+        );
+        assert_eq!(
+            cp.pending_us + cp.task.segments_total_us(),
+            cp.makespan_us,
+            "{name}: critical-path identity must be exact"
+        );
     }
 }
 

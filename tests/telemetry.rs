@@ -1,8 +1,9 @@
 //! Telemetry acceptance tests: SLO percentile accuracy against exact
-//! percentiles recomputed from raw task records and spans, and the
+//! percentiles recomputed from raw task records and lineage blame, and the
 //! byte-identical-JSONL determinism guarantee across backends, seeds, and
 //! harness job counts.
 
+use radical_rs::analytics::blame_task;
 use radical_rs::core::{PilotConfig, SimSession};
 use radical_rs::sim::SimDuration;
 use radical_rs::workloads::{dummy_workload, null_workload};
@@ -45,7 +46,7 @@ fn slo_percentiles_match_exact_percentiles_within_one_bucket() {
         dummy_workload(NODES, SimDuration::from_secs(30)),
     )
     .with_telemetry(SimDuration::from_secs(1))
-    .with_metrics(SimDuration::from_secs(1))
+    .with_lineage()
     .run();
     let tel = report.telemetry.as_ref().expect("telemetry attached");
 
@@ -64,19 +65,20 @@ fn slo_percentiles_match_exact_percentiles_within_one_bucket() {
         "every started task contributes one launch observation"
     );
 
-    // Exact time-to-completion: root `task` span open → close. The root
-    // closes on the Done transition, which is what the tracker timed.
-    let spans = &report.metrics.as_ref().expect("metrics attached").spans;
-    let mut ttc: Vec<f64> = spans
-        .spans
-        .iter()
-        .filter(|s| s.parent.is_none() && spans.name(s) == "task")
-        .filter_map(|s| s.end.map(|e| e.saturating_since(s.start).as_secs_f64()))
+    // Exact time-to-completion: the lineage blame's end-to-end latency,
+    // submission → the Done transition, which is what the tracker timed.
+    let lin = report.lineage.as_ref().expect("lineage attached");
+    let mut ttc: Vec<f64> = lin
+        .uids()
+        .into_iter()
+        .filter_map(|uid| blame_task(lin, uid))
+        .filter(|tb| tb.outcome == "done")
+        .map(|tb| SimDuration::from_micros(tb.end_to_end_us).as_secs_f64())
         .collect();
     assert_eq!(
         ttc.len() as u64,
         tel.slo.completions,
-        "every closed task span contributes one completion observation"
+        "every completed task contributes one completion observation"
     );
 
     for q in [0.5, 0.99] {
