@@ -377,7 +377,9 @@ pub struct SimAgent {
     cfg: PilotConfig,
     router: Router,
     state: Rc<RefCell<RunState>>,
-    descs: UidMap<TaskDescription>,
+    /// Task descriptions in first-submission order, at the same slot as
+    /// the task's record in `state` (see [`task_desc`]).
+    descs: Vec<TaskDescription>,
     rng: RngStream,
 
     // Pipeline servers.
@@ -645,7 +647,7 @@ impl SimAgent {
         SimAgent {
             router,
             state,
-            descs: UidMap::default(),
+            descs: Vec::new(),
             stage_q: VecDeque::new(),
             stagers_free,
             stage_cost: cal.rp_stage.clone(),
@@ -1067,7 +1069,7 @@ impl SimAgent {
         let Some(s) = &self.serving else { return };
         let outcome = {
             let st = self.state.borrow();
-            match st.tasks.get(t.0).map(|r| r.state) {
+            match st.task(t).map(|r| r.state) {
                 Some(TaskState::Done) => ServingOutcome::Done,
                 Some(TaskState::Canceled) => ServingOutcome::Canceled,
                 _ => ServingOutcome::Failed,
@@ -1312,8 +1314,7 @@ impl SimAgent {
     fn with_task<R>(&self, uid: TaskId, f: impl FnOnce(&mut TaskRecord) -> R) -> R {
         let mut st = self.state.borrow_mut();
         let rec = st
-            .tasks
-            .get_mut(uid.0)
+            .task_mut(uid)
             .unwrap_or_else(|| panic!("unknown task {uid}"));
         let before = rec.state;
         let out = f(rec);
@@ -1380,16 +1381,19 @@ impl SimAgent {
         out
     }
 
-    fn submit_tasks(&mut self, descs: Vec<TaskDescription>, ctx: &mut Ctx<AgentMsg>) {
+    fn submit_tasks(&mut self, batch: Vec<TaskDescription>, ctx: &mut Ctx<AgentMsg>) {
         let now = ctx.now();
-        // Bulk submission (initial workloads arrive in one batch): size the
-        // task-keyed tables up front so the insert loop never rehashes.
-        {
-            let mut st = self.state.borrow_mut();
-            st.tasks.reserve(descs.len());
-            st.order.reserve(descs.len());
+        // Bulk submission (initial workloads arrive in one batch): the
+        // first batch becomes the description table as is, later ones
+        // append, and the record table is sized up front.
+        let first = self.descs.len();
+        if self.descs.is_empty() {
+            self.descs = batch;
+        } else {
+            self.descs.extend(batch);
         }
-        self.descs.reserve(descs.len());
+        let descs = &self.descs[first..];
+        self.state.borrow_mut().reserve(descs.len());
         self.stage_q.reserve(descs.len());
         // Batched observability hooks: one table borrow and one clock read
         // per submission batch instead of one per task (the whole batch
@@ -1398,12 +1402,12 @@ impl SimAgent {
             t.on_submitted_batch(descs.iter().map(|d| d.uid.0));
         }
         if let Some(l) = &self.lineage {
-            for d in &descs {
+            for d in descs {
                 l.record(d.uid.0, rp_lineage::EV_SUBMIT);
             }
         }
         for desc in descs {
-            let mut rec = TaskRecord::new(&desc, now);
+            let mut rec = TaskRecord::new(desc, now);
             rec.advance(TaskState::StagingInput, now);
             if let Some(s) = &self.psyms {
                 self.prof
@@ -1417,20 +1421,10 @@ impl SimAgent {
             if let Some(m) = &self.metrics {
                 m.task_open(desc.uid.0);
             }
-            {
-                let mut st = self.state.borrow_mut();
-                assert!(
-                    !st.tasks.contains_key(desc.uid.0),
-                    "duplicate task uid {}",
-                    desc.uid
-                );
-                st.order.push(desc.uid);
-                st.tasks.insert(desc.uid.0, rec);
-            }
-            self.outstanding += 1;
+            self.state.borrow_mut().push(rec);
             self.stage_q.push_back(desc.uid);
-            self.descs.insert(desc.uid.0, desc);
         }
+        self.outstanding += descs.len();
         self.pump_stagers(ctx);
     }
 
@@ -1542,7 +1536,7 @@ impl SimAgent {
         // any partition other than the one that just failed the task
         // (falling back to it only when nothing else is alive).
         let avoid = self.chaos.as_mut().and_then(|c| c.avoid.remove(&t.0));
-        let desc = self.descs.get(t.0).expect("desc exists");
+        let desc = task_desc(&self.state, &self.descs, t);
         if self.cfg.routing == RoutingPolicy::LeastLoaded && desc.backend_hint.is_none() {
             let candidates = self.router.candidates(desc);
             let mut best: Option<(f64, BackendKind, u32)> = None;
@@ -1731,7 +1725,7 @@ impl SimAgent {
                 self.pump_srun_backend(ctx);
             }
             BackendKind::Flux => {
-                let desc = self.descs.get(t.0).expect("desc");
+                let desc = task_desc(&self.state, &self.descs, t);
                 let job = JobSpec {
                     id: JobId(t.0),
                     req: desc.req,
@@ -1910,8 +1904,7 @@ impl SimAgent {
             let executing = self
                 .state
                 .borrow()
-                .tasks
-                .get(t.0)
+                .task(*t)
                 .is_some_and(|r| r.state == TaskState::Executing);
             if executing {
                 l.record(t.0, rp_lineage::EV_TERM_SEEN);
@@ -1979,7 +1972,7 @@ impl SimAgent {
     }
 
     fn push_to_dragon(&mut self, part: u32, t: TaskId, ctx: &mut Ctx<AgentMsg>) {
-        let desc = self.descs.get(t.0).expect("desc");
+        let desc = task_desc(&self.state, &self.descs, t);
         let task = DragonTask {
             id: t.0,
             workers: desc.req.total_cores().max(1) as u32,
@@ -2000,7 +1993,7 @@ impl SimAgent {
         {
             let pb = &mut self.prrte[part as usize];
             while let Some(&t) = pb.waiting.front() {
-                let desc = self.descs.get(t.0).expect("desc");
+                let desc = task_desc(&self.state, &self.descs, t);
                 let Some(pl) = pb.pool.try_alloc(&desc.req) else {
                     if let Some(l) = &self.lineage {
                         // RP-side FCFS placement stalled: blame the head
@@ -2100,7 +2093,7 @@ impl SimAgent {
             let Some(&t) = sb.waiting.front() else {
                 break;
             };
-            let desc = self.descs.get(t.0).expect("desc");
+            let desc = task_desc(&self.state, &self.descs, t);
             let need_cores = desc.req.total_cores();
             let need_gpus = desc.req.total_gpus();
             if need_cores > sb.free_core_slots || need_gpus > sb.free_gpus {
@@ -2305,7 +2298,7 @@ impl SimAgent {
         let mut wl = std::mem::replace(&mut self.workload, Box::new(IdleWorkload));
         let follow_ups = {
             let st = self.state.borrow();
-            let rec = st.tasks.get(t.0).expect("recorded task");
+            let rec = st.task(t).expect("recorded task");
             wl.on_task_done(rec, &view)
         };
         self.workload = wl;
@@ -2348,7 +2341,6 @@ impl SimAgent {
             if let Some(m) = &self.metrics {
                 m.abandon(t.0);
             }
-            self.state.borrow_mut().failed += 1;
             self.on_terminal(t, ctx);
         }
     }
@@ -2360,7 +2352,7 @@ impl SimAgent {
         let now = ctx.now();
         let state = {
             let st = self.state.borrow();
-            match st.tasks.get(t.0) {
+            match st.task(t) {
                 Some(rec) => rec.state,
                 None => return, // unknown uid: ignore
             }
@@ -2573,7 +2565,6 @@ impl SimAgent {
             if let Some(m) = &self.metrics {
                 m.abandon(t.0);
             }
-            self.state.borrow_mut().failed += 1;
             self.on_terminal(t, ctx);
         }
     }
@@ -2747,8 +2738,7 @@ impl SimAgent {
                     let submitted = self
                         .state
                         .borrow()
-                        .tasks
-                        .get(id)
+                        .task(TaskId(id))
                         .is_some_and(|r| r.state == TaskState::Submitted);
                     let exec_pending = self.watcher_q[BackendKind::Dragon as usize]
                         .iter()
@@ -3007,8 +2997,7 @@ impl SimAgent {
         let hung = self
             .state
             .borrow()
-            .tasks
-            .get(t.0)
+            .task(t)
             .is_some_and(|r| r.state == TaskState::Submitted);
         if !hung {
             return;
@@ -3045,6 +3034,18 @@ impl SimAgent {
             *slot = acts;
         }
     }
+}
+
+/// The description of submitted task `t`: its slot in the run state's
+/// record table indexes `descs`. A free function over the two tables so
+/// callers can hold other agent fields mutably.
+fn task_desc<'a>(
+    state: &RefCell<RunState>,
+    descs: &'a [TaskDescription],
+    t: TaskId,
+) -> &'a TaskDescription {
+    let slot = state.borrow().slot(t).expect("submitted task");
+    &descs[slot]
 }
 
 /// Remove `t` from a FIFO queue; true when it was present.

@@ -41,16 +41,14 @@ impl InstanceReport {
 /// (single-threaded engine ⇒ `Rc<RefCell<RunState>>`).
 #[derive(Debug, Default)]
 pub struct RunState {
-    /// Per-task records, insertion-ordered by first submission.
-    ///
-    /// [`UidMap`] because every state transition probes this table (the
-    /// `with_task` funnel): uids are dense, so direct indexing turns the
-    /// hottest lookup in the pipeline into one bounds check, and the
-    /// order-free API keeps reporting deterministic (readers go through
-    /// `order`).
-    pub tasks: UidMap<TaskRecord>,
-    /// Insertion order, for stable reporting.
-    pub order: Vec<TaskId>,
+    /// Per-task records in first-submission order: one dense table that
+    /// moves into [`RunReport::tasks`] as is at the end of the run. The
+    /// agent keeps each task's description at the same slot.
+    tasks: Vec<TaskRecord>,
+    /// Uid → slot in `tasks`. [`UidMap`] because every state transition
+    /// probes it (the agent's `with_task` funnel): uids are dense, so the
+    /// hottest lookup in the pipeline is one bounds check.
+    slots: UidMap<u32>,
     /// Backend instance reports.
     pub instances: Vec<InstanceReport>,
     /// Persistent-service records.
@@ -59,8 +57,53 @@ pub struct RunState {
     pub pilot: PilotTrajectory,
     /// Agent bootstrap completion.
     pub agent_ready: Option<SimTime>,
-    /// Permanently failed task count.
-    pub failed: u64,
+}
+
+impl RunState {
+    /// Slot of task `uid` in submission order, if it was ever submitted.
+    #[inline]
+    pub(crate) fn slot(&self, uid: TaskId) -> Option<usize> {
+        self.slots.get(uid.0).map(|&s| s as usize)
+    }
+
+    /// The record of task `uid`.
+    #[inline]
+    pub(crate) fn task(&self, uid: TaskId) -> Option<&TaskRecord> {
+        self.slot(uid).map(|s| &self.tasks[s])
+    }
+
+    /// Mutable record of task `uid`.
+    #[inline]
+    pub(crate) fn task_mut(&mut self, uid: TaskId) -> Option<&mut TaskRecord> {
+        self.slot(uid).map(|s| &mut self.tasks[s])
+    }
+
+    /// Append a newly submitted task's record.
+    ///
+    /// # Panics
+    /// When a task with the same uid was already submitted.
+    pub(crate) fn push(&mut self, rec: TaskRecord) {
+        let slot = u32::try_from(self.tasks.len()).expect("fewer than 2^32 tasks");
+        let prev = self.slots.insert(rec.uid.0, slot);
+        assert!(prev.is_none(), "duplicate task uid {}", rec.uid);
+        self.tasks.push(rec);
+    }
+
+    /// Pre-size the table for `n` more submissions.
+    pub(crate) fn reserve(&mut self, n: usize) {
+        self.tasks.reserve(n);
+        self.slots.reserve(n);
+    }
+
+    /// Move the records out, in submission order, trimmed to their length.
+    pub(crate) fn take_tasks(&mut self) -> Vec<TaskRecord> {
+        self.slots = UidMap::new();
+        let mut tasks = std::mem::take(&mut self.tasks);
+        // Reports outlive the run (sweeps keep many alive at once), so
+        // hand back no growth slack.
+        tasks.shrink_to_fit();
+        tasks
+    }
 }
 
 /// The immutable result of a finished run.
@@ -87,7 +130,7 @@ pub struct RunReport {
     /// Runtime profile, when the session ran with
     /// [`crate::SimSession::with_profiling`].
     pub profile: Option<rp_profiler::ProfileData>,
-    /// Metrics snapshot (counters, histograms, span trees), when the
+    /// Metrics snapshot (counters, gauges, histograms), when the
     /// session ran with [`crate::SimSession::with_metrics`].
     pub metrics: Option<rp_metrics::Snapshot>,
     /// Streaming-telemetry capture (time-series ring, flight recorder,

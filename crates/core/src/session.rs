@@ -105,10 +105,10 @@ impl SimSession {
         self
     }
 
-    /// Enable the metrics subsystem: counters, latency histograms and
-    /// per-task span trees from the agent and every backend, plus queue
-    /// depth / utilization distributions sampled every `period` of virtual
-    /// time. The snapshot lands in [`RunReport::metrics`].
+    /// Enable the metrics subsystem: counters and latency histograms from
+    /// the agent and every backend, plus queue depth / utilization
+    /// distributions sampled every `period` of virtual time. The snapshot
+    /// lands in [`RunReport::metrics`].
     pub fn with_metrics(mut self, period: SimDuration) -> Self {
         self.metrics_every = Some(period);
         self
@@ -329,11 +329,7 @@ impl SimSession {
                 engine.delivered(),
             );
         }
-        let tasks = st
-            .order
-            .iter()
-            .map(|uid| st.tasks.get(uid.0).expect("recorded").clone())
-            .collect();
+        let tasks = st.take_tasks();
         RunReport {
             nodes,
             total_cores: nodes as u64 * spec.cores as u64,
@@ -1120,6 +1116,96 @@ mod tests {
             .count();
         assert_eq!(done, 500, "no task lost to the reentrant retry path");
         assert!(report.tasks.iter().any(|t| t.retries > 0));
+    }
+
+    #[test]
+    fn report_tasks_are_one_record_per_uid_in_first_submission_order() {
+        use crate::task::TaskRecord;
+        use crate::workload::ResourceView;
+
+        /// Initial batch, then one follow-up per terminal task (the
+        /// first `left` of them).
+        struct FollowUps {
+            initial: Vec<TaskDescription>,
+            next_uid: u64,
+            left: usize,
+        }
+        impl WorkloadSource for FollowUps {
+            fn initial(&mut self, _view: &ResourceView) -> Vec<TaskDescription> {
+                std::mem::take(&mut self.initial)
+            }
+            fn on_task_done(
+                &mut self,
+                _done: &TaskRecord,
+                _view: &ResourceView,
+            ) -> Vec<TaskDescription> {
+                if self.left == 0 {
+                    return Vec::new();
+                }
+                self.left -= 1;
+                self.next_uid += 1;
+                vec![TaskDescription::dummy(
+                    self.next_uid,
+                    SimDuration::from_secs(5),
+                )]
+            }
+        }
+
+        // Three sources of tasks, with uids deliberately out of submission
+        // order: an initial batch (100..160), a timed batch (0..20) and
+        // follow-ups (1001..=1010). Killing flux partition 0 mid-run makes
+        // its tasks retry, which must not add records.
+        let initial: Vec<TaskDescription> = (100..160)
+            .map(|i| TaskDescription::dummy(i, SimDuration::from_secs(60)))
+            .collect();
+        let timed: Vec<TaskDescription> = (0..20)
+            .map(|i| TaskDescription::dummy(i, SimDuration::from_secs(10)))
+            .collect();
+        let wl = FollowUps {
+            initial,
+            next_uid: 1000,
+            left: 10,
+        };
+        let mut cfg = PilotConfig::flux(4, 2);
+        cfg.max_retries = 2;
+        let report = SimSession::new(cfg, Box::new(wl))
+            .submit_at(SimTime::from_secs(50), timed)
+            .inject_failure(FailureInjection {
+                at: SimTime::from_secs(40),
+                kind: BackendKind::Flux,
+                partition: 0,
+            })
+            .run();
+        assert_eq!(report.tasks.len(), 90);
+        assert_eq!(report.tasks.capacity(), report.tasks.len());
+        assert!(report.tasks.iter().any(|t| t.retries > 0), "some retry");
+        assert!(report.tasks.iter().all(|t| t.state == TaskState::Done));
+        let uids: Vec<u64> = report.tasks.iter().map(|t| t.uid.0).collect();
+        // The initial batch comes first, in batch order.
+        assert_eq!(uids[..60], (100..160).collect::<Vec<_>>()[..]);
+        // Each later source keeps its own order, and every uid is there
+        // exactly once.
+        let timed: Vec<u64> = uids.iter().copied().filter(|&u| u < 100).collect();
+        assert_eq!(timed, (0..20).collect::<Vec<_>>());
+        let follow: Vec<u64> = uids.iter().copied().filter(|&u| u > 1000).collect();
+        assert_eq!(follow, (1001..=1010).collect::<Vec<_>>());
+        // Records sit in the order they were first submitted.
+        assert!(report
+            .tasks
+            .windows(2)
+            .all(|w| w[0].submitted <= w[1].submitted));
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate task uid")]
+    fn resubmitting_a_uid_in_a_later_batch_panics() {
+        let tasks: Vec<TaskDescription> = (0..10).map(TaskDescription::null).collect();
+        SimSession::with_tasks(PilotConfig::flux(2, 1), tasks)
+            .submit_at(
+                SimTime::from_secs(30),
+                vec![TaskDescription::null(20), TaskDescription::null(5)],
+            )
+            .run();
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Dense uid-keyed map for hot per-task state.
 //!
-//! Every per-task table in the agent hot path (task records, descriptions,
-//! routing assignments, placement holds) is keyed by a task uid that
-//! workload generators allocate densely from zero. Hashing those keys
-//! scatters them across a multi-megabyte table, so at experiment scale
+//! Every per-task table in the agent hot path (the uid → slot index of the
+//! task table, routing assignments, placement holds) is keyed by a task
+//! uid that workload generators allocate densely from zero. Hashing those
+//! keys scatters them across a multi-megabyte table, so at experiment scale
 //! (hundreds of thousands of tasks) every probe is a cold cache miss —
 //! and the agent probes several such tables per delivered event.
 //!

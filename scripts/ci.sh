@@ -16,6 +16,14 @@ timeout 20m cargo test -q --offline --workspace
 # placement differential and invariant tests on that build too.
 cargo test -q --offline --release -p rp-platform
 
+# Benchmark correctness gate: the standalone rp_benchmark package's tests,
+# then every workload at smoke size with per-layer tracing. The run exits
+# 1 when a DES task is missing, duplicated or not done, when the warm-up
+# hash differs from rep 0, or when an export does not parse back.
+cargo test -q --offline --locked --manifest-path rp_benchmark/Cargo.toml
+cargo run --release --offline --locked --manifest-path rp_benchmark/Cargo.toml -- \
+    --all --smoke --seconds 1 --trace 1
+
 # Determinism: the whole quick suite, run in-process at --jobs 1 and at
 # --jobs 2 from two scratch working dirs, must write byte-identical
 # results/ trees and print byte-identical transcripts.
