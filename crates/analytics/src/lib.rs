@@ -30,7 +30,7 @@ pub use dashboard::render_dashboard;
 pub use durations::{duration_breakdown, duration_breakdown_by, DurationBreakdown, Interval};
 pub use metrics::{overheads, throughput, utilization, Overheads, Throughput, Utilization};
 pub use plot::{bar_chart, line_plot, md_table};
-pub use profile::{parse_profile_csv, parse_profile_csv_with_meta, ProfileRow};
+pub use profile::{parse_profile_csv, ProfileRow};
 pub use report::{digest, summarize_run, tasks_csv, timeline_csv, RunDigest};
 pub use stats::{percentile, summarize, Summary};
 pub use timeline::{peak_concurrency, timeline, TimelinePoint};

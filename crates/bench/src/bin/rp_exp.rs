@@ -10,7 +10,8 @@
 //! configuration and write its artifacts there; `--faults <spec>`
 //! (`--fault-seed N`) and `--serving <spec>` (`--serving-seed N`) put every
 //! session under the same deterministic fault / open-loop serving plan.
-//! Any other flag, an unknown id or a malformed value exits with status 2.
+//! Any other flag, an unknown id or a malformed value exits with status 2;
+//! a results or artifact file that cannot be written exits with status 1.
 
 use rp_bench::experiments::{run, select, table1, EXPERIMENTS};
 use rp_bench::{Cli, EXP_FLAGS};
@@ -32,6 +33,10 @@ fn main() {
         println!("Table 1 — experiment matrix\n\n{}", table1());
     }
     run(&exps, cli.quick, &cli.opts, |exp, out| {
+        let out = out.unwrap_or_else(|e| {
+            eprintln!("rp-exp: {}: {e}", exp.id);
+            std::process::exit(1)
+        });
         if let Err(e) = out.write(Path::new("results")) {
             eprintln!("rp-exp: writing results/{}.*: {e}", exp.stem());
             std::process::exit(1);

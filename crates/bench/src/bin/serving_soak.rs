@@ -135,8 +135,8 @@ fn main() {
         println!("serving_soak lineage -> {}", path.display());
     }
     if let Some(dir) = &opts.telemetry_dir {
-        write_telemetry(dir, "serving_soak", &report);
-        write_serving(dir, "serving_soak", &report);
+        write_telemetry(dir, "serving_soak", &report).expect("write soak telemetry");
+        write_serving(dir, "serving_soak", &report).expect("write soak serving books");
         println!("serving_soak dashboard -> {}", dir.display());
     }
     println!("serving_soak: {total_runs} runs, books exact on every (seed, backend, process) cell");

@@ -19,6 +19,7 @@ use rp_workloads::{
 };
 use std::fmt::{Display, Write as _};
 use std::fs;
+use std::io;
 use std::path::Path;
 
 /// One experiment: an id, where it sits in the paper, and a body.
@@ -31,8 +32,9 @@ pub struct Experiment {
     /// The Table 1 rows this experiment regenerates, one cell per
     /// [`TABLE1_HEADER`] column.
     pub table1: &'static [[&'static str; 8]],
-    /// Runs the experiment's cells, writing lines and rows into the context.
-    pub body: fn(&mut Ctx),
+    /// Runs the experiment's cells, writing lines and rows into the context;
+    /// fails when an instrumentation artifact cannot be written.
+    pub body: fn(&mut Ctx) -> io::Result<()>,
 }
 
 impl Experiment {
@@ -42,7 +44,7 @@ impl Experiment {
     }
 
     /// Run the body and collect what it produced.
-    pub fn run(&self, quick: bool, opts: &RunOpts) -> Output {
+    pub fn run(&self, quick: bool, opts: &RunOpts) -> io::Result<Output> {
         let mut ctx = Ctx {
             quick,
             opts: opts.clone(),
@@ -51,7 +53,7 @@ impl Experiment {
             csv: None,
             files: Vec::new(),
         };
-        (self.body)(&mut ctx);
+        (self.body)(&mut ctx)?;
         let csv = ctx.csv.unwrap_or_else(|| {
             let mut csv = format!("{}\n", ExpRow::csv_header());
             for r in &ctx.rows {
@@ -64,7 +66,7 @@ impl Experiment {
             (format!("{}.csv", self.stem()), csv),
         ];
         files.extend(ctx.files);
-        Output { files }
+        Ok(Output { files })
     }
 }
 
@@ -82,7 +84,7 @@ impl Output {
     }
 
     /// Write every file under `dir`.
-    pub fn write(&self, dir: &Path) -> std::io::Result<()> {
+    pub fn write(&self, dir: &Path) -> io::Result<()> {
         fs::create_dir_all(dir)?;
         for (name, contents) in &self.files {
             fs::write(dir.join(name), contents)?;
@@ -307,12 +309,13 @@ pub fn select(words: &[String]) -> Result<Vec<&'static Experiment>, String> {
 }
 
 /// Run `exps` in-process, fanning out over `opts.jobs` experiments at a
-/// time, and hand each output to `sink` in list order.
+/// time, and hand each output (or the artifact write error that stopped
+/// it) to `sink` in list order.
 pub fn run(
     exps: &[&Experiment],
     quick: bool,
     opts: &RunOpts,
-    mut sink: impl FnMut(&Experiment, Output),
+    mut sink: impl FnMut(&Experiment, io::Result<Output>),
 ) {
     fan_out(
         exps.len(),
@@ -326,7 +329,7 @@ pub fn run(
 /// Paper shape: concurrency rides the 112-step site ceiling (896 dummy
 /// 180 s tasks on 4 nodes ⇒ 50 % utilization); null-task throughput peaks
 /// ≈152 t/s at 1 node and *decreases* with node count (61 t/s at 4 nodes).
-fn srun(ctx: &mut Ctx) {
+fn srun(ctx: &mut Ctx) -> io::Result<()> {
     ctx.line("Experiment srun — Fig. 4 (utilization) and Fig. 5(a) (throughput)\n");
     let reps = ctx.reps();
     let srun_cfg = |nodes: u32| {
@@ -343,7 +346,7 @@ fn srun(ctx: &mut Ctx) {
             srun_cfg(nodes),
             move || null_workload(nodes),
             &ctx.opts,
-        );
+        )?;
         ctx.row(row);
     }
 
@@ -353,7 +356,7 @@ fn srun(ctx: &mut Ctx) {
         srun_cfg(4),
         || dummy_workload(4, SimDuration::from_secs(180)),
         &ctx.opts,
-    );
+    )?;
     ctx.row(row);
     let pts: Vec<(f64, f64)> = timeline(&reports[0].tasks, 10)
         .iter()
@@ -370,13 +373,14 @@ fn srun(ctx: &mut Ctx) {
     ctx.line(format_args!(
         "peak utilization: {peak_util:.1}% (paper: 50%)"
     ));
+    Ok(())
 }
 
 /// E2 — Fig. 5(b): one Flux instance at 1–1024 nodes, null + dummy(360 s)
 /// batches of `nodes × 56 × 4` single-core tasks. Paper shape: throughput
 /// rises with node count, ≈28 t/s at one node to ≈300 t/s average at 1,024
 /// nodes; single-instance peak ≈744 t/s; visible run-to-run variability.
-fn flux1(ctx: &mut Ctx) {
+fn flux1(ctx: &mut Ctx) -> io::Result<()> {
     ctx.line("Experiment flux_1 — single Flux instance, Fig. 5(b)\n");
     let scales: &[u32] = if ctx.quick {
         &[1, 4, 16, 64]
@@ -392,13 +396,14 @@ fn flux1(ctx: &mut Ctx) {
                 move |seed| PilotConfig::flux(nodes, 1).with_seed(seed),
                 move || dummy_workload(nodes, SimDuration::from_secs(duration)),
                 &ctx.opts,
-            );
+            )?;
             ctx.row(row);
         }
     }
     let series = null_series(&ctx.rows);
     let chart = bar_chart("\navg throughput (tasks/s), null workload", &series, 50);
     ctx.line(chart.trim_end_matches('\n'));
+    Ok(())
 }
 
 /// `(label, average throughput)` of the null-workload rows.
@@ -414,7 +419,7 @@ fn null_series(rows: &[ExpRow]) -> Vec<(String, f64)> {
 /// at small/medium scale (4 nodes: 56 → 98 t/s with 4 instances; 16 nodes:
 /// 43 → 195 with 16), diminishing returns at 256–1024 nodes, max ≈930 t/s,
 /// utilization ≥94.5 % up to 64 nodes, ≈75 % at 1024/16.
-fn fluxn(ctx: &mut Ctx) {
+fn fluxn(ctx: &mut Ctx) -> io::Result<()> {
     ctx.line("Experiment flux_n — multiple Flux instances, Fig. 6\n");
     // (nodes, partition counts): Table 1 lists 64 and 1024 nodes with
     // 1..64 partitions; the text also quotes 4, 16 and 256-node results.
@@ -438,7 +443,7 @@ fn fluxn(ctx: &mut Ctx) {
                 move |seed| PilotConfig::flux(nodes, k).with_seed(seed),
                 move || dummy_workload(nodes, SimDuration::from_secs(180)),
                 &ctx.opts,
-            );
+            )?;
             ctx.row(row);
         }
         ctx.line("");
@@ -458,13 +463,14 @@ fn fluxn(ctx: &mut Ctx) {
     ctx.line(format_args!(
         "max throughput across grid: {best:.0} tasks/s (paper: up to 930)"
     ));
+    Ok(())
 }
 
 /// E4 — Fig. 5(c): one Dragon runtime launching *executable* tasks (spawn
 /// mode, for comparability with srun/Flux). Paper shape: throughput
 /// roughly flat at small scale (343 t/s @4 nodes, 380 @16), declining at
 /// 64 nodes (204 t/s) — the centralized single-dispatcher limit.
-fn dragon(ctx: &mut Ctx) {
+fn dragon(ctx: &mut Ctx) -> io::Result<()> {
     ctx.line("Experiment dragon — single Dragon runtime, Fig. 5(c)\n");
     let reps = ctx.reps();
     for nodes in [1u32, 4, 16, 64] {
@@ -475,7 +481,7 @@ fn dragon(ctx: &mut Ctx) {
                 move |seed| PilotConfig::dragon(nodes).with_seed(seed),
                 move || dummy_workload(nodes, SimDuration::from_secs(duration)),
                 &ctx.opts,
-            );
+            )?;
             ctx.row(row);
         }
     }
@@ -486,6 +492,7 @@ fn dragon(ctx: &mut Ctx) {
         50,
     );
     ctx.line(chart.trim_end_matches('\n'));
+    Ok(())
 }
 
 /// E5 — Fig. 5(d): Flux and Dragon deployed concurrently — executables
@@ -493,7 +500,7 @@ fn dragon(ctx: &mut Ctx) {
 /// throughput grows with nodes/instances; 16 nodes / 8 instances per
 /// runtime averages 171 t/s (peak 573); 64 nodes peaks ≈1,547 t/s (the RP
 /// task-management ceiling); utilization ≥99.6 %.
-fn flux_dragon(ctx: &mut Ctx) {
+fn flux_dragon(ctx: &mut Ctx) -> io::Result<()> {
     ctx.line("Experiment flux+dragon — hybrid runtimes, Fig. 5(d)\n");
     // (nodes, instances per runtime); instances*2 <= nodes.
     let grid: &[(u32, u32)] = if ctx.quick {
@@ -512,7 +519,7 @@ fn flux_dragon(ctx: &mut Ctx) {
             mk_cfg,
             move || mixed_workload(nodes, SimDuration::ZERO),
             &ctx.opts,
-        );
+        )?;
         ctx.row(row);
 
         let (row, reports) = repeat_static(
@@ -521,7 +528,7 @@ fn flux_dragon(ctx: &mut Ctx) {
             mk_cfg,
             move || mixed_workload(nodes, SimDuration::from_secs(360)),
             &ctx.opts,
-        );
+        )?;
         ctx.row(row);
         // Split throughput per backend for the report.
         let split = |backend| {
@@ -544,13 +551,14 @@ fn flux_dragon(ctx: &mut Ctx) {
     ctx.line(format_args!(
         "\nmax hybrid throughput: {best:.0} tasks/s (paper: 1,547)"
     ));
+    Ok(())
 }
 
 /// E6 — Fig. 7: Flux and Dragon instance bootstrap overheads for instance
 /// sizes 1–64 nodes, one seeded single session per cell. Paper shape:
 /// ≈20 s per Flux instance, ≈9 s per Dragon instance, roughly independent
 /// of instance size; concurrent launches make the total non-additive.
-fn overhead(ctx: &mut Ctx) {
+fn overhead(ctx: &mut Ctx) -> io::Result<()> {
     ctx.line("Experiment overheads — instance bootstrap, Fig. 7\n");
     let one_null = || vec![TaskDescription::null(0)];
     let sizes: &[u32] = if ctx.quick { &[1, 4] } else { &[1, 4, 16, 64] };
@@ -567,7 +575,7 @@ fn overhead(ctx: &mut Ctx) {
                 |_| cfg.clone(),
                 one_null,
                 &ctx.opts,
-            );
+            )?;
             for (k, p, n, o) in &overheads(&reports[0]).instances {
                 ctx.line(format_args!("{k}[{p}] nodes={n:<4} bootstrap={o:.1}s"));
             }
@@ -581,7 +589,7 @@ fn overhead(ctx: &mut Ctx) {
         |_| PilotConfig::flux(32, 8).with_seed(99),
         one_null,
         &ctx.opts,
-    );
+    )?;
     let ov = overheads(&reports[0]);
     let sum: f64 = ov.instances.iter().map(|i| i.3).sum();
     ctx.line(format_args!(
@@ -590,6 +598,7 @@ fn overhead(ctx: &mut Ctx) {
         sum,
         ov.all_ready_s.unwrap_or(0.0)
     ));
+    Ok(())
 }
 
 /// E7 — Fig. 8 and the §4.2 comparison: the IMPECCABLE campaign with dummy
@@ -598,14 +607,14 @@ fn overhead(ctx: &mut Ctx) {
 /// (1,024 n) versus Flux ≈22,000 s and ≈17,500 s — a 30–60 % reduction;
 /// srun CPU utilization 30 %/15 % versus Flux 68 %/69 %; start rates >4×
 /// higher and steadier under Flux.
-fn impeccable(ctx: &mut Ctx) {
+fn impeccable(ctx: &mut Ctx) -> io::Result<()> {
     ctx.line("Experiment impeccable — campaign at scale, Fig. 8\n");
     // Campaign makespans run to tens of thousands of virtual seconds;
-    // sample gauges coarsely to keep the profile ring within bounds.
+    // sample gauges coarsely so the profile is not mostly gauge rows.
     let opts = ctx.opts.clone().with_period(SimDuration::from_secs(60));
     let scales: &[u32] = if ctx.quick { &[256] } else { &[256, 1024] };
     for &nodes in scales {
-        let mut run = |backend: &str| {
+        let mut run = |backend: &str| -> io::Result<_> {
             let cfg = match backend {
                 "srun" => PilotConfig::srun(nodes),
                 _ => PilotConfig::flux(nodes, 1),
@@ -619,7 +628,7 @@ fn impeccable(ctx: &mut Ctx) {
                 |_| cfg.clone(),
                 || Box::new(impeccable_campaign(ImpeccableParams::for_nodes(nodes))),
                 &opts,
-            );
+            )?;
             row.label = format!("impeccable_{backend} n={nodes}");
             let report = reports.remove(0);
             ctx.line(format_args!(
@@ -659,10 +668,10 @@ fn impeccable(ctx: &mut Ctx) {
                 timeline_csv(&report, 60),
             ));
             ctx.rows.push(row);
-            report
+            Ok(report)
         };
-        let rs = run("srun");
-        let rf = run("flux");
+        let rs = run("srun")?;
+        let rf = run("flux")?;
         let n = ctx.rows.len();
         let (ms, mf) = (ctx.rows[n - 2].makespan_s, ctx.rows[n - 1].makespan_s);
         let reduction = (ms - mf) / ms * 100.0;
@@ -676,13 +685,14 @@ fn impeccable(ctx: &mut Ctx) {
             paired_timeline_csv("srun", &rs, "flux", &rf, 60),
         ));
     }
+    Ok(())
 }
 
 /// PRRTE comparison (paper §5): a PRRTE-like DVM versus Flux and srun.
 /// PRRTE is a scheduler-less launch fabric — fast and flat across scales;
 /// Flux overtakes at large node counts where its distributed brokers win,
 /// and srun trails everywhere beyond one node.
-fn prrte(ctx: &mut Ctx) {
+fn prrte(ctx: &mut Ctx) -> io::Result<()> {
     ctx.line("Experiment prrte — §5 backend comparison\n");
     for nodes in [1u32, 4, 16, 64, 256] {
         for backend in ["prrte", "flux", "srun"] {
@@ -699,7 +709,7 @@ fn prrte(ctx: &mut Ctx) {
                 },
                 move || null_workload(nodes),
                 &ctx.opts,
-            );
+            )?;
             ctx.row(row);
         }
         ctx.line("");
@@ -721,6 +731,7 @@ fn prrte(ctx: &mut Ctx) {
         rate("srun null n=256"),
     );
     ctx.line(line);
+    Ok(())
 }
 
 /// IMPECCABLE parameters of the 64-node policy ablation.
@@ -765,7 +776,7 @@ fn hetero_mix() -> Vec<TaskDescription> {
 /// Ablations beyond the paper's figures (DESIGN.md §7): scheduler policy,
 /// backend routing, RP dispatch cost, nested Flux trees and sub-agents.
 /// Every session here is a single seeded run.
-fn ablations(ctx: &mut Ctx) {
+fn ablations(ctx: &mut Ctx) -> io::Result<()> {
     ctx.line("Ablation experiments (DESIGN.md §7)\n");
 
     // 1. FCFS vs EASY backfill on (a) the heterogeneous mix and (b) the
@@ -787,7 +798,7 @@ fn ablations(ctx: &mut Ctx) {
             |_| cfg.clone(),
             hetero_mix,
             &ctx.opts,
-        );
+        )?;
         ctx.line(format_args!(
             "   hetero-mix {:<14} makespan={:>8.0}s util={:>5.1}% done={}",
             name,
@@ -801,7 +812,7 @@ fn ablations(ctx: &mut Ctx) {
             |_| cfg.clone(),
             || Box::new(impeccable_campaign(ablation_campaign())),
             &ctx.opts.clone().with_period(SimDuration::from_secs(60)),
-        );
+        )?;
         ctx.line(format_args!(
             "   impeccable {:<14} makespan={:>8.0}s util={:>5.1}% done={}",
             name,
@@ -843,7 +854,7 @@ fn ablations(ctx: &mut Ctx) {
             |_| cfg.clone(),
             tasks,
             &ctx.opts,
-        );
+        )?;
         ctx.line(format_args!(
             "   {:<26} thr_avg={:>6.1}/s peak={:>5.0} util={:>5.1}% makespan={:>7.0}s",
             label,
@@ -874,7 +885,7 @@ fn ablations(ctx: &mut Ctx) {
             |_| cfg.clone(),
             || mixed_workload(64, SimDuration::ZERO),
             &ctx.opts,
-        );
+        )?;
         ctx.line(format_args!(
             "   rp-cost x{scale:<4} peak={:>6.0} tasks/s  avg={:>6.1}",
             row.thr_peak, row.thr_avg
@@ -920,7 +931,7 @@ fn ablations(ctx: &mut Ctx) {
                         .collect()
                 },
                 &ctx.opts,
-            );
+            )?;
             ctx.line(format_args!(
                 "   {:<22} thr_avg={:>7.1}/s peak={:>6.0}",
                 row.label, row.thr_avg, row.thr_peak
@@ -930,6 +941,7 @@ fn ablations(ctx: &mut Ctx) {
     ctx.line(
         "   (per-partition pipelines remove the global agent-scheduler\n    serialization — the paper's sub-agent design, §4.1.2)",
     );
+    Ok(())
 }
 
 /// Launch rate of a nested Flux tree on null tasks, driven directly.
@@ -1002,7 +1014,7 @@ fn tree_null_rate(nodes: u32, depth: u32, fanout: u32, n_tasks: u64) -> f64 {
 /// is a pure function of the spec, the fault seed and the deployment
 /// shape, so the baseline rows match the same cells elsewhere. `--faults`
 /// / `--fault-seed` replace the swept plan.
-fn faults(ctx: &mut Ctx) {
+fn faults(ctx: &mut Ctx) -> io::Result<()> {
     ctx.line("Experiment faults — recovery overhead under a deterministic fault plan\n");
     let nodes: u32 = if ctx.quick { 4 } else { 8 };
     let reps = ctx.reps();
@@ -1043,7 +1055,7 @@ fn faults(ctx: &mut Ctx) {
             mk_cfg,
             mk_tasks,
             &ctx.opts.clone().without_faults(),
-        );
+        )?;
         ctx.line(baseline.table_line());
         for (name, policy) in policies {
             let mut spec = base_spec.clone();
@@ -1054,7 +1066,7 @@ fn faults(ctx: &mut Ctx) {
                 mk_cfg,
                 mk_tasks,
                 &ctx.opts.clone().with_faults(spec, fault_seed),
-            );
+            )?;
             ctx.line(format_args!(
                 "{}    recovery_overhead={:+.1}s vs fault-free",
                 row.table_line(),
@@ -1069,6 +1081,7 @@ fn faults(ctx: &mut Ctx) {
         "(plan: fault seed {fault_seed}; giveup abandons victims — its `fail` column is the \
          destroyed work the other policies re-run)"
     ));
+    Ok(())
 }
 
 /// Open-loop arrival-rate sweep per backend — where is the knee at which
@@ -1078,7 +1091,7 @@ fn faults(ctx: &mut Ctx) {
 /// The knee is the first rate whose p99 time-to-launch exceeds 10× the
 /// backend's lowest-rate p99 (floored at 100 ms), or that sheds load. The
 /// sweep owns the serving spec: `--serving` is replaced per cell.
-fn serving(ctx: &mut Ctx) {
+fn serving(ctx: &mut Ctx) -> io::Result<()> {
     struct Cell {
         backend: &'static str,
         rate: f64,
@@ -1114,7 +1127,7 @@ fn serving(ctx: &mut Ctx) {
                 .expect("sweep spec parses");
             let cell_opts = ctx.opts.clone().with_serving(spec, DEFAULT_SERVING_SEED);
             let label = format!("serving {backend} rate={rate}");
-            let (_, mut reports) = repeat_static(&label, 1, mk_cfg, Vec::new, &cell_opts);
+            let (_, mut reports) = repeat_static(&label, 1, mk_cfg, Vec::new, &cell_opts)?;
             let s = reports[0]
                 .serving
                 .take()
@@ -1179,6 +1192,7 @@ fn serving(ctx: &mut Ctx) {
         ctx.line("");
     }
     ctx.csv = Some(csv);
+    Ok(())
 }
 
 #[cfg(test)]
@@ -1261,7 +1275,9 @@ mod tests {
                 jobs,
                 ..RunOpts::default()
             };
-            run(&exps, true, &opts, |e, out| got.push((e.id, out)));
+            run(&exps, true, &opts, |e, out| {
+                got.push((e.id, out.expect("no artifacts to write")))
+            });
             got
         };
         let sequential = outputs(1);

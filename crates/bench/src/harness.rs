@@ -10,6 +10,7 @@ use rp_core::{
 use rp_profiler::ProfileData;
 use rp_sim::SimDuration;
 use std::fs;
+use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
@@ -292,8 +293,8 @@ pub struct RunOpts {
     /// sees the identical traffic at any `--jobs` count.
     pub serving: Option<(ServingSpec, u64)>,
     /// Gauge sampling period of instrumented reps; `None` samples every
-    /// second. Long campaigns sample coarsely to keep the profile ring
-    /// within bounds.
+    /// second. Long campaigns sample coarsely so gauge rows do not swamp
+    /// the profile.
     pub period: Option<SimDuration>,
 }
 
@@ -339,28 +340,34 @@ fn sanitize(label: &str) -> String {
         .collect()
 }
 
+/// Write `contents` to `dir/name`, creating `dir` first. The error names
+/// the file.
+fn write_file(dir: &Path, name: String, contents: impl AsRef<[u8]>) -> io::Result<()> {
+    let path = dir.join(name);
+    fs::create_dir_all(dir)
+        .and_then(|()| fs::write(&path, contents))
+        .map_err(|e| io::Error::new(e.kind(), format!("writing {}: {e}", path.display())))
+}
+
 /// Write one run's profile under `dir`: the RP-style CSV
 /// (`<label>.prof.csv`) and a Chrome `trace_event` JSON
 /// (`<label>.trace.json`, viewable in Perfetto / `chrome://tracing`).
-fn write_profile(dir: &Path, label: &str, data: &ProfileData) {
-    let _ = fs::create_dir_all(dir);
+fn write_profile(dir: &Path, label: &str, data: &ProfileData) -> io::Result<()> {
     let base = sanitize(label);
-    let _ = fs::write(dir.join(format!("{base}.prof.csv")), data.csv());
-    let _ = fs::write(dir.join(format!("{base}.trace.json")), data.chrome_trace());
+    write_file(dir, format!("{base}.prof.csv"), data.csv())?;
+    write_file(dir, format!("{base}.trace.json"), data.chrome_trace())
 }
 
 /// Write one run's metrics under `dir`: the OpenMetrics text document
 /// (`<label>.om.txt`) and a human-readable summary
 /// (`<label>.summary.txt`). No-op when the report carries no snapshot.
-fn write_metrics(dir: &Path, label: &str, report: &RunReport) {
-    let Some(snap) = &report.metrics else { return };
-    let _ = fs::create_dir_all(dir);
+fn write_metrics(dir: &Path, label: &str, report: &RunReport) -> io::Result<()> {
+    let Some(snap) = &report.metrics else {
+        return Ok(());
+    };
     let base = sanitize(label);
-    let _ = fs::write(dir.join(format!("{base}.om.txt")), snap.openmetrics());
-    let _ = fs::write(
-        dir.join(format!("{base}.summary.txt")),
-        snap.summary_table(),
-    );
+    write_file(dir, format!("{base}.om.txt"), snap.openmetrics())?;
+    write_file(dir, format!("{base}.summary.txt"), snap.summary_table())
 }
 
 /// Write one run's telemetry under `dir`: the sampler time-series
@@ -369,21 +376,24 @@ fn write_metrics(dir: &Path, label: &str, report: &RunReport) {
 /// (`<label>.dashboard.html`). The dashboard includes the blame totals
 /// and the critical path when the report also carries lineage. No-op
 /// when the report carries no telemetry.
-pub fn write_telemetry(dir: &Path, label: &str, report: &RunReport) {
-    let Some(tel) = &report.telemetry else { return };
-    let _ = fs::create_dir_all(dir);
+pub fn write_telemetry(dir: &Path, label: &str, report: &RunReport) -> io::Result<()> {
+    let Some(tel) = &report.telemetry else {
+        return Ok(());
+    };
     let base = sanitize(label);
-    let _ = fs::write(
-        dir.join(format!("{base}.telemetry.jsonl")),
+    write_file(
+        dir,
+        format!("{base}.telemetry.jsonl"),
         tel.timeseries_jsonl(),
-    );
-    let _ = fs::write(
-        dir.join(format!("{base}.flightrec.jsonl")),
+    )?;
+    write_file(
+        dir,
+        format!("{base}.flightrec.jsonl"),
         tel.flight_recorder_jsonl(),
-    );
+    )?;
     let blame = report.lineage.as_ref().map(blame_report);
     let html = rp_analytics::render_dashboard(label, tel, blame.as_ref(), report.serving.as_ref());
-    let _ = fs::write(dir.join(format!("{base}.dashboard.html")), html);
+    write_file(dir, format!("{base}.dashboard.html"), html)
 }
 
 /// Write one run's causal lineage under `dir`: the per-task event chains
@@ -391,16 +401,18 @@ pub fn write_telemetry(dir: &Path, label: &str, report: &RunReport) {
 /// aggregate blame decomposition (`<label>.blame.txt`). `rp-explain`
 /// answers `why was task X slow?` and `what moved between runs A and B?`
 /// from these files. No-op when the report carries no lineage.
-fn write_lineage(dir: &Path, label: &str, report: &RunReport) {
-    let Some(lin) = &report.lineage else { return };
-    let _ = fs::create_dir_all(dir);
+fn write_lineage(dir: &Path, label: &str, report: &RunReport) -> io::Result<()> {
+    let Some(lin) = &report.lineage else {
+        return Ok(());
+    };
     let base = sanitize(label);
-    let _ = fs::write(dir.join(format!("{base}.lineage.jsonl")), lin.to_jsonl());
+    write_file(dir, format!("{base}.lineage.jsonl"), lin.to_jsonl())?;
     let rep = blame_report(lin);
-    let _ = fs::write(
-        dir.join(format!("{base}.blame.txt")),
+    write_file(
+        dir,
+        format!("{base}.blame.txt"),
         rp_analytics::render_report(label, &rep),
-    );
+    )
 }
 
 /// Write one run's serving books under `dir`: the byte-deterministic
@@ -408,12 +420,13 @@ fn write_lineage(dir: &Path, label: &str, report: &RunReport) {
 /// (`<label>.serving.txt`) with the conservation counters and the
 /// client-perceived time-to-launch/-completion percentiles. No-op when
 /// the report carries no serving books.
-pub fn write_serving(dir: &Path, label: &str, report: &RunReport) {
-    let Some(s) = &report.serving else { return };
-    let _ = fs::create_dir_all(dir);
+pub fn write_serving(dir: &Path, label: &str, report: &RunReport) -> io::Result<()> {
+    let Some(s) = &report.serving else {
+        return Ok(());
+    };
     let base = sanitize(label);
-    let _ = fs::write(dir.join(format!("{base}.serving.jsonl")), s.to_jsonl());
-    let _ = fs::write(dir.join(format!("{base}.serving.txt")), s.summary());
+    write_file(dir, format!("{base}.serving.jsonl"), s.to_jsonl())?;
+    write_file(dir, format!("{base}.serving.txt"), s.summary())
 }
 
 /// Run `work(0..n)` over up to `jobs` scoped worker threads and hand each
@@ -477,7 +490,8 @@ pub fn fan_out<T: Send>(
 /// `opts.lineage_dir`, rep 0 records every task's causal chain and its
 /// lineage JSONL + blame report land there for `rp-explain`. With
 /// `opts.faults` / `opts.serving`, every rep runs under the same
-/// deterministic fault / serving plan.
+/// deterministic fault / serving plan. Fails, naming the file, when an
+/// artifact cannot be written.
 /// `opts.jobs > 1` runs repetitions across that many scoped worker threads
 /// via [`fan_out`]. Each rep's seed depends only on its index and each
 /// simulation is single-threaded and deterministic, so the reports are
@@ -488,7 +502,7 @@ pub fn repeat(
     mk_cfg: impl Fn(u64) -> PilotConfig + Sync,
     mk_workload: impl (Fn() -> Box<dyn WorkloadSource>) + Sync,
     opts: &RunOpts,
-) -> (ExpRow, Vec<RunReport>) {
+) -> io::Result<(ExpRow, Vec<RunReport>)> {
     let period = opts.period.unwrap_or(PROFILE_PERIOD);
     let run_rep = |rep: usize| -> RunReport {
         let seed = 1000 + 7919 * rep as u64;
@@ -516,22 +530,27 @@ pub fn repeat(
     let mut reports = Vec::with_capacity(reps);
     fan_out(reps, opts.jobs, run_rep, |report| reports.push(report));
     if let (Some(dir), Some(data)) = (&opts.profile_dir, &reports[0].profile) {
-        write_profile(dir, label, data);
+        write_profile(dir, label, data)?;
+    }
+    if opts.lineage_dir.is_none() {
+        // Profiling records lineage to render the profile from; a run that
+        // did not ask for lineage keeps every other artifact as without it.
+        reports[0].lineage = None;
     }
     if let Some(dir) = &opts.metrics_dir {
-        write_metrics(dir, label, &reports[0]);
+        write_metrics(dir, label, &reports[0])?;
     }
     if let Some(dir) = &opts.telemetry_dir {
-        write_telemetry(dir, label, &reports[0]);
+        write_telemetry(dir, label, &reports[0])?;
         // Serving books ride the telemetry directory: they are the same
         // observability surface (SLO percentiles + exemplars).
-        write_serving(dir, label, &reports[0]);
+        write_serving(dir, label, &reports[0])?;
     }
     if let Some(dir) = &opts.lineage_dir {
-        write_lineage(dir, label, &reports[0]);
+        write_lineage(dir, label, &reports[0])?;
     }
     let digests: Vec<RunDigest> = reports.iter().map(digest).collect();
-    (ExpRow::from_digests(label.to_string(), &digests), reports)
+    Ok((ExpRow::from_digests(label.to_string(), &digests), reports))
 }
 
 /// Convenience: repeat with a static task batch. When faults are on and no
@@ -543,7 +562,7 @@ pub fn repeat_static(
     mk_cfg: impl Fn(u64) -> PilotConfig + Sync,
     mk_tasks: impl Fn() -> Vec<TaskDescription> + Sync,
     opts: &RunOpts,
-) -> (ExpRow, Vec<RunReport>) {
+) -> io::Result<(ExpRow, Vec<RunReport>)> {
     let mut opts = opts.clone();
     if opts.faults.is_some() && opts.fault_hint.is_none() {
         opts.fault_hint = Some(mk_tasks().len() as u64);
@@ -575,7 +594,8 @@ mod tests {
                     .collect()
             },
             &RunOpts::default(),
-        );
+        )
+        .expect("artifacts write");
         assert_eq!(row.reps, 2);
         assert_eq!(reports.len(), 2);
         assert!((row.done - 40.0).abs() < 1e-9);
@@ -612,7 +632,8 @@ mod tests {
                 metrics_dir: Some(dir.clone()),
                 ..RunOpts::default()
             },
-        );
+        )
+        .expect("artifacts write");
         assert!(reports[0].metrics.is_some(), "rep 0 must carry a snapshot");
         let om = fs::read_to_string(dir.join("tiny_metrics.om.txt")).expect("om written");
         let samples = rp_metrics::parse_openmetrics(&om).expect("document parses");
@@ -650,7 +671,8 @@ mod tests {
                 telemetry_dir: Some(dir.clone()),
                 ..RunOpts::default()
             },
-        );
+        )
+        .expect("artifacts write");
         assert!(reports[0].telemetry.is_some(), "rep 0 must carry telemetry");
         assert!(
             reports[1].telemetry.is_none(),
@@ -685,7 +707,8 @@ mod tests {
                 lineage_dir: Some(dir.clone()),
                 ..RunOpts::default()
             },
-        );
+        )
+        .expect("artifacts write");
         assert!(reports[0].lineage.is_some(), "rep 0 must carry lineage");
         assert!(reports[1].lineage.is_none(), "other reps stay untracked");
         let text = fs::read_to_string(dir.join("tiny_lin.lineage.jsonl")).expect("jsonl");
@@ -840,7 +863,8 @@ mod tests {
                     .collect()
             },
             &opts,
-        );
+        )
+        .expect("artifacts write");
         let s0 = reports[0].serving.as_ref().expect("rep 0 serving books");
         let s1 = reports[1].serving.as_ref().expect("rep 1 serving books");
         assert_eq!(s0.offered, s1.offered, "same plan hits every rep");
@@ -869,7 +893,8 @@ mod tests {
             7,
         );
         let opts = RunOpts::default().with_faults(spec, seed);
-        let (row, reports) = repeat_static("chaos tiny", 2, mk_cfg, mk_tasks, &opts);
+        let (row, reports) =
+            repeat_static("chaos tiny", 2, mk_cfg, mk_tasks, &opts).expect("artifacts write");
         assert_eq!(row.reps, 2);
         assert!((row.done - 120.0).abs() < 1e-9, "all tasks recover");
         for rep in &reports {
@@ -884,7 +909,8 @@ mod tests {
             mk_cfg,
             mk_tasks,
             &opts.clone().without_faults(),
-        );
+        )
+        .expect("artifacts write");
         assert!((baseline.done - 120.0).abs() < 1e-9);
         assert!(
             baseline.makespan_s < row.makespan_s,

@@ -52,3 +52,25 @@ fn soaks_reject_malformed_seeds() {
         }
     }
 }
+
+#[test]
+fn rp_exp_fails_on_unwritable_artifact_dirs() {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("cli-unwritable");
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    std::fs::write(dir.join("notadir"), "a regular file").expect("blocker file");
+    for flag in [
+        "--profile-dir",
+        "--metrics-dir",
+        "--telemetry-dir",
+        "--lineage-dir",
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_rp-exp"))
+            .args(["srun", "--quick", flag, "notadir/p"])
+            .current_dir(&dir)
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{flag}: {stderr}");
+        assert!(stderr.contains("notadir/p/"), "{flag}: {stderr}");
+    }
+}

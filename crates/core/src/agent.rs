@@ -33,7 +33,7 @@ use rp_fluxrt::{
 use rp_lineage::Lineage;
 use rp_metrics::{Counter as MCounter, Gauge as MGauge, Histogram as MHistogram, Registry};
 use rp_platform::{Allocation, Cluster, Placement, ResourcePool};
-use rp_profiler::{Profiler, Sym};
+use rp_profiler::{Phase, ProfileData, NO_UID};
 use rp_prrte::{PrrteAction, PrrteDvm, PrrteTask, PrrteToken};
 use rp_serving::{ServingOutcome, ServingState, ServingTaskKind};
 use rp_sim::{Actor, Ctx, Dist, FxHashMap, RngStream, SimTime, UidMap};
@@ -160,38 +160,7 @@ struct SrunBackend {
     holds: UidMap<(u64, u64)>,
 }
 
-/// Interned profiler symbols for the agent's hook sites: task-state and
-/// pilot-lifecycle instants on the `agent` track, scheduler/adapter spans on
-/// their own tracks (those servers are serial, so B/E pairs never overlap
-/// within a track), and the gauge names the engine sampler emits.
-struct AgentProfSyms {
-    comp: Sym,
-    /// Task-state instants, indexed by [`state_index`].
-    states: [Sym; 9],
-    pilot_launching: Sym,
-    pilot_bootstrapping: Sym,
-    pilot_active: Sym,
-    /// Global scheduler server track + span name.
-    t_sched: Sym,
-    schedule: Sym,
-    /// Executor-adapter track per backend kind (indexed by
-    /// `BackendKind as usize`; `None` for kinds without an adapter, so
-    /// absent kinds intern nothing and the profile output is unchanged).
-    t_adapter: [Option<Sym>; 4],
-    submit: Sym,
-    /// Gauge tracks and names.
-    srun_track: Sym,
-    queue_depth: Sym,
-    busy_cores: Sym,
-    busy_gpus: Sym,
-    srun_inflight: Sym,
-    srun_ceiling: Sym,
-    /// Gauge track per backend partition, in [`AgentGauges::parts`] order
-    /// (flux, then dragon, then prrte).
-    part_tracks: Vec<Sym>,
-}
-
-/// Dense index of a task state into [`AgentProfSyms::states`].
+/// Dense index of a task state (dwell histograms, telemetry populations).
 fn state_index(s: TaskState) -> usize {
     match s {
         TaskState::New => 0,
@@ -207,7 +176,7 @@ fn state_index(s: TaskState) -> usize {
 }
 
 /// RP-profile event name for a task state.
-fn state_event_name(s: TaskState) -> &'static str {
+pub(crate) fn state_event_name(s: TaskState) -> &'static str {
     match s {
         TaskState::New => "NEW",
         TaskState::StagingInput => "STAGING_INPUT",
@@ -230,7 +199,7 @@ pub struct AgentGauges {
     queue_depth: Cell<f64>,
     srun_inflight: Cell<f64>,
     /// `(busy cores, busy gpus)` per backend partition, flux → dragon →
-    /// prrte, matching [`AgentProfSyms::part_tracks`].
+    /// prrte, matching the gauge sampler's partition tracks.
     parts: RefCell<Vec<(f64, f64)>>,
     /// Backend-local queued tasks per kind, indexed by
     /// `BackendKind as usize` (telemetry attributes saturation with it).
@@ -444,10 +413,10 @@ pub struct SimAgent {
     scratch_dragon: Vec<DragonAction>,
     scratch_prrte: Vec<PrrteAction>,
     total_partitions: u32,
-    /// Runtime profiler (disabled unless [`Self::attach_profiler`] ran).
-    prof: Profiler,
-    psyms: Option<AgentProfSyms>,
     gauges: Rc<AgentGauges>,
+    /// Whether a profile gauge sampler reads `gauges` (set by
+    /// [`Self::gauge_sampler`]); profiled runs refresh them exactly.
+    profile_gauges: bool,
     /// Metrics instruments (None unless [`Self::attach_metrics`] ran).
     metrics: Option<AgentMetrics>,
     /// Streaming telemetry (None unless [`Self::attach_telemetry`] ran).
@@ -685,9 +654,8 @@ impl SimAgent {
             rng,
             total_partitions,
             cfg,
-            prof: Profiler::disabled(),
-            psyms: None,
             gauges: Rc::new(AgentGauges::default()),
+            profile_gauges: false,
             metrics: None,
             telemetry: None,
             gauge_tick: std::cell::Cell::new(0),
@@ -699,92 +667,56 @@ impl SimAgent {
         }
     }
 
-    /// Attach a profiler: task-state and pilot-lifecycle instants plus
-    /// scheduler/adapter spans flow from the agent itself, and every backend
-    /// sub-machine is wired onto its own component track (`srun`, `flux.N`,
-    /// `dragon.N`, `prrte.N`). All names are interned here, once.
-    pub fn attach_profiler(&mut self, prof: Profiler) {
-        use TaskState::*;
-        let states = [
-            New,
-            StagingInput,
-            Scheduling,
-            Submitting,
-            Submitted,
-            Executing,
-            Done,
-            Failed,
-            Canceled,
-        ]
-        .map(|st| prof.intern(state_event_name(st)));
-        let mut t_adapter = [None; 4];
-        for kind in ALL_BACKENDS {
-            if self.adapters[kind as usize].is_some() {
-                t_adapter[kind as usize] = Some(prof.intern(&format!("agent.adapter.{kind}")));
-            }
-        }
-        self.site_srun.attach_profiler(prof.clone(), "srun");
-        let mut part_tracks = Vec::new();
-        for (i, f) in self.flux.iter_mut().enumerate() {
-            let name = format!("flux.{i}");
-            f.attach_profiler(prof.clone(), &name);
-            part_tracks.push(prof.intern(&name));
-        }
-        for (i, d) in self.dragon.iter_mut().enumerate() {
-            let name = format!("dragon.{i}");
-            d.attach_profiler(prof.clone(), &name);
-            part_tracks.push(prof.intern(&name));
-        }
-        for (i, pb) in self.prrte.iter_mut().enumerate() {
-            let name = format!("prrte.{i}");
-            pb.dvm.attach_profiler(prof.clone(), &name);
-            part_tracks.push(prof.intern(&name));
-        }
-        self.psyms = Some(AgentProfSyms {
-            comp: prof.intern("agent"),
-            states,
-            pilot_launching: prof.intern("PILOT_LAUNCHING"),
-            pilot_bootstrapping: prof.intern("PILOT_BOOTSTRAPPING"),
-            pilot_active: prof.intern("PILOT_ACTIVE"),
-            t_sched: prof.intern("agent.sched"),
-            schedule: prof.intern("schedule"),
-            t_adapter,
-            submit: prof.intern("submit"),
-            srun_track: prof.intern("srun"),
-            queue_depth: prof.intern("QUEUE_DEPTH"),
-            busy_cores: prof.intern("BUSY_CORES"),
-            busy_gpus: prof.intern("BUSY_GPUS"),
-            srun_inflight: prof.intern("SRUN_INFLIGHT"),
-            srun_ceiling: prof.intern("SRUN_CEILING"),
-            part_tracks,
-        });
-        self.prof = prof;
-        self.update_gauges();
-    }
-
-    /// A sampler closure for [`rp_sim::Engine::add_sampler`]: emits the
+    /// A sampler closure for [`rp_sim::Engine::add_sampler`]: writes the
     /// agent-queue, srun-concurrency and per-partition utilization gauges
-    /// from the shared counters. Call after [`Self::attach_profiler`].
-    pub fn gauge_sampler(&self) -> Box<dyn FnMut(SimTime)> {
-        let s = self.psyms.as_ref().expect("attach_profiler first");
-        let prof = self.prof.clone();
+    /// from the shared counters into `profile` as gauge rows on the
+    /// `agent`, `srun`, `flux.N`, `dragon.N` and `prrte.N` tracks, stamped
+    /// with the sample boundary. From here on the shared counters refresh
+    /// after every delivery.
+    pub fn gauge_sampler(&mut self, profile: Rc<RefCell<ProfileData>>) -> Box<dyn FnMut(SimTime)> {
+        let mut p = profile.borrow_mut();
+        let [agent, srun, queue_depth, busy_cores, busy_gpus, srun_inflight, srun_ceiling] = [
+            "agent",
+            "srun",
+            "QUEUE_DEPTH",
+            "BUSY_CORES",
+            "BUSY_GPUS",
+            "SRUN_INFLIGHT",
+            "SRUN_CEILING",
+        ]
+        .map(|name| p.intern(name));
+        let parts: Vec<_> = [
+            ("flux", self.flux.len()),
+            ("dragon", self.dragon.len()),
+            ("prrte", self.prrte.len()),
+        ]
+        .into_iter()
+        .flat_map(|(kind, n)| (0..n).map(move |i| format!("{kind}.{i}")))
+        .map(|track| p.intern(&track))
+        .collect();
+        drop(p);
+        self.profile_gauges = true;
+        self.update_gauges();
         let gauges = Rc::clone(&self.gauges);
-        let comp = s.comp;
-        let srun_track = s.srun_track;
-        let queue_depth = s.queue_depth;
-        let busy_cores = s.busy_cores;
-        let busy_gpus = s.busy_gpus;
-        let srun_inflight = s.srun_inflight;
-        let srun_ceiling_name = s.srun_ceiling;
-        let part_tracks = s.part_tracks.clone();
         let ceiling = self.site_srun.ceiling() as f64;
-        Box::new(move |_now| {
-            prof.gauge(comp, queue_depth, gauges.queue_depth.get());
-            prof.gauge(srun_track, srun_inflight, gauges.srun_inflight.get());
-            prof.gauge(srun_track, srun_ceiling_name, ceiling);
-            for (track, &(cores, gpus)) in part_tracks.iter().zip(gauges.parts.borrow().iter()) {
-                prof.gauge(*track, busy_cores, cores);
-                prof.gauge(*track, busy_gpus, gpus);
+        Box::new(move |at| {
+            let mut p = profile.borrow_mut();
+            let mut gauge = |comp, what, detail| {
+                p.events.push(rp_profiler::Event {
+                    at,
+                    comp,
+                    uid: NO_UID,
+                    what,
+                    phase: Phase::Gauge,
+                    detail,
+                })
+            };
+            gauge(agent, queue_depth, gauges.queue_depth.get());
+            gauge(srun, srun_inflight, gauges.srun_inflight.get());
+            gauge(srun, srun_ceiling, ceiling);
+            for (&track, &(cores, gpus)) in parts.iter().zip(gauges.parts.borrow().iter()) {
+                gauge(track, busy_cores, cores);
+                gauge(track, busy_gpus, gpus);
             }
         })
     }
@@ -1169,7 +1101,7 @@ impl SimAgent {
 
     /// Refresh the shared gauge counters from live agent/backend state.
     fn update_gauges(&self) {
-        if self.psyms.is_none() && self.metrics.is_none() {
+        if !self.profile_gauges && self.metrics.is_none() {
             if self.telemetry.is_none() {
                 return;
             }
@@ -1179,7 +1111,7 @@ impl SimAgent {
             // refresh keeps rows representative (stale by well under one
             // sample period) while keeping per-delivery cost inside the
             // telemetry overhead budget. It is deterministic: the delivery
-            // sequence is a pure function of config and seed. Profiler and
+            // sequence is a pure function of config and seed. Profiled and
             // metrics runs keep the exact per-delivery refresh — their
             // sampled distributions and baselines depend on it.
             let t = self.gauge_tick.get().wrapping_add(1);
@@ -1322,10 +1254,6 @@ impl SimAgent {
         // submission, instrumented in `submit_tasks`), so one hook covers
         // the whole pipeline.
         if rec.state != before {
-            if let Some(s) = &self.psyms {
-                self.prof
-                    .instant(s.comp, uid.0, s.states[state_index(rec.state)]);
-            }
             if let Some(m) = &self.metrics {
                 m.on_transition(uid.0, before, rec.state);
             }
@@ -1409,15 +1337,6 @@ impl SimAgent {
         for desc in descs {
             let mut rec = TaskRecord::new(desc, now);
             rec.advance(TaskState::StagingInput, now);
-            if let Some(s) = &self.psyms {
-                self.prof
-                    .instant(s.comp, desc.uid.0, s.states[state_index(TaskState::New)]);
-                self.prof.instant(
-                    s.comp,
-                    desc.uid.0,
-                    s.states[state_index(TaskState::StagingInput)],
-                );
-            }
             if let Some(m) = &self.metrics {
                 m.task_open(desc.uid.0);
             }
@@ -1450,9 +1369,6 @@ impl SimAgent {
             return;
         };
         self.sched_busy = true;
-        if let Some(s) = &self.psyms {
-            self.prof.begin(s.t_sched, t.0, s.schedule);
-        }
         let cost = self.sched_cost.sample(&mut self.rng);
         if let Some(m) = &self.metrics {
             m.sched_seconds.observe(cost.as_secs_f64());
@@ -1472,13 +1388,6 @@ impl SimAgent {
         };
         adapter.busy = true;
         let cost = adapter.cost.sample(&mut self.rng);
-        if let Some(s) = &self.psyms {
-            self.prof.begin(
-                s.t_adapter[kind as usize].expect("adapter profiled"),
-                t.0,
-                s.submit,
-            );
-        }
         if let Some(m) = &self.metrics {
             m.adapter_seconds[kind as usize].observe(cost.as_secs_f64());
         }
@@ -1783,10 +1692,6 @@ impl SimAgent {
                 .pilot
                 .advance(PilotState::Active, ctx.now());
             self.note_pilot(PilotState::Active);
-            if let Some(s) = &self.psyms {
-                self.prof
-                    .instant(s.comp, rp_profiler::NO_UID, s.pilot_active);
-            }
             self.start_services(ctx);
             self.pump_sched(ctx);
             for idx in 0..self.subs.len() {
@@ -2320,8 +2225,9 @@ impl SimAgent {
     fn fail_task(&mut self, t: TaskId, retryable: bool, ctx: &mut Ctx<AgentMsg>) {
         let now = ctx.now();
         let max_retries = self.cfg.max_retries;
-        // Two separate record touches so the profiler sees both the FAILED
-        // and the retry STAGING_INPUT transitions, not just the net state.
+        // Two separate record touches so the transition funnel sees both
+        // the FAILED and the retry STAGING_INPUT transitions, not just the
+        // net state.
         self.with_task(t, |rec| rec.advance(TaskState::Failed, now));
         let retry = retryable
             && self.with_task(t, |rec| {
@@ -3077,10 +2983,6 @@ impl Actor<AgentMsg> for SimAgent {
                     .pilot
                     .advance(PilotState::Launching, ctx.now());
                 self.note_pilot(PilotState::Launching);
-                if let Some(s) = &self.psyms {
-                    self.prof
-                        .instant(s.comp, rp_profiler::NO_UID, s.pilot_launching);
-                }
                 let cost = self.cfg.cal.rp_agent_bootstrap.sample(&mut self.rng);
                 ctx.timer(cost, AgentMsg::BootstrapDone);
             }
@@ -3091,10 +2993,6 @@ impl Actor<AgentMsg> for SimAgent {
                     st.pilot.advance(PilotState::Bootstrapping, ctx.now());
                 }
                 self.note_pilot(PilotState::Bootstrapping);
-                if let Some(s) = &self.psyms {
-                    self.prof
-                        .instant(s.comp, rp_profiler::NO_UID, s.pilot_bootstrapping);
-                }
                 // Launch backend instances on persistent srun slots.
                 let mut acts = std::mem::take(&mut self.scratch_srun);
                 for i in 0..self.flux.len() {
@@ -3136,10 +3034,6 @@ impl Actor<AgentMsg> for SimAgent {
                         .pilot
                         .advance(PilotState::Active, ctx.now());
                     self.note_pilot(PilotState::Active);
-                    if let Some(s) = &self.psyms {
-                        self.prof
-                            .instant(s.comp, rp_profiler::NO_UID, s.pilot_active);
-                    }
                     self.start_services(ctx);
                 }
             }
@@ -3173,9 +3067,6 @@ impl Actor<AgentMsg> for SimAgent {
             }
             AgentMsg::SchedDone(t) => {
                 self.sched_busy = false;
-                if let Some(s) = &self.psyms {
-                    self.prof.end(s.t_sched, t.0, s.schedule);
-                }
                 let now = ctx.now();
                 match self.select_backend(t) {
                     Some((kind, part)) => {
@@ -3197,13 +3088,6 @@ impl Actor<AgentMsg> for SimAgent {
             }
             AgentMsg::AdapterDone(kind, t) => {
                 self.adapters[kind as usize].as_mut().expect("adapter").busy = false;
-                if let Some(s) = &self.psyms {
-                    self.prof.end(
-                        s.t_adapter[kind as usize].expect("adapter profiled"),
-                        t.0,
-                        s.submit,
-                    );
-                }
                 self.dispatch_to_backend(t, ctx);
                 self.pump_adapter(kind, ctx);
             }

@@ -21,6 +21,7 @@ pub mod agent;
 pub mod backend;
 pub mod config;
 pub mod pilot;
+mod profile;
 pub mod report;
 pub mod router;
 pub mod rt;

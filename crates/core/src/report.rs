@@ -138,7 +138,8 @@ pub struct RunReport {
     /// [`crate::SimSession::with_telemetry`].
     pub telemetry: Option<rp_telemetry::TelemetryData>,
     /// Per-task causal-lineage capture, when the session ran with
-    /// [`crate::SimSession::with_lineage`].
+    /// [`crate::SimSession::with_lineage`] or
+    /// [`crate::SimSession::with_profiling`].
     pub lineage: Option<rp_lineage::LineageData>,
     /// Serving-plane books and client-perceived SLO digest, when the
     /// session ran with [`crate::SimSession::with_serving`].
@@ -167,13 +168,6 @@ impl RunReport {
     /// Latest payload end across tasks.
     pub fn last_end(&self) -> Option<SimTime> {
         self.tasks.iter().filter_map(|t| t.exec_end).max()
-    }
-
-    /// Profile events lost to ring eviction (0 when profiling was off or
-    /// nothing was dropped). Non-zero means the profile CSV/trace are
-    /// truncated at the front and timeline reconstruction may be partial.
-    pub fn profile_dropped(&self) -> u64 {
-        self.profile.as_ref().map_or(0, |p| p.dropped)
     }
 
     /// Workflow makespan: first submission to last payload end.

@@ -7,7 +7,7 @@ use crate::config::PilotConfig;
 use crate::report::{RunReport, RunState};
 use crate::task::TaskDescription;
 use crate::workload::{StaticWorkload, WorkloadSource};
-use rp_profiler::Profiler;
+use rp_profiler::ProfileData;
 use rp_sim::{Engine, SimDuration, SimTime};
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -97,9 +97,11 @@ impl SimSession {
         self
     }
 
-    /// Enable runtime profiling: state-timestamp events from the agent and
-    /// every backend, plus utilization gauges sampled every `period` of
-    /// virtual time. The collected profile lands in [`RunReport::profile`].
+    /// Enable runtime profiling: utilization gauges sampled every `period`
+    /// of virtual time, plus every task-state transition and backend event,
+    /// rendered from the lineage stream (so this also attaches lineage, and
+    /// [`RunReport::lineage`] is filled). The profile lands in
+    /// [`RunReport::profile`].
     pub fn with_profiling(mut self, period: SimDuration) -> Self {
         self.profile_every = Some(period);
         self
@@ -206,13 +208,13 @@ impl SimSession {
         let mut engine: Engine<AgentMsg> = Engine::new();
         let mut agent = SimAgent::new(self.cfg, self.workload, state.clone());
 
-        // Profiling: the profiler reads the engine clock directly, so hook
-        // sites never touch the scheduler; the gauge sampler rides the
-        // engine's periodic sampling machinery.
-        let profiler = self.profile_every.map(|period| {
-            let prof = Profiler::new(engine.clock());
-            agent.attach_profiler(prof.clone());
-            (prof, period, agent.gauge_sampler())
+        // Profiling: the gauge sampler rides the engine's periodic sampling
+        // machinery and writes into `profile`; the instants are rendered
+        // from lineage after the run.
+        let profile = self.profile_every.map(|period| {
+            let data = Rc::new(RefCell::new(ProfileData::default()));
+            let sampler = agent.gauge_sampler(Rc::clone(&data));
+            (data, period, sampler)
         });
         // Metrics ride the same clock and sampling machinery.
         let registry = self.metrics_every.map(|period| {
@@ -232,7 +234,7 @@ impl SimSession {
         });
         // Lineage reads the engine clock directly and schedules nothing,
         // so recording never perturbs the event stream.
-        let lineage = self.lineage.then(|| {
+        let lineage = (self.lineage || profile.is_some()).then(|| {
             let lin = rp_lineage::Lineage::new(engine.clock());
             agent.attach_lineage(lin.clone());
             lin
@@ -261,9 +263,9 @@ impl SimSession {
             Some((state, batch_times))
         });
         let id = engine.add_actor(Box::new(agent));
-        let profiler = profiler.map(|(prof, period, sampler)| {
+        let profile = profile.map(|(data, period, sampler)| {
             engine.add_sampler(period, sampler);
-            prof
+            data
         });
         let registry = registry.map(|(reg, period, sampler)| {
             engine.add_sampler(period, sampler);
@@ -300,11 +302,6 @@ impl SimSession {
             && st.pilot.current() == crate::pilot::PilotState::Active
         {
             st.pilot.advance(crate::pilot::PilotState::Done, end);
-            if let Some(prof) = &profiler {
-                let comp = prof.intern("agent");
-                let done = prof.intern("PILOT_DONE");
-                prof.instant(comp, rp_profiler::NO_UID, done);
-            }
             if let Some(lin) = &lineage {
                 lin.record_ctx(
                     rp_lineage::META_UID,
@@ -329,6 +326,10 @@ impl SimSession {
                 engine.delivered(),
             );
         }
+        let profile = profile.map(|data| {
+            let lin = lineage.as_ref().expect("profiling attaches lineage");
+            crate::profile::render(lin, data.take())
+        });
         let tasks = st.take_tasks();
         RunReport {
             nodes,
@@ -340,7 +341,7 @@ impl SimSession {
             pilot: std::mem::take(&mut st.pilot),
             agent_ready: st.agent_ready,
             end,
-            profile: profiler.map(|p| p.snapshot()),
+            profile,
             metrics: registry.map(|reg| {
                 // Fold engine-level stats in just before the snapshot so
                 // they reflect the whole run.

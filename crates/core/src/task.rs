@@ -2,7 +2,7 @@
 //!
 //! RP models every unit of work — MPI executable, serial binary, or Python
 //! function — as a task moving through an explicit state machine; every
-//! transition is timestamped by the profiler. This is the vocabulary the
+//! transition is timestamped in the lineage stream. This is the vocabulary the
 //! whole characterization is expressed in: throughput is the rate of
 //! `Executing` transitions, utilization integrates `Executing` spans times
 //! placement width, overheads are gaps between adjacent transitions.

@@ -15,26 +15,11 @@
 use rp_lineage::Lineage;
 use rp_metrics::{BackendInstruments, Registry};
 use rp_platform::{Allocation, Calibration};
-use rp_profiler::{Profiler, Sym};
 use rp_sim::{Dist, FxHashMap, RngStream, SimDuration, SimTime, StaleTokens};
 use std::collections::VecDeque;
 
 /// Lineage backend code for dragon (`BackendKind::Dragon as u8`).
 const LIN_BACKEND_DRAGON: u8 = 2;
-
-/// Interned profiler symbols: dispatch spans on `<comp>.dispatch` (the
-/// dispatcher is serial, so spans never overlap), lifecycle instants on
-/// the base track with function/process distinguished by event name.
-#[derive(Debug, Clone)]
-struct ProfSyms {
-    comp: Sym,
-    t_dispatch: Sym,
-    dispatch: Sym,
-    func_start: Sym,
-    func_finish: Sym,
-    proc_start: Sym,
-    proc_finish: Sym,
-}
 
 /// A task submitted to the Dragon runtime.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -102,10 +87,6 @@ pub struct DragonSim {
     /// Deepest the dispatch queue has ever been.
     queued_peak: usize,
     alive: bool,
-    prof: Profiler,
-    syms: Option<ProfSyms>,
-    /// Uid in the dispatcher, closed on kill to keep B/E pairs matched.
-    open_dispatch: Option<u64>,
     /// The task the dispatcher currently holds (its `Dispatched` token is
     /// in flight); lets fault injection type the orphaned timer correctly.
     dispatching: Option<u64>,
@@ -145,9 +126,6 @@ impl DragonSim {
             completed: 0,
             queued_peak: 0,
             alive: true,
-            prof: Profiler::disabled(),
-            syms: None,
-            open_dispatch: None,
             dispatching: None,
             stale_dispatched: StaleTokens::default(),
             stale_done: StaleTokens::default(),
@@ -157,21 +135,6 @@ impl DragonSim {
             lineage: None,
             last_reject: None,
         }
-    }
-
-    /// Attach a profiler; dispatch spans and start/finish instants are
-    /// recorded relative to the `comp` track from here on.
-    pub fn attach_profiler(&mut self, prof: Profiler, comp: &str) {
-        self.syms = Some(ProfSyms {
-            comp: prof.intern(comp),
-            t_dispatch: prof.intern(&format!("{comp}.dispatch")),
-            dispatch: prof.intern("dispatch"),
-            func_start: prof.intern("FUNC_START"),
-            func_finish: prof.intern("FUNC_FINISH"),
-            proc_start: prof.intern("PROC_START"),
-            proc_finish: prof.intern("PROC_FINISH"),
-        });
-        self.prof = prof;
     }
 
     /// Attach a lineage recorder for this runtime (`partition` is its
@@ -230,11 +193,6 @@ impl DragonSim {
     /// affected tasks to error states").
     pub fn kill(&mut self) -> Vec<u64> {
         self.alive = false;
-        if let Some(s) = &self.syms {
-            if let Some(uid) = self.open_dispatch.take() {
-                self.prof.end(s.t_dispatch, uid, s.dispatch);
-            }
-        }
         // Type the orphaned timers so their arrival (while dead, or after a
         // restart) is swallowed instead of panicking.
         let dispatching = self.dispatching.take();
@@ -450,17 +408,6 @@ impl DragonSim {
                 self.dispatch_busy = false;
                 self.dispatching = None;
                 let task = self.in_flight.get(&id).expect("dispatched unknown task");
-                if let Some(s) = &self.syms {
-                    self.prof.end(s.t_dispatch, id, s.dispatch);
-                    self.open_dispatch = None;
-                    let what = if task.is_function {
-                        s.func_start
-                    } else {
-                        s.proc_start
-                    };
-                    self.prof
-                        .instant_detail(s.comp, id, what, self.busy_workers() as f64);
-                }
                 if let Some(m) = &self.metrics {
                     m.on_started(id);
                 }
@@ -483,15 +430,6 @@ impl DragonSim {
                 self.completed += 1;
                 if let Some(m) = &self.metrics {
                     m.on_completed(id);
-                }
-                if let Some(s) = &self.syms {
-                    let what = if task.is_function {
-                        s.func_finish
-                    } else {
-                        s.proc_finish
-                    };
-                    self.prof
-                        .instant_detail(s.comp, id, what, self.busy_workers() as f64);
                 }
                 out.push(DragonAction::Completed(id));
                 self.pump(out);
@@ -549,10 +487,6 @@ impl DragonSim {
         }
         if let Some(m) = &self.metrics {
             m.on_accepted(task.id);
-        }
-        if let Some(s) = &self.syms {
-            self.prof.begin(s.t_dispatch, task.id, s.dispatch);
-            self.open_dispatch = Some(task.id);
         }
         self.dispatching = Some(task.id);
         let cost = if task.is_function {

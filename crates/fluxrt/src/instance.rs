@@ -24,30 +24,11 @@ use crate::policy::{RunningJob, SchedPolicy};
 use rp_lineage::Lineage;
 use rp_metrics::{BackendInstruments, Registry};
 use rp_platform::{Allocation, Calibration, Placement, ResourcePool};
-use rp_profiler::{Profiler, Sym};
 use rp_sim::{Dist, FxHashMap, RngStream, SimDuration, SimTime, StaleTokens};
 use std::collections::VecDeque;
 
 /// Lineage backend code for flux (`BackendKind::Flux as u8`).
 const LIN_BACKEND_FLUX: u8 = 1;
-
-/// Interned profiler symbols. The three serial servers each get their own
-/// track (`<comp>.ingest` / `.match` / `.start`) so their B/E spans never
-/// overlap within a track; lifecycle instants go on the base track.
-#[derive(Debug, Clone)]
-struct ProfSyms {
-    comp: Sym,
-    t_ingest: Sym,
-    t_match: Sym,
-    t_start: Sym,
-    enqueue: Sym,
-    alloc: Sym,
-    start: Sym,
-    finish: Sym,
-    ingest: Sym,
-    matching: Sym,
-    launch: Sym,
-}
 
 /// Timer tokens the driver delivers back via [`FluxInstanceSim::on_token`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -113,13 +94,6 @@ pub struct FluxInstanceSim {
     queued_peak: usize,
     /// False once killed by failure injection.
     alive: bool,
-    prof: Profiler,
-    syms: Option<ProfSyms>,
-    /// Open server spans (uid per busy server), closed on kill so Chrome
-    /// B/E pairs stay matched even across failure injection.
-    open_ingest: Option<u64>,
-    open_match: Option<u64>,
-    open_start: Option<u64>,
     metrics: Option<BackendInstruments>,
     /// The job the start server currently holds (set by `pump_start`,
     /// cleared when its `Started` token arrives); lets fault injection tell
@@ -177,11 +151,6 @@ impl FluxInstanceSim {
             completed: 0,
             queued_peak: 0,
             alive: true,
-            prof: Profiler::disabled(),
-            syms: None,
-            open_ingest: None,
-            open_match: None,
-            open_start: None,
             metrics: None,
             starting: None,
             stale_matched: StaleTokens::default(),
@@ -193,25 +162,6 @@ impl FluxInstanceSim {
             lineage: None,
             last_reject: None,
         }
-    }
-
-    /// Attach a profiler; job lifecycle instants land on the `comp` track
-    /// and each serial server's service spans on `<comp>.<server>`.
-    pub fn attach_profiler(&mut self, prof: Profiler, comp: &str) {
-        self.syms = Some(ProfSyms {
-            comp: prof.intern(comp),
-            t_ingest: prof.intern(&format!("{comp}.ingest")),
-            t_match: prof.intern(&format!("{comp}.match")),
-            t_start: prof.intern(&format!("{comp}.start")),
-            enqueue: prof.intern("ENQUEUE"),
-            alloc: prof.intern("ALLOC"),
-            start: prof.intern("START"),
-            finish: prof.intern("FINISH"),
-            ingest: prof.intern("ingest"),
-            matching: prof.intern("match"),
-            launch: prof.intern("launch"),
-        });
-        self.prof = prof;
     }
 
     /// Attach a lineage recorder for this instance (`partition` is the
@@ -285,18 +235,6 @@ impl FluxInstanceSim {
     /// with [`ExceptionKind::InstanceLost`].
     pub fn kill(&mut self) -> Vec<JobId> {
         self.alive = false;
-        if let Some(s) = &self.syms {
-            // Close any open server spans: the crash ends them.
-            if let Some(uid) = self.open_ingest.take() {
-                self.prof.end(s.t_ingest, uid, s.ingest);
-            }
-            if let Some(uid) = self.open_match.take() {
-                self.prof.end(s.t_match, uid, s.matching);
-            }
-            if let Some(uid) = self.open_start.take() {
-                self.prof.end(s.t_start, uid, s.launch);
-            }
-        }
         // Record exactly which timer tokens are orphaned so their arrival
         // (while dead, or after a restart) is swallowed: the match server's
         // job, the start server's job, and every other running job's Done.
@@ -527,9 +465,6 @@ impl FluxInstanceSim {
             )));
             return;
         }
-        if let Some(s) = &self.syms {
-            self.prof.instant(s.comp, job.id.0, s.enqueue);
-        }
         if let Some(m) = &self.metrics {
             let depth = self.pending_ingest.len() + self.queue.len();
             let contended = !self.ready || self.ingest_busy || depth > 0;
@@ -598,10 +533,6 @@ impl FluxInstanceSim {
                     .pending_ingest
                     .pop_front()
                     .expect("ingest completed with empty queue");
-                if let Some(s) = &self.syms {
-                    self.prof.end(s.t_ingest, job.id.0, s.ingest);
-                    self.open_ingest = None;
-                }
                 if let Some((l, part)) = &self.lineage {
                     l.record_ctx(
                         job.id.0,
@@ -629,12 +560,6 @@ impl FluxInstanceSim {
                     .matched
                     .remove(&id)
                     .expect("match token for unknown job");
-                if let Some(s) = &self.syms {
-                    self.prof.end(s.t_match, id.0, s.matching);
-                    self.open_match = None;
-                    self.prof
-                        .instant_detail(s.comp, id.0, s.alloc, self.pool.busy_cores() as f64);
-                }
                 if let Some(m) = &self.metrics {
                     m.on_accepted(id.0);
                 }
@@ -652,11 +577,6 @@ impl FluxInstanceSim {
                 }
                 self.start_busy = false;
                 self.starting = None;
-                if let Some(s) = &self.syms {
-                    self.prof.end(s.t_start, id.0, s.launch);
-                    self.open_start = None;
-                    self.prof.instant(s.comp, id.0, s.start);
-                }
                 if let Some(m) = &self.metrics {
                     m.on_started(id.0);
                 }
@@ -691,10 +611,6 @@ impl FluxInstanceSim {
                 if let Some(m) = &self.metrics {
                     m.on_completed(id.0);
                 }
-                if let Some(s) = &self.syms {
-                    self.prof
-                        .instant_detail(s.comp, id.0, s.finish, self.pool.busy_cores() as f64);
-                }
                 out.push(FluxAction::Event(JobEvent::Finish(id)));
                 self.pump_match(now, out);
             }
@@ -707,11 +623,6 @@ impl FluxInstanceSim {
             return;
         }
         self.ingest_busy = true;
-        if let Some(s) = &self.syms {
-            let uid = self.pending_ingest.front().expect("non-empty").id.0;
-            self.prof.begin(s.t_ingest, uid, s.ingest);
-            self.open_ingest = Some(uid);
-        }
         let cost = self.ingest_cost.sample(&mut self.rng);
         out.push(FluxAction::Timer {
             after: cost,
@@ -773,10 +684,6 @@ impl FluxInstanceSim {
         }
         self.matched.insert(job.id, (job, placement));
         self.match_busy = true;
-        if let Some(s) = &self.syms {
-            self.prof.begin(s.t_match, job.id.0, s.matching);
-            self.open_match = Some(job.id.0);
-        }
         let cost = self.match_cost.sample(&mut self.rng);
         out.push(FluxAction::Timer {
             after: cost,
@@ -801,10 +708,6 @@ impl FluxInstanceSim {
                 *part,
                 self.start_queue.len() as u64,
             );
-        }
-        if let Some(s) = &self.syms {
-            self.prof.begin(s.t_start, job.id.0, s.launch);
-            self.open_start = Some(job.id.0);
         }
         let cost = self.start_cost.sample(&mut self.rng);
         // Register as running with its final expected end (start-server

@@ -1,12 +1,13 @@
 //! `rp-lineage` — per-task causal lineage on the simulation clock.
 //!
-//! Every observability layer so far answers *what happened*: the profiler
-//! records state timestamps, the metrics registry aggregates distributions,
-//! the telemetry sampler streams populations and alarms. This crate records
-//! *why*: for each task, the full causal chain from submission to terminal
-//! state — router decision, scheduler dwell, every placement attempt
-//! (including rejects and the reason), backend handoff, launch-latency wait,
-//! execution, and collection — as compact events stamped on the sim clock.
+//! The metrics registry aggregates distributions and the telemetry sampler
+//! streams populations and alarms; this crate records *why*: for each task,
+//! the full causal chain from submission to terminal state — router
+//! decision, scheduler dwell, every placement attempt (including rejects
+//! and the reason), backend handoff, launch-latency wait, execution, and
+//! collection — as compact events stamped on the sim clock. It is also the
+//! run's one state-timestamp stream: `rp-core` renders the runtime profile
+//! (RP-style CSV and Chrome trace) from it.
 //!
 //! Design constraints, in order:
 //!
@@ -241,7 +242,8 @@ const DENSE_UIDS: u64 = 1 << 22;
 /// the chain walk is O(n) with sequential writes.
 #[derive(Default)]
 struct Store {
-    /// Event arena, in append (= chronological) order.
+    /// Event arena, in append (= chronological) order, meta events
+    /// included.
     events: Vec<Event>,
     /// Parallel chain links: `next[i]` is the arena index of the next
     /// event with the same uid, or [`CHAIN_NONE`].
@@ -252,21 +254,22 @@ struct Store {
     /// Chain heads for uids `>= DENSE_UIDS` (sorted iteration keeps the
     /// snapshot order identical to the old stable sort).
     sparse: BTreeMap<u64, (u32, u32)>,
-    /// [`META_UID`] events, in append order (always exported last).
-    meta: Vec<Event>,
+    /// Arena indices of the [`META_UID`] events, in append order (always
+    /// exported last).
+    meta: Vec<u32>,
 }
 
 impl Store {
     fn push(&mut self, ev: Event) {
-        if ev.uid == META_UID {
-            self.meta.push(ev);
-            return;
-        }
         let idx = self.events.len();
         assert!(idx < CHAIN_NONE as usize, "lineage arena overflow");
         let idx = idx as u32;
         self.events.push(ev);
         self.next.push(CHAIN_NONE);
+        if ev.uid == META_UID {
+            self.meta.push(idx);
+            return;
+        }
         let chain = if ev.uid < DENSE_UIDS {
             let slot = ev.uid as usize;
             if slot >= self.dense.len() {
@@ -287,7 +290,7 @@ impl Store {
     }
 
     fn len(&self) -> usize {
-        self.events.len() + self.meta.len()
+        self.events.len()
     }
 
     /// Walk every chain in uid order (dense ascending, then sparse
@@ -309,7 +312,7 @@ impl Store {
         for &(head, _) in self.sparse.values() {
             walk(head);
         }
-        out.extend_from_slice(&self.meta);
+        out.extend(self.meta.iter().map(|&i| self.events[i as usize]));
         out
     }
 }
@@ -317,8 +320,7 @@ impl Store {
 /// The shared lineage recorder.
 ///
 /// Cheap to clone (an `Rc` and a clock handle); the agent, the session,
-/// and every backend instance hold clones of one recorder, mirroring how
-/// `Profiler` and `Telemetry` are attached. Recording is a clock read and
+/// and every backend instance hold clones of one recorder. Recording is a clock read and
 /// an arena append + chain link behind a `RefCell` — no hashing, no
 /// allocation beyond amortized growth, no event scheduling.
 #[derive(Clone)]
@@ -389,6 +391,13 @@ impl Lineage {
     /// Events recorded so far.
     pub fn event_count(&self) -> usize {
         self.store.borrow().len()
+    }
+
+    /// Visit every recorded event, meta events included, in append order:
+    /// chronological, since the sim clock never runs backwards. This is
+    /// the order the runtime profile is rendered in.
+    pub fn for_each_in_time_order(&self, f: impl FnMut(&Event)) {
+        self.store.borrow().events.iter().for_each(f);
     }
 
     /// Snapshot the recorded chain, grouped per task.
@@ -692,6 +701,35 @@ mod tests {
         assert_eq!(lin.snapshot().events, expect);
         assert_eq!(lin.event_count(), seq.len());
         assert_eq!(lin.snapshot().uids(), vec![3, 9, big]);
+    }
+
+    #[test]
+    fn time_order_visit_interleaves_meta_events() {
+        let clock = SimClock::new();
+        let lin = Lineage::new(clock.clone());
+        let seq: &[(u64, u8)] = &[
+            (META_UID, EV_PILOT),
+            (9, EV_SUBMIT),
+            (3, EV_SUBMIT),
+            (META_UID, EV_PILOT),
+            (3, EV_DONE),
+            (META_UID, EV_RUN_END),
+        ];
+        for (i, &(uid, kind)) in seq.iter().enumerate() {
+            clock.set(SimTime::from_micros(i as u64));
+            lin.record(uid, kind);
+        }
+        let mut seen = Vec::new();
+        lin.for_each_in_time_order(|e| seen.push((e.uid, e.kind, e.t.as_micros())));
+        let expect: Vec<_> = seq
+            .iter()
+            .enumerate()
+            .map(|(i, &(uid, kind))| (uid, kind, i as u64))
+            .collect();
+        assert_eq!(seen, expect);
+        // The snapshot still groups per uid with meta events last.
+        let uids: Vec<_> = lin.snapshot().events.iter().map(|e| e.uid).collect();
+        assert_eq!(uids, vec![3, 3, 9, META_UID, META_UID, META_UID]);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! `rp-metrics` — aggregate telemetry for the reproduction.
 //!
-//! `rp-profiler` captures the raw event stream (the analog of
+//! `rp-lineage` captures the raw event stream (rendered as the analog of
 //! RADICAL-Pilot's `.prof` files). This crate is the layer above: the
 //! *queryable, comparable* aggregates the paper's characterization is
 //! built from — latency distributions, state dwell times, utilization and
@@ -12,8 +12,8 @@
 //!
 //! 1. [`Registry`] — counters, gauges, and mergeable log-bucketed
 //!    [`HistData`] histograms behind cheap-clone handles, sharing the
-//!    profiler's cost model (one branch when disabled, no allocation on
-//!    the hot path) and the sim clock (so reactive backends need no
+//!    lineage recorder's cost model (one branch when disabled, no
+//!    allocation on the hot path) and the sim clock (so reactive backends need no
 //!    `now` plumbing).
 //! 2. [`openmetrics`] — deterministic OpenMetrics text export, a parser
 //!    for it, and [`openmetrics::diff_openmetrics`] snapshot diffing:

@@ -1,15 +1,15 @@
 //! The metrics registry and its cheap-clone instrument handles.
 //!
 //! One [`Registry`] per run, threaded (by clone) through the agent and
-//! every backend. Mirrors the profiler's cost model: a disabled registry
-//! is a `None` inside, so each instrument call costs one branch when
-//! metrics are off, and instruments are registered once at attach time —
+//! every backend. Mirrors the lineage recorder's cost model: a disabled
+//! registry is a `None` inside, so each instrument call costs one branch
+//! when metrics are off, and instruments are registered once at attach time —
 //! the hot path only bumps an `Rc<Cell<_>>` or records into a histogram.
 //!
 //! The registry carries the shared [`SimClock`]: reactive backend state
 //! machines do not receive `now` on every entry point, so latency
 //! instrumentation reads [`Registry::now`] instead of re-plumbing time
-//! through every signature (the same trick `rp-profiler` uses).
+//! through every signature (the same trick `rp-lineage` uses).
 //!
 //! Registration deduplicates on `(name, labels)` and returns the
 //! *existing* handle, which is what merges per-partition backend

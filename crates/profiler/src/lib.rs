@@ -1,39 +1,29 @@
-//! `rp-profiler` — the runtime observability layer of the reproduction.
+//! `rp-profiler` — the runtime profile format of the reproduction.
 //!
 //! RADICAL-Pilot writes per-component `.prof` files: one state-timestamp
 //! event per line, mined post-hoc by RADICAL-Analytics to produce every
 //! figure in the source paper (throughput, utilization, OVH decomposition).
-//! This crate is the analog for the simulated stack: a low-overhead event
-//! collector driven by the virtual clock ([`rp_sim::SimClock`]).
+//! This crate holds the analog for the simulated stack: [`ProfileData`], a
+//! name table plus a time-ordered stream of instants and gauge samples,
+//! and its two exporters. It records nothing itself: `rp-core` fills it
+//! from the lineage stream (every task-state transition and backend
+//! annotation) and from a periodic utilization-gauge sampler on the sim
+//! clock, so the profile is complete however long the run.
 //!
-//! Design constraints, in order:
-//!
-//! 1. **Cheap when off.** Every hook site costs one branch when profiling
-//!    is disabled ([`Profiler::disabled`] is a `None` inside).
-//! 2. **No allocation on the hot path.** Component and state names are
-//!    interned once at attach time ([`Profiler::intern`]); recording an
-//!    event copies five words into a ring buffer.
-//! 3. **Bounded memory.** The ring drops the *oldest* events once full and
-//!    counts what it dropped, so a runaway run degrades instead of OOMing.
-//!
-//! Exporters ([`ProfileData::csv`], [`ProfileData::chrome_trace`]) run
-//! after the simulation, off the hot path. The CSV mirrors RP's profile
-//! schema; the Chrome `trace_event` JSON opens directly in Perfetto with
-//! one track per component.
+//! The CSV ([`ProfileData::csv`]) mirrors RP's profile schema; the Chrome
+//! `trace_event` JSON ([`ProfileData::chrome_trace`]) opens directly in
+//! Perfetto with one track per component.
 
 #![warn(missing_docs)]
 
-use rp_sim::{SimClock, SimTime};
-use std::cell::RefCell;
-use std::collections::{HashMap, VecDeque};
+use rp_sim::SimTime;
 use std::fmt::Write as _;
-use std::rc::Rc;
 
 /// Sentinel uid for events not tied to a task/entity.
 pub const NO_UID: u64 = u64::MAX;
 
 /// An interned name (component, state, or gauge). `Sym`s are only
-/// meaningful relative to the profiler that produced them.
+/// meaningful relative to the [`ProfileData`] that interned them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Sym(u32);
 
@@ -49,11 +39,6 @@ impl Sym {
 pub enum Phase {
     /// A point event: a state transition or a one-shot occurrence.
     Instant,
-    /// The opening edge of a span (serial-server activity like a scheduler
-    /// pass; spans on one component must nest trivially, i.e. not overlap).
-    Begin,
-    /// The closing edge of a span.
-    End,
     /// A sampled gauge value (`detail` carries the sample).
     Gauge,
 }
@@ -63,8 +48,6 @@ impl Phase {
     pub fn code(self) -> char {
         match self {
             Phase::Instant => 'I',
-            Phase::Begin => 'B',
-            Phase::End => 'E',
             Phase::Gauge => 'G',
         }
     }
@@ -73,15 +56,13 @@ impl Phase {
     pub fn from_code(c: char) -> Option<Phase> {
         match c {
             'I' => Some(Phase::Instant),
-            'B' => Some(Phase::Begin),
-            'E' => Some(Phase::End),
             'G' => Some(Phase::Gauge),
             _ => None,
         }
     }
 }
 
-/// One recorded event: the RP profile tuple.
+/// One profile row: the RP profile tuple.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Event {
     /// Virtual timestamp.
@@ -94,192 +75,33 @@ pub struct Event {
     pub what: Sym,
     /// Event shape.
     pub phase: Phase,
-    /// Free numeric payload: gauge value, count, or 0.
+    /// Free numeric payload: gauge value, the lineage event's value, or 0.
     pub detail: f64,
 }
 
-struct Inner {
-    clock: SimClock,
-    names: Vec<String>,
-    index: HashMap<String, Sym>,
-    events: VecDeque<Event>,
-    capacity: usize,
-    dropped: u64,
-}
-
-impl Inner {
-    fn intern(&mut self, name: &str) -> Sym {
-        if let Some(&s) = self.index.get(name) {
-            return s;
-        }
-        let s = Sym(self.names.len() as u32);
-        self.names.push(name.to_string());
-        self.index.insert(name.to_string(), s);
-        s
-    }
-
-    fn push(&mut self, ev: Event) {
-        if self.events.len() == self.capacity {
-            self.events.pop_front();
-            self.dropped += 1;
-        }
-        self.events.push_back(ev);
-    }
-}
-
-/// The collector handle. Cloning is cheap (shared ring); a disabled
-/// profiler records nothing and costs one branch per hook.
-#[derive(Clone, Default)]
-pub struct Profiler {
-    inner: Option<Rc<RefCell<Inner>>>,
-}
-
-impl std::fmt::Debug for Profiler {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match &self.inner {
-            None => f.write_str("Profiler(disabled)"),
-            Some(i) => {
-                let i = i.borrow();
-                f.debug_struct("Profiler")
-                    .field("events", &i.events.len())
-                    .field("dropped", &i.dropped)
-                    .finish()
-            }
-        }
-    }
-}
-
-impl Profiler {
-    /// Default ring capacity: ~1M events, a few runs of the largest
-    /// experiment scale.
-    pub const DEFAULT_CAPACITY: usize = 1 << 20;
-
-    /// An active profiler timestamping from `clock`.
-    pub fn new(clock: SimClock) -> Self {
-        Self::with_capacity(clock, Self::DEFAULT_CAPACITY)
-    }
-
-    /// An active profiler with an explicit ring capacity.
-    pub fn with_capacity(clock: SimClock, capacity: usize) -> Self {
-        assert!(capacity > 0, "profiler capacity must be positive");
-        Profiler {
-            inner: Some(Rc::new(RefCell::new(Inner {
-                clock,
-                names: Vec::new(),
-                index: HashMap::new(),
-                events: VecDeque::with_capacity(capacity.min(4096)),
-                capacity,
-                dropped: 0,
-            }))),
-        }
-    }
-
-    /// A no-op profiler: every hook is a single `None` check.
-    pub fn disabled() -> Self {
-        Profiler { inner: None }
-    }
-
-    /// Whether events are being recorded.
-    pub fn is_enabled(&self) -> bool {
-        self.inner.is_some()
-    }
-
-    /// Intern `name`, returning a stable symbol for hot-path use. On a
-    /// disabled profiler this returns a dummy symbol.
-    pub fn intern(&self, name: &str) -> Sym {
-        match &self.inner {
-            None => Sym(0),
-            Some(i) => i.borrow_mut().intern(name),
-        }
-    }
-
-    fn record(&self, comp: Sym, uid: u64, what: Sym, phase: Phase, detail: f64) {
-        if let Some(i) = &self.inner {
-            let mut i = i.borrow_mut();
-            let at = i.clock.now();
-            i.push(Event {
-                at,
-                comp,
-                uid,
-                what,
-                phase,
-                detail,
-            });
-        }
-    }
-
-    /// A point event (state transition) for entity `uid`.
-    pub fn instant(&self, comp: Sym, uid: u64, what: Sym) {
-        self.record(comp, uid, what, Phase::Instant, 0.0);
-    }
-
-    /// A point event with a numeric payload.
-    pub fn instant_detail(&self, comp: Sym, uid: u64, what: Sym, detail: f64) {
-        self.record(comp, uid, what, Phase::Instant, detail);
-    }
-
-    /// Open a span on `comp`. Spans on one component must not overlap
-    /// (serial-server activities), which keeps Chrome B/E pairs matched by
-    /// construction.
-    pub fn begin(&self, comp: Sym, uid: u64, what: Sym) {
-        self.record(comp, uid, what, Phase::Begin, 0.0);
-    }
-
-    /// Close the span opened by the matching [`Profiler::begin`].
-    pub fn end(&self, comp: Sym, uid: u64, what: Sym) {
-        self.record(comp, uid, what, Phase::End, 0.0);
-    }
-
-    /// Record one gauge sample on track `track`.
-    pub fn gauge(&self, track: Sym, name: Sym, value: f64) {
-        self.record(track, NO_UID, name, Phase::Gauge, value);
-    }
-
-    /// Events currently in the ring.
-    pub fn len(&self) -> usize {
-        self.inner.as_ref().map_or(0, |i| i.borrow().events.len())
-    }
-
-    /// Whether nothing was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Oldest events evicted by the ring.
-    pub fn dropped(&self) -> u64 {
-        self.inner.as_ref().map_or(0, |i| i.borrow().dropped)
-    }
-
-    /// Snapshot the collected data for export (clones; the profiler keeps
-    /// recording).
-    pub fn snapshot(&self) -> ProfileData {
-        match &self.inner {
-            None => ProfileData::default(),
-            Some(i) => {
-                let i = i.borrow();
-                ProfileData {
-                    names: i.names.clone(),
-                    events: i.events.iter().copied().collect(),
-                    dropped: i.dropped,
-                }
-            }
-        }
-    }
-}
-
-/// An exported, self-contained profile: the interner table plus the event
-/// stream in record order (which is time order — the ring preserves it).
+/// A self-contained profile: the name table plus the event stream in time
+/// order.
 #[derive(Debug, Clone, Default)]
 pub struct ProfileData {
     /// Interned names; index by [`Sym::index`].
     pub names: Vec<String>,
     /// Events in time order.
     pub events: Vec<Event>,
-    /// Events lost to ring eviction before the snapshot.
+    /// Events lost before export. Always 0: the stream is complete.
     pub dropped: u64,
 }
 
 impl ProfileData {
+    /// Intern `name`, returning its symbol. Names are few (tracks, state
+    /// and event names) and interned once per run, so a scan suffices.
+    pub fn intern(&mut self, name: &str) -> Sym {
+        if let Some(i) = self.names.iter().position(|n| n == name) {
+            return Sym(i as u32);
+        }
+        self.names.push(name.to_string());
+        Sym(self.names.len() as u32 - 1)
+    }
+
     /// Resolve an interned symbol.
     pub fn name(&self, s: Sym) -> &str {
         self.names
@@ -290,14 +112,9 @@ impl ProfileData {
 
     /// The RP-style profile CSV: `time,kind,comp,uid,event,detail`, one
     /// event per line, time in seconds at microsecond precision. The uid
-    /// column is empty for [`NO_UID`] events. When the ring evicted events
-    /// before the snapshot, a `# dropped=<n>` comment precedes the header
-    /// so consumers know the stream is truncated at the front.
+    /// column is empty for [`NO_UID`] events.
     pub fn csv(&self) -> String {
         let mut out = String::with_capacity(64 * (self.events.len() + 1));
-        if self.dropped > 0 {
-            let _ = writeln!(out, "# dropped={}", self.dropped);
-        }
         out.push_str("time,kind,comp,uid,event,detail\n");
         for ev in &self.events {
             let _ = write!(
@@ -317,9 +134,9 @@ impl ProfileData {
 
     /// A Chrome `trace_event` JSON document (the "JSON array format"),
     /// viewable in Perfetto / `chrome://tracing`. One track (`tid`) per
-    /// component; instants map to `ph:"i"`, spans to `ph:"B"/"E"`, gauges
-    /// to counter events `ph:"C"`. One event per line, so tests (and
-    /// `grep`) can process it without a JSON parser.
+    /// component; instants map to `ph:"i"`, gauges to counter events
+    /// `ph:"C"`. One event per line, so tests (and `grep`) can process it
+    /// without a JSON parser.
     pub fn chrome_trace(&self) -> String {
         let mut out = String::with_capacity(128 * (self.events.len() + self.names.len()) + 2);
         out.push_str("[\n");
@@ -331,16 +148,6 @@ impl ProfileData {
                 out.push_str(",\n");
             }
         };
-        // Flag ring eviction up front so trace viewers (and tooling) can
-        // tell a truncated stream from a complete one.
-        if self.dropped > 0 {
-            sep(&mut out);
-            let _ = write!(
-                out,
-                r#"{{"name":"profile_dropped","ph":"M","pid":1,"tid":0,"args":{{"dropped":{}}}}}"#,
-                self.dropped
-            );
-        }
         // Name each track after its component.
         for (tid, name) in self.names.iter().enumerate() {
             sep(&mut out);
@@ -366,18 +173,6 @@ impl ProfileData {
                         tid,
                         json_uid(ev.uid),
                         json_f64(ev.detail)
-                    );
-                }
-                Phase::Begin | Phase::End => {
-                    let ph = if ev.phase == Phase::Begin { 'B' } else { 'E' };
-                    let _ = write!(
-                        out,
-                        r#"{{"name":"{}","ph":"{}","ts":{},"pid":1,"tid":{},"args":{{"uid":{}}}}}"#,
-                        name,
-                        ph,
-                        ts,
-                        tid,
-                        json_uid(ev.uid)
                     );
                 }
                 Phase::Gauge => {
@@ -445,108 +240,82 @@ fn json_f64(v: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rp_sim::SimTime;
 
-    fn active() -> (Profiler, SimClock) {
-        let clock = SimClock::new();
-        (Profiler::new(clock.clone()), clock)
+    fn instant(data: &mut ProfileData, at: SimTime, comp: &str, uid: u64, what: &str) {
+        let (comp, what) = (data.intern(comp), data.intern(what));
+        data.events.push(Event {
+            at,
+            comp,
+            uid,
+            what,
+            phase: Phase::Instant,
+            detail: 0.0,
+        });
     }
 
-    #[test]
-    fn disabled_profiler_records_nothing() {
-        let p = Profiler::disabled();
-        let c = p.intern("agent");
-        let s = p.intern("EXEC_START");
-        p.instant(c, 1, s);
-        p.gauge(c, s, 3.0);
-        assert!(!p.is_enabled());
-        assert!(p.is_empty());
-        assert!(p.snapshot().events.is_empty());
-    }
-
-    #[test]
-    fn events_carry_the_clock_time() {
-        let (p, clock) = active();
-        let comp = p.intern("agent");
-        let st = p.intern("SCHEDULED");
-        clock.set(SimTime::from_secs(3));
-        p.instant(comp, 42, st);
-        let data = p.snapshot();
-        assert_eq!(data.events.len(), 1);
-        let ev = data.events[0];
-        assert_eq!(ev.at, SimTime::from_secs(3));
-        assert_eq!(ev.uid, 42);
-        assert_eq!(data.name(ev.comp), "agent");
-        assert_eq!(data.name(ev.what), "SCHEDULED");
+    fn gauge(data: &mut ProfileData, at: SimTime, comp: &str, what: &str, value: f64) {
+        let (comp, what) = (data.intern(comp), data.intern(what));
+        data.events.push(Event {
+            at,
+            comp,
+            uid: NO_UID,
+            what,
+            phase: Phase::Gauge,
+            detail: value,
+        });
     }
 
     #[test]
     fn interning_is_idempotent() {
-        let (p, _clock) = active();
+        let mut p = ProfileData::default();
         let a = p.intern("fluxrt");
         let b = p.intern("fluxrt");
         assert_eq!(a, b);
         assert_ne!(a, p.intern("dragonrt"));
+        assert_eq!(p.name(a), "fluxrt");
+        assert_eq!(p.names.len(), 2);
     }
 
     #[test]
-    fn ring_drops_oldest_and_counts() {
-        let clock = SimClock::new();
-        let p = Profiler::with_capacity(clock.clone(), 4);
-        let c = p.intern("x");
-        let s = p.intern("e");
-        for i in 0..10u64 {
-            clock.set(SimTime::from_secs(i));
-            p.instant(c, i, s);
+    fn phase_codes_roundtrip() {
+        for ph in [Phase::Instant, Phase::Gauge] {
+            assert_eq!(Phase::from_code(ph.code()), Some(ph));
         }
-        assert_eq!(p.len(), 4);
-        assert_eq!(p.dropped(), 6);
-        let data = p.snapshot();
-        assert_eq!(data.events[0].uid, 6, "oldest events evicted first");
-        assert_eq!(data.dropped, 6);
-        // Exports advertise the truncation.
-        assert!(data.csv().starts_with("# dropped=6\n"));
-        assert!(data
-            .chrome_trace()
-            .contains(r#""name":"profile_dropped","ph":"M","pid":1,"tid":0,"args":{"dropped":6}"#));
-        // A complete stream stays comment-free.
-        let clean = Profiler::with_capacity(SimClock::new(), 4).snapshot();
-        assert!(clean.csv().starts_with("time,"));
-        assert!(!clean.chrome_trace().contains("profile_dropped"));
+        for c in ['B', 'E', 'X'] {
+            assert_eq!(Phase::from_code(c), None);
+        }
     }
 
     #[test]
     fn csv_schema_and_uid_sentinel() {
-        let (p, clock) = active();
-        let c = p.intern("agent");
-        let s = p.intern("QUEUE_DEPTH");
-        clock.set(SimTime::from_micros(1_500_000));
-        p.instant(c, 7, s);
-        p.gauge(c, s, 12.5);
-        let csv = p.snapshot().csv();
+        let mut p = ProfileData::default();
+        let t = SimTime::from_micros(1_500_000);
+        instant(&mut p, t, "agent", 7, "QUEUE_DEPTH");
+        gauge(&mut p, t, "agent", "QUEUE_DEPTH", 12.5);
+        let csv = p.csv();
         let lines: Vec<&str> = csv.lines().collect();
         assert_eq!(lines[0], "time,kind,comp,uid,event,detail");
         assert_eq!(lines[1], "1.500000,I,agent,7,QUEUE_DEPTH,0.000000");
         assert_eq!(lines[2], "1.500000,G,agent,,QUEUE_DEPTH,12.500000");
+        assert!(ProfileData::default().csv().starts_with("time,"));
     }
 
     #[test]
     fn chrome_trace_is_structurally_sound() {
-        let (p, clock) = active();
-        let sched = p.intern("scheduler");
-        let pass = p.intern("schedule_pass");
-        clock.set(SimTime::from_secs(1));
-        p.begin(sched, NO_UID, pass);
-        clock.set(SimTime::from_secs(2));
-        p.end(sched, NO_UID, pass);
-        p.gauge(sched, p.intern("busy_cores"), 56.0);
-        let json = p.snapshot().chrome_trace();
+        let mut p = ProfileData::default();
+        instant(&mut p, SimTime::from_secs(1), "flux.0", 3, "place_ok");
+        gauge(&mut p, SimTime::from_secs(2), "flux.0", "busy_cores", 56.0);
+        let json = p.chrome_trace();
         assert!(json.starts_with("[\n"));
         assert!(json.trim_end().ends_with(']'));
-        assert!(json.contains(r#""ph":"B""#));
-        assert!(json.contains(r#""ph":"E""#));
+        assert!(json.contains(r#""ph":"i""#));
         assert!(json.contains(r#""ph":"C""#));
-        assert!(json.contains(r#""name":"thread_name""#));
+        assert!(!json.contains(r#""ph":"B""#));
+        // One `thread_name` metadata row per interned name.
+        assert_eq!(
+            json.matches(r#""name":"thread_name""#).count(),
+            p.names.len()
+        );
         // One event object per line between the brackets.
         for line in json.lines().filter(|l| l.starts_with('{')) {
             let l = line.trim_end_matches(',');
@@ -556,21 +325,17 @@ mod tests {
 
     #[test]
     fn count_filters_events() {
-        let (p, _clock) = active();
-        let a = p.intern("agent");
-        let f = p.intern("fluxrt");
-        let exec = p.intern("EXEC_START");
-        let done = p.intern("DONE");
-        p.instant(a, 1, exec);
-        p.instant(a, 2, exec);
-        p.instant(f, 2, done);
-        let data = p.snapshot();
-        assert_eq!(data.count(Some("agent"), None, None), 2);
-        assert_eq!(data.count(None, Some("EXEC_START"), None), 2);
+        let mut p = ProfileData::default();
+        let t = SimTime::ZERO;
+        instant(&mut p, t, "agent", 1, "EXECUTING");
+        instant(&mut p, t, "agent", 2, "EXECUTING");
+        instant(&mut p, t, "fluxrt", 2, "DONE");
+        assert_eq!(p.count(Some("agent"), None, None), 2);
+        assert_eq!(p.count(None, Some("EXECUTING"), None), 2);
         assert_eq!(
-            data.count(Some("fluxrt"), Some("DONE"), Some(Phase::Instant)),
+            p.count(Some("fluxrt"), Some("DONE"), Some(Phase::Instant)),
             1
         );
-        assert_eq!(data.count(Some("fluxrt"), Some("EXEC_START"), None), 0);
+        assert_eq!(p.count(Some("fluxrt"), Some("EXECUTING"), None), 0);
     }
 }

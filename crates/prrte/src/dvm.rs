@@ -15,26 +15,11 @@
 use rp_lineage::Lineage;
 use rp_metrics::{BackendInstruments, Registry};
 use rp_platform::{Allocation, Calibration};
-use rp_profiler::{Profiler, Sym, NO_UID};
 use rp_sim::{Dist, FxHashMap, RngStream, SimDuration, SimTime, StaleTokens};
 use std::collections::VecDeque;
 
 /// Lineage backend code for prrte (`BackendKind::Prrte as u8`).
 const LIN_BACKEND_PRRTE: u8 = 3;
-
-/// Interned profiler symbols: HNP launch spans on `<comp>.hnp` (the HNP is
-/// serial, so spans never overlap), DVM lifecycle and task instants on the
-/// base track.
-#[derive(Debug, Clone)]
-struct ProfSyms {
-    comp: Sym,
-    t_hnp: Sym,
-    launch: Sym,
-    dvm_boot: Sym,
-    dvm_ready: Sym,
-    start: Sym,
-    finish: Sym,
-}
 
 /// A task handed to the DVM (already placed by the caller).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -88,15 +73,10 @@ pub struct PrrteDvm {
     /// Deepest the HNP queue has ever been.
     queued_peak: usize,
     alive: bool,
-    prof: Profiler,
-    syms: Option<ProfSyms>,
-    /// Uid in the HNP launch server, closed on kill so B/E pairs match.
-    open_launch: Option<u64>,
     metrics: Option<BackendInstruments>,
     /// Lineage recorder plus this DVM's partition index.
     lineage: Option<(Lineage, u32)>,
-    /// Uid currently in the HNP launch server (always tracked, unlike
-    /// `open_launch` which exists only for profiler span pairing).
+    /// Uid currently in the HNP launch server.
     launching: Option<u64>,
     /// `Launched` tokens for reaped/killed tasks; consumed on arrival so a
     /// resubmitted uid's fresh token is not confused with the orphan.
@@ -123,9 +103,6 @@ impl PrrteDvm {
             completed: 0,
             queued_peak: 0,
             alive: true,
-            prof: Profiler::disabled(),
-            syms: None,
-            open_launch: None,
             metrics: None,
             lineage: None,
             launching: None,
@@ -134,21 +111,6 @@ impl PrrteDvm {
             stale_booted: 0,
             booting: false,
         }
-    }
-
-    /// Attach a profiler; DVM lifecycle instants land on the `comp` track
-    /// and HNP launch spans on `<comp>.hnp`.
-    pub fn attach_profiler(&mut self, prof: Profiler, comp: &str) {
-        self.syms = Some(ProfSyms {
-            comp: prof.intern(comp),
-            t_hnp: prof.intern(&format!("{comp}.hnp")),
-            launch: prof.intern("launch"),
-            dvm_boot: prof.intern("DVM_BOOT"),
-            dvm_ready: prof.intern("DVM_READY"),
-            start: prof.intern("START"),
-            finish: prof.intern("FINISH"),
-        });
-        self.prof = prof;
     }
 
     /// Attach a lineage recorder for this DVM (`partition` is its index
@@ -214,9 +176,6 @@ impl PrrteDvm {
     /// Start the DVM daemons. Actions are appended to `out` — callers
     /// reuse one buffer so the hot path stays allocation-free.
     pub fn boot(&mut self, out: &mut Vec<PrrteAction>) {
-        if let Some(s) = &self.syms {
-            self.prof.instant(s.comp, NO_UID, s.dvm_boot);
-        }
         let cost = self.boot_cost.sample(&mut self.rng);
         self.booting = true;
         out.push(PrrteAction::Timer {
@@ -260,11 +219,6 @@ impl PrrteDvm {
             // stale handler frees it and pumps.
             self.launching = None;
             self.stale_launched.mark(id);
-            if let Some(s) = &self.syms {
-                if self.open_launch.take().is_some() {
-                    self.prof.end(s.t_hnp, id, s.launch);
-                }
-            }
         } else {
             self.stale_done.mark(id);
         }
@@ -316,11 +270,6 @@ impl PrrteDvm {
     /// fault tolerance of its own — recovery is RP's job, §5).
     pub fn kill(&mut self) -> Vec<u64> {
         self.alive = false;
-        if let Some(s) = &self.syms {
-            if let Some(uid) = self.open_launch.take() {
-                self.prof.end(s.t_hnp, uid, s.launch);
-            }
-        }
         let mut lost: Vec<u64> = Vec::new();
         lost.extend(self.queue.drain(..).map(|t| t.id));
         // Orphaned timers are typed by where the task was when the DVM died:
@@ -374,9 +323,6 @@ impl PrrteDvm {
                 }
                 self.booting = false;
                 self.ready = true;
-                if let Some(s) = &self.syms {
-                    self.prof.instant(s.comp, NO_UID, s.dvm_ready);
-                }
                 out.push(PrrteAction::Ready);
                 self.pump(out);
             }
@@ -390,11 +336,6 @@ impl PrrteDvm {
                 self.hnp_busy = false;
                 self.launching = None;
                 let task = self.in_flight.get(&id).expect("launched unknown task");
-                if let Some(s) = &self.syms {
-                    self.prof.end(s.t_hnp, id, s.launch);
-                    self.open_launch = None;
-                    self.prof.instant(s.comp, id, s.start);
-                }
                 if let Some(m) = &self.metrics {
                     m.on_started(id);
                 }
@@ -413,10 +354,6 @@ impl PrrteDvm {
                 self.completed += 1;
                 if let Some(m) = &self.metrics {
                     m.on_completed(id);
-                }
-                if let Some(s) = &self.syms {
-                    self.prof
-                        .instant_detail(s.comp, id, s.finish, self.in_flight.len() as f64);
                 }
                 out.push(PrrteAction::Completed(id));
             }
@@ -443,10 +380,6 @@ impl PrrteDvm {
         }
         if let Some(m) = &self.metrics {
             m.on_accepted(task.id);
-        }
-        if let Some(s) = &self.syms {
-            self.prof.begin(s.t_hnp, task.id, s.launch);
-            self.open_launch = Some(task.id);
         }
         self.launching = Some(task.id);
         let cost = self.launch_cost.sample(&mut self.rng);

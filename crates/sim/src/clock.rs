@@ -1,8 +1,8 @@
 //! A shared read-only view of the engine's virtual clock.
 //!
 //! Reactive components (the backend state machines) are driven by message
-//! deliveries and do not receive `now` on every entry point; the profiler
-//! still needs a timestamp at each of those call sites. [`SimClock`] is a
+//! deliveries and do not receive `now` on every entry point; lineage and
+//! metrics still need a timestamp at each of those call sites. [`SimClock`] is a
 //! cheap shared handle the [`crate::Engine`] updates on every delivery, so
 //! any component holding a clone can read the current virtual time without
 //! plumbing it through every signature.

@@ -169,7 +169,7 @@ impl<M> Engine<M> {
 
     /// A shared handle on this engine's clock. Components hold a clone and
     /// read the current virtual time without it being threaded through
-    /// every call signature (the profiler's timestamp source).
+    /// every call signature (the observability sinks' timestamp source).
     pub fn clock(&self) -> SimClock {
         self.clock.clone()
     }

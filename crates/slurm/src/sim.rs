@@ -20,20 +20,11 @@ use crate::step::{StepId, StepRequest};
 use rp_lineage::Lineage;
 use rp_metrics::{BackendInstruments, Registry};
 use rp_platform::{Calibration, SrunSlots};
-use rp_profiler::{Profiler, Sym};
 use rp_sim::{FxHashMap, FxHashSet, RngStream, SimDuration, StaleTokens};
 use std::collections::VecDeque;
 
 /// Lineage backend code for srun (`BackendKind::Srun as u8`).
 const LIN_BACKEND_SRUN: u8 = 0;
-
-/// Interned profiler symbols for the launcher's hook sites.
-#[derive(Debug, Clone)]
-struct ProfSyms {
-    comp: Sym,
-    acquire: Sym,
-    release: Sym,
-}
 
 /// Timer tokens the driver must deliver back via [`SrunSim::on_token`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -75,8 +66,6 @@ pub struct SrunSim {
     /// Steps past slot-acquisition, keyed by id: payload duration (None for
     /// persistent holds, which release only via `release_persistent`).
     in_flight: FxHashMap<StepId, Option<SimDuration>>,
-    prof: Profiler,
-    syms: Option<ProfSyms>,
     metrics: Option<BackendInstruments>,
     lineage: Option<Lineage>,
     /// Last queue head a capacity reject was recorded for, so a blocked
@@ -108,8 +97,6 @@ impl SrunSim {
             queue: VecDeque::new(),
             queued_peak: 0,
             in_flight: FxHashMap::default(),
-            prof: Profiler::disabled(),
-            syms: None,
             metrics: None,
             lineage: None,
             last_reject: None,
@@ -117,18 +104,6 @@ impl SrunSim {
             stale_launched: StaleTokens::default(),
             stale_exited: StaleTokens::default(),
         }
-    }
-
-    /// Attach a profiler; slot acquire/release events are recorded on the
-    /// `comp` track from here on. Names are interned once, so hook sites
-    /// stay allocation-free.
-    pub fn attach_profiler(&mut self, prof: Profiler, comp: &str) {
-        self.syms = Some(ProfSyms {
-            comp: prof.intern(comp),
-            acquire: prof.intern("SLOT_ACQUIRE"),
-            release: prof.intern("SLOT_RELEASE"),
-        });
-        self.prof = prof;
     }
 
     /// Attach a lineage recorder; step queueing, slot-capacity rejects,
@@ -216,10 +191,6 @@ impl SrunSim {
         match self.in_flight.remove(&id) {
             Some(None) => {
                 self.slots.release();
-                if let Some(s) = &self.syms {
-                    self.prof
-                        .instant_detail(s.comp, id.0, s.release, self.slots.in_use() as f64);
-                }
                 self.pump(out);
             }
             other => panic!("release_persistent({id:?}) on non-persistent entry {other:?}"),
@@ -268,10 +239,6 @@ impl SrunSim {
             if let Some(m) = &self.metrics {
                 m.forget(*uid);
             }
-            if let Some(s) = &self.syms {
-                self.prof
-                    .instant_detail(s.comp, *uid, s.release, self.slots.in_use() as f64);
-            }
         }
         if !lost.is_empty() {
             self.pump(out);
@@ -318,10 +285,6 @@ impl SrunSim {
                     m.on_completed(id.0);
                 }
                 self.slots.release();
-                if let Some(s) = &self.syms {
-                    self.prof
-                        .instant_detail(s.comp, id.0, s.release, self.slots.in_use() as f64);
-                }
                 out.push(SrunAction::Completed(id));
                 self.pump(out);
             }
@@ -370,10 +333,6 @@ impl SrunSim {
                         self.slots.in_use() as u64,
                     );
                 }
-            }
-            if let Some(s) = &self.syms {
-                self.prof
-                    .instant_detail(s.comp, step.id.0, s.acquire, self.slots.in_use() as f64);
             }
             let overhead = self
                 .cal

@@ -1,6 +1,6 @@
 //! `rp-telemetry` — streaming observability for in-flight runs.
 //!
-//! PR 1's profiler and PR 2's metrics registry are *post-mortem*
+//! The runtime profile and the metrics registry are *post-mortem*
 //! instruments: everything they capture is only consumable after the run
 //! drains. At leadership-platform scale the interesting failures —
 //! stragglers, dispatcher saturation, utilization collapse — need to be
@@ -22,7 +22,7 @@
 //! the JSONL exports ([`TelemetryData::timeseries_jsonl`],
 //! [`TelemetryData::flight_recorder_jsonl`]) are byte-identical for a
 //! given seed — they participate in the same golden-test regime as the
-//! OpenMetrics snapshots. The cost model matches the profiler: one
+//! OpenMetrics snapshots. The cost model matches lineage and metrics: one
 //! `Option` branch when detached, no allocation on the per-transition
 //! path beyond first-touch map inserts.
 

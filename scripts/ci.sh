@@ -26,12 +26,12 @@ cargo run --release --offline --locked --manifest-path rp_benchmark/Cargo.toml -
 
 # Determinism: the whole quick suite, run in-process at --jobs 1 and at
 # --jobs 2 from two scratch working dirs, must write byte-identical
-# results/ trees and print byte-identical transcripts.
+# results/ trees, profiles and transcripts.
 RP_EXP="$PWD/target/release/rp-exp"
 DET1="$(mktemp -d)"
 DET2="$(mktemp -d)"
-(cd "$DET1" && "$RP_EXP" all --quick --jobs 1 > transcript.txt)
-(cd "$DET2" && "$RP_EXP" all --quick --jobs 2 > transcript.txt)
+(cd "$DET1" && "$RP_EXP" all --quick --jobs 1 --profile-dir prof > transcript.txt)
+(cd "$DET2" && "$RP_EXP" all --quick --jobs 2 --profile-dir prof > transcript.txt)
 diff -r "$DET1" "$DET2"
 rm -rf "$DET1" "$DET2"
 
@@ -47,6 +47,20 @@ test -s "$METRICS_DIR/overhead_flux_n_4.om.txt"
     "$METRICS_DIR/overhead_flux_n_4.om.txt" \
     --tolerances baselines/metrics.tolerances
 rm -rf "$METRICS_DIR"
+
+# Profile smoke: the profile is rendered from lineage, so a quick flux_1
+# run must write the RP profile header and exactly one DONE row on the
+# agent track per `done` event in the lineage JSONL.
+PROFILE_DIR="$(mktemp -d)"
+./target/release/rp-exp flux1 --quick \
+    --profile-dir "$PROFILE_DIR/P" --lineage-dir "$PROFILE_DIR/L" > /dev/null
+test "$(head -n 1 "$PROFILE_DIR/P/flux_1_null_n_1.prof.csv")" = \
+    "time,kind,comp,uid,event,detail"
+DONE_ROWS="$(grep -c ',I,agent,[0-9]*,DONE,' "$PROFILE_DIR/P/flux_1_null_n_1.prof.csv")"
+DONE_EVS="$(grep -c '"ev":"done"' "$PROFILE_DIR/L/flux_1_null_n_1.lineage.jsonl")"
+test "$DONE_ROWS" -gt 0
+test "$DONE_ROWS" = "$DONE_EVS"
+rm -rf "$PROFILE_DIR"
 
 # Telemetry smoke: a quick flux_1 run with the streaming-telemetry
 # collector attached must produce non-empty JSONL time-series and a

@@ -168,7 +168,8 @@ fn fault_runs_are_identical_at_any_jobs_count() {
                 faults: Some((FaultSpec::parse(CHAOS_SPEC).expect("chaos spec parses"), 7)),
                 ..rp_bench::RunOpts::default()
             },
-        );
+        )
+        .expect("artifacts write");
         assert!(reports[0].lineage.is_some());
         reports[0].lineage.as_ref().unwrap().to_jsonl()
     };

@@ -126,7 +126,8 @@ fn lineage_jsonl_is_identical_at_any_jobs_count() {
                 lineage_dir: Some(dir.clone()),
                 ..rp_bench::RunOpts::default()
             },
-        );
+        )
+        .expect("artifacts write");
         assert!(reports[0].lineage.is_some());
         assert!(reports[1..].iter().all(|r| r.lineage.is_none()));
         reports[0].lineage.as_ref().unwrap().to_jsonl()

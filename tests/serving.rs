@@ -158,7 +158,8 @@ fn serving_books_are_jobs_invariant() {
             |seed| PilotConfig::dragon(NODES).with_seed(seed),
             Vec::new,
             &opts,
-        );
+        )
+        .expect("artifacts write");
         reports
             .iter()
             .map(|r| r.serving.as_ref().expect("books on every rep").to_jsonl())

@@ -152,7 +152,8 @@ fn telemetry_jsonl_is_identical_at_any_jobs_count() {
                 telemetry_dir: Some(dir.clone()),
                 ..rp_bench::RunOpts::default()
             },
-        );
+        )
+        .expect("artifacts write");
         // Rep 0 carries the telemetry; later reps stay uninstrumented.
         assert!(reports[0].telemetry.is_some());
         assert!(reports[1..].iter().all(|r| r.telemetry.is_none()));
