@@ -533,8 +533,9 @@ pub fn repeat(
         write_profile(dir, label, data)?;
     }
     if opts.lineage_dir.is_none() {
-        // Profiling records lineage to render the profile from; a run that
-        // did not ask for lineage keeps every other artifact as without it.
+        // Profiling and metrics record lineage to render the profile and
+        // fold the per-task metric families from; a run that did not ask
+        // for lineage keeps every other artifact as without it.
         reports[0].lineage = None;
     }
     if let Some(dir) = &opts.metrics_dir {

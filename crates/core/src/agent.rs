@@ -18,6 +18,7 @@
 
 use crate::backend::{BackendKind, BackendSpec, ALL_BACKENDS};
 use crate::config::PilotConfig;
+use crate::metrics::{BackendFamilies, TaskFamilies};
 use crate::pilot::PilotState;
 use crate::report::{InstanceReport, RunState};
 use crate::router::{Router, RoutingPolicy};
@@ -161,7 +162,7 @@ struct SrunBackend {
 }
 
 /// Dense index of a task state (dwell histograms, telemetry populations).
-fn state_index(s: TaskState) -> usize {
+pub(crate) fn state_index(s: TaskState) -> usize {
     match s {
         TaskState::New => 0,
         TaskState::StagingInput => 1,
@@ -210,15 +211,12 @@ pub struct AgentGauges {
     backend_queue_peaks: Cell<[f64; 4]>,
 }
 
-/// Metrics instruments for the agent pipeline (built by
-/// [`SimAgent::attach_metrics`]). Interior mutability throughout so the
-/// `with_task` transition hook (`&self`) can drive the dwell histograms.
+/// Directly observed metrics of the agent pipeline (built by
+/// [`SimAgent::attach_metrics`]): the sampled server costs and the live
+/// gauges, which have no lineage counterpart. The per-task families are
+/// folded from lineage after the run (`crate::metrics`).
 struct AgentMetrics {
     reg: Registry,
-    /// Dwell-time histogram per task state, indexed by [`state_index`].
-    dwell: [MHistogram; 9],
-    /// Timestamp of each in-flight task's last state transition.
-    entered: RefCell<FxHashMap<u64, SimTime>>,
     /// Pipeline server service times (sampled cost, not queue wait —
     /// queueing shows up in the state dwell histograms).
     stage_seconds: MHistogram,
@@ -229,73 +227,11 @@ struct AgentMetrics {
     /// index — no keyed map probe per observation.
     adapter_seconds: [MHistogram; 4],
     watcher_seconds: MHistogram,
-    /// Scheduling decisions per backend kind (same indexing and
-    /// disabled-handle convention as `adapter_seconds`), plus unroutable
-    /// tasks.
-    routed: [MCounter; 4],
-    routing_failed: MCounter,
-    /// Task lifecycle counters.
-    submitted: MCounter,
-    completed: MCounter,
-    failed: MCounter,
-    canceled: MCounter,
-    retried: MCounter,
     /// Live pipeline gauges (mirror of [`AgentGauges`] for OpenMetrics).
     queue_depth: MGauge,
     srun_inflight: MGauge,
     busy_cores: MGauge,
     busy_gpus: MGauge,
-}
-
-impl AgentMetrics {
-    /// First submission: count it and stamp the dwell clock.
-    fn task_open(&self, uid: u64) {
-        self.submitted.inc();
-        self.entered.borrow_mut().insert(uid, self.reg.now());
-    }
-
-    /// The task left the pipeline for good: stop its dwell clock.
-    fn close_task(&self, uid: u64) {
-        self.entered.borrow_mut().remove(&uid);
-    }
-
-    /// Permanent failure.
-    fn abandon(&self, uid: u64) {
-        self.failed.inc();
-        self.close_task(uid);
-    }
-
-    /// Observe the dwell time in the state being left and restamp.
-    fn observe_dwell(&self, uid: u64, leaving: TaskState) {
-        let now = self.reg.now();
-        if let Some(prev) = self.entered.borrow_mut().insert(uid, now) {
-            self.dwell[state_index(leaving)].observe(now.saturating_since(prev).as_secs_f64());
-        }
-    }
-
-    /// One recorded state transition (called from the `with_task` funnel).
-    fn on_transition(&self, uid: u64, from: TaskState, to: TaskState) {
-        self.observe_dwell(uid, from);
-        match to {
-            // Retry path (initial submission never funnels through
-            // `with_task`).
-            TaskState::StagingInput => self.retried.inc(),
-            TaskState::Done => {
-                self.completed.inc();
-                self.close_task(uid);
-            }
-            TaskState::Canceled => {
-                self.canceled.inc();
-                self.close_task(uid);
-            }
-            _ => {}
-        }
-    }
-
-    /// Count one routing decision.
-    fn note_routed(&self, kind: BackendKind) {
-        self.routed[kind as usize].inc();
-    }
 }
 
 /// Chaos-plane run state, present only when fault injection is armed via
@@ -346,9 +282,6 @@ pub struct SimAgent {
     cfg: PilotConfig,
     router: Router,
     state: Rc<RefCell<RunState>>,
-    /// Task descriptions in first-submission order, at the same slot as
-    /// the task's record in `state` (see [`task_desc`]).
-    descs: Vec<TaskDescription>,
     rng: RngStream,
 
     // Pipeline servers.
@@ -616,7 +549,6 @@ impl SimAgent {
         SimAgent {
             router,
             state,
-            descs: Vec::new(),
             stage_q: VecDeque::new(),
             stagers_free,
             stage_cost: cal.rp_stage.clone(),
@@ -721,12 +653,13 @@ impl SimAgent {
         })
     }
 
-    /// Attach a metrics registry: dwell-time histograms and lifecycle
-    /// counters flow from the agent's state funnel, pipeline-server service
-    /// times from the pump sites, and every backend sub-machine records
-    /// submit/launch/complete latencies under its kind label (partitions
-    /// of one kind merge into a single distribution by registry dedup).
-    pub fn attach_metrics(&mut self, reg: &Registry) {
+    /// Attach a metrics registry: pipeline-server service times are
+    /// observed at the pump sites and the live gauges after every
+    /// delivery. The per-task families (state dwell, lifecycle and routing
+    /// counters, the `rp_backend_*` families of every deployed kind) are
+    /// only registered here, in export order, and returned: the session
+    /// folds them from lineage after the run.
+    pub(crate) fn attach_metrics(&mut self, reg: &Registry) -> TaskFamilies {
         use TaskState::*;
         let dwell = [
             New,
@@ -764,58 +697,48 @@ impl SimAgent {
                 "Scheduling decisions routed to this backend kind",
             );
         }
-        self.site_srun.attach_metrics(reg, "srun");
-        for f in &mut self.flux {
-            f.attach_metrics(reg, "flux");
+        // The site srun always exports its families (it carries the
+        // instance bootstraps even when no task routes to it).
+        let deployed = [
+            true,
+            !self.flux.is_empty(),
+            !self.dragon.is_empty(),
+            !self.prrte.is_empty(),
+        ];
+        let mut backends: [BackendFamilies; 4] = Default::default();
+        for kind in ALL_BACKENDS.iter().filter(|k| deployed[**k as usize]) {
+            backends[*kind as usize] = BackendFamilies::register(reg, &format!("{kind}"));
         }
-        for d in &mut self.dragon {
-            d.attach_metrics(reg, "dragon");
-        }
-        for pb in &mut self.prrte {
-            pb.dvm.attach_metrics(reg, "prrte");
-        }
-        self.metrics = Some(AgentMetrics {
+        let server = |name, help| reg.histogram(name, &[], help);
+        let stage_seconds = server("rp_stage_seconds", "Input-stager service time per task");
+        let sched_seconds = server(
+            "rp_sched_seconds",
+            "Agent-scheduler decision service time per task",
+        );
+        let watcher_seconds = server(
+            "rp_watcher_seconds",
+            "Watcher-thread service time per backend event",
+        );
+        let counter = |name, help| reg.counter(name, &[], help);
+        let families = TaskFamilies {
             dwell,
-            entered: RefCell::new(FxHashMap::default()),
-            stage_seconds: reg.histogram(
-                "rp_stage_seconds",
-                &[],
-                "Input-stager service time per task",
-            ),
-            sched_seconds: reg.histogram(
-                "rp_sched_seconds",
-                &[],
-                "Agent-scheduler decision service time per task",
-            ),
-            adapter_seconds,
-            watcher_seconds: reg.histogram(
-                "rp_watcher_seconds",
-                &[],
-                "Watcher-thread service time per backend event",
-            ),
             routed,
-            routing_failed: reg.counter(
+            backends,
+            routing_failed: counter(
                 "rp_routing_failed_total",
-                &[],
                 "Tasks no live backend could host",
             ),
-            submitted: reg.counter(
-                "rp_tasks_submitted_total",
-                &[],
-                "Tasks submitted to the agent",
-            ),
-            completed: reg.counter(
-                "rp_tasks_completed_total",
-                &[],
-                "Tasks finished successfully",
-            ),
-            failed: reg.counter("rp_tasks_failed_total", &[], "Tasks failed permanently"),
-            canceled: reg.counter(
-                "rp_tasks_canceled_total",
-                &[],
-                "Tasks canceled before running",
-            ),
-            retried: reg.counter("rp_task_retries_total", &[], "Task retry attempts"),
+            submitted: counter("rp_tasks_submitted_total", "Tasks submitted to the agent"),
+            completed: counter("rp_tasks_completed_total", "Tasks finished successfully"),
+            failed: counter("rp_tasks_failed_total", "Tasks failed permanently"),
+            canceled: counter("rp_tasks_canceled_total", "Tasks canceled before running"),
+            retried: counter("rp_task_retries_total", "Task retry attempts"),
+        };
+        self.metrics = Some(AgentMetrics {
+            stage_seconds,
+            sched_seconds,
+            adapter_seconds,
+            watcher_seconds,
             queue_depth: reg.gauge(
                 "rp_agent_queue_depth",
                 &[],
@@ -835,13 +758,14 @@ impl SimAgent {
             reg: reg.clone(),
         });
         self.update_gauges();
+        families
     }
 
     /// A sampler closure for [`rp_sim::Engine::add_sampler`]: folds the
     /// live pipeline gauges into sampled distributions (queue depth and
     /// partition utilization over virtual time). Call after
     /// [`Self::attach_metrics`].
-    pub fn metrics_sampler(&self) -> Box<dyn FnMut(SimTime)> {
+    pub(crate) fn metrics_sampler(&self) -> Box<dyn FnMut(SimTime)> {
         let m = self.metrics.as_ref().expect("attach_metrics first");
         let queue_depth = m.queue_depth.clone();
         let busy_cores = m.busy_cores.clone();
@@ -855,17 +779,7 @@ impl SimAgent {
             &[],
             "Busy fraction of non-srun partition cores, sampled periodically",
         );
-        let mut capacity = 0.0f64;
-        for f in &self.flux {
-            capacity += f.allocation().total_cores() as f64;
-        }
-        for d in &self.dragon {
-            capacity += d.worker_capacity() as f64;
-        }
-        for pb in &self.prrte {
-            capacity += pb.pool.total_cores() as f64;
-        }
-        let capacity = capacity.max(1.0);
+        let capacity = self.partition_capacity().max(1.0);
         Box::new(move |_now| {
             depth_hist.observe(queue_depth.get());
             util_hist.observe(busy_cores.get() / capacity);
@@ -1066,18 +980,8 @@ impl SimAgent {
             .expect("attach_telemetry first")
             .clone();
         let gauges = Rc::clone(&self.gauges);
-        // Fixed core capacity across non-srun partitions (denominator for
-        // collapse detection), mirroring `metrics_sampler`.
-        let mut capacity = 0.0f64;
-        for f in &self.flux {
-            capacity += f.allocation().total_cores() as f64;
-        }
-        for d in &self.dragon {
-            capacity += d.worker_capacity() as f64;
-        }
-        for pb in &self.prrte {
-            capacity += pb.pool.total_cores() as f64;
-        }
+        // Denominator for collapse detection.
+        let capacity = self.partition_capacity();
         Box::new(move |now| {
             let (busy_cores, busy_gpus) = gauges
                 .parts
@@ -1097,6 +1001,15 @@ impl SimAgent {
                 },
             );
         })
+    }
+
+    /// Cores (Dragon: workers) deployed across the non-srun partitions:
+    /// the fixed denominator of the samplers' utilization figures.
+    fn partition_capacity(&self) -> f64 {
+        let flux: u64 = self.flux.iter().map(|f| f.allocation().total_cores()).sum();
+        let dragon: u64 = self.dragon.iter().map(|d| d.worker_capacity()).sum();
+        let prrte: u64 = self.prrte.iter().map(|pb| pb.pool.total_cores()).sum();
+        (flux + dragon + prrte) as f64
     }
 
     /// Refresh the shared gauge counters from live agent/backend state.
@@ -1254,9 +1167,6 @@ impl SimAgent {
         // submission, instrumented in `submit_tasks`), so one hook covers
         // the whole pipeline.
         if rec.state != before {
-            if let Some(m) = &self.metrics {
-                m.on_transition(uid.0, before, rec.state);
-            }
             if let Some(t) = &self.telemetry {
                 // Backend/partition context only matters for the
                 // straggler-sampled cohort; skip the routing lookup on the
@@ -1310,19 +1220,12 @@ impl SimAgent {
     }
 
     fn submit_tasks(&mut self, batch: Vec<TaskDescription>, ctx: &mut Ctx<AgentMsg>) {
-        let now = ctx.now();
-        // Bulk submission (initial workloads arrive in one batch): the
-        // first batch becomes the description table as is, later ones
-        // append, and the record table is sized up front.
-        let first = self.descs.len();
-        if self.descs.is_empty() {
-            self.descs = batch;
-        } else {
-            self.descs.extend(batch);
-        }
-        let descs = &self.descs[first..];
-        self.state.borrow_mut().reserve(descs.len());
-        self.stage_q.reserve(descs.len());
+        // Bulk submission (initial workloads arrive in one batch): the run
+        // state adopts the batch as its description table and sizes the
+        // record table up front.
+        let mut st = self.state.borrow_mut();
+        let slots = st.submit(batch, ctx.now());
+        let descs = &st.descs()[slots];
         // Batched observability hooks: one table borrow and one clock read
         // per submission batch instead of one per task (the whole batch
         // shares `now`, so the stream is byte-identical either way).
@@ -1334,16 +1237,9 @@ impl SimAgent {
                 l.record(d.uid.0, rp_lineage::EV_SUBMIT);
             }
         }
-        for desc in descs {
-            let mut rec = TaskRecord::new(desc, now);
-            rec.advance(TaskState::StagingInput, now);
-            if let Some(m) = &self.metrics {
-                m.task_open(desc.uid.0);
-            }
-            self.state.borrow_mut().push(rec);
-            self.stage_q.push_back(desc.uid);
-        }
+        self.stage_q.extend(descs.iter().map(|d| d.uid));
         self.outstanding += descs.len();
+        drop(st);
         self.pump_stagers(ctx);
     }
 
@@ -1445,11 +1341,20 @@ impl SimAgent {
         // any partition other than the one that just failed the task
         // (falling back to it only when nothing else is alive).
         let avoid = self.chaos.as_mut().and_then(|c| c.avoid.remove(&t.0));
-        let desc = task_desc(&self.state, &self.descs, t);
-        if self.cfg.routing == RoutingPolicy::LeastLoaded && desc.backend_hint.is_none() {
-            let candidates = self.router.candidates(desc);
+        // Read what routing needs from the description table, then let it
+        // go: picking a partition moves the agent's round-robin cursors.
+        let (candidates, routed) = {
+            let st = self.state.borrow();
+            let desc = st.desc(t);
+            if self.cfg.routing == RoutingPolicy::LeastLoaded && desc.backend_hint.is_none() {
+                (self.router.candidates(desc), None)
+            } else {
+                (Vec::new(), Some(self.router.route(desc)))
+            }
+        };
+        if routed.is_none() {
             let mut best: Option<(f64, BackendKind, u32)> = None;
-            for kind in candidates {
+            for &kind in &candidates {
                 if let Some((pressure, part)) = self.least_loaded_partition(kind, avoid) {
                     if best.is_none_or(|(bp, _, _)| pressure < bp) {
                         best = Some((pressure, kind, part));
@@ -1458,7 +1363,7 @@ impl SimAgent {
             }
             if best.is_none() && avoid.is_some() {
                 // Every alternative is dead: resubmit in place.
-                for kind in self.router.candidates(desc) {
+                for kind in candidates {
                     if let Some((pressure, part)) = self.least_loaded_partition(kind, None) {
                         if best.is_none_or(|(bp, _, _)| pressure < bp) {
                             best = Some((pressure, kind, part));
@@ -1473,7 +1378,7 @@ impl SimAgent {
             return None;
         }
 
-        let kind = self.router.route(desc).ok()?;
+        let kind = routed?.ok()?;
         if let Some(p) = self.pick_partition(kind, avoid) {
             self.note_route(t, rp_lineage::ROUTE_TYPE_AWARE, kind, p);
             return Some((kind, p));
@@ -1634,11 +1539,14 @@ impl SimAgent {
                 self.pump_srun_backend(ctx);
             }
             BackendKind::Flux => {
-                let desc = task_desc(&self.state, &self.descs, t);
-                let job = JobSpec {
-                    id: JobId(t.0),
-                    req: desc.req,
-                    duration: desc.duration,
+                let job = {
+                    let st = self.state.borrow();
+                    let desc = st.desc(t);
+                    JobSpec {
+                        id: JobId(t.0),
+                        req: desc.req,
+                        duration: desc.duration,
+                    }
                 };
                 let mut acts = std::mem::take(&mut self.scratch_flux);
                 self.flux[part as usize].submit(now, job, &mut acts);
@@ -1877,12 +1785,15 @@ impl SimAgent {
     }
 
     fn push_to_dragon(&mut self, part: u32, t: TaskId, ctx: &mut Ctx<AgentMsg>) {
-        let desc = task_desc(&self.state, &self.descs, t);
-        let task = DragonTask {
-            id: t.0,
-            workers: desc.req.total_cores().max(1) as u32,
-            duration: desc.duration,
-            is_function: desc.kind.is_function(),
+        let task = {
+            let st = self.state.borrow();
+            let desc = st.desc(t);
+            DragonTask {
+                id: t.0,
+                workers: desc.req.total_cores().max(1) as u32,
+                duration: desc.duration,
+                is_function: desc.kind.is_function(),
+            }
         };
         self.dragon_inflight[part as usize] += 1;
         let mut acts = std::mem::take(&mut self.scratch_dragon);
@@ -1897,8 +1808,9 @@ impl SimAgent {
         let mut acts = std::mem::take(&mut self.scratch_prrte);
         {
             let pb = &mut self.prrte[part as usize];
+            let st = self.state.borrow();
             while let Some(&t) = pb.waiting.front() {
-                let desc = task_desc(&self.state, &self.descs, t);
+                let desc = st.desc(t);
                 let Some(pl) = pb.pool.try_alloc(&desc.req) else {
                     if let Some(l) = &self.lineage {
                         // RP-side FCFS placement stalled: blame the head
@@ -1998,7 +1910,8 @@ impl SimAgent {
             let Some(&t) = sb.waiting.front() else {
                 break;
             };
-            let desc = task_desc(&self.state, &self.descs, t);
+            let st = self.state.borrow();
+            let desc = st.desc(t);
             let need_cores = desc.req.total_cores();
             let need_gpus = desc.req.total_gpus();
             if need_cores > sb.free_core_slots || need_gpus > sb.free_gpus {
@@ -2244,9 +2157,6 @@ impl SimAgent {
             self.stage_q.push_back(t);
             self.pump_stagers(ctx);
         } else {
-            if let Some(m) = &self.metrics {
-                m.abandon(t.0);
-            }
             self.on_terminal(t, ctx);
         }
     }
@@ -2468,9 +2378,6 @@ impl SimAgent {
                     format!("task {} abandoned after {} retries", t.0, retries),
                 );
             }
-            if let Some(m) = &self.metrics {
-                m.abandon(t.0);
-            }
             self.on_terminal(t, ctx);
         }
     }
@@ -2569,9 +2476,6 @@ impl SimAgent {
                 .parked
                 .push(t);
             return;
-        }
-        if let Some(m) = &self.metrics {
-            m.routing_failed.inc();
         }
         self.fail_task(t, false, ctx);
     }
@@ -2942,18 +2846,6 @@ impl SimAgent {
     }
 }
 
-/// The description of submitted task `t`: its slot in the run state's
-/// record table indexes `descs`. A free function over the two tables so
-/// callers can hold other agent fields mutably.
-fn task_desc<'a>(
-    state: &RefCell<RunState>,
-    descs: &'a [TaskDescription],
-    t: TaskId,
-) -> &'a TaskDescription {
-    let slot = state.borrow().slot(t).expect("submitted task");
-    &descs[slot]
-}
-
 /// Remove `t` from a FIFO queue; true when it was present.
 fn remove_from(q: &mut VecDeque<TaskId>, t: TaskId) -> bool {
     if let Some(pos) = q.iter().position(|&x| x == t) {
@@ -3050,9 +2942,6 @@ impl Actor<AgentMsg> for SimAgent {
                     // sub-agent; the heavy scheduling happens there.
                     match self.select_backend(t) {
                         Some((kind, part)) => {
-                            if let Some(m) = &self.metrics {
-                                m.note_routed(kind);
-                            }
                             self.assignment.insert(t.0, (kind, part));
                             let idx = self
                                 .sub_index(kind, part)
@@ -3070,9 +2959,6 @@ impl Actor<AgentMsg> for SimAgent {
                 let now = ctx.now();
                 match self.select_backend(t) {
                     Some((kind, part)) => {
-                        if let Some(m) = &self.metrics {
-                            m.note_routed(kind);
-                        }
                         self.assignment.insert(t.0, (kind, part));
                         self.with_task(t, |rec| rec.advance(TaskState::Submitting, now));
                         self.adapters[kind as usize]

@@ -20,6 +20,7 @@
 pub mod agent;
 pub mod backend;
 pub mod config;
+mod metrics;
 pub mod pilot;
 mod profile;
 pub mod report;

@@ -14,7 +14,7 @@ use rp_profiler::{Event, Phase, ProfileData, Sym, NO_UID};
 
 /// The agent-track task state a lineage milestone enters (`submit` enters
 /// `STAGING_INPUT` after a `NEW` row of its own).
-fn agent_state(kind: u8) -> Option<TaskState> {
+pub(crate) fn agent_state(kind: u8) -> Option<TaskState> {
     use rp_lineage::*;
     Some(match kind {
         EV_SUBMIT | EV_RETRY => TaskState::StagingInput,

@@ -6,8 +6,9 @@
 use crate::backend::BackendKind;
 use crate::pilot::PilotTrajectory;
 use crate::service::ServiceRecord;
-use crate::task::{TaskId, TaskRecord, TaskState};
+use crate::task::{TaskDescription, TaskId, TaskRecord, TaskState};
 use rp_sim::{SimTime, UidMap};
+use std::ops::Range;
 
 /// Bootstrap/readiness record for one backend instance (Fig. 7's data).
 #[derive(Debug, Clone)]
@@ -42,9 +43,12 @@ impl InstanceReport {
 #[derive(Debug, Default)]
 pub struct RunState {
     /// Per-task records in first-submission order: one dense table that
-    /// moves into [`RunReport::tasks`] as is at the end of the run. The
-    /// agent keeps each task's description at the same slot.
+    /// moves into [`RunReport::tasks`] as is at the end of the run.
     tasks: Vec<TaskRecord>,
+    /// Task descriptions at the same slot as their records. The agent
+    /// reads requests and durations from them; the session's metrics fold
+    /// reads the configured durations after the run.
+    descs: Vec<TaskDescription>,
     /// Uid → slot in `tasks`. [`UidMap`] because every state transition
     /// probes it (the agent's `with_task` funnel): uids are dense, so the
     /// hottest lookup in the pipeline is one bounds check.
@@ -78,26 +82,52 @@ impl RunState {
         self.slot(uid).map(|s| &mut self.tasks[s])
     }
 
-    /// Append a newly submitted task's record.
+    /// The description of submitted task `uid`.
+    ///
+    /// # Panics
+    /// When `uid` was never submitted.
+    #[inline]
+    pub(crate) fn desc(&self, uid: TaskId) -> &TaskDescription {
+        &self.descs[self.slot(uid).expect("submitted task")]
+    }
+
+    /// Every description, in submission order (slot-indexed).
+    pub(crate) fn descs(&self) -> &[TaskDescription] {
+        &self.descs
+    }
+
+    /// Admit a submission batch: the first batch becomes the description
+    /// table as is (no copy), later ones append, and each task gets a
+    /// record at its description's slot, already in `StagingInput`.
+    /// Returns the batch's slots.
     ///
     /// # Panics
     /// When a task with the same uid was already submitted.
-    pub(crate) fn push(&mut self, rec: TaskRecord) {
-        let slot = u32::try_from(self.tasks.len()).expect("fewer than 2^32 tasks");
-        let prev = self.slots.insert(rec.uid.0, slot);
-        assert!(prev.is_none(), "duplicate task uid {}", rec.uid);
-        self.tasks.push(rec);
+    pub(crate) fn submit(&mut self, batch: Vec<TaskDescription>, now: SimTime) -> Range<usize> {
+        let first = self.descs.len();
+        if self.descs.is_empty() {
+            self.descs = batch;
+        } else {
+            self.descs.extend(batch);
+        }
+        self.tasks.reserve(self.descs.len() - first);
+        self.slots.reserve(self.descs.len() - first);
+        for desc in &self.descs[first..] {
+            let slot = u32::try_from(self.tasks.len()).expect("fewer than 2^32 tasks");
+            let prev = self.slots.insert(desc.uid.0, slot);
+            assert!(prev.is_none(), "duplicate task uid {}", desc.uid);
+            let mut rec = TaskRecord::new(desc, now);
+            rec.advance(TaskState::StagingInput, now);
+            self.tasks.push(rec);
+        }
+        first..self.descs.len()
     }
 
-    /// Pre-size the table for `n` more submissions.
-    pub(crate) fn reserve(&mut self, n: usize) {
-        self.tasks.reserve(n);
-        self.slots.reserve(n);
-    }
-
-    /// Move the records out, in submission order, trimmed to their length.
+    /// Move the records out, in submission order, trimmed to their length,
+    /// and drop the descriptions.
     pub(crate) fn take_tasks(&mut self) -> Vec<TaskRecord> {
         self.slots = UidMap::new();
+        self.descs = Vec::new();
         let mut tasks = std::mem::take(&mut self.tasks);
         // Reports outlive the run (sweeps keep many alive at once), so
         // hand back no growth slack.
@@ -138,8 +168,9 @@ pub struct RunReport {
     /// [`crate::SimSession::with_telemetry`].
     pub telemetry: Option<rp_telemetry::TelemetryData>,
     /// Per-task causal-lineage capture, when the session ran with
-    /// [`crate::SimSession::with_lineage`] or
-    /// [`crate::SimSession::with_profiling`].
+    /// [`crate::SimSession::with_lineage`],
+    /// [`crate::SimSession::with_profiling`] or
+    /// [`crate::SimSession::with_metrics`].
     pub lineage: Option<rp_lineage::LineageData>,
     /// Serving-plane books and client-perceived SLO digest, when the
     /// session ran with [`crate::SimSession::with_serving`].

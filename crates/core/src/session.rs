@@ -107,9 +107,13 @@ impl SimSession {
         self
     }
 
-    /// Enable the metrics subsystem: counters and latency histograms from
-    /// the agent and every backend, plus queue depth / utilization
-    /// distributions sampled every `period` of virtual time. The snapshot
+    /// Enable the metrics subsystem: queue depth / utilization
+    /// distributions sampled every `period` of virtual time and the
+    /// pipeline servers' sampled costs, observed as they happen, plus the
+    /// per-task families (state dwell, lifecycle and routing counters, the
+    /// `rp_backend_*` latencies and counts of every deployed backend),
+    /// folded at the end of the run from the lineage stream. This also
+    /// attaches lineage, so [`RunReport::lineage`] is filled. The snapshot
     /// lands in [`RunReport::metrics`].
     pub fn with_metrics(mut self, period: SimDuration) -> Self {
         self.metrics_every = Some(period);
@@ -216,11 +220,11 @@ impl SimSession {
             let sampler = agent.gauge_sampler(Rc::clone(&data));
             (data, period, sampler)
         });
-        // Metrics ride the same clock and sampling machinery.
+        // Metrics ride the same sampling machinery.
         let registry = self.metrics_every.map(|period| {
-            let reg = rp_metrics::Registry::new(engine.clock());
-            agent.attach_metrics(&reg);
-            (reg, period, agent.metrics_sampler())
+            let reg = rp_metrics::Registry::new();
+            let families = agent.attach_metrics(&reg);
+            (reg, families, period, agent.metrics_sampler())
         });
         // Telemetry likewise: sim-clock timestamps keep the stream
         // deterministic per seed.
@@ -233,8 +237,9 @@ impl SimSession {
             (tel, period, agent.telemetry_sampler())
         });
         // Lineage reads the engine clock directly and schedules nothing,
-        // so recording never perturbs the event stream.
-        let lineage = (self.lineage || profile.is_some()).then(|| {
+        // so recording never perturbs the event stream. The profile and
+        // the per-task metric families are folded from it after the run.
+        let lineage = (self.lineage || profile.is_some() || registry.is_some()).then(|| {
             let lin = rp_lineage::Lineage::new(engine.clock());
             agent.attach_lineage(lin.clone());
             lin
@@ -267,9 +272,9 @@ impl SimSession {
             engine.add_sampler(period, sampler);
             data
         });
-        let registry = registry.map(|(reg, period, sampler)| {
+        let registry = registry.map(|(reg, families, period, sampler)| {
             engine.add_sampler(period, sampler);
-            reg
+            (reg, families)
         });
         let telemetry = telemetry.map(|(tel, period, sampler)| {
             engine.add_sampler(period, sampler);
@@ -330,6 +335,25 @@ impl SimSession {
             let lin = lineage.as_ref().expect("profiling attaches lineage");
             crate::profile::render(lin, data.take())
         });
+        let metrics = registry.map(|(reg, families)| {
+            let lin = lineage.as_ref().expect("metrics attach lineage");
+            crate::metrics::fold(lin, &st, &families);
+            // Engine-level stats go in just before the snapshot so they
+            // reflect the whole run.
+            reg.counter(
+                "rp_engine_events_total",
+                &[],
+                "Discrete events the engine delivered",
+            )
+            .add(engine.delivered());
+            reg.gauge(
+                "rp_engine_peak_queue_depth",
+                &[],
+                "Peak length of the engine's pending-event queue",
+            )
+            .set(engine.peak_queue_depth() as f64);
+            reg.snapshot()
+        });
         let tasks = st.take_tasks();
         RunReport {
             nodes,
@@ -342,23 +366,7 @@ impl SimSession {
             agent_ready: st.agent_ready,
             end,
             profile,
-            metrics: registry.map(|reg| {
-                // Fold engine-level stats in just before the snapshot so
-                // they reflect the whole run.
-                reg.counter(
-                    "rp_engine_events_total",
-                    &[],
-                    "Discrete events the engine delivered",
-                )
-                .add(engine.delivered());
-                reg.gauge(
-                    "rp_engine_peak_queue_depth",
-                    &[],
-                    "Peak length of the engine's pending-event queue",
-                )
-                .set(engine.peak_queue_depth() as f64);
-                reg.snapshot()
-            }),
+            metrics,
             telemetry: telemetry.map(|tel| tel.snapshot()),
             lineage: lineage.map(|lin| lin.snapshot()),
             serving: serving.map(|(state, _)| state.borrow().report()),
@@ -888,6 +896,137 @@ mod tests {
         // tracks the 10 s payload to within the watcher latencies.
         assert!(dwell.min() > 9.5, "payload runs 10 s: {}", dwell.min());
         assert!(snap.counter("rp_engine_events_total").unwrap() > 0);
+    }
+
+    /// Check a metrics run's per-task families against counts taken
+    /// independently: terminal states from the task records, and retries,
+    /// routing failures and state exits from the per-uid lineage chains
+    /// (the fold walks the stream in time order instead).
+    fn assert_fold_matches_records(report: &RunReport) {
+        let snap = report.metrics.as_ref().expect("metrics attached");
+        let lin = report.lineage.as_ref().expect("metrics attach lineage");
+        let entered = |ev: &str| {
+            Some(match ev {
+                "submit" | "retry" => "STAGING_INPUT",
+                "stage_done" => "SCHEDULING",
+                "sched_done" => "SUBMITTING",
+                "handoff" => "SUBMITTED",
+                "exec" => "EXECUTING",
+                "done" => "DONE",
+                "failed" => "FAILED",
+                "canceled" => "CANCELED",
+                _ => return None,
+            })
+        };
+        let mut chains: std::collections::BTreeMap<u64, Vec<&str>> = Default::default();
+        for e in &lin.events {
+            let ev = rp_lineage::EVENT_NAMES[e.kind as usize];
+            if e.uid != rp_lineage::META_UID && entered(ev).is_some() {
+                chains.entry(e.uid).or_default().push(ev);
+            }
+        }
+        let counter = |name: &str| snap.counter(name).unwrap_or_else(|| panic!("{name}"));
+        let records = |s: TaskState| report.tasks.iter().filter(|t| t.state == s).count() as u64;
+        assert_eq!(
+            counter("rp_tasks_submitted_total"),
+            report.tasks.len() as u64
+        );
+        assert_eq!(
+            counter("rp_tasks_completed_total"),
+            records(TaskState::Done)
+        );
+        assert_eq!(
+            counter("rp_tasks_canceled_total"),
+            records(TaskState::Canceled)
+        );
+        assert_eq!(counter("rp_tasks_failed_total"), records(TaskState::Failed));
+        // Re-staging a parked task is a retry that `rec.retries` does not
+        // count, so the retry total comes from the chains.
+        let retries = chains
+            .values()
+            .flatten()
+            .filter(|&&ev| ev == "retry")
+            .count() as u64;
+        assert!(retries >= report.tasks.iter().map(|t| u64::from(t.retries)).sum());
+        assert_eq!(counter("rp_task_retries_total"), retries);
+        let routing_failed = chains
+            .values()
+            .filter(|c| c.ends_with(&["stage_done", "failed"]))
+            .count() as u64;
+        assert_eq!(counter("rp_routing_failed_total"), routing_failed);
+        let mut exits: std::collections::BTreeMap<&str, u64> = Default::default();
+        for pair in chains.values().flat_map(|c| c.windows(2)) {
+            *exits.entry(entered(pair[0]).unwrap()).or_default() += 1;
+        }
+        for state in [
+            TaskState::New,
+            TaskState::StagingInput,
+            TaskState::Scheduling,
+            TaskState::Submitting,
+            TaskState::Submitted,
+            TaskState::Executing,
+            TaskState::Done,
+            TaskState::Failed,
+            TaskState::Canceled,
+        ] {
+            let name = crate::agent::state_event_name(state);
+            let dwell = snap
+                .histogram(&format!("rp_task_state_seconds{{state=\"{name}\"}}"))
+                .expect("dwell family registered");
+            assert_eq!(
+                dwell.count(),
+                exits.get(name).copied().unwrap_or(0),
+                "{name} exits"
+            );
+        }
+    }
+
+    #[test]
+    fn metrics_fold_matches_records_under_faults_retries_cancels_and_routing_failure() {
+        use rp_chaos::FaultSpec;
+        // One Flux partition crashes at ~60 s and restarts 30 s later:
+        // its victims retry after a backoff, find no live partition while
+        // the restart is pending and park until it lands (re-staged
+        // without a `rec.retries` bump). The backlog still queued at
+        // 130 s is canceled.
+        let tasks: Vec<TaskDescription> = (0..600)
+            .map(|i| TaskDescription::dummy(i, SimDuration::from_secs(60)))
+            .collect();
+        let spec = FaultSpec::parse("crashes=1,window=60..61,restart=30,retries=4").unwrap();
+        let report = SimSession::with_tasks(PilotConfig::flux(4, 1), tasks)
+            .with_metrics(SimDuration::from_secs(10))
+            .with_faults(spec, 5, 600)
+            .cancel_at(SimTime::from_secs(130), (300..600).collect())
+            .run();
+        let count = |s: TaskState| report.tasks.iter().filter(|t| t.state == s).count();
+        assert!(count(TaskState::Canceled) > 0, "the backlog cancels");
+        assert!(count(TaskState::Done) > 0);
+        let lin = report.lineage.as_ref().unwrap();
+        let retries = lin
+            .events
+            .iter()
+            .filter(|e| e.kind == rp_lineage::EV_RETRY)
+            .count();
+        let rec_retries: u32 = report.tasks.iter().map(|t| t.retries).sum();
+        assert!(
+            retries > rec_retries as usize,
+            "parked tasks re-stage: {retries} retries vs {rec_retries} counted on records"
+        );
+        assert_fold_matches_records(&report);
+
+        // Function tasks on an srun-only pilot: no backend can host them
+        // and no recovery is pending, so routing fails them for good.
+        let mut tasks: Vec<TaskDescription> = (0..20)
+            .map(|i| TaskDescription::dummy(i, SimDuration::from_secs(5)))
+            .collect();
+        tasks.extend((20..23).map(|i| TaskDescription::function(i, "f", SimDuration::ZERO)));
+        let report = SimSession::with_tasks(PilotConfig::srun(2), tasks)
+            .with_metrics(SimDuration::from_secs(10))
+            .run();
+        let snap = report.metrics.as_ref().unwrap();
+        assert_eq!(snap.counter("rp_routing_failed_total"), Some(3));
+        assert_eq!(snap.counter("rp_tasks_failed_total"), Some(3));
+        assert_fold_matches_records(&report);
     }
 
     #[test]

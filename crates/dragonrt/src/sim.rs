@@ -13,7 +13,6 @@
 //! backpressure.
 
 use rp_lineage::Lineage;
-use rp_metrics::{BackendInstruments, Registry};
 use rp_platform::{Allocation, Calibration};
 use rp_sim::{Dist, FxHashMap, RngStream, SimDuration, SimTime, StaleTokens};
 use std::collections::VecDeque;
@@ -99,7 +98,6 @@ pub struct DragonSim {
     stale_booted: u32,
     /// A `Booted` token is in flight.
     booting: bool,
-    metrics: Option<BackendInstruments>,
     /// Lineage recorder plus this runtime's partition index.
     lineage: Option<(Lineage, u32)>,
     /// Last queue head a worker-backpressure reject was recorded for.
@@ -131,7 +129,6 @@ impl DragonSim {
             stale_done: StaleTokens::default(),
             stale_booted: 0,
             booting: false,
-            metrics: None,
             lineage: None,
             last_reject: None,
         }
@@ -143,12 +140,6 @@ impl DragonSim {
     /// recorded from here on.
     pub fn attach_lineage(&mut self, lin: Lineage, partition: u32) {
         self.lineage = Some((lin, partition));
-    }
-
-    /// Attach metrics under the `backend` label: dispatch/launch latency,
-    /// execution time, queue depth and worker-pool contention.
-    pub fn attach_metrics(&mut self, reg: &Registry, backend: &str) {
-        self.metrics = Some(BackendInstruments::new(reg, backend));
     }
 
     /// Total workers in the pool.
@@ -213,11 +204,6 @@ impl DragonSim {
         self.dispatch_busy = false;
         self.free_workers = self.worker_capacity;
         lost.sort_unstable();
-        if let Some(m) = &self.metrics {
-            for id in &lost {
-                m.forget(*id);
-            }
-        }
         lost
     }
 
@@ -262,9 +248,6 @@ impl DragonSim {
             } else {
                 self.stale_done.mark(*id);
             }
-            if let Some(m) = &self.metrics {
-                m.forget(*id);
-            }
         }
         // The node takes its workers with it; victims' workers return to
         // the model first, so the removal never eats into surviving tasks.
@@ -298,9 +281,6 @@ impl DragonSim {
         }
         if let Some(pos) = self.queue.iter().position(|t| t.id == id) {
             self.queue.remove(pos);
-            if let Some(m) = &self.metrics {
-                m.forget(id);
-            }
             return true;
         }
         false
@@ -348,13 +328,6 @@ impl DragonSim {
             task.workers,
             full
         );
-        if let Some(m) = &self.metrics {
-            let contended = !self.ready
-                || self.dispatch_busy
-                || !self.queue.is_empty()
-                || task.workers as u64 > self.free_workers;
-            m.on_submit(task.id, self.queue.len(), contended);
-        }
         self.queue.push_back(task);
         self.queued_peak = self.queued_peak.max(self.queue.len());
         if let Some((l, part)) = &self.lineage {
@@ -408,9 +381,6 @@ impl DragonSim {
                 self.dispatch_busy = false;
                 self.dispatching = None;
                 let task = self.in_flight.get(&id).expect("dispatched unknown task");
-                if let Some(m) = &self.metrics {
-                    m.on_started(id);
-                }
                 out.push(DragonAction::Started(id));
                 out.push(DragonAction::Timer {
                     after: task.duration,
@@ -428,9 +398,6 @@ impl DragonSim {
                 let task = self.in_flight.remove(&id).expect("done unknown task");
                 self.free_workers += task.workers as u64;
                 self.completed += 1;
-                if let Some(m) = &self.metrics {
-                    m.on_completed(id);
-                }
                 out.push(DragonAction::Completed(id));
                 self.pump(out);
             }
@@ -484,9 +451,6 @@ impl DragonSim {
                 *part,
                 self.queue.len() as u64,
             );
-        }
-        if let Some(m) = &self.metrics {
-            m.on_accepted(task.id);
         }
         self.dispatching = Some(task.id);
         let cost = if task.is_function {

@@ -22,7 +22,6 @@
 use crate::job::{ExceptionKind, JobEvent, JobId, JobSpec};
 use crate::policy::{RunningJob, SchedPolicy};
 use rp_lineage::Lineage;
-use rp_metrics::{BackendInstruments, Registry};
 use rp_platform::{Allocation, Calibration, Placement, ResourcePool};
 use rp_sim::{Dist, FxHashMap, RngStream, SimDuration, SimTime, StaleTokens};
 use std::collections::VecDeque;
@@ -94,7 +93,6 @@ pub struct FluxInstanceSim {
     queued_peak: usize,
     /// False once killed by failure injection.
     alive: bool,
-    metrics: Option<BackendInstruments>,
     /// The job the start server currently holds (set by `pump_start`,
     /// cleared when its `Started` token arrives); lets fault injection tell
     /// a stale `Started` from a stale `Done` for a reaped running job.
@@ -151,7 +149,6 @@ impl FluxInstanceSim {
             completed: 0,
             queued_peak: 0,
             alive: true,
-            metrics: None,
             starting: None,
             stale_matched: StaleTokens::default(),
             stale_started: StaleTokens::default(),
@@ -170,13 +167,6 @@ impl FluxInstanceSim {
     /// and start-server launches are recorded from here on.
     pub fn attach_lineage(&mut self, lin: Lineage, partition: u32) {
         self.lineage = Some((lin, partition));
-    }
-
-    /// Attach metrics under the `backend` label. Partitioned deployments
-    /// pass the same label for every instance; the registry merges their
-    /// samples into one distribution per metric.
-    pub fn attach_metrics(&mut self, reg: &Registry, backend: &str) {
-        self.metrics = Some(BackendInstruments::new(reg, backend));
     }
 
     /// The allocation this instance manages.
@@ -270,11 +260,6 @@ impl FluxInstanceSim {
         self.match_busy = false;
         self.start_busy = false;
         lost.sort_unstable();
-        if let Some(m) = &self.metrics {
-            for id in &lost {
-                m.forget(id.0);
-            }
-        }
         lost
     }
 
@@ -354,7 +339,6 @@ impl FluxInstanceSim {
         let mut lost = Vec::with_capacity(victims.len());
         for (id, pl) in &victims {
             self.pool.free(pl);
-            self.forget_metrics(*id);
             lost.push(*id);
         }
         // Reaping multi-node jobs returns their surviving ranks to the
@@ -392,29 +376,20 @@ impl FluxInstanceSim {
             .find_map(|(i, j)| (j.id == id).then_some(i))
         {
             self.pending_ingest.remove(pos);
-            self.forget_metrics(id);
             return true;
         }
         // Waiting for the scheduler.
         if let Some(pos) = self.queue.iter().position(|j| j.id == id) {
             self.queue.remove(pos);
-            self.forget_metrics(id);
             return true;
         }
         // Matched and waiting for the start server: free its resources.
         if let Some(pos) = self.start_queue.iter().position(|(j, _)| j.id == id) {
             let (_, placement) = self.start_queue.remove(pos).expect("position valid");
             self.pool.free(&placement);
-            self.forget_metrics(id);
             return true;
         }
         false
-    }
-
-    fn forget_metrics(&self, id: JobId) {
-        if let Some(m) = &self.metrics {
-            m.forget(id.0);
-        }
     }
 
     /// Reserve resources for a persistent service, bypassing the job queue
@@ -464,11 +439,6 @@ impl FluxInstanceSim {
                 ExceptionKind::Unsatisfiable,
             )));
             return;
-        }
-        if let Some(m) = &self.metrics {
-            let depth = self.pending_ingest.len() + self.queue.len();
-            let contended = !self.ready || self.ingest_busy || depth > 0;
-            m.on_submit(job.id.0, depth, contended);
         }
         let uid = job.id.0;
         self.pending_ingest.push_back(job);
@@ -560,9 +530,6 @@ impl FluxInstanceSim {
                     .matched
                     .remove(&id)
                     .expect("match token for unknown job");
-                if let Some(m) = &self.metrics {
-                    m.on_accepted(id.0);
-                }
                 self.start_queue.push_back((job, placement));
                 out.push(FluxAction::Event(JobEvent::Alloc(id)));
                 self.pump_start(now, out);
@@ -577,9 +544,6 @@ impl FluxInstanceSim {
                 }
                 self.start_busy = false;
                 self.starting = None;
-                if let Some(m) = &self.metrics {
-                    m.on_started(id.0);
-                }
                 // expected_end was fixed when the start timer was created
                 // (start completion time + payload duration), so the
                 // remaining span from `now` is exactly the payload duration.
@@ -608,9 +572,6 @@ impl FluxInstanceSim {
                     .expect("done token for unknown job");
                 self.pool.free(&run.placement);
                 self.completed += 1;
-                if let Some(m) = &self.metrics {
-                    m.on_completed(id.0);
-                }
                 out.push(FluxAction::Event(JobEvent::Finish(id)));
                 self.pump_match(now, out);
             }

@@ -7,7 +7,9 @@
 //! and the reason), backend handoff, launch-latency wait, execution, and
 //! collection — as compact events stamped on the sim clock. It is also the
 //! run's one state-timestamp stream: `rp-core` renders the runtime profile
-//! (RP-style CSV and Chrome trace) from it.
+//! (RP-style CSV and Chrome trace) from it and folds the per-task metric
+//! families (state dwell, lifecycle and routing counters, backend queue,
+//! launch and execution figures) out of it after the run.
 //!
 //! Design constraints, in order:
 //!

@@ -256,11 +256,11 @@ impl MetricsDiff {
 }
 
 /// Whether an increase in this sample is a performance regression.
-/// Latency/overhead families (`_seconds`), drop counts, failures, and
-/// contention counters all read "bigger is worse".
+/// Latency/overhead families (`_seconds`), drop counts, failures, retries
+/// and contended submits all read "bigger is worse".
 fn higher_is_worse(key: &str) -> bool {
     let name = key.split('{').next().unwrap_or(key);
-    ["_seconds", "dropped", "failed", "contention", "retries"]
+    ["_seconds", "dropped", "failed", "contended", "retries"]
         .iter()
         .any(|pat| name.contains(pat))
 }
@@ -393,11 +393,10 @@ pub fn diff_openmetrics_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rp_sim::SimClock;
 
     #[test]
     fn render_parse_roundtrip() {
-        let reg = crate::Registry::new(SimClock::new());
+        let reg = crate::Registry::new();
         reg.counter("rp_tasks_total", &[("backend", "flux")], "tasks")
             .add(5);
         reg.gauge("rp_nodes", &[], "nodes").set(4.0);
@@ -439,6 +438,129 @@ mod tests {
         assert_eq!(d.improvements.len(), 1);
         assert_eq!(d.changed.len(), 1);
         assert!(d.is_clean());
+    }
+
+    #[test]
+    fn contended_submit_growth_is_a_regression() {
+        let key = "rp_backend_contended_submits_total{backend=\"flux\"}";
+        let d = diff_openmetrics(&format!("{key} 100\n"), &format!("{key} 120\n"), 0.05).unwrap();
+        assert_eq!(d.regressions.len(), 1, "{d:?}");
+        assert_eq!(d.regressions[0].key, key);
+        assert!(d.changed.is_empty());
+        let d = diff_openmetrics(&format!("{key} 100\n"), &format!("{key} 80\n"), 0.05).unwrap();
+        assert_eq!(d.improvements.len(), 1, "{d:?}");
+    }
+
+    /// Seeded xorshift stream for the mutation tests (std only).
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+    }
+
+    /// `seed` with 1–8 byte-level edits: flips, inserts of the grammar's
+    /// punctuation and multi-byte text, deletions, truncation and spliced
+    /// copies. The result is made UTF-8 lossily, so it can hold U+FFFD.
+    fn mutate(seed: &str, rng: &mut Rng) -> String {
+        const PIECES: [&str; 16] = [
+            "{",
+            "}",
+            "\"",
+            " ",
+            "\t",
+            "\n",
+            "#",
+            "=",
+            ",",
+            "-",
+            "e",
+            "NaN",
+            "inf",
+            "1e309",
+            "é",
+            "\u{1F600}",
+        ];
+        let mut b = seed.as_bytes().to_vec();
+        for _ in 0..1 + rng.below(8) {
+            let at = rng.below(b.len() + 1);
+            match rng.below(5) {
+                0 if at < b.len() => b[at] ^= 1 << rng.below(8),
+                1 => {
+                    let piece = PIECES[rng.below(PIECES.len())].as_bytes();
+                    b.splice(at..at, piece.iter().copied());
+                }
+                2 if at < b.len() => {
+                    let end = (at + 1 + rng.below(16)).min(b.len());
+                    b.drain(at..end);
+                }
+                3 => b.truncate(at),
+                _ => {
+                    let from = rng.below(b.len() + 1);
+                    let end = (from + rng.below(64)).min(b.len());
+                    let copy = b[from..end].to_vec();
+                    b.splice(at..at, copy);
+                }
+            }
+        }
+        String::from_utf8_lossy(&b).into_owned()
+    }
+
+    fn same_values(a: &BTreeMap<String, f64>, b: &BTreeMap<String, f64>) -> bool {
+        a.len() == b.len()
+            && a.iter()
+                .zip(b)
+                .all(|((ka, va), (kb, vb))| ka == kb && (va == vb || (va.is_nan() && vb.is_nan())))
+    }
+
+    #[test]
+    fn parsers_never_panic_and_reparse_what_they_accept() {
+        let reg = crate::Registry::new();
+        reg.counter("rp_tasks_total", &[("backend", "flux")], "tasks")
+            .add(5);
+        reg.gauge("rp_nodes", &[], "nodes").set(4.5);
+        let h = reg.histogram("rp_launch_seconds", &[("backend", "a\"b")], "launch");
+        h.observe(0.25);
+        h.observe(3.0);
+        let om = reg.snapshot().openmetrics();
+        let tol =
+            "# comment\n\nrp_launch_seconds_sum 0.5\nrp_exec_seconds_sum{backend=\"flux\"}\t0.1\n";
+        let mut rng = Rng(0x9E37_79B9_7F4A_7C15);
+        let (mut om_ok, mut tol_ok) = (0, 0);
+        for _ in 0..4000 {
+            let text = mutate(&om, &mut rng);
+            if let Ok(parsed) = parse_openmetrics(&text) {
+                om_ok += 1;
+                let rendered: String = parsed.iter().map(|(k, v)| format!("{k} {v}\n")).collect();
+                let again = parse_openmetrics(&rendered).expect("a parsed snapshot re-parses");
+                assert!(same_values(&parsed, &again), "{text:?}");
+            }
+            let text = mutate(tol, &mut rng);
+            if let Ok(parsed) = Tolerances::parse(&text) {
+                tol_ok += 1;
+                let rendered: String = parsed
+                    .entries
+                    .iter()
+                    .map(|(k, v)| format!("{k} {v}\n"))
+                    .collect();
+                let again = Tolerances::parse(&rendered).expect("parsed tolerances re-parse");
+                assert!(same_values(&parsed.entries, &again.entries), "{text:?}");
+            }
+        }
+        // The mutations must leave both accepting and rejecting inputs.
+        assert!((1..4000).contains(&om_ok), "{om_ok} snapshots parsed");
+        assert!(
+            (1..4000).contains(&tol_ok),
+            "{tol_ok} tolerance files parsed"
+        );
     }
 
     #[test]

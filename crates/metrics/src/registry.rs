@@ -1,24 +1,18 @@
 //! The metrics registry and its cheap-clone instrument handles.
 //!
-//! One [`Registry`] per run, threaded (by clone) through the agent and
-//! every backend. Mirrors the lineage recorder's cost model: a disabled
-//! registry is a `None` inside, so each instrument call costs one branch
-//! when metrics are off, and instruments are registered once at attach time —
-//! the hot path only bumps an `Rc<Cell<_>>` or records into a histogram.
-//!
-//! The registry carries the shared [`SimClock`]: reactive backend state
-//! machines do not receive `now` on every entry point, so latency
-//! instrumentation reads [`Registry::now`] instead of re-plumbing time
-//! through every signature (the same trick `rp-lineage` uses).
+//! One [`Registry`] per run. The agent observes its pipeline-server costs
+//! and gauges into it as they happen, and `rp-core` folds the per-task
+//! families out of the lineage stream into it at the end of the run. A
+//! disabled registry is a `None` inside, so each instrument call costs one
+//! branch when metrics are off, and instruments are registered once at
+//! attach time — the hot path only bumps an `Rc<Cell<_>>` or records into
+//! a histogram.
 //!
 //! Registration deduplicates on `(name, labels)` and returns the
-//! *existing* handle, which is what merges per-partition backend
-//! instances into one distribution: every Flux partition asking for
-//! `rp_backend_launch_seconds{backend="flux"}` records into the same
-//! histogram.
+//! *existing* handle, so independent components asking for one identity
+//! record into the same instrument.
 
 use crate::hist::HistData;
-use rp_sim::{SimClock, SimTime};
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::rc::Rc;
@@ -121,7 +115,6 @@ struct Entry {
 }
 
 struct RegInner {
-    clock: SimClock,
     entries: Vec<Entry>,
     index: HashMap<(String, Vec<(String, String)>), usize>,
 }
@@ -141,11 +134,10 @@ impl std::fmt::Debug for Registry {
 }
 
 impl Registry {
-    /// An enabled registry reading timestamps from `clock`.
-    pub fn new(clock: SimClock) -> Self {
+    /// An enabled registry.
+    pub fn new() -> Self {
         Registry {
             inner: Some(Rc::new(RefCell::new(RegInner {
-                clock,
                 entries: Vec::new(),
                 index: HashMap::new(),
             }))),
@@ -160,13 +152,6 @@ impl Registry {
     /// Whether this registry records anything.
     pub fn is_enabled(&self) -> bool {
         self.inner.is_some()
-    }
-
-    /// Current virtual time ([`SimTime::ZERO`] when disabled).
-    pub fn now(&self) -> SimTime {
-        self.inner
-            .as_ref()
-            .map_or(SimTime::ZERO, |i| i.borrow().clock.now())
     }
 
     fn key(name: &str, labels: &[(&str, &str)]) -> (String, Vec<(String, String)>) {
@@ -332,7 +317,7 @@ mod tests {
 
     #[test]
     fn dedup_returns_the_same_handle() {
-        let reg = Registry::new(SimClock::new());
+        let reg = Registry::new();
         let a = reg.counter("n_total", &[("backend", "flux")], "n");
         let b = reg.counter("n_total", &[("backend", "flux")], "n");
         a.inc();

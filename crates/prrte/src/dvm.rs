@@ -13,7 +13,6 @@
 //! expected to have placed tasks already.
 
 use rp_lineage::Lineage;
-use rp_metrics::{BackendInstruments, Registry};
 use rp_platform::{Allocation, Calibration};
 use rp_sim::{Dist, FxHashMap, RngStream, SimDuration, SimTime, StaleTokens};
 use std::collections::VecDeque;
@@ -73,7 +72,6 @@ pub struct PrrteDvm {
     /// Deepest the HNP queue has ever been.
     queued_peak: usize,
     alive: bool,
-    metrics: Option<BackendInstruments>,
     /// Lineage recorder plus this DVM's partition index.
     lineage: Option<(Lineage, u32)>,
     /// Uid currently in the HNP launch server.
@@ -103,7 +101,6 @@ impl PrrteDvm {
             completed: 0,
             queued_peak: 0,
             alive: true,
-            metrics: None,
             lineage: None,
             launching: None,
             stale_launched: StaleTokens::default(),
@@ -119,12 +116,6 @@ impl PrrteDvm {
     /// are the agent's to record.
     pub fn attach_lineage(&mut self, lin: Lineage, partition: u32) {
         self.lineage = Some((lin, partition));
-    }
-
-    /// Attach metrics under the `backend` label: HNP launch latency,
-    /// execution time, queue depth and launch-server contention.
-    pub fn attach_metrics(&mut self, reg: &Registry, backend: &str) {
-        self.metrics = Some(BackendInstruments::new(reg, backend));
     }
 
     /// Whether the DVM survived so far.
@@ -206,9 +197,6 @@ impl PrrteDvm {
         }
         if let Some(pos) = self.queue.iter().position(|t| t.id == id) {
             self.queue.remove(pos);
-            if let Some(m) = &self.metrics {
-                m.forget(id);
-            }
             return true;
         }
         if self.in_flight.remove(&id).is_none() {
@@ -222,19 +210,12 @@ impl PrrteDvm {
         } else {
             self.stale_done.mark(id);
         }
-        if let Some(m) = &self.metrics {
-            m.forget(id);
-        }
         true
     }
 
     /// Submit a placed task for launch (FIFO through the HNP). Actions
     /// are appended to `out`.
     pub fn submit(&mut self, task: PrrteTask, out: &mut Vec<PrrteAction>) {
-        if let Some(m) = &self.metrics {
-            let contended = !self.ready || self.hnp_busy || !self.queue.is_empty();
-            m.on_submit(task.id, self.queue.len(), contended);
-        }
         self.queue.push_back(task);
         self.queued_peak = self.queued_peak.max(self.queue.len());
         if let Some((l, part)) = &self.lineage {
@@ -257,9 +238,6 @@ impl PrrteDvm {
         }
         if let Some(pos) = self.queue.iter().position(|t| t.id == id) {
             self.queue.remove(pos);
-            if let Some(m) = &self.metrics {
-                m.forget(id);
-            }
             true
         } else {
             false
@@ -290,11 +268,6 @@ impl PrrteDvm {
         }
         self.hnp_busy = false;
         lost.sort_unstable();
-        if let Some(m) = &self.metrics {
-            for id in &lost {
-                m.forget(*id);
-            }
-        }
         lost
     }
 
@@ -336,9 +309,6 @@ impl PrrteDvm {
                 self.hnp_busy = false;
                 self.launching = None;
                 let task = self.in_flight.get(&id).expect("launched unknown task");
-                if let Some(m) = &self.metrics {
-                    m.on_started(id);
-                }
                 out.push(PrrteAction::Started(id));
                 out.push(PrrteAction::Timer {
                     after: task.duration,
@@ -352,9 +322,6 @@ impl PrrteDvm {
                 }
                 self.in_flight.remove(&id).expect("done unknown task");
                 self.completed += 1;
-                if let Some(m) = &self.metrics {
-                    m.on_completed(id);
-                }
                 out.push(PrrteAction::Completed(id));
             }
         }
@@ -377,9 +344,6 @@ impl PrrteDvm {
                 *part,
                 self.queue.len() as u64,
             );
-        }
-        if let Some(m) = &self.metrics {
-            m.on_accepted(task.id);
         }
         self.launching = Some(task.id);
         let cost = self.launch_cost.sample(&mut self.rng);

@@ -18,7 +18,6 @@
 
 use crate::step::{StepId, StepRequest};
 use rp_lineage::Lineage;
-use rp_metrics::{BackendInstruments, Registry};
 use rp_platform::{Calibration, SrunSlots};
 use rp_sim::{FxHashMap, FxHashSet, RngStream, SimDuration, StaleTokens};
 use std::collections::VecDeque;
@@ -66,7 +65,6 @@ pub struct SrunSim {
     /// Steps past slot-acquisition, keyed by id: payload duration (None for
     /// persistent holds, which release only via `release_persistent`).
     in_flight: FxHashMap<StepId, Option<SimDuration>>,
-    metrics: Option<BackendInstruments>,
     lineage: Option<Lineage>,
     /// Last queue head a capacity reject was recorded for, so a blocked
     /// head produces one lineage event, not one per pump.
@@ -97,7 +95,6 @@ impl SrunSim {
             queue: VecDeque::new(),
             queued_peak: 0,
             in_flight: FxHashMap::default(),
-            metrics: None,
             lineage: None,
             last_reject: None,
             launching: FxHashSet::default(),
@@ -112,14 +109,6 @@ impl SrunSim {
     /// unrecorded.
     pub fn attach_lineage(&mut self, lin: Lineage) {
         self.lineage = Some(lin);
-    }
-
-    /// Attach metrics; submit/launch/complete latencies and slot
-    /// contention are recorded under the `backend` label. Only regular
-    /// steps are instrumented — persistent instance-bootstrap holds are
-    /// infrastructure, not task traffic.
-    pub fn attach_metrics(&mut self, reg: &Registry, backend: &str) {
-        self.metrics = Some(BackendInstruments::new(reg, backend));
     }
 
     /// Steps waiting for a slot.
@@ -150,11 +139,6 @@ impl SrunSim {
     /// Submit a step; it launches immediately if a slot is free, otherwise
     /// it queues FIFO. Actions are appended to `out`.
     pub fn submit(&mut self, step: StepRequest, out: &mut Vec<SrunAction>) {
-        if let Some(m) = &self.metrics {
-            let contended =
-                !self.queue.is_empty() || self.slots.in_use() >= self.cal.srun_concurrency_ceiling;
-            m.on_submit(step.id.0, self.queue.len(), contended);
-        }
         let step_uid = step.id.0;
         self.queue.push_back(step);
         self.queued_peak = self.queued_peak.max(self.queue.len());
@@ -203,9 +187,6 @@ impl SrunSim {
     pub fn cancel(&mut self, id: StepId) -> bool {
         if let Some(pos) = self.queue.iter().position(|s| s.id == id) {
             self.queue.remove(pos);
-            if let Some(m) = &self.metrics {
-                m.forget(id.0);
-            }
             true
         } else {
             false
@@ -236,9 +217,6 @@ impl SrunSim {
                 self.stale_exited.mark(id);
             }
             self.slots.release();
-            if let Some(m) = &self.metrics {
-                m.forget(*uid);
-            }
         }
         if !lost.is_empty() {
             self.pump(out);
@@ -263,9 +241,6 @@ impl SrunSim {
                 Some(Some(duration)) => {
                     self.launching.remove(&id);
                     let d = *duration;
-                    if let Some(m) = &self.metrics {
-                        m.on_started(id.0);
-                    }
                     out.push(SrunAction::Started(id));
                     out.push(SrunAction::Timer {
                         after: d,
@@ -281,9 +256,6 @@ impl SrunSim {
                     .remove(&id)
                     .unwrap_or_else(|| panic!("Exited token for unknown step {id:?}"));
                 assert!(entry.is_some(), "persistent step exited via timer");
-                if let Some(m) = &self.metrics {
-                    m.on_completed(id.0);
-                }
                 self.slots.release();
                 out.push(SrunAction::Completed(id));
                 self.pump(out);
@@ -318,9 +290,6 @@ impl SrunSim {
             }
             let step = self.queue.pop_front().expect("non-empty queue");
             self.last_reject = None;
-            if let Some(m) = &self.metrics {
-                m.on_accepted(step.id.0);
-            }
             if let Some(l) = &self.lineage {
                 // Persistent entries were pre-registered with None.
                 if !matches!(self.in_flight.get(&step.id), Some(None)) {
