@@ -151,39 +151,48 @@ impl FaultSpec {
                 v.parse::<u64>()
                     .map_err(|_| format!("fault spec `{key}={v}`: not an integer"))
             };
+            let count = |v: &str| -> Result<u32, String> {
+                u32::try_from(uint(v)?)
+                    .map_err(|_| format!("fault spec `{key}={v}`: above {}", u32::MAX))
+            };
+            let secs = |v: &str| -> Result<SimDuration, String> {
+                let us = uint(v)?.checked_mul(SimDuration::from_secs(1).as_micros());
+                us.map(SimDuration::from_micros)
+                    .ok_or_else(|| format!("fault spec `{key}={v}`: seconds overflow the clock"))
+            };
             match key {
-                "nodes" => spec.node_failures = uint(val)? as u32,
-                "crashes" => spec.crashes = uint(val)? as u32,
-                "hangs" => spec.hangs = uint(val)? as u32,
+                "nodes" => spec.node_failures = count(val)?,
+                "crashes" => spec.crashes = count(val)?,
+                "hangs" => spec.hangs = count(val)?,
                 "window" => {
                     let (a, b) = val
                         .split_once("..")
                         .ok_or_else(|| format!("fault spec `window={val}`: want A..B"))?;
-                    spec.window_start = SimDuration::from_secs(uint(a)?);
-                    spec.window_end = SimDuration::from_secs(uint(b)?);
+                    spec.window_start = secs(a)?;
+                    spec.window_end = secs(b)?;
                     if spec.window_end <= spec.window_start {
                         return Err(format!("fault spec `window={val}`: empty window"));
                     }
                 }
-                "downtime" => spec.downtime = SimDuration::from_secs(uint(val)?),
+                "downtime" => spec.downtime = secs(val)?,
                 "restart" => {
                     spec.restart = if val == "never" {
                         None
                     } else {
-                        Some(SimDuration::from_secs(uint(val)?))
+                        Some(secs(val)?)
                     }
                 }
-                "watchdog" => spec.watchdog = SimDuration::from_secs(uint(val)?),
-                "retries" => spec.max_retries = Some(uint(val)? as u32),
+                "watchdog" => spec.watchdog = secs(val)?,
+                "retries" => spec.max_retries = Some(count(val)?),
                 "policy" => {
                     let mut parts = val.split(':');
                     spec.policy = match parts.next() {
                         Some("backoff") => {
-                            let base = parts.next().map(uint).transpose()?.unwrap_or(5);
-                            let factor = parts.next().map(uint).transpose()?.unwrap_or(2) as u32;
+                            let base = parts.next().map(secs).transpose()?;
+                            let factor = parts.next().map(count).transpose()?;
                             RecoveryPolicy::RetryBackoff {
-                                base: SimDuration::from_secs(base),
-                                factor,
+                                base: base.unwrap_or(SimDuration::from_secs(5)),
+                                factor: factor.unwrap_or(2),
                             }
                         }
                         Some("elsewhere") => RecoveryPolicy::ResubmitElsewhere,
@@ -422,6 +431,156 @@ mod tests {
         assert!(FaultSpec::parse("window=9..3").is_err());
         assert!(FaultSpec::parse("policy=quantum").is_err());
         assert!(FaultSpec::parse("zebras=4").is_err());
+    }
+
+    #[test]
+    fn parse_rejects_counts_above_u32() {
+        for key in ["nodes", "crashes", "hangs", "retries"] {
+            assert!(
+                FaultSpec::parse(&format!("{key}=4294967295")).is_ok(),
+                "{key}"
+            );
+            let err = FaultSpec::parse(&format!("{key}=4294967296")).unwrap_err();
+            assert!(err.contains(&format!("`{key}=4294967296`")), "{err}");
+        }
+        let err = FaultSpec::parse("policy=backoff:5:4294967296").unwrap_err();
+        assert!(err.contains("`policy=4294967296`"), "{err}");
+    }
+
+    #[test]
+    fn parse_rejects_seconds_that_overflow_the_clock() {
+        // u64::MAX µs is 18,446,744,073,709.55 s: the last whole second
+        // fits, the next one must not wrap or panic.
+        let max = "18446744073709";
+        let over = "18446744073710";
+        for key in ["downtime", "restart", "watchdog"] {
+            assert!(FaultSpec::parse(&format!("{key}={max}")).is_ok(), "{key}");
+            let err = FaultSpec::parse(&format!("{key}={over}")).unwrap_err();
+            assert!(err.contains(&format!("`{key}={over}`")), "{err}");
+            let err = FaultSpec::parse(&format!("{key}=99999999999999")).unwrap_err();
+            assert!(err.contains(key), "{err}");
+        }
+        assert!(FaultSpec::parse(&format!("window=0..{max}")).is_ok());
+        let err = FaultSpec::parse(&format!("window=0..{over}")).unwrap_err();
+        assert!(err.contains(&format!("`window={over}`")), "{err}");
+        let err = FaultSpec::parse(&format!("window={over}..{over}9")).unwrap_err();
+        assert!(err.contains(&format!("`window={over}`")), "{err}");
+        assert!(FaultSpec::parse(&format!("policy=backoff:{max}:2")).is_ok());
+        let err = FaultSpec::parse(&format!("policy=backoff:{over}:2")).unwrap_err();
+        assert!(err.contains(&format!("`policy={over}`")), "{err}");
+    }
+
+    /// xorshift64, enough to drive the seeded mutations below.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+    }
+
+    /// `seed` with 1–8 byte-level edits: flips, inserts of the grammar's
+    /// punctuation, huge numbers and multi-byte text, deletions,
+    /// truncation and spliced copies. The result is made UTF-8 lossily,
+    /// so it can hold U+FFFD.
+    fn mutate(seed: &str, rng: &mut Rng) -> String {
+        const PIECES: [&str; 16] = [
+            ",",
+            "=",
+            "..",
+            ":",
+            "-",
+            " ",
+            "0",
+            "9",
+            "4294967296",
+            "18446744073710",
+            "99999999999999999999",
+            "never",
+            "backoff",
+            "elsewhere",
+            "é",
+            "\u{1F600}",
+        ];
+        let mut b = seed.as_bytes().to_vec();
+        for _ in 0..1 + rng.below(8) {
+            let at = rng.below(b.len() + 1);
+            match rng.below(5) {
+                0 if at < b.len() => b[at] ^= 1 << rng.below(8),
+                1 => {
+                    let piece = PIECES[rng.below(PIECES.len())].as_bytes();
+                    b.splice(at..at, piece.iter().copied());
+                }
+                2 if at < b.len() => {
+                    let end = (at + 1 + rng.below(16)).min(b.len());
+                    b.drain(at..end);
+                }
+                3 => b.truncate(at),
+                _ => {
+                    let from = rng.below(b.len() + 1);
+                    let end = (from + rng.below(64)).min(b.len());
+                    let copy = b[from..end].to_vec();
+                    b.splice(at..at, copy);
+                }
+            }
+        }
+        String::from_utf8_lossy(&b).into_owned()
+    }
+
+    /// The spec in the grammar `parse` reads; every parsed duration is a
+    /// whole number of seconds.
+    fn render(s: &FaultSpec) -> String {
+        let secs = |d: SimDuration| d.as_micros() / SimDuration::from_secs(1).as_micros();
+        let mut out = format!(
+            "nodes={},crashes={},hangs={},window={}..{},downtime={},watchdog={}",
+            s.node_failures,
+            s.crashes,
+            s.hangs,
+            secs(s.window_start),
+            secs(s.window_end),
+            secs(s.downtime),
+            secs(s.watchdog),
+        );
+        match s.restart {
+            Some(d) => out += &format!(",restart={}", secs(d)),
+            None => out += ",restart=never",
+        }
+        if let Some(n) = s.max_retries {
+            out += &format!(",retries={n}");
+        }
+        match s.policy {
+            RecoveryPolicy::RetryBackoff { base, factor } => {
+                out += &format!(",policy=backoff:{}:{factor}", secs(base))
+            }
+            RecoveryPolicy::ResubmitElsewhere => out += ",policy=elsewhere",
+            RecoveryPolicy::GiveUp => out += ",policy=giveup",
+        }
+        out
+    }
+
+    #[test]
+    fn parse_never_panics_and_reparses_what_it_accepts() {
+        let seed = "nodes=2,crashes=1,hangs=3,window=60..600,downtime=120,\
+                    restart=30,watchdog=90,retries=3,policy=backoff:5:2";
+        let mut rng = Rng(0x9E37_79B9_7F4A_7C15);
+        let mut ok = 0;
+        for _ in 0..4000 {
+            let text = mutate(seed, &mut rng);
+            if let Ok(spec) = FaultSpec::parse(&text) {
+                ok += 1;
+                let again = FaultSpec::parse(&render(&spec)).expect("a parsed spec re-parses");
+                assert_eq!(spec, again, "{text:?}");
+            }
+        }
+        // The mutations must leave both accepting and rejecting inputs.
+        assert!((1..4000).contains(&ok), "{ok} specs parsed");
     }
 
     #[test]

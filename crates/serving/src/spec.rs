@@ -284,6 +284,129 @@ mod tests {
         }
     }
 
+    /// xorshift64, enough to drive the seeded mutations below.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+    }
+
+    /// `seed` with 1–8 byte-level edits: flips, inserts of the grammar's
+    /// punctuation, extreme numbers and multi-byte text, deletions,
+    /// truncation and spliced copies. The result is made UTF-8 lossily,
+    /// so it can hold U+FFFD.
+    fn mutate(seed: &str, rng: &mut Rng) -> String {
+        const PIECES: [&str; 16] = [
+            ",",
+            "=",
+            ":",
+            ".",
+            "-",
+            " ",
+            "0",
+            "e",
+            "NaN",
+            "inf",
+            "1e309",
+            "4294967296",
+            "99999999999999999999",
+            "bursty",
+            "é",
+            "\u{1F600}",
+        ];
+        let mut b = seed.as_bytes().to_vec();
+        for _ in 0..1 + rng.below(8) {
+            let at = rng.below(b.len() + 1);
+            match rng.below(5) {
+                0 if at < b.len() => b[at] ^= 1 << rng.below(8),
+                1 => {
+                    let piece = PIECES[rng.below(PIECES.len())].as_bytes();
+                    b.splice(at..at, piece.iter().copied());
+                }
+                2 if at < b.len() => {
+                    let end = (at + 1 + rng.below(16)).min(b.len());
+                    b.drain(at..end);
+                }
+                3 => b.truncate(at),
+                _ => {
+                    let from = rng.below(b.len() + 1);
+                    let end = (from + rng.below(64)).min(b.len());
+                    let copy = b[from..end].to_vec();
+                    b.splice(at..at, copy);
+                }
+            }
+        }
+        String::from_utf8_lossy(&b).into_owned()
+    }
+
+    /// The spec in the grammar `parse` reads (`{}` prints an `f64` that
+    /// parses back to the same value).
+    fn render(s: &ServingSpec) -> String {
+        let process = match s.process {
+            ArrivalProcess::Poisson => "poisson",
+            ArrivalProcess::Bursty => "bursty",
+            ArrivalProcess::Diurnal => "diurnal",
+        };
+        let shed = match s.shed {
+            ShedPolicy::Newest => "newest",
+            ShedPolicy::Oldest => "oldest",
+        };
+        let kind = match s.kind {
+            TaskMix::Null => "null",
+            TaskMix::Dummy => "dummy",
+            TaskMix::Function => "function",
+            TaskMix::Mixed => "mixed",
+        };
+        let mut out = format!(
+            "rate={},process={process},clients={},horizon={},queue={},shed={shed},\
+             window={},batch={},kind={kind},dur={},burst={},amp={},period={},base={}",
+            s.rate,
+            s.clients,
+            s.horizon_s,
+            s.queue,
+            s.window,
+            s.batch,
+            s.dur_s,
+            s.burst,
+            s.amp,
+            s.period_s,
+            s.base,
+        );
+        if !s.weights.is_empty() {
+            let w: Vec<String> = s.weights.iter().map(u32::to_string).collect();
+            out += &format!(",weights={}", w.join(":"));
+        }
+        out
+    }
+
+    #[test]
+    fn parse_never_panics_and_reparses_what_it_accepts() {
+        let seed = "rate=200,process=bursty,clients=3,weights=3:2:1,horizon=120,queue=64,\
+                    shed=oldest,window=512,batch=32,kind=mixed,dur=2.5,burst=8,amp=0.9,\
+                    period=30,base=5000";
+        let mut rng = Rng(0x9E37_79B9_7F4A_7C15);
+        let mut ok = 0;
+        for _ in 0..4000 {
+            let text = mutate(seed, &mut rng);
+            if let Ok(spec) = ServingSpec::parse(&text) {
+                ok += 1;
+                let again = ServingSpec::parse(&render(&spec)).expect("a parsed spec re-parses");
+                assert_eq!(spec, again, "{text:?}");
+            }
+        }
+        // The mutations must leave both accepting and rejecting inputs.
+        assert!((1..4000).contains(&ok), "{ok} specs parsed");
+    }
+
     #[test]
     fn default_weights_fill_per_client() {
         let spec = ServingSpec::parse("rate=10,horizon=5,clients=4").expect("parses");

@@ -15,29 +15,34 @@ use std::collections::BinaryHeap;
 
 /// Identifies an actor registered with an [`Engine`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct ActorId(pub(crate) usize);
+pub struct ActorId(pub(crate) u32);
 
 impl ActorId {
     /// The raw index, for diagnostics.
     pub fn index(self) -> usize {
-        self.0
+        self.0 as usize
     }
 }
 
 /// A simulation component. `M` is the simulation-wide message type.
 pub trait Actor<M> {
     /// Deliver one message. `ctx` exposes the clock and outgoing mail.
-    fn handle(&mut self, msg: M, ctx: &mut Ctx<M>);
+    fn handle(&mut self, msg: M, ctx: &mut Ctx<'_, M>);
 }
 
 /// Delivery context handed to [`Actor::handle`].
-pub struct Ctx<M> {
+///
+/// It borrows the engine's event queue, so every send lands in the queue
+/// at once, stamped with the next sequence number: messages sent during
+/// one delivery keep their send order, and all of them follow everything
+/// already queued for the same instant.
+pub struct Ctx<'a, M> {
     now: SimTime,
     self_id: ActorId,
-    outbox: Vec<(SimTime, ActorId, M)>,
+    queue: &'a mut Queue<M>,
 }
 
-impl<M> Ctx<M> {
+impl<M> Ctx<'_, M> {
     /// The current virtual time.
     pub fn now(&self) -> SimTime {
         self.now
@@ -51,18 +56,18 @@ impl<M> Ctx<M> {
     /// Send `msg` to `dst` for delivery at the current time (after all
     /// messages already queued for this instant — FIFO).
     pub fn send(&mut self, dst: ActorId, msg: M) {
-        self.outbox.push((self.now, dst, msg));
+        self.queue.push(self.now, dst, msg);
     }
 
     /// Send `msg` to `dst` for delivery after `delay`.
     pub fn send_after(&mut self, delay: SimDuration, dst: ActorId, msg: M) {
-        self.outbox.push((self.now + delay, dst, msg));
+        self.queue.push(self.now + delay, dst, msg);
     }
 
     /// Send `msg` to `dst` at absolute time `at` (clamped to now if earlier:
     /// the past is immutable).
     pub fn send_at(&mut self, at: SimTime, dst: ActorId, msg: M) {
-        self.outbox.push((at.max(self.now), dst, msg));
+        self.queue.push(at.max(self.now), dst, msg);
     }
 
     /// Schedule a message to this actor after `delay` (a timer).
@@ -72,33 +77,89 @@ impl<M> Ctx<M> {
     }
 }
 
-struct Envelope<M> {
+/// A pending delivery as the heap orders it: 24 bytes, the message itself
+/// waits in its [`Queue`] slot so sifts move keys, never messages.
+#[derive(Clone, Copy, PartialEq, Eq)]
+struct Key {
     at: SimTime,
     seq: u64,
-    dst: ActorId,
-    msg: M,
+    dst: u32,
+    slot: u32,
 }
 
-impl<M> PartialEq for Envelope<M> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<M> Eq for Envelope<M> {}
-impl<M> PartialOrd for Envelope<M> {
+impl PartialOrd for Key {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
-impl<M> Ord for Envelope<M> {
-    /// Reversed so the `BinaryHeap` (a max-heap) pops the earliest
-    /// `(at, seq)` first.
+impl Ord for Key {
+    /// Reversed so the `BinaryHeap` (a max-heap) yields the earliest
+    /// `(at, seq)` first. `seq` is unique, so `(at, seq)` is a total order.
     fn cmp(&self, other: &Self) -> Ordering {
         (other.at, other.seq).cmp(&(self.at, self.seq))
     }
 }
 
-/// The event loop: owns the actors, the clock, and the pending-message heap.
+/// The pending messages: a min-heap of [`Key`]s over a slab of messages
+/// with a free list.
+///
+/// While a delivery runs, the top key still names the message being
+/// delivered (its slot already emptied) and `stale_top` is set. The
+/// handler's first send overwrites that key in place — one sift-down
+/// instead of a pop and a push — and reuses its slot; if the handler sends
+/// nothing, [`Engine::step`] pops the stale key afterwards.
+struct Queue<M> {
+    heap: BinaryHeap<Key>,
+    slots: Vec<Option<M>>,
+    free: Vec<u32>,
+    seq: u64,
+    stale_top: bool,
+}
+
+impl<M> Queue<M> {
+    fn new() -> Self {
+        Queue {
+            heap: BinaryHeap::new(),
+            slots: Vec::new(),
+            free: Vec::new(),
+            seq: 0,
+            stale_top: false,
+        }
+    }
+
+    fn push(&mut self, at: SimTime, dst: ActorId, msg: M) {
+        let seq = self.seq;
+        self.seq += 1;
+        let slot = if self.stale_top {
+            self.heap.peek().expect("a stale top key").slot
+        } else {
+            self.free.pop().unwrap_or_else(|| {
+                self.slots.push(None);
+                u32::try_from(self.slots.len() - 1).expect("more than u32::MAX pending messages")
+            })
+        };
+        debug_assert!(self.slots[slot as usize].is_none(), "slot {slot} in use");
+        self.slots[slot as usize] = Some(msg);
+        let key = Key {
+            at,
+            seq,
+            dst: dst.0,
+            slot,
+        };
+        if std::mem::take(&mut self.stale_top) {
+            *self.heap.peek_mut().expect("a stale top key") = key;
+        } else {
+            self.heap.push(key);
+        }
+    }
+}
+
+/// The event loop: owns the actors, the clock, and the event queue.
+///
+/// The queue is a binary heap of compact `(at, seq)` keys over a slab of
+/// messages. Actors send straight into it through [`Ctx`], and a delivery
+/// whose handler sends anything replaces its own key in place, so the
+/// common one-in-one-out step costs a single sift-down.
 ///
 /// ```
 /// use rp_sim::{Actor, Ctx, Engine, SimDuration, SimTime};
@@ -120,10 +181,9 @@ impl<M> Ord for Envelope<M> {
 /// ```
 pub struct Engine<M> {
     now: SimTime,
-    seq: u64,
     delivered: u64,
     peak_queue: usize,
-    heap: BinaryHeap<Envelope<M>>,
+    queue: Queue<M>,
     actors: Vec<Option<Box<dyn Actor<M>>>>,
     clock: SimClock,
     samplers: Vec<Sampler>,
@@ -131,10 +191,6 @@ pub struct Engine<M> {
     /// registered). Lets `step()` skip the sampler scan entirely on the
     /// overwhelmingly common deliveries that cross no boundary.
     samplers_next: Option<SimTime>,
-    /// Reusable outbox buffer handed to actors via [`Ctx`]; drained back
-    /// into the heap after each delivery so the steady state allocates
-    /// nothing per event.
-    outbox_pool: Vec<(SimTime, ActorId, M)>,
 }
 
 /// A periodic observer registered with [`Engine::add_sampler`].
@@ -155,15 +211,13 @@ impl<M> Engine<M> {
     pub fn new() -> Self {
         Engine {
             now: SimTime::ZERO,
-            seq: 0,
             delivered: 0,
             peak_queue: 0,
-            heap: BinaryHeap::new(),
+            queue: Queue::new(),
             actors: Vec::new(),
             clock: SimClock::new(),
             samplers: Vec::new(),
             samplers_next: None,
-            outbox_pool: Vec::new(),
         }
     }
 
@@ -192,8 +246,9 @@ impl<M> Engine<M> {
 
     /// Register an actor and return its address.
     pub fn add_actor(&mut self, actor: Box<dyn Actor<M>>) -> ActorId {
+        let id = u32::try_from(self.actors.len()).expect("more than u32::MAX actors");
         self.actors.push(Some(actor));
-        ActorId(self.actors.len() - 1)
+        ActorId(id)
     }
 
     /// The current virtual time.
@@ -208,7 +263,7 @@ impl<M> Engine<M> {
 
     /// Pending messages right now (event-queue depth).
     pub fn queue_depth(&self) -> usize {
-        self.heap.len()
+        self.queue.heap.len()
     }
 
     /// Highest event-queue depth observed — a load indicator for the
@@ -220,55 +275,45 @@ impl<M> Engine<M> {
     /// Inject a message from outside the simulation (e.g. the experiment
     /// driver seeding initial work) at absolute time `at`.
     pub fn schedule(&mut self, at: SimTime, dst: ActorId, msg: M) {
-        let at = at.max(self.now);
-        self.heap.push(Envelope {
-            at,
-            seq: self.seq,
-            dst,
-            msg,
-        });
-        self.seq += 1;
-        self.peak_queue = self.peak_queue.max(self.heap.len());
+        self.queue.push(at.max(self.now), dst, msg);
+        self.peak_queue = self.peak_queue.max(self.queue.heap.len());
     }
 
     /// Deliver the next message, if any. Returns `false` when the heap is
     /// empty. Panics if a message addresses an unknown actor — that is a
     /// wiring bug, not a runtime condition.
     pub fn step(&mut self) -> bool {
-        let Some(env) = self.heap.pop() else {
+        let Some(&Key { at, dst, slot, .. }) = self.queue.heap.peek() else {
             return false;
         };
-        debug_assert!(env.at >= self.now, "event time went backwards");
-        if self.samplers_next.is_some_and(|t| t <= env.at) {
-            self.fire_samplers(env.at);
+        debug_assert!(at >= self.now, "event time went backwards");
+        if self.samplers_next.is_some_and(|t| t <= at) {
+            self.fire_samplers(at);
         }
-        self.now = env.at;
+        self.now = at;
         self.clock.set(self.now);
         self.delivered += 1;
 
-        let slot = env.dst.0;
-        let mut actor = self.actors[slot]
+        let msg = self.queue.slots[slot as usize]
             .take()
-            .unwrap_or_else(|| panic!("message to actor {slot} during its own handle()"));
+            .expect("queued key without a message");
+        let mut actor = self.actors[dst as usize]
+            .take()
+            .unwrap_or_else(|| panic!("message to actor {dst} during its own handle()"));
+        self.queue.stale_top = true;
         let mut ctx = Ctx {
             now: self.now,
-            self_id: env.dst,
-            outbox: std::mem::take(&mut self.outbox_pool),
+            self_id: ActorId(dst),
+            queue: &mut self.queue,
         };
-        actor.handle(env.msg, &mut ctx);
-        self.actors[slot] = Some(actor);
+        actor.handle(msg, &mut ctx);
+        self.actors[dst as usize] = Some(actor);
 
-        for (at, dst, msg) in ctx.outbox.drain(..) {
-            self.heap.push(Envelope {
-                at,
-                seq: self.seq,
-                dst,
-                msg,
-            });
-            self.seq += 1;
+        if std::mem::take(&mut self.queue.stale_top) {
+            self.queue.heap.pop();
+            self.queue.free.push(slot);
         }
-        self.outbox_pool = ctx.outbox;
-        self.peak_queue = self.peak_queue.max(self.heap.len());
+        self.peak_queue = self.peak_queue.max(self.queue.heap.len());
         true
     }
 
@@ -315,7 +360,7 @@ impl<M> Engine<M> {
     /// Run until the clock would pass `horizon` (messages at exactly
     /// `horizon` are delivered). Undelivered later messages stay queued.
     pub fn run_until(&mut self, horizon: SimTime) -> SimTime {
-        while let Some(head) = self.heap.peek() {
+        while let Some(head) = self.queue.heap.peek() {
             if head.at > horizon {
                 break;
             }
@@ -336,12 +381,12 @@ impl<M> Engine<M> {
     /// Returns `None` for out-of-range ids. The experiment harness uses this
     /// to pull collected metrics out of actors after `run_until_idle`.
     pub fn actor(&self, id: ActorId) -> Option<&dyn Actor<M>> {
-        self.actors.get(id.0).and_then(|a| a.as_deref())
+        self.actors.get(id.index()).and_then(|a| a.as_deref())
     }
 
     /// Mutably borrow a registered actor (e.g. to extract owned results).
     pub fn actor_mut(&mut self, id: ActorId) -> Option<&mut (dyn Actor<M> + 'static)> {
-        match self.actors.get_mut(id.0) {
+        match self.actors.get_mut(id.index()) {
             Some(Some(a)) => Some(a.as_mut()),
             _ => None,
         }
@@ -465,13 +510,13 @@ mod tests {
     }
 
     #[test]
-    fn outbox_pool_preserves_fifo_across_steps() {
+    fn fan_out_preserves_fifo_across_steps() {
         use std::cell::RefCell;
         use std::rc::Rc;
 
         // A fan-out actor that sends several same-instant messages per
-        // delivery: the pooled outbox must preserve scheduling order
-        // exactly as the fresh-Vec-per-delivery implementation did.
+        // delivery: the first send replaces the delivered key in place and
+        // the rest are pushed, and delivery must still follow send order.
         struct Fan {
             sink: ActorId,
         }

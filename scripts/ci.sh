@@ -13,8 +13,9 @@ cargo build --release --offline --workspace
 timeout 20m cargo test -q --offline --workspace
 # The benchmark runs optimized code, where the placement count arithmetic
 # wraps instead of trapping and debug_asserts compile out: run the
-# placement differential and invariant tests on that build too.
-cargo test -q --offline --release -p rp-platform
+# placement differential and invariant tests, and the engine's event-queue
+# tests against its reference model, on that build too.
+cargo test -q --offline --release -p rp-platform -p rp-sim
 
 # Benchmark correctness gate: the standalone rp_benchmark package's tests,
 # then every workload at smoke size with per-layer tracing. The run exits
