@@ -46,22 +46,34 @@ pub(crate) fn err(line: usize, message: impl Into<String>) -> ParseError {
     }
 }
 
-fn parse_time(field: &str) -> Option<SimTime> {
+/// Latest time read: past 2^32 s the f64-seconds export no longer holds
+/// every microsecond, so a document could not round-trip.
+const MAX_TIME_S: f64 = 4_294_967_296.0;
+
+/// An optional time in seconds (empty = `None`), to the microsecond.
+/// Anything but a finite number in `[0, MAX_TIME_S)` is an error.
+fn parse_time(what: &str, field: &str) -> Result<Option<SimTime>, String> {
     if field.is_empty() {
-        return None;
+        return Ok(None);
     }
-    let secs: f64 = field.parse().ok()?;
-    Some(SimTime::from_micros((secs * 1e6).round() as u64))
+    match field.parse::<f64>() {
+        Ok(secs) if (0.0..MAX_TIME_S).contains(&secs) => {
+            Ok(Some(SimTime::from_micros((secs * 1e6).round() as u64)))
+        }
+        _ => Err(format!("bad {what} time {field:?}")),
+    }
 }
 
-fn parse_backend(field: &str) -> Option<BackendKind> {
-    match field {
-        "srun" => Some(BackendKind::Srun),
-        "flux" => Some(BackendKind::Flux),
-        "dragon" => Some(BackendKind::Dragon),
-        "prrte" => Some(BackendKind::Prrte),
-        _ => None,
-    }
+/// A backend name as `tasks_csv` writes it (empty = unassigned).
+fn parse_backend(field: &str) -> Result<Option<BackendKind>, String> {
+    Ok(Some(match field {
+        "" => return Ok(None),
+        "srun" => BackendKind::Srun,
+        "flux" => BackendKind::Flux,
+        "dragon" => BackendKind::Dragon,
+        "prrte" => BackendKind::Prrte,
+        other => return Err(format!("bad backend {other:?}")),
+    }))
 }
 
 fn parse_state(field: &str) -> Option<TaskState> {
@@ -84,6 +96,7 @@ fn parse_state(field: &str) -> Option<TaskState> {
 /// Milestone timestamps other than submit/start/end are not in the CSV and
 /// come back as `None`; everything the paper's metrics need (identity,
 /// shape, backend, the execution interval, terminal state) round-trips.
+/// A malformed field is an error naming its line, never a silent default.
 pub fn parse_tasks_csv(csv: &str) -> Result<Vec<TaskRecord>, ParseError> {
     let mut lines = csv.lines().enumerate();
     let (_, header) = lines.next().ok_or_else(|| err(1, "empty document"))?;
@@ -115,7 +128,7 @@ pub fn parse_tasks_csv(csv: &str) -> Result<Vec<TaskRecord>, ParseError> {
         };
         let cores: u64 = fields[2].parse().map_err(|_| err(lineno, "bad cores"))?;
         let gpus: u64 = fields[3].parse().map_err(|_| err(lineno, "bad gpus"))?;
-        let backend = parse_backend(fields[4]);
+        let backend = parse_backend(fields[4]).map_err(|e| err(lineno, e))?;
         let partition: Option<u32> = if fields[5].is_empty() {
             None
         } else {
@@ -125,9 +138,11 @@ pub fn parse_tasks_csv(csv: &str) -> Result<Vec<TaskRecord>, ParseError> {
                     .map_err(|_| err(lineno, "bad partition"))?,
             )
         };
-        let submitted = parse_time(fields[6]).ok_or_else(|| err(lineno, "bad submit time"))?;
-        let exec_start = parse_time(fields[7]);
-        let exec_end = parse_time(fields[8]);
+        let time = |what, field| parse_time(what, field).map_err(|e| err(lineno, e));
+        let submitted =
+            time("submit", fields[6])?.ok_or_else(|| err(lineno, "missing submit time"))?;
+        let exec_start = time("start", fields[7])?;
+        let exec_end = time("end", fields[8])?;
         let state = parse_state(fields[9])
             .ok_or_else(|| err(lineno, format!("bad state {:?}", fields[9])))?;
         let retries: u32 = fields[10].parse().map_err(|_| err(lineno, "bad retries"))?;
@@ -194,6 +209,139 @@ mod tests {
         let e = parse_tasks_csv(&bad_row).unwrap_err();
         assert_eq!(e.line, 2);
         assert!(e.message.contains("bad uid"));
+    }
+
+    const HEADER: &str =
+        "uid,kind,cores,gpus,backend,partition,submit_s,start_s,end_s,state,retries,label\n";
+
+    /// The parse error of a one-row document.
+    fn row_error(row: &str) -> ParseError {
+        parse_tasks_csv(&format!("{HEADER}{row}\n")).unwrap_err()
+    }
+
+    #[test]
+    fn rejects_malformed_exec_times() {
+        for row in [
+            "1,exec,1,0,flux,0,1.0,abc,3.0,Done,0,x",
+            "1,exec,1,0,flux,0,1.0,2.0,3.0.1,Done,0,x",
+        ] {
+            let e = row_error(row);
+            assert_eq!(e.line, 2, "{row}");
+            assert!(e.message.contains("time"), "{row}: {e}");
+        }
+    }
+
+    #[test]
+    fn rejects_unknown_backends() {
+        let e = row_error("1,exec,1,0,slurm,0,1.0,2.0,3.0,Done,0,x");
+        assert_eq!(e.line, 2);
+        assert!(e.message.contains("bad backend"), "{e}");
+    }
+
+    #[test]
+    fn rejects_negative_nan_and_infinite_times() {
+        for t in ["-1.0", "NaN", "nan", "inf", "-inf", "1e309"] {
+            for row in [
+                format!("1,exec,1,0,flux,0,{t},2.0,3.0,Done,0,x"),
+                format!("1,exec,1,0,flux,0,1.0,{t},3.0,Done,0,x"),
+                format!("1,exec,1,0,flux,0,1.0,2.0,{t},Done,0,x"),
+            ] {
+                let e = row_error(&row);
+                assert_eq!(e.line, 2, "{row}");
+                assert!(e.message.contains("time"), "{row}: {e}");
+            }
+        }
+    }
+
+    /// Seeded xorshift stream for the mutation test (std only).
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+    }
+
+    /// `seed` with 1–8 byte-level edits: flips, inserts of the grammar's
+    /// punctuation and multi-byte text, deletions, truncation and spliced
+    /// copies. The result is made UTF-8 lossily, so it can hold U+FFFD.
+    fn mutate(seed: &str, rng: &mut Rng) -> String {
+        const PIECES: [&str; 16] = [
+            ",",
+            "\n",
+            ".",
+            "-",
+            "+",
+            "e",
+            " ",
+            "\t",
+            "0",
+            "9",
+            "NaN",
+            "inf",
+            "1e309",
+            "flux",
+            "é",
+            "\u{1F600}",
+        ];
+        let mut b = seed.as_bytes().to_vec();
+        for _ in 0..1 + rng.below(8) {
+            let at = rng.below(b.len() + 1);
+            match rng.below(5) {
+                0 if at < b.len() => b[at] ^= 1 << rng.below(8),
+                1 => {
+                    let piece = PIECES[rng.below(PIECES.len())].as_bytes();
+                    b.splice(at..at, piece.iter().copied());
+                }
+                2 if at < b.len() => {
+                    let end = (at + 1 + rng.below(16)).min(b.len());
+                    b.drain(at..end);
+                }
+                3 => b.truncate(at),
+                _ => {
+                    let from = rng.below(b.len() + 1);
+                    let end = (from + rng.below(64)).min(b.len());
+                    let copy = b[from..end].to_vec();
+                    b.splice(at..at, copy);
+                }
+            }
+        }
+        String::from_utf8_lossy(&b).into_owned()
+    }
+
+    #[test]
+    fn parser_never_panics_and_reparses_what_it_accepts() {
+        let mut tasks: Vec<TaskDescription> = (0..4)
+            .map(|i| TaskDescription::dummy(i, SimDuration::from_secs(20)))
+            .collect();
+        tasks.push(TaskDescription::function(4, "f", SimDuration::from_secs(3)));
+        tasks[1].label = "dock.01".into();
+        let mut report = SimSession::with_tasks(PilotConfig::flux_dragon(2, 1), tasks)
+            .cancel_at(rp_sim::SimTime::ZERO, vec![3])
+            .run();
+        let seed = tasks_csv(&report);
+        let mut rng = Rng(0x9E37_79B9_7F4A_7C15);
+        let mut accepted = 0;
+        for _ in 0..4000 {
+            let text = mutate(&seed, &mut rng);
+            let Ok(parsed) = parse_tasks_csv(&text) else {
+                continue;
+            };
+            accepted += 1;
+            let first = format!("{parsed:?}");
+            report.tasks = parsed;
+            let again = parse_tasks_csv(&tasks_csv(&report)).expect("a parsed document re-parses");
+            assert_eq!(first, format!("{again:?}"), "{text:?}");
+        }
+        // The mutations must leave both accepting and rejecting inputs.
+        assert!((1..4000).contains(&accepted), "{accepted} documents parsed");
     }
 
     #[test]

@@ -9,12 +9,13 @@
 //! "RP task-management" ceiling) → backend submit.
 //!
 //! Backends run as reactive sub-machines owned by the agent: a site-wide
-//! [`SrunSim`] (which also carries Flux/Dragon instance bootstraps on
-//! persistent slots, so instance count interacts with the 112-step ceiling
-//! exactly as on Frontier), per-partition [`FluxInstanceSim`]s, and
-//! per-partition [`DragonSim`]s. Task state transitions are driven by their
-//! emitted events, never by polling — the event-driven integration of
-//! §3.2.
+//! [`SrunSim`] (which also carries every instance bootstrap on a
+//! persistent slot, so instance count interacts with the 112-step ceiling
+//! exactly as on Frontier) and one table of runtime instances over
+//! disjoint node partitions — [`FluxInstanceSim`]s, [`DragonSim`]s and
+//! PRRTE DVMs (`Instance`). Task state transitions are driven by
+//! their emitted events, never by polling — the event-driven integration
+//! of §3.2.
 
 use crate::backend::{BackendKind, BackendSpec, ALL_BACKENDS};
 use crate::config::PilotConfig;
@@ -33,7 +34,7 @@ use rp_fluxrt::{
 };
 use rp_lineage::Lineage;
 use rp_metrics::{Counter as MCounter, Gauge as MGauge, Histogram as MHistogram, Registry};
-use rp_platform::{Allocation, Cluster, Placement, ResourcePool};
+use rp_platform::{Allocation, Calibration, Cluster, Placement, ResourcePool, ResourceRequest};
 use rp_profiler::{Phase, ProfileData, NO_UID};
 use rp_prrte::{PrrteAction, PrrteDvm, PrrteTask, PrrteToken};
 use rp_serving::{ServingOutcome, ServingState, ServingTaskKind};
@@ -44,12 +45,9 @@ use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::rc::Rc;
 
-/// Infra step-id base for Flux instance carriers.
-const FLUX_INFRA_BASE: u64 = 1 << 62;
-/// Infra step-id base for Dragon instance carriers.
-const DRAGON_INFRA_BASE: u64 = (1 << 62) + (1 << 61);
-/// Infra step-id base for PRRTE DVM carriers.
-const PRRTE_INFRA_BASE: u64 = (1 << 62) + (1 << 61) + (1 << 60);
+/// Infra step-id base for instance carriers: the srun step carrying
+/// instance `i` (its flat index in the instance table) is `INFRA_BASE + i`.
+const INFRA_BASE: u64 = 1 << 62;
 
 /// Messages driving the agent actor.
 #[derive(Debug)]
@@ -72,11 +70,11 @@ pub enum AgentMsg {
     SubAdapterDone(u32, TaskId),
     /// Site srun timer.
     Srun(SrunToken),
-    /// Flux instance timer.
+    /// Flux instance timer (flat instance index).
     Flux(u32, FluxToken),
-    /// Dragon instance timer.
+    /// Dragon instance timer (flat instance index).
     Dragon(u32, DragonToken),
-    /// PRRTE DVM timer.
+    /// PRRTE DVM timer (flat instance index).
     Prrte(u32, PrrteToken),
     /// The backend-kind watcher thread finished processing one event.
     WatcherDone(BackendKind),
@@ -100,8 +98,8 @@ pub enum AgentMsg {
 /// An event awaiting the watcher thread of a backend kind.
 #[derive(Debug, Clone, Copy)]
 enum WatcherEvent {
-    /// Payload started (⇒ task Executing); carries the partition for
-    /// Dragon flow-control feeding.
+    /// Payload started (⇒ task Executing); carries the flat instance
+    /// index for Dragon flow-control feeding.
     Exec(TaskId, u32),
     /// Payload finished (⇒ task Done + workload feedback).
     Term(TaskId),
@@ -115,9 +113,9 @@ struct Adapter {
 }
 
 /// One per-partition sub-agent pipeline: its own scheduler and executor
-/// adapter servers (§4.1.2). `target` is the backend instance it manages.
+/// adapter servers (§4.1.2). Sub-agent `i` manages instance `i`.
 struct SubAgent {
-    target: (BackendKind, u32),
+    kind: BackendKind,
     sched_q: VecDeque<TaskId>,
     sched_busy: bool,
     sched_cost: Dist,
@@ -130,10 +128,12 @@ struct SubAgent {
 struct ServiceHold {
     /// Index into `RunState::services`.
     report_idx: usize,
-    backend: BackendKind,
-    partition: u32,
-    flux_placement: Option<rp_platform::Placement>,
-    dragon_workers: u64,
+    /// Flat index of the hosting instance.
+    instance: usize,
+    /// Flux/PRRTE: the reserved placement.
+    placement: Option<Placement>,
+    /// Dragon: the reserved workers.
+    workers: u64,
 }
 
 /// A PRRTE DVM partition: RP-side placement (PRRTE has no scheduler) plus
@@ -148,6 +148,220 @@ struct PrrteBackend {
     lin_reject: Option<u64>,
 }
 
+impl PrrteBackend {
+    /// Return task `id`'s RP-held placement (if any) to the pool.
+    fn release(&mut self, id: u64) {
+        if let Some(pl) = self.placements.remove(id) {
+            self.pool.free(&pl);
+        }
+    }
+}
+
+/// One deployed runtime instance over its own node partition. The agent
+/// keeps every instance in one table in kind-grouped order — flux, then
+/// dragon, then prrte — which is also the chaos plan's partition order,
+/// the profile's `flux.N`/`dragon.N`/`prrte.N` track order, the sub-agent
+/// order and the carrier launch order: the flat index is the one name of
+/// an instance.
+struct Instance {
+    /// Index into `RunState::instances` (spec order).
+    report: usize,
+    /// Partition number within the kind.
+    part: u32,
+    machine: Machine,
+}
+
+/// The backend sub-machine an instance runs.
+enum Machine {
+    Flux(FluxInstanceSim),
+    /// Dragon plus the agent's flow control for its pipe: `inflight` tasks
+    /// submitted and not yet started, `parked` tasks waiting for window
+    /// space.
+    Dragon {
+        sim: DragonSim,
+        alloc: Allocation,
+        inflight: usize,
+        parked: VecDeque<TaskId>,
+    },
+    Prrte(PrrteBackend),
+}
+
+impl Instance {
+    fn kind(&self) -> BackendKind {
+        match self.machine {
+            Machine::Flux(_) => BackendKind::Flux,
+            Machine::Dragon { .. } => BackendKind::Dragon,
+            Machine::Prrte(_) => BackendKind::Prrte,
+        }
+    }
+
+    fn is_alive(&self) -> bool {
+        match &self.machine {
+            Machine::Flux(f) => f.is_alive(),
+            Machine::Dragon { sim, .. } => sim.is_alive(),
+            Machine::Prrte(pb) => pb.dvm.is_alive(),
+        }
+    }
+
+    /// Nodes in the partition.
+    fn nodes(&self) -> u32 {
+        match &self.machine {
+            Machine::Flux(f) => f.allocation().count,
+            Machine::Dragon { alloc, .. } => alloc.count,
+            Machine::Prrte(pb) => pb.pool.node_count() as u32,
+        }
+    }
+
+    /// Cores (Dragon: workers) the instance runs tasks on.
+    fn capacity(&self) -> u64 {
+        match &self.machine {
+            Machine::Flux(f) => f.allocation().total_cores(),
+            Machine::Dragon { sim, .. } => sim.worker_capacity(),
+            Machine::Prrte(pb) => pb.pool.total_cores(),
+        }
+    }
+
+    /// `(busy cores, busy gpus)`; Dragon reports busy workers and no GPUs.
+    fn busy(&self) -> (u64, u64) {
+        match &self.machine {
+            Machine::Flux(f) => (f.busy_cores(), f.busy_gpus()),
+            Machine::Dragon { sim, .. } => (sim.busy_workers(), 0),
+            Machine::Prrte(pb) => (
+                pb.pool.total_cores() - pb.pool.free_cores(),
+                pb.pool.total_gpus() - pb.pool.free_gpus(),
+            ),
+        }
+    }
+
+    /// Tasks queued inside the backend itself.
+    fn queued(&self) -> usize {
+        match &self.machine {
+            Machine::Flux(f) => f.queued_count(),
+            Machine::Dragon { sim, .. } => sim.queued(),
+            Machine::Prrte(pb) => pb.dvm.queued(),
+        }
+    }
+
+    /// Deepest the backend queue has ever been.
+    fn queued_peak(&self) -> usize {
+        match &self.machine {
+            Machine::Flux(f) => f.queued_peak(),
+            Machine::Dragon { sim, .. } => sim.queued_peak(),
+            Machine::Prrte(pb) => pb.dvm.queued_peak(),
+        }
+    }
+
+    /// Backlog (agent-side waiting + backend queued + running) per unit
+    /// of capacity: the least-loaded router's pressure.
+    fn pressure(&self) -> f64 {
+        let backlog = match &self.machine {
+            Machine::Flux(f) => f.queued_count() + f.running_count(),
+            Machine::Dragon { sim, parked, .. } => {
+                sim.queued() + parked.len() + sim.busy_workers() as usize
+            }
+            Machine::Prrte(pb) => pb.waiting.len() + pb.dvm.queued() + pb.dvm.running_count(),
+        };
+        backlog as f64 / self.capacity().max(1) as f64
+    }
+
+    /// Add this partition's totals, and its free capacity while alive, to
+    /// a workload's resource view.
+    fn add_to_view(&self, v: &mut ResourceView) {
+        let (total_cores, total_gpus, free_cores, free_gpus) = match &self.machine {
+            Machine::Flux(f) => {
+                let (cores, gpus) = (f.allocation().total_cores(), f.allocation().total_gpus());
+                (cores, gpus, cores - f.busy_cores(), gpus - f.busy_gpus())
+            }
+            // Dragon manages GPUs implicitly; count its partition's GPUs as
+            // available for sizing purposes.
+            Machine::Dragon { sim, alloc, .. } => (
+                alloc.total_cores(),
+                alloc.total_gpus(),
+                sim.worker_capacity() - sim.busy_workers(),
+                alloc.total_gpus(),
+            ),
+            Machine::Prrte(pb) => (
+                pb.pool.total_cores(),
+                pb.pool.total_gpus(),
+                pb.pool.free_cores(),
+                pb.pool.free_gpus(),
+            ),
+        };
+        v.total_cores += total_cores;
+        v.total_gpus += total_gpus;
+        if self.is_alive() {
+            v.free_cores += free_cores;
+            v.free_gpus += free_gpus;
+        }
+    }
+
+    fn attach_lineage(&mut self, lin: Lineage) {
+        match &mut self.machine {
+            Machine::Flux(f) => f.attach_lineage(lin, self.part),
+            Machine::Dragon { sim, .. } => sim.attach_lineage(lin, self.part),
+            Machine::Prrte(pb) => pb.dvm.attach_lineage(lin, self.part),
+        }
+    }
+
+    /// Crash the backend and return every task it held, agent-side queues
+    /// included.
+    fn kill(&mut self) -> Vec<TaskId> {
+        match &mut self.machine {
+            Machine::Flux(f) => f.kill().into_iter().map(|JobId(id)| TaskId(id)).collect(),
+            Machine::Dragon {
+                sim,
+                inflight,
+                parked,
+                ..
+            } => {
+                let mut lost: Vec<TaskId> = sim.kill().into_iter().map(TaskId).collect();
+                lost.extend(parked.drain(..));
+                *inflight = 0;
+                lost
+            }
+            Machine::Prrte(pb) => {
+                let mut lost: Vec<TaskId> = pb.dvm.kill().into_iter().map(TaskId).collect();
+                lost.extend(pb.waiting.drain(..));
+                // The partition's nodes are gone with the DVM.
+                pb.placements.clear();
+                lost
+            }
+        }
+    }
+
+    /// Reserve `req` for a persistent service: `(placement, workers)`.
+    fn reserve(&mut self, req: &ResourceRequest) -> Option<(Option<Placement>, u64)> {
+        match &mut self.machine {
+            Machine::Flux(f) => f.reserve(req).map(|pl| (Some(pl), 0)),
+            Machine::Dragon { sim, .. } => {
+                let workers = req.total_cores().max(1);
+                sim.reserve_workers(workers).then_some((None, workers))
+            }
+            Machine::Prrte(pb) => pb.pool.try_alloc(req).map(|pl| (Some(pl), 0)),
+        }
+    }
+
+    /// Return a stopped service's resources.
+    fn release(&mut self, hold: &ServiceHold) {
+        match (&mut self.machine, &hold.placement) {
+            (Machine::Flux(f), Some(pl)) => f.release_reservation(pl),
+            (Machine::Dragon { sim, .. }, _) => sim.release_workers(hold.workers),
+            (Machine::Prrte(pb), Some(pl)) => pb.pool.free(pl),
+            _ => {}
+        }
+    }
+}
+
+/// Executor-adapter serialization cost for `kind`.
+fn adapter_cost(cal: &Calibration, kind: BackendKind) -> Dist {
+    match kind {
+        BackendKind::Srun => cal.rp_srun_adapter.clone(),
+        BackendKind::Flux => cal.rp_flux_adapter.clone(),
+        BackendKind::Dragon => cal.rp_dragon_adapter.clone(),
+        BackendKind::Prrte => cal.rp_prrte_adapter.clone(),
+    }
+}
+
 /// The srun execution backend: agent-side capacity accounting plus the
 /// site launcher. srun places at node granularity itself, so RP tracks
 /// aggregate capacity (optionally oversubscribed, Table 1's "4 tasks per
@@ -159,6 +373,16 @@ struct SrunBackend {
     oversubscribe: u64,
     waiting: VecDeque<TaskId>,
     holds: UidMap<(u64, u64)>,
+}
+
+impl SrunBackend {
+    /// Return the capacity the agent holds for task `id` (if any).
+    fn release(&mut self, id: u64) {
+        if let Some((cores, gpus)) = self.holds.remove(id) {
+            self.free_core_slots += cores;
+            self.free_gpus += gpus;
+        }
+    }
 }
 
 /// Dense index of a task state (dwell histograms, telemetry populations).
@@ -199,8 +423,8 @@ pub(crate) fn state_event_name(s: TaskState) -> &'static str {
 pub struct AgentGauges {
     queue_depth: Cell<f64>,
     srun_inflight: Cell<f64>,
-    /// `(busy cores, busy gpus)` per backend partition, flux → dragon →
-    /// prrte, matching the gauge sampler's partition tracks.
+    /// `(busy cores, busy gpus)` per instance in instance-table order,
+    /// matching the gauge sampler's partition tracks.
     parts: RefCell<Vec<(f64, f64)>>,
     /// Backend-local queued tasks per kind, indexed by
     /// `BackendKind as usize` (telemetry attributes saturation with it).
@@ -266,17 +490,6 @@ struct ChaosCounters {
     given_up: MCounter,
 }
 
-/// Which sub-machine a flat chaos-plan partition index maps to: flux
-/// partitions first, then dragon, then prrte, matching the instance
-/// order reports use; srun absorbs node faults when no instance-
-/// structured backend is deployed.
-enum FaultTarget {
-    Flux(usize),
-    Dragon(usize),
-    Prrte(usize),
-    Srun,
-}
-
 /// The simulated agent actor.
 pub struct SimAgent {
     cfg: PilotConfig,
@@ -300,14 +513,13 @@ pub struct SimAgent {
     // Backends.
     site_srun: SrunSim,
     srun_backend: Option<SrunBackend>,
-    flux: Vec<FluxInstanceSim>,
-    dragon: Vec<DragonSim>,
-    dragon_allocs: Vec<Allocation>,
-    prrte: Vec<PrrteBackend>,
-    /// RunState instance-report index per flux / dragon / prrte partition.
-    flux_report: Vec<usize>,
-    dragon_report: Vec<usize>,
-    prrte_report: Vec<usize>,
+    /// Every runtime instance, in kind-grouped flat order (see
+    /// [`Instance`]).
+    instances: Vec<Instance>,
+    /// Flat index of each kind's first instance, indexed by
+    /// `BackendKind as usize`; kind `k` owns `first[k]..first[k + 1]`
+    /// (srun owns none).
+    first: [usize; 5],
 
     assignment: UidMap<(BackendKind, u32)>,
     /// Tasks submitted but not yet terminal; when this drains to zero the
@@ -326,10 +538,7 @@ pub struct SimAgent {
     watcher_q: [VecDeque<WatcherEvent>; 4],
     watcher_busy: [bool; 4],
     watcher_cost: Dist,
-    /// Flow control for the Dragon pipe: in-flight (submitted, not yet
-    /// started) per instance, plus parked tasks waiting for window space.
-    dragon_inflight: Vec<usize>,
-    dragon_parked: Vec<VecDeque<TaskId>>,
+    /// Flow-control window of each Dragon instance's pipe.
     dragon_window: usize,
     workload: Box<dyn WorkloadSource>,
     /// Round-robin cursors, indexed by `BackendKind as usize`.
@@ -345,7 +554,6 @@ pub struct SimAgent {
     scratch_flux: Vec<FluxAction>,
     scratch_dragon: Vec<DragonAction>,
     scratch_prrte: Vec<PrrteAction>,
-    total_partitions: u32,
     gauges: Rc<AgentGauges>,
     /// Whether a profile gauge sampler reads `gauges` (set by
     /// [`Self::gauge_sampler`]); profiled runs refresh them exactly.
@@ -391,161 +599,118 @@ impl SimAgent {
         let router = Router::new(cfg.backends.iter().map(|b| b.kind()).collect());
         let total_partitions = cfg.total_instances();
 
-        // Partition the allocation across all non-srun instances, in spec
-        // order (srun spans everything).
-        let mut flux = Vec::new();
-        let mut dragon = Vec::new();
-        let mut dragon_allocs = Vec::new();
-        let mut prrte = Vec::new();
-        let mut srun_backend = None;
-        let mut flux_report = Vec::new();
-        let mut dragon_report = Vec::new();
-        let mut prrte_report = Vec::new();
+        let srun_backend = cfg.has_backend(BackendKind::Srun).then(|| {
+            let oversubscribe = cfg.srun_oversubscribe.max(1) as u64;
+            let slots = alloc.total_cores() * oversubscribe;
+            SrunBackend {
+                free_core_slots: slots,
+                free_gpus: alloc.total_gpus(),
+                total_core_slots: slots,
+                oversubscribe,
+                waiting: VecDeque::new(),
+                holds: UidMap::default(),
+            }
+        });
+        // Partition the allocation across all non-srun instances and draw
+        // their seeds in spec order (srun spans everything), then group
+        // the table by kind.
+        let mut instances = Vec::new();
         {
             let mut st = state.borrow_mut();
-            let non_srun_instances: u32 = cfg
-                .backends
-                .iter()
-                .filter(|b| b.kind() != BackendKind::Srun)
-                .map(|b| b.partitions())
-                .sum();
-            let mut parts = if non_srun_instances > 0 {
-                alloc.partition(non_srun_instances).into_iter()
+            let non_srun = if srun_backend.is_some() {
+                0
             } else {
-                Vec::new().into_iter()
+                total_partitions
             };
+            let mut parts = if non_srun > 0 {
+                alloc.partition(non_srun)
+            } else {
+                Vec::new()
+            }
+            .into_iter();
             for spec in &cfg.backends {
-                match spec {
-                    BackendSpec::Srun => {
-                        let oversubscribe = cfg.srun_oversubscribe.max(1) as u64;
-                        let slots = alloc.total_cores() * oversubscribe;
-                        srun_backend = Some(SrunBackend {
-                            free_core_slots: slots,
-                            free_gpus: alloc.total_gpus(),
-                            total_core_slots: slots,
-                            oversubscribe,
-                            waiting: VecDeque::new(),
-                            holds: UidMap::default(),
-                        });
-                    }
-                    BackendSpec::Flux {
-                        partitions,
-                        backfill,
-                    } => {
-                        for p in 0..*partitions {
-                            let part = parts.next().expect("enough partitions");
-                            let policy: Box<dyn SchedPolicy> = if *backfill {
+                for part in 0..spec.partitions() {
+                    let mut next = || (parts.next().expect("enough partitions"), rng.next_u64());
+                    let machine = match *spec {
+                        BackendSpec::Srun => break,
+                        BackendSpec::Flux { backfill, .. } => {
+                            let (alloc, seed) = next();
+                            let policy: Box<dyn SchedPolicy> = if backfill {
                                 Box::new(EasyBackfill::default())
                             } else {
                                 Box::new(Fcfs)
                             };
-                            let seed = rng.next_u64();
-                            flux_report.push(st.instances.len());
-                            st.instances.push(InstanceReport {
-                                kind: BackendKind::Flux,
-                                partition: p,
-                                nodes: part.count,
-                                srun_acquired: None,
-                                ready: None,
-                                killed: false,
-                            });
-                            flux.push(FluxInstanceSim::new(part, &cal, policy, seed));
+                            Machine::Flux(FluxInstanceSim::new(alloc, &cal, policy, seed))
                         }
-                    }
-                    BackendSpec::Dragon { partitions } => {
-                        for p in 0..*partitions {
-                            let part = parts.next().expect("enough partitions");
-                            let seed = rng.next_u64();
-                            dragon_report.push(st.instances.len());
-                            st.instances.push(InstanceReport {
-                                kind: BackendKind::Dragon,
-                                partition: p,
-                                nodes: part.count,
-                                srun_acquired: None,
-                                ready: None,
-                                killed: false,
-                            });
-                            dragon.push(DragonSim::new(&part, &cal, seed));
-                            dragon_allocs.push(part);
+                        BackendSpec::Dragon { .. } => {
+                            let (alloc, seed) = next();
+                            Machine::Dragon {
+                                sim: DragonSim::new(&alloc, &cal, seed),
+                                alloc,
+                                inflight: 0,
+                                parked: VecDeque::new(),
+                            }
                         }
-                    }
-                    BackendSpec::Prrte { partitions } => {
-                        for p in 0..*partitions {
-                            let part = parts.next().expect("enough partitions");
-                            let seed = rng.next_u64();
-                            prrte_report.push(st.instances.len());
-                            st.instances.push(InstanceReport {
-                                kind: BackendKind::Prrte,
-                                partition: p,
-                                nodes: part.count,
-                                srun_acquired: None,
-                                ready: None,
-                                killed: false,
-                            });
-                            prrte.push(PrrteBackend {
-                                dvm: PrrteDvm::new(&part, &cal, seed),
-                                pool: part.pool(),
+                        BackendSpec::Prrte { .. } => {
+                            let (alloc, seed) = next();
+                            Machine::Prrte(PrrteBackend {
+                                dvm: PrrteDvm::new(&alloc, &cal, seed),
+                                pool: alloc.pool(),
                                 waiting: VecDeque::new(),
                                 placements: UidMap::default(),
                                 lin_reject: None,
-                            });
+                            })
                         }
-                    }
+                    };
+                    let inst = Instance {
+                        report: st.instances.len(),
+                        part,
+                        machine,
+                    };
+                    st.instances.push(InstanceReport {
+                        kind: spec.kind(),
+                        partition: part,
+                        nodes: inst.nodes(),
+                        srun_acquired: None,
+                        ready: None,
+                        killed: false,
+                    });
+                    instances.push(inst);
                 }
             }
         }
+        instances.sort_by_key(Instance::kind);
+        let first = [0, 1, 2, 3, 4].map(|k| instances.partition_point(|x| (x.kind() as usize) < k));
 
         let mut adapters: [Option<Adapter>; 4] = [None, None, None, None];
         for spec in &cfg.backends {
-            let (kind, cost) = match spec.kind() {
-                BackendKind::Srun => (BackendKind::Srun, cal.rp_srun_adapter.clone()),
-                BackendKind::Flux => (BackendKind::Flux, cal.rp_flux_adapter.clone()),
-                BackendKind::Dragon => (BackendKind::Dragon, cal.rp_dragon_adapter.clone()),
-                BackendKind::Prrte => (BackendKind::Prrte, cal.rp_prrte_adapter.clone()),
-            };
-            adapters[kind as usize] = Some(Adapter {
+            adapters[spec.kind() as usize] = Some(Adapter {
                 q: VecDeque::new(),
                 busy: false,
-                cost,
+                cost: adapter_cost(&cal, spec.kind()),
             });
         }
 
-        let stagers_free = cfg.stager_concurrency.max(1);
-        let n_dragon = dragon.len();
-        let n_instances = flux.len() + dragon.len() + prrte.len();
-
-        // Per-partition sub-agent pipelines. A sub-agent's scheduler pays
-        // only partition-local cost (no cross-partition term); its adapter
-        // matches its backend kind.
-        let mut subs: Vec<SubAgent> = Vec::new();
-        if cfg.sub_agents {
-            let mut push_sub = |kind: BackendKind, part: u32, nodes: u32| {
-                let adapter_cost = match kind {
-                    BackendKind::Srun => cal.rp_srun_adapter.clone(),
-                    BackendKind::Flux => cal.rp_flux_adapter.clone(),
-                    BackendKind::Dragon => cal.rp_dragon_adapter.clone(),
-                    BackendKind::Prrte => cal.rp_prrte_adapter.clone(),
-                };
-                subs.push(SubAgent {
-                    target: (kind, part),
+        // Per-partition sub-agent pipelines, one per instance. A
+        // sub-agent's scheduler pays only partition-local cost (no
+        // cross-partition term); its adapter matches its backend kind.
+        let subs: Vec<SubAgent> = if cfg.sub_agents {
+            instances
+                .iter()
+                .map(|inst| SubAgent {
+                    kind: inst.kind(),
                     sched_q: VecDeque::new(),
                     sched_busy: false,
-                    sched_cost: cal.rp_sched_cost(1, nodes),
+                    sched_cost: cal.rp_sched_cost(1, inst.nodes()),
                     adapter_q: VecDeque::new(),
                     adapter_busy: false,
-                    adapter_cost,
-                });
-            };
-            for (i, f) in flux.iter().enumerate() {
-                push_sub(BackendKind::Flux, i as u32, f.allocation().count);
-            }
-            for (i, a) in dragon_allocs.iter().enumerate() {
-                push_sub(BackendKind::Dragon, i as u32, a.count);
-            }
-            for (i, pb) in prrte.iter().enumerate() {
-                push_sub(BackendKind::Prrte, i as u32, pb.pool.node_count() as u32);
-            }
-        }
+                    adapter_cost: adapter_cost(&cal, inst.kind()),
+                })
+                .collect()
+        } else {
+            Vec::new()
+        };
+        let stagers_free = cfg.stager_concurrency.max(1);
         SimAgent {
             router,
             state,
@@ -559,23 +724,16 @@ impl SimAgent {
             subs,
             site_srun: SrunSim::new(cfg.nodes, cal.clone(), rng.next_u64()),
             srun_backend,
-            flux,
-            dragon,
-            dragon_allocs,
-            prrte,
-            flux_report,
-            dragon_report,
-            prrte_report,
+            instances_pending: instances.len(),
+            instances,
+            first,
             assignment: UidMap::default(),
             outstanding: 0,
             pending_services: Vec::new(),
             service_holds: Vec::new(),
-            instances_pending: n_instances,
             watcher_q: [const { VecDeque::new() }; 4],
             watcher_busy: [false; 4],
             watcher_cost: cal.rp_watcher.clone(),
-            dragon_inflight: vec![0; n_dragon],
-            dragon_parked: (0..n_dragon).map(|_| VecDeque::new()).collect(),
             dragon_window: cal.rp_dragon_window.max(1),
             workload,
             rr: [0; 4],
@@ -584,7 +742,6 @@ impl SimAgent {
             scratch_dragon: Vec::new(),
             scratch_prrte: Vec::new(),
             rng,
-            total_partitions,
             cfg,
             gauges: Rc::new(AgentGauges::default()),
             profile_gauges: false,
@@ -617,15 +774,11 @@ impl SimAgent {
             "SRUN_CEILING",
         ]
         .map(|name| p.intern(name));
-        let parts: Vec<_> = [
-            ("flux", self.flux.len()),
-            ("dragon", self.dragon.len()),
-            ("prrte", self.prrte.len()),
-        ]
-        .into_iter()
-        .flat_map(|(kind, n)| (0..n).map(move |i| format!("{kind}.{i}")))
-        .map(|track| p.intern(&track))
-        .collect();
+        let parts: Vec<_> = self
+            .instances
+            .iter()
+            .map(|inst| p.intern(&format!("{}.{}", inst.kind(), inst.part)))
+            .collect();
         drop(p);
         self.profile_gauges = true;
         self.update_gauges();
@@ -699,14 +852,11 @@ impl SimAgent {
         }
         // The site srun always exports its families (it carries the
         // instance bootstraps even when no task routes to it).
-        let deployed = [
-            true,
-            !self.flux.is_empty(),
-            !self.dragon.is_empty(),
-            !self.prrte.is_empty(),
-        ];
         let mut backends: [BackendFamilies; 4] = Default::default();
-        for kind in ALL_BACKENDS.iter().filter(|k| deployed[**k as usize]) {
+        for kind in ALL_BACKENDS
+            .iter()
+            .filter(|&&k| k == BackendKind::Srun || !self.kind_range(k).is_empty())
+        {
             backends[*kind as usize] = BackendFamilies::register(reg, &format!("{kind}"));
         }
         let server = |name, help| reg.histogram(name, &[], help);
@@ -805,14 +955,8 @@ impl SimAgent {
     /// detached runs pay one `Option` check per hook site.
     pub fn attach_lineage(&mut self, lin: Lineage) {
         self.site_srun.attach_lineage(lin.clone());
-        for (i, f) in self.flux.iter_mut().enumerate() {
-            f.attach_lineage(lin.clone(), i as u32);
-        }
-        for (i, d) in self.dragon.iter_mut().enumerate() {
-            d.attach_lineage(lin.clone(), i as u32);
-        }
-        for (i, pb) in self.prrte.iter_mut().enumerate() {
-            pb.dvm.attach_lineage(lin.clone(), i as u32);
+        for inst in &mut self.instances {
+            inst.attach_lineage(lin.clone());
         }
         self.lineage = Some(lin);
     }
@@ -1006,10 +1150,7 @@ impl SimAgent {
     /// Cores (Dragon: workers) deployed across the non-srun partitions:
     /// the fixed denominator of the samplers' utilization figures.
     fn partition_capacity(&self) -> f64 {
-        let flux: u64 = self.flux.iter().map(|f| f.allocation().total_cores()).sum();
-        let dragon: u64 = self.dragon.iter().map(|d| d.worker_capacity()).sum();
-        let prrte: u64 = self.prrte.iter().map(|pb| pb.pool.total_cores()).sum();
-        (flux + dragon + prrte) as f64
+        self.instances.iter().map(Instance::capacity).sum::<u64>() as f64
     }
 
     /// Refresh the shared gauge counters from live agent/backend state.
@@ -1051,45 +1192,22 @@ impl SimAgent {
             .set(self.site_srun.slots_in_use() as f64);
         let mut parts = self.gauges.parts.borrow_mut();
         parts.clear();
-        for f in &self.flux {
-            parts.push((f.busy_cores() as f64, f.busy_gpus() as f64));
-        }
-        for d in &self.dragon {
-            parts.push((d.busy_workers() as f64, 0.0));
-        }
-        for pb in &self.prrte {
-            parts.push((
-                (pb.pool.total_cores() - pb.pool.free_cores()) as f64,
-                (pb.pool.total_gpus() - pb.pool.free_gpus()) as f64,
-            ));
-        }
+        parts.extend(self.instances.iter().map(|inst| {
+            let (cores, gpus) = inst.busy();
+            (cores as f64, gpus as f64)
+        }));
         if self.telemetry.is_some() {
-            let mut bq = [0.0f64; 4];
-            let mut peaks = [0.0f64; 4];
-            bq[BackendKind::Srun as usize] = self.site_srun.queued() as f64;
-            peaks[BackendKind::Srun as usize] = self.site_srun.queued_peak() as f64;
-            bq[BackendKind::Flux as usize] =
-                self.flux.iter().map(|f| f.queued_count()).sum::<usize>() as f64;
-            peaks[BackendKind::Flux as usize] =
-                self.flux.iter().map(|f| f.queued_peak()).max().unwrap_or(0) as f64;
-            bq[BackendKind::Dragon as usize] =
-                self.dragon.iter().map(|d| d.queued()).sum::<usize>() as f64;
-            peaks[BackendKind::Dragon as usize] = self
-                .dragon
-                .iter()
-                .map(|d| d.queued_peak())
-                .max()
-                .unwrap_or(0) as f64;
-            bq[BackendKind::Prrte as usize] =
-                self.prrte.iter().map(|p| p.dvm.queued()).sum::<usize>() as f64;
-            peaks[BackendKind::Prrte as usize] = self
-                .prrte
-                .iter()
-                .map(|p| p.dvm.queued_peak())
-                .max()
-                .unwrap_or(0) as f64;
-            self.gauges.backend_queues.set(bq);
-            self.gauges.backend_queue_peaks.set(peaks);
+            let mut bq = [0usize; 4];
+            let mut peaks = [0usize; 4];
+            bq[BackendKind::Srun as usize] = self.site_srun.queued();
+            peaks[BackendKind::Srun as usize] = self.site_srun.queued_peak();
+            for inst in &self.instances {
+                let k = inst.kind() as usize;
+                bq[k] += inst.queued();
+                peaks[k] = peaks[k].max(inst.queued_peak());
+            }
+            self.gauges.backend_queues.set(bq.map(|n| n as f64));
+            self.gauges.backend_queue_peaks.set(peaks.map(|n| n as f64));
         }
         if let Some(m) = &self.metrics {
             m.queue_depth.set(depth as f64);
@@ -1106,54 +1224,39 @@ impl SimAgent {
 
     /// Total backend partitions (for reports and sched-cost sanity checks).
     pub fn total_partitions(&self) -> u32 {
-        self.total_partitions
+        self.cfg.total_instances()
+    }
+
+    /// Flat indices of `kind`'s instances (empty for srun).
+    fn kind_range(&self, kind: BackendKind) -> std::ops::Range<usize> {
+        self.first[kind as usize]..self.first[kind as usize + 1]
+    }
+
+    /// Flat index of `kind`'s partition `part`, if such an instance exists.
+    fn instance_index(&self, kind: BackendKind, part: u32) -> Option<usize> {
+        let i = self.first[kind as usize] + part as usize;
+        (i < self.first[kind as usize + 1]).then_some(i)
     }
 
     fn resource_view(&self) -> ResourceView {
-        let mut free_cores = 0u64;
-        let mut free_gpus = 0u64;
-        let mut total_cores = 0u64;
-        let mut total_gpus = 0u64;
+        let mut view = ResourceView {
+            free_cores: 0,
+            free_gpus: 0,
+            total_cores: 0,
+            total_gpus: 0,
+            nodes: self.cfg.nodes,
+        };
         if let Some(sb) = &self.srun_backend {
             // Report logical (non-oversubscribed) capacity to workloads.
-            free_cores += sb.free_core_slots / sb.oversubscribe;
-            free_gpus += sb.free_gpus;
-            total_cores += sb.total_core_slots / sb.oversubscribe;
-            total_gpus += self.cfg.nodes as u64 * rp_platform::frontier().node.gpus as u64;
+            view.free_cores += sb.free_core_slots / sb.oversubscribe;
+            view.free_gpus += sb.free_gpus;
+            view.total_cores += sb.total_core_slots / sb.oversubscribe;
+            view.total_gpus += self.cfg.nodes as u64 * rp_platform::frontier().node.gpus as u64;
         }
-        for f in &self.flux {
-            total_cores += f.allocation().total_cores();
-            total_gpus += f.allocation().total_gpus();
-            if f.is_alive() {
-                free_cores += f.allocation().total_cores() - f.busy_cores();
-                free_gpus += f.allocation().total_gpus() - f.busy_gpus();
-            }
+        for inst in &self.instances {
+            inst.add_to_view(&mut view);
         }
-        for pb in &self.prrte {
-            total_cores += pb.pool.total_cores();
-            total_gpus += pb.pool.total_gpus();
-            if pb.dvm.is_alive() {
-                free_cores += pb.pool.free_cores();
-                free_gpus += pb.pool.free_gpus();
-            }
-        }
-        for (d, a) in self.dragon.iter().zip(&self.dragon_allocs) {
-            total_cores += a.total_cores();
-            total_gpus += a.total_gpus();
-            if d.is_alive() {
-                free_cores += d.worker_capacity() - d.busy_workers();
-                // Dragon manages GPUs implicitly; count its partition's
-                // GPUs as available for sizing purposes.
-                free_gpus += a.total_gpus();
-            }
-        }
-        ResourceView {
-            free_cores,
-            free_gpus,
-            total_cores,
-            total_gpus,
-            nodes: self.cfg.nodes,
-        }
+        view
     }
 
     fn with_task<R>(&self, uid: TaskId, f: impl FnOnce(&mut TaskRecord) -> R) -> R {
@@ -1319,16 +1422,11 @@ impl SimAgent {
         };
         sub.adapter_busy = true;
         let cost = sub.adapter_cost.sample(&mut self.rng);
-        let kind = sub.target.0;
+        let kind = sub.kind;
         if let Some(m) = &self.metrics {
             m.adapter_seconds[kind as usize].observe(cost.as_secs_f64());
         }
         ctx.timer(cost, AgentMsg::SubAdapterDone(idx, t));
-    }
-
-    /// Flat sub-agent index for a backend partition.
-    fn sub_index(&self, kind: BackendKind, part: u32) -> Option<usize> {
-        self.subs.iter().position(|s| s.target == (kind, part))
     }
 
     /// Pick a backend and partition for a task. Under `TypeAware` routing
@@ -1353,29 +1451,26 @@ impl SimAgent {
             }
         };
         if routed.is_none() {
-            let mut best: Option<(f64, BackendKind, u32)> = None;
-            for &kind in &candidates {
-                if let Some((pressure, part)) = self.least_loaded_partition(kind, avoid) {
-                    if best.is_none_or(|(bp, _, _)| pressure < bp) {
-                        best = Some((pressure, kind, part));
-                    }
-                }
-            }
-            if best.is_none() && avoid.is_some() {
-                // Every alternative is dead: resubmit in place.
-                for kind in candidates {
-                    if let Some((pressure, part)) = self.least_loaded_partition(kind, None) {
-                        if best.is_none_or(|(bp, _, _)| pressure < bp) {
-                            best = Some((pressure, kind, part));
+            // The first candidate with the strictly lowest pressure wins.
+            let best = |avoid| {
+                candidates
+                    .iter()
+                    .filter_map(|&kind| {
+                        let (pressure, part) = self.least_loaded_partition(kind, avoid)?;
+                        Some((pressure, kind, part))
+                    })
+                    .fold(None, |best: Option<(f64, BackendKind, u32)>, c| {
+                        if best.is_none_or(|b| c.0 < b.0) {
+                            Some(c)
+                        } else {
+                            best
                         }
-                    }
-                }
-            }
-            if let Some((_, kind, part)) = best {
-                self.note_route(t, rp_lineage::ROUTE_LEAST_LOADED, kind, part);
-                return Some((kind, part));
-            }
-            return None;
+                    })
+            };
+            // Every alternative dead: resubmit in place.
+            let (_, kind, part) = best(avoid).or_else(|| avoid.and_then(|_| best(None)))?;
+            self.note_route(t, rp_lineage::ROUTE_LEAST_LOADED, kind, part);
+            return Some((kind, part));
         }
 
         let kind = routed?.ok()?;
@@ -1411,52 +1506,16 @@ impl SimAgent {
         kind: BackendKind,
         avoid: Option<(BackendKind, u32)>,
     ) -> Option<(f64, u32)> {
-        let avoided = |part: u32| avoid == Some((kind, part));
-        match kind {
-            BackendKind::Srun => self
-                .srun_backend
-                .as_ref()
-                .filter(|_| !avoided(0))
-                .map(|sb| {
-                    let backlog = sb.waiting.len() + self.site_srun.queued();
-                    (backlog as f64, 0)
-                }),
-            BackendKind::Flux => self
-                .flux
-                .iter()
-                .enumerate()
-                .filter(|(i, f)| f.is_alive() && !avoided(*i as u32))
-                .map(|(i, f)| {
-                    let cap = f.allocation().total_cores().max(1) as f64;
-                    let pressure = (f.queued_count() + f.running_count()) as f64 / cap;
-                    (pressure, i as u32)
-                })
-                .min_by(|a, b| a.0.partial_cmp(&b.0).expect("no NaN")),
-            BackendKind::Prrte => self
-                .prrte
-                .iter()
-                .enumerate()
-                .filter(|(i, pb)| pb.dvm.is_alive() && !avoided(*i as u32))
-                .map(|(i, pb)| {
-                    let cap = pb.pool.total_cores().max(1) as f64;
-                    let pressure =
-                        (pb.waiting.len() + pb.dvm.queued() + pb.dvm.running_count()) as f64 / cap;
-                    (pressure, i as u32)
-                })
-                .min_by(|a, b| a.0.partial_cmp(&b.0).expect("no NaN")),
-            BackendKind::Dragon => self
-                .dragon
-                .iter()
-                .enumerate()
-                .filter(|(i, d)| d.is_alive() && !avoided(*i as u32))
-                .map(|(i, d)| {
-                    let cap = d.worker_capacity().max(1) as f64;
-                    let parked = self.dragon_parked[i].len();
-                    let pressure = (d.queued() + parked + d.busy_workers() as usize) as f64 / cap;
-                    (pressure, i as u32)
-                })
-                .min_by(|a, b| a.0.partial_cmp(&b.0).expect("no NaN")),
+        if kind == BackendKind::Srun {
+            let sb = self.srun_backend.as_ref()?;
+            let backlog = sb.waiting.len() + self.site_srun.queued();
+            return (avoid != Some((kind, 0))).then_some((backlog as f64, 0));
         }
+        self.instances[self.kind_range(kind)]
+            .iter()
+            .filter(|inst| inst.is_alive() && avoid != Some((kind, inst.part)))
+            .map(|inst| (inst.pressure(), inst.part))
+            .min_by(|a, b| a.0.total_cmp(&b.0))
     }
 
     /// Round-robin over `kind`'s live partitions. `avoid` is the chaos
@@ -1468,14 +1527,11 @@ impl SimAgent {
         kind: BackendKind,
         avoid: Option<(BackendKind, u32)>,
     ) -> Option<u32> {
-        let count = match kind {
-            BackendKind::Srun => {
-                return self.srun_backend.as_ref().map(|_| 0);
-            }
-            BackendKind::Flux => self.flux.len(),
-            BackendKind::Dragon => self.dragon.len(),
-            BackendKind::Prrte => self.prrte.len(),
-        };
+        if kind == BackendKind::Srun {
+            return self.srun_backend.as_ref().map(|_| 0);
+        }
+        let range = self.kind_range(kind);
+        let count = range.len();
         if count == 0 {
             return None;
         }
@@ -1487,13 +1543,7 @@ impl SimAgent {
         let mut fallback = None;
         for off in 0..count {
             let idx = (start + off) % count;
-            let alive = match kind {
-                BackendKind::Flux => self.flux[idx].is_alive(),
-                BackendKind::Dragon => self.dragon[idx].is_alive(),
-                BackendKind::Prrte => self.prrte[idx].dvm.is_alive(),
-                BackendKind::Srun => true,
-            };
-            if !alive {
+            if !self.instances[range.start + idx].is_alive() {
                 continue;
             }
             if avoid_idx == Some(idx) {
@@ -1529,16 +1579,17 @@ impl SimAgent {
                 return;
             }
         }
-        match kind {
-            BackendKind::Srun => {
-                self.srun_backend
-                    .as_mut()
-                    .expect("srun deployed")
-                    .waiting
-                    .push_back(t);
-                self.pump_srun_backend(ctx);
-            }
-            BackendKind::Flux => {
+        let Some(i) = self.instance_index(kind, part) else {
+            self.srun_backend
+                .as_mut()
+                .expect("srun deployed")
+                .waiting
+                .push_back(t);
+            self.pump_srun_backend(ctx);
+            return;
+        };
+        match &mut self.instances[i].machine {
+            Machine::Flux(sim) => {
                 let job = {
                     let st = self.state.borrow();
                     let desc = st.desc(t);
@@ -1549,45 +1600,55 @@ impl SimAgent {
                     }
                 };
                 let mut acts = std::mem::take(&mut self.scratch_flux);
-                self.flux[part as usize].submit(now, job, &mut acts);
-                self.process_flux_actions(part, &mut acts, ctx);
+                sim.submit(now, job, &mut acts);
+                self.process_flux_actions(i, &mut acts, ctx);
                 Self::restore_scratch(&mut self.scratch_flux, acts);
             }
-            BackendKind::Prrte => {
-                if self.prrte[part as usize].dvm.is_alive() {
-                    self.prrte[part as usize].waiting.push_back(t);
-                    self.pump_prrte(part, ctx);
+            Machine::Prrte(pb) => {
+                if pb.dvm.is_alive() {
+                    pb.waiting.push_back(t);
+                    self.pump_prrte(i, ctx);
                 } else {
                     self.fail_task(t, true, ctx);
                 }
             }
-            BackendKind::Dragon => {
-                if !self.dragon[part as usize].is_alive() {
+            Machine::Dragon {
+                sim,
+                inflight,
+                parked,
+                ..
+            } => {
+                if !sim.is_alive() {
                     self.fail_task(t, true, ctx);
-                } else if self.dragon_inflight[part as usize] < self.dragon_window {
-                    self.push_to_dragon(part, t, ctx);
+                } else if *inflight < self.dragon_window {
+                    self.push_to_dragon(i, t, ctx);
                 } else {
                     // Flow control: the executor keeps at most `window`
                     // tasks in the pipe per instance.
-                    self.dragon_parked[part as usize].push_back(t);
+                    parked.push_back(t);
                 }
             }
         }
     }
 
-    /// Stamp `ready` on an instance report and decide whether this is its
-    /// FIRST readiness (which feeds the pilot-activation gate). A re-boot
-    /// after a chaos restart re-stamps `ready` but returns false: the
-    /// gate already counted the instance once — either at its original
-    /// `Ready` or when `kill_instance` released the gate on its behalf
-    /// (`killed` records that history, so a kill-during-boot followed by
-    /// a restart cannot double-release).
-    fn mark_instance_ready(&mut self, slot: usize, now: SimTime) -> bool {
-        let mut st = self.state.borrow_mut();
-        let inst = &mut st.instances[slot];
-        let first = inst.ready.is_none() && !inst.killed;
-        inst.ready = Some(now);
-        first
+    /// Instance `i` reported `Ready`: stamp its report, and feed the
+    /// pilot-activation gate on its FIRST readiness only. A re-boot after
+    /// a chaos restart re-stamps `ready` but skips the gate: it already
+    /// counted the instance once — either at its original `Ready` or when
+    /// `kill_instance_collect` released it on its behalf (`killed` records
+    /// that history, so a kill-during-boot followed by a restart cannot
+    /// double-release).
+    fn instance_booted(&mut self, i: usize, now: SimTime, ctx: &mut Ctx<AgentMsg>) {
+        let first = {
+            let mut st = self.state.borrow_mut();
+            let report = &mut st.instances[self.instances[i].report];
+            let first = report.ready.is_none() && !report.killed;
+            report.ready = Some(now);
+            first
+        };
+        if first {
+            self.instance_ready(ctx);
+        }
     }
 
     /// One backend instance finished booting; release the scheduler when
@@ -1634,47 +1695,22 @@ impl SimAgent {
                 gpus: desc.req.total_gpus(),
                 failed: true,
             };
-            if let Some(kind) = kind {
-                let parts = match kind {
-                    BackendKind::Flux => self.flux.len(),
-                    BackendKind::Dragon => self.dragon.len(),
-                    BackendKind::Prrte => self.prrte.len(),
-                    BackendKind::Srun => 0,
-                };
-                for p in 0..parts {
-                    let placed = match kind {
-                        BackendKind::Flux => {
-                            self.flux[p].reserve(&desc.req).map(|pl| (Some(pl), 0u64))
-                        }
-                        BackendKind::Dragon => {
-                            let workers = desc.req.total_cores().max(1);
-                            self.dragon[p]
-                                .reserve_workers(workers)
-                                .then_some((None, workers))
-                        }
-                        BackendKind::Prrte => self.prrte[p]
-                            .pool
-                            .try_alloc(&desc.req)
-                            .map(|pl| (Some(pl), 0u64)),
-                        BackendKind::Srun => None,
-                    };
-                    if let Some((flux_placement, dragon_workers)) = placed {
-                        record.partition = Some(p as u32);
-                        record.started = Some(now);
-                        record.failed = false;
-                        let mut st = self.state.borrow_mut();
-                        let report_idx = st.services.len();
-                        st.services.push(record.clone());
-                        drop(st);
-                        self.service_holds.push(ServiceHold {
-                            report_idx,
-                            backend: kind,
-                            partition: p as u32,
-                            flux_placement,
-                            dragon_workers,
-                        });
-                        break;
-                    }
+            for i in kind.map_or(0..0, |k| self.kind_range(k)) {
+                if let Some((placement, workers)) = self.instances[i].reserve(&desc.req) {
+                    record.partition = Some(self.instances[i].part);
+                    record.started = Some(now);
+                    record.failed = false;
+                    let mut st = self.state.borrow_mut();
+                    let report_idx = st.services.len();
+                    st.services.push(record.clone());
+                    drop(st);
+                    self.service_holds.push(ServiceHold {
+                        report_idx,
+                        instance: i,
+                        placement,
+                        workers,
+                    });
+                    break;
                 }
             }
             if record.failed {
@@ -1688,22 +1724,7 @@ impl SimAgent {
     fn stop_services(&mut self, ctx: &mut Ctx<AgentMsg>) {
         let now = ctx.now();
         for hold in self.service_holds.drain(..) {
-            match hold.backend {
-                BackendKind::Flux => {
-                    if let Some(pl) = &hold.flux_placement {
-                        self.flux[hold.partition as usize].release_reservation(pl);
-                    }
-                }
-                BackendKind::Dragon => {
-                    self.dragon[hold.partition as usize].release_workers(hold.dragon_workers);
-                }
-                BackendKind::Prrte => {
-                    if let Some(pl) = &hold.flux_placement {
-                        self.prrte[hold.partition as usize].pool.free(pl);
-                    }
-                }
-                BackendKind::Srun => {}
-            }
+            self.instances[hold.instance].release(&hold);
             self.state.borrow_mut().services[hold.report_idx].stopped = Some(now);
         }
     }
@@ -1749,23 +1770,14 @@ impl SimAgent {
     ) {
         let now = ctx.now();
         match ev {
-            WatcherEvent::Exec(t, part) => {
+            WatcherEvent::Exec(t, i) => {
                 self.with_task(t, |rec| {
                     if rec.state.can_transition(TaskState::Executing) {
                         rec.advance(TaskState::Executing, now);
                     }
                 });
                 if kind == BackendKind::Dragon {
-                    // Window slot freed: feed the next parked task.
-                    let p = part as usize;
-                    self.dragon_inflight[p] = self.dragon_inflight[p].saturating_sub(1);
-                    if let Some(next) = self.dragon_parked[p].pop_front() {
-                        if self.dragon[p].is_alive() {
-                            self.push_to_dragon(part, next, ctx);
-                        } else {
-                            self.fail_task(next, true, ctx);
-                        }
-                    }
+                    self.dragon_slot_freed(i as usize, ctx);
                 }
             }
             WatcherEvent::Term(t) => {
@@ -1784,7 +1796,29 @@ impl SimAgent {
         }
     }
 
-    fn push_to_dragon(&mut self, part: u32, t: TaskId, ctx: &mut Ctx<AgentMsg>) {
+    /// A task left Dragon instance `i`'s pipe: feed the next parked task
+    /// into the freed window slot.
+    fn dragon_slot_freed(&mut self, i: usize, ctx: &mut Ctx<AgentMsg>) {
+        let Machine::Dragon {
+            sim,
+            inflight,
+            parked,
+            ..
+        } = &mut self.instances[i].machine
+        else {
+            return;
+        };
+        *inflight = inflight.saturating_sub(1);
+        if let Some(next) = parked.pop_front() {
+            if sim.is_alive() {
+                self.push_to_dragon(i, next, ctx);
+            } else {
+                self.fail_task(next, true, ctx);
+            }
+        }
+    }
+
+    fn push_to_dragon(&mut self, i: usize, t: TaskId, ctx: &mut Ctx<AgentMsg>) {
         let task = {
             let st = self.state.borrow();
             let desc = st.desc(t);
@@ -1795,19 +1829,23 @@ impl SimAgent {
                 is_function: desc.kind.is_function(),
             }
         };
-        self.dragon_inflight[part as usize] += 1;
+        let Machine::Dragon { sim, inflight, .. } = &mut self.instances[i].machine else {
+            return;
+        };
+        *inflight += 1;
         let mut acts = std::mem::take(&mut self.scratch_dragon);
-        self.dragon[part as usize].submit(task, &mut acts);
-        self.process_dragon_actions(part, &mut acts, ctx);
+        sim.submit(task, &mut acts);
+        self.process_dragon_actions(i, &mut acts, ctx);
         Self::restore_scratch(&mut self.scratch_dragon, acts);
     }
 
     /// Place and launch waiting PRRTE tasks (RP-side FCFS placement over
     /// the partition's pool, then FIFO through the DVM's HNP).
-    fn pump_prrte(&mut self, part: u32, ctx: &mut Ctx<AgentMsg>) {
+    fn pump_prrte(&mut self, i: usize, ctx: &mut Ctx<AgentMsg>) {
         let mut acts = std::mem::take(&mut self.scratch_prrte);
-        {
-            let pb = &mut self.prrte[part as usize];
+        let inst = &mut self.instances[i];
+        let part = inst.part;
+        if let Machine::Prrte(pb) = &mut inst.machine {
             let st = self.state.borrow();
             while let Some(&t) = pb.waiting.front() {
                 let desc = st.desc(t);
@@ -1858,13 +1896,13 @@ impl SimAgent {
                 );
             }
         }
-        self.process_prrte_actions(part, &mut acts, ctx);
+        self.process_prrte_actions(i, &mut acts, ctx);
         Self::restore_scratch(&mut self.scratch_prrte, acts);
     }
 
     fn process_prrte_actions(
         &mut self,
-        part: u32,
+        i: usize,
         acts: &mut Vec<PrrteAction>,
         ctx: &mut Ctx<AgentMsg>,
     ) {
@@ -1872,30 +1910,24 @@ impl SimAgent {
         for a in acts.drain(..) {
             match a {
                 PrrteAction::Timer { after, token } => {
-                    ctx.timer(after, AgentMsg::Prrte(part, token))
+                    ctx.timer(after, AgentMsg::Prrte(i as u32, token))
                 }
-                PrrteAction::Ready => {
-                    if self.mark_instance_ready(self.prrte_report[part as usize], now) {
-                        self.instance_ready(ctx);
-                    }
-                }
+                PrrteAction::Ready => self.instance_booted(i, now, ctx),
                 PrrteAction::Started(id) => {
                     self.watch(
                         BackendKind::Prrte,
-                        WatcherEvent::Exec(TaskId(id), part),
+                        WatcherEvent::Exec(TaskId(id), i as u32),
                         ctx,
                     );
                 }
                 PrrteAction::Completed(id) => {
                     // Free the RP-held placement immediately; the record
                     // update flows through the watcher like other backends.
-                    let t = TaskId(id);
-                    let pb = &mut self.prrte[part as usize];
-                    if let Some(pl) = pb.placements.remove(t.0) {
-                        pb.pool.free(&pl);
+                    if let Machine::Prrte(pb) = &mut self.instances[i].machine {
+                        pb.release(id);
                     }
-                    self.watch(BackendKind::Prrte, WatcherEvent::Term(t), ctx);
-                    self.pump_prrte(part, ctx);
+                    self.watch(BackendKind::Prrte, WatcherEvent::Term(TaskId(id)), ctx);
+                    self.pump_prrte(i, ctx);
                 }
             }
         }
@@ -1981,20 +2013,17 @@ impl SimAgent {
             match a {
                 SrunAction::Timer { after, token } => ctx.timer(after, AgentMsg::Srun(token)),
                 SrunAction::Started(StepId(id)) => {
-                    if id >= FLUX_INFRA_BASE {
-                        self.on_infra_carrier_live(id, ctx);
+                    if id >= INFRA_BASE {
+                        self.on_infra_carrier_live((id - INFRA_BASE) as usize, ctx);
                     } else {
                         self.with_task(TaskId(id), |rec| rec.advance(TaskState::Executing, now));
                     }
                 }
                 SrunAction::Completed(StepId(id)) => {
-                    debug_assert!(id < FLUX_INFRA_BASE, "infra steps never exit via timer");
+                    debug_assert!(id < INFRA_BASE, "infra steps never exit via timer");
                     let t = TaskId(id);
                     if let Some(sb) = self.srun_backend.as_mut() {
-                        if let Some((c, g)) = sb.holds.remove(t.0) {
-                            sb.free_core_slots += c;
-                            sb.free_gpus += g;
-                        }
+                        sb.release(id);
                     }
                     self.with_task(t, |rec| rec.advance(TaskState::Done, now));
                     self.on_terminal(t, ctx);
@@ -2004,63 +2033,68 @@ impl SimAgent {
         }
     }
 
-    fn on_infra_carrier_live(&mut self, infra_id: u64, ctx: &mut Ctx<AgentMsg>) {
-        let now = ctx.now();
-        if infra_id >= PRRTE_INFRA_BASE {
-            let idx = (infra_id - PRRTE_INFRA_BASE) as usize;
-            {
-                let mut st = self.state.borrow_mut();
-                let slot = self.prrte_report[idx];
-                st.instances[slot].srun_acquired = Some(now);
+    /// Instance `i`'s carrier srun acquired its slot: boot the instance.
+    fn on_infra_carrier_live(&mut self, i: usize, ctx: &mut Ctx<AgentMsg>) {
+        let slot = self.instances[i].report;
+        self.state.borrow_mut().instances[slot].srun_acquired = Some(ctx.now());
+        self.boot_instance(i, false, ctx);
+    }
+
+    /// Boot (or, after a chaos crash, restart) instance `i` and route the
+    /// actions it emits.
+    fn boot_instance(&mut self, i: usize, restart: bool, ctx: &mut Ctx<AgentMsg>) {
+        match &mut self.instances[i].machine {
+            Machine::Flux(sim) => {
+                let mut acts = std::mem::take(&mut self.scratch_flux);
+                if restart {
+                    sim.restart(&mut acts);
+                } else {
+                    sim.boot(&mut acts);
+                }
+                self.process_flux_actions(i, &mut acts, ctx);
+                Self::restore_scratch(&mut self.scratch_flux, acts);
             }
-            let mut acts = std::mem::take(&mut self.scratch_prrte);
-            self.prrte[idx].dvm.boot(&mut acts);
-            self.process_prrte_actions(idx as u32, &mut acts, ctx);
-            Self::restore_scratch(&mut self.scratch_prrte, acts);
-        } else if infra_id >= DRAGON_INFRA_BASE {
-            let idx = (infra_id - DRAGON_INFRA_BASE) as usize;
-            {
-                let mut st = self.state.borrow_mut();
-                let slot = self.dragon_report[idx];
-                st.instances[slot].srun_acquired = Some(now);
+            Machine::Dragon { sim, .. } => {
+                let mut acts = std::mem::take(&mut self.scratch_dragon);
+                if restart {
+                    sim.restart(&mut acts);
+                } else {
+                    sim.boot(&mut acts);
+                }
+                self.process_dragon_actions(i, &mut acts, ctx);
+                Self::restore_scratch(&mut self.scratch_dragon, acts);
             }
-            let mut acts = std::mem::take(&mut self.scratch_dragon);
-            self.dragon[idx].boot(&mut acts);
-            self.process_dragon_actions(idx as u32, &mut acts, ctx);
-            Self::restore_scratch(&mut self.scratch_dragon, acts);
-        } else {
-            let idx = (infra_id - FLUX_INFRA_BASE) as usize;
-            {
-                let mut st = self.state.borrow_mut();
-                let slot = self.flux_report[idx];
-                st.instances[slot].srun_acquired = Some(now);
+            Machine::Prrte(pb) => {
+                let mut acts = std::mem::take(&mut self.scratch_prrte);
+                if restart {
+                    pb.dvm.restart(&mut acts);
+                } else {
+                    pb.dvm.boot(&mut acts);
+                }
+                self.process_prrte_actions(i, &mut acts, ctx);
+                Self::restore_scratch(&mut self.scratch_prrte, acts);
             }
-            let mut acts = std::mem::take(&mut self.scratch_flux);
-            self.flux[idx].boot(&mut acts);
-            self.process_flux_actions(idx as u32, &mut acts, ctx);
-            Self::restore_scratch(&mut self.scratch_flux, acts);
         }
     }
 
     fn process_flux_actions(
         &mut self,
-        part: u32,
+        i: usize,
         acts: &mut Vec<FluxAction>,
         ctx: &mut Ctx<AgentMsg>,
     ) {
         let now = ctx.now();
         for a in acts.drain(..) {
             match a {
-                FluxAction::Timer { after, token } => ctx.timer(after, AgentMsg::Flux(part, token)),
-                FluxAction::Ready => {
-                    if self.mark_instance_ready(self.flux_report[part as usize], now) {
-                        self.instance_ready(ctx);
-                    }
+                FluxAction::Timer { after, token } => {
+                    ctx.timer(after, AgentMsg::Flux(i as u32, token))
                 }
+                FluxAction::Ready => self.instance_booted(i, now, ctx),
                 FluxAction::Event(ev) => match ev {
                     JobEvent::Submitted(_) | JobEvent::Alloc(_) => {}
                     JobEvent::Start(JobId(id)) => {
-                        self.watch(BackendKind::Flux, WatcherEvent::Exec(TaskId(id), part), ctx);
+                        let ev = WatcherEvent::Exec(TaskId(id), i as u32);
+                        self.watch(BackendKind::Flux, ev, ctx);
                     }
                     JobEvent::Finish(JobId(id)) => {
                         self.watch(BackendKind::Flux, WatcherEvent::Term(TaskId(id)), ctx);
@@ -2076,7 +2110,7 @@ impl SimAgent {
 
     fn process_dragon_actions(
         &mut self,
-        part: u32,
+        i: usize,
         acts: &mut Vec<DragonAction>,
         ctx: &mut Ctx<AgentMsg>,
     ) {
@@ -2084,17 +2118,13 @@ impl SimAgent {
         for a in acts.drain(..) {
             match a {
                 DragonAction::Timer { after, token } => {
-                    ctx.timer(after, AgentMsg::Dragon(part, token))
+                    ctx.timer(after, AgentMsg::Dragon(i as u32, token))
                 }
-                DragonAction::Ready => {
-                    if self.mark_instance_ready(self.dragon_report[part as usize], now) {
-                        self.instance_ready(ctx);
-                    }
-                }
+                DragonAction::Ready => self.instance_booted(i, now, ctx),
                 DragonAction::Started(id) => {
                     self.watch(
                         BackendKind::Dragon,
-                        WatcherEvent::Exec(TaskId(id), part),
+                        WatcherEvent::Exec(TaskId(id), i as u32),
                         ctx,
                     );
                 }
@@ -2190,33 +2220,22 @@ impl SimAgent {
                 .any(|s| remove_from(&mut s.sched_q, t) || remove_from(&mut s.adapter_q, t));
         // 2. Queued at a backend?
         let in_backend = !in_agent
-            && match self.assignment.get(t.0) {
-                Some((BackendKind::Flux, part)) => self.flux[*part as usize].cancel(JobId(t.0)),
-                Some((BackendKind::Dragon, part)) => {
-                    let p = *part as usize;
-                    remove_from(&mut self.dragon_parked[p], t) || self.dragon[p].cancel(t.0)
-                }
-                Some((BackendKind::Prrte, part)) => {
-                    let p = *part as usize;
-                    let pb = &mut self.prrte[p];
-                    remove_from(&mut pb.waiting, t) || pb.dvm.cancel(t.0)
-                }
-                Some((BackendKind::Srun, _)) => {
-                    let canceled = {
-                        let sb = self.srun_backend.as_mut().expect("srun deployed");
-                        remove_from(&mut sb.waiting, t)
-                    } || self.site_srun.cancel(StepId(t.0));
-                    if canceled {
-                        // Free any capacity the agent already held for it.
-                        if let Some(sb) = self.srun_backend.as_mut() {
-                            if let Some((c, g)) = sb.holds.remove(t.0) {
-                                sb.free_core_slots += c;
-                                sb.free_gpus += g;
-                            }
+            && match self.assignment.get(t.0).copied() {
+                Some((BackendKind::Srun, _)) => match self.srun_backend.as_mut() {
+                    Some(sb) => {
+                        let canceled =
+                            remove_from(&mut sb.waiting, t) || self.site_srun.cancel(StepId(t.0));
+                        if canceled {
+                            // Free any capacity the agent already held for it.
+                            sb.release(t.0);
                         }
+                        canceled
                     }
-                    canceled
-                }
+                    None => false,
+                },
+                Some((kind, part)) => self
+                    .instance_index(kind, part)
+                    .is_some_and(|i| self.cancel_queued(i, t, ctx)),
                 None => false,
             };
         if in_agent || in_backend {
@@ -2234,62 +2253,36 @@ impl SimAgent {
         // else: task is mid-RPC or executing; it completes normally.
     }
 
-    fn kill_instance(&mut self, kind: BackendKind, part: u32, ctx: &mut Ctx<AgentMsg>) {
-        for t in self.kill_instance_collect(kind, part, ctx) {
-            self.fail_task(t, true, ctx);
+    /// Pull `t` out of instance `i` before it launches; true when it was
+    /// still queued there.
+    fn cancel_queued(&mut self, i: usize, t: TaskId, ctx: &mut Ctx<AgentMsg>) -> bool {
+        match &mut self.instances[i].machine {
+            Machine::Flux(sim) => sim.cancel(JobId(t.0)),
+            Machine::Dragon { sim, parked, .. } => remove_from(parked, t) || sim.cancel(t.0),
+            Machine::Prrte(pb) => {
+                let canceled = remove_from(&mut pb.waiting, t) || pb.dvm.cancel(t.0);
+                if canceled {
+                    // A task canceled at the DVM was placed already: hand
+                    // its cores back, then let the waiting queue use them
+                    // (or move past a canceled head).
+                    pb.release(t.0);
+                    self.pump_prrte(i, ctx);
+                }
+                canceled
+            }
         }
     }
 
-    /// Crash one backend instance and return the tasks it took down; the
-    /// caller decides the recovery path (plain retry for injected kills,
+    /// Crash instance `i` and return the tasks it took down; the caller
+    /// decides the recovery path (plain retry for injected kills,
     /// policy-driven for chaos crashes).
-    fn kill_instance_collect(
-        &mut self,
-        kind: BackendKind,
-        part: u32,
-        ctx: &mut Ctx<AgentMsg>,
-    ) -> Vec<TaskId> {
-        let (lost, was_booting): (Vec<TaskId>, bool) = match kind {
-            BackendKind::Flux => {
-                let idx = part as usize;
-                let lost = self.flux[idx].kill();
-                let mut st = self.state.borrow_mut();
-                let slot = self.flux_report[idx];
-                let was_booting = st.instances[slot].ready.is_none();
-                st.instances[slot].killed = true;
-                drop(st);
-                (
-                    lost.into_iter().map(|JobId(id)| TaskId(id)).collect(),
-                    was_booting,
-                )
-            }
-            BackendKind::Dragon => {
-                let idx = part as usize;
-                let mut lost = self.dragon[idx].kill();
-                lost.extend(self.dragon_parked[idx].drain(..).map(|t| t.0));
-                self.dragon_inflight[idx] = 0;
-                let mut st = self.state.borrow_mut();
-                let slot = self.dragon_report[idx];
-                let was_booting = st.instances[slot].ready.is_none();
-                st.instances[slot].killed = true;
-                drop(st);
-                (lost.into_iter().map(TaskId).collect(), was_booting)
-            }
-            BackendKind::Prrte => {
-                let idx = part as usize;
-                let pb = &mut self.prrte[idx];
-                let mut lost: Vec<u64> = pb.dvm.kill();
-                lost.extend(pb.waiting.drain(..).map(|t| t.0));
-                // The partition's nodes are gone with the DVM.
-                pb.placements.clear();
-                let mut st = self.state.borrow_mut();
-                let slot = self.prrte_report[idx];
-                let was_booting = st.instances[slot].ready.is_none();
-                st.instances[slot].killed = true;
-                drop(st);
-                (lost.into_iter().map(TaskId).collect(), was_booting)
-            }
-            BackendKind::Srun => panic!("srun is not an instance-structured backend"),
+    fn kill_instance_collect(&mut self, i: usize, ctx: &mut Ctx<AgentMsg>) -> Vec<TaskId> {
+        let lost = self.instances[i].kill();
+        let was_booting = {
+            let mut st = self.state.borrow_mut();
+            let report = &mut st.instances[self.instances[i].report];
+            report.killed = true;
+            report.ready.is_none()
         };
         if was_booting {
             // The dead instance will never report Ready; release the
@@ -2382,48 +2375,26 @@ impl SimAgent {
         }
     }
 
-    /// Resolve a flat chaos-plan partition index (flux, then dragon, then
-    /// prrte — the instance-report order) to the owning sub-machine.
-    /// Srun-only pilots direct node faults at the site srun.
-    fn fault_target(&self, partition: u32) -> FaultTarget {
-        let nf = self.flux.len();
-        let nd = self.dragon.len();
-        let np = self.prrte.len();
-        let total = nf + nd + np;
-        if total == 0 {
-            return FaultTarget::Srun;
-        }
-        let p = partition as usize % total;
-        if p < nf {
-            FaultTarget::Flux(p)
-        } else if p < nf + nd {
-            FaultTarget::Dragon(p - nf)
-        } else {
-            FaultTarget::Prrte(p - nf - nd)
-        }
+    /// The instance a chaos-plan partition index names: plans count
+    /// partitions in instance-table order. `None` on srun-only pilots,
+    /// where node faults hit the site srun.
+    fn fault_instance(&self, partition: u32) -> Option<usize> {
+        (!self.instances.is_empty()).then(|| partition as usize % self.instances.len())
     }
 
-    /// Flight-recorder alarm for a fault event (no-op untracked).
-    #[allow(clippy::too_many_arguments)]
+    /// Flight-recorder alarm for a fault at `backend`'s `partition`
+    /// (no-op untracked).
     fn fault_alarm(
         &self,
         kind: &'static str,
         severity: Severity,
-        backend: Option<BackendKind>,
-        partition: Option<u32>,
+        (backend, partition): (BackendKind, u32),
         value: f64,
         message: String,
     ) {
         if let Some(tel) = &self.telemetry {
-            tel.on_fault(
-                kind,
-                severity,
-                None,
-                backend.map(|k| k as u8),
-                partition,
-                value,
-                message,
-            );
+            let (backend, partition) = (Some(backend as u8), Some(partition));
+            tel.on_fault(kind, severity, None, backend, partition, value, message);
         }
     }
 
@@ -2500,239 +2471,177 @@ impl SimAgent {
     /// the node's capacity leaves its partition until `RestoreNode`.
     fn fault_fail_node(&mut self, partition: u32, node_idx: u32, ctx: &mut Ctx<AgentMsg>) {
         self.note_fault(rp_lineage::FAULT_NODE);
-        match self.fault_target(partition) {
-            FaultTarget::Flux(idx) => {
-                let node_idx = node_idx % self.flux[idx].allocation().count.max(1);
-                self.fault_alarm(
-                    "fault_node",
-                    Severity::Warning,
-                    Some(BackendKind::Flux),
-                    Some(idx as u32),
-                    f64::from(node_idx),
-                    format!("node {node_idx} of flux partition {idx} failed"),
-                );
-                let now = ctx.now();
+        let Some(i) = self.fault_instance(partition) else {
+            return self.srun_fail_node(node_idx, ctx);
+        };
+        let inst = &mut self.instances[i];
+        let (kind, part) = (inst.kind(), inst.part);
+        let node = node_idx % inst.nodes().max(1);
+        if let Machine::Prrte(pb) = &mut inst.machine {
+            if !pb.pool.node_down(node as usize) {
+                return; // already down: nothing new to fail
+            }
+        }
+        self.fault_alarm(
+            "fault_node",
+            Severity::Warning,
+            (kind, part),
+            f64::from(node),
+            format!("node {node} of {kind} partition {part} failed"),
+        );
+        let lost: Vec<u64> = match &mut self.instances[i].machine {
+            Machine::Flux(sim) => {
                 let mut acts = std::mem::take(&mut self.scratch_flux);
-                let lost = self.flux[idx].fail_node(now, node_idx, &mut acts);
-                self.process_flux_actions(idx as u32, &mut acts, ctx);
+                let lost = sim.fail_node(ctx.now(), node, &mut acts);
+                self.process_flux_actions(i, &mut acts, ctx);
                 Self::restore_scratch(&mut self.scratch_flux, acts);
-                for JobId(id) in lost {
-                    self.fail_task_fault(
-                        TaskId(id),
-                        rp_lineage::FAULT_NODE,
-                        u64::from(node_idx),
-                        ctx,
-                    );
-                }
+                lost.into_iter().map(|JobId(id)| id).collect()
             }
-            FaultTarget::Dragon(idx) => {
-                let node_idx = node_idx % self.dragon_allocs[idx].count.max(1);
-                self.fault_alarm(
-                    "fault_node",
-                    Severity::Warning,
-                    Some(BackendKind::Dragon),
-                    Some(idx as u32),
-                    f64::from(node_idx),
-                    format!("node {node_idx} of dragon partition {idx} failed"),
-                );
+            Machine::Dragon { sim, .. } => {
                 let mut acts = std::mem::take(&mut self.scratch_dragon);
-                let lost = self.dragon[idx].fail_node(node_idx, &mut acts);
-                self.process_dragon_actions(idx as u32, &mut acts, ctx);
+                let lost = sim.fail_node(node, &mut acts);
+                self.process_dragon_actions(i, &mut acts, ctx);
                 Self::restore_scratch(&mut self.scratch_dragon, acts);
-                for id in lost {
-                    // A victim that never produced a `Started` event still
-                    // holds a flow-control window slot no watcher event
-                    // will return: free it and feed the park queue. (An
-                    // Exec still queued at the watcher frees the slot on
-                    // its own when it drains.)
-                    let submitted = self
-                        .state
-                        .borrow()
-                        .task(TaskId(id))
-                        .is_some_and(|r| r.state == TaskState::Submitted);
-                    let exec_pending = self.watcher_q[BackendKind::Dragon as usize]
-                        .iter()
-                        .any(|ev| matches!(ev, WatcherEvent::Exec(x, _) if x.0 == id));
-                    if submitted && !exec_pending {
-                        self.dragon_inflight[idx] = self.dragon_inflight[idx].saturating_sub(1);
-                        if let Some(next) = self.dragon_parked[idx].pop_front() {
-                            if self.dragon[idx].is_alive() {
-                                self.push_to_dragon(idx as u32, next, ctx);
-                            } else {
-                                self.fail_task(next, true, ctx);
-                            }
-                        }
-                    }
-                    self.fail_task_fault(
-                        TaskId(id),
-                        rp_lineage::FAULT_NODE,
-                        u64::from(node_idx),
-                        ctx,
-                    );
-                }
+                lost
             }
-            FaultTarget::Prrte(idx) => {
+            Machine::Prrte(pb) => {
                 // The DVM has no node model — placement lives with the
                 // agent (§5), so victim selection does too: every resident
                 // whose placement touches the node is reaped.
-                let node_idx = node_idx as usize % self.prrte[idx].pool.node_count().max(1);
-                if !self.prrte[idx].pool.node_down(node_idx) {
-                    return; // already down: nothing new to fail
-                }
-                self.fault_alarm(
-                    "fault_node",
-                    Severity::Warning,
-                    Some(BackendKind::Prrte),
-                    Some(idx as u32),
-                    node_idx as f64,
-                    format!("node {node_idx} of prrte partition {idx} failed"),
-                );
-                let victims: Vec<u64> = self.prrte[idx]
+                let victims: Vec<u64> = pb
                     .dvm
                     .resident_ids()
                     .into_iter()
                     .filter(|id| {
-                        self.prrte[idx].placements.get(*id).is_some_and(|pl| {
-                            pl.ranks.iter().any(|r| r.node_idx == node_idx as u32)
-                        })
+                        pb.placements
+                            .get(*id)
+                            .is_some_and(|pl| pl.ranks.iter().any(|r| r.node_idx == node))
                     })
                     .collect();
                 for &id in &victims {
-                    let pb = &mut self.prrte[idx];
-                    if let Some(pl) = pb.placements.remove(id) {
-                        // Down-node ranks park inside the pool; surviving
-                        // ranks free normally.
-                        pb.pool.free(&pl);
-                    }
+                    // Down-node ranks park inside the pool; surviving
+                    // ranks free normally.
+                    pb.release(id);
                     pb.dvm.reap(id);
                 }
-                self.pump_prrte(idx as u32, ctx);
-                for id in victims {
-                    self.fail_task_fault(TaskId(id), rp_lineage::FAULT_NODE, node_idx as u64, ctx);
+                self.pump_prrte(i, ctx);
+                victims
+            }
+        };
+        for id in lost {
+            if kind == BackendKind::Dragon {
+                // A victim that never produced a `Started` event still
+                // holds a flow-control window slot no watcher event will
+                // return: free it and feed the park queue. (An Exec still
+                // queued at the watcher frees the slot on its own when it
+                // drains.)
+                let submitted = self
+                    .state
+                    .borrow()
+                    .task(TaskId(id))
+                    .is_some_and(|r| r.state == TaskState::Submitted);
+                let exec_pending = self.watcher_q[kind as usize]
+                    .iter()
+                    .any(|ev| matches!(ev, WatcherEvent::Exec(x, _) if x.0 == id));
+                if submitted && !exec_pending {
+                    self.dragon_slot_freed(i, ctx);
                 }
             }
-            FaultTarget::Srun => {
-                let node_idx = node_idx % self.cfg.nodes.max(1);
-                self.fault_alarm(
-                    "fault_node",
-                    Severity::Warning,
-                    Some(BackendKind::Srun),
-                    Some(0),
-                    f64::from(node_idx),
-                    format!("node {node_idx} of the srun allocation failed"),
-                );
-                let mut acts = std::mem::take(&mut self.scratch_srun);
-                let lost = self.site_srun.fail_node(node_idx, &mut acts);
-                self.process_srun_actions(&mut acts, ctx);
-                Self::restore_scratch(&mut self.scratch_srun, acts);
-                for id in &lost {
-                    if let Some(sb) = self.srun_backend.as_mut() {
-                        if let Some((c, g)) = sb.holds.remove(*id) {
-                            sb.free_core_slots += c;
-                            sb.free_gpus += g;
-                        }
-                    }
-                }
-                for id in lost {
-                    self.fail_task_fault(
-                        TaskId(id),
-                        rp_lineage::FAULT_NODE,
-                        u64::from(node_idx),
-                        ctx,
-                    );
-                }
-                self.pump_srun_backend(ctx);
-            }
+            self.fail_task_fault(TaskId(id), rp_lineage::FAULT_NODE, node.into(), ctx);
         }
     }
 
-    /// Bring a previously failed node back into its partition's pool.
+    /// A node fault on a srun-only pilot: the site srun reaps the steps
+    /// resident there.
+    fn srun_fail_node(&mut self, node_idx: u32, ctx: &mut Ctx<AgentMsg>) {
+        let node_idx = node_idx % self.cfg.nodes.max(1);
+        self.fault_alarm(
+            "fault_node",
+            Severity::Warning,
+            (BackendKind::Srun, 0),
+            f64::from(node_idx),
+            format!("node {node_idx} of the srun allocation failed"),
+        );
+        let mut acts = std::mem::take(&mut self.scratch_srun);
+        let lost = self.site_srun.fail_node(node_idx, &mut acts);
+        self.process_srun_actions(&mut acts, ctx);
+        Self::restore_scratch(&mut self.scratch_srun, acts);
+        if let Some(sb) = self.srun_backend.as_mut() {
+            for &id in &lost {
+                sb.release(id);
+            }
+        }
+        for id in lost {
+            self.fail_task_fault(TaskId(id), rp_lineage::FAULT_NODE, u64::from(node_idx), ctx);
+        }
+        self.pump_srun_backend(ctx);
+    }
+
+    /// Bring a previously failed node back into its partition's pool. The
+    /// site srun models a site-wide RPC ceiling, not per-node slots:
+    /// nothing left it at failure time, so srun-only pilots do nothing.
     fn fault_restore_node(&mut self, partition: u32, node_idx: u32, ctx: &mut Ctx<AgentMsg>) {
-        match self.fault_target(partition) {
-            FaultTarget::Flux(idx) => {
-                let node_idx = node_idx % self.flux[idx].allocation().count.max(1);
-                let now = ctx.now();
+        let Some(i) = self.fault_instance(partition) else {
+            return;
+        };
+        let inst = &mut self.instances[i];
+        let (kind, part) = (inst.kind(), inst.part);
+        let node = node_idx % inst.nodes().max(1);
+        let restored = match &mut inst.machine {
+            Machine::Flux(sim) => {
                 let mut acts = std::mem::take(&mut self.scratch_flux);
-                self.flux[idx].node_up(now, node_idx, &mut acts);
-                self.process_flux_actions(idx as u32, &mut acts, ctx);
+                sim.node_up(ctx.now(), node, &mut acts);
+                self.process_flux_actions(i, &mut acts, ctx);
                 Self::restore_scratch(&mut self.scratch_flux, acts);
-                self.fault_alarm(
-                    "fault_node_cleared",
-                    Severity::Info,
-                    Some(BackendKind::Flux),
-                    Some(idx as u32),
-                    f64::from(node_idx),
-                    format!("node {node_idx} of flux partition {idx} restored"),
-                );
+                true
             }
-            FaultTarget::Dragon(idx) => {
-                let node_idx = node_idx % self.dragon_allocs[idx].count.max(1);
+            Machine::Dragon { sim, .. } => {
                 let mut acts = std::mem::take(&mut self.scratch_dragon);
-                self.dragon[idx].node_up(node_idx, &mut acts);
-                self.process_dragon_actions(idx as u32, &mut acts, ctx);
+                sim.node_up(node, &mut acts);
+                self.process_dragon_actions(i, &mut acts, ctx);
                 Self::restore_scratch(&mut self.scratch_dragon, acts);
-                self.fault_alarm(
-                    "fault_node_cleared",
-                    Severity::Info,
-                    Some(BackendKind::Dragon),
-                    Some(idx as u32),
-                    f64::from(node_idx),
-                    format!("node {node_idx} of dragon partition {idx} restored"),
-                );
+                true
             }
-            FaultTarget::Prrte(idx) => {
-                let node_idx = node_idx as usize % self.prrte[idx].pool.node_count().max(1);
-                if self.prrte[idx].pool.node_up(node_idx) {
-                    self.pump_prrte(idx as u32, ctx);
-                    self.fault_alarm(
-                        "fault_node_cleared",
-                        Severity::Info,
-                        Some(BackendKind::Prrte),
-                        Some(idx as u32),
-                        node_idx as f64,
-                        format!("node {node_idx} of prrte partition {idx} restored"),
-                    );
+            Machine::Prrte(pb) => {
+                let up = pb.pool.node_up(node as usize);
+                if up {
+                    self.pump_prrte(i, ctx);
                 }
+                up
             }
-            FaultTarget::Srun => {
-                // The site srun models a site-wide RPC ceiling, not
-                // per-node slots: nothing was removed at failure time, so
-                // restoration is a no-op.
-            }
+        };
+        if restored {
+            self.fault_alarm(
+                "fault_node_cleared",
+                Severity::Info,
+                (kind, part),
+                f64::from(node),
+                format!("node {node} of {kind} partition {part} restored"),
+            );
         }
     }
 
-    /// Crash a whole backend instance via the chaos plane.
+    /// Crash a whole backend instance via the chaos plane. Plan generation
+    /// degrades crashes to node failures on srun-only pilots, so those
+    /// ignore it.
     fn fault_crash(&mut self, partition: u32, ctx: &mut Ctx<AgentMsg>) {
-        let (kind, idx) = match self.fault_target(partition) {
-            FaultTarget::Flux(i) => (BackendKind::Flux, i),
-            FaultTarget::Dragon(i) => (BackendKind::Dragon, i),
-            FaultTarget::Prrte(i) => (BackendKind::Prrte, i),
-            // Srun is not instance-structured; plan generation degrades
-            // crashes to node failures there, so this is unreachable in
-            // practice — ignore defensively.
-            FaultTarget::Srun => return,
+        let Some(i) = self.fault_instance(partition) else {
+            return;
         };
-        let alive = match kind {
-            BackendKind::Flux => self.flux[idx].is_alive(),
-            BackendKind::Dragon => self.dragon[idx].is_alive(),
-            BackendKind::Prrte => self.prrte[idx].dvm.is_alive(),
-            BackendKind::Srun => unreachable!(),
-        };
-        if !alive {
+        let inst = &self.instances[i];
+        if !inst.is_alive() {
             return; // already down; nothing new to kill
         }
+        let (kind, part) = (inst.kind(), inst.part);
         self.note_fault(rp_lineage::FAULT_CRASH);
         self.fault_alarm(
             "fault_crash",
             Severity::Critical,
-            Some(kind),
-            Some(idx as u32),
+            (kind, part),
             0.0,
-            format!("{kind} partition {idx} crashed"),
+            format!("{kind} partition {part} crashed"),
         );
-        let lost = self.kill_instance_collect(kind, idx as u32, ctx);
-        for t in lost {
+        for t in self.kill_instance_collect(i, ctx) {
             self.fail_task_fault(t, rp_lineage::FAULT_CRASH, rp_lineage::NO_VALUE, ctx);
         }
     }
@@ -2741,62 +2650,24 @@ impl SimAgent {
     /// capacity is in service. The instance report keeps `killed` as the
     /// historical record; its `ready` timestamp is re-stamped at
     /// re-readiness (which does NOT re-fire pilot activation — see
-    /// [`Self::mark_instance_ready`]).
+    /// [`Self::instance_booted`]).
     fn fault_restart(&mut self, partition: u32, ctx: &mut Ctx<AgentMsg>) {
-        match self.fault_target(partition) {
-            FaultTarget::Flux(idx) => {
-                if self.flux[idx].is_alive() {
-                    return;
-                }
-                let mut acts = std::mem::take(&mut self.scratch_flux);
-                self.flux[idx].restart(&mut acts);
-                self.process_flux_actions(idx as u32, &mut acts, ctx);
-                Self::restore_scratch(&mut self.scratch_flux, acts);
-                self.fault_alarm(
-                    "fault_crash_cleared",
-                    Severity::Info,
-                    Some(BackendKind::Flux),
-                    Some(idx as u32),
-                    0.0,
-                    format!("flux partition {idx} restarting"),
-                );
-            }
-            FaultTarget::Dragon(idx) => {
-                if self.dragon[idx].is_alive() {
-                    return;
-                }
-                let mut acts = std::mem::take(&mut self.scratch_dragon);
-                self.dragon[idx].restart(&mut acts);
-                self.process_dragon_actions(idx as u32, &mut acts, ctx);
-                Self::restore_scratch(&mut self.scratch_dragon, acts);
-                self.fault_alarm(
-                    "fault_crash_cleared",
-                    Severity::Info,
-                    Some(BackendKind::Dragon),
-                    Some(idx as u32),
-                    0.0,
-                    format!("dragon partition {idx} restarting"),
-                );
-            }
-            FaultTarget::Prrte(idx) => {
-                if self.prrte[idx].dvm.is_alive() {
-                    return;
-                }
-                let mut acts = std::mem::take(&mut self.scratch_prrte);
-                self.prrte[idx].dvm.restart(&mut acts);
-                self.process_prrte_actions(idx as u32, &mut acts, ctx);
-                Self::restore_scratch(&mut self.scratch_prrte, acts);
-                self.fault_alarm(
-                    "fault_crash_cleared",
-                    Severity::Info,
-                    Some(BackendKind::Prrte),
-                    Some(idx as u32),
-                    0.0,
-                    format!("prrte partition {idx} restarting"),
-                );
-            }
-            FaultTarget::Srun => {}
+        let Some(i) = self.fault_instance(partition) else {
+            return;
+        };
+        let inst = &self.instances[i];
+        if inst.is_alive() {
+            return;
         }
+        let (kind, part) = (inst.kind(), inst.part);
+        self.boot_instance(i, true, ctx);
+        self.fault_alarm(
+            "fault_crash_cleared",
+            Severity::Info,
+            (kind, part),
+            0.0,
+            format!("{kind} partition {part} restarting"),
+        );
     }
 
     /// Watchdog fired for a planned hang victim: if the task never
@@ -2887,29 +2758,10 @@ impl Actor<AgentMsg> for SimAgent {
                 self.note_pilot(PilotState::Bootstrapping);
                 // Launch backend instances on persistent srun slots.
                 let mut acts = std::mem::take(&mut self.scratch_srun);
-                for i in 0..self.flux.len() {
-                    let nodes = self.flux[i].allocation().count;
-                    self.site_srun.submit_persistent(
-                        StepId(FLUX_INFRA_BASE + i as u64),
-                        nodes,
-                        &mut acts,
-                    );
-                }
-                for i in 0..self.dragon.len() {
-                    let nodes = self.dragon_allocs[i].count;
-                    self.site_srun.submit_persistent(
-                        StepId(DRAGON_INFRA_BASE + i as u64),
-                        nodes,
-                        &mut acts,
-                    );
-                }
-                for i in 0..self.prrte.len() {
-                    let nodes = self.prrte[i].pool.node_count() as u32;
-                    self.site_srun.submit_persistent(
-                        StepId(PRRTE_INFRA_BASE + i as u64),
-                        nodes,
-                        &mut acts,
-                    );
+                for (i, inst) in self.instances.iter().enumerate() {
+                    let carrier = StepId(INFRA_BASE + i as u64);
+                    self.site_srun
+                        .submit_persistent(carrier, inst.nodes(), &mut acts);
                 }
                 self.process_srun_actions(&mut acts, ctx);
                 Self::restore_scratch(&mut self.scratch_srun, acts);
@@ -2943,11 +2795,13 @@ impl Actor<AgentMsg> for SimAgent {
                     match self.select_backend(t) {
                         Some((kind, part)) => {
                             self.assignment.insert(t.0, (kind, part));
-                            let idx = self
-                                .sub_index(kind, part)
-                                .expect("sub-agent for every partition");
-                            self.subs[idx].sched_q.push_back(t);
-                            self.pump_sub_sched(idx as u32, ctx);
+                            // Sub-agent `i` serves instance `i` (srun
+                            // pilots run without sub-agents).
+                            let i = self
+                                .instance_index(kind, part)
+                                .expect("sub-agents serve instances");
+                            self.subs[i].sched_q.push_back(t);
+                            self.pump_sub_sched(i as u32, ctx);
                         }
                         None => self.route_failed(t, ctx),
                     }
@@ -2997,25 +2851,32 @@ impl Actor<AgentMsg> for SimAgent {
                 self.process_srun_actions(&mut acts, ctx);
                 Self::restore_scratch(&mut self.scratch_srun, acts);
             }
-            AgentMsg::Flux(part, token) => {
-                let mut acts = std::mem::take(&mut self.scratch_flux);
-                self.flux[part as usize].on_token(ctx.now(), token, &mut acts);
-                self.process_flux_actions(part, &mut acts, ctx);
-                Self::restore_scratch(&mut self.scratch_flux, acts);
+            AgentMsg::Flux(i, token) => {
+                let i = i as usize;
+                if let Machine::Flux(sim) = &mut self.instances[i].machine {
+                    let mut acts = std::mem::take(&mut self.scratch_flux);
+                    sim.on_token(ctx.now(), token, &mut acts);
+                    self.process_flux_actions(i, &mut acts, ctx);
+                    Self::restore_scratch(&mut self.scratch_flux, acts);
+                }
             }
-            AgentMsg::Dragon(part, token) => {
-                let mut acts = std::mem::take(&mut self.scratch_dragon);
-                self.dragon[part as usize].on_token(ctx.now(), token, &mut acts);
-                self.process_dragon_actions(part, &mut acts, ctx);
-                Self::restore_scratch(&mut self.scratch_dragon, acts);
+            AgentMsg::Dragon(i, token) => {
+                let i = i as usize;
+                if let Machine::Dragon { sim, .. } = &mut self.instances[i].machine {
+                    let mut acts = std::mem::take(&mut self.scratch_dragon);
+                    sim.on_token(ctx.now(), token, &mut acts);
+                    self.process_dragon_actions(i, &mut acts, ctx);
+                    Self::restore_scratch(&mut self.scratch_dragon, acts);
+                }
             }
-            AgentMsg::Prrte(part, token) => {
-                let mut acts = std::mem::take(&mut self.scratch_prrte);
-                self.prrte[part as usize]
-                    .dvm
-                    .on_token(ctx.now(), token, &mut acts);
-                self.process_prrte_actions(part, &mut acts, ctx);
-                Self::restore_scratch(&mut self.scratch_prrte, acts);
+            AgentMsg::Prrte(i, token) => {
+                let i = i as usize;
+                if let Machine::Prrte(pb) = &mut self.instances[i].machine {
+                    let mut acts = std::mem::take(&mut self.scratch_prrte);
+                    pb.dvm.on_token(ctx.now(), token, &mut acts);
+                    self.process_prrte_actions(i, &mut acts, ctx);
+                    Self::restore_scratch(&mut self.scratch_prrte, acts);
+                }
             }
             AgentMsg::WatcherDone(kind) => {
                 self.watcher_busy[kind as usize] = false;
@@ -3030,7 +2891,12 @@ impl Actor<AgentMsg> for SimAgent {
                 }
             }
             AgentMsg::KillInstance(kind, part) => {
-                self.kill_instance(kind, part, ctx);
+                // srun and out-of-range partitions name no instance.
+                if let Some(i) = self.instance_index(kind, part) {
+                    for t in self.kill_instance_collect(i, ctx) {
+                        self.fail_task(t, true, ctx);
+                    }
+                }
             }
             AgentMsg::Fault(action) => self.apply_fault(action, ctx),
             AgentMsg::Watchdog(t) => self.watchdog_check(t, ctx),

@@ -24,6 +24,26 @@ pub struct FailureInjection {
     pub partition: u32,
 }
 
+/// The deployment shape a fault plan is realized against: one partition
+/// per runtime instance, counted in the agent's instance-table order, or
+/// the whole allocation as one partition on a srun-only pilot.
+fn plan_shape(cfg: &PilotConfig, task_hint: u64) -> rp_chaos::PlanShape {
+    let non_srun: u32 = cfg
+        .backends
+        .iter()
+        .filter(|b| b.kind() != BackendKind::Srun)
+        .map(|b| b.partitions())
+        .sum();
+    let instance_structured = non_srun > 0;
+    let partitions = if instance_structured { non_srun } else { 1 };
+    rp_chaos::PlanShape {
+        partitions,
+        nodes_per_partition: (cfg.nodes / partitions).max(1),
+        instance_structured,
+        task_hint,
+    }
+}
+
 /// Builder/runner for one simulated pilot session.
 ///
 /// ```
@@ -192,21 +212,7 @@ impl SimSession {
                 if !fspec.is_active() {
                     return None;
                 }
-                let non_srun: u32 = self
-                    .cfg
-                    .backends
-                    .iter()
-                    .filter(|b| b.kind() != BackendKind::Srun)
-                    .map(|b| b.partitions())
-                    .sum();
-                let instance_structured = non_srun > 0;
-                let partitions = if instance_structured { non_srun } else { 1 };
-                let shape = rp_chaos::PlanShape {
-                    partitions,
-                    nodes_per_partition: (nodes / partitions).max(1),
-                    instance_structured,
-                    task_hint: *task_hint,
-                };
+                let shape = plan_shape(&self.cfg, *task_hint);
                 Some(rp_chaos::FaultPlan::generate(fspec, *fault_seed, &shape))
             });
         let mut engine: Engine<AgentMsg> = Engine::new();
@@ -771,6 +777,114 @@ mod tests {
         assert_eq!(view.total_gpus, 64);
         assert_eq!(view.free_cores, 448);
         assert_eq!(view.nodes, 8);
+    }
+
+    #[test]
+    fn prrte_cancel_at_the_dvm_returns_the_placement() {
+        // One 56-core node: 56 one-core tasks fill it and a node-wide task
+        // waits for every core. Uid 55 is canceled while it sits in the
+        // DVM queue (placed, not yet launched); its core must return to
+        // the pool, or the node-wide task never fits.
+        let tasks = || {
+            let mut tasks: Vec<TaskDescription> = (0..56)
+                .map(|i| TaskDescription::dummy(i, SimDuration::from_secs(100)))
+                .collect();
+            tasks.push(TaskDescription {
+                req: rp_platform::ResourceRequest::single(56, 0),
+                ..TaskDescription::dummy(56, SimDuration::from_secs(100))
+            });
+            tasks
+        };
+        let probe = SimSession::with_tasks(PilotConfig::prrte(1), tasks())
+            .with_lineage()
+            .run();
+        let lineage = probe.lineage.expect("lineage attached");
+        let at = |kind| {
+            lineage
+                .events_for(55)
+                .iter()
+                .find(|e| e.kind == kind)
+                .expect("uid 55 event")
+                .t
+                .as_micros()
+        };
+        let (queued, launched) = (
+            at(rp_lineage::EV_BACKEND_QUEUE),
+            at(rp_lineage::EV_LAUNCH_START),
+        );
+        assert!(queued + 1 < launched, "uid 55 waits at the DVM");
+        let cancel = SimTime::from_micros((queued + launched) / 2);
+        let report = SimSession::with_tasks(PilotConfig::prrte(1), tasks())
+            .cancel_at(cancel, vec![55])
+            .run();
+        let state = |uid: u64| report.tasks.iter().find(|t| t.uid.0 == uid).unwrap().state;
+        assert_eq!(state(55), TaskState::Canceled);
+        assert_eq!(state(56), TaskState::Done, "the node-wide task runs");
+        assert_eq!(report.done_tasks().count(), 56);
+    }
+
+    #[test]
+    fn chaos_partitions_index_the_instance_table_in_kind_order() {
+        use crate::backend::BackendSpec;
+        // The spec lists Dragon before Flux, so the report (spec order)
+        // differs from the instance table (flux, dragon, prrte).
+        let cfg = PilotConfig::new(
+            10,
+            vec![
+                BackendSpec::Dragon { partitions: 2 },
+                BackendSpec::Flux {
+                    partitions: 2,
+                    backfill: false,
+                },
+                BackendSpec::Prrte { partitions: 1 },
+            ],
+        );
+        let table = [
+            (BackendKind::Flux, 0),
+            (BackendKind::Flux, 1),
+            (BackendKind::Dragon, 0),
+            (BackendKind::Dragon, 1),
+            (BackendKind::Prrte, 0),
+        ];
+        let spec = rp_chaos::FaultSpec::parse("crashes=1,window=100..101,restart=never").unwrap();
+        let mut reordered = 0;
+        for fault_seed in 0..4 {
+            let plan = rp_chaos::FaultPlan::generate(&spec, fault_seed, &plan_shape(&cfg, 60));
+            let partition = plan
+                .events
+                .iter()
+                .find_map(|e| match e.action {
+                    rp_chaos::FaultAction::CrashBackend { partition } => Some(partition),
+                    _ => None,
+                })
+                .expect("one crash");
+            let victim = table[partition as usize % table.len()];
+            let tasks: Vec<TaskDescription> = (0..60)
+                .map(|i| TaskDescription::dummy(i, SimDuration::from_secs(200)))
+                .collect();
+            let report = SimSession::with_tasks(cfg.clone(), tasks)
+                .with_faults(spec.clone(), fault_seed, 60)
+                .run();
+            let killed: Vec<(BackendKind, u32)> = report
+                .instances
+                .iter()
+                .filter(|i| i.killed)
+                .map(|i| (i.kind, i.partition))
+                .collect();
+            assert_eq!(killed, vec![victim], "fault seed {fault_seed}");
+            let slot = report
+                .instances
+                .iter()
+                .position(|i| (i.kind, i.partition) == victim)
+                .unwrap();
+            reordered += usize::from(slot != partition as usize % table.len());
+        }
+        assert!(reordered > 0, "some crash lands where the orders differ");
+    }
+
+    #[test]
+    fn agent_messages_stay_32_bytes() {
+        assert_eq!(std::mem::size_of::<AgentMsg>(), 32);
     }
 
     #[test]

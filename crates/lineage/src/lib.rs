@@ -783,6 +783,99 @@ mod tests {
         assert!(e.contains("line 2: not sorted by uid"), "{e}");
     }
 
+    /// Seeded xorshift stream for the mutation test (std only).
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+    }
+
+    /// `seed` with 1–8 byte-level edits: flips, inserts of the grammar's
+    /// punctuation and multi-byte text, deletions, truncation and spliced
+    /// copies. The result is made UTF-8 lossily, so it can hold U+FFFD.
+    fn mutate(seed: &str, rng: &mut Rng) -> String {
+        const PIECES: [&str; 16] = [
+            "{",
+            "}",
+            "\"",
+            ":",
+            ",",
+            "\n",
+            ".",
+            "-",
+            "0",
+            "9",
+            "\"uid\":",
+            "\"t\":",
+            "flux",
+            "1e309",
+            "é",
+            "\u{1F600}",
+        ];
+        let mut b = seed.as_bytes().to_vec();
+        for _ in 0..1 + rng.below(8) {
+            let at = rng.below(b.len() + 1);
+            match rng.below(5) {
+                0 if at < b.len() => b[at] ^= 1 << rng.below(8),
+                1 => {
+                    let piece = PIECES[rng.below(PIECES.len())].as_bytes();
+                    b.splice(at..at, piece.iter().copied());
+                }
+                2 if at < b.len() => {
+                    let end = (at + 1 + rng.below(16)).min(b.len());
+                    b.drain(at..end);
+                }
+                3 => b.truncate(at),
+                _ => {
+                    let from = rng.below(b.len() + 1);
+                    let end = (from + rng.below(64)).min(b.len());
+                    let copy = b[from..end].to_vec();
+                    b.splice(at..at, copy);
+                }
+            }
+        }
+        String::from_utf8_lossy(&b).into_owned()
+    }
+
+    #[test]
+    fn parser_never_panics_and_reparses_what_it_accepts() {
+        let clock = SimClock::new();
+        let lin = Lineage::new(clock.clone());
+        lin.record_ctx(META_UID, EV_PILOT, 3, NO_BACKEND, NO_PARTITION, NO_VALUE);
+        lin.record(4, EV_SUBMIT);
+        clock.set(SimTime::from_micros(1_250_000));
+        lin.record_ctx(4, EV_ROUTE, ROUTE_FAILOVER, 1, 2, NO_VALUE);
+        lin.record_ctx(4, EV_PLACE_REJECT, REJ_CAPACITY, 0, 0, 17);
+        lin.record(12, EV_SUBMIT);
+        clock.set(SimTime::from_micros(31_000_007));
+        lin.record_ctx(12, EV_FAULT, FAULT_CRASH, 2, 0, NO_VALUE);
+        lin.record(4, EV_DONE);
+        let seed = lin.snapshot().to_jsonl();
+        let mut rng = Rng(0x9E37_79B9_7F4A_7C15);
+        let mut accepted = 0;
+        for _ in 0..4000 {
+            let text = mutate(&seed, &mut rng);
+            let Ok(parsed) = LineageData::from_jsonl(&text) else {
+                continue;
+            };
+            accepted += 1;
+            let again =
+                LineageData::from_jsonl(&parsed.to_jsonl()).expect("a parsed snapshot re-parses");
+            assert_eq!(parsed, again, "{text:?}");
+        }
+        // The mutations must leave both accepting and rejecting inputs.
+        assert!((1..4000).contains(&accepted), "{accepted} documents parsed");
+    }
+
     #[test]
     fn detail_names_are_kind_scoped() {
         assert_eq!(detail_name(EV_ROUTE, ROUTE_FAILOVER), Some("failover"));

@@ -27,12 +27,15 @@ cargo run --release --offline --locked --manifest-path rp_benchmark/Cargo.toml -
 
 # Determinism: the whole quick suite, run in-process at --jobs 1 and at
 # --jobs 2 from two scratch working dirs, must write byte-identical
-# results/ trees, profiles, metrics exports and transcripts.
+# results/ trees, profiles, metrics, lineage and telemetry exports and
+# transcripts.
 RP_EXP="$PWD/target/release/rp-exp"
 DET1="$(mktemp -d)"
 DET2="$(mktemp -d)"
-(cd "$DET1" && "$RP_EXP" all --quick --jobs 1 --profile-dir prof --metrics-dir metrics > transcript.txt)
-(cd "$DET2" && "$RP_EXP" all --quick --jobs 2 --profile-dir prof --metrics-dir metrics > transcript.txt)
+(cd "$DET1" && "$RP_EXP" all --quick --jobs 1 --profile-dir prof --metrics-dir metrics \
+    --lineage-dir lineage --telemetry-dir telemetry > transcript.txt)
+(cd "$DET2" && "$RP_EXP" all --quick --jobs 2 --profile-dir prof --metrics-dir metrics \
+    --lineage-dir lineage --telemetry-dir telemetry > transcript.txt)
 diff -r "$DET1" "$DET2"
 rm -rf "$DET1" "$DET2"
 
