@@ -189,9 +189,9 @@ mod tests {
                 "infer".into()
             };
         }
-        let by = duration_breakdown_by(&tasks, |t| t.label.clone());
+        let by = duration_breakdown_by(&tasks, |t| t.label);
         assert_eq!(by.len(), 2);
-        assert_eq!(by["dock"].tasks, 3);
-        assert_eq!(by["infer"].tasks, 3);
+        assert_eq!(by[&"dock".into()].tasks, 3);
+        assert_eq!(by[&"infer".into()].tasks, 3);
     }
 }

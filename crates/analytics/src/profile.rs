@@ -136,4 +136,91 @@ time,kind,comp,uid,event,detail
             parse_profile_csv("time,kind,comp,uid,event,detail\nnope,I,a,,b,0.0\n").unwrap_err();
         assert!(e.message.contains("bad time"));
     }
+
+    /// Seeded xorshift stream for the mutation test (std only).
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+    }
+
+    /// `seed` with 1–8 byte-level edits: flips, inserts of the grammar's
+    /// punctuation and multi-byte text, deletions, truncation and spliced
+    /// copies. The result is made UTF-8 lossily, so it can hold U+FFFD.
+    fn mutate(seed: &str, rng: &mut Rng) -> String {
+        const PIECES: [&str; 16] = [
+            ",",
+            "\n",
+            "#",
+            ".",
+            "-",
+            "e",
+            " ",
+            "I",
+            "G",
+            "9",
+            "NaN",
+            "inf",
+            "1e309",
+            "18446744073709551616",
+            "é",
+            "\u{1F600}",
+        ];
+        let mut b = seed.as_bytes().to_vec();
+        for _ in 0..1 + rng.below(8) {
+            let at = rng.below(b.len() + 1);
+            match rng.below(5) {
+                0 if at < b.len() => b[at] ^= 1 << rng.below(8),
+                1 => {
+                    let piece = PIECES[rng.below(PIECES.len())].as_bytes();
+                    b.splice(at..at, piece.iter().copied());
+                }
+                2 if at < b.len() => {
+                    let end = (at + 1 + rng.below(16)).min(b.len());
+                    b.drain(at..end);
+                }
+                3 => b.truncate(at),
+                _ => {
+                    let from = rng.below(b.len() + 1);
+                    let end = (from + rng.below(64)).min(b.len());
+                    let copy = b[from..end].to_vec();
+                    b.splice(at..at, copy);
+                }
+            }
+        }
+        String::from_utf8_lossy(&b).into_owned()
+    }
+
+    #[test]
+    fn parser_never_panics_and_reparses_what_it_accepts() {
+        let seed = format!("# profile\n{DOC}");
+        let mut rng = Rng(0x9E37_79B9_7F4A_7C15);
+        let mut accepted = 0;
+        for _ in 0..4000 {
+            let text = mutate(&seed, &mut rng);
+            let Ok(rows) = parse_profile_csv(&text) else {
+                continue;
+            };
+            accepted += 1;
+            let mut again = String::from("time,kind,comp,uid,event,detail\n");
+            for r in &rows {
+                let uid = r.uid.map(|u| u.to_string()).unwrap_or_default();
+                let (code, comp, what) = (r.phase.code(), &r.comp, &r.what);
+                again += &format!("{},{code},{comp},{uid},{what},{}\n", r.at, r.detail);
+            }
+            let again = parse_profile_csv(&again).expect("parsed rows re-parse");
+            assert_eq!(format!("{rows:?}"), format!("{again:?}"), "{text:?}");
+        }
+        // The mutations must leave both accepting and rejecting inputs.
+        assert!((1..4000).contains(&accepted), "{accepted} documents parsed");
+    }
 }

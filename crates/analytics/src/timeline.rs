@@ -104,7 +104,7 @@ mod tests {
     use rp_core::{TaskDescription, TaskState};
     use rp_sim::{SimDuration, SimTime};
 
-    fn record(uid: u64, start_s: u64, end_s: u64, cores: u64) -> TaskRecord {
+    fn record(uid: u64, start_s: u64, end_s: u64, cores: u32) -> TaskRecord {
         let desc = TaskDescription::dummy(uid, SimDuration::from_secs(end_s - start_s));
         let mut rec = TaskRecord::new(&desc, SimTime::ZERO);
         rec.cores = cores;

@@ -5,7 +5,7 @@
 //! The format is the one [`crate::report::tasks_csv`] emits; `parse_tasks_csv`
 //! is its inverse for the fields a record can faithfully round-trip.
 
-use rp_core::{BackendKind, TaskId, TaskRecord, TaskState};
+use rp_core::{BackendKind, Name, TaskId, TaskRecord, TaskState};
 use rp_sim::SimTime;
 
 /// Parse errors, with the offending line number (1-based, header = 1) and,
@@ -126,8 +126,8 @@ pub fn parse_tasks_csv(csv: &str) -> Result<Vec<TaskRecord>, ParseError> {
             "exec" => false,
             other => return Err(err(lineno, format!("bad kind {other:?}"))),
         };
-        let cores: u64 = fields[2].parse().map_err(|_| err(lineno, "bad cores"))?;
-        let gpus: u64 = fields[3].parse().map_err(|_| err(lineno, "bad gpus"))?;
+        let cores: u32 = fields[2].parse().map_err(|_| err(lineno, "bad cores"))?;
+        let gpus: u32 = fields[3].parse().map_err(|_| err(lineno, "bad gpus"))?;
         let backend = parse_backend(fields[4]).map_err(|e| err(lineno, e))?;
         let partition: Option<u32> = if fields[5].is_empty() {
             None
@@ -145,8 +145,8 @@ pub fn parse_tasks_csv(csv: &str) -> Result<Vec<TaskRecord>, ParseError> {
         let exec_end = time("end", fields[8])?;
         let state = parse_state(fields[9])
             .ok_or_else(|| err(lineno, format!("bad state {:?}", fields[9])))?;
-        let retries: u32 = fields[10].parse().map_err(|_| err(lineno, "bad retries"))?;
-        let label = fields[11].to_string();
+        let retries: u16 = fields[10].parse().map_err(|_| err(lineno, "bad retries"))?;
+        let label = Name::new(fields[11]);
 
         out.push(TaskRecord {
             uid: TaskId(uid),

@@ -12,7 +12,7 @@ use rp_sim::{RngStream, SimDuration, SimTime};
 fn record(uid: u64, start_s: u64, dur_s: u64, cores: u64) -> TaskRecord {
     let desc = TaskDescription::dummy(uid, SimDuration::from_secs(dur_s));
     let mut rec = TaskRecord::new(&desc, SimTime::ZERO);
-    rec.cores = cores;
+    rec.cores = u32::try_from(cores).expect("small core counts");
     rec.advance(TaskState::StagingInput, SimTime::ZERO);
     rec.advance(TaskState::Scheduling, SimTime::ZERO);
     rec.advance(TaskState::Submitting, SimTime::ZERO);

@@ -762,7 +762,7 @@ fn hetero_mix() -> Vec<TaskDescription> {
             req: rp_platform::ResourceRequest::mpi(64, 56, 0),
             duration: SimDuration::from_secs(300),
             backend_hint: None,
-            label: format!("wide.{batch}"),
+            label: rp_core::Name::new(&format!("wide.{batch}")),
         });
         uid += 1;
         for _ in 0..200 {

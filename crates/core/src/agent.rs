@@ -321,9 +321,13 @@ impl Instance {
             }
             Machine::Prrte(pb) => {
                 let mut lost: Vec<TaskId> = pb.dvm.kill().into_iter().map(TaskId).collect();
-                lost.extend(pb.waiting.drain(..));
-                // The partition's nodes are gone with the DVM.
+                // RP placed the DVM's tasks: their cores go back to the
+                // partition's pool for the restarted DVM.
+                for t in &lost {
+                    pb.release(t.0);
+                }
                 pb.placements.clear();
+                lost.extend(pb.waiting.drain(..));
                 lost
             }
         }
@@ -2167,7 +2171,7 @@ impl SimAgent {
 
     fn fail_task(&mut self, t: TaskId, retryable: bool, ctx: &mut Ctx<AgentMsg>) {
         let now = ctx.now();
-        let max_retries = self.cfg.max_retries;
+        let max_retries = retry_cap(self.cfg.max_retries);
         // Two separate record touches so the transition funnel sees both
         // the FAILED and the retry STAGING_INPUT transitions, not just the
         // net state.
@@ -2258,7 +2262,17 @@ impl SimAgent {
     fn cancel_queued(&mut self, i: usize, t: TaskId, ctx: &mut Ctx<AgentMsg>) -> bool {
         match &mut self.instances[i].machine {
             Machine::Flux(sim) => sim.cancel(JobId(t.0)),
-            Machine::Dragon { sim, parked, .. } => remove_from(parked, t) || sim.cancel(t.0),
+            Machine::Dragon { sim, parked, .. } => {
+                if remove_from(parked, t) {
+                    true
+                } else if sim.cancel(t.0) {
+                    // It sat in the pipe: its window slot is free again.
+                    self.dragon_slot_freed(i, ctx);
+                    true
+                } else {
+                    false
+                }
+            }
             Machine::Prrte(pb) => {
                 let canceled = remove_from(&mut pb.waiting, t) || pb.dvm.cancel(t.0);
                 if canceled {
@@ -2323,7 +2337,7 @@ impl SimAgent {
             let c = self.chaos.as_ref().expect("fault without chaos plan");
             (c.plan.policy, c.plan.max_retries)
         };
-        let max_retries = plan_max.unwrap_or(self.cfg.max_retries);
+        let max_retries = retry_cap(plan_max.unwrap_or(self.cfg.max_retries));
         let retry = !matches!(policy, RecoveryPolicy::GiveUp)
             && self.with_task(t, |rec| rec.retries < max_retries);
         if retry {
@@ -2340,7 +2354,7 @@ impl SimAgent {
                     // The StagingInput advance happens when the backoff
                     // timer fires, so the FAULT→EV_RETRY lineage gap is
                     // exactly the recovery delay.
-                    ctx.timer(policy.backoff(prior_retries), AgentMsg::RetryFire(t));
+                    ctx.timer(policy.backoff(prior_retries.into()), AgentMsg::RetryFire(t));
                 }
                 RecoveryPolicy::ResubmitElsewhere => {
                     if let (Some(c), Some(pk)) = (self.chaos.as_mut(), prior) {
@@ -2717,6 +2731,12 @@ impl SimAgent {
     }
 }
 
+/// A configured retry budget in the record's `u16` count: a task stops
+/// retrying at 65,535 attempts whatever the budget.
+fn retry_cap(max_retries: u32) -> u16 {
+    u16::try_from(max_retries).unwrap_or(u16::MAX)
+}
+
 /// Remove `t` from a FIFO queue; true when it was present.
 fn remove_from(q: &mut VecDeque<TaskId>, t: TaskId) -> bool {
     if let Some(pos) = q.iter().position(|&x| x == t) {
@@ -2911,5 +2931,64 @@ impl Actor<AgentMsg> for SimAgent {
         // Gauge counters reflect post-message state; the engine's sampler
         // reads them between deliveries.
         self.update_gauges();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::workload::StaticWorkload;
+    use rp_sim::{Engine, SimDuration};
+
+    /// Delivers to an agent the test still holds, so its flow-control
+    /// state can be read after the run.
+    struct Shared(Rc<RefCell<SimAgent>>);
+
+    impl Actor<AgentMsg> for Shared {
+        fn handle(&mut self, msg: AgentMsg, ctx: &mut Ctx<'_, AgentMsg>) {
+            self.0.borrow_mut().handle(msg, ctx);
+        }
+    }
+
+    #[test]
+    fn dragon_cancel_in_the_pipe_frees_its_window_slot() {
+        // One node: 56 functions run, the next 64 fill the pipe window
+        // and the last 10 park. Canceling the pipe's tasks must hand
+        // their window slots back, so the parked tasks get in and the
+        // window is empty again once the run drains.
+        let tasks = (0..130)
+            .map(|i| TaskDescription::function(i, "f", SimDuration::from_secs(100)))
+            .collect();
+        let state = Rc::new(RefCell::new(RunState::default()));
+        let agent = Rc::new(RefCell::new(SimAgent::new(
+            PilotConfig::dragon(1),
+            Box::new(StaticWorkload::new(tasks)),
+            Rc::clone(&state),
+        )));
+        let mut engine = Engine::new();
+        let id = engine.add_actor(Box::new(Shared(Rc::clone(&agent))));
+        engine.schedule(SimTime::ZERO, id, AgentMsg::Init);
+        let canceled = 56..120;
+        engine.schedule(
+            SimTime::from_secs(60),
+            id,
+            AgentMsg::CancelTasks(canceled.clone().map(TaskId).collect()),
+        );
+        engine.run_until_idle(u64::MAX);
+
+        let st = state.borrow();
+        for uid in (0..130).filter(|u| !canceled.contains(u)) {
+            let state = st.task(TaskId(uid)).expect("submitted").state;
+            assert_eq!(state, TaskState::Done, "uid {uid}");
+        }
+        let agent = agent.borrow();
+        let Machine::Dragon {
+            inflight, parked, ..
+        } = &agent.instances[0].machine
+        else {
+            panic!("a Dragon pilot deploys a Dragon instance");
+        };
+        assert!(parked.is_empty());
+        assert_eq!(*inflight, 0, "every window slot came back");
     }
 }

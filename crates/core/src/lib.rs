@@ -45,5 +45,5 @@ pub use rp_serving::{
 pub use rt::{RtConfig, RtError, RtPayload, RtPilot, RtRecord, RtTask, RtTelemetry};
 pub use service::{ServiceDescription, ServiceId, ServiceRecord};
 pub use session::{FailureInjection, SimSession, UidGen};
-pub use task::{TaskDescription, TaskId, TaskKind, TaskRecord, TaskState};
+pub use task::{Name, TaskDescription, TaskId, TaskKind, TaskRecord, TaskState};
 pub use workload::{ResourceView, StaticWorkload, WorkloadSource};

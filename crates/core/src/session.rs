@@ -662,7 +662,7 @@ mod tests {
                 req: rp_platform::ResourceRequest::mpi(2, 56, 0),
                 duration: SimDuration::from_secs(50),
                 backend_hint: None,
-                label: String::new(),
+                label: crate::task::Name::EMPTY,
             })
             .collect();
         let report = SimSession::with_tasks(PilotConfig::prrte(4), tasks).run();
@@ -821,6 +821,28 @@ mod tests {
         assert_eq!(state(55), TaskState::Canceled);
         assert_eq!(state(56), TaskState::Done, "the node-wide task runs");
         assert_eq!(report.done_tasks().count(), 56);
+    }
+
+    #[test]
+    fn prrte_crash_returns_the_lost_placements() {
+        // One 56-core node: 56 one-core tasks fill it and a node-wide task
+        // waits for every core. The DVM crashes at 50 s with the 56
+        // running; after the restart the retried tasks and then the
+        // node-wide one fit only if the crash gave their cores back.
+        let mut tasks: Vec<TaskDescription> = (0..56)
+            .map(|i| TaskDescription::dummy(i, SimDuration::from_secs(100)))
+            .collect();
+        tasks.push(TaskDescription {
+            req: rp_platform::ResourceRequest::single(56, 0),
+            ..TaskDescription::dummy(56, SimDuration::from_secs(100))
+        });
+        let spec =
+            rp_chaos::FaultSpec::parse("crashes=1,window=50..51,restart=15,retries=5").unwrap();
+        let report = SimSession::with_tasks(PilotConfig::prrte(1), tasks)
+            .with_faults(spec, 1, 57)
+            .run();
+        assert!(report.tasks.iter().any(|t| t.retries > 0), "the crash hit");
+        assert_eq!(report.done_tasks().count(), 57);
     }
 
     #[test]
@@ -1121,7 +1143,7 @@ mod tests {
             .iter()
             .filter(|e| e.kind == rp_lineage::EV_RETRY)
             .count();
-        let rec_retries: u32 = report.tasks.iter().map(|t| t.retries).sum();
+        let rec_retries: u32 = report.tasks.iter().map(|t| u32::from(t.retries)).sum();
         assert!(
             retries > rec_retries as usize,
             "parked tasks re-stage: {retries} retries vs {rec_retries} counted on records"

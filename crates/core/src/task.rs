@@ -10,7 +10,12 @@
 use crate::backend::BackendKind;
 use rp_platform::ResourceRequest;
 use rp_sim::{SimDuration, SimTime};
+use std::cmp::Ordering;
+use std::collections::BTreeMap;
 use std::fmt;
+use std::hash::{Hash, Hasher};
+use std::ops::Deref;
+use std::sync::{PoisonError, RwLock};
 
 /// Unique task identity within a session.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -22,20 +27,157 @@ impl fmt::Display for TaskId {
     }
 }
 
+/// An interned name: a payload or stage label, 4 bytes and `Copy`.
+///
+/// Workloads use a handful of distinct names across hundreds of thousands
+/// of tasks, so every task stores an id into one process-wide table
+/// instead of its own string. Equal texts share one id. Ids depend on the
+/// order in which threads first intern a text, so names compare, order and
+/// hash by their text, never by their id.
+#[derive(Clone, Copy, Default)]
+pub struct Name(u32);
+
+/// Names every process has, at fixed ids: the unlabelled name and the
+/// payload of [`TaskDescription::null`]/[`TaskDescription::dummy`], so
+/// building those descriptions never touches the table.
+const PRESET: [&str; 2] = ["", "sleep"];
+
+/// Interned texts beyond [`PRESET`]; id `PRESET.len() + i` names `names[i]`.
+///
+/// A poisoned lock is recovered: the only panic an update can raise is the
+/// id-space check, which runs before anything changes.
+struct Interner {
+    ids: BTreeMap<&'static str, u32>,
+    names: Vec<&'static str>,
+}
+
+static INTERNER: RwLock<Interner> = RwLock::new(Interner {
+    ids: BTreeMap::new(),
+    names: Vec::new(),
+});
+
+impl Name {
+    /// The empty name (an unlabelled task).
+    pub const EMPTY: Name = Name(0);
+    /// The null and dummy payload, `"sleep"`.
+    const SLEEP: Name = Name(1);
+
+    /// Intern `text`. Each distinct text is stored once per process and
+    /// kept for its lifetime.
+    pub fn new(text: &str) -> Name {
+        if let Some(i) = PRESET.iter().position(|&p| p == text) {
+            return Name(i as u32);
+        }
+        let known = INTERNER
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .ids
+            .get(text)
+            .copied();
+        if let Some(id) = known {
+            return Name(id);
+        }
+        let mut table = INTERNER.write().unwrap_or_else(PoisonError::into_inner);
+        if let Some(&id) = table.ids.get(text) {
+            return Name(id);
+        }
+        let id = u32::try_from(PRESET.len() + table.names.len()).expect("fewer than 2^32 names");
+        let text: &'static str = Box::leak(Box::from(text));
+        table.names.push(text);
+        table.ids.insert(text, id);
+        Name(id)
+    }
+
+    /// The interned text.
+    pub fn as_str(self) -> &'static str {
+        match PRESET.get(self.0 as usize) {
+            Some(text) => text,
+            None => {
+                INTERNER
+                    .read()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .names[self.0 as usize - PRESET.len()]
+            }
+        }
+    }
+}
+
+impl Deref for Name {
+    type Target = str;
+    fn deref(&self) -> &str {
+        self.as_str()
+    }
+}
+
+impl From<&str> for Name {
+    fn from(text: &str) -> Name {
+        Name::new(text)
+    }
+}
+
+impl PartialEq for Name {
+    fn eq(&self, other: &Name) -> bool {
+        // One id per text, so equal ids are exactly equal texts.
+        self.0 == other.0
+    }
+}
+
+impl Eq for Name {}
+
+impl PartialEq<&str> for Name {
+    fn eq(&self, other: &&str) -> bool {
+        self.as_str() == *other
+    }
+}
+
+impl PartialOrd for Name {
+    fn partial_cmp(&self, other: &Name) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Name {
+    fn cmp(&self, other: &Name) -> Ordering {
+        if self.0 == other.0 {
+            Ordering::Equal
+        } else {
+            self.as_str().cmp(other.as_str())
+        }
+    }
+}
+
+impl Hash for Name {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.as_str().hash(state);
+    }
+}
+
+impl fmt::Debug for Name {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.as_str(), f)
+    }
+}
+
+impl fmt::Display for Name {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.as_str())
+    }
+}
+
 /// What the task runs.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TaskKind {
     /// A standalone executable (compiled binary / MPI application); launched
     /// via srun or Flux in the paper.
     Executable {
         /// Binary name, for traces.
-        name: String,
+        name: Name,
     },
     /// A named function executed in-process by a pooled worker; Dragon's
     /// native workload.
     Function {
         /// Registered function name.
-        name: String,
+        name: Name,
     },
 }
 
@@ -46,8 +188,8 @@ impl TaskKind {
     }
 
     /// The payload name.
-    pub fn name(&self) -> &str {
-        match self {
+    pub fn name(&self) -> Name {
+        match *self {
             TaskKind::Executable { name } | TaskKind::Function { name } => name,
         }
     }
@@ -68,7 +210,7 @@ pub struct TaskDescription {
     /// Route to a specific backend instead of the router's default.
     pub backend_hint: Option<BackendKind>,
     /// Workflow/stage label for post-hoc analytics (empty if unused).
-    pub label: String,
+    pub label: Name,
 }
 
 impl TaskDescription {
@@ -77,13 +219,11 @@ impl TaskDescription {
     pub fn dummy(uid: u64, duration: SimDuration) -> Self {
         TaskDescription {
             uid: TaskId(uid),
-            kind: TaskKind::Executable {
-                name: "sleep".into(),
-            },
+            kind: TaskKind::Executable { name: Name::SLEEP },
             req: ResourceRequest::single(1, 0),
             duration,
             backend_hint: None,
-            label: String::new(),
+            label: Name::EMPTY,
         }
     }
 
@@ -97,11 +237,13 @@ impl TaskDescription {
     pub fn function(uid: u64, name: &str, duration: SimDuration) -> Self {
         TaskDescription {
             uid: TaskId(uid),
-            kind: TaskKind::Function { name: name.into() },
+            kind: TaskKind::Function {
+                name: Name::new(name),
+            },
             req: ResourceRequest::single(1, 0),
             duration,
             backend_hint: None,
-            label: String::new(),
+            label: Name::EMPTY,
         }
     }
 }
@@ -171,10 +313,10 @@ pub struct TaskRecord {
     /// Payload kind digest.
     pub is_function: bool,
     /// Cores the task occupies while executing.
-    pub cores: u64,
+    pub cores: u32,
     /// GPUs the task occupies while executing.
-    pub gpus: u64,
-    /// Nodes the request spans (ranks for spread placements).
+    pub gpus: u32,
+    /// Lifecycle state.
     pub state: TaskState,
     /// Backend that executed (or was executing) the task.
     pub backend: Option<BackendKind>,
@@ -193,9 +335,9 @@ pub struct TaskRecord {
     /// Payload ended.
     pub exec_end: Option<SimTime>,
     /// Retries consumed.
-    pub retries: u32,
+    pub retries: u16,
     /// Workflow/stage label.
-    pub label: String,
+    pub label: Name,
 }
 
 impl TaskRecord {
@@ -204,8 +346,8 @@ impl TaskRecord {
         TaskRecord {
             uid: desc.uid,
             is_function: desc.kind.is_function(),
-            cores: desc.req.total_cores(),
-            gpus: desc.req.total_gpus(),
+            cores: u32::try_from(desc.req.total_cores()).unwrap_or(u32::MAX),
+            gpus: u32::try_from(desc.req.total_gpus()).unwrap_or(u32::MAX),
             state: TaskState::New,
             backend: None,
             partition: None,
@@ -216,7 +358,7 @@ impl TaskRecord {
             exec_start: None,
             exec_end: None,
             retries: 0,
-            label: desc.label.clone(),
+            label: desc.label,
         }
     }
 
@@ -320,5 +462,50 @@ mod tests {
         let n = TaskDescription::null(3);
         assert!(n.duration.is_zero());
         assert_eq!(n.req.total_cores(), 1);
+        assert_eq!(n.kind.name(), "sleep");
+        assert!(n.label.is_empty());
+    }
+
+    #[test]
+    fn per_task_structures_stay_small() {
+        use std::mem::size_of;
+        assert_eq!(size_of::<Option<SimTime>>(), 8);
+        assert_eq!(size_of::<Name>(), 4);
+        assert!(size_of::<TaskDescription>() <= 48);
+        assert!(size_of::<TaskRecord>() <= 88);
+    }
+
+    #[test]
+    fn names_intern_once_and_compare_by_text() {
+        let a = Name::new("names_test.alpha");
+        assert_eq!(a, Name::new("names_test.alpha"));
+        assert_eq!(Name::from("names_test.alpha"), a);
+        assert_eq!(a, "names_test.alpha");
+        assert_eq!(a.to_string(), "names_test.alpha");
+        assert_eq!(format!("{a:?}"), "\"names_test.alpha\"");
+        assert!(a.starts_with("names_test."));
+        assert_eq!(Name::new(""), Name::EMPTY);
+        assert_eq!(Name::default(), Name::EMPTY);
+        assert_eq!(Name::new("sleep"), TaskDescription::null(0).kind.name());
+
+        // Interned from other threads first, so the ids run against the
+        // text order: comparisons and hashes still follow the text.
+        let spawn = |t: &'static str| std::thread::spawn(move || Name::new(t));
+        let z = spawn("names_test.zz").join().unwrap();
+        let b = spawn("names_test.b").join().unwrap();
+        assert!(b < z && z > a && a < b);
+        let mut sorted = [z, b, a, Name::EMPTY];
+        sorted.sort();
+        let texts: Vec<&str> = sorted.iter().map(|n| n.as_str()).collect();
+        assert_eq!(
+            texts,
+            ["", "names_test.alpha", "names_test.b", "names_test.zz"]
+        );
+        fn hash<T: Hash + ?Sized>(x: &T) -> u64 {
+            let mut h = std::collections::hash_map::DefaultHasher::new();
+            x.hash(&mut h);
+            h.finish()
+        }
+        assert_eq!(hash(&z), hash("names_test.zz"));
     }
 }

@@ -38,7 +38,7 @@ fn build_task(uid: u64, parts: (bool, u32, u16, u16, u64)) -> TaskDescription {
             },
             duration: SimDuration::from_secs(secs),
             backend_hint: None,
-            label: String::new(),
+            label: rp_core::Name::EMPTY,
         }
     }
 }

@@ -70,7 +70,11 @@ pub fn parse_jobspec(s: &str) -> Result<JobSpec, JobspecError> {
             "ranks" => ranks = v.parse::<u32>().ok(),
             "cores" => cores = v.parse::<u16>().ok(),
             "gpus" => gpus = v.parse::<u16>().ok(),
-            "mem_gb" => mem = v.parse::<u32>().unwrap_or(0),
+            "mem_gb" => {
+                mem = v
+                    .parse::<u32>()
+                    .map_err(|_| JobspecError::Field("mem_gb"))?
+            }
             "policy" => {
                 policy = Some(match v {
                     "pack" => PlacementPolicy::Pack,
@@ -158,5 +162,91 @@ mod tests {
             Err(JobspecError::Policy("wat".into()))
         );
         assert_eq!(parse_jobspec("nope"), Err(JobspecError::Field("header")));
+        assert_eq!(
+            parse_jobspec(
+                "jobspec/1 id=1 ranks=1 cores=1 gpus=0 mem_gb=lots policy=pack walltime_us=0"
+            ),
+            Err(JobspecError::Field("mem_gb"))
+        );
+    }
+
+    /// Seeded xorshift stream for the mutation test (std only).
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+    }
+
+    /// `seed` with 1–8 byte-level edits: flips, inserts of the grammar's
+    /// tokens and multi-byte text, deletions, truncation and spliced
+    /// copies. The result is made UTF-8 lossily, so it can hold U+FFFD.
+    fn mutate(seed: &str, rng: &mut Rng) -> String {
+        const PIECES: [&str; 16] = [
+            "=",
+            " ",
+            "\t",
+            "\n",
+            "/",
+            "-",
+            "+",
+            "0",
+            "9",
+            "jobspec/1",
+            "spread",
+            "exclusive",
+            " mem_gb=4",
+            "18446744073709551616",
+            "é",
+            "\u{1F600}",
+        ];
+        let mut b = seed.as_bytes().to_vec();
+        for _ in 0..1 + rng.below(8) {
+            let at = rng.below(b.len() + 1);
+            match rng.below(5) {
+                0 if at < b.len() => b[at] ^= 1 << rng.below(8),
+                1 => {
+                    let piece = PIECES[rng.below(PIECES.len())].as_bytes();
+                    b.splice(at..at, piece.iter().copied());
+                }
+                2 if at < b.len() => {
+                    let end = (at + 1 + rng.below(16)).min(b.len());
+                    b.drain(at..end);
+                }
+                3 => b.truncate(at),
+                _ => {
+                    let from = rng.below(b.len() + 1);
+                    let end = (from + rng.below(64)).min(b.len());
+                    let copy = b[from..end].to_vec();
+                    b.splice(at..at, copy);
+                }
+            }
+        }
+        String::from_utf8_lossy(&b).into_owned()
+    }
+
+    #[test]
+    fn parser_never_panics_and_round_trips_what_it_accepts() {
+        let seed = jobspec_string(&spec(4, 56, 8, PlacementPolicy::Spread));
+        let mut rng = Rng(0x9E37_79B9_7F4A_7C15);
+        let mut accepted = 0;
+        for _ in 0..4000 {
+            let text = mutate(&seed, &mut rng);
+            let Ok(job) = parse_jobspec(&text) else {
+                continue;
+            };
+            accepted += 1;
+            assert_eq!(parse_jobspec(&jobspec_string(&job)), Ok(job), "{text:?}");
+        }
+        // The mutations must leave both accepting and rejecting inputs.
+        assert!((1..4000).contains(&accepted), "{accepted} jobspecs parsed");
     }
 }

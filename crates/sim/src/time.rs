@@ -6,14 +6,21 @@
 //! which `f64` timestamps cannot guarantee once arithmetic reorders.
 
 use std::fmt;
+use std::hash::{Hash, Hasher};
+use std::num::NonZeroU64;
 use std::ops::{Add, AddAssign, Sub};
 
 /// Microseconds per second, the base resolution of the simulation clock.
 pub const MICROS_PER_SEC: u64 = 1_000_000;
 
 /// An instant on the simulation clock (microseconds since simulation start).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub struct SimTime(u64);
+///
+/// Stored as micros + 1 in a `NonZeroU64`, so `Option<SimTime>` is 8 bytes:
+/// a task record carries five optional milestones. The order is the order
+/// of the microsecond values; the last representable instant is
+/// [`SimTime::MAX`], and arithmetic saturates there.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub struct SimTime(NonZeroU64);
 
 /// A span of simulated time (microseconds).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -21,33 +28,53 @@ pub struct SimDuration(u64);
 
 impl SimTime {
     /// The simulation epoch, `t = 0`.
-    pub const ZERO: SimTime = SimTime(0);
-    /// The greatest representable instant; used as an "infinite" horizon.
-    pub const MAX: SimTime = SimTime(u64::MAX);
+    pub const ZERO: SimTime = SimTime(NonZeroU64::MIN);
+    /// The greatest representable instant, `u64::MAX - 1` µs; used as an
+    /// "infinite" horizon.
+    pub const MAX: SimTime = SimTime(NonZeroU64::MAX);
 
-    /// Construct from whole microseconds.
+    /// Construct from whole microseconds; `u64::MAX` saturates to
+    /// [`SimTime::MAX`].
     pub const fn from_micros(us: u64) -> Self {
-        SimTime(us)
+        SimTime(NonZeroU64::MIN.saturating_add(us))
     }
 
     /// Construct from whole seconds.
     pub const fn from_secs(s: u64) -> Self {
-        SimTime(s * MICROS_PER_SEC)
+        SimTime::from_micros(s * MICROS_PER_SEC)
     }
 
     /// Microseconds since simulation start.
     pub const fn as_micros(self) -> u64 {
-        self.0
+        self.0.get() - 1
     }
 
     /// Seconds since simulation start, as a float (for metrics/reporting).
     pub fn as_secs_f64(self) -> f64 {
-        self.0 as f64 / MICROS_PER_SEC as f64
+        self.as_micros() as f64 / MICROS_PER_SEC as f64
     }
 
     /// Time elapsed since `earlier`, saturating to zero if `earlier` is later.
     pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
-        SimDuration(self.0.saturating_sub(earlier.0))
+        SimDuration(self.0.get().saturating_sub(earlier.0.get()))
+    }
+}
+
+impl Default for SimTime {
+    fn default() -> Self {
+        SimTime::ZERO
+    }
+}
+
+impl Hash for SimTime {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.as_micros().hash(state);
+    }
+}
+
+impl fmt::Debug for SimTime {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_tuple("SimTime").field(&self.as_micros()).finish()
     }
 }
 
@@ -122,7 +149,7 @@ impl Sub<SimTime> for SimTime {
     /// [`SimTime::saturating_since`] when that is a legal condition.
     fn sub(self, rhs: SimTime) -> SimDuration {
         debug_assert!(rhs.0 <= self.0, "SimTime subtraction went negative");
-        SimDuration(self.0.saturating_sub(rhs.0))
+        self.saturating_since(rhs)
     }
 }
 
@@ -186,6 +213,65 @@ mod tests {
         let late = SimTime::from_secs(2);
         assert_eq!(early.saturating_since(late), SimDuration::ZERO);
         assert_eq!(late.saturating_since(early), SimDuration::from_secs(1));
+    }
+
+    #[test]
+    fn max_is_one_micro_below_u64_max() {
+        assert_eq!(SimTime::MAX.as_micros(), u64::MAX - 1);
+        assert_eq!(SimTime::from_micros(u64::MAX), SimTime::MAX);
+        assert_eq!(SimTime::from_micros(u64::MAX - 1), SimTime::MAX);
+        assert_eq!(SimTime::MAX + SimDuration::from_micros(1), SimTime::MAX);
+        assert_eq!(SimTime::default(), SimTime::ZERO);
+        assert_eq!(SimTime::ZERO.as_micros(), 0);
+        assert_eq!(format!("{:?}", SimTime::from_micros(7)), "SimTime(7)");
+    }
+
+    /// `SimTime` against a plain `u64` of microseconds clamped to
+    /// `u64::MAX - 1`: order, equality, arithmetic and hashes agree on
+    /// seeded values clustered at the epoch, at `MAX` and at `u64::MAX`.
+    #[test]
+    fn matches_a_plain_u64_model() {
+        use std::collections::hash_map::DefaultHasher;
+        fn hash<T: Hash>(x: T) -> u64 {
+            let mut h = DefaultHasher::new();
+            x.hash(&mut h);
+            h.finish()
+        }
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let top = u64::MAX - 1;
+        let mut pick = move || {
+            let r = next();
+            match r % 4 {
+                0 => (r >> 2) % 1_000,
+                1 => top - (r >> 2) % 1_000,
+                2 => u64::MAX - (r >> 2) % 3,
+                _ => r,
+            }
+        };
+        for _ in 0..20_000 {
+            let (a, b, d) = (pick(), pick(), pick());
+            let (ta, tb) = (SimTime::from_micros(a), SimTime::from_micros(b));
+            let (ma, mb) = (a.min(top), b.min(top));
+            assert_eq!(ta.as_micros(), ma);
+            assert_eq!(ta.cmp(&tb), ma.cmp(&mb), "{a} vs {b}");
+            assert_eq!(ta == tb, ma == mb);
+            assert_eq!(hash(ta), hash(ma));
+            let sum = ta + SimDuration::from_micros(d);
+            assert_eq!(sum.as_micros(), ma.saturating_add(d).min(top), "{a} + {d}");
+            let mut acc = ta;
+            acc += SimDuration::from_micros(d);
+            assert_eq!(acc, sum);
+            assert_eq!(ta.saturating_since(tb).as_micros(), ma.saturating_sub(mb));
+            if ma >= mb {
+                assert_eq!((ta - tb).as_micros(), ma - mb);
+            }
+        }
     }
 
     #[test]

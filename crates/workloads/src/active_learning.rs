@@ -11,7 +11,7 @@
 //! workload, unlike the fixed DAGs).
 
 use rp_core::{
-    ResourceView, ServiceDescription, TaskDescription, TaskId, TaskKind, TaskRecord, UidGen,
+    Name, ResourceView, ServiceDescription, TaskDescription, TaskId, TaskKind, TaskRecord, UidGen,
     WorkloadSource,
 };
 use rp_platform::ResourceRequest;
@@ -104,28 +104,32 @@ impl ActiveLearning {
         let by_free = (view.free_cores as f64 * p.actor_free_frac) as u32;
         let actors = by_free.clamp(p.actors_min, p.actors_max);
         let mut tasks = Vec::new();
+        let actor = TaskKind::Executable {
+            name: Name::new("actor_sim"),
+        };
+        let actor_label = Name::new(&format!("actor.{gen:02}"));
         for _ in 0..actors {
             tasks.push(TaskDescription {
                 uid: TaskId(self.uids.next_id()),
-                kind: TaskKind::Executable {
-                    name: "actor_sim".into(),
-                },
+                kind: actor,
                 req: ResourceRequest::single(1, 0),
                 duration: p.actor_duration,
                 backend_hint: None,
-                label: format!("actor.{gen:02}"),
+                label: actor_label,
             });
         }
+        let infer = TaskKind::Function {
+            name: Name::new("policy_inference"),
+        };
+        let infer_label = Name::new(&format!("infer.{gen:02}"));
         for _ in 0..p.inference_batch {
             tasks.push(TaskDescription {
                 uid: TaskId(self.uids.next_id()),
-                kind: TaskKind::Function {
-                    name: "policy_inference".into(),
-                },
+                kind: infer,
                 req: ResourceRequest::single(1, 0),
                 duration: p.inference_duration,
                 backend_hint: None,
-                label: format!("infer.{gen:02}"),
+                label: infer_label,
             });
         }
         self.outstanding += tasks.len();

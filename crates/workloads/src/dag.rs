@@ -4,7 +4,7 @@
 //! scheduling ("the number of tasks instantiated by some workflows is
 //! adjusted dynamically at runtime based on available system resources").
 
-use rp_core::{ResourceView, TaskDescription, TaskId, TaskRecord, UidGen, WorkloadSource};
+use rp_core::{Name, ResourceView, TaskDescription, TaskId, TaskRecord, UidGen, WorkloadSource};
 use std::collections::HashMap;
 
 /// Builds a stage's tasks when it becomes ready. Receives the live resource
@@ -125,11 +125,11 @@ impl DagWorkload {
             for i in 0..self.stages.len() {
                 if self.status[i] == StageStatus::Waiting && self.unmet_deps[i] == 0 {
                     fired_any = true;
-                    let name = self.stages[i].name.clone();
+                    let name = Name::new(&self.stages[i].name);
                     let mut tasks = (self.stages[i].build)(view, &mut self.uids);
                     for t in &mut tasks {
                         if t.label.is_empty() {
-                            t.label = name.clone();
+                            t.label = name;
                         }
                         self.task_stage.insert(t.uid, i);
                     }

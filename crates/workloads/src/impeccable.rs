@@ -17,9 +17,10 @@
 //! scoring and ESMACS keep the machine loaded between generations.
 
 use crate::dag::{DagWorkload, Stage};
-use rp_core::{TaskDescription, TaskKind};
+use rp_core::{Name, TaskDescription, TaskKind};
 use rp_platform::{PlacementPolicy, ResourceRequest};
 use rp_sim::SimDuration;
+use std::sync::OnceLock;
 
 /// Campaign shape parameters. Defaults reproduce the paper's 256-node runs
 /// (~550 tasks); counts for adaptive stages scale with pilot size, matching
@@ -102,8 +103,24 @@ impl ImpeccableParams {
     }
 }
 
-fn exec(name: &str) -> TaskKind {
-    TaskKind::Executable { name: name.into() }
+/// The campaign's eight executables, interned once per process.
+fn payloads() -> [TaskKind; 8] {
+    static KINDS: OnceLock<[TaskKind; 8]> = OnceLock::new();
+    *KINDS.get_or_init(|| {
+        [
+            "autodock",
+            "sst_train",
+            "sst_infer",
+            "mmpbsa",
+            "mmpbsa_big",
+            "ampl",
+            "esmacs",
+            "reinvent",
+        ]
+        .map(|name| TaskKind::Executable {
+            name: Name::new(name),
+        })
+    })
 }
 
 /// A whole-node MPI request: `nodes` ranks, 56 cores each, `gpn` GPUs/node,
@@ -129,6 +146,7 @@ pub fn impeccable_campaign(params: ImpeccableParams) -> DagWorkload {
     // Per-round stage indices: [dock, train, infer, score, ampl, esmacs,
     // reinvent], appended in that order.
     let idx = |round: u32, slot: u32| -> usize { (round * 7 + slot) as usize };
+    let [autodock, sst_train, sst_infer, mmpbsa, mmpbsa_big, ampl, esmacs, reinvent] = payloads();
 
     for r in 0..p.iterations {
         // ---- dock[r]: adaptive CPU docking --------------------------------
@@ -154,11 +172,11 @@ pub fn impeccable_campaign(params: ImpeccableParams) -> DagWorkload {
                 (0..count)
                     .map(|_| TaskDescription {
                         uid: rp_core::TaskId(uids.next_id()),
-                        kind: exec("autodock"),
+                        kind: autodock,
                         req: node_req(dn, 0),
                         duration: d,
                         backend_hint: None,
-                        label: String::new(),
+                        label: Name::EMPTY,
                     })
                     .collect()
             }),
@@ -172,11 +190,11 @@ pub fn impeccable_campaign(params: ImpeccableParams) -> DagWorkload {
             build: Box::new(move |_view, uids| {
                 vec![TaskDescription {
                     uid: rp_core::TaskId(uids.next_id()),
-                    kind: exec("sst_train"),
+                    kind: sst_train,
                     req: node_req(tn, gpn),
                     duration: d,
                     backend_hint: None,
-                    label: String::new(),
+                    label: Name::EMPTY,
                 }]
             }),
         });
@@ -200,11 +218,11 @@ pub fn impeccable_campaign(params: ImpeccableParams) -> DagWorkload {
                 (0..count)
                     .map(|_| TaskDescription {
                         uid: rp_core::TaskId(uids.next_id()),
-                        kind: exec("sst_infer"),
+                        kind: sst_infer,
                         req: node_req(inn, gpn),
                         duration: d,
                         backend_hint: None,
-                        label: String::new(),
+                        label: Name::EMPTY,
                     })
                     .collect()
             }),
@@ -224,21 +242,21 @@ pub fn impeccable_campaign(params: ImpeccableParams) -> DagWorkload {
                 let mut out: Vec<TaskDescription> = (0..sc)
                     .map(|_| TaskDescription {
                         uid: rp_core::TaskId(uids.next_id()),
-                        kind: exec("mmpbsa"),
+                        kind: mmpbsa,
                         req: node_req(scn, 0),
                         duration: d,
                         backend_hint: None,
-                        label: String::new(),
+                        label: Name::EMPTY,
                     })
                     .collect();
                 // The per-round capability job: 128 nodes = 7,168 cores.
                 out.push(TaskDescription {
                     uid: rp_core::TaskId(uids.next_id()),
-                    kind: exec("mmpbsa_big"),
+                    kind: mmpbsa_big,
                     req: node_req(sbn.max(1), 0),
                     duration: d,
                     backend_hint: None,
-                    label: String::new(),
+                    label: Name::EMPTY,
                 });
                 out
             }),
@@ -253,11 +271,11 @@ pub fn impeccable_campaign(params: ImpeccableParams) -> DagWorkload {
                 (0..acount)
                     .map(|_| TaskDescription {
                         uid: rp_core::TaskId(uids.next_id()),
-                        kind: exec("ampl"),
+                        kind: ampl,
                         req: node_req(an, gpn),
                         duration: d,
                         backend_hint: None,
-                        label: String::new(),
+                        label: Name::EMPTY,
                     })
                     .collect()
             }),
@@ -282,11 +300,11 @@ pub fn impeccable_campaign(params: ImpeccableParams) -> DagWorkload {
                 (0..ec)
                     .map(|_| TaskDescription {
                         uid: rp_core::TaskId(uids.next_id()),
-                        kind: exec("esmacs"),
+                        kind: esmacs,
                         req: node_req(en, gpn),
                         duration: d,
                         backend_hint: None,
-                        label: String::new(),
+                        label: Name::EMPTY,
                     })
                     .collect()
             }),
@@ -300,11 +318,11 @@ pub fn impeccable_campaign(params: ImpeccableParams) -> DagWorkload {
             build: Box::new(move |_view, uids| {
                 vec![TaskDescription {
                     uid: rp_core::TaskId(uids.next_id()),
-                    kind: exec("reinvent"),
+                    kind: reinvent,
                     req: node_req(1, gpn),
                     duration: d,
                     backend_hint: None,
-                    label: String::new(),
+                    label: Name::EMPTY,
                 }]
             }),
         });

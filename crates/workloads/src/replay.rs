@@ -3,9 +3,10 @@
 //! original submission timing — the "run the campaign someone else
 //! recorded" path that RADICAL profiles enable.
 
-use rp_core::{TaskDescription, TaskId, TaskKind, TaskRecord};
+use rp_core::{Name, TaskDescription, TaskId, TaskKind, TaskRecord};
 use rp_platform::{PlacementPolicy, ResourceRequest};
 use rp_sim::{SimDuration, SimTime};
+use std::sync::OnceLock;
 
 /// One replay batch: tasks that were originally submitted at (or within a
 /// bucket ending at) `at`.
@@ -27,7 +28,7 @@ pub fn description_from_record(rec: &TaskRecord) -> TaskDescription {
     let req = if cores >= 56 && cores.is_multiple_of(56) {
         ResourceRequest {
             mem_per_rank_gb: 0,
-            ranks: (cores / 56) as u32,
+            ranks: cores / 56,
             cores_per_rank: 56,
             gpus_per_rank: if rec.gpus > 0 {
                 (rec.gpus / (cores / 56)).min(8) as u16
@@ -39,21 +40,19 @@ pub fn description_from_record(rec: &TaskRecord) -> TaskDescription {
     } else {
         ResourceRequest::single(cores.min(56) as u16, rec.gpus.min(8) as u16)
     };
+    static REPLAYED: OnceLock<Name> = OnceLock::new();
+    let name = *REPLAYED.get_or_init(|| Name::new("replayed"));
     TaskDescription {
         uid: rec.uid,
         kind: if rec.is_function {
-            TaskKind::Function {
-                name: "replayed".into(),
-            }
+            TaskKind::Function { name }
         } else {
-            TaskKind::Executable {
-                name: "replayed".into(),
-            }
+            TaskKind::Executable { name }
         },
         req,
         duration,
         backend_hint: None,
-        label: rec.label.clone(),
+        label: rec.label,
     }
 }
 

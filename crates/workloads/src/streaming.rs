@@ -6,7 +6,7 @@
 //! timed submission batches (the `SimSession::submit_at` path) rather than
 //! a completion-driven [`rp_core::WorkloadSource`].
 
-use rp_core::{TaskDescription, TaskId, TaskKind, UidGen};
+use rp_core::{Name, TaskDescription, TaskId, TaskKind, UidGen};
 use rp_platform::ResourceRequest;
 use rp_sim::{SimDuration, SimTime};
 
@@ -64,31 +64,34 @@ pub fn streaming_batches(params: &StreamingParams) -> Vec<StreamBatch> {
     let n_batches = (params.duration_s * 1_000_000) / interval_us.max(1);
     let mut uids = UidGen::new();
     let mut out = Vec::with_capacity(n_batches as usize);
+    let process = TaskKind::Function {
+        name: Name::new("stream_process"),
+    };
+    let aggregate = TaskKind::Executable {
+        name: Name::new("window_aggregate"),
+    };
     for b in 0..n_batches {
         let at = SimTime::from_micros(b * interval_us);
         let mut tasks = Vec::new();
+        let label = Name::new(&format!("stream.{b:05}"));
         for _ in 0..params.tasks_per_batch {
             tasks.push(TaskDescription {
                 uid: TaskId(uids.next_id()),
-                kind: TaskKind::Function {
-                    name: "stream_process".into(),
-                },
+                kind: process,
                 req: ResourceRequest::single(1, 0),
                 duration: params.task_duration,
                 backend_hint: None,
-                label: format!("stream.{b:05}"),
+                label,
             });
         }
         if params.aggregate_every > 0 && b > 0 && b % params.aggregate_every as u64 == 0 {
             tasks.push(TaskDescription {
                 uid: TaskId(uids.next_id()),
-                kind: TaskKind::Executable {
-                    name: "window_aggregate".into(),
-                },
+                kind: aggregate,
                 req: ResourceRequest::single(params.aggregate_cores, 0),
                 duration: params.aggregate_duration,
                 backend_hint: None,
-                label: format!("aggregate.{b:05}"),
+                label: Name::new(&format!("aggregate.{b:05}")),
             });
         }
         out.push(StreamBatch { at, tasks });

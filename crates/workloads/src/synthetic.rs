@@ -4,7 +4,7 @@
 //! usable cores per Frontier node — four back-to-back waves of single-core
 //! tasks, enough to saturate queues and expose steady-state launch rates.
 
-use rp_core::TaskDescription;
+use rp_core::{Name, TaskDescription, TaskKind};
 use rp_sim::SimDuration;
 
 /// Usable cores per node on Frontier with SMT=1 (224 cores / 4 nodes in the
@@ -37,12 +37,19 @@ pub fn dummy_workload(nodes: u32, duration: SimDuration) -> Vec<TaskDescription>
 /// function tasks (equal halves), so RP routes one stream to Flux and the
 /// other to Dragon.
 pub fn mixed_workload(nodes: u32, duration: SimDuration) -> Vec<TaskDescription> {
+    let function = TaskKind::Function {
+        name: Name::new("dummy_sleep"),
+    };
     (0..task_count(nodes))
         .map(|i| {
+            let task = TaskDescription::dummy(i, duration);
             if i % 2 == 0 {
-                TaskDescription::dummy(i, duration)
+                task
             } else {
-                TaskDescription::function(i, "dummy_sleep", duration)
+                TaskDescription {
+                    kind: function,
+                    ..task
+                }
             }
         })
         .collect()

@@ -64,7 +64,7 @@ fn main() {
             .iter()
             .filter(|t| t.label.starts_with(wf))
             .count();
-        let cores: u64 = flux_report
+        let cores: u32 = flux_report
             .tasks
             .iter()
             .filter(|t| t.label.starts_with(wf))

@@ -9,8 +9,17 @@ cargo fmt --all -- --check
 cargo clippy --workspace --all-targets --offline -- -D warnings
 cargo build --release --offline --workspace
 # A hung test (an rt-plane deadlock) fails the gate after 20 minutes
-# instead of stalling it.
-timeout 20m cargo test -q --offline --workspace
+# instead of stalling it. The log is kept to report the workspace's
+# passed-test total, summed over its `test result:` lines.
+TEST_LOG="$(mktemp)"
+timeout 20m cargo test -q --offline --workspace > "$TEST_LOG" 2>&1 || {
+    cat "$TEST_LOG"
+    exit 1
+}
+cat "$TEST_LOG"
+awk '/^test result:/ { passed += $4 } END { print "workspace tests passed: " passed }' \
+    "$TEST_LOG"
+rm -f "$TEST_LOG"
 # The benchmark runs optimized code, where the placement count arithmetic
 # wraps instead of trapping and debug_asserts compile out: run the
 # placement differential and invariant tests, and the engine's event-queue
