@@ -110,7 +110,7 @@ fn engine_benches(out: &mut Vec<BenchEntry>) {
     let wall = median_wall(1.0, || {
         let mut eng = Engine::new();
         let id = eng.add_actor(Box::new(Chain { remaining: EVENTS }));
-        eng.add_sampler(SimDuration::from_secs(3600), Box::new(|_| {}));
+        eng.add_sampler(SimDuration::from_secs(3600), id, 0);
         eng.schedule(SimTime::ZERO, id, 0);
         eng.run_until_idle(EVENTS + 10)
     });

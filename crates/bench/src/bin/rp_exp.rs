@@ -11,7 +11,8 @@
 //! (`--fault-seed N`) and `--serving <spec>` (`--serving-seed N`) put every
 //! session under the same deterministic fault / open-loop serving plan.
 //! Any other flag, an unknown id or a malformed value exits with status 2;
-//! a results or artifact file that cannot be written exits with status 1.
+//! a results or artifact file that cannot be written, or a run that ends
+//! with a task not terminal, exits with status 1.
 
 use rp_bench::experiments::{run, select, table1, EXPERIMENTS};
 use rp_bench::{Cli, EXP_FLAGS};

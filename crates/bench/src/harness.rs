@@ -491,7 +491,8 @@ pub fn fan_out<T: Send>(
 /// lineage JSONL + blame report land there for `rp-explain`. With
 /// `opts.faults` / `opts.serving`, every rep runs under the same
 /// deterministic fault / serving plan. Fails, naming the file, when an
-/// artifact cannot be written.
+/// artifact cannot be written, and fails when a rep left a task stranded
+/// (see [`check_terminal`]).
 /// `opts.jobs > 1` runs repetitions across that many scoped worker threads
 /// via [`fan_out`]. Each rep's seed depends only on its index and each
 /// simulation is single-threaded and deterministic, so the reports are
@@ -550,8 +551,26 @@ pub fn repeat(
     if let Some(dir) = &opts.lineage_dir {
         write_lineage(dir, label, &reports[0])?;
     }
+    check_terminal(label, &reports)?;
     let digests: Vec<RunDigest> = reports.iter().map(digest).collect();
     Ok((ExpRow::from_digests(label.to_string(), &digests), reports))
+}
+
+/// Fail when a rep's run quiesced with a task that never reached a
+/// terminal state: its row would count it as neither done nor failed.
+/// Checked after the artifacts are written, so a stranded rep 0 leaves
+/// its profile and lineage behind to explain it.
+fn check_terminal(label: &str, reports: &[RunReport]) -> io::Result<()> {
+    for (rep, report) in reports.iter().enumerate() {
+        let tasks = &report.tasks;
+        let stranded = tasks.iter().filter(|t| !t.state.is_terminal()).count();
+        if stranded > 0 {
+            let n = tasks.len();
+            let msg = format!("{label}: rep {rep} ended with {stranded} of {n} tasks not terminal");
+            return Err(io::Error::other(msg));
+        }
+    }
+    Ok(())
 }
 
 /// Convenience: repeat with a static task batch. When faults are on and no
@@ -580,8 +599,8 @@ pub fn repeat_static(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rp_core::PilotConfig;
-    use rp_sim::SimDuration;
+    use rp_core::{PilotConfig, TaskRecord, TaskState};
+    use rp_sim::{SimDuration, SimTime};
 
     #[test]
     fn repeat_aggregates_reps() {
@@ -611,6 +630,44 @@ mod tests {
         assert!(line.contains("tiny"));
         assert!(ExpRow::csv_header().starts_with("label,"));
         assert!(row.csv_line().starts_with("tiny,2,"));
+    }
+
+    #[test]
+    fn a_stranded_task_fails_the_experiment() {
+        let report = |states: &[TaskState]| RunReport {
+            nodes: 1,
+            total_cores: 56,
+            total_gpus: 8,
+            tasks: states
+                .iter()
+                .enumerate()
+                .map(|(i, &state)| {
+                    let mut rec =
+                        TaskRecord::new(&rp_core::TaskDescription::null(i as u64), SimTime::ZERO);
+                    rec.state = state;
+                    rec
+                })
+                .collect(),
+            instances: Vec::new(),
+            services: Vec::new(),
+            pilot: Default::default(),
+            agent_ready: None,
+            end: SimTime::ZERO,
+            profile: None,
+            metrics: None,
+            telemetry: None,
+            lineage: None,
+            serving: None,
+        };
+        use TaskState::{Canceled, Done, Executing, Failed};
+        let terminal = report(&[Done, Failed, Canceled]);
+        check_terminal("cell", std::slice::from_ref(&terminal)).expect("all terminal");
+        let stranded = report(&[Done, Executing, Done]);
+        let err = check_terminal("cell", &[terminal, stranded]).expect_err("stranded");
+        assert_eq!(
+            err.to_string(),
+            "cell: rep 1 ended with 1 of 3 tasks not terminal"
+        );
     }
 
     /// `--metrics-dir` plumbing end to end: rep 0 runs with the registry

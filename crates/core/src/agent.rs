@@ -35,13 +35,13 @@ use rp_fluxrt::{
 use rp_lineage::Lineage;
 use rp_metrics::{Counter as MCounter, Gauge as MGauge, Histogram as MHistogram, Registry};
 use rp_platform::{Allocation, Calibration, Cluster, Placement, ResourcePool, ResourceRequest};
-use rp_profiler::{Phase, ProfileData, NO_UID};
+use rp_profiler::{Phase, ProfileData, Sym, NO_UID};
 use rp_prrte::{PrrteAction, PrrteDvm, PrrteTask, PrrteToken};
 use rp_serving::{ServingOutcome, ServingState, ServingTaskKind};
 use rp_sim::{Actor, Ctx, Dist, FxHashMap, RngStream, SimTime, UidMap};
 use rp_slurm::{SrunAction, SrunSim, SrunToken, StepId, StepRequest};
 use rp_telemetry::{SampleInput, Severity, Telemetry};
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::rc::Rc;
 
@@ -419,24 +419,15 @@ pub(crate) fn state_event_name(s: TaskState) -> &'static str {
     }
 }
 
-/// Live utilization counters shared with the engine's periodic sampler: the
-/// agent refreshes them after every message it handles, the sampler turns
-/// them into gauge events on the profile timeline (so samples always reflect
-/// the state the simulation actually held at the sample instant).
-#[derive(Debug, Default)]
-pub struct AgentGauges {
-    queue_depth: Cell<f64>,
-    srun_inflight: Cell<f64>,
-    /// `(busy cores, busy gpus)` per instance in instance-table order,
-    /// matching the gauge sampler's partition tracks.
-    parts: RefCell<Vec<(f64, f64)>>,
-    /// Backend-local queued tasks per kind, indexed by
-    /// `BackendKind as usize` (telemetry attributes saturation with it).
-    backend_queues: Cell<[f64; 4]>,
-    /// Exact backend queue high-waters per kind (tracked by the backends
-    /// themselves at every enqueue, so no spike is missed between
-    /// telemetry samples).
-    backend_queue_peaks: Cell<[f64; 4]>,
+/// The profile's gauge tracks (built by [`SimAgent::attach_profile`]):
+/// each profile sample appends its rows to `data`.
+struct ProfileGauges {
+    data: Rc<RefCell<ProfileData>>,
+    /// The `agent` and `srun` tracks, then the gauge names, in
+    /// [`SimAgent::attach_profile`]'s order.
+    names: [Sym; 7],
+    /// One `kind.partition` track per instance, in instance-table order.
+    parts: Vec<Sym>,
 }
 
 /// Directly observed metrics of the agent pipeline (built by
@@ -455,11 +446,14 @@ struct AgentMetrics {
     /// index — no keyed map probe per observation.
     adapter_seconds: [MHistogram; 4],
     watcher_seconds: MHistogram,
-    /// Live pipeline gauges (mirror of [`AgentGauges`] for OpenMetrics).
+    /// Pipeline gauges, set once from the end-of-run gauge snapshot.
     queue_depth: MGauge,
     srun_inflight: MGauge,
     busy_cores: MGauge,
     busy_gpus: MGauge,
+    /// Queue depth and partition utilization at each metrics sample.
+    depth_sampled: MHistogram,
+    util_sampled: MHistogram,
 }
 
 /// Chaos-plane run state, present only when fault injection is armed via
@@ -558,17 +552,15 @@ pub struct SimAgent {
     scratch_flux: Vec<FluxAction>,
     scratch_dragon: Vec<DragonAction>,
     scratch_prrte: Vec<PrrteAction>,
-    gauges: Rc<AgentGauges>,
-    /// Whether a profile gauge sampler reads `gauges` (set by
-    /// [`Self::gauge_sampler`]); profiled runs refresh them exactly.
-    profile_gauges: bool,
+    /// Cores (Dragon: workers) deployed across the non-srun partitions at
+    /// start: the fixed denominator of the sampled utilization figures.
+    capacity: f64,
+    /// Profile gauge tracks (None unless [`Self::attach_profile`] ran).
+    profile: Option<ProfileGauges>,
     /// Metrics instruments (None unless [`Self::attach_metrics`] ran).
     metrics: Option<AgentMetrics>,
     /// Streaming telemetry (None unless [`Self::attach_telemetry`] ran).
     telemetry: Option<Telemetry>,
-    /// Delivery counter for the decimated gauge refresh on telemetry-only
-    /// runs (see `update_gauges`).
-    gauge_tick: std::cell::Cell<u32>,
     /// Cached `Telemetry::straggler_sample_mask` — the transition funnel
     /// only assembles backend/partition context for sampled uids.
     tel_sample_mask: u64,
@@ -715,6 +707,7 @@ impl SimAgent {
             Vec::new()
         };
         let stagers_free = cfg.stager_concurrency.max(1);
+        let capacity = instances.iter().map(Instance::capacity).sum::<u64>() as f64;
         SimAgent {
             router,
             state,
@@ -747,11 +740,10 @@ impl SimAgent {
             scratch_prrte: Vec::new(),
             rng,
             cfg,
-            gauges: Rc::new(AgentGauges::default()),
-            profile_gauges: false,
+            capacity,
+            profile: None,
             metrics: None,
             telemetry: None,
-            gauge_tick: std::cell::Cell::new(0),
             tel_sample_mask: u64::MAX,
             lineage: None,
             lin_srun_reject: None,
@@ -760,15 +752,13 @@ impl SimAgent {
         }
     }
 
-    /// A sampler closure for [`rp_sim::Engine::add_sampler`]: writes the
+    /// Attach the profile's gauge tracks: each profile sample writes the
     /// agent-queue, srun-concurrency and per-partition utilization gauges
-    /// from the shared counters into `profile` as gauge rows on the
-    /// `agent`, `srun`, `flux.N`, `dragon.N` and `prrte.N` tracks, stamped
-    /// with the sample boundary. From here on the shared counters refresh
-    /// after every delivery.
-    pub fn gauge_sampler(&mut self, profile: Rc<RefCell<ProfileData>>) -> Box<dyn FnMut(SimTime)> {
-        let mut p = profile.borrow_mut();
-        let [agent, srun, queue_depth, busy_cores, busy_gpus, srun_inflight, srun_ceiling] = [
+    /// into `data` as gauge rows on the `agent`, `srun`, `flux.N`,
+    /// `dragon.N` and `prrte.N` tracks, stamped with the sample boundary.
+    pub fn attach_profile(&mut self, data: Rc<RefCell<ProfileData>>) {
+        let mut p = data.borrow_mut();
+        let names = [
             "agent",
             "srun",
             "QUEUE_DEPTH",
@@ -778,41 +768,19 @@ impl SimAgent {
             "SRUN_CEILING",
         ]
         .map(|name| p.intern(name));
-        let parts: Vec<_> = self
+        let parts = self
             .instances
             .iter()
             .map(|inst| p.intern(&format!("{}.{}", inst.kind(), inst.part)))
             .collect();
         drop(p);
-        self.profile_gauges = true;
-        self.update_gauges();
-        let gauges = Rc::clone(&self.gauges);
-        let ceiling = self.site_srun.ceiling() as f64;
-        Box::new(move |at| {
-            let mut p = profile.borrow_mut();
-            let mut gauge = |comp, what, detail| {
-                p.events.push(rp_profiler::Event {
-                    at,
-                    comp,
-                    uid: NO_UID,
-                    what,
-                    phase: Phase::Gauge,
-                    detail,
-                })
-            };
-            gauge(agent, queue_depth, gauges.queue_depth.get());
-            gauge(srun, srun_inflight, gauges.srun_inflight.get());
-            gauge(srun, srun_ceiling, ceiling);
-            for (&track, &(cores, gpus)) in parts.iter().zip(gauges.parts.borrow().iter()) {
-                gauge(track, busy_cores, cores);
-                gauge(track, busy_gpus, gpus);
-            }
-        })
+        self.profile = Some(ProfileGauges { data, names, parts });
     }
 
     /// Attach a metrics registry: pipeline-server service times are
-    /// observed at the pump sites and the live gauges after every
-    /// delivery. The per-task families (state dwell, lifecycle and routing
+    /// observed at the pump sites, queue depth and utilization at each
+    /// metrics sample, and the pipeline gauges once, at the end of the
+    /// run. The per-task families (state dwell, lifecycle and routing
     /// counters, the `rp_backend_*` families of every deployed kind) are
     /// only registered here, in export order, and returned: the session
     /// folds them from lineage after the run.
@@ -909,45 +877,28 @@ impl SimAgent {
                 "Busy cores/workers across non-srun partitions",
             ),
             busy_gpus: reg.gauge("rp_busy_gpus", &[], "Busy GPUs across non-srun partitions"),
+            depth_sampled: reg.histogram(
+                "rp_agent_queue_depth_sampled",
+                &[],
+                "Agent pipeline queue depth, sampled periodically",
+            ),
+            util_sampled: reg.histogram(
+                "rp_utilization_sampled",
+                &[],
+                "Busy fraction of non-srun partition cores, sampled periodically",
+            ),
             reg: reg.clone(),
         });
-        self.update_gauges();
         families
-    }
-
-    /// A sampler closure for [`rp_sim::Engine::add_sampler`]: folds the
-    /// live pipeline gauges into sampled distributions (queue depth and
-    /// partition utilization over virtual time). Call after
-    /// [`Self::attach_metrics`].
-    pub(crate) fn metrics_sampler(&self) -> Box<dyn FnMut(SimTime)> {
-        let m = self.metrics.as_ref().expect("attach_metrics first");
-        let queue_depth = m.queue_depth.clone();
-        let busy_cores = m.busy_cores.clone();
-        let depth_hist = m.reg.histogram(
-            "rp_agent_queue_depth_sampled",
-            &[],
-            "Agent pipeline queue depth, sampled periodically",
-        );
-        let util_hist = m.reg.histogram(
-            "rp_utilization_sampled",
-            &[],
-            "Busy fraction of non-srun partition cores, sampled periodically",
-        );
-        let capacity = self.partition_capacity().max(1.0);
-        Box::new(move |_now| {
-            depth_hist.observe(queue_depth.get());
-            util_hist.observe(busy_cores.get() / capacity);
-        })
     }
 
     /// Attach a streaming-telemetry collector: the task transition funnel
     /// feeds its SLO tracker and straggler detector (with backend/partition
-    /// causal context from the routing assignment), and the shared gauges
-    /// feed its periodic sampler.
+    /// causal context from the routing assignment), and each telemetry
+    /// sample feeds its time-series and online detectors.
     pub fn attach_telemetry(&mut self, tel: Telemetry) {
         self.tel_sample_mask = tel.straggler_sample_mask();
         self.telemetry = Some(tel);
-        self.update_gauges();
     }
 
     /// Attach a causal-lineage recorder: the agent contributes pipeline
@@ -1118,66 +1069,17 @@ impl SimAgent {
         }
     }
 
-    /// A sampler closure for [`rp_sim::Engine::add_sampler`]: snapshots the
-    /// shared gauges into the telemetry time-series and runs the online
-    /// detectors. Call after [`Self::attach_telemetry`].
-    pub fn telemetry_sampler(&self) -> Box<dyn FnMut(SimTime)> {
-        let tel = self
-            .telemetry
-            .as_ref()
-            .expect("attach_telemetry first")
-            .clone();
-        let gauges = Rc::clone(&self.gauges);
-        // Denominator for collapse detection.
-        let capacity = self.partition_capacity();
-        Box::new(move |now| {
-            let (busy_cores, busy_gpus) = gauges
-                .parts
-                .borrow()
-                .iter()
-                .fold((0.0, 0.0), |(c, g), &(pc, pg)| (c + pc, g + pg));
-            tel.on_sample(
-                now,
-                &SampleInput {
-                    queue_depth: gauges.queue_depth.get(),
-                    srun_inflight: gauges.srun_inflight.get(),
-                    busy_cores,
-                    busy_gpus,
-                    capacity_cores: capacity,
-                    backend_queues: gauges.backend_queues.get(),
-                    backend_queue_peaks: gauges.backend_queue_peaks.get(),
-                },
-            );
-        })
-    }
+    /// Sampler tags ([`Actor::sample`]'s `sink`): the sink a sample feeds.
+    /// `SAMPLE_END` is not periodic: sampled once after the run, it sets
+    /// the metrics gauges to the final state.
+    pub(crate) const SAMPLE_PROFILE: u32 = 0;
+    pub(crate) const SAMPLE_METRICS: u32 = 1;
+    pub(crate) const SAMPLE_TELEMETRY: u32 = 2;
+    pub(crate) const SAMPLE_END: u32 = 3;
 
-    /// Cores (Dragon: workers) deployed across the non-srun partitions:
-    /// the fixed denominator of the samplers' utilization figures.
-    fn partition_capacity(&self) -> f64 {
-        self.instances.iter().map(Instance::capacity).sum::<u64>() as f64
-    }
-
-    /// Refresh the shared gauge counters from live agent/backend state.
-    fn update_gauges(&self) {
-        if !self.profile_gauges && self.metrics.is_none() {
-            if self.telemetry.is_none() {
-                return;
-            }
-            // Telemetry-only runs refresh the shared gauges every 128th
-            // delivery: the telemetry sampler reads them at >=1 s sim
-            // cadence — thousands of deliveries apart — so a decimated
-            // refresh keeps rows representative (stale by well under one
-            // sample period) while keeping per-delivery cost inside the
-            // telemetry overhead budget. It is deterministic: the delivery
-            // sequence is a pure function of config and seed. Profiled and
-            // metrics runs keep the exact per-delivery refresh — their
-            // sampled distributions and baselines depend on it.
-            let t = self.gauge_tick.get().wrapping_add(1);
-            self.gauge_tick.set(t);
-            if t & 127 != 0 {
-                return;
-            }
-        }
+    /// The gauges as of now, from live agent and backend state, with
+    /// `(busy cores, busy gpus)` per instance in instance-table order.
+    fn gauges(&self) -> (SampleInput, Vec<(f64, f64)>) {
         let mut depth = self.stage_q.len() + self.sched_q.len();
         depth += self
             .adapters
@@ -1190,38 +1092,36 @@ impl SimAgent {
             .iter()
             .map(|s| s.sched_q.len() + s.adapter_q.len())
             .sum::<usize>();
-        self.gauges.queue_depth.set(depth as f64);
-        self.gauges
-            .srun_inflight
-            .set(self.site_srun.slots_in_use() as f64);
-        let mut parts = self.gauges.parts.borrow_mut();
-        parts.clear();
-        parts.extend(self.instances.iter().map(|inst| {
-            let (cores, gpus) = inst.busy();
-            (cores as f64, gpus as f64)
-        }));
-        if self.telemetry.is_some() {
-            let mut bq = [0usize; 4];
-            let mut peaks = [0usize; 4];
-            bq[BackendKind::Srun as usize] = self.site_srun.queued();
-            peaks[BackendKind::Srun as usize] = self.site_srun.queued_peak();
-            for inst in &self.instances {
-                let k = inst.kind() as usize;
-                bq[k] += inst.queued();
-                peaks[k] = peaks[k].max(inst.queued_peak());
-            }
-            self.gauges.backend_queues.set(bq.map(|n| n as f64));
-            self.gauges.backend_queue_peaks.set(peaks.map(|n| n as f64));
+        let parts: Vec<(f64, f64)> = self
+            .instances
+            .iter()
+            .map(|inst| {
+                let (cores, gpus) = inst.busy();
+                (cores as f64, gpus as f64)
+            })
+            .collect();
+        let (busy_cores, busy_gpus) = parts
+            .iter()
+            .fold((0.0, 0.0), |(c, g), &(pc, pg)| (c + pc, g + pg));
+        let mut bq = [0usize; 4];
+        let mut peaks = [0usize; 4];
+        bq[BackendKind::Srun as usize] = self.site_srun.queued();
+        peaks[BackendKind::Srun as usize] = self.site_srun.queued_peak();
+        for inst in &self.instances {
+            let k = inst.kind() as usize;
+            bq[k] += inst.queued();
+            peaks[k] = peaks[k].max(inst.queued_peak());
         }
-        if let Some(m) = &self.metrics {
-            m.queue_depth.set(depth as f64);
-            m.srun_inflight.set(self.site_srun.slots_in_use() as f64);
-            let (cores, gpus) = parts
-                .iter()
-                .fold((0.0, 0.0), |(c, g), &(pc, pg)| (c + pc, g + pg));
-            m.busy_cores.set(cores);
-            m.busy_gpus.set(gpus);
-        }
+        let input = SampleInput {
+            queue_depth: depth as f64,
+            srun_inflight: self.site_srun.slots_in_use() as f64,
+            busy_cores,
+            busy_gpus,
+            capacity_cores: self.capacity,
+            backend_queues: bq.map(|n| n as f64),
+            backend_queue_peaks: peaks.map(|n| n as f64),
+        };
+        (input, parts)
     }
 
     // ------------------------------------------------------------ helpers
@@ -2928,9 +2828,48 @@ impl Actor<AgentMsg> for SimAgent {
             }
             AgentMsg::ServingArrive(b) => self.serving_arrive(b, ctx),
         }
-        // Gauge counters reflect post-message state; the engine's sampler
-        // reads them between deliveries.
-        self.update_gauges();
+    }
+
+    /// Take one gauge snapshot and feed it to the sink `sink` names (a
+    /// `SAMPLE_*` tag); a tag whose sink is not attached is a no-op.
+    fn sample(&mut self, at: SimTime, sink: u32) {
+        let (g, parts) = self.gauges();
+        match (sink, &self.profile, &self.metrics, &self.telemetry) {
+            (Self::SAMPLE_PROFILE, Some(pg), _, _) => {
+                let [agent, srun, queue_depth, busy_cores, busy_gpus, inflight, ceiling] = pg.names;
+                let mut p = pg.data.borrow_mut();
+                let mut gauge = |comp, what, detail| {
+                    p.events.push(rp_profiler::Event {
+                        at,
+                        comp,
+                        uid: NO_UID,
+                        what,
+                        phase: Phase::Gauge,
+                        detail,
+                    })
+                };
+                gauge(agent, queue_depth, g.queue_depth);
+                gauge(srun, inflight, g.srun_inflight);
+                gauge(srun, ceiling, self.site_srun.ceiling() as f64);
+                for (&track, &(cores, gpus)) in pg.parts.iter().zip(&parts) {
+                    gauge(track, busy_cores, cores);
+                    gauge(track, busy_gpus, gpus);
+                }
+            }
+            (Self::SAMPLE_METRICS, _, Some(m), _) => {
+                m.depth_sampled.observe(g.queue_depth);
+                m.util_sampled
+                    .observe(g.busy_cores / g.capacity_cores.max(1.0));
+            }
+            (Self::SAMPLE_TELEMETRY, _, _, Some(tel)) => tel.on_sample(at, &g),
+            (Self::SAMPLE_END, _, Some(m), _) => {
+                m.queue_depth.set(g.queue_depth);
+                m.srun_inflight.set(g.srun_inflight);
+                m.busy_cores.set(g.busy_cores);
+                m.busy_gpus.set(g.busy_gpus);
+            }
+            _ => {}
+        }
     }
 }
 

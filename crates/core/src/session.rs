@@ -218,29 +218,27 @@ impl SimSession {
         let mut engine: Engine<AgentMsg> = Engine::new();
         let mut agent = SimAgent::new(self.cfg, self.workload, state.clone());
 
-        // Profiling: the gauge sampler rides the engine's periodic sampling
-        // machinery and writes into `profile`; the instants are rendered
-        // from lineage after the run.
-        let profile = self.profile_every.map(|period| {
+        // Profiling: the agent's profile samples write gauge rows into
+        // `profile`; the instants are rendered from lineage after the run.
+        let profile = self.profile_every.map(|_| {
             let data = Rc::new(RefCell::new(ProfileData::default()));
-            let sampler = agent.gauge_sampler(Rc::clone(&data));
-            (data, period, sampler)
+            agent.attach_profile(Rc::clone(&data));
+            data
         });
-        // Metrics ride the same sampling machinery.
-        let registry = self.metrics_every.map(|period| {
+        // Metrics and telemetry are sampled the same way; sim-clock
+        // timestamps keep every stream deterministic per seed.
+        let registry = self.metrics_every.map(|_| {
             let reg = rp_metrics::Registry::new();
             let families = agent.attach_metrics(&reg);
-            (reg, families, period, agent.metrics_sampler())
+            (reg, families)
         });
-        // Telemetry likewise: sim-clock timestamps keep the stream
-        // deterministic per seed.
         let telemetry = self.telemetry_every.map(|period| {
             let tel = rp_telemetry::Telemetry::new(
                 engine.clock(),
                 rp_telemetry::TelemetryConfig::with_period(period),
             );
             agent.attach_telemetry(tel.clone());
-            (tel, period, agent.telemetry_sampler())
+            tel
         });
         // Lineage reads the engine clock directly and schedules nothing,
         // so recording never perturbs the event stream. The profile and
@@ -274,18 +272,17 @@ impl SimSession {
             Some((state, batch_times))
         });
         let id = engine.add_actor(Box::new(agent));
-        let profile = profile.map(|(data, period, sampler)| {
-            engine.add_sampler(period, sampler);
-            data
-        });
-        let registry = registry.map(|(reg, families, period, sampler)| {
-            engine.add_sampler(period, sampler);
-            (reg, families)
-        });
-        let telemetry = telemetry.map(|(tel, period, sampler)| {
-            engine.add_sampler(period, sampler);
-            tel
-        });
+        // One sampler per attached sink, each a gauge snapshot the agent
+        // takes at the sample boundary.
+        for (every, sink) in [
+            (self.profile_every, SimAgent::SAMPLE_PROFILE),
+            (self.metrics_every, SimAgent::SAMPLE_METRICS),
+            (self.telemetry_every, SimAgent::SAMPLE_TELEMETRY),
+        ] {
+            if let Some(period) = every {
+                engine.add_sampler(period, id, sink);
+            }
+        }
         engine.schedule(SimTime::ZERO, id, AgentMsg::Init);
         for e in fault_events.into_iter().flatten() {
             engine.schedule(e.at, id, AgentMsg::Fault(e.action));
@@ -305,6 +302,12 @@ impl SimSession {
             }
         }
         let end = engine.run_until_idle(self.max_events);
+        if registry.is_some() {
+            // The exported pipeline gauges hold the end-of-run snapshot.
+            if let Some(agent) = engine.actor_mut(id) {
+                agent.sample(end, SimAgent::SAMPLE_END);
+            }
+        }
 
         let mut st = state.borrow_mut();
         // Close out the pilot lifecycle if it is still live (quiescence

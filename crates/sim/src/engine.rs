@@ -28,6 +28,14 @@ impl ActorId {
 pub trait Actor<M> {
     /// Deliver one message. `ctx` exposes the clock and outgoing mail.
     fn handle(&mut self, msg: M, ctx: &mut Ctx<'_, M>);
+
+    /// Observe a sample boundary of a sampler registered on this actor
+    /// with [`Engine::add_sampler`]. `at` is the boundary and `sink` the
+    /// tag given at registration, so one actor can feed several samplers.
+    /// The engine calls it between deliveries, before the one that
+    /// crosses `at`, so the actor's state is exactly its state at `at`.
+    /// Sampling only observes: it cannot send messages.
+    fn sample(&mut self, _at: SimTime, _sink: u32) {}
 }
 
 /// Delivery context handed to [`Actor::handle`].
@@ -193,11 +201,12 @@ pub struct Engine<M> {
     samplers_next: Option<SimTime>,
 }
 
-/// A periodic observer registered with [`Engine::add_sampler`].
+/// A periodic sample boundary registered with [`Engine::add_sampler`].
 struct Sampler {
     period: SimDuration,
     next: SimTime,
-    f: Box<dyn FnMut(SimTime)>,
+    actor: ActorId,
+    sink: u32,
 }
 
 impl<M> Default for Engine<M> {
@@ -228,16 +237,26 @@ impl<M> Engine<M> {
         self.clock.clone()
     }
 
-    /// Register a periodic observer: `f(t)` fires at `t = period, 2·period,
-    /// …` for as long as the simulation has work. Sampling is lazy — driven
-    /// by deliveries, so an idle simulation stops producing samples instead
-    /// of ticking forever (the gauge-sampling substrate; samples land
-    /// *before* the delivery that crosses their boundary, i.e. they observe
-    /// the state as of the sampling instant).
-    pub fn add_sampler(&mut self, period: SimDuration, f: Box<dyn FnMut(SimTime)>) {
+    /// Register a periodic sampler on `actor`: its [`Actor::sample`] is
+    /// called with `(t, sink)` at `t = period, 2·period, …` for as long as
+    /// the simulation has work. Sampling is lazy — driven by deliveries, so
+    /// an idle simulation stops producing samples instead of ticking
+    /// forever. A boundary is sampled *before* the delivery that crosses
+    /// it, while every actor sits in its slot, so the actor reports its
+    /// state as of the sampling instant and computes it only then.
+    pub fn add_sampler(&mut self, period: SimDuration, actor: ActorId, sink: u32) {
         assert!(!period.is_zero(), "sampler period must be positive");
+        assert!(
+            actor.index() < self.actors.len(),
+            "sampler on unknown actor"
+        );
         let next = self.now + period;
-        self.samplers.push(Sampler { period, next, f });
+        self.samplers.push(Sampler {
+            period,
+            next,
+            actor,
+            sink,
+        });
         self.samplers_next = Some(match self.samplers_next {
             Some(t) => t.min(next),
             None => next,
@@ -334,7 +353,10 @@ impl<M> Engine<M> {
         {
             self.clock.set(t);
             let s = &mut self.samplers[i];
-            (s.f)(t);
+            self.actors[s.actor.index()]
+                .as_mut()
+                .expect("samplers fire between deliveries")
+                .sample(t, s.sink);
             s.next = t + s.period;
         }
         self.samplers_next = self.samplers.iter().map(|s| s.next).min();
@@ -396,6 +418,8 @@ impl<M> Engine<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
     #[derive(Debug, PartialEq, Clone)]
     enum Msg {
@@ -419,6 +443,42 @@ mod tests {
         }
     }
 
+    /// `(boundary, sink, deliveries so far)` per sample, in firing order.
+    type SampleLog = Rc<RefCell<Vec<(SimTime, u32, u32)>>>;
+
+    /// Counts its deliveries (replying to Ping(n) like [`Echo`]) and logs
+    /// every sample.
+    struct Probe {
+        handled: u32,
+        samples: SampleLog,
+    }
+
+    impl Probe {
+        fn boxed() -> (Box<Self>, SampleLog) {
+            let samples = Rc::new(RefCell::new(Vec::new()));
+            let probe = Probe {
+                handled: 0,
+                samples: Rc::clone(&samples),
+            };
+            (Box::new(probe), samples)
+        }
+    }
+
+    impl Actor<Msg> for Probe {
+        fn handle(&mut self, msg: Msg, ctx: &mut Ctx<Msg>) {
+            self.handled += 1;
+            if let Msg::Ping(n) = msg {
+                if n > 0 {
+                    ctx.timer(SimDuration::from_secs(1), Msg::Ping(n - 1));
+                }
+            }
+        }
+
+        fn sample(&mut self, at: SimTime, sink: u32) {
+            self.samples.borrow_mut().push((at, sink, self.handled));
+        }
+    }
+
     #[test]
     fn countdown_advances_clock() {
         let mut eng = Engine::new();
@@ -431,9 +491,6 @@ mod tests {
 
     #[test]
     fn fifo_tie_breaking() {
-        use std::cell::RefCell;
-        use std::rc::Rc;
-
         struct Collect {
             seen: Rc<RefCell<Vec<u32>>>,
         }
@@ -469,17 +526,9 @@ mod tests {
     #[test]
     fn run_until_advances_to_horizon_on_empty_heap() {
         let mut eng: Engine<Msg> = Engine::new();
-        let samples = {
-            use std::cell::RefCell;
-            use std::rc::Rc;
-            let samples = Rc::new(RefCell::new(Vec::new()));
-            let sink = samples.clone();
-            eng.add_sampler(
-                SimDuration::from_secs(2),
-                Box::new(move |t| sink.borrow_mut().push(t)),
-            );
-            samples
-        };
+        let (probe, samples) = Probe::boxed();
+        let id = eng.add_actor(probe);
+        eng.add_sampler(SimDuration::from_secs(2), id, 0);
         // Nothing queued at all: the clock must still advance to the horizon
         // and sampler boundaries inside it must fire.
         let end = eng.run_until(SimTime::from_secs(5));
@@ -487,7 +536,7 @@ mod tests {
         assert_eq!(eng.now(), SimTime::from_secs(5));
         assert_eq!(
             *samples.borrow(),
-            vec![SimTime::from_secs(2), SimTime::from_secs(4)]
+            vec![(SimTime::from_secs(2), 0, 0), (SimTime::from_secs(4), 0, 0)]
         );
     }
 
@@ -511,9 +560,6 @@ mod tests {
 
     #[test]
     fn fan_out_preserves_fifo_across_steps() {
-        use std::cell::RefCell;
-        use std::rc::Rc;
-
         // A fan-out actor that sends several same-instant messages per
         // delivery: the first send replaces the delivered key in place and
         // the rest are pushed, and delivery must still follow send order.
@@ -582,38 +628,34 @@ mod tests {
 
     #[test]
     fn samplers_fire_on_period_boundaries() {
-        use std::cell::RefCell;
-        use std::rc::Rc;
-
         let mut eng = Engine::new();
-        let id = eng.add_actor(Box::new(Echo { log: vec![] }));
+        let (probe, samples) = Probe::boxed();
+        let id = eng.add_actor(probe);
         eng.schedule(SimTime::ZERO, id, Msg::Ping(5));
-        let samples = Rc::new(RefCell::new(Vec::new()));
-        let sink = samples.clone();
-        eng.add_sampler(
-            SimDuration::from_millis(1500),
-            Box::new(move |t| sink.borrow_mut().push(t)),
-        );
+        eng.add_sampler(SimDuration::from_millis(1500), id, 7);
+        eng.add_sampler(SimDuration::from_secs(2), id, 9);
         eng.run_until_idle(100);
-        // Deliveries run out to t = 5 s; boundaries 1.5, 3.0, 4.5 s fire,
-        // the lazy sampler produces nothing past quiescence.
+        // Deliveries run out to t = 5 s; boundaries 1.5, 2, 3, 4 and 4.5 s
+        // fire in time order, each with its sampler's tag, and the lazy
+        // samplers produce nothing past quiescence.
+        let got: Vec<_> = samples.borrow().iter().map(|&(t, k, _)| (t, k)).collect();
         assert_eq!(
-            *samples.borrow(),
+            got,
             vec![
-                SimTime::from_micros(1_500_000),
-                SimTime::from_secs(3),
-                SimTime::from_micros(4_500_000),
+                (SimTime::from_micros(1_500_000), 7),
+                (SimTime::from_secs(2), 9),
+                (SimTime::from_secs(3), 7),
+                (SimTime::from_secs(4), 9),
+                (SimTime::from_micros(4_500_000), 7),
             ]
         );
     }
 
     #[test]
     fn samplers_observe_pre_delivery_state() {
-        use std::cell::RefCell;
-        use std::rc::Rc;
-
         // A counter actor bumps shared state at t = 1 s and t = 2 s; a 1 s
-        // sampler must see the value *before* the coincident delivery.
+        // sampler on another actor must see the value *before* the
+        // coincident delivery.
         struct Bump {
             state: Rc<RefCell<u32>>,
         }
@@ -622,22 +664,57 @@ mod tests {
                 *self.state.borrow_mut() += 1;
             }
         }
+        struct Watch {
+            state: Rc<RefCell<u32>>,
+            seen: Rc<RefCell<Vec<u32>>>,
+        }
+        impl Actor<u32> for Watch {
+            fn handle(&mut self, _msg: u32, _ctx: &mut Ctx<u32>) {}
+            fn sample(&mut self, _at: SimTime, _sink: u32) {
+                self.seen.borrow_mut().push(*self.state.borrow());
+            }
+        }
         let state = Rc::new(RefCell::new(0u32));
+        let seen = Rc::new(RefCell::new(Vec::new()));
         let mut eng: Engine<u32> = Engine::new();
         let id = eng.add_actor(Box::new(Bump {
-            state: state.clone(),
+            state: Rc::clone(&state),
+        }));
+        let watch = eng.add_actor(Box::new(Watch {
+            state,
+            seen: Rc::clone(&seen),
         }));
         eng.schedule(SimTime::from_secs(1), id, 0);
         eng.schedule(SimTime::from_secs(2), id, 0);
-        let seen = Rc::new(RefCell::new(Vec::new()));
-        let sink = seen.clone();
-        let view = state.clone();
-        eng.add_sampler(
-            SimDuration::from_secs(1),
-            Box::new(move |_| sink.borrow_mut().push(*view.borrow())),
-        );
+        eng.add_sampler(SimDuration::from_secs(1), watch, 0);
         eng.run_until_idle(100);
         assert_eq!(*seen.borrow(), vec![0, 1]);
+    }
+
+    #[test]
+    fn sampled_actor_sees_its_state_before_the_crossing_delivery() {
+        // The deliveries at t = 1 s and t = 2 s cross the sampler's
+        // boundaries and go to the sampled actor itself: each sample must
+        // run first, seeing the deliveries made strictly before it.
+        let mut eng = Engine::new();
+        let (probe, samples) = Probe::boxed();
+        let id = eng.add_actor(probe);
+        eng.schedule(SimTime::from_micros(500_000), id, Msg::Tick);
+        eng.schedule(SimTime::from_secs(1), id, Msg::Tick);
+        eng.schedule(SimTime::from_secs(2), id, Msg::Tick);
+        eng.add_sampler(SimDuration::from_secs(1), id, 0);
+        eng.run_until_idle(100);
+        assert_eq!(
+            *samples.borrow(),
+            vec![(SimTime::from_secs(1), 0, 1), (SimTime::from_secs(2), 0, 2)]
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown actor")]
+    fn sampler_on_unknown_actor_is_a_wiring_bug() {
+        let mut eng: Engine<Msg> = Engine::new();
+        eng.add_sampler(SimDuration::from_secs(1), ActorId(0), 0);
     }
 
     #[test]

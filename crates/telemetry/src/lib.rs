@@ -541,8 +541,10 @@ impl Telemetry {
     }
 
     /// One periodic sample tick: record a time-series row and run every
-    /// detector. Driven by `rp_sim::Engine::add_sampler` on the sim plane
-    /// or a sampler thread on the rt plane.
+    /// detector. On the sim plane the agent calls it from `Actor::sample`
+    /// (a sampler registered with `rp_sim::Engine::add_sampler`) with the
+    /// gauge snapshot it takes at the boundary `now`; on the rt plane a
+    /// sampler thread calls it.
     pub fn on_sample(&self, now: SimTime, input: &SampleInput) {
         let mut i = self.inner.borrow_mut();
         let completed = self.hot.completed.get();

@@ -6,8 +6,8 @@ use crate::{BACKENDS, BACKEND_NAMES, STATES, STATE_NAMES};
 use rp_sim::SimTime;
 
 /// The instantaneous gauges the caller reads for the sampler at each
-/// tick. The agent builds this from its shared gauge cells; the rt plane
-/// builds it from the pilot's atomics.
+/// tick. The agent builds this from the gauge snapshot it takes at the
+/// sample boundary; the rt plane builds it from the pilot's atomics.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SampleInput {
     /// Agent-side queue depth (staging + scheduling + adapter + submit

@@ -83,6 +83,13 @@ TELEMETRY_DIR="${TELEMETRY_DIR:-$(mktemp -d)}"
 test -s "$TELEMETRY_DIR/flux_1_null_n_1.telemetry.jsonl"
 test -s "$TELEMETRY_DIR/flux_1_null_n_1.dashboard.html"
 grep -q "<!DOCTYPE html>" "$TELEMETRY_DIR/flux_1_null_n_1.dashboard.html"
+# The gauges are a snapshot taken at each sample boundary, so attaching
+# metrics must not move a byte of the telemetry export.
+TELEMETRY_MX_DIR="$(mktemp -d)"
+./target/release/rp-exp flux1 --quick --telemetry-dir "$TELEMETRY_MX_DIR/T" \
+    --metrics-dir "$TELEMETRY_MX_DIR/M" > /dev/null
+diff -r "$TELEMETRY_DIR" "$TELEMETRY_MX_DIR/T"
+rm -rf "$TELEMETRY_MX_DIR"
 
 # Lineage smoke: the same quick flux_1 cell with the causal-lineage
 # recorder attached must produce per-task JSONL chains and a blame

@@ -6,7 +6,7 @@
 use radical_rs::analytics::blame_task;
 use radical_rs::core::{PilotConfig, SimSession};
 use radical_rs::sim::SimDuration;
-use radical_rs::workloads::{dummy_workload, null_workload};
+use radical_rs::workloads::{dummy_workload, mixed_workload, null_workload};
 
 const NODES: u32 = 4;
 
@@ -169,4 +169,47 @@ fn telemetry_jsonl_is_identical_at_any_jobs_count() {
         .expect("harness wrote the time-series");
     assert_eq!(on_disk, sequential.0);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The gauges are a snapshot the agent takes at each sample boundary, so
+/// a run's telemetry is the same whichever other sinks ride along:
+/// profiling, metrics and lineage attached together leave the time-series
+/// and flight recorder byte-identical to a telemetry-only run.
+#[test]
+fn telemetry_does_not_depend_on_other_sinks() {
+    let period = SimDuration::from_secs(1);
+    let runs = [
+        ("flux", PilotConfig::flux(16, 1), null_workload(16)),
+        (
+            "flux_dragon",
+            PilotConfig::flux_dragon(16, 2),
+            mixed_workload(16, SimDuration::from_secs(10)),
+        ),
+    ];
+    for (name, cfg, tasks) in runs {
+        let alone = SimSession::with_tasks(cfg.clone().with_seed(42), tasks.clone())
+            .with_telemetry(period)
+            .run();
+        let all = SimSession::with_tasks(cfg.with_seed(42), tasks)
+            .with_telemetry(period)
+            .with_profiling(period)
+            .with_metrics(period)
+            .with_lineage()
+            .run();
+        let (alone, all) = (
+            alone.telemetry.expect("telemetry attached"),
+            all.telemetry.expect("telemetry attached"),
+        );
+        assert!(alone.samples.len() > 10, "{name}: the run spans samples");
+        assert_eq!(
+            alone.timeseries_jsonl(),
+            all.timeseries_jsonl(),
+            "{name}: time-series must not depend on other sinks"
+        );
+        assert_eq!(
+            alone.flight_recorder_jsonl(),
+            all.flight_recorder_jsonl(),
+            "{name}: flight recorder must not depend on other sinks"
+        );
+    }
 }
