@@ -12,7 +12,6 @@
 pub mod blame;
 pub mod compare;
 pub mod dashboard;
-pub mod durations;
 pub mod metrics;
 pub mod plot;
 pub mod profile;
@@ -27,7 +26,6 @@ pub use blame::{
 };
 pub use compare::{compare, paired_timeline_csv, Comparison};
 pub use dashboard::render_dashboard;
-pub use durations::{duration_breakdown, duration_breakdown_by, DurationBreakdown, Interval};
 pub use metrics::{overheads, throughput, utilization, Overheads, Throughput, Utilization};
 pub use plot::{bar_chart, line_plot, md_table};
 pub use profile::{parse_profile_csv, ProfileRow};

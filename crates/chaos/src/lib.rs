@@ -61,8 +61,9 @@ pub enum RecoveryPolicy {
     /// Re-stage immediately, steering placement away from the partition
     /// that failed the task.
     ResubmitElsewhere,
-    /// Re-stage immediately with no steering — identical to the default
-    /// retry path; `retries=N` in the spec bounds the attempts.
+    /// Never retry: a fault-failed task ends `Failed` at once, whatever
+    /// the retry budget (`retries=N` still bounds the ordinary exception
+    /// path).
     GiveUp,
 }
 

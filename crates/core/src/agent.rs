@@ -80,8 +80,6 @@ pub enum AgentMsg {
     WatcherDone(BackendKind),
     /// Cancel tasks (best effort; running payloads finish).
     CancelTasks(Vec<TaskId>),
-    /// Failure injection: crash one backend instance.
-    KillInstance(BackendKind, u32),
     /// A scheduled chaos-plan action fires (node/backend fault or its
     /// paired recovery transition).
     Fault(FaultAction),
@@ -1126,11 +1124,6 @@ impl SimAgent {
 
     // ------------------------------------------------------------ helpers
 
-    /// Total backend partitions (for reports and sched-cost sanity checks).
-    pub fn total_partitions(&self) -> u32 {
-        self.cfg.total_instances()
-    }
-
     /// Flat indices of `kind`'s instances (empty for srun).
     fn kind_range(&self, kind: BackendKind) -> std::ops::Range<usize> {
         self.first[kind as usize]..self.first[kind as usize + 1]
@@ -1539,7 +1532,7 @@ impl SimAgent {
     /// pilot-activation gate on its FIRST readiness only. A re-boot after
     /// a chaos restart re-stamps `ready` but skips the gate: it already
     /// counted the instance once — either at its original `Ready` or when
-    /// `kill_instance_collect` released it on its behalf (`killed` records
+    /// `fault_crash` released it on its behalf (`killed` records
     /// that history, so a kill-during-boot followed by a restart cannot
     /// double-release).
     fn instance_booted(&mut self, i: usize, now: SimTime, ctx: &mut Ctx<AgentMsg>) {
@@ -2187,25 +2180,6 @@ impl SimAgent {
         }
     }
 
-    /// Crash instance `i` and return the tasks it took down; the caller
-    /// decides the recovery path (plain retry for injected kills,
-    /// policy-driven for chaos crashes).
-    fn kill_instance_collect(&mut self, i: usize, ctx: &mut Ctx<AgentMsg>) -> Vec<TaskId> {
-        let lost = self.instances[i].kill();
-        let was_booting = {
-            let mut st = self.state.borrow_mut();
-            let report = &mut st.instances[self.instances[i].report];
-            report.killed = true;
-            report.ready.is_none()
-        };
-        if was_booting {
-            // The dead instance will never report Ready; release the
-            // pilot-activation gate on its behalf so the survivors proceed.
-            self.instance_ready(ctx);
-        }
-        lost
-    }
-
     // ------------------------------------------------------- chaos plane
 
     /// Fault-path task failure. Mirrors [`Self::fail_task`], but recovery
@@ -2290,10 +2264,12 @@ impl SimAgent {
     }
 
     /// The instance a chaos-plan partition index names: plans count
-    /// partitions in instance-table order. `None` on srun-only pilots,
-    /// where node faults hit the site srun.
+    /// partitions in instance-table order, and an index past the table
+    /// (always the case on srun-only pilots) names none.
     fn fault_instance(&self, partition: u32) -> Option<usize> {
-        (!self.instances.is_empty()).then(|| partition as usize % self.instances.len())
+        self.instances
+            .get(partition as usize)
+            .map(|_| partition as usize)
     }
 
     /// Flight-recorder alarm for a fault at `backend`'s `partition`
@@ -2385,8 +2361,11 @@ impl SimAgent {
     /// the node's capacity leaves its partition until `RestoreNode`.
     fn fault_fail_node(&mut self, partition: u32, node_idx: u32, ctx: &mut Ctx<AgentMsg>) {
         self.note_fault(rp_lineage::FAULT_NODE);
-        let Some(i) = self.fault_instance(partition) else {
+        if self.instances.is_empty() {
             return self.srun_fail_node(node_idx, ctx);
+        }
+        let Some(i) = self.fault_instance(partition) else {
+            return;
         };
         let inst = &mut self.instances[i];
         let (kind, part) = (inst.kind(), inst.part);
@@ -2555,7 +2534,19 @@ impl SimAgent {
             0.0,
             format!("{kind} partition {part} crashed"),
         );
-        for t in self.kill_instance_collect(i, ctx) {
+        let lost = self.instances[i].kill();
+        let was_booting = {
+            let mut st = self.state.borrow_mut();
+            let report = &mut st.instances[self.instances[i].report];
+            report.killed = true;
+            report.ready.is_none()
+        };
+        if was_booting {
+            // The dead instance will never report Ready; release the
+            // pilot-activation gate on its behalf so the survivors proceed.
+            self.instance_ready(ctx);
+        }
+        for t in lost {
             self.fail_task_fault(t, rp_lineage::FAULT_CRASH, rp_lineage::NO_VALUE, ctx);
         }
     }
@@ -2808,14 +2799,6 @@ impl Actor<AgentMsg> for SimAgent {
             AgentMsg::CancelTasks(uids) => {
                 for t in uids {
                     self.cancel_task(t, ctx);
-                }
-            }
-            AgentMsg::KillInstance(kind, part) => {
-                // srun and out-of-range partitions name no instance.
-                if let Some(i) = self.instance_index(kind, part) {
-                    for t in self.kill_instance_collect(i, ctx) {
-                        self.fail_task(t, true, ctx);
-                    }
                 }
             }
             AgentMsg::Fault(action) => self.apply_fault(action, ctx),

@@ -12,17 +12,9 @@ use rp_sim::{Engine, SimDuration, SimTime};
 use std::cell::RefCell;
 use std::rc::Rc;
 
-/// A scheduled failure injection: crash instance `partition` of `kind` at
-/// `at` (virtual time).
-#[derive(Debug, Clone, Copy)]
-pub struct FailureInjection {
-    /// When the instance dies.
-    pub at: SimTime,
-    /// Which backend kind.
-    pub kind: BackendKind,
-    /// Which partition index.
-    pub partition: u32,
-}
+/// Event budget for one run: reaching it means the simulation never
+/// quiesces (a model bug), and the engine panics with the offending count.
+const MAX_EVENTS: u64 = 2_000_000_000;
 
 /// The deployment shape a fault plan is realized against: one partition
 /// per runtime instance, counted in the agent's instance-table order, or
@@ -61,15 +53,13 @@ fn plan_shape(cfg: &PilotConfig, task_hint: u64) -> rp_chaos::PlanShape {
 pub struct SimSession {
     cfg: PilotConfig,
     workload: Box<dyn WorkloadSource>,
-    failures: Vec<FailureInjection>,
     cancellations: Vec<(SimTime, Vec<crate::task::TaskId>)>,
     timed_submissions: Vec<(SimTime, Vec<TaskDescription>)>,
-    max_events: u64,
     profile_every: Option<SimDuration>,
     metrics_every: Option<SimDuration>,
     telemetry_every: Option<SimDuration>,
     lineage: bool,
-    faults: Option<(rp_chaos::FaultSpec, u64, u64)>,
+    faults: Option<rp_chaos::FaultPlan>,
     serving: Option<(rp_serving::ServingSpec, u64)>,
 }
 
@@ -79,10 +69,8 @@ impl SimSession {
         SimSession {
             cfg,
             workload,
-            failures: Vec::new(),
             cancellations: Vec::new(),
             timed_submissions: Vec::new(),
-            max_events: 2_000_000_000,
             profile_every: None,
             metrics_every: None,
             telemetry_every: None,
@@ -95,12 +83,6 @@ impl SimSession {
     /// Convenience: run a fixed batch of tasks.
     pub fn with_tasks(cfg: PilotConfig, tasks: Vec<TaskDescription>) -> Self {
         Self::new(cfg, Box::new(StaticWorkload::new(tasks)))
-    }
-
-    /// Schedule a failure injection.
-    pub fn inject_failure(mut self, f: FailureInjection) -> Self {
-        self.failures.push(f);
-        self
     }
 
     /// Schedule a task batch for submission at virtual time `at` (on top
@@ -169,14 +151,26 @@ impl SimSession {
     ///
     /// A fixed `fault_seed` yields a byte-identical fault schedule — and
     /// therefore byte-identical reports — across repeat runs; an inactive
-    /// `spec` leaves the run byte-identical to one without this call.
+    /// `spec` stores no plan, leaving the run byte-identical to one without
+    /// this call.
     pub fn with_faults(
         mut self,
         spec: rp_chaos::FaultSpec,
         fault_seed: u64,
         task_hint: u64,
     ) -> Self {
-        self.faults = Some((spec, fault_seed, task_hint));
+        self.faults = spec.is_active().then(|| {
+            let shape = plan_shape(&self.cfg, task_hint);
+            rp_chaos::FaultPlan::generate(&spec, fault_seed, &shape)
+        });
+        self
+    }
+
+    /// Run under a fault plan the caller built. Its partition indices name
+    /// the agent's instance table (Flux instances first, then Dragon, then
+    /// PRRTE); an index past the table names no instance and is ignored.
+    pub fn with_fault_plan(mut self, plan: rp_chaos::FaultPlan) -> Self {
+        self.faults = Some(plan);
         self
     }
 
@@ -201,20 +195,6 @@ impl SimSession {
         let state = Rc::new(RefCell::new(RunState::default()));
         let nodes = self.cfg.nodes;
         let spec = rp_platform::frontier().node;
-        // Realize the fault plan against the deployment shape before the
-        // config moves into the agent. An inactive spec produces no plan
-        // at all, so faults-off runs stay byte-identical to runs that
-        // never called `with_faults`.
-        let fault_plan = self
-            .faults
-            .as_ref()
-            .and_then(|(fspec, fault_seed, task_hint)| {
-                if !fspec.is_active() {
-                    return None;
-                }
-                let shape = plan_shape(&self.cfg, *task_hint);
-                Some(rp_chaos::FaultPlan::generate(fspec, *fault_seed, &shape))
-            });
         let mut engine: Engine<AgentMsg> = Engine::new();
         let mut agent = SimAgent::new(self.cfg, self.workload, state.clone());
 
@@ -250,7 +230,7 @@ impl SimSession {
         });
         // Hand the plan to the agent (policy + hang victims + counters)
         // and keep the event schedule to feed the engine below.
-        let fault_events = fault_plan.map(|plan| {
+        let fault_events = self.faults.map(|plan| {
             let events = plan.events.clone();
             agent.enable_faults(plan);
             events
@@ -287,9 +267,6 @@ impl SimSession {
         for e in fault_events.into_iter().flatten() {
             engine.schedule(e.at, id, AgentMsg::Fault(e.action));
         }
-        for f in &self.failures {
-            engine.schedule(f.at, id, AgentMsg::KillInstance(f.kind, f.partition));
-        }
         for (at, uids) in self.cancellations {
             engine.schedule(at, id, AgentMsg::CancelTasks(uids));
         }
@@ -301,7 +278,7 @@ impl SimSession {
                 engine.schedule(*at, id, AgentMsg::ServingArrive(b as u32));
             }
         }
-        let end = engine.run_until_idle(self.max_events);
+        let end = engine.run_until_idle(MAX_EVENTS);
         if registry.is_some() {
             // The exported pipeline gauges hold the end-of-run snapshot.
             if let Some(agent) = engine.actor_mut(id) {
@@ -405,7 +382,45 @@ impl UidGen {
 mod tests {
     use super::*;
     use crate::task::{TaskDescription, TaskState};
+    use rp_chaos::{FaultAction, FaultEvent, FaultPlan, RecoveryPolicy};
     use rp_sim::SimDuration;
+
+    /// Crash entry `partition` of the instance table at `secs` with no
+    /// restart; its victims re-stage at once, steered elsewhere.
+    fn crash_plan(secs: u64, partition: u32) -> FaultPlan {
+        FaultPlan {
+            events: vec![FaultEvent {
+                at: SimTime::from_secs(secs),
+                action: FaultAction::CrashBackend { partition },
+            }],
+            hang_victims: Vec::new(),
+            watchdog: SimDuration::ZERO,
+            policy: RecoveryPolicy::ResubmitElsewhere,
+            max_retries: None,
+        }
+    }
+
+    /// The tasks a crash at `secs` took down are the ones that failed at
+    /// that instant; each carries exactly one `FAULT_CRASH` fault event,
+    /// and no other task carries one.
+    fn assert_crash_victims_carry_fault(report: &RunReport, secs: u64) {
+        let lin = report.lineage.as_ref().expect("lineage attached");
+        let at = SimTime::from_secs(secs);
+        let mut victims = 0;
+        for uid in lin.uids() {
+            let events = lin.events_for(uid);
+            let crash_faults = events
+                .iter()
+                .filter(|e| e.kind == rp_lineage::EV_FAULT && e.detail == rp_lineage::FAULT_CRASH)
+                .count();
+            let taken_down = events
+                .iter()
+                .any(|e| e.kind == rp_lineage::EV_FAILED && e.t == at);
+            assert_eq!(crash_faults, usize::from(taken_down), "task {uid}");
+            victims += crash_faults;
+        }
+        assert!(victims > 0, "the crash took tasks down");
+    }
 
     #[test]
     fn null_batch_on_flux_completes() {
@@ -485,14 +500,12 @@ mod tests {
             .map(|i| TaskDescription::dummy(i, SimDuration::from_secs(60)))
             .collect();
         let report = SimSession::with_tasks(PilotConfig::flux(4, 2), tasks)
-            .inject_failure(FailureInjection {
-                at: SimTime::from_secs(40),
-                kind: BackendKind::Flux,
-                partition: 0,
-            })
+            .with_fault_plan(crash_plan(40, 0))
+            .with_lineage()
             .run();
         let killed = report.instances.iter().filter(|i| i.killed).count();
         assert_eq!(killed, 1);
+        assert_crash_victims_carry_fault(&report, 40);
         // Everything still finishes: lost tasks retried on the survivor.
         let done = report
             .tasks
@@ -506,6 +519,20 @@ mod tests {
         for t in report.tasks.iter().filter(|t| t.retries > 0) {
             assert_eq!(t.partition, Some(1), "retries land on the survivor");
         }
+    }
+
+    #[test]
+    fn crash_past_the_instance_table_kills_nothing() {
+        // flux(4, 2) deploys two instances: partition 2 names none.
+        let tasks: Vec<TaskDescription> = (0..100)
+            .map(|i| TaskDescription::dummy(i, SimDuration::from_secs(60)))
+            .collect();
+        let report = SimSession::with_tasks(PilotConfig::flux(4, 2), tasks)
+            .with_fault_plan(crash_plan(40, 2))
+            .run();
+        assert!(report.instances.iter().all(|i| !i.killed));
+        assert_eq!(report.done_tasks().count(), 100);
+        assert!(report.tasks.iter().all(|t| t.retries == 0));
     }
 
     #[test]
@@ -698,11 +725,8 @@ mod tests {
             ),
             tasks,
         )
-        .inject_failure(FailureInjection {
-            at: SimTime::from_secs(30),
-            kind: BackendKind::Prrte,
-            partition: 0,
-        })
+        .with_fault_plan(crash_plan(30, 0))
+        .with_lineage()
         .run();
         let done = report
             .tasks
@@ -711,6 +735,7 @@ mod tests {
             .count();
         assert_eq!(done, 200, "failover recovers all PRRTE tasks");
         assert!(report.tasks.iter().any(|t| t.retries > 0));
+        assert_crash_victims_carry_fault(&report, 30);
     }
 
     #[test]
@@ -972,7 +997,7 @@ mod tests {
 
     #[test]
     fn sub_agents_preserve_correctness_paths() {
-        // Hybrid + failure injection + cancellation, all under sub-agents.
+        // Hybrid + a backend crash + cancellation, all under sub-agents.
         let tasks: Vec<TaskDescription> = (0..400)
             .map(|i| {
                 if i % 2 == 0 {
@@ -988,11 +1013,7 @@ mod tests {
                 .with_seed(9),
             tasks,
         )
-        .inject_failure(FailureInjection {
-            at: SimTime::from_secs(50),
-            kind: BackendKind::Flux,
-            partition: 0,
-        })
+        .with_fault_plan(crash_plan(50, 0))
         .cancel_at(SimTime::from_secs(55), vec![399])
         .run();
         let done = report
@@ -1372,8 +1393,8 @@ mod tests {
 
     #[test]
     fn reentrant_retry_during_staging_keeps_scratch_buffers_sound() {
-        // Regression: a kill-instance fired while the stager pipeline is
-        // saturated re-enters `fail_task` -> `pump_stagers` beneath a
+        // Regression: a backend crash fired while the stager pipeline is
+        // saturated re-enters `fail_task_fault` -> `pump_stagers` beneath a
         // scratch-buffer drain; the restore must keep the larger buffer
         // and the debug assertion must see it fully drained. Crash just
         // after pilot activation (t=40 s: the 500-task staging burst is
@@ -1382,11 +1403,7 @@ mod tests {
             .map(|i| TaskDescription::dummy(i, SimDuration::from_secs(30)))
             .collect();
         let report = SimSession::with_tasks(PilotConfig::flux(4, 2).with_seed(3), tasks)
-            .inject_failure(FailureInjection {
-                at: SimTime::from_secs(40),
-                kind: BackendKind::Flux,
-                partition: 1,
-            })
+            .with_fault_plan(crash_plan(40, 1))
             .run();
         let done = report
             .tasks
@@ -1449,11 +1466,7 @@ mod tests {
         cfg.max_retries = 2;
         let report = SimSession::new(cfg, Box::new(wl))
             .submit_at(SimTime::from_secs(50), timed)
-            .inject_failure(FailureInjection {
-                at: SimTime::from_secs(40),
-                kind: BackendKind::Flux,
-                partition: 0,
-            })
+            .with_fault_plan(crash_plan(40, 0))
             .run();
         assert_eq!(report.tasks.len(), 90);
         assert_eq!(report.tasks.capacity(), report.tasks.len());

@@ -1,9 +1,12 @@
 //! Randomized invariant tests for the RP core: task state-machine
 //! soundness, session invariants under arbitrary workload mixes, and
-//! failover completeness under arbitrary failure-injection schedules.
+//! failover completeness under arbitrary backend-crash schedules.
 //! Cases come from fixed-seed [`RngStream`]s so failures replay exactly.
 
-use rp_core::{BackendKind, FailureInjection, PilotConfig, SimSession, TaskDescription, TaskState};
+use rp_core::{
+    FaultAction, FaultEvent, FaultPlan, PilotConfig, RecoveryPolicy, SimSession, TaskDescription,
+    TaskState,
+};
 use rp_platform::{PlacementPolicy, ResourceRequest};
 use rp_sim::{RngStream, SimDuration, SimTime};
 
@@ -78,7 +81,7 @@ fn session_total_under_arbitrary_mix() {
     }
 }
 
-/// Failure injections at arbitrary times never lose tasks: every task is
+/// Backend crashes at arbitrary times never lose tasks: every task is
 /// Done or Failed, and Done + Failed = submitted.
 #[test]
 fn failover_never_loses_tasks() {
@@ -97,17 +100,20 @@ fn failover_never_loses_tasks() {
                 }
             })
             .collect();
-        let kind = if kill_dragon {
-            BackendKind::Dragon
-        } else {
-            BackendKind::Flux
+        // The instance table lists Flux's two partitions before Dragon's.
+        let partition = kill_partition + if kill_dragon { 2 } else { 0 };
+        let plan = FaultPlan {
+            events: vec![FaultEvent {
+                at: SimTime::from_secs(kill_at),
+                action: FaultAction::CrashBackend { partition },
+            }],
+            hang_victims: Vec::new(),
+            watchdog: SimDuration::ZERO,
+            policy: RecoveryPolicy::ResubmitElsewhere,
+            max_retries: None,
         };
         let report = SimSession::with_tasks(PilotConfig::flux_dragon(8, 2).with_seed(seed), tasks)
-            .inject_failure(FailureInjection {
-                at: SimTime::from_secs(kill_at),
-                kind,
-                partition: kill_partition,
-            })
+            .with_fault_plan(plan)
             .run();
         assert_eq!(report.tasks.len(), 120, "case {case}");
         let done = report

@@ -10,14 +10,12 @@
 
 #![warn(missing_docs)]
 
-pub mod coupling;
 pub mod function;
 pub mod pipe;
 pub mod pool;
 pub mod shmem;
 pub mod sim;
 
-pub use coupling::{Broadcast, Channel, SenseBarrier};
 pub use function::{CallError, DynFunction, FunctionCall, FunctionRegistry};
 pub use pipe::{decode_call, decode_event, encode_call, encode_event, CodecError, PipeEvent};
 pub use pool::{DragonPool, PoolError};

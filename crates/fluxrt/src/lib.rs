@@ -14,13 +14,11 @@
 pub mod hierarchy;
 pub mod instance;
 pub mod job;
-pub mod jobspec;
 pub mod policy;
 pub mod rt;
 
 pub use hierarchy::{FluxTreeSim, TreeAction, TreeToken};
 pub use instance::{FluxAction, FluxInstanceSim, FluxToken};
 pub use job::{ExceptionKind, JobEvent, JobId, JobSpec, JobState};
-pub use jobspec::{jobspec_string, parse_jobspec, JobspecError, JOBSPEC_VERSION};
 pub use policy::{EasyBackfill, Fcfs, RunningJob, SchedPolicy};
 pub use rt::{FluxRt, SubmitError};

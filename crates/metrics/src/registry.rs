@@ -89,12 +89,6 @@ impl Histogram {
         }
     }
 
-    /// Record a [`rp_sim::SimDuration`]-style seconds value computed by the
-    /// caller; alias of [`Histogram::observe`] kept for call-site clarity.
-    pub fn observe_seconds(&self, secs: f64) {
-        self.observe(secs);
-    }
-
     /// Copy of the current distribution (empty when disabled).
     pub fn snapshot(&self) -> HistData {
         self.0
@@ -147,11 +141,6 @@ impl Registry {
     /// A disabled registry: every operation is a cheap no-op.
     pub fn disabled() -> Self {
         Registry { inner: None }
-    }
-
-    /// Whether this registry records anything.
-    pub fn is_enabled(&self) -> bool {
-        self.inner.is_some()
     }
 
     fn key(name: &str, labels: &[(&str, &str)]) -> (String, Vec<(String, String)>) {

@@ -20,6 +20,6 @@ pub mod sync;
 
 pub use calibration::Calibration;
 pub use cluster::{Allocation, Cluster};
-pub use node::{frontier, workstation, MachineSpec, NodeId, NodeSpec};
+pub use node::{frontier, MachineSpec, NodeId, NodeSpec};
 pub use resources::{Placement, PlacementPolicy, RankPlacement, ResourcePool, ResourceRequest};
 pub use rjms::SrunSlots;

@@ -64,19 +64,6 @@ pub fn frontier() -> MachineSpec {
     }
 }
 
-/// A small generic-laptop preset used by the real-threaded examples.
-pub fn workstation(cores: u16) -> MachineSpec {
-    MachineSpec {
-        name: "workstation",
-        node: NodeSpec {
-            cores: cores.max(1),
-            gpus: 0,
-            mem_gb: 64,
-        },
-        max_nodes: 1,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -4,12 +4,10 @@
 //! scheduler** — it offers a persistent per-node daemon fabric with fast,
 //! flat `prun` launches and delegates placement, queueing, and fault
 //! tolerance to the caller (RP's agent). The [`dvm`] module is the
-//! simulated machine; [`rt`] is a minimal threaded analog.
+//! simulated machine.
 
 #![warn(missing_docs)]
 
 pub mod dvm;
-pub mod rt;
 
 pub use dvm::{PrrteAction, PrrteDvm, PrrteTask, PrrteToken};
-pub use rt::PrrteRt;

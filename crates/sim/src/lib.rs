@@ -15,8 +15,7 @@
 //! - [`rng`]: named, seeded random streams so components stay statistically
 //!   decoupled and runs stay reproducible;
 //! - [`dist`]: non-negative latency distributions (the calibration
-//!   vocabulary of `rp-platform`);
-//! - [`record`]: timestamped sample collection for post-run analytics.
+//!   vocabulary of `rp-platform`).
 //!
 //! Scheduling and placement *logic* lives in the substrate crates and is
 //! shared with their real-threaded planes; only *time* is virtual here.
@@ -27,7 +26,6 @@ pub mod clock;
 pub mod dist;
 pub mod engine;
 pub mod fxmap;
-pub mod record;
 pub mod rng;
 pub mod stale;
 pub mod time;
@@ -37,7 +35,6 @@ pub use clock::SimClock;
 pub use dist::Dist;
 pub use engine::{Actor, ActorId, Ctx, Engine};
 pub use fxmap::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
-pub use record::Recorder;
 pub use rng::RngStream;
 pub use stale::StaleTokens;
 pub use time::{SimDuration, SimTime};

@@ -109,14 +109,6 @@ impl DagWorkload {
         seen == n
     }
 
-    /// Stages completed so far.
-    pub fn completed_stages(&self) -> usize {
-        self.status
-            .iter()
-            .filter(|s| matches!(s, StageStatus::Done))
-            .count()
-    }
-
     /// Fire every ready stage, cascading through empty stages.
     fn fire_ready(&mut self, view: &ResourceView) -> Vec<TaskDescription> {
         let mut out = Vec::new();

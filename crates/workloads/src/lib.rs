@@ -10,12 +10,10 @@ pub mod active_learning;
 pub mod dag;
 pub mod impeccable;
 pub mod replay;
-pub mod streaming;
 pub mod synthetic;
 
 pub use active_learning::{ActiveLearning, ActiveLearningParams};
 pub use dag::{DagWorkload, Stage, StageBuilder};
 pub use impeccable::{impeccable_campaign, ImpeccableParams};
 pub use replay::{description_from_record, replay_batches, ReplayBatch};
-pub use streaming::{streaming_batches, StreamBatch, StreamingParams};
 pub use synthetic::{dummy_workload, mixed_workload, null_workload, task_count, CPN, WAVES};

@@ -2,14 +2,16 @@
 //!
 //! Runs the same dummy workload on a 16-node simulated pilot with 1, 4 and
 //! 16 concurrent Flux instances and prints how launch throughput responds —
-//! the partitioning trade-off of §4.1.3 — plus a failure-injection run
+//! the partitioning trade-off of §4.1.3 — plus a backend-crash run
 //! showing the fault-isolation benefit the paper credits multi-instance
 //! deployments with.
 //!
 //! Run with: `cargo run --release --example partitioned_flux`
 
 use radical_rs::analytics::{digest, throughput};
-use radical_rs::core::{BackendKind, FailureInjection, PilotConfig, SimSession, TaskDescription};
+use radical_rs::core::{
+    FaultAction, FaultEvent, FaultPlan, PilotConfig, RecoveryPolicy, SimSession, TaskDescription,
+};
 use radical_rs::sim::{SimDuration, SimTime};
 use radical_rs::workloads::dummy_workload;
 
@@ -41,16 +43,22 @@ fn main() {
 
     // Fault isolation: kill one of four instances mid-run; the workload
     // still completes on the survivors via RP's retry/failover.
-    println!("\nfailure injection: killing flux instance 2 of 4 at t=120s");
+    println!("\nbackend crash: killing flux instance 2 of 4 at t=120s");
     let tasks: Vec<TaskDescription> = (0..2000)
         .map(|i| TaskDescription::dummy(i, SimDuration::from_secs(120)))
         .collect();
-    let report = SimSession::with_tasks(PilotConfig::flux(NODES, 4).with_seed(3), tasks)
-        .inject_failure(FailureInjection {
+    let crash = FaultPlan {
+        events: vec![FaultEvent {
             at: SimTime::from_secs(120),
-            kind: BackendKind::Flux,
-            partition: 2,
-        })
+            action: FaultAction::CrashBackend { partition: 2 },
+        }],
+        hang_victims: Vec::new(),
+        watchdog: SimDuration::ZERO,
+        policy: RecoveryPolicy::ResubmitElsewhere,
+        max_retries: None,
+    };
+    let report = SimSession::with_tasks(PilotConfig::flux(NODES, 4).with_seed(3), tasks)
+        .with_fault_plan(crash)
         .run();
     let d = digest(&report);
     let retried = report.tasks.iter().filter(|t| t.retries > 0).count();

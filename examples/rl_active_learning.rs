@@ -7,7 +7,7 @@
 //!
 //! Run with: `cargo run --release --example rl_active_learning`
 
-use radical_rs::analytics::{digest, duration_breakdown_by};
+use radical_rs::analytics::{blame_report, digest, render_report};
 use radical_rs::core::{BackendKind, PilotConfig, SimSession};
 use radical_rs::workloads::{ActiveLearning, ActiveLearningParams};
 
@@ -22,6 +22,7 @@ fn main() {
         PilotConfig::flux_dragon(8, 2).with_seed(21),
         Box::new(ActiveLearning::new(params)),
     )
+    .with_lineage()
     .run();
 
     let d = digest(&report);
@@ -41,15 +42,13 @@ fn main() {
         assert!(!s.failed);
     }
 
-    // Per-backend pipeline breakdown (RADICAL-Analytics style).
-    println!("\nper-backend pipeline durations:");
-    let by_backend = duration_breakdown_by(&report.tasks, |t| {
-        t.backend.map(|b| b.to_string()).unwrap_or_default()
-    });
-    for (backend, breakdown) in &by_backend {
-        println!("-- {backend} ({} tasks)", breakdown.tasks);
-        print!("{}", breakdown.table());
-    }
+    // Where the end-to-end time went: each task's lineage chain split
+    // into pipeline phases, plus the critical path.
+    let lineage = report.lineage.as_ref().expect("lineage attached");
+    print!(
+        "\n{}",
+        render_report("active learning", &blame_report(lineage))
+    );
 
     let actors = report
         .tasks

@@ -8,6 +8,12 @@ cd "$(dirname "$0")/.."
 cargo fmt --all -- --check
 cargo clippy --workspace --all-targets --offline -- -D warnings
 cargo build --release --offline --workspace
+# Examples: clippy only compiles them, so run each one in release. They
+# assert their own outcomes (every task done, a crash recovered) and exit
+# nonzero on a panic; all six together take well under a second.
+for EXAMPLE in examples/*.rs; do
+    cargo run -q --release --offline --example "$(basename "$EXAMPLE" .rs)" > /dev/null
+done
 # A hung test (an rt-plane deadlock) fails the gate after 20 minutes
 # instead of stalling it. The log is kept to report the workspace's
 # passed-test total, summed over its `test result:` lines.

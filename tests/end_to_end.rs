@@ -4,8 +4,10 @@
 
 use radical_rs::analytics::{digest, peak_concurrency, throughput, utilization};
 use radical_rs::core::{
-    BackendKind, FailureInjection, PilotConfig, SimSession, TaskDescription, TaskState,
+    BackendKind, FaultAction, FaultEvent, FaultPlan, PilotConfig, RecoveryPolicy, SimSession,
+    TaskDescription, TaskState,
 };
+use radical_rs::lineage::{EV_FAILED, EV_FAULT, FAULT_CRASH};
 use radical_rs::sim::{SimDuration, SimTime};
 use radical_rs::workloads::{
     dummy_workload, impeccable_campaign, mixed_workload, null_workload, ImpeccableParams,
@@ -120,19 +122,29 @@ fn impeccable_flux_beats_srun() {
     assert!(mf < ms, "flux makespan {mf:.0}s must beat srun {ms:.0}s");
 }
 
-/// Failure injection: killing a Dragon runtime mid-burst moves its tasks to
+/// Backend crash: killing a Dragon runtime mid-burst moves its tasks to
 /// error states and RP failover retries them (paper §3.2.2 error handling).
 #[test]
 fn dragon_crash_failover() {
     let tasks: Vec<TaskDescription> = (0..600)
         .map(|i| TaskDescription::function(i, "f", SimDuration::from_secs(60)))
         .collect();
+    // Dragon partition 1 sits at index 3 of the instance table, after
+    // Flux's two partitions and Dragon's first.
+    let at = SimTime::from_secs(45);
+    let plan = FaultPlan {
+        events: vec![FaultEvent {
+            at,
+            action: FaultAction::CrashBackend { partition: 3 },
+        }],
+        hang_victims: Vec::new(),
+        watchdog: SimDuration::ZERO,
+        policy: RecoveryPolicy::ResubmitElsewhere,
+        max_retries: None,
+    };
     let report = SimSession::with_tasks(PilotConfig::flux_dragon(8, 2), tasks)
-        .inject_failure(FailureInjection {
-            at: SimTime::from_secs(45),
-            kind: BackendKind::Dragon,
-            partition: 1,
-        })
+        .with_fault_plan(plan)
+        .with_lineage()
         .run();
     assert_eq!(report.tasks.len(), 600, "no tasks lost from the records");
     let done = report
@@ -142,6 +154,21 @@ fn dragon_crash_failover() {
         .count();
     assert_eq!(done, 600, "failover must recover every task");
     assert!(report.tasks.iter().any(|t| t.retries > 0));
+    // Every task the crash took down (it failed at the crash instant)
+    // carries exactly one crash fault event, and no other task does.
+    let lin = report.lineage.as_ref().expect("lineage attached");
+    let mut victims = 0;
+    for uid in lin.uids() {
+        let events = lin.events_for(uid);
+        let faults = events
+            .iter()
+            .filter(|e| e.kind == EV_FAULT && e.detail == FAULT_CRASH)
+            .count();
+        let taken_down = events.iter().any(|e| e.kind == EV_FAILED && e.t == at);
+        assert_eq!(faults, usize::from(taken_down), "task {uid}");
+        victims += faults;
+    }
+    assert!(victims > 0, "the crash took tasks down");
 }
 
 /// Determinism: identical config + seed ⇒ identical report; different seed
