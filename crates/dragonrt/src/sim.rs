@@ -66,6 +66,9 @@ pub enum DragonAction {
 #[derive(Debug)]
 pub struct DragonSim {
     worker_capacity: u64,
+    /// `worker_capacity` plus every node's outage: the in-service shape,
+    /// which node faults only move between the two terms.
+    full_capacity: u64,
     free_workers: u64,
     /// Worker count of one node (capacity removed/restored per node fault).
     cores_per_node: u64,
@@ -110,6 +113,7 @@ impl DragonSim {
     pub fn new(alloc: &Allocation, cal: &Calibration, seed: u64) -> Self {
         DragonSim {
             worker_capacity: alloc.total_cores(),
+            full_capacity: alloc.total_cores(),
             free_workers: alloc.total_cores(),
             cores_per_node: alloc.total_cores() / alloc.count.max(1) as u64,
             node_outage: vec![None; alloc.count as usize],
@@ -320,13 +324,12 @@ impl DragonSim {
         // Bound against the full in-service shape, not the outage-reduced
         // pool: a task wider than a temporarily degraded pool waits in the
         // queue until `node_up` instead of panicking.
-        let full = self.worker_capacity + self.node_outage.iter().flatten().sum::<u64>();
         assert!(
-            task.workers as u64 <= full,
+            task.workers as u64 <= self.full_capacity,
             "task {} wants {} workers, pool has {}",
             task.id,
             task.workers,
-            full
+            self.full_capacity
         );
         self.queue.push_back(task);
         self.queued_peak = self.queued_peak.max(self.queue.len());
@@ -623,6 +626,47 @@ mod tests {
             },
             &mut Vec::new(),
         );
+    }
+
+    /// `submit`'s bound is the in-service shape stored at `new`: node
+    /// faults only move workers between the pool and the outages, and a
+    /// crash and restart move none, so the bound always equals the sum it
+    /// replaced.
+    #[test]
+    fn full_capacity_holds_across_faults_and_restart() {
+        let mut sim = runtime(2);
+        let mut acts = Vec::new();
+        let check = |sim: &DragonSim| {
+            let outage: u64 = sim.node_outage.iter().flatten().sum();
+            assert_eq!(sim.worker_capacity + outage, sim.full_capacity);
+            assert_eq!(sim.full_capacity, 112);
+        };
+        check(&sim);
+        sim.boot(&mut acts);
+        sim.fail_node(0, &mut acts);
+        assert_eq!(sim.worker_capacity(), 56);
+        check(&sim);
+        // As wide as the in-service shape: queues until node_up.
+        let wide = DragonTask {
+            id: 0,
+            workers: 112,
+            duration: SimDuration::from_secs(1),
+            is_function: false,
+        };
+        sim.submit(wide, &mut acts);
+        assert_eq!(sim.kill(), vec![0]);
+        check(&sim);
+        sim.restart(&mut acts);
+        check(&sim);
+        sim.fail_node(1, &mut acts);
+        assert_eq!(sim.worker_capacity(), 0);
+        check(&sim);
+        sim.node_up(0, &mut acts);
+        sim.node_up(1, &mut acts);
+        assert_eq!(sim.worker_capacity(), 112);
+        check(&sim);
+        sim.submit(wide, &mut acts);
+        assert_eq!(sim.queued(), 1);
     }
 
     #[test]

@@ -167,6 +167,18 @@ impl NodeFree {
         }
     }
 
+    /// Carve one rank of `need` out of the free resources, lowest bit
+    /// indices first: the occupied masks, or `None` if the rank doesn't fit.
+    fn carve(&self, need: Fit) -> Option<(u64, u16)> {
+        if self.ncores < need.cores || self.ngpus < need.gpus || self.mem_gb < need.mem {
+            return None;
+        }
+        Some((
+            lowest_bits(self.cores, self.ncores, need.cores),
+            lowest_bits(self.gpus as u64, self.ngpus, need.gpus) as u16,
+        ))
+    }
+
     /// Mark one rank busy: masks `core_mask`/`gpu_mask`, whose popcounts
     /// the caller knows (`used.cores`/`used.gpus`), and `used.mem` GiB.
     fn take(&mut self, core_mask: u64, gpu_mask: u16, used: Fit) {
@@ -211,7 +223,7 @@ impl Fit {
 /// A segment tree over the pool's nodes holding per-subtree maxima of
 /// free `(cores, GPUs, memory)` counts.
 ///
-/// Rank eligibility in [`carve`] is purely count-based — a rank fits a node
+/// Rank eligibility in [`NodeFree::carve`] is purely count-based — a rank fits a node
 /// iff its free core, GPU and memory counts cover the rank, never
 /// contiguity — so "the eligible nodes at index ≥ lo, left to right" is
 /// answerable from these maxima. [`FitIndex::walk`] enumerates exactly the
@@ -232,8 +244,9 @@ struct FitIndex {
     /// leaves hold zero free resources.
     base: usize,
     max: Vec<Fit>,
-    /// Reused level buffer of [`FitIndex::update_many`].
-    level: Vec<usize>,
+    /// Reused per-level buffer of [`FitIndex::update`]: runs of adjacent
+    /// changed indices, `(first, last)`, ascending.
+    level: Vec<(usize, usize)>,
 }
 
 impl FitIndex {
@@ -255,53 +268,76 @@ impl FitIndex {
         }
     }
 
-    /// Recompute internal node `i` from its children; whether it changed.
-    #[inline]
-    fn pull_up(&mut self, i: usize) -> bool {
-        let new = self.max[2 * i].max(self.max[2 * i + 1]);
-        let changed = self.max[i] != new;
-        self.max[i] = new;
-        changed
-    }
-
-    /// Refresh the leaves of `touched` (node indices, ascending as every
-    /// placement lists them; repeats allowed) from their nodes, then their
-    /// ancestors, stopping wherever the maxima did not change. One leaf —
-    /// every single-rank placement and node fault — just climbs. Several
-    /// leaves refresh their ancestors one level at a time, each once, so
-    /// a placement spanning the pool costs O(n) rather than O(k·log n).
-    fn update_many(&mut self, nodes: &[NodeFree], touched: impl ExactSizeIterator<Item = usize>) {
-        if touched.len() == 1 {
-            for idx in touched {
-                let fit = nodes[idx].fit();
-                let mut i = self.base + idx;
-                if self.max[i] != fit {
-                    self.max[i] = fit;
-                    i /= 2;
-                    while i >= 1 && self.pull_up(i) {
-                        i /= 2;
+    /// Call `node` on each item in node order (repeats allowed): it updates
+    /// the item's node and returns its index and new counts (`None` leaves
+    /// the leaf alone), and the changed leaf is set in the same pass. One
+    /// item — a single-rank placement, a node fault — climbs while the
+    /// maxima change. More form runs of adjacent leaves, and each level
+    /// takes one pass over their parents: O(n) for the whole pool.
+    fn update<T>(&mut self, items: &[T], mut node: impl FnMut(&T) -> Option<(usize, Fit)>) {
+        let FitIndex {
+            base, max, level, ..
+        } = self;
+        if let [item] = items {
+            let Some((idx, fit)) = node(item) else { return };
+            let mut i = *base + idx;
+            if max[i] != fit {
+                max[i] = fit;
+                i /= 2;
+                while i >= 1 {
+                    let new = max[2 * i].max(max[2 * i + 1]);
+                    if max[i] == new {
+                        break;
                     }
+                    max[i] = new;
+                    i /= 2;
                 }
             }
             return;
         }
-        let mut level = std::mem::take(&mut self.level);
-        for idx in touched {
-            let fit = nodes[idx].fit();
-            let leaf = self.base + idx;
-            if self.max[leaf] != fit {
-                self.max[leaf] = fit;
-                level.push(leaf);
+        // The open run stays in registers while the items stream by.
+        let mut open: Option<(usize, usize)> = None;
+        for (idx, fit) in items.iter().filter_map(&mut node) {
+            let leaf = *base + idx;
+            if max[leaf] == fit {
+                continue;
+            }
+            max[leaf] = fit;
+            match &mut open {
+                Some((_, last)) if *last + 1 >= leaf => *last = leaf,
+                _ => {
+                    level.extend(open);
+                    open = Some((leaf, leaf));
+                }
             }
         }
+        level.extend(open);
         while !level.is_empty() {
-            for i in level.iter_mut() {
-                *i /= 2;
+            let mut kept = 0;
+            for r in 0..level.len() {
+                // The root's parent 0 yields the empty range 1..=0.
+                let (lo, hi) = ((level[r].0 / 2).max(1), level[r].1 / 2);
+                let mut changed = false;
+                for i in lo..=hi {
+                    // Equal siblings, as wide placements leave them, need
+                    // no per-component maximum.
+                    let (a, b) = (max[2 * i], max[2 * i + 1]);
+                    let new = if a == b { a } else { a.max(b) };
+                    changed |= max[i] != new;
+                    max[i] = new;
+                }
+                if !changed {
+                    continue;
+                }
+                if kept > 0 && level[kept - 1].1 + 1 >= lo {
+                    level[kept - 1].1 = hi;
+                } else {
+                    level[kept] = (lo, hi);
+                    kept += 1;
+                }
             }
-            level.dedup();
-            level.retain(|&i| i >= 1 && self.pull_up(i));
+            level.truncate(kept);
         }
-        self.level = level;
     }
 
     /// Visit, left to right, every node index `>= lo` whose free counts
@@ -328,6 +364,13 @@ impl FitIndex {
                 if visit(idx) {
                     return true;
                 }
+                if idx + 1 == self.n {
+                    return false;
+                }
+                // Wide requests fill runs of free nodes: try the next leaf
+                // before climbing.
+                i += 1;
+                continue;
             }
             // Next subtree to the right: climb off right edges, step over.
             while i & 1 == 1 {
@@ -345,8 +388,9 @@ impl FitIndex {
 ///
 /// Each node keeps its free core/GPU bitmaps plus their popcounts, and a
 /// [`FitIndex`] over those counts drives first-fit planning: one
-/// left-to-right walk per request, whatever its width or policy. Commits,
-/// frees and node faults refresh the index in one batched pass per call.
+/// left-to-right walk per request, whatever its width or policy. Commits
+/// and frees set each touched leaf as they update its node, then refresh
+/// the ancestors in one pass per tree level.
 ///
 /// ```
 /// use rp_platform::{frontier, ResourcePool, ResourceRequest};
@@ -496,24 +540,11 @@ impl ResourcePool {
     }
 
     fn ranks_fitting_empty_node(&self, req: &ResourceRequest) -> u64 {
-        let by_cores = if req.cores_per_rank == 0 {
-            u64::MAX
-        } else {
-            self.spec.cores as u64 / req.cores_per_rank as u64
-        };
-        let by_gpus = if req.gpus_per_rank == 0 {
-            u64::MAX
-        } else if self.spec.gpus == 0 {
-            0
-        } else {
-            self.spec.gpus as u64 / req.gpus_per_rank as u64
-        };
-        let by_mem = if req.mem_per_rank_gb == 0 {
-            u64::MAX
-        } else {
-            self.spec.mem_gb as u64 / req.mem_per_rank_gb as u64
-        };
-        by_cores.min(by_gpus).min(by_mem)
+        // A resource the rank does not need bounds nothing.
+        let per = |have: u32, need: u32| (have as u64).checked_div(need as u64).unwrap_or(u64::MAX);
+        per(self.spec.cores.into(), req.cores_per_rank.into())
+            .min(per(self.spec.gpus.into(), req.gpus_per_rank.into()))
+            .min(per(self.spec.mem_gb, req.mem_per_rank_gb))
     }
 
     /// The free counts one rank of `req` takes from its node.
@@ -546,21 +577,18 @@ impl ResourcePool {
         let plan = self.plan_take_cached(req)?;
         self.version += 1;
         let rank = self.rank_fit(req);
-        for r in &plan.ranks {
-            self.nodes[r.node_idx as usize].take(r.core_mask, r.gpu_mask, rank);
-        }
+        let nodes = &mut self.nodes;
+        self.index.update(&plan.ranks, |r| {
+            let idx = r.node_idx as usize;
+            nodes[idx].take(r.core_mask, r.gpu_mask, rank);
+            Some((idx, nodes[idx].fit()))
+        });
         let placed = plan.ranks.len() as u64;
         self.free_cores -= placed * rank.cores as u64;
         self.free_gpus -= placed * rank.gpus as u64;
-        self.index
-            .update_many(&self.nodes, plan.ranks.iter().map(|r| r.node_idx as usize));
-        while self.first_not_full < self.nodes.len() {
-            let n = &self.nodes[self.first_not_full];
-            if n.ncores == 0 && n.ngpus == 0 {
-                self.first_not_full += 1;
-            } else {
-                break;
-            }
+        let full = |n: &NodeFree| n.ncores == 0 && n.ngpus == 0;
+        while self.nodes.get(self.first_not_full).is_some_and(full) {
+            self.first_not_full += 1;
         }
         Some(plan)
     }
@@ -595,14 +623,7 @@ impl ResourcePool {
                 // A shadow copy so later ranks of this same request see the
                 // resources its earlier ranks already carved.
                 let mut left = *n;
-                while let Some((cm, gm)) = carve(
-                    left.cores,
-                    left.ncores,
-                    left.gpus,
-                    left.ngpus,
-                    left.mem_gb,
-                    need,
-                ) {
+                while let Some((cm, gm)) = left.carve(need) {
                     left.take(cm, gm, need);
                     if place(n, idx, cm, gm) {
                         return true;
@@ -610,23 +631,17 @@ impl ResourcePool {
                 }
                 false
             }),
-            PlacementPolicy::Spread => self.index.walk(0, need, |idx| {
-                let n = &self.nodes[idx];
-                match carve(n.cores, n.ncores, n.gpus, n.ngpus, n.mem_gb, need) {
-                    Some((cm, gm)) if !n.down => place(n, idx, cm, gm),
-                    _ => false, // down: only a rank needing nothing gets here
-                }
-            }),
-            // A node is fully free iff its free *counts* equal the spec
-            // (free masks are subsets of the full mask), so the walk with
-            // full-node thresholds visits exactly the fully free nodes.
-            PlacementPolicy::NodeExclusive => self.index.walk(0, need, |idx| {
-                let n = &self.nodes[idx];
-                debug_assert!(
-                    n.cores == mask_of(need.cores) && n.gpus as u64 == mask_of(need.gpus)
-                );
-                place(n, idx, n.cores, n.gpus)
-            }),
+            // NodeExclusive needs the spec's full counts, which only a fully
+            // free node covers, and carving them takes the whole node.
+            PlacementPolicy::Spread | PlacementPolicy::NodeExclusive => {
+                self.index.walk(0, need, |idx| {
+                    let n = &self.nodes[idx];
+                    match n.carve(need) {
+                        Some((cm, gm)) if !n.down => place(n, idx, cm, gm),
+                        _ => false, // down: only a rank needing nothing gets here
+                    }
+                })
+            }
         };
         done.then_some(Placement { ranks })
     }
@@ -688,22 +703,18 @@ impl ResourcePool {
                 }
                 _ => (n.cores, n.gpus, n.mem_gb),
             };
-            assert_eq!(
-                cores & r.core_mask,
-                0,
-                "freeing cores that were not busy on {}",
-                n.id
+            let id = n.id;
+            assert!(
+                cores & r.core_mask == 0,
+                "freeing cores that were not busy on {id}"
             );
-            assert_eq!(
-                gpus & r.gpu_mask,
-                0,
-                "freeing gpus that were not busy on {}",
-                n.id
+            assert!(
+                gpus & r.gpu_mask == 0,
+                "freeing gpus that were not busy on {id}"
             );
             assert!(
                 mem as u64 + r.mem_gb as u64 <= self.spec.mem_gb as u64,
-                "freeing more memory than the node has on {}",
-                n.id
+                "freeing more memory than the node has on {id}"
             );
             run = Some((
                 r.node_idx,
@@ -713,13 +724,15 @@ impl ResourcePool {
             ));
         }
         self.version += 1;
-        for r in &placement.ranks {
+        let spec = self.spec;
+        let (all_cores, all_gpus) = (mask_of(spec.cores), mask_of(spec.gpus));
+        let (mut cores, mut gpus, mut first) = (0, 0, self.first_not_full);
+        let nodes = &mut self.nodes;
+        self.index.update(&placement.ranks, |r| {
             let idx = r.node_idx as usize;
-            let n = &mut self.nodes[idx];
-            let (c, g) = (
-                r.core_mask.count_ones() as u16,
-                r.gpu_mask.count_ones() as u16,
-            );
+            let n = &mut nodes[idx];
+            let c = bits(r.core_mask, all_cores, spec.cores);
+            let g = bits(r.gpu_mask as u64, all_gpus, spec.gpus);
             n.cores |= r.core_mask;
             n.gpus |= r.gpu_mask;
             n.ncores += c;
@@ -729,16 +742,16 @@ impl ResourcePool {
                 // Parked: the node is out of service, so these resources do
                 // not return to the pool totals (node_up re-counts them) and
                 // the index leaf stays zero.
-                continue;
+                return None;
             }
-            self.free_cores += c as u64;
-            self.free_gpus += g as u64;
-            self.first_not_full = self.first_not_full.min(idx);
-        }
-        self.index.update_many(
-            &self.nodes,
-            placement.ranks.iter().map(|r| r.node_idx as usize),
-        );
+            cores += c as u64;
+            gpus += g as u64;
+            first = first.min(idx);
+            Some((idx, n.fit()))
+        });
+        self.free_cores += cores;
+        self.free_gpus += gpus;
+        self.first_not_full = first;
         debug_assert!(self.free_cores <= self.total_cores());
         debug_assert!(self.free_gpus <= self.total_gpus());
     }
@@ -757,7 +770,8 @@ impl ResourcePool {
         self.free_cores -= n.ncores as u64;
         self.free_gpus -= n.ngpus as u64;
         self.version += 1;
-        self.index.update_many(&self.nodes, std::iter::once(idx));
+        let fit = n.fit();
+        self.index.update(&[idx], |&i| Some((i, fit)));
         true
     }
 
@@ -774,18 +788,14 @@ impl ResourcePool {
         self.free_gpus += n.ngpus as u64;
         self.first_not_full = self.first_not_full.min(idx);
         self.version += 1;
-        self.index.update_many(&self.nodes, std::iter::once(idx));
+        let fit = n.fit();
+        self.index.update(&[idx], |&i| Some((i, fit)));
         true
     }
 
     /// Whether node `idx` is currently out of service.
     pub fn is_node_down(&self, idx: usize) -> bool {
         self.nodes[idx].down
-    }
-
-    /// Number of nodes currently out of service.
-    pub fn down_nodes(&self) -> usize {
-        self.nodes.iter().filter(|n| n.down).count()
     }
 }
 
@@ -798,24 +808,14 @@ fn mask_of(n: u16) -> u64 {
     }
 }
 
-/// Carve one rank of `need` out of a node's free resources, lowest bit
-/// indices first; `ncores`/`ngpus` are the popcounts of the free masks.
-/// Returns the occupied masks, or `None` if the rank doesn't fit.
-fn carve(
-    free_cores: u64,
-    ncores: u16,
-    free_gpus: u16,
-    ngpus: u16,
-    free_mem: u32,
-    need: Fit,
-) -> Option<(u64, u16)> {
-    if ncores < need.cores || ngpus < need.gpus || free_mem < need.mem {
-        return None;
+/// Set bits of a rank's `mask`: `n` for the whole-node mask `full`, none for
+/// an empty one, else a popcount (a dozen instructions on baseline x86-64).
+fn bits(mask: u64, full: u64, n: u16) -> u16 {
+    match mask {
+        0 => 0,
+        m if m == full => n,
+        m => m.count_ones() as u16,
     }
-    Some((
-        lowest_bits(free_cores, ncores, need.cores),
-        lowest_bits(free_gpus as u64, ngpus, need.gpus) as u16,
-    ))
 }
 
 /// The lowest `want` set bits of `mask`, which has `have >= want` set
@@ -854,15 +854,17 @@ mod tests {
         /// the free masks itself, so it does not trust the stored counts.
         fn plan_linear(&self, req: &ResourceRequest) -> Option<Placement> {
             let need = self.rank_fit(req);
-            let carve_node = |cores: u64, gpus: u16, mem: u32| {
-                carve(
+            let carve_node = |cores: u64, gpus: u16, mem_gb: u32| {
+                let node = NodeFree {
+                    id: NodeId(0),
                     cores,
-                    cores.count_ones() as u16,
                     gpus,
-                    gpus.count_ones() as u16,
-                    mem,
-                    need,
-                )
+                    ncores: cores.count_ones() as u16,
+                    ngpus: gpus.count_ones() as u16,
+                    mem_gb,
+                    down: false,
+                };
+                node.carve(need)
             };
             let rank = |n: &NodeFree, idx: usize, core_mask: u64, gpu_mask: u16| RankPlacement {
                 node: n.id,
@@ -1224,7 +1226,7 @@ mod tests {
         assert!(p.node_down(0));
         assert!(!p.node_down(0), "already down");
         assert!(p.is_node_down(0));
-        assert_eq!(p.down_nodes(), 1);
+        assert_eq!((0..4).filter(|&i| p.is_node_down(i)).count(), 1);
         assert_eq!(p.free_cores(), total - 56);
         let pl = p.try_alloc(&ResourceRequest::single(1, 0)).unwrap();
         assert_eq!(pl.ranks[0].node, NodeId(1), "pack skips the down node");
@@ -1497,6 +1499,79 @@ mod tests {
             }
             check_invariants(&p);
         }
+        for pl in held.drain(..) {
+            p.free(&pl);
+        }
+        for i in 0..NODES as usize {
+            p.node_up(i);
+        }
+        check_invariants(&p);
+        assert_eq!(p.free_cores(), p.total_cores());
+        assert_eq!(p.free_gpus(), p.total_gpus());
+    }
+
+    /// The wide path at IMPECCABLE scale: whole-node Spread and
+    /// NodeExclusive requests of 4-128 ranks (0 or 8 GPUs, 384 GiB) churned
+    /// over a 1,100-node pool (eleven tree levels, padding leaves) with node
+    /// faults interleaved. Every step plans one such request against the
+    /// linear reference, then allocates it, frees a held placement or
+    /// flips a node, and checks every invariant.
+    #[test]
+    fn wide_placements_hold_invariants_at_scale() {
+        const NODES: u32 = 1_100;
+        let mut state = 0x5CA1_AB1E_u64;
+        let mut rng = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut p = pool(NODES);
+        let mut held: Vec<Placement> = Vec::new();
+        let mut placed = 0;
+        for step in 0..2500 {
+            let r = rng();
+            let req = ResourceRequest {
+                ranks: 4 + (r >> 8) as u32 % 125,
+                cores_per_rank: 56,
+                gpus_per_rank: if r >> 16 & 1 == 0 { 0 } else { 8 },
+                mem_per_rank_gb: 384,
+                policy: if r >> 17 & 3 == 0 {
+                    PlacementPolicy::NodeExclusive
+                } else {
+                    PlacementPolicy::Spread
+                },
+            };
+            assert_eq!(
+                p.plan(&req),
+                p.plan_linear(&req),
+                "divergence at step {step} for {req:?}"
+            );
+            let node = (r >> 24) as usize % NODES as usize;
+            match r % 16 {
+                0 => {
+                    p.node_down(node);
+                }
+                1 => {
+                    p.node_up(node);
+                }
+                2..=8 => {
+                    if let Some(pl) = p.try_alloc(&req) {
+                        assert_eq!(pl.node_count(), req.ranks as usize);
+                        placed += 1;
+                        held.push(pl);
+                    }
+                }
+                _ => {
+                    if !held.is_empty() {
+                        let pl = held.swap_remove((r >> 32) as usize % held.len());
+                        p.free(&pl);
+                    }
+                }
+            }
+            check_invariants(&p);
+        }
+        assert!(placed > 500, "the churn must place wide requests: {placed}");
         for pl in held.drain(..) {
             p.free(&pl);
         }

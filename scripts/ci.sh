@@ -28,9 +28,11 @@ awk '/^test result:/ { passed += $4 } END { print "workspace tests passed: " pas
 rm -f "$TEST_LOG"
 # The benchmark runs optimized code, where the placement count arithmetic
 # wraps instead of trapping and debug_asserts compile out: run the
-# placement differential and invariant tests, and the engine's event-queue
-# tests against its reference model, on that build too.
-cargo test -q --offline --release -p rp-platform -p rp-sim
+# placement differential and invariant tests, the Flux policy tests (EASY
+# backfill frees running placements into a shadow pool: the wide
+# multi-leaf path), and the engine's event-queue tests against its
+# reference model, on that build too.
+cargo test -q --offline --release -p rp-platform -p rp-fluxrt -p rp-sim
 
 # Benchmark correctness gate: the standalone rp_benchmark package's tests,
 # then every workload at smoke size with per-layer tracing. The run exits

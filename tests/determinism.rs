@@ -183,3 +183,66 @@ fn fault_runs_are_identical_at_any_jobs_count() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// FNV-1a over every record's `(uid, state, exec_start, exec_end)`, in
+/// report order; a missing time hashes as `u64::MAX`.
+fn record_hash(report: &radical_rs::core::RunReport) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325_u64;
+    for t in &report.tasks {
+        let time = |s: Option<SimTime>| s.map_or(u64::MAX, SimTime::as_micros);
+        for word in [
+            t.uid.0,
+            t.state as u64,
+            time(t.exec_start),
+            time(t.exec_end),
+        ] {
+            for byte in word.to_le_bytes() {
+                h = (h ^ byte as u64).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+    }
+    h
+}
+
+/// Cross-commit golden for wide placement: the IMPECCABLE campaign at 256
+/// nodes, on `srun` and on one Flux instance, at one seed. Its whole-node
+/// MPI stages of up to 128 nodes take the multi-leaf placement path, so a
+/// change that moves a single task's start or end changes the record hash,
+/// and one that adds or drops an event changes the delivered count. A
+/// pure speedup must leave both constants as they are. When a change is
+/// meant to move them, take the new values from this test's failure
+/// message and re-commit `results/` (`rp-exp all`) in the same change.
+#[test]
+fn impeccable_wide_placement_golden() {
+    use radical_rs::workloads::{impeccable_campaign, ImpeccableParams};
+    let golden = [
+        (
+            "srun",
+            PilotConfig::srun(256),
+            0xd627_7da8_7599_1e17_u64,
+            2792,
+        ),
+        (
+            "flux",
+            PilotConfig::flux(256, 1),
+            0xe831_1d05_c63a_36ad,
+            5026,
+        ),
+    ];
+    for (name, cfg, hash, events) in golden {
+        let campaign = impeccable_campaign(ImpeccableParams::for_nodes(256));
+        let report = SimSession::new(cfg.with_seed(7), Box::new(campaign))
+            .with_metrics(SimDuration::from_secs(60))
+            .run();
+        let delivered = report
+            .metrics
+            .as_ref()
+            .and_then(|m| m.counter("rp_engine_events_total"))
+            .expect("engine stats folded into the snapshot");
+        assert_eq!(
+            (record_hash(&report), delivered),
+            (hash, events),
+            "{name}: (record hash, delivered events) moved"
+        );
+    }
+}
