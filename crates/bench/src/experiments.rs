@@ -946,8 +946,9 @@ fn ablations(ctx: &mut Ctx) -> io::Result<()> {
 
 /// Launch rate of a nested Flux tree on null tasks, driven directly.
 fn tree_null_rate(nodes: u32, depth: u32, fanout: u32, n_tasks: u64) -> f64 {
-    use rp_fluxrt::{EasyBackfill, FluxTreeSim, JobEvent, JobId, JobSpec, TreeAction, TreeToken};
+    use rp_fluxrt::{EasyBackfill, FluxTreeSim, JobId, JobSpec, TreeToken};
     use rp_platform::Allocation;
+    use rp_sim::Action;
     use std::cmp::Reverse;
     use std::collections::{BinaryHeap, HashMap};
 
@@ -968,7 +969,7 @@ fn tree_null_rate(nodes: u32, depth: u32, fanout: u32, n_tasks: u64) -> f64 {
     let mut tokens: HashMap<u64, TreeToken> = HashMap::new();
     let mut seq = 0u64;
     let mut starts: Vec<f64> = Vec::new();
-    let sink = |acts: Vec<TreeAction>,
+    let sink = |acts: Vec<Action<TreeToken>>,
                 now: u64,
                 heap: &mut BinaryHeap<Reverse<(u64, u64)>>,
                 tokens: &mut HashMap<u64, TreeToken>,
@@ -976,12 +977,12 @@ fn tree_null_rate(nodes: u32, depth: u32, fanout: u32, n_tasks: u64) -> f64 {
                 starts: &mut Vec<f64>| {
         for a in acts {
             match a {
-                TreeAction::Timer { after, token } => {
+                Action::Timer { after, token } => {
                     heap.push(Reverse((now + after.as_micros(), *seq)));
                     tokens.insert(*seq, token);
                     *seq += 1;
                 }
-                TreeAction::Event(JobEvent::Start(_)) => starts.push(now as f64 / 1e6),
+                Action::Started(_) => starts.push(now as f64 / 1e6),
                 _ => {}
             }
         }
@@ -989,14 +990,11 @@ fn tree_null_rate(nodes: u32, depth: u32, fanout: u32, n_tasks: u64) -> f64 {
     let acts = tree.boot();
     sink(acts, 0, &mut heap, &mut tokens, &mut seq, &mut starts);
     for i in 0..n_tasks {
-        let acts = tree.submit(
-            rp_sim::SimTime::ZERO,
-            JobSpec {
-                id: JobId(i),
-                req: rp_platform::ResourceRequest::single(1, 0),
-                duration: rp_sim::SimDuration::ZERO,
-            },
-        );
+        let acts = tree.submit(JobSpec {
+            id: JobId(i),
+            req: rp_platform::ResourceRequest::single(1, 0),
+            duration: rp_sim::SimDuration::ZERO,
+        });
         sink(acts, 0, &mut heap, &mut tokens, &mut seq, &mut starts);
     }
     while let Some(Reverse((at, key))) = heap.pop() {

@@ -27,19 +27,16 @@ use crate::service::{ServiceDescription, ServiceRecord};
 use crate::task::{TaskDescription, TaskId, TaskRecord, TaskState};
 use crate::workload::{ResourceView, WorkloadSource};
 use rp_chaos::{FaultAction, FaultPlan, RecoveryPolicy};
-use rp_dragonrt::{DragonAction, DragonSim, DragonTask, DragonToken};
-use rp_fluxrt::{
-    EasyBackfill, ExceptionKind, Fcfs, FluxAction, FluxInstanceSim, FluxToken, JobEvent, JobId,
-    JobSpec, SchedPolicy,
-};
+use rp_dragonrt::{DragonSim, DragonTask};
+use rp_fluxrt::{EasyBackfill, Fcfs, FluxInstanceSim, JobId, JobSpec, SchedPolicy};
 use rp_lineage::Lineage;
 use rp_metrics::{Counter as MCounter, Gauge as MGauge, Histogram as MHistogram, Registry};
 use rp_platform::{Allocation, Calibration, Cluster, Placement, ResourcePool, ResourceRequest};
 use rp_profiler::{Phase, ProfileData, Sym, NO_UID};
-use rp_prrte::{PrrteAction, PrrteDvm, PrrteTask, PrrteToken};
+use rp_prrte::{PrrteDvm, PrrteTask};
 use rp_serving::{ServingOutcome, ServingState, ServingTaskKind};
-use rp_sim::{Actor, Ctx, Dist, FxHashMap, RngStream, SimTime, UidMap};
-use rp_slurm::{SrunAction, SrunSim, SrunToken, StepId, StepRequest};
+use rp_sim::{Action, Actor, Ctx, Dist, FxHashMap, RngStream, SimTime, Token, UidMap};
+use rp_slurm::{SrunSim, StepId, StepRequest};
 use rp_telemetry::{SampleInput, Severity, Telemetry};
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -69,13 +66,9 @@ pub enum AgentMsg {
     /// A sub-agent's adapter finished serializing this task.
     SubAdapterDone(u32, TaskId),
     /// Site srun timer.
-    Srun(SrunToken),
-    /// Flux instance timer (flat instance index).
-    Flux(u32, FluxToken),
-    /// Dragon instance timer (flat instance index).
-    Dragon(u32, DragonToken),
-    /// PRRTE DVM timer (flat instance index).
-    Prrte(u32, PrrteToken),
+    Srun(Token),
+    /// Runtime instance timer (flat instance index).
+    Instance(u32, Token),
     /// The backend-kind watcher thread finished processing one event.
     WatcherDone(BackendKind),
     /// Cancel tasks (best effort; running payloads finish).
@@ -352,6 +345,75 @@ impl Instance {
             _ => {}
         }
     }
+
+    /// Boot the backend, or after a chaos crash restart it.
+    fn boot(&mut self, restart: bool, out: &mut Vec<Action>) {
+        match (&mut self.machine, restart) {
+            (Machine::Flux(f), false) => f.boot(out),
+            (Machine::Flux(f), true) => f.restart(out),
+            (Machine::Dragon { sim, .. }, false) => sim.boot(out),
+            (Machine::Dragon { sim, .. }, true) => sim.restart(out),
+            (Machine::Prrte(pb), false) => pb.dvm.boot(out),
+            (Machine::Prrte(pb), true) => pb.dvm.restart(out),
+        }
+    }
+
+    /// Deliver one of the backend's timer tokens.
+    fn on_token(&mut self, now: SimTime, token: Token, out: &mut Vec<Action>) {
+        match &mut self.machine {
+            Machine::Flux(f) => f.on_token(now, token, out),
+            Machine::Dragon { sim, .. } => sim.on_token(now, token, out),
+            Machine::Prrte(pb) => pb.dvm.on_token(now, token, out),
+        }
+    }
+
+    /// Take partition node `node` down and reap every task resident there;
+    /// returns the victims' uids, sorted. `None` when nothing changed: the
+    /// node was already down, or a Flux or Dragon backend is dead (PRRTE's
+    /// pool is RP's own and outlives its DVM).
+    fn fail_node(&mut self, now: SimTime, node: u32, out: &mut Vec<Action>) -> Option<Vec<u64>> {
+        match &mut self.machine {
+            Machine::Flux(f) => f
+                .fail_node(now, node, out)
+                .map(|lost| lost.into_iter().map(|JobId(id)| id).collect()),
+            Machine::Dragon { sim, .. } => sim.fail_node(node, out),
+            Machine::Prrte(pb) => {
+                if !pb.pool.node_down(node as usize) {
+                    return None;
+                }
+                // The DVM has no node model — placement lives with the
+                // agent (§5), so victim selection does too: every resident
+                // whose placement touches the node is reaped.
+                let victims: Vec<u64> = pb
+                    .dvm
+                    .resident_ids()
+                    .into_iter()
+                    .filter(|id| {
+                        pb.placements
+                            .get(*id)
+                            .is_some_and(|pl| pl.ranks.iter().any(|r| r.node_idx == node))
+                    })
+                    .collect();
+                for &id in &victims {
+                    // Down-node ranks park inside the pool; surviving
+                    // ranks free normally.
+                    pb.release(id);
+                    pb.dvm.reap(id);
+                }
+                Some(victims)
+            }
+        }
+    }
+
+    /// Bring partition node `node` back; true when it was down (and, for
+    /// Flux and Dragon, the backend is alive).
+    fn node_up(&mut self, now: SimTime, node: u32, out: &mut Vec<Action>) -> bool {
+        match &mut self.machine {
+            Machine::Flux(f) => f.node_up(now, node, out),
+            Machine::Dragon { sim, .. } => sim.node_up(node, out),
+            Machine::Prrte(pb) => pb.pool.node_up(node as usize),
+        }
+    }
 }
 
 /// Executor-adapter serialization cost for `kind`.
@@ -375,6 +437,9 @@ struct SrunBackend {
     oversubscribe: u64,
     waiting: VecDeque<TaskId>,
     holds: UidMap<(u64, u64)>,
+    /// Head task already blamed for the current capacity stall (one
+    /// lineage PLACE_REJECT per distinct blocked head).
+    lin_reject: Option<u64>,
 }
 
 impl SrunBackend {
@@ -385,6 +450,60 @@ impl SrunBackend {
             self.free_gpus += gpus;
         }
     }
+}
+
+/// Blame an agent-side placer's blocked queue head (srun capacity, a
+/// PRRTE partition's pool) in lineage, once per distinct head: `blamed`
+/// holds the head blamed last. The reason is short of cores, else short
+/// of GPUs, else fragmentation; `free` is the placer's free
+/// `(cores, gpus)`, and the event carries its free cores.
+fn blame_stall(
+    l: &Lineage,
+    blamed: &mut Option<u64>,
+    uid: u64,
+    req: &ResourceRequest,
+    (free_cores, free_gpus): (u64, u64),
+    (kind, part): (BackendKind, u32),
+) {
+    if *blamed == Some(uid) {
+        return;
+    }
+    *blamed = Some(uid);
+    let reason = if req.total_cores() > free_cores {
+        rp_lineage::REJ_INSUFFICIENT_CORES
+    } else if req.total_gpus() > free_gpus {
+        rp_lineage::REJ_INSUFFICIENT_GPUS
+    } else {
+        rp_lineage::REJ_FRAGMENTATION
+    };
+    l.record_ctx(
+        uid,
+        rp_lineage::EV_PLACE_REJECT,
+        reason,
+        kind as u8,
+        part,
+        free_cores,
+    );
+}
+
+/// An agent-side placer granted `uid`: record it (the event carries the
+/// cores granted) and clear the stall blame.
+fn note_placed(
+    l: &Lineage,
+    blamed: &mut Option<u64>,
+    uid: u64,
+    req: &ResourceRequest,
+    (kind, part): (BackendKind, u32),
+) {
+    *blamed = None;
+    l.record_ctx(
+        uid,
+        rp_lineage::EV_PLACE_OK,
+        rp_lineage::NO_DETAIL,
+        kind as u8,
+        part,
+        req.total_cores(),
+    );
 }
 
 /// Dense index of a task state (dwell histograms, telemetry populations).
@@ -539,17 +658,14 @@ pub struct SimAgent {
     workload: Box<dyn WorkloadSource>,
     /// Round-robin cursors, indexed by `BackendKind as usize`.
     rr: [usize; 4],
-    /// Reusable backend action buffers. Backends append into these
-    /// (out-param API) and `process_*_actions` drains them, so
-    /// steady-state event handling allocates nothing. Taken with
-    /// `std::mem::take` around each use; a reentrant call (failure
-    /// retry and fault paths) works on a fresh buffer, and
+    /// Reusable backend action buffer. Backends append into it
+    /// (out-param API) and the action routers drain it, so steady-state
+    /// event handling allocates nothing. Taken with `std::mem::take`
+    /// around each use; a reentrant call (carrier boots, failure retry
+    /// and fault paths) works on a fresh buffer, and
     /// [`Self::restore_scratch`] keeps whichever buffer grew larger so
     /// reentrancy can't permanently shrink the steady-state capacity.
-    scratch_srun: Vec<SrunAction>,
-    scratch_flux: Vec<FluxAction>,
-    scratch_dragon: Vec<DragonAction>,
-    scratch_prrte: Vec<PrrteAction>,
+    scratch: Vec<Action>,
     /// Cores (Dragon: workers) deployed across the non-srun partitions at
     /// start: the fixed denominator of the sampled utilization figures.
     capacity: f64,
@@ -565,8 +681,6 @@ pub struct SimAgent {
     /// Causal-lineage recorder (None unless [`Self::attach_lineage`] ran).
     /// Untracked runs pay exactly one `Option` check per hook site.
     lineage: Option<Lineage>,
-    /// Head task already blamed for the current srun capacity stall.
-    lin_srun_reject: Option<u64>,
     /// Fault-injection plane (None unless [`Self::enable_faults`] ran).
     chaos: Option<ChaosState>,
     /// Open-loop serving plane (None unless [`Self::enable_serving`] ran).
@@ -603,6 +717,7 @@ impl SimAgent {
                 oversubscribe,
                 waiting: VecDeque::new(),
                 holds: UidMap::default(),
+                lin_reject: None,
             }
         });
         // Partition the allocation across all non-srun instances and draw
@@ -732,10 +847,7 @@ impl SimAgent {
             dragon_window: cal.rp_dragon_window.max(1),
             workload,
             rr: [0; 4],
-            scratch_srun: Vec::new(),
-            scratch_flux: Vec::new(),
-            scratch_dragon: Vec::new(),
-            scratch_prrte: Vec::new(),
+            scratch: Vec::new(),
             rng,
             cfg,
             capacity,
@@ -744,7 +856,6 @@ impl SimAgent {
             telemetry: None,
             tel_sample_mask: u64::MAX,
             lineage: None,
-            lin_srun_reject: None,
             chaos: None,
             serving: None,
         }
@@ -1486,7 +1597,7 @@ impl SimAgent {
             return;
         };
         match &mut self.instances[i].machine {
-            Machine::Flux(sim) => {
+            Machine::Flux(_) => {
                 let job = {
                     let st = self.state.borrow();
                     let desc = st.desc(t);
@@ -1496,10 +1607,11 @@ impl SimAgent {
                         duration: desc.duration,
                     }
                 };
-                let mut acts = std::mem::take(&mut self.scratch_flux);
-                sim.submit(now, job, &mut acts);
-                self.process_flux_actions(i, &mut acts, ctx);
-                Self::restore_scratch(&mut self.scratch_flux, acts);
+                self.with_instance(i, ctx, |inst, acts| {
+                    if let Machine::Flux(sim) = &mut inst.machine {
+                        sim.submit(job, acts);
+                    }
+                });
             }
             Machine::Prrte(pb) => {
                 if pb.dvm.is_alive() {
@@ -1726,20 +1838,18 @@ impl SimAgent {
                 is_function: desc.kind.is_function(),
             }
         };
-        let Machine::Dragon { sim, inflight, .. } = &mut self.instances[i].machine else {
-            return;
-        };
-        *inflight += 1;
-        let mut acts = std::mem::take(&mut self.scratch_dragon);
-        sim.submit(task, &mut acts);
-        self.process_dragon_actions(i, &mut acts, ctx);
-        Self::restore_scratch(&mut self.scratch_dragon, acts);
+        self.with_instance(i, ctx, |inst, acts| {
+            if let Machine::Dragon { sim, inflight, .. } = &mut inst.machine {
+                *inflight += 1;
+                sim.submit(task, acts);
+            }
+        });
     }
 
     /// Place and launch waiting PRRTE tasks (RP-side FCFS placement over
     /// the partition's pool, then FIFO through the DVM's HNP).
     fn pump_prrte(&mut self, i: usize, ctx: &mut Ctx<AgentMsg>) {
-        let mut acts = std::mem::take(&mut self.scratch_prrte);
+        let mut acts = std::mem::take(&mut self.scratch);
         let inst = &mut self.instances[i];
         let part = inst.part;
         if let Machine::Prrte(pb) = &mut inst.machine {
@@ -1748,40 +1858,16 @@ impl SimAgent {
                 let desc = st.desc(t);
                 let Some(pl) = pb.pool.try_alloc(&desc.req) else {
                     if let Some(l) = &self.lineage {
-                        // RP-side FCFS placement stalled: blame the head
-                        // once per distinct blocked task.
-                        if pb.lin_reject != Some(t.0) {
-                            pb.lin_reject = Some(t.0);
-                            let reason = if desc.req.total_cores() > pb.pool.free_cores() {
-                                rp_lineage::REJ_INSUFFICIENT_CORES
-                            } else if desc.req.total_gpus() > pb.pool.free_gpus() {
-                                rp_lineage::REJ_INSUFFICIENT_GPUS
-                            } else {
-                                rp_lineage::REJ_FRAGMENTATION
-                            };
-                            l.record_ctx(
-                                t.0,
-                                rp_lineage::EV_PLACE_REJECT,
-                                reason,
-                                BackendKind::Prrte as u8,
-                                part,
-                                pb.pool.free_cores(),
-                            );
-                        }
+                        let free = (pb.pool.free_cores(), pb.pool.free_gpus());
+                        let at = (BackendKind::Prrte, part);
+                        blame_stall(l, &mut pb.lin_reject, t.0, &desc.req, free, at);
                     }
                     break; // head-of-line wait for completions
                 };
                 pb.waiting.pop_front();
                 if let Some(l) = &self.lineage {
-                    pb.lin_reject = None;
-                    l.record_ctx(
-                        t.0,
-                        rp_lineage::EV_PLACE_OK,
-                        rp_lineage::NO_DETAIL,
-                        BackendKind::Prrte as u8,
-                        part,
-                        desc.req.total_cores(),
-                    );
+                    let at = (BackendKind::Prrte, part);
+                    note_placed(l, &mut pb.lin_reject, t.0, &desc.req, at);
                 }
                 pb.placements.insert(t.0, pl);
                 pb.dvm.submit(
@@ -1793,45 +1879,12 @@ impl SimAgent {
                 );
             }
         }
-        self.process_prrte_actions(i, &mut acts, ctx);
-        Self::restore_scratch(&mut self.scratch_prrte, acts);
-    }
-
-    fn process_prrte_actions(
-        &mut self,
-        i: usize,
-        acts: &mut Vec<PrrteAction>,
-        ctx: &mut Ctx<AgentMsg>,
-    ) {
-        let now = ctx.now();
-        for a in acts.drain(..) {
-            match a {
-                PrrteAction::Timer { after, token } => {
-                    ctx.timer(after, AgentMsg::Prrte(i as u32, token))
-                }
-                PrrteAction::Ready => self.instance_booted(i, now, ctx),
-                PrrteAction::Started(id) => {
-                    self.watch(
-                        BackendKind::Prrte,
-                        WatcherEvent::Exec(TaskId(id), i as u32),
-                        ctx,
-                    );
-                }
-                PrrteAction::Completed(id) => {
-                    // Free the RP-held placement immediately; the record
-                    // update flows through the watcher like other backends.
-                    if let Machine::Prrte(pb) = &mut self.instances[i].machine {
-                        pb.release(id);
-                    }
-                    self.watch(BackendKind::Prrte, WatcherEvent::Term(TaskId(id)), ctx);
-                    self.pump_prrte(i, ctx);
-                }
-            }
-        }
+        self.process_instance_actions(i, &mut acts, ctx);
+        Self::restore_scratch(&mut self.scratch, acts);
     }
 
     fn pump_srun_backend(&mut self, ctx: &mut Ctx<AgentMsg>) {
-        let mut acts = std::mem::take(&mut self.scratch_srun);
+        let mut acts = std::mem::take(&mut self.scratch);
         loop {
             let Some(sb) = self.srun_backend.as_mut() else {
                 return;
@@ -1845,40 +1898,16 @@ impl SimAgent {
             let need_gpus = desc.req.total_gpus();
             if need_cores > sb.free_core_slots || need_gpus > sb.free_gpus {
                 if let Some(l) = &self.lineage {
-                    // Agent-side srun capacity stall: blame the head once
-                    // per distinct blocked task.
-                    if self.lin_srun_reject != Some(t.0) {
-                        let reason = if need_cores > sb.free_core_slots {
-                            rp_lineage::REJ_INSUFFICIENT_CORES
-                        } else {
-                            rp_lineage::REJ_INSUFFICIENT_GPUS
-                        };
-                        l.record_ctx(
-                            t.0,
-                            rp_lineage::EV_PLACE_REJECT,
-                            reason,
-                            BackendKind::Srun as u8,
-                            0,
-                            sb.free_core_slots,
-                        );
-                    }
-                }
-                if self.lineage.is_some() {
-                    self.lin_srun_reject = Some(t.0);
+                    let free = (sb.free_core_slots, sb.free_gpus);
+                    let at = (BackendKind::Srun, 0);
+                    blame_stall(l, &mut sb.lin_reject, t.0, &desc.req, free, at);
                 }
                 break; // wait for completions to free capacity
             }
             sb.waiting.pop_front();
             if let Some(l) = &self.lineage {
-                self.lin_srun_reject = None;
-                l.record_ctx(
-                    t.0,
-                    rp_lineage::EV_PLACE_OK,
-                    rp_lineage::NO_DETAIL,
-                    BackendKind::Srun as u8,
-                    0,
-                    need_cores,
-                );
+                let at = (BackendKind::Srun, 0);
+                note_placed(l, &mut sb.lin_reject, t.0, &desc.req, at);
             }
             sb.free_core_slots -= need_cores;
             sb.free_gpus -= need_gpus;
@@ -1899,24 +1928,27 @@ impl SimAgent {
             );
         }
         self.process_srun_actions(&mut acts, ctx);
-        Self::restore_scratch(&mut self.scratch_srun, acts);
+        Self::restore_scratch(&mut self.scratch, acts);
     }
 
     // ----------------------------------------------------- action routing
 
-    fn process_srun_actions(&mut self, acts: &mut Vec<SrunAction>, ctx: &mut Ctx<AgentMsg>) {
+    /// Route the site srun's actions. Kept apart from the instances'
+    /// router: srun steps drive task records directly (no watcher) and
+    /// carry the instance bootstraps.
+    fn process_srun_actions(&mut self, acts: &mut Vec<Action>, ctx: &mut Ctx<AgentMsg>) {
         let now = ctx.now();
         for a in acts.drain(..) {
             match a {
-                SrunAction::Timer { after, token } => ctx.timer(after, AgentMsg::Srun(token)),
-                SrunAction::Started(StepId(id)) => {
+                Action::Timer { after, token } => ctx.timer(after, AgentMsg::Srun(token)),
+                Action::Started(id) => {
                     if id >= INFRA_BASE {
                         self.on_infra_carrier_live((id - INFRA_BASE) as usize, ctx);
                     } else {
                         self.with_task(TaskId(id), |rec| rec.advance(TaskState::Executing, now));
                     }
                 }
-                SrunAction::Completed(StepId(id)) => {
+                Action::Completed(id) => {
                     debug_assert!(id < INFRA_BASE, "infra steps never exit via timer");
                     let t = TaskId(id);
                     if let Some(sb) = self.srun_backend.as_mut() {
@@ -1926,6 +1958,7 @@ impl SimAgent {
                     self.on_terminal(t, ctx);
                     self.pump_srun_backend(ctx);
                 }
+                Action::Ready | Action::Failed { .. } => unreachable!("srun emitted {a:?}"),
             }
         }
     }
@@ -1940,94 +1973,61 @@ impl SimAgent {
     /// Boot (or, after a chaos crash, restart) instance `i` and route the
     /// actions it emits.
     fn boot_instance(&mut self, i: usize, restart: bool, ctx: &mut Ctx<AgentMsg>) {
-        match &mut self.instances[i].machine {
-            Machine::Flux(sim) => {
-                let mut acts = std::mem::take(&mut self.scratch_flux);
-                if restart {
-                    sim.restart(&mut acts);
-                } else {
-                    sim.boot(&mut acts);
-                }
-                self.process_flux_actions(i, &mut acts, ctx);
-                Self::restore_scratch(&mut self.scratch_flux, acts);
-            }
-            Machine::Dragon { sim, .. } => {
-                let mut acts = std::mem::take(&mut self.scratch_dragon);
-                if restart {
-                    sim.restart(&mut acts);
-                } else {
-                    sim.boot(&mut acts);
-                }
-                self.process_dragon_actions(i, &mut acts, ctx);
-                Self::restore_scratch(&mut self.scratch_dragon, acts);
-            }
-            Machine::Prrte(pb) => {
-                let mut acts = std::mem::take(&mut self.scratch_prrte);
-                if restart {
-                    pb.dvm.restart(&mut acts);
-                } else {
-                    pb.dvm.boot(&mut acts);
-                }
-                self.process_prrte_actions(i, &mut acts, ctx);
-                Self::restore_scratch(&mut self.scratch_prrte, acts);
-            }
-        }
+        self.with_instance(i, ctx, |inst, acts| inst.boot(restart, acts));
     }
 
-    fn process_flux_actions(
+    /// Run `f` on instance `i` with the scratch action buffer, then route
+    /// the actions it emitted.
+    fn with_instance<R>(
         &mut self,
         i: usize,
-        acts: &mut Vec<FluxAction>,
+        ctx: &mut Ctx<AgentMsg>,
+        f: impl FnOnce(&mut Instance, &mut Vec<Action>) -> R,
+    ) -> R {
+        let mut acts = std::mem::take(&mut self.scratch);
+        let r = f(&mut self.instances[i], &mut acts);
+        self.process_instance_actions(i, &mut acts, ctx);
+        Self::restore_scratch(&mut self.scratch, acts);
+        r
+    }
+
+    /// Route instance `i`'s actions: timers come back as
+    /// [`AgentMsg::Instance`], starts and completions go through the
+    /// kind's watcher, failures to [`Self::fail_task`].
+    fn process_instance_actions(
+        &mut self,
+        i: usize,
+        acts: &mut Vec<Action>,
         ctx: &mut Ctx<AgentMsg>,
     ) {
         let now = ctx.now();
+        let kind = self.instances[i].kind();
         for a in acts.drain(..) {
             match a {
-                FluxAction::Timer { after, token } => {
-                    ctx.timer(after, AgentMsg::Flux(i as u32, token))
+                Action::Timer { after, token } => {
+                    ctx.timer(after, AgentMsg::Instance(i as u32, token))
                 }
-                FluxAction::Ready => self.instance_booted(i, now, ctx),
-                FluxAction::Event(ev) => match ev {
-                    JobEvent::Submitted(_) | JobEvent::Alloc(_) => {}
-                    JobEvent::Start(JobId(id)) => {
-                        let ev = WatcherEvent::Exec(TaskId(id), i as u32);
-                        self.watch(BackendKind::Flux, ev, ctx);
+                Action::Ready => self.instance_booted(i, now, ctx),
+                Action::Started(id) => {
+                    self.watch(kind, WatcherEvent::Exec(TaskId(id), i as u32), ctx);
+                }
+                Action::Completed(id) => {
+                    // PRRTE: free the RP-held placement immediately; the
+                    // record update flows through the watcher like other
+                    // backends.
+                    let placed = match &mut self.instances[i].machine {
+                        Machine::Prrte(pb) => {
+                            pb.release(id);
+                            true
+                        }
+                        _ => false,
+                    };
+                    self.watch(kind, WatcherEvent::Term(TaskId(id)), ctx);
+                    if placed {
+                        self.pump_prrte(i, ctx);
                     }
-                    JobEvent::Finish(JobId(id)) => {
-                        self.watch(BackendKind::Flux, WatcherEvent::Term(TaskId(id)), ctx);
-                    }
-                    JobEvent::Exception(JobId(id), kind) => {
-                        let retryable = kind == ExceptionKind::InstanceLost;
-                        self.fail_task(TaskId(id), retryable, ctx);
-                    }
-                },
-            }
-        }
-    }
-
-    fn process_dragon_actions(
-        &mut self,
-        i: usize,
-        acts: &mut Vec<DragonAction>,
-        ctx: &mut Ctx<AgentMsg>,
-    ) {
-        let now = ctx.now();
-        for a in acts.drain(..) {
-            match a {
-                DragonAction::Timer { after, token } => {
-                    ctx.timer(after, AgentMsg::Dragon(i as u32, token))
                 }
-                DragonAction::Ready => self.instance_booted(i, now, ctx),
-                DragonAction::Started(id) => {
-                    self.watch(
-                        BackendKind::Dragon,
-                        WatcherEvent::Exec(TaskId(id), i as u32),
-                        ctx,
-                    );
-                }
-                DragonAction::Completed(id) => {
-                    self.watch(BackendKind::Dragon, WatcherEvent::Term(TaskId(id)), ctx);
-                }
+                Action::Failed { id, retryable } => self.fail_task(TaskId(id), retryable, ctx),
             }
         }
     }
@@ -2367,13 +2367,13 @@ impl SimAgent {
         let Some(i) = self.fault_instance(partition) else {
             return;
         };
-        let inst = &mut self.instances[i];
+        let inst = &self.instances[i];
         let (kind, part) = (inst.kind(), inst.part);
         let node = node_idx % inst.nodes().max(1);
-        if let Machine::Prrte(pb) = &mut inst.machine {
-            if !pb.pool.node_down(node as usize) {
-                return; // already down: nothing new to fail
-            }
+        let now = ctx.now();
+        let lost = self.with_instance(i, ctx, |inst, acts| inst.fail_node(now, node, acts));
+        if lost.is_none() && kind == BackendKind::Prrte {
+            return; // already down: nothing new to fail
         }
         self.fault_alarm(
             "fault_node",
@@ -2382,46 +2382,11 @@ impl SimAgent {
             f64::from(node),
             format!("node {node} of {kind} partition {part} failed"),
         );
-        let lost: Vec<u64> = match &mut self.instances[i].machine {
-            Machine::Flux(sim) => {
-                let mut acts = std::mem::take(&mut self.scratch_flux);
-                let lost = sim.fail_node(ctx.now(), node, &mut acts);
-                self.process_flux_actions(i, &mut acts, ctx);
-                Self::restore_scratch(&mut self.scratch_flux, acts);
-                lost.into_iter().map(|JobId(id)| id).collect()
-            }
-            Machine::Dragon { sim, .. } => {
-                let mut acts = std::mem::take(&mut self.scratch_dragon);
-                let lost = sim.fail_node(node, &mut acts);
-                self.process_dragon_actions(i, &mut acts, ctx);
-                Self::restore_scratch(&mut self.scratch_dragon, acts);
-                lost
-            }
-            Machine::Prrte(pb) => {
-                // The DVM has no node model — placement lives with the
-                // agent (§5), so victim selection does too: every resident
-                // whose placement touches the node is reaped.
-                let victims: Vec<u64> = pb
-                    .dvm
-                    .resident_ids()
-                    .into_iter()
-                    .filter(|id| {
-                        pb.placements
-                            .get(*id)
-                            .is_some_and(|pl| pl.ranks.iter().any(|r| r.node_idx == node))
-                    })
-                    .collect();
-                for &id in &victims {
-                    // Down-node ranks park inside the pool; surviving
-                    // ranks free normally.
-                    pb.release(id);
-                    pb.dvm.reap(id);
-                }
-                self.pump_prrte(i, ctx);
-                victims
-            }
-        };
-        for id in lost {
+        if kind == BackendKind::Prrte {
+            // The victims' surviving ranks went back to RP's pool.
+            self.pump_prrte(i, ctx);
+        }
+        for id in lost.unwrap_or_default() {
             if kind == BackendKind::Dragon {
                 // A victim that never produced a `Started` event still
                 // holds a flow-control window slot no watcher event will
@@ -2455,10 +2420,10 @@ impl SimAgent {
             f64::from(node_idx),
             format!("node {node_idx} of the srun allocation failed"),
         );
-        let mut acts = std::mem::take(&mut self.scratch_srun);
+        let mut acts = std::mem::take(&mut self.scratch);
         let lost = self.site_srun.fail_node(node_idx, &mut acts);
         self.process_srun_actions(&mut acts, ctx);
-        Self::restore_scratch(&mut self.scratch_srun, acts);
+        Self::restore_scratch(&mut self.scratch, acts);
         if let Some(sb) = self.srun_backend.as_mut() {
             for &id in &lost {
                 sb.release(id);
@@ -2477,32 +2442,15 @@ impl SimAgent {
         let Some(i) = self.fault_instance(partition) else {
             return;
         };
-        let inst = &mut self.instances[i];
+        let inst = &self.instances[i];
         let (kind, part) = (inst.kind(), inst.part);
         let node = node_idx % inst.nodes().max(1);
-        let restored = match &mut inst.machine {
-            Machine::Flux(sim) => {
-                let mut acts = std::mem::take(&mut self.scratch_flux);
-                sim.node_up(ctx.now(), node, &mut acts);
-                self.process_flux_actions(i, &mut acts, ctx);
-                Self::restore_scratch(&mut self.scratch_flux, acts);
-                true
-            }
-            Machine::Dragon { sim, .. } => {
-                let mut acts = std::mem::take(&mut self.scratch_dragon);
-                sim.node_up(node, &mut acts);
-                self.process_dragon_actions(i, &mut acts, ctx);
-                Self::restore_scratch(&mut self.scratch_dragon, acts);
-                true
-            }
-            Machine::Prrte(pb) => {
-                let up = pb.pool.node_up(node as usize);
-                if up {
-                    self.pump_prrte(i, ctx);
-                }
-                up
-            }
-        };
+        let now = ctx.now();
+        let up = self.with_instance(i, ctx, |inst, acts| inst.node_up(now, node, acts));
+        if up && kind == BackendKind::Prrte {
+            self.pump_prrte(i, ctx);
+        }
+        let restored = up || kind != BackendKind::Prrte;
         if restored {
             self.fault_alarm(
                 "fault_node_cleared",
@@ -2668,14 +2616,14 @@ impl Actor<AgentMsg> for SimAgent {
                 }
                 self.note_pilot(PilotState::Bootstrapping);
                 // Launch backend instances on persistent srun slots.
-                let mut acts = std::mem::take(&mut self.scratch_srun);
+                let mut acts = std::mem::take(&mut self.scratch);
                 for (i, inst) in self.instances.iter().enumerate() {
                     let carrier = StepId(INFRA_BASE + i as u64);
                     self.site_srun
                         .submit_persistent(carrier, inst.nodes(), &mut acts);
                 }
                 self.process_srun_actions(&mut acts, ctx);
-                Self::restore_scratch(&mut self.scratch_srun, acts);
+                Self::restore_scratch(&mut self.scratch, acts);
                 // Collect services (started once the pilot is active) and
                 // the initial workload.
                 self.pending_services = self.workload.services();
@@ -2757,37 +2705,16 @@ impl Actor<AgentMsg> for SimAgent {
                 self.pump_sub_adapter(idx, ctx);
             }
             AgentMsg::Srun(token) => {
-                let mut acts = std::mem::take(&mut self.scratch_srun);
+                let mut acts = std::mem::take(&mut self.scratch);
                 self.site_srun.on_token(token, &mut acts);
                 self.process_srun_actions(&mut acts, ctx);
-                Self::restore_scratch(&mut self.scratch_srun, acts);
+                Self::restore_scratch(&mut self.scratch, acts);
             }
-            AgentMsg::Flux(i, token) => {
-                let i = i as usize;
-                if let Machine::Flux(sim) = &mut self.instances[i].machine {
-                    let mut acts = std::mem::take(&mut self.scratch_flux);
-                    sim.on_token(ctx.now(), token, &mut acts);
-                    self.process_flux_actions(i, &mut acts, ctx);
-                    Self::restore_scratch(&mut self.scratch_flux, acts);
-                }
-            }
-            AgentMsg::Dragon(i, token) => {
-                let i = i as usize;
-                if let Machine::Dragon { sim, .. } = &mut self.instances[i].machine {
-                    let mut acts = std::mem::take(&mut self.scratch_dragon);
-                    sim.on_token(ctx.now(), token, &mut acts);
-                    self.process_dragon_actions(i, &mut acts, ctx);
-                    Self::restore_scratch(&mut self.scratch_dragon, acts);
-                }
-            }
-            AgentMsg::Prrte(i, token) => {
-                let i = i as usize;
-                if let Machine::Prrte(pb) = &mut self.instances[i].machine {
-                    let mut acts = std::mem::take(&mut self.scratch_prrte);
-                    pb.dvm.on_token(ctx.now(), token, &mut acts);
-                    self.process_prrte_actions(i, &mut acts, ctx);
-                    Self::restore_scratch(&mut self.scratch_prrte, acts);
-                }
+            AgentMsg::Instance(i, token) => {
+                let now = ctx.now();
+                self.with_instance(i as usize, ctx, |inst, acts| {
+                    inst.on_token(now, token, acts)
+                });
             }
             AgentMsg::WatcherDone(kind) => {
                 self.watcher_busy[kind as usize] = false;

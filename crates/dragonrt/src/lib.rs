@@ -20,4 +20,4 @@ pub use function::{CallError, DynFunction, FunctionCall, FunctionRegistry};
 pub use pipe::{decode_call, decode_event, encode_call, encode_event, CodecError, PipeEvent};
 pub use pool::{DragonPool, PoolError};
 pub use shmem::ShmemQueue;
-pub use sim::{DragonAction, DragonSim, DragonTask, DragonToken};
+pub use sim::{DragonSim, DragonTask};

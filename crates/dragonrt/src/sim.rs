@@ -11,10 +11,14 @@
 //! Resource management is implicit, as in the real system: one worker per
 //! usable core, no placement bookkeeping, FIFO dispatch with worker-pool
 //! backpressure.
+//!
+//! The runtime is reactive: each call appends [`rp_sim::Action`]s to a
+//! caller-provided buffer. Its timers carry `Booted`, `Launched` (the
+//! dispatcher shipped a task to a worker) and `Done` [`Token`]s.
 
 use rp_lineage::Lineage;
 use rp_platform::{Allocation, Calibration};
-use rp_sim::{Dist, FxHashMap, RngStream, SimDuration, SimTime, StaleTokens};
+use rp_sim::{Action, Dist, FxHashMap, RngStream, SimDuration, SimTime, StaleTokens, Token};
 use std::collections::VecDeque;
 
 /// Lineage backend code for dragon (`BackendKind::Dragon as u8`).
@@ -31,35 +35,6 @@ pub struct DragonTask {
     pub duration: SimDuration,
     /// Function task (in-memory dispatch) vs executable (process spawn).
     pub is_function: bool,
-}
-
-/// Timer tokens for [`DragonSim::on_token`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum DragonToken {
-    /// Bootstrap finished.
-    Booted,
-    /// Dispatcher finished shipping this task to a worker.
-    Dispatched(u64),
-    /// Task payload finished.
-    Done(u64),
-}
-
-/// Effects requested by the runtime.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DragonAction {
-    /// Deliver `token` after `after`.
-    Timer {
-        /// Delay until delivery.
-        after: SimDuration,
-        /// Token to deliver.
-        token: DragonToken,
-    },
-    /// Runtime finished booting.
-    Ready,
-    /// Task began executing (throughput counts these).
-    Started(u64),
-    /// Task finished; its workers freed.
-    Completed(u64),
 }
 
 /// The simulated runtime.
@@ -89,16 +64,13 @@ pub struct DragonSim {
     /// Deepest the dispatch queue has ever been.
     queued_peak: usize,
     alive: bool,
-    /// The task the dispatcher currently holds (its `Dispatched` token is
+    /// The task the dispatcher currently holds (its `Launched` token is
     /// in flight); lets fault injection type the orphaned timer correctly.
     dispatching: Option<u64>,
-    /// Tasks reaped by fault injection while their `Dispatched` / `Done`
-    /// token was in flight; one arrival per entry is swallowed. Genuinely
-    /// unknown ids still panic.
-    stale_dispatched: StaleTokens<u64>,
-    stale_done: StaleTokens<u64>,
-    /// In-flight `Booted` tokens orphaned by a crash mid-bootstrap.
-    stale_booted: u32,
+    /// Timer tokens orphaned by fault injection (a reaped task's
+    /// `Launched` / `Done`, a crash's in-flight `Booted`); one arrival per
+    /// marker is swallowed. Genuinely unknown ids still panic.
+    stale: StaleTokens<Token>,
     /// A `Booted` token is in flight.
     booting: bool,
     /// Lineage recorder plus this runtime's partition index.
@@ -129,9 +101,7 @@ impl DragonSim {
             queued_peak: 0,
             alive: true,
             dispatching: None,
-            stale_dispatched: StaleTokens::default(),
-            stale_done: StaleTokens::default(),
-            stale_booted: 0,
+            stale: StaleTokens::default(),
             booting: false,
             lineage: None,
             last_reject: None,
@@ -191,15 +161,15 @@ impl DragonSim {
         // Type the orphaned timers so their arrival (while dead, or after a
         // restart) is swallowed instead of panicking.
         let dispatching = self.dispatching.take();
-        self.stale_dispatched.extend(dispatching);
-        self.stale_done.extend(
+        self.stale.extend(dispatching.map(Token::Launched));
+        self.stale.extend(
             self.in_flight
                 .keys()
-                .copied()
-                .filter(|id| Some(*id) != dispatching),
+                .filter(|id| Some(**id) != dispatching)
+                .map(|&id| Token::Done(id)),
         );
         if self.booting {
-            self.stale_booted += 1;
+            self.stale.mark(Token::Booted);
             self.booting = false;
         }
         let mut lost: Vec<u64> = Vec::new();
@@ -216,7 +186,7 @@ impl DragonSim {
     /// `node_up`). Lost tasks were already returned by [`DragonSim::kill`];
     /// stale timer tokens are swallowed. The RNG stream continues, keeping
     /// the run deterministic.
-    pub fn restart(&mut self, out: &mut Vec<DragonAction>) {
+    pub fn restart(&mut self, out: &mut Vec<Action>) {
         assert!(!self.alive, "restart of a live runtime");
         self.alive = true;
         self.ready = false;
@@ -229,11 +199,12 @@ impl DragonSim {
     /// residency is modeled deterministically: in-flight task `uid` lives
     /// on node `uid % alloc_nodes`. Victims are reaped (ids returned
     /// sorted), the node's workers leave the pool, and stale timers for the
-    /// victims are tolerated. Empty when dead or the node is already down.
-    pub fn fail_node(&mut self, node_idx: u32, out: &mut Vec<DragonAction>) -> Vec<u64> {
+    /// victims are tolerated. `None` when nothing changed: the runtime is
+    /// dead or the node is already down.
+    pub fn fail_node(&mut self, node_idx: u32, out: &mut Vec<Action>) -> Option<Vec<u64>> {
         let nodes = self.node_outage.len() as u64;
         if !self.alive || nodes == 0 || self.node_outage[node_idx as usize].is_some() {
-            return Vec::new();
+            return None;
         }
         let mut lost: Vec<u64> = self
             .in_flight
@@ -248,9 +219,9 @@ impl DragonSim {
             victim_workers += task.workers as u64;
             if self.dispatching == Some(*id) {
                 self.dispatching = None;
-                self.stale_dispatched.mark(*id);
+                self.stale.mark(Token::Launched(*id));
             } else {
-                self.stale_done.mark(*id);
+                self.stale.mark(Token::Done(*id));
             }
         }
         // The node takes its workers with it; victims' workers return to
@@ -261,20 +232,23 @@ impl DragonSim {
         self.worker_capacity -= removed;
         self.node_outage[node_idx as usize] = Some(removed);
         self.pump(out);
-        lost
+        Some(lost)
     }
 
     /// Restore a failed node: exactly the workers removed at failure time
-    /// rejoin the pool. No-op while dead or when the node is not down.
-    pub fn node_up(&mut self, node_idx: u32, out: &mut Vec<DragonAction>) {
+    /// rejoin the pool. Returns whether the node came back: false while
+    /// dead or when the node is not down.
+    pub fn node_up(&mut self, node_idx: u32, out: &mut Vec<Action>) -> bool {
         if !self.alive {
-            return;
+            return false;
         }
-        if let Some(removed) = self.node_outage[node_idx as usize].take() {
-            self.worker_capacity += removed;
-            self.free_workers += removed;
-            self.pump(out);
-        }
+        let Some(removed) = self.node_outage[node_idx as usize].take() else {
+            return false;
+        };
+        self.worker_capacity += removed;
+        self.free_workers += removed;
+        self.pump(out);
+        true
     }
 
     /// Best-effort cancellation: removes the task if it is still queued for
@@ -310,17 +284,17 @@ impl DragonSim {
 
     /// Begin bootstrap (≈9 s on Frontier). Actions are appended to `out`
     /// — callers reuse one buffer so the hot path stays allocation-free.
-    pub fn boot(&mut self, out: &mut Vec<DragonAction>) {
+    pub fn boot(&mut self, out: &mut Vec<Action>) {
         let cost = self.boot_cost.sample(&mut self.rng);
         self.booting = true;
-        out.push(DragonAction::Timer {
+        out.push(Action::Timer {
             after: cost,
-            token: DragonToken::Booted,
+            token: Token::Booted,
         });
     }
 
     /// Submit a task (FIFO). Actions are appended to `out`.
-    pub fn submit(&mut self, task: DragonTask, out: &mut Vec<DragonAction>) {
+    pub fn submit(&mut self, task: DragonTask, out: &mut Vec<Action>) {
         // Bound against the full in-service shape, not the outage-reduced
         // pool: a task wider than a temporarily degraded pool waits in the
         // queue until `node_up` instead of panicking.
@@ -347,68 +321,60 @@ impl DragonSim {
     }
 
     /// Deliver a timer token. Actions are appended to `out`.
-    pub fn on_token(&mut self, _now: SimTime, token: DragonToken, out: &mut Vec<DragonAction>) {
+    pub fn on_token(&mut self, _now: SimTime, token: Token, out: &mut Vec<Action>) {
         if !self.alive {
-            // Stale timers from before the crash: consume the markers so
-            // they can't swallow fresh tokens after a restart.
+            // Stale timers from before the crash: consume the marker so it
+            // can't swallow a fresh token after a restart.
+            self.stale.consume(&token);
+            return;
+        }
+        if self.stale.consume(&token) {
+            // Reaped by fault injection while the dispatcher held it (free
+            // the dispatcher) or while running (its workers were re-pooled,
+            // or removed with the node, at reap time): move on.
             match token {
-                DragonToken::Booted => self.stale_booted = self.stale_booted.saturating_sub(1),
-                DragonToken::Dispatched(id) => {
-                    self.stale_dispatched.consume(&id);
+                Token::Launched(_) => {
+                    self.dispatch_busy = false;
+                    self.pump(out);
                 }
-                DragonToken::Done(id) => {
-                    self.stale_done.consume(&id);
-                }
+                Token::Done(_) => self.pump(out),
+                _ => {}
             }
             return;
         }
         match token {
-            DragonToken::Booted => {
-                if self.stale_booted > 0 {
-                    self.stale_booted -= 1;
-                    return;
-                }
+            Token::Booted => {
                 self.booting = false;
                 self.ready = true;
-                out.push(DragonAction::Ready);
+                out.push(Action::Ready);
                 self.pump(out);
             }
-            DragonToken::Dispatched(id) => {
-                if self.stale_dispatched.consume(&id) {
-                    // Reaped by fault injection while the dispatcher held
-                    // it; free the dispatcher and move on.
-                    self.dispatch_busy = false;
-                    self.pump(out);
-                    return;
-                }
+            Token::Launched(id) => {
                 self.dispatch_busy = false;
                 self.dispatching = None;
                 let task = self.in_flight.get(&id).expect("dispatched unknown task");
-                out.push(DragonAction::Started(id));
-                out.push(DragonAction::Timer {
+                out.push(Action::Started(id));
+                out.push(Action::Timer {
                     after: task.duration,
-                    token: DragonToken::Done(id),
+                    token: Token::Done(id),
                 });
                 self.pump(out);
             }
-            DragonToken::Done(id) => {
-                if self.stale_done.consume(&id) {
-                    // Reaped while running; its workers were re-pooled (or
-                    // removed with the node) at reap time.
-                    self.pump(out);
-                    return;
-                }
+            Token::Done(id) => {
                 let task = self.in_flight.remove(&id).expect("done unknown task");
                 self.free_workers += task.workers as u64;
                 self.completed += 1;
-                out.push(DragonAction::Completed(id));
+                out.push(Action::Completed(id));
                 self.pump(out);
+            }
+            Token::Ingested | Token::Matched(_) => {
+                unreachable!("dragon schedules no {token:?} token")
             }
         }
     }
 
     /// Dispatch the head task if the dispatcher and enough workers are free.
-    fn pump(&mut self, out: &mut Vec<DragonAction>) {
+    fn pump(&mut self, out: &mut Vec<Action>) {
         if !self.ready || self.dispatch_busy {
             return;
         }
@@ -462,9 +428,9 @@ impl DragonSim {
             self.exec_cost.sample(&mut self.rng)
         };
         self.in_flight.insert(task.id, task);
-        out.push(DragonAction::Timer {
+        out.push(Action::Timer {
             after: cost,
-            token: DragonToken::Dispatched(task.id),
+            token: Token::Launched(task.id),
         });
     }
 }
@@ -490,22 +456,22 @@ mod tests {
 
     /// Boot, submit everything at t=0, run to idle; returns start times (s).
     fn drive(mut sim: DragonSim, tasks: Vec<DragonTask>) -> (Vec<f64>, u64, DragonSim) {
-        let mut heap: BinaryHeap<Reverse<(u64, u64, DragonToken)>> = BinaryHeap::new();
+        let mut heap: BinaryHeap<Reverse<(u64, u64, Token)>> = BinaryHeap::new();
         let mut seq = 0u64;
         let mut starts = Vec::new();
         let mut peak_busy = 0u64;
-        let sink = |acts: Vec<DragonAction>,
+        let sink = |acts: Vec<Action>,
                     now: u64,
-                    heap: &mut BinaryHeap<Reverse<(u64, u64, DragonToken)>>,
+                    heap: &mut BinaryHeap<Reverse<(u64, u64, Token)>>,
                     seq: &mut u64,
                     starts: &mut Vec<f64>| {
             for a in acts {
                 match a {
-                    DragonAction::Timer { after, token } => {
+                    Action::Timer { after, token } => {
                         heap.push(Reverse((now + after.as_micros(), *seq, token)));
                         *seq += 1;
                     }
-                    DragonAction::Started(_) => starts.push(now as f64 / 1e6),
+                    Action::Started(_) => starts.push(now as f64 / 1e6),
                     _ => {}
                 }
             }
@@ -682,7 +648,7 @@ mod tests {
             })
             .collect();
         let mut sim = runtime(2);
-        let mut heap: BinaryHeap<Reverse<(u64, u64, DragonToken)>> = BinaryHeap::new();
+        let mut heap: BinaryHeap<Reverse<(u64, u64, Token)>> = BinaryHeap::new();
         let mut seq = 0u64;
         let mut acts = Vec::new();
         sim.boot(&mut acts);
@@ -690,7 +656,7 @@ mod tests {
             sim.submit(t, &mut acts);
         }
         for a in acts.drain(..) {
-            if let DragonAction::Timer { after, token } = a {
+            if let Action::Timer { after, token } = a {
                 heap.push(Reverse((after.as_micros(), seq, token)));
                 seq += 1;
             }
@@ -701,13 +667,13 @@ mod tests {
             sim.on_token(SimTime::from_micros(t), tok, &mut acts);
             if !injected && sim.busy_workers() > 20 {
                 injected = true;
-                lost = sim.fail_node(0, &mut acts);
+                lost = sim.fail_node(0, &mut acts).expect("node 0 was up");
                 assert!(!lost.is_empty());
                 assert!(lost.iter().all(|id| id % 2 == 0), "node 0 residents");
                 assert_eq!(sim.worker_capacity(), 56, "one node's workers gone");
             }
             for a in acts.drain(..) {
-                if let DragonAction::Timer { after, token } = a {
+                if let Action::Timer { after, token } = a {
                     heap.push(Reverse((t + after.as_micros(), seq, token)));
                     seq += 1;
                 }
@@ -731,7 +697,7 @@ mod tests {
             );
         }
         for a in acts.drain(..) {
-            if let DragonAction::Timer { after, token } = a {
+            if let Action::Timer { after, token } = a {
                 heap.push(Reverse((after.as_micros(), seq, token)));
                 seq += 1;
             }
@@ -739,7 +705,7 @@ mod tests {
         while let Some(Reverse((t, _, tok))) = heap.pop() {
             sim.on_token(SimTime::from_micros(t), tok, &mut acts);
             for a in acts.drain(..) {
-                if let DragonAction::Timer { after, token } = a {
+                if let Action::Timer { after, token } = a {
                     heap.push(Reverse((t + after.as_micros(), seq, token)));
                     seq += 1;
                 }
@@ -753,7 +719,7 @@ mod tests {
     #[test]
     fn crash_then_restart_runs_again() {
         let mut sim = runtime(1);
-        let mut heap: BinaryHeap<Reverse<(u64, u64, DragonToken)>> = BinaryHeap::new();
+        let mut heap: BinaryHeap<Reverse<(u64, u64, Token)>> = BinaryHeap::new();
         let mut seq = 0u64;
         let mut acts = Vec::new();
         sim.boot(&mut acts);
@@ -761,7 +727,7 @@ mod tests {
             sim.submit(t, &mut acts);
         }
         for a in acts.drain(..) {
-            if let DragonAction::Timer { after, token } = a {
+            if let Action::Timer { after, token } = a {
                 heap.push(Reverse((after.as_micros(), seq, token)));
                 seq += 1;
             }
@@ -776,7 +742,7 @@ mod tests {
                 assert!(!lost.is_empty());
             }
             for a in acts.drain(..) {
-                if let DragonAction::Timer { after, token } = a {
+                if let Action::Timer { after, token } = a {
                     heap.push(Reverse((t + after.as_micros(), seq, token)));
                     seq += 1;
                 }
@@ -798,7 +764,7 @@ mod tests {
             );
         }
         for a in acts.drain(..) {
-            if let DragonAction::Timer { after, token } = a {
+            if let Action::Timer { after, token } = a {
                 heap.push(Reverse((t0 + after.as_micros(), seq, token)));
                 seq += 1;
             }
@@ -806,7 +772,7 @@ mod tests {
         while let Some(Reverse((t, _, tok))) = heap.pop() {
             sim.on_token(SimTime::from_micros(t), tok, &mut acts);
             for a in acts.drain(..) {
-                if let DragonAction::Timer { after, token } = a {
+                if let Action::Timer { after, token } = a {
                     heap.push(Reverse((t + after.as_micros(), seq, token)));
                     seq += 1;
                 }
@@ -835,10 +801,10 @@ mod tests {
             );
         }
         // After boot+dispatch of task 0, the queue must still be [1, 2].
-        let mut heap: BinaryHeap<Reverse<(u64, u64, DragonToken)>> = BinaryHeap::new();
+        let mut heap: BinaryHeap<Reverse<(u64, u64, Token)>> = BinaryHeap::new();
         let mut seq = 0;
         for a in acts {
-            if let DragonAction::Timer { after, token } = a {
+            if let Action::Timer { after, token } = a {
                 heap.push(Reverse((after.as_micros(), seq, token)));
                 seq += 1;
             }
@@ -849,7 +815,7 @@ mod tests {
             if let Some(Reverse((t, _, tok))) = heap.pop() {
                 sim.on_token(SimTime::from_micros(t), tok, &mut step_acts);
                 for a in step_acts.drain(..) {
-                    if let DragonAction::Timer { after, token } = a {
+                    if let Action::Timer { after, token } = a {
                         heap.push(Reverse((t + after.as_micros(), seq, token)));
                         seq += 1;
                     }

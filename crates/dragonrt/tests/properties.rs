@@ -4,11 +4,11 @@
 //! Cases come from fixed-seed [`RngStream`]s so failures replay exactly.
 
 use rp_dragonrt::{
-    decode_call, decode_event, encode_call, encode_event, DragonAction, DragonSim, DragonTask,
-    DragonToken, FunctionCall, PipeEvent, ShmemQueue,
+    decode_call, decode_event, encode_call, encode_event, DragonSim, DragonTask, FunctionCall,
+    PipeEvent, ShmemQueue,
 };
 use rp_platform::{frontier, Allocation, Calibration};
-use rp_sim::{RngStream, SimDuration, SimTime};
+use rp_sim::{Action, RngStream, SimDuration, SimTime, Token};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -111,27 +111,28 @@ fn dragon_sim_conserves() {
             count: 1,
         };
         let mut sim = DragonSim::new(&alloc, &Calibration::frontier(), 3);
-        let mut heap: BinaryHeap<Reverse<(u64, u64, DragonToken)>> = BinaryHeap::new();
+        let mut heap: BinaryHeap<Reverse<(u64, u64, Token)>> = BinaryHeap::new();
         let mut seq = 0u64;
         let mut started = 0usize;
         let mut completed = 0usize;
         let mut peak_busy = 0u64;
 
-        let sink = |acts: Vec<DragonAction>,
+        let sink = |acts: Vec<Action>,
                     now: u64,
-                    heap: &mut BinaryHeap<Reverse<(u64, u64, DragonToken)>>,
+                    heap: &mut BinaryHeap<Reverse<(u64, u64, Token)>>,
                     seq: &mut u64,
                     started: &mut usize,
                     completed: &mut usize| {
             for a in acts {
                 match a {
-                    DragonAction::Timer { after, token } => {
+                    Action::Timer { after, token } => {
                         heap.push(Reverse((now + after.as_micros(), *seq, token)));
                         *seq += 1;
                     }
-                    DragonAction::Started(_) => *started += 1,
-                    DragonAction::Completed(_) => *completed += 1,
-                    DragonAction::Ready => {}
+                    Action::Started(_) => *started += 1,
+                    Action::Completed(_) => *completed += 1,
+                    Action::Ready => {}
+                    other => panic!("dragon emitted {other:?}"),
                 }
             }
         };

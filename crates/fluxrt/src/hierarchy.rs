@@ -12,12 +12,16 @@
 //! RPC server, while a deeper tree multiplies per-job hop latency but lets
 //! every subtree ingest in parallel — the same tension the paper's
 //! `flux_n` experiment resolves empirically with flat partitions.
+//!
+//! The tree speaks the instances' effect vocabulary: it emits
+//! [`rp_sim::Action`]s over its own [`TreeToken`], wrapping each leaf's
+//! timer tokens and passing job starts, completions and failures through.
 
-use crate::instance::{FluxAction, FluxInstanceSim, FluxToken};
-use crate::job::{ExceptionKind, JobEvent, JobSpec};
+use crate::instance::FluxInstanceSim;
+use crate::job::JobSpec;
 use crate::policy::SchedPolicy;
 use rp_platform::{Allocation, Calibration};
-use rp_sim::{Dist, RngStream, SimDuration, SimTime};
+use rp_sim::{Action, Dist, RngStream, SimTime, Token};
 use std::collections::VecDeque;
 
 /// Reference to a tree node.
@@ -31,27 +35,11 @@ enum NodeRef {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TreeToken {
     /// A leaf instance's own timer.
-    Leaf(u32, FluxToken),
+    Leaf(u32, Token),
     /// A router finished forwarding one jobspec.
     RouterDone(u32),
     /// A jobspec arrives at a node after a hop latency.
     Deliver(u32, bool, JobSpec),
-}
-
-/// Effects requested by the tree.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum TreeAction {
-    /// Deliver `token` after `after`.
-    Timer {
-        /// Delay until delivery.
-        after: SimDuration,
-        /// Token to deliver.
-        token: TreeToken,
-    },
-    /// Every leaf finished booting.
-    Ready,
-    /// A job lifecycle event from some leaf.
-    Event(JobEvent),
 }
 
 struct RouterNode {
@@ -155,8 +143,9 @@ impl FluxTreeSim {
         self.leaves.iter().map(|l| l.completed_count()).sum()
     }
 
-    /// Boot every leaf concurrently.
-    pub fn boot(&mut self) -> Vec<TreeAction> {
+    /// Boot every leaf concurrently. `Ready` is emitted once every leaf
+    /// finished booting.
+    pub fn boot(&mut self) -> Vec<Action<TreeToken>> {
         let mut out = Vec::new();
         let mut acts = Vec::new();
         for i in 0..self.leaves.len() {
@@ -167,7 +156,7 @@ impl FluxTreeSim {
     }
 
     /// Submit a jobspec at the root.
-    pub fn submit(&mut self, now: SimTime, job: JobSpec) -> Vec<TreeAction> {
+    pub fn submit(&mut self, job: JobSpec) -> Vec<Action<TreeToken>> {
         // Root-level feasibility: reject jobs no leaf can ever host, so
         // they don't wedge a leaf queue after riding the whole tree down.
         let fits_somewhere = self
@@ -175,16 +164,16 @@ impl FluxTreeSim {
             .iter()
             .any(|l| l.allocation().pool().can_ever_fit(&job.req));
         if !fits_somewhere {
-            return vec![TreeAction::Event(JobEvent::Exception(
-                job.id,
-                ExceptionKind::Unsatisfiable,
-            ))];
+            return vec![Action::Failed {
+                id: job.id.0,
+                retryable: false,
+            }];
         }
         match self.root {
             NodeRef::Leaf(l) => {
                 let mut acts = Vec::new();
                 let mut out = Vec::new();
-                self.leaves[l as usize].submit(now, job, &mut acts);
+                self.leaves[l as usize].submit(job, &mut acts);
                 self.map_leaf_actions(l, &mut acts, &mut out);
                 out
             }
@@ -196,7 +185,7 @@ impl FluxTreeSim {
     }
 
     /// Deliver a timer token.
-    pub fn on_token(&mut self, now: SimTime, token: TreeToken) -> Vec<TreeAction> {
+    pub fn on_token(&mut self, now: SimTime, token: TreeToken) -> Vec<Action<TreeToken>> {
         match token {
             TreeToken::Leaf(l, tok) => {
                 let mut acts = Vec::new();
@@ -237,16 +226,16 @@ impl FluxTreeSim {
                             NodeRef::Router(rr) => (rr, false),
                         };
                         let hop = self.hop_cost.sample(&mut self.rng);
-                        out.push(TreeAction::Timer {
+                        out.push(Action::Timer {
                             after: hop,
                             token: TreeToken::Deliver(idx, is_leaf, job),
                         });
                     }
                     None => {
-                        out.push(TreeAction::Event(JobEvent::Exception(
-                            job.id,
-                            ExceptionKind::Unsatisfiable,
-                        )));
+                        out.push(Action::Failed {
+                            id: job.id.0,
+                            retryable: false,
+                        });
                     }
                 }
                 out.extend(self.pump_router(r));
@@ -256,7 +245,7 @@ impl FluxTreeSim {
                 if is_leaf {
                     let mut acts = Vec::new();
                     let mut out = Vec::new();
-                    self.leaves[idx as usize].submit(now, job, &mut acts);
+                    self.leaves[idx as usize].submit(job, &mut acts);
                     self.map_leaf_actions(idx, &mut acts, &mut out);
                     out
                 } else {
@@ -274,7 +263,7 @@ impl FluxTreeSim {
             .can_ever_fit(&job.req)
     }
 
-    fn pump_router(&mut self, r: u32) -> Vec<TreeAction> {
+    fn pump_router(&mut self, r: u32) -> Vec<Action<TreeToken>> {
         let router = &mut self.routers[r as usize];
         if router.busy || router.q.is_empty() {
             return Vec::new();
@@ -282,7 +271,7 @@ impl FluxTreeSim {
         router.busy = true;
         // Forwarding passes through the node's RPC server: one ingest cost.
         let cost = self.hop_cost.sample(&mut self.rng);
-        vec![TreeAction::Timer {
+        vec![Action::Timer {
             after: cost,
             token: TreeToken::RouterDone(r),
         }]
@@ -291,22 +280,24 @@ impl FluxTreeSim {
     fn map_leaf_actions(
         &mut self,
         leaf: u32,
-        acts: &mut Vec<FluxAction>,
-        out: &mut Vec<TreeAction>,
+        acts: &mut Vec<Action>,
+        out: &mut Vec<Action<TreeToken>>,
     ) {
         for a in acts.drain(..) {
             match a {
-                FluxAction::Timer { after, token } => out.push(TreeAction::Timer {
+                Action::Timer { after, token } => out.push(Action::Timer {
                     after,
                     token: TreeToken::Leaf(leaf, token),
                 }),
-                FluxAction::Ready => {
+                Action::Ready => {
                     self.leaves_ready += 1;
                     if self.leaves_ready == self.leaves.len() {
-                        out.push(TreeAction::Ready);
+                        out.push(Action::Ready);
                     }
                 }
-                FluxAction::Event(e) => out.push(TreeAction::Event(e)),
+                Action::Started(id) => out.push(Action::Started(id)),
+                Action::Completed(id) => out.push(Action::Completed(id)),
+                Action::Failed { id, retryable } => out.push(Action::Failed { id, retryable }),
             }
         }
     }
@@ -318,6 +309,7 @@ mod tests {
     use crate::job::JobId;
     use crate::policy::EasyBackfill;
     use rp_platform::{frontier, ResourceRequest};
+    use rp_sim::SimDuration;
     use std::cmp::Reverse;
     use std::collections::BinaryHeap;
 
@@ -347,7 +339,7 @@ mod tests {
         let mut tokens: std::collections::HashMap<u64, TreeToken> = Default::default();
         let mut seq = 0u64;
         let mut starts = Vec::new();
-        let sink = |acts: Vec<TreeAction>,
+        let sink = |acts: Vec<Action<TreeToken>>,
                     now: u64,
                     heap: &mut BinaryHeap<Reverse<(u64, u64)>>,
                     tokens: &mut std::collections::HashMap<u64, TreeToken>,
@@ -355,12 +347,12 @@ mod tests {
                     starts: &mut Vec<f64>| {
             for a in acts {
                 match a {
-                    TreeAction::Timer { after, token } => {
+                    Action::Timer { after, token } => {
                         heap.push(Reverse((now + after.as_micros(), *seq)));
                         tokens.insert(*seq, token);
                         *seq += 1;
                     }
-                    TreeAction::Event(JobEvent::Start(_)) => starts.push(now as f64 / 1e6),
+                    Action::Started(_) => starts.push(now as f64 / 1e6),
                     _ => {}
                 }
             }
@@ -368,7 +360,7 @@ mod tests {
         let acts = t.boot();
         sink(acts, 0, &mut heap, &mut tokens, &mut seq, &mut starts);
         for j in jobs {
-            let acts = t.submit(SimTime::ZERO, j);
+            let acts = t.submit(j);
             sink(acts, 0, &mut heap, &mut tokens, &mut seq, &mut starts);
         }
         while let Some(Reverse((at, key))) = heap.pop() {
@@ -434,20 +426,17 @@ mod tests {
         let mut t = tree(16, 1, 4);
         // 16 nodes / 4 leaves = 4 nodes per leaf; an 8-node MPI job fits no
         // leaf and must be rejected at submit.
-        let acts = t.submit(
-            SimTime::ZERO,
-            JobSpec {
-                id: JobId(1),
-                req: ResourceRequest::mpi(8, 1, 0),
-                duration: SimDuration::ZERO,
-            },
-        );
+        let acts = t.submit(JobSpec {
+            id: JobId(1),
+            req: ResourceRequest::mpi(8, 1, 0),
+            duration: SimDuration::ZERO,
+        });
         assert!(matches!(
             acts.as_slice(),
-            [TreeAction::Event(JobEvent::Exception(
-                JobId(1),
-                ExceptionKind::Unsatisfiable
-            ))]
+            [Action::Failed {
+                id: 1,
+                retryable: false
+            }]
         ));
     }
 

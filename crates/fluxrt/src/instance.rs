@@ -18,47 +18,22 @@
 //! [`rp_platform::ResourcePool`], matched by a pluggable [`SchedPolicy`]
 //! (FCFS or EASY backfill), and utilization numbers in the experiments are
 //! integrals over these holdings — not modeled constants.
+//!
+//! The instance is reactive: each call appends [`rp_sim::Action`]s to a
+//! caller-provided buffer, and its timers carry all five [`Token`]s
+//! (`Booted`, `Ingested`, then `Matched`/`Launched`/`Done` per job). A
+//! job's start and finish are `Started`/`Completed`, and an exception is
+//! `Failed`, retryable only when the instance was lost.
 
-use crate::job::{ExceptionKind, JobEvent, JobId, JobSpec};
+use crate::job::{JobId, JobSpec};
 use crate::policy::{RunningJob, SchedPolicy};
 use rp_lineage::Lineage;
 use rp_platform::{Allocation, Calibration, Placement, ResourcePool};
-use rp_sim::{Dist, FxHashMap, RngStream, SimDuration, SimTime, StaleTokens};
+use rp_sim::{Action, Dist, FxHashMap, RngStream, SimTime, StaleTokens, Token};
 use std::collections::VecDeque;
 
 /// Lineage backend code for flux (`BackendKind::Flux as u8`).
 const LIN_BACKEND_FLUX: u8 = 1;
-
-/// Timer tokens the driver delivers back via [`FluxInstanceSim::on_token`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum FluxToken {
-    /// Bootstrap finished; the instance is ready.
-    Booted,
-    /// Ingest server finished one jobspec.
-    Ingested,
-    /// Match server finished matching this job.
-    Matched(JobId),
-    /// Start server finished launching this job.
-    Started(JobId),
-    /// The job's payload finished.
-    Done(JobId),
-}
-
-/// Effects requested by the instance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FluxAction {
-    /// Deliver `token` back after `after`.
-    Timer {
-        /// Delay until delivery.
-        after: SimDuration,
-        /// Token to deliver.
-        token: FluxToken,
-    },
-    /// Instance finished booting.
-    Ready,
-    /// A job lifecycle event (RP's event subscription, Fig. 2 ④).
-    Event(JobEvent),
-}
 
 /// The simulated instance.
 pub struct FluxInstanceSim {
@@ -97,17 +72,11 @@ pub struct FluxInstanceSim {
     /// cleared when its `Started` token arrives); lets fault injection tell
     /// a stale `Started` from a stale `Done` for a reaped running job.
     starting: Option<JobId>,
-    /// Jobs reaped by fault injection while their `Matched` / `Started` /
-    /// `Done` timer token was in flight; exactly one arrival per entry is
-    /// swallowed instead of panicking. Genuinely unknown ids still panic.
-    stale_matched: StaleTokens<JobId>,
-    stale_started: StaleTokens<JobId>,
-    stale_done: StaleTokens<JobId>,
-    /// In-flight `Ingested` tokens orphaned by a crash; that many arrivals
-    /// are swallowed (the token carries no id to match against).
-    stale_ingested: u32,
-    /// In-flight `Booted` tokens orphaned by a crash mid-bootstrap.
-    stale_booted: u32,
+    /// Timer tokens orphaned by fault injection (a reaped job's
+    /// `Matched` / `Launched` / `Done`, a crash's in-flight `Ingested` and
+    /// `Booted`); exactly one arrival per marker is swallowed instead of
+    /// panicking. Genuinely unknown ids still panic.
+    stale: StaleTokens<Token>,
     /// A `Booted` token is in flight (set by `boot`, cleared on arrival).
     booting: bool,
     /// Lineage recorder plus this instance's partition index.
@@ -150,11 +119,7 @@ impl FluxInstanceSim {
             queued_peak: 0,
             alive: true,
             starting: None,
-            stale_matched: StaleTokens::default(),
-            stale_started: StaleTokens::default(),
-            stale_done: StaleTokens::default(),
-            stale_ingested: 0,
-            stale_booted: 0,
+            stale: StaleTokens::default(),
             booting: false,
             lineage: None,
             last_reject: None,
@@ -221,31 +186,32 @@ impl FluxInstanceSim {
 
     /// Simulate an instance crash (broker death): every job anywhere in the
     /// pipeline is lost and returned so the caller can fail/retry it. After
-    /// this the instance ignores stale timer tokens and rejects submits
-    /// with [`ExceptionKind::InstanceLost`].
+    /// this the instance ignores stale timer tokens and fails submits as
+    /// retryable.
     pub fn kill(&mut self) -> Vec<JobId> {
         self.alive = false;
         // Record exactly which timer tokens are orphaned so their arrival
         // (while dead, or after a restart) is swallowed: the match server's
         // job, the start server's job, and every other running job's Done.
         if self.match_busy {
-            self.stale_matched.extend(self.matched.keys().copied());
+            self.stale
+                .extend(self.matched.keys().map(|id| Token::Matched(id.0)));
         }
         let starting = self.starting.take();
         if self.start_busy {
-            self.stale_started.extend(starting);
+            self.stale.extend(starting.map(|id| Token::Launched(id.0)));
         }
-        self.stale_done.extend(
+        self.stale.extend(
             self.running
                 .keys()
-                .copied()
-                .filter(|id| Some(*id) != starting),
+                .filter(|id| Some(**id) != starting)
+                .map(|id| Token::Done(id.0)),
         );
         if self.ingest_busy {
-            self.stale_ingested += 1;
+            self.stale.mark(Token::Ingested);
         }
         if self.booting {
-            self.stale_booted += 1;
+            self.stale.mark(Token::Booted);
             self.booting = false;
         }
         let mut lost: Vec<JobId> = Vec::new();
@@ -270,7 +236,7 @@ impl FluxInstanceSim {
     /// [`FluxInstanceSim::kill`]; stale timer tokens from before the crash
     /// are swallowed. The RNG stream continues, keeping the run
     /// deterministic.
-    pub fn restart(&mut self, out: &mut Vec<FluxAction>) {
+    pub fn restart(&mut self, out: &mut Vec<Action>) {
         assert!(!self.alive, "restart of a live instance");
         self.alive = true;
         self.ready = false;
@@ -283,16 +249,17 @@ impl FluxInstanceSim {
     /// free capacity leaves the pool and every matched/starting/running job
     /// with a rank on it is reaped — resources freed (parking the dead
     /// node's share), ids returned sorted so the caller can fail/retry
-    /// them. Stale timer tokens for reaped jobs are tolerated. Returns an
-    /// empty list when the instance is dead or the node was already down.
+    /// them. Stale timer tokens for reaped jobs are tolerated. Returns
+    /// `None` when nothing changed: the instance is dead or the node was
+    /// already down.
     pub fn fail_node(
         &mut self,
         now: SimTime,
         node_idx: u32,
-        out: &mut Vec<FluxAction>,
-    ) -> Vec<JobId> {
+        out: &mut Vec<Action>,
+    ) -> Option<Vec<JobId>> {
         if !self.alive || !self.pool.node_down(node_idx as usize) {
-            return Vec::new();
+            return None;
         }
         let touches = |p: &Placement| p.ranks.iter().any(|r| r.node_idx == node_idx);
         let mut victims: Vec<(JobId, Placement)> = Vec::new();
@@ -305,7 +272,7 @@ impl FluxInstanceSim {
         for id in matched_hit {
             let (_, pl) = self.matched.remove(&id).expect("collected above");
             // A matched entry always has its `Matched` token in flight.
-            self.stale_matched.mark(id);
+            self.stale.mark(Token::Matched(id.0));
             victims.push((id, pl));
         }
         let mut i = 0;
@@ -325,13 +292,13 @@ impl FluxInstanceSim {
             .collect();
         for id in running_hit {
             let r = self.running.remove(&id).expect("collected above");
-            // The victim's orphaned timer: `Started` if the start server
+            // The victim's orphaned timer: `Launched` if the start server
             // still holds it, `Done` once launched.
             if self.starting == Some(id) {
                 self.starting = None;
-                self.stale_started.mark(id);
+                self.stale.mark(Token::Launched(id.0));
             } else {
-                self.stale_done.mark(id);
+                self.stale.mark(Token::Done(id.0));
             }
             victims.push((id, r.placement));
         }
@@ -345,16 +312,19 @@ impl FluxInstanceSim {
         // pool, which can unblock a queued head with nothing else in
         // flight to trigger the next match.
         self.pump_match(now, out);
-        lost
+        Some(lost)
     }
 
     /// Restore a failed node: its capacity (including resources parked by
     /// frees during the outage) rejoins the pool and the scheduler is
-    /// re-pumped. No-op while dead or when the node is not down.
-    pub fn node_up(&mut self, now: SimTime, node_idx: u32, out: &mut Vec<FluxAction>) {
-        if self.alive && self.pool.node_up(node_idx as usize) {
+    /// re-pumped. Returns whether the node came back: false while dead or
+    /// when the node is not down.
+    pub fn node_up(&mut self, now: SimTime, node_idx: u32, out: &mut Vec<Action>) -> bool {
+        let up = self.alive && self.pool.node_up(node_idx as usize);
+        if up {
             self.pump_match(now, out);
         }
+        up
     }
 
     /// Best-effort cancellation: removes the job if it has not yet reached
@@ -414,30 +384,24 @@ impl FluxInstanceSim {
     /// Begin bootstrap (broker tree + modules; ≈20 s on Frontier).
     /// Actions are appended to `out` — callers reuse one buffer across
     /// every call so the per-event hot path stays allocation-free.
-    pub fn boot(&mut self, out: &mut Vec<FluxAction>) {
+    pub fn boot(&mut self, out: &mut Vec<Action>) {
         let cost = self.bootstrap_cost.sample(&mut self.rng);
         self.booting = true;
-        out.push(FluxAction::Timer {
+        out.push(Action::Timer {
             after: cost,
-            token: FluxToken::Booted,
+            token: Token::Booted,
         });
     }
 
     /// Submit a jobspec (RP Flux executor, Fig. 2 ②). Infeasible requests
-    /// fail immediately with an exception rather than wedging the queue.
-    pub fn submit(&mut self, now: SimTime, job: JobSpec, out: &mut Vec<FluxAction>) {
-        if !self.alive {
-            out.push(FluxAction::Event(JobEvent::Exception(
-                job.id,
-                ExceptionKind::InstanceLost,
-            )));
-            return;
-        }
-        if !self.pool.can_ever_fit(&job.req) {
-            out.push(FluxAction::Event(JobEvent::Exception(
-                job.id,
-                ExceptionKind::Unsatisfiable,
-            )));
+    /// fail immediately, not retryable, rather than wedging the queue; a
+    /// dead instance fails every submit as retryable.
+    pub fn submit(&mut self, job: JobSpec, out: &mut Vec<Action>) {
+        if !self.alive || !self.pool.can_ever_fit(&job.req) {
+            out.push(Action::Failed {
+                id: job.id.0,
+                retryable: !self.alive,
+            });
             return;
         }
         let uid = job.id.0;
@@ -457,47 +421,44 @@ impl FluxInstanceSim {
                 (self.pending_ingest.len() + self.queue.len()) as u64,
             );
         }
-        out.push(FluxAction::Event(JobEvent::Submitted(JobId(uid))));
         self.pump_ingest(out);
-        let _ = now;
     }
 
     /// Deliver a timer token. Actions are appended to `out`.
-    pub fn on_token(&mut self, now: SimTime, token: FluxToken, out: &mut Vec<FluxAction>) {
+    pub fn on_token(&mut self, now: SimTime, token: Token, out: &mut Vec<Action>) {
         if !self.alive {
-            // Stale timers from before the crash: consume the stale markers
-            // so they can't swallow fresh tokens after a restart.
+            // Stale timers from before the crash: consume the marker so it
+            // can't swallow a fresh token after a restart.
+            self.stale.consume(&token);
+            return;
+        }
+        if self.stale.consume(&token) {
+            // The job was reaped by fault injection (or the token outlived
+            // a crash) while a server held it: free that server and move
+            // on. A reaped running job's resources were already freed (or
+            // parked on the dead node) at reap time.
             match token {
-                FluxToken::Booted => self.stale_booted = self.stale_booted.saturating_sub(1),
-                FluxToken::Ingested => self.stale_ingested = self.stale_ingested.saturating_sub(1),
-                FluxToken::Matched(id) => {
-                    self.stale_matched.consume(&id);
+                Token::Matched(_) => {
+                    self.match_busy = false;
+                    self.pump_match(now, out);
                 }
-                FluxToken::Started(id) => {
-                    self.stale_started.consume(&id);
+                Token::Launched(_) => {
+                    self.start_busy = false;
+                    self.pump_start(now, out);
                 }
-                FluxToken::Done(id) => {
-                    self.stale_done.consume(&id);
-                }
+                Token::Done(_) => self.pump_match(now, out),
+                Token::Booted | Token::Ingested => {}
             }
             return;
         }
         match token {
-            FluxToken::Booted => {
-                if self.stale_booted > 0 {
-                    self.stale_booted -= 1;
-                    return;
-                }
+            Token::Booted => {
                 self.booting = false;
                 self.ready = true;
-                out.push(FluxAction::Ready);
+                out.push(Action::Ready);
                 self.pump_ingest(out);
             }
-            FluxToken::Ingested => {
-                if self.stale_ingested > 0 {
-                    self.stale_ingested -= 1;
-                    return;
-                }
+            Token::Ingested => {
                 self.ingest_busy = false;
                 let job = self
                     .pending_ingest
@@ -517,31 +478,17 @@ impl FluxInstanceSim {
                 self.pump_ingest(out);
                 self.pump_match(now, out);
             }
-            FluxToken::Matched(id) => {
-                if self.stale_matched.consume(&id) {
-                    // The job was reaped by fault injection while the match
-                    // server held it; free the server and move on.
-                    self.match_busy = false;
-                    self.pump_match(now, out);
-                    return;
-                }
+            Token::Matched(id) => {
                 self.match_busy = false;
                 let (job, placement) = self
                     .matched
-                    .remove(&id)
+                    .remove(&JobId(id))
                     .expect("match token for unknown job");
                 self.start_queue.push_back((job, placement));
-                out.push(FluxAction::Event(JobEvent::Alloc(id)));
                 self.pump_start(now, out);
                 self.pump_match(now, out);
             }
-            FluxToken::Started(id) => {
-                if self.stale_started.consume(&id) {
-                    // Reaped while the start server was launching it.
-                    self.start_busy = false;
-                    self.pump_start(now, out);
-                    return;
-                }
+            Token::Launched(id) => {
                 self.start_busy = false;
                 self.starting = None;
                 // expected_end was fixed when the start timer was created
@@ -549,50 +496,44 @@ impl FluxInstanceSim {
                 // remaining span from `now` is exactly the payload duration.
                 let run = self
                     .running
-                    .get(&id)
+                    .get(&JobId(id))
                     .expect("started job must be registered");
                 let duration = run.expected_end.saturating_since(now);
-                out.push(FluxAction::Event(JobEvent::Start(id)));
-                out.push(FluxAction::Timer {
+                out.push(Action::Started(id));
+                out.push(Action::Timer {
                     after: duration,
-                    token: FluxToken::Done(id),
+                    token: Token::Done(id),
                 });
                 self.pump_start(now, out);
             }
-            FluxToken::Done(id) => {
-                if self.stale_done.consume(&id) {
-                    // Reaped while running; its resources were already
-                    // freed (or parked on the dead node) at reap time.
-                    self.pump_match(now, out);
-                    return;
-                }
+            Token::Done(id) => {
                 let run = self
                     .running
-                    .remove(&id)
+                    .remove(&JobId(id))
                     .expect("done token for unknown job");
                 self.pool.free(&run.placement);
                 self.completed += 1;
-                out.push(FluxAction::Event(JobEvent::Finish(id)));
+                out.push(Action::Completed(id));
                 self.pump_match(now, out);
             }
         }
     }
 
     /// Keep the ingest server busy while jobs are pending.
-    fn pump_ingest(&mut self, out: &mut Vec<FluxAction>) {
+    fn pump_ingest(&mut self, out: &mut Vec<Action>) {
         if !self.ready || self.ingest_busy || self.pending_ingest.is_empty() {
             return;
         }
         self.ingest_busy = true;
         let cost = self.ingest_cost.sample(&mut self.rng);
-        out.push(FluxAction::Timer {
+        out.push(Action::Timer {
             after: cost,
-            token: FluxToken::Ingested,
+            token: Token::Ingested,
         });
     }
 
     /// Ask the policy for the next match while the match server is free.
-    fn pump_match(&mut self, now: SimTime, out: &mut Vec<FluxAction>) {
+    fn pump_match(&mut self, now: SimTime, out: &mut Vec<Action>) {
         if !self.ready || self.match_busy || self.queue.is_empty() {
             return;
         }
@@ -646,14 +587,14 @@ impl FluxInstanceSim {
         self.matched.insert(job.id, (job, placement));
         self.match_busy = true;
         let cost = self.match_cost.sample(&mut self.rng);
-        out.push(FluxAction::Timer {
+        out.push(Action::Timer {
             after: cost,
-            token: FluxToken::Matched(job.id),
+            token: Token::Matched(job.id.0),
         });
     }
 
     /// Keep the start server busy while matched jobs wait.
-    fn pump_start(&mut self, now: SimTime, out: &mut Vec<FluxAction>) {
+    fn pump_start(&mut self, now: SimTime, out: &mut Vec<Action>) {
         if self.start_busy || self.start_queue.is_empty() {
             return;
         }
@@ -680,9 +621,9 @@ impl FluxInstanceSim {
                 placement,
             },
         );
-        out.push(FluxAction::Timer {
+        out.push(Action::Timer {
             after: cost,
-            token: FluxToken::Started(job.id),
+            token: Token::Launched(job.id.0),
         });
     }
 }
@@ -693,6 +634,7 @@ mod tests {
     use crate::job::JobId;
     use crate::policy::{EasyBackfill, Fcfs};
     use rp_platform::{frontier, ResourceRequest};
+    use rp_sim::SimDuration;
     use std::cmp::Reverse;
     use std::collections::BinaryHeap;
 
@@ -715,23 +657,23 @@ mod tests {
 
     /// Mini event loop: boots the instance, submits all jobs at t=0, runs to
     /// quiescence. Returns timestamped job events (seconds).
-    fn drive(mut inst: FluxInstanceSim, jobs: Vec<JobSpec>) -> Vec<(f64, JobEvent)> {
-        let mut heap: BinaryHeap<Reverse<(u64, u64, FluxToken)>> = BinaryHeap::new();
+    fn drive(mut inst: FluxInstanceSim, jobs: Vec<JobSpec>) -> Vec<(f64, Action)> {
+        let mut heap: BinaryHeap<Reverse<(u64, u64, Token)>> = BinaryHeap::new();
         let mut seq = 0u64;
         let mut events = Vec::new();
-        let apply = |acts: Vec<FluxAction>,
+        let apply = |acts: Vec<Action>,
                      now: u64,
-                     heap: &mut BinaryHeap<Reverse<(u64, u64, FluxToken)>>,
+                     heap: &mut BinaryHeap<Reverse<(u64, u64, Token)>>,
                      seq: &mut u64,
-                     events: &mut Vec<(f64, JobEvent)>| {
+                     events: &mut Vec<(f64, Action)>| {
             for a in acts {
                 match a {
-                    FluxAction::Timer { after, token } => {
+                    Action::Timer { after, token } => {
                         heap.push(Reverse((now + after.as_micros(), *seq, token)));
                         *seq += 1;
                     }
-                    FluxAction::Event(e) => events.push((now as f64 / 1e6, e)),
-                    FluxAction::Ready => {}
+                    Action::Ready => {}
+                    e => events.push((now as f64 / 1e6, e)),
                 }
             }
         };
@@ -745,7 +687,7 @@ mod tests {
             &mut events,
         );
         for j in jobs {
-            inst.submit(SimTime::ZERO, j, &mut acts);
+            inst.submit(j, &mut acts);
             apply(
                 std::mem::take(&mut acts),
                 0,
@@ -768,10 +710,10 @@ mod tests {
         events
     }
 
-    fn starts(events: &[(f64, JobEvent)]) -> Vec<f64> {
+    fn starts(events: &[(f64, Action)]) -> Vec<f64> {
         events
             .iter()
-            .filter(|(_, e)| matches!(e, JobEvent::Start(_)))
+            .filter(|(_, e)| matches!(e, Action::Started(_)))
             .map(|(t, _)| *t)
             .collect()
     }
@@ -833,21 +775,21 @@ mod tests {
             })
             .collect();
         let mut inst = instance(2, false);
-        let mut heap: BinaryHeap<Reverse<(u64, u64, FluxToken)>> = BinaryHeap::new();
+        let mut heap: BinaryHeap<Reverse<(u64, u64, Token)>> = BinaryHeap::new();
         let mut seq = 0u64;
         let mut peak_busy = 0u64;
         let mut acts = Vec::new();
         inst.boot(&mut acts);
         for a in acts.drain(..) {
-            if let FluxAction::Timer { after, token } = a {
+            if let Action::Timer { after, token } = a {
                 heap.push(Reverse((after.as_micros(), seq, token)));
                 seq += 1;
             }
         }
         for j in jobs {
-            inst.submit(SimTime::ZERO, j, &mut acts);
+            inst.submit(j, &mut acts);
             for a in acts.drain(..) {
-                if let FluxAction::Timer { after, token } = a {
+                if let Action::Timer { after, token } = a {
                     heap.push(Reverse((after.as_micros(), seq, token)));
                     seq += 1;
                 }
@@ -856,7 +798,7 @@ mod tests {
         while let Some(Reverse((t, _, tok))) = heap.pop() {
             inst.on_token(SimTime::from_micros(t), tok, &mut acts);
             for a in acts.drain(..) {
-                if let FluxAction::Timer { after, token } = a {
+                if let Action::Timer { after, token } = a {
                     heap.push(Reverse((t + after.as_micros(), seq, token)));
                     seq += 1;
                 }
@@ -872,16 +814,16 @@ mod tests {
     /// faults mid-run; timers the hook pushes are honored.
     fn drain_with_hook(
         inst: &mut FluxInstanceSim,
-        heap: &mut BinaryHeap<Reverse<(u64, u64, FluxToken)>>,
+        heap: &mut BinaryHeap<Reverse<(u64, u64, Token)>>,
         seq: &mut u64,
-        mut hook: impl FnMut(u64, &mut FluxInstanceSim, &mut Vec<FluxAction>),
+        mut hook: impl FnMut(u64, &mut FluxInstanceSim, &mut Vec<Action>),
     ) {
         let mut acts = Vec::new();
         while let Some(Reverse((t, _, tok))) = heap.pop() {
             inst.on_token(SimTime::from_micros(t), tok, &mut acts);
             hook(t, inst, &mut acts);
             for a in acts.drain(..) {
-                if let FluxAction::Timer { after, token } = a {
+                if let Action::Timer { after, token } = a {
                     heap.push(Reverse((t + after.as_micros(), *seq, token)));
                     *seq += 1;
                 }
@@ -892,15 +834,15 @@ mod tests {
     fn submit_all(
         inst: &mut FluxInstanceSim,
         jobs: Vec<JobSpec>,
-        heap: &mut BinaryHeap<Reverse<(u64, u64, FluxToken)>>,
+        heap: &mut BinaryHeap<Reverse<(u64, u64, Token)>>,
         seq: &mut u64,
         at: u64,
     ) {
         let mut acts = Vec::new();
         for j in jobs {
-            inst.submit(SimTime::from_micros(at), j, &mut acts);
+            inst.submit(j, &mut acts);
             for a in acts.drain(..) {
-                if let FluxAction::Timer { after, token } = a {
+                if let Action::Timer { after, token } = a {
                     heap.push(Reverse((at + after.as_micros(), *seq, token)));
                     *seq += 1;
                 }
@@ -921,12 +863,12 @@ mod tests {
     #[test]
     fn node_failure_reaps_residents_and_node_up_recovers() {
         let mut inst = instance(2, false);
-        let mut heap: BinaryHeap<Reverse<(u64, u64, FluxToken)>> = BinaryHeap::new();
+        let mut heap: BinaryHeap<Reverse<(u64, u64, Token)>> = BinaryHeap::new();
         let mut seq = 0u64;
         let mut acts = Vec::new();
         inst.boot(&mut acts);
         for a in acts.drain(..) {
-            if let FluxAction::Timer { after, token } = a {
+            if let Action::Timer { after, token } = a {
                 heap.push(Reverse((after.as_micros(), seq, token)));
                 seq += 1;
             }
@@ -937,7 +879,9 @@ mod tests {
         drain_with_hook(&mut inst, &mut heap, &mut seq, |t, inst, out| {
             if !injected && inst.running_count() > 10 {
                 injected = true;
-                lost = inst.fail_node(SimTime::from_micros(t), 0, out);
+                lost = inst
+                    .fail_node(SimTime::from_micros(t), 0, out)
+                    .expect("node 0 was up");
             }
         });
         assert!(injected, "fault must have fired");
@@ -946,7 +890,7 @@ mod tests {
         assert_eq!(inst.completed_count() + lost.len() as u64, 150);
         // Node restored: the lost jobs resubmit and the pool is whole.
         let mut acts = Vec::new();
-        inst.node_up(SimTime::from_micros(0), 0, &mut acts);
+        assert!(inst.node_up(SimTime::from_micros(0), 0, &mut acts));
         let resubmits: Vec<JobSpec> = lost
             .iter()
             .map(|id| JobSpec {
@@ -966,12 +910,12 @@ mod tests {
     #[test]
     fn crash_then_restart_drains_resubmissions() {
         let mut inst = instance(2, false);
-        let mut heap: BinaryHeap<Reverse<(u64, u64, FluxToken)>> = BinaryHeap::new();
+        let mut heap: BinaryHeap<Reverse<(u64, u64, Token)>> = BinaryHeap::new();
         let mut seq = 0u64;
         let mut acts = Vec::new();
         inst.boot(&mut acts);
         for a in acts.drain(..) {
-            if let FluxAction::Timer { after, token } = a {
+            if let Action::Timer { after, token } = a {
                 heap.push(Reverse((after.as_micros(), seq, token)));
                 seq += 1;
             }
@@ -995,7 +939,7 @@ mod tests {
         inst.restart(&mut acts);
         assert!(inst.is_alive());
         for a in acts.drain(..) {
-            if let FluxAction::Timer { after, token } = a {
+            if let Action::Timer { after, token } = a {
                 heap.push(Reverse((t0 + after.as_micros(), seq, token)));
                 seq += 1;
             }
@@ -1020,7 +964,6 @@ mod tests {
         let mut inst = instance(1, false);
         let mut acts = Vec::new();
         inst.submit(
-            SimTime::ZERO,
             JobSpec {
                 id: JobId(99),
                 req: ResourceRequest::mpi(2, 1, 0), // needs 2 nodes, has 1
@@ -1030,10 +973,10 @@ mod tests {
         );
         assert!(matches!(
             acts.as_slice(),
-            [FluxAction::Event(JobEvent::Exception(
-                JobId(99),
-                ExceptionKind::Unsatisfiable
-            ))]
+            [Action::Failed {
+                id: 99,
+                retryable: false
+            }]
         ));
         assert!(inst.is_idle());
     }
@@ -1069,7 +1012,7 @@ mod tests {
             let events = drive(instance(1, backfill), jobs);
             events
                 .iter()
-                .filter(|(_, e)| matches!(e, JobEvent::Finish(_)))
+                .filter(|(_, e)| matches!(e, Action::Completed(_)))
                 .map(|(t, _)| *t)
                 .fold(0.0f64, f64::max)
         };

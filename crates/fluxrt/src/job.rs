@@ -1,10 +1,6 @@
-//! Flux job descriptions and lifecycle.
-//!
-//! Mirrors the Flux job state machine (DEPEND → PRIORITY → SCHED → RUN →
-//! CLEANUP → INACTIVE) at the granularity the paper's experiments observe:
-//! submission, scheduling (resource match), start, and completion, with an
-//! exception path. RP subscribes to the emitted [`JobEvent`]s exactly as it
-//! subscribes to Flux's job-manager events in the real integration.
+//! Flux job descriptions: the job id and the jobspec RP's Flux executor
+//! submits. The lifecycle RP subscribes to (start, finish, exception) is
+//! the shared [`rp_sim::Action`] vocabulary every backend sim emits.
 
 use rp_platform::ResourceRequest;
 use rp_sim::SimDuration;
@@ -30,43 +26,6 @@ pub struct JobSpec {
     pub req: ResourceRequest,
     /// Payload runtime (the walltime estimate; also used by EASY backfill).
     pub duration: SimDuration,
-}
-
-/// Flux job states, reduced to the transitions the experiments measure.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum JobState {
-    /// Submitted, before the scheduler has considered it.
-    Sched,
-    /// Resources matched and start in progress or running.
-    Run,
-    /// Finished, resources released.
-    Inactive,
-    /// Failed (exception raised).
-    Failed,
-}
-
-/// Lifecycle events published by an instance (Fig. 2 ④).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum JobEvent {
-    /// Accepted by rank 0 and enqueued for scheduling.
-    Submitted(JobId),
-    /// Resources allocated (scheduler match done).
-    Alloc(JobId),
-    /// Payload started executing.
-    Start(JobId),
-    /// Payload finished; resources freed.
-    Finish(JobId),
-    /// Job failed with an exception note.
-    Exception(JobId, ExceptionKind),
-}
-
-/// Why a job failed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExceptionKind {
-    /// The request can never fit this instance's resources.
-    Unsatisfiable,
-    /// The instance is shutting down / crashed.
-    InstanceLost,
 }
 
 #[cfg(test)]

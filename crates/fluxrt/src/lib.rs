@@ -1,7 +1,7 @@
 //! `rp-fluxrt` — a Flux-like hierarchical task runtime.
 //!
 //! The substrate substituting for Flux in the RADICAL-Pilot integration:
-//! jobspecs and the job lifecycle ([`job`]), pluggable scheduling policies
+//! jobspecs ([`job`]), pluggable scheduling policies
 //! — FCFS and EASY backfill — over a real resource pool ([`policy`]), the
 //! simulated instance pipeline calibrated to the paper's measured rates
 //! ([`instance`]), and a real-threaded instance executing closures on a
@@ -17,8 +17,8 @@ pub mod job;
 pub mod policy;
 pub mod rt;
 
-pub use hierarchy::{FluxTreeSim, TreeAction, TreeToken};
-pub use instance::{FluxAction, FluxInstanceSim, FluxToken};
-pub use job::{ExceptionKind, JobEvent, JobId, JobSpec, JobState};
+pub use hierarchy::{FluxTreeSim, TreeToken};
+pub use instance::FluxInstanceSim;
+pub use job::{JobId, JobSpec};
 pub use policy::{EasyBackfill, Fcfs, RunningJob, SchedPolicy};
 pub use rt::{FluxRt, SubmitError};

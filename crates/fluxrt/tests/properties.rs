@@ -5,14 +5,11 @@
 //!
 //! Cases come from fixed-seed [`RngStream`]s so failures replay exactly.
 
-use rp_fluxrt::{
-    EasyBackfill, Fcfs, FluxAction, FluxInstanceSim, FluxToken, JobEvent, JobId, JobSpec,
-    RunningJob, SchedPolicy,
-};
+use rp_fluxrt::{EasyBackfill, Fcfs, FluxInstanceSim, JobId, JobSpec, RunningJob, SchedPolicy};
 use rp_platform::{
     frontier, Allocation, Calibration, PlacementPolicy, ResourcePool, ResourceRequest,
 };
-use rp_sim::{RngStream, SimDuration, SimTime};
+use rp_sim::{Action, RngStream, SimDuration, SimTime, Token};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
@@ -93,30 +90,30 @@ fn instance_conserves_jobs() {
             Box::new(EasyBackfill::default()),
             9,
         );
-        let mut heap: BinaryHeap<Reverse<(u64, u64, FluxToken)>> = BinaryHeap::new();
+        let mut heap: BinaryHeap<Reverse<(u64, u64, Token)>> = BinaryHeap::new();
         let mut seq = 0u64;
         let mut starts = 0usize;
         let mut finishes = 0usize;
         let mut exceptions = 0usize;
         let mut feasible = 0usize;
 
-        let push = |acts: Vec<FluxAction>,
+        let push = |acts: Vec<Action>,
                     now: u64,
-                    heap: &mut BinaryHeap<Reverse<(u64, u64, FluxToken)>>,
+                    heap: &mut BinaryHeap<Reverse<(u64, u64, Token)>>,
                     seq: &mut u64,
                     s: &mut usize,
                     f: &mut usize,
                     e: &mut usize| {
             for a in acts {
                 match a {
-                    FluxAction::Timer { after, token } => {
+                    Action::Timer { after, token } => {
                         heap.push(Reverse((now + after.as_micros(), *seq, token)));
                         *seq += 1;
                     }
-                    FluxAction::Event(JobEvent::Start(_)) => *s += 1,
-                    FluxAction::Event(JobEvent::Finish(_)) => *f += 1,
-                    FluxAction::Event(JobEvent::Exception(..)) => *e += 1,
-                    _ => {}
+                    Action::Started(_) => *s += 1,
+                    Action::Completed(_) => *f += 1,
+                    Action::Failed { .. } => *e += 1,
+                    Action::Ready => {}
                 }
             }
         };
@@ -142,7 +139,7 @@ fn instance_conserves_jobs() {
                 req: *req,
                 duration: SimDuration::from_secs(*secs),
             };
-            inst.submit(SimTime::ZERO, job, &mut acts);
+            inst.submit(job, &mut acts);
             push(
                 std::mem::take(&mut acts),
                 0,

@@ -11,10 +11,14 @@
 //! HNP (head-node process) launch server and a running set. It refuses
 //! nothing except what physically cannot run concurrently — the caller is
 //! expected to have placed tasks already.
+//!
+//! The DVM is reactive: each call appends [`rp_sim::Action`]s to a
+//! caller-provided buffer. Its timers carry `Booted` (the daemons are up),
+//! `Launched` and `Done` [`Token`]s.
 
 use rp_lineage::Lineage;
 use rp_platform::{Allocation, Calibration};
-use rp_sim::{Dist, FxHashMap, RngStream, SimDuration, SimTime, StaleTokens};
+use rp_sim::{Action, Dist, FxHashMap, RngStream, SimDuration, SimTime, StaleTokens, Token};
 use std::collections::VecDeque;
 
 /// Lineage backend code for prrte (`BackendKind::Prrte as u8`).
@@ -27,35 +31,6 @@ pub struct PrrteTask {
     pub id: u64,
     /// Payload runtime.
     pub duration: SimDuration,
-}
-
-/// Timer tokens for [`PrrteDvm::on_token`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum PrrteToken {
-    /// DVM daemons are up.
-    DvmReady,
-    /// The HNP finished launching this task.
-    Launched(u64),
-    /// Task payload finished.
-    Done(u64),
-}
-
-/// Effects requested by the DVM.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PrrteAction {
-    /// Deliver `token` after `after`.
-    Timer {
-        /// Delay until delivery.
-        after: SimDuration,
-        /// Token to deliver.
-        token: PrrteToken,
-    },
-    /// DVM ready for `prun` traffic.
-    Ready,
-    /// Task payload started.
-    Started(u64),
-    /// Task payload finished.
-    Completed(u64),
 }
 
 /// The simulated DVM.
@@ -76,14 +51,12 @@ pub struct PrrteDvm {
     lineage: Option<(Lineage, u32)>,
     /// Uid currently in the HNP launch server.
     launching: Option<u64>,
-    /// `Launched` tokens for reaped/killed tasks; consumed on arrival so a
-    /// resubmitted uid's fresh token is not confused with the orphan.
-    stale_launched: StaleTokens<u64>,
-    /// `Done` tokens for reaped/killed tasks, same discipline.
-    stale_done: StaleTokens<u64>,
-    /// `DvmReady` tokens from boots that died before they landed.
-    stale_booted: u32,
-    /// A `DvmReady` is in flight for the current boot.
+    /// Orphaned tokens: reaped/killed tasks' `Launched` and `Done`, and
+    /// the `Booted` of boots that died before it landed. Consumed on
+    /// arrival so a resubmitted uid's fresh token is not confused with
+    /// the orphan.
+    stale: StaleTokens<Token>,
+    /// A `Booted` is in flight for the current boot.
     booting: bool,
 }
 
@@ -103,9 +76,7 @@ impl PrrteDvm {
             alive: true,
             lineage: None,
             launching: None,
-            stale_launched: StaleTokens::default(),
-            stale_done: StaleTokens::default(),
-            stale_booted: 0,
+            stale: StaleTokens::default(),
             booting: false,
         }
     }
@@ -166,18 +137,18 @@ impl PrrteDvm {
 
     /// Start the DVM daemons. Actions are appended to `out` — callers
     /// reuse one buffer so the hot path stays allocation-free.
-    pub fn boot(&mut self, out: &mut Vec<PrrteAction>) {
+    pub fn boot(&mut self, out: &mut Vec<Action>) {
         let cost = self.boot_cost.sample(&mut self.rng);
         self.booting = true;
-        out.push(PrrteAction::Timer {
+        out.push(Action::Timer {
             after: cost,
-            token: PrrteToken::DvmReady,
+            token: Token::Booted,
         });
     }
 
     /// Bring a killed DVM back up. The RNG stream continues where it left
     /// off, so a fixed fault seed replays byte-identically.
-    pub fn restart(&mut self, out: &mut Vec<PrrteAction>) {
+    pub fn restart(&mut self, out: &mut Vec<Action>) {
         assert!(!self.alive, "restart of a live DVM");
         self.alive = true;
         self.ready = false;
@@ -206,16 +177,16 @@ impl PrrteDvm {
             // The HNP stays busy until the orphaned `Launched` arrives; the
             // stale handler frees it and pumps.
             self.launching = None;
-            self.stale_launched.mark(id);
+            self.stale.mark(Token::Launched(id));
         } else {
-            self.stale_done.mark(id);
+            self.stale.mark(Token::Done(id));
         }
         true
     }
 
     /// Submit a placed task for launch (FIFO through the HNP). Actions
     /// are appended to `out`.
-    pub fn submit(&mut self, task: PrrteTask, out: &mut Vec<PrrteAction>) {
+    pub fn submit(&mut self, task: PrrteTask, out: &mut Vec<Action>) {
         self.queue.push_back(task);
         self.queued_peak = self.queued_peak.max(self.queue.len());
         if let Some((l, part)) = &self.lineage {
@@ -252,18 +223,18 @@ impl PrrteDvm {
         lost.extend(self.queue.drain(..).map(|t| t.id));
         // Orphaned timers are typed by where the task was when the DVM died:
         // the launching task owes a `Launched`, the rest owe a `Done`. A
-        // resubmission reuses the uid, so these must be per-token-kind sets.
+        // resubmission reuses the uid, so the markers are keyed by stage.
         let launching = self.launching.take();
-        self.stale_launched.extend(launching);
-        self.stale_done.extend(
+        self.stale.extend(launching.map(Token::Launched));
+        self.stale.extend(
             self.in_flight
                 .keys()
-                .copied()
-                .filter(|id| Some(*id) != launching),
+                .filter(|id| Some(**id) != launching)
+                .map(|&id| Token::Done(id)),
         );
         lost.extend(self.in_flight.drain().map(|(id, _)| id));
         if self.booting {
-            self.stale_booted += 1;
+            self.stale.mark(Token::Booted);
             self.booting = false;
         }
         self.hnp_busy = false;
@@ -272,62 +243,52 @@ impl PrrteDvm {
     }
 
     /// Deliver a timer token. Actions are appended to `out`.
-    pub fn on_token(&mut self, _now: SimTime, token: PrrteToken, out: &mut Vec<PrrteAction>) {
+    pub fn on_token(&mut self, _now: SimTime, token: Token, out: &mut Vec<Action>) {
         if !self.alive {
             // Dead DVMs drop tokens, but must still consume the stale
             // markers — otherwise a fresh post-restart token of the same
-            // kind would be wrongly swallowed.
-            match token {
-                PrrteToken::DvmReady => self.stale_booted = self.stale_booted.saturating_sub(1),
-                PrrteToken::Launched(id) => {
-                    self.stale_launched.consume(&id);
-                }
-                PrrteToken::Done(id) => {
-                    self.stale_done.consume(&id);
-                }
+            // stage would be wrongly swallowed.
+            self.stale.consume(&token);
+            return;
+        }
+        if self.stale.consume(&token) {
+            // Orphan of a reaped task: a `Launched` frees the HNP now.
+            if let Token::Launched(_) = token {
+                self.hnp_busy = false;
+                self.pump(out);
             }
             return;
         }
         match token {
-            PrrteToken::DvmReady => {
-                if self.stale_booted > 0 {
-                    self.stale_booted -= 1;
-                    return;
-                }
+            Token::Booted => {
                 self.booting = false;
                 self.ready = true;
-                out.push(PrrteAction::Ready);
+                out.push(Action::Ready);
                 self.pump(out);
             }
-            PrrteToken::Launched(id) => {
-                if self.stale_launched.consume(&id) {
-                    // Orphan of a reaped task: the HNP frees up now.
-                    self.hnp_busy = false;
-                    self.pump(out);
-                    return;
-                }
+            Token::Launched(id) => {
                 self.hnp_busy = false;
                 self.launching = None;
                 let task = self.in_flight.get(&id).expect("launched unknown task");
-                out.push(PrrteAction::Started(id));
-                out.push(PrrteAction::Timer {
+                out.push(Action::Started(id));
+                out.push(Action::Timer {
                     after: task.duration,
-                    token: PrrteToken::Done(id),
+                    token: Token::Done(id),
                 });
                 self.pump(out);
             }
-            PrrteToken::Done(id) => {
-                if self.stale_done.consume(&id) {
-                    return;
-                }
+            Token::Done(id) => {
                 self.in_flight.remove(&id).expect("done unknown task");
                 self.completed += 1;
-                out.push(PrrteAction::Completed(id));
+                out.push(Action::Completed(id));
+            }
+            Token::Ingested | Token::Matched(_) => {
+                unreachable!("prrte schedules no {token:?} token")
             }
         }
     }
 
-    fn pump(&mut self, out: &mut Vec<PrrteAction>) {
+    fn pump(&mut self, out: &mut Vec<Action>) {
         if !self.ready || self.hnp_busy {
             return;
         }
@@ -348,9 +309,9 @@ impl PrrteDvm {
         self.launching = Some(task.id);
         let cost = self.launch_cost.sample(&mut self.rng);
         self.in_flight.insert(task.id, task);
-        out.push(PrrteAction::Timer {
+        out.push(Action::Timer {
             after: cost,
-            token: PrrteToken::Launched(task.id),
+            token: Token::Launched(task.id),
         });
     }
 }
@@ -375,21 +336,21 @@ mod tests {
     }
 
     fn drive(mut d: PrrteDvm, tasks: Vec<PrrteTask>) -> (Vec<f64>, PrrteDvm) {
-        let mut heap: BinaryHeap<Reverse<(u64, u64, PrrteToken)>> = BinaryHeap::new();
+        let mut heap: BinaryHeap<Reverse<(u64, u64, Token)>> = BinaryHeap::new();
         let mut seq = 0u64;
         let mut starts = Vec::new();
-        let sink = |acts: Vec<PrrteAction>,
+        let sink = |acts: Vec<Action>,
                     now: u64,
-                    heap: &mut BinaryHeap<Reverse<(u64, u64, PrrteToken)>>,
+                    heap: &mut BinaryHeap<Reverse<(u64, u64, Token)>>,
                     seq: &mut u64,
                     starts: &mut Vec<f64>| {
             for a in acts {
                 match a {
-                    PrrteAction::Timer { after, token } => {
+                    Action::Timer { after, token } => {
                         heap.push(Reverse((now + after.as_micros(), *seq, token)));
                         *seq += 1;
                     }
-                    PrrteAction::Started(_) => starts.push(now as f64 / 1e6),
+                    Action::Started(_) => starts.push(now as f64 / 1e6),
                     _ => {}
                 }
             }
@@ -477,7 +438,7 @@ mod tests {
     #[test]
     fn reap_tolerates_orphaned_timers_and_resubmission() {
         let mut d = dvm(4);
-        let mut heap: BinaryHeap<Reverse<(u64, u64, PrrteToken)>> = BinaryHeap::new();
+        let mut heap: BinaryHeap<Reverse<(u64, u64, Token)>> = BinaryHeap::new();
         let mut seq = 0u64;
         let mut acts = Vec::new();
         d.boot(&mut acts);
@@ -488,7 +449,7 @@ mod tests {
             d.submit(t, &mut acts);
         }
         for a in acts.drain(..) {
-            if let PrrteAction::Timer { after, token } = a {
+            if let Action::Timer { after, token } = a {
                 heap.push(Reverse((after.as_micros(), seq, token)));
                 seq += 1;
             }
@@ -505,7 +466,7 @@ mod tests {
                 assert!(!d.reap(0), "already reaped");
             }
             for a in acts.drain(..) {
-                if let PrrteAction::Timer { after, token } = a {
+                if let Action::Timer { after, token } = a {
                     heap.push(Reverse((t + after.as_micros(), seq, token)));
                     seq += 1;
                 }
@@ -524,7 +485,7 @@ mod tests {
             );
         }
         for a in acts.drain(..) {
-            if let PrrteAction::Timer { after, token } = a {
+            if let Action::Timer { after, token } = a {
                 heap.push(Reverse((after.as_micros(), seq, token)));
                 seq += 1;
             }
@@ -532,7 +493,7 @@ mod tests {
         while let Some(Reverse((t, _, tok))) = heap.pop() {
             d.on_token(SimTime::from_micros(t), tok, &mut acts);
             for a in acts.drain(..) {
-                if let PrrteAction::Timer { after, token } = a {
+                if let Action::Timer { after, token } = a {
                     heap.push(Reverse((t + after.as_micros(), seq, token)));
                     seq += 1;
                 }
@@ -545,7 +506,7 @@ mod tests {
     #[test]
     fn kill_then_restart_drains_resubmissions() {
         let mut d = dvm(4);
-        let mut heap: BinaryHeap<Reverse<(u64, u64, PrrteToken)>> = BinaryHeap::new();
+        let mut heap: BinaryHeap<Reverse<(u64, u64, Token)>> = BinaryHeap::new();
         let mut seq = 0u64;
         let mut acts = Vec::new();
         d.boot(&mut acts);
@@ -553,7 +514,7 @@ mod tests {
             d.submit(t, &mut acts);
         }
         for a in acts.drain(..) {
-            if let PrrteAction::Timer { after, token } = a {
+            if let Action::Timer { after, token } = a {
                 heap.push(Reverse((after.as_micros(), seq, token)));
                 seq += 1;
             }
@@ -568,7 +529,7 @@ mod tests {
                 assert!(!lost.is_empty());
             }
             for a in acts.drain(..) {
-                if let PrrteAction::Timer { after, token } = a {
+                if let Action::Timer { after, token } = a {
                     heap.push(Reverse((t + after.as_micros(), seq, token)));
                     seq += 1;
                 }
@@ -587,7 +548,7 @@ mod tests {
             );
         }
         for a in acts.drain(..) {
-            if let PrrteAction::Timer { after, token } = a {
+            if let Action::Timer { after, token } = a {
                 heap.push(Reverse((t0 + after.as_micros(), seq, token)));
                 seq += 1;
             }
@@ -595,7 +556,7 @@ mod tests {
         while let Some(Reverse((t, _, tok))) = heap.pop() {
             d.on_token(SimTime::from_micros(t), tok, &mut acts);
             for a in acts.drain(..) {
-                if let PrrteAction::Timer { after, token } = a {
+                if let Action::Timer { after, token } = a {
                     heap.push(Reverse((t + after.as_micros(), seq, token)));
                     seq += 1;
                 }

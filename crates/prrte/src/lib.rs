@@ -10,4 +10,4 @@
 
 pub mod dvm;
 
-pub use dvm::{PrrteAction, PrrteDvm, PrrteTask, PrrteToken};
+pub use dvm::{PrrteDvm, PrrteTask};

@@ -3,31 +3,32 @@
 //! Cases come from a fixed-seed [`RngStream`] so failures replay exactly.
 
 use rp_platform::{frontier, Allocation, Calibration};
-use rp_prrte::{PrrteAction, PrrteDvm, PrrteTask, PrrteToken};
-use rp_sim::{RngStream, SimDuration, SimTime};
+use rp_prrte::{PrrteDvm, PrrteTask};
+use rp_sim::{Action, RngStream, SimDuration, SimTime, Token};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 fn drive(mut dvm: PrrteDvm, tasks: Vec<PrrteTask>) -> (usize, usize, PrrteDvm) {
-    let mut heap: BinaryHeap<Reverse<(u64, u64, PrrteToken)>> = BinaryHeap::new();
+    let mut heap: BinaryHeap<Reverse<(u64, u64, Token)>> = BinaryHeap::new();
     let mut seq = 0u64;
     let mut started = 0usize;
     let mut completed = 0usize;
-    let sink = |acts: Vec<PrrteAction>,
+    let sink = |acts: Vec<Action>,
                 now: u64,
-                heap: &mut BinaryHeap<Reverse<(u64, u64, PrrteToken)>>,
+                heap: &mut BinaryHeap<Reverse<(u64, u64, Token)>>,
                 seq: &mut u64,
                 started: &mut usize,
                 completed: &mut usize| {
         for a in acts {
             match a {
-                PrrteAction::Timer { after, token } => {
+                Action::Timer { after, token } => {
                     heap.push(Reverse((now + after.as_micros(), *seq, token)));
                     *seq += 1;
                 }
-                PrrteAction::Started(_) => *started += 1,
-                PrrteAction::Completed(_) => *completed += 1,
-                PrrteAction::Ready => {}
+                Action::Started(_) => *started += 1,
+                Action::Completed(_) => *completed += 1,
+                Action::Ready => {}
+                other => panic!("prrte emitted {other:?}"),
             }
         }
     };

@@ -15,13 +15,17 @@
 //! - [`rng`]: named, seeded random streams so components stay statistically
 //!   decoupled and runs stay reproducible;
 //! - [`dist`]: non-negative latency distributions (the calibration
-//!   vocabulary of `rp-platform`).
+//!   vocabulary of `rp-platform`);
+//! - [`action`]: the effects and timer tokens every reactive backend sim
+//!   emits, and [`stale`]: the markers that swallow a reaped task's
+//!   orphaned tokens.
 //!
 //! Scheduling and placement *logic* lives in the substrate crates and is
 //! shared with their real-threaded planes; only *time* is virtual here.
 
 #![warn(missing_docs)]
 
+pub mod action;
 pub mod clock;
 pub mod dist;
 pub mod engine;
@@ -31,6 +35,7 @@ pub mod stale;
 pub mod time;
 pub mod uidmap;
 
+pub use action::{Action, Token};
 pub use clock::SimClock;
 pub use dist::Dist;
 pub use engine::{Actor, ActorId, Ctx, Engine};

@@ -2,8 +2,10 @@
 //!
 //! Backend sims schedule timers they cannot cancel (the engine owns the
 //! queue), so reaping a task leaves orphan tokens in flight. Each reap
-//! marks the uid stale; each arriving token for a stale uid consumes one
-//! marker and is swallowed. A plain set is not enough: fault injection can
+//! marks the orphaned token; each arriving token equal to a marker
+//! consumes it and is swallowed. Backend sims key one set by the whole
+//! [`crate::Token`], so a stage's markers never swallow another stage's
+//! token for the same uid. A plain set is not enough: fault injection can
 //! reap the *same* uid more than once (node failure, resubmit, then a
 //! backend crash), leaving several orphans that each need their own
 //! marker — hence a multiset.
@@ -36,8 +38,12 @@ impl<K: Hash + Eq + Copy> StaleTokens<K> {
     }
 
     /// Swallow one marker for `id` if any remain. Returns whether the
-    /// arriving token was an orphan.
+    /// arriving token was an orphan. With no marker outstanding (every
+    /// fault-free run) it returns before hashing `id`.
     pub fn consume(&mut self, id: &K) -> bool {
+        if self.counts.is_empty() {
+            return false;
+        }
         match self.counts.get_mut(id) {
             Some(n) => {
                 *n -= 1;

@@ -10,8 +10,9 @@
 //!    allocation's node count (`n^0.66`, fitted to the measured
 //!    152 → 61 t/s drop from 1 to 4 nodes).
 //!
-//! Being reactive (methods push [`SrunAction`]s into a caller-provided
-//! buffer instead of touching a clock), the machine is driven by the DES
+//! Being reactive (methods push [`rp_sim::Action`]s into a caller-provided
+//! buffer instead of touching a clock; the tokens are `Launched` and
+//! `Done`), the machine is driven by the DES
 //! engine in experiments and by plain unit tests without any engine at
 //! all. The out-parameter style lets the driver reuse one buffer across
 //! every call, keeping the per-event hot path allocation-free.
@@ -19,37 +20,11 @@
 use crate::step::{StepId, StepRequest};
 use rp_lineage::Lineage;
 use rp_platform::{Calibration, SrunSlots};
-use rp_sim::{FxHashMap, FxHashSet, RngStream, SimDuration, StaleTokens};
+use rp_sim::{Action, FxHashMap, FxHashSet, RngStream, SimDuration, StaleTokens, Token};
 use std::collections::VecDeque;
 
 /// Lineage backend code for srun (`BackendKind::Srun as u8`).
 const LIN_BACKEND_SRUN: u8 = 0;
-
-/// Timer tokens the driver must deliver back via [`SrunSim::on_token`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum SrunToken {
-    /// Launch overhead elapsed; the payload starts now.
-    Launched(StepId),
-    /// Payload finished; the step exits and its slot frees.
-    Exited(StepId),
-}
-
-/// Effects requested by the machine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SrunAction {
-    /// Deliver `token` back after `after`.
-    Timer {
-        /// Delay until delivery.
-        after: SimDuration,
-        /// Token to deliver.
-        token: SrunToken,
-    },
-    /// The step's payload began executing (the paper's "execution start"
-    /// event — throughput counts these).
-    Started(StepId),
-    /// The step completed and released its slot.
-    Completed(StepId),
-}
 
 /// The simulated launcher.
 #[derive(Debug)]
@@ -72,15 +47,13 @@ pub struct SrunSim {
     /// Steps whose `Launched` token is still in flight (slot acquired,
     /// payload not started). Needed to type orphaned timers when a node
     /// failure reaps a step: a launching victim owes a `Launched`, a
-    /// running one an `Exited`.
+    /// running one a `Done`.
     launching: FxHashSet<StepId>,
-    /// Orphaned `Launched` tokens of reaped steps, swallowed on arrival.
-    stale_launched: StaleTokens<StepId>,
-    /// Orphaned `Exited` tokens of reaped steps, same discipline. Typed
-    /// sets (not one) because a reaped uid can be resubmitted: the orphan
-    /// of the first attempt always precedes the same-kind token of the
-    /// retry, so first-arrival consumption is safe per kind.
-    stale_exited: StaleTokens<StepId>,
+    /// Orphaned tokens of reaped steps, swallowed on arrival. Keyed by the
+    /// whole token because a reaped uid can be resubmitted: the orphan of
+    /// the first attempt always precedes the same-stage token of the
+    /// retry, so first-arrival consumption is safe per stage.
+    stale: StaleTokens<Token>,
 }
 
 impl SrunSim {
@@ -98,8 +71,7 @@ impl SrunSim {
             lineage: None,
             last_reject: None,
             launching: FxHashSet::default(),
-            stale_launched: StaleTokens::default(),
-            stale_exited: StaleTokens::default(),
+            stale: StaleTokens::default(),
         }
     }
 
@@ -138,7 +110,7 @@ impl SrunSim {
 
     /// Submit a step; it launches immediately if a slot is free, otherwise
     /// it queues FIFO. Actions are appended to `out`.
-    pub fn submit(&mut self, step: StepRequest, out: &mut Vec<SrunAction>) {
+    pub fn submit(&mut self, step: StepRequest, out: &mut Vec<Action>) {
         let step_uid = step.id.0;
         self.queue.push_back(step);
         self.queued_peak = self.queued_peak.max(self.queue.len());
@@ -158,7 +130,7 @@ impl SrunSim {
     /// Acquire a slot held indefinitely (used for the `srun`s that carry
     /// Flux/Dragon instance bootstraps). Queues like any other step; the
     /// driver gets `Started` when the slot is live.
-    pub fn submit_persistent(&mut self, id: StepId, step_nodes: u32, out: &mut Vec<SrunAction>) {
+    pub fn submit_persistent(&mut self, id: StepId, step_nodes: u32, out: &mut Vec<Action>) {
         self.queue.push_back(StepRequest {
             id,
             step_nodes,
@@ -171,7 +143,7 @@ impl SrunSim {
     }
 
     /// Release a persistent slot (instance teardown).
-    pub fn release_persistent(&mut self, id: StepId, out: &mut Vec<SrunAction>) {
+    pub fn release_persistent(&mut self, id: StepId, out: &mut Vec<Action>) {
         match self.in_flight.remove(&id) {
             Some(None) => {
                 self.slots.release();
@@ -199,7 +171,7 @@ impl SrunSim {
     /// The concurrency ceiling is unaffected — it is a site-wide RPC limit,
     /// not node capacity — so there is no `node_up` counterpart here;
     /// queued steps are not resident anywhere and survive.
-    pub fn fail_node(&mut self, node_idx: u32, out: &mut Vec<SrunAction>) -> Vec<u64> {
+    pub fn fail_node(&mut self, node_idx: u32, out: &mut Vec<Action>) -> Vec<u64> {
         let nodes = self.alloc_nodes.max(1) as u64;
         let mut lost: Vec<u64> = self
             .in_flight
@@ -211,11 +183,11 @@ impl SrunSim {
         for uid in &lost {
             let id = StepId(*uid);
             self.in_flight.remove(&id);
-            if self.launching.remove(&id) {
-                self.stale_launched.mark(id);
+            self.stale.mark(if self.launching.remove(&id) {
+                Token::Launched(*uid)
             } else {
-                self.stale_exited.mark(id);
-            }
+                Token::Done(*uid)
+            });
             self.slots.release();
         }
         if !lost.is_empty() {
@@ -225,46 +197,46 @@ impl SrunSim {
     }
 
     /// Deliver a timer token. Actions are appended to `out`.
-    pub fn on_token(&mut self, token: SrunToken, out: &mut Vec<SrunAction>) {
+    pub fn on_token(&mut self, token: Token, out: &mut Vec<Action>) {
+        if self.stale.consume(&token) {
+            // Orphan of a reaped attempt — swallowed. If the uid was
+            // resubmitted, the first-attempt token always precedes the
+            // retry's of the same stage (the retry starts later), so
+            // exactly one real token of each stage remains.
+            return;
+        }
         match token {
-            SrunToken::Launched(id) if self.stale_launched.consume(&id) => {
-                // Orphan of a reaped attempt — swallowed. (If the uid was
-                // resubmitted, the orphan is consumed by whichever arrival
-                // comes first; exactly one real `Launched` remains.)
-            }
-            SrunToken::Exited(id) if self.stale_exited.consume(&id) => {
-                // Orphan of a reaped attempt: its first-attempt exit always
-                // precedes the retry's (the retry restarts the payload from
-                // zero later), so first-arrival consumption is safe.
-            }
-            SrunToken::Launched(id) => match self.in_flight.get(&id) {
+            Token::Launched(uid) => match self.in_flight.get(&StepId(uid)) {
                 Some(Some(duration)) => {
-                    self.launching.remove(&id);
+                    self.launching.remove(&StepId(uid));
                     let d = *duration;
-                    out.push(SrunAction::Started(id));
-                    out.push(SrunAction::Timer {
+                    out.push(Action::Started(uid));
+                    out.push(Action::Timer {
                         after: d,
-                        token: SrunToken::Exited(id),
+                        token: Token::Done(uid),
                     });
                 }
-                Some(None) => out.push(SrunAction::Started(id)), // persistent hold
-                None => panic!("Launched token for unknown step {id:?}"),
+                Some(None) => out.push(Action::Started(uid)), // persistent hold
+                None => panic!("Launched token for unknown step {uid}"),
             },
-            SrunToken::Exited(id) => {
+            Token::Done(uid) => {
                 let entry = self
                     .in_flight
-                    .remove(&id)
-                    .unwrap_or_else(|| panic!("Exited token for unknown step {id:?}"));
+                    .remove(&StepId(uid))
+                    .unwrap_or_else(|| panic!("Done token for unknown step {uid}"));
                 assert!(entry.is_some(), "persistent step exited via timer");
                 self.slots.release();
-                out.push(SrunAction::Completed(id));
+                out.push(Action::Completed(uid));
                 self.pump(out);
+            }
+            Token::Booted | Token::Ingested | Token::Matched(_) => {
+                unreachable!("srun schedules no {token:?} token")
             }
         }
     }
 
     /// Launch queued steps while slots are free.
-    fn pump(&mut self, out: &mut Vec<SrunAction>) {
+    fn pump(&mut self, out: &mut Vec<Action>) {
         while let Some(head) = self.queue.front() {
             let head_id = head.id;
             if !self.slots.try_acquire() {
@@ -314,9 +286,9 @@ impl SrunSim {
             if !matches!(self.in_flight.get(&step.id), Some(None)) {
                 self.launching.insert(step.id);
             }
-            out.push(SrunAction::Timer {
+            out.push(Action::Timer {
                 after: overhead,
-                token: SrunToken::Launched(step.id),
+                token: Token::Launched(step.id.0),
             });
         }
     }
@@ -336,27 +308,28 @@ mod tests {
         use std::cmp::Reverse;
         use std::collections::BinaryHeap;
 
-        let mut heap: BinaryHeap<Reverse<(u64, u64, SrunToken)>> = BinaryHeap::new();
+        let mut heap: BinaryHeap<Reverse<(u64, u64, Token)>> = BinaryHeap::new();
         let mut seq = 0u64;
         let mut now = 0u64;
         let mut starts = Vec::new();
         let mut ends = Vec::new();
         let mut high_water = 0usize;
 
-        let apply = |actions: Vec<SrunAction>,
+        let apply = |actions: Vec<Action>,
                      now: u64,
-                     heap: &mut BinaryHeap<Reverse<(u64, u64, SrunToken)>>,
+                     heap: &mut BinaryHeap<Reverse<(u64, u64, Token)>>,
                      seq: &mut u64,
                      starts: &mut Vec<f64>,
                      ends: &mut Vec<f64>| {
             for a in actions {
                 match a {
-                    SrunAction::Timer { after, token } => {
+                    Action::Timer { after, token } => {
                         heap.push(Reverse((now + after.as_micros(), *seq, token)));
                         *seq += 1;
                     }
-                    SrunAction::Started(_) => starts.push(now as f64 / 1e6),
-                    SrunAction::Completed(_) => ends.push(now as f64 / 1e6),
+                    Action::Started(_) => starts.push(now as f64 / 1e6),
+                    Action::Completed(_) => ends.push(now as f64 / 1e6),
+                    Action::Ready | Action::Failed { .. } => {}
                 }
             }
         };
@@ -443,8 +416,8 @@ mod tests {
         sim.release_persistent(StepId(10_000), &mut acts);
         assert!(acts.iter().any(|a| matches!(
             a,
-            SrunAction::Timer {
-                token: SrunToken::Launched(StepId(1)),
+            Action::Timer {
+                token: Token::Launched(1),
                 ..
             }
         )));
@@ -464,7 +437,7 @@ mod tests {
         use std::collections::BinaryHeap;
 
         let mut sim = launcher(4);
-        let mut heap: BinaryHeap<Reverse<(u64, u64, SrunToken)>> = BinaryHeap::new();
+        let mut heap: BinaryHeap<Reverse<(u64, u64, Token)>> = BinaryHeap::new();
         let mut seq = 0u64;
         let mut acts = Vec::new();
         for i in 0..300 {
@@ -474,7 +447,7 @@ mod tests {
             );
         }
         for a in acts.drain(..) {
-            if let SrunAction::Timer { after, token } = a {
+            if let Action::Timer { after, token } = a {
                 heap.push(Reverse((after.as_micros(), seq, token)));
                 seq += 1;
             }
@@ -492,11 +465,11 @@ mod tests {
             }
             for a in acts.drain(..) {
                 match a {
-                    SrunAction::Timer { after, token } => {
+                    Action::Timer { after, token } => {
                         heap.push(Reverse((t + after.as_micros(), seq, token)));
                         seq += 1;
                     }
-                    SrunAction::Completed(_) => completed += 1,
+                    Action::Completed(_) => completed += 1,
                     _ => {}
                 }
             }
@@ -510,7 +483,7 @@ mod tests {
             sim.submit(StepRequest::serial(*uid, SimDuration::ZERO), &mut acts);
         }
         for a in acts.drain(..) {
-            if let SrunAction::Timer { after, token } = a {
+            if let Action::Timer { after, token } = a {
                 heap.push(Reverse((after.as_micros(), seq, token)));
                 seq += 1;
             }
@@ -519,11 +492,11 @@ mod tests {
             sim.on_token(tok, &mut acts);
             for a in acts.drain(..) {
                 match a {
-                    SrunAction::Timer { after, token } => {
+                    Action::Timer { after, token } => {
                         heap.push(Reverse((t + after.as_micros(), seq, token)));
                         seq += 1;
                     }
-                    SrunAction::Completed(_) => completed += 1,
+                    Action::Completed(_) => completed += 1,
                     _ => {}
                 }
             }
@@ -548,7 +521,7 @@ mod tests {
         assert_eq!(sim.slots_in_use(), 0);
         // The orphaned Launched arrives: swallowed, no Started/Exited.
         acts.clear();
-        sim.on_token(SrunToken::Launched(StepId(5)), &mut acts);
+        sim.on_token(Token::Launched(5), &mut acts);
         assert!(acts.is_empty(), "orphan must be silent, got {acts:?}");
     }
 
@@ -561,12 +534,12 @@ mod tests {
             acts.clear();
             sim.submit(StepRequest::serial(i, SimDuration::ZERO), &mut acts);
             for a in acts.drain(..) {
-                if let SrunAction::Timer {
-                    token: SrunToken::Launched(id),
+                if let Action::Timer {
+                    token: Token::Launched(id),
                     ..
                 } = a
                 {
-                    launched.push(id.0);
+                    launched.push(id);
                 }
             }
         }

@@ -4,8 +4,8 @@
 //! so failures replay exactly.
 
 use rp_platform::Calibration;
-use rp_sim::{RngStream, SimDuration};
-use rp_slurm::{SrunAction, SrunSim, SrunToken, StepId, StepRequest};
+use rp_sim::{Action, RngStream, SimDuration, Token};
+use rp_slurm::{SrunSim, StepId, StepRequest};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -23,27 +23,28 @@ fn ceiling_and_fifo_hold() {
         let cal = Calibration::frontier();
         let ceiling = cal.srun_concurrency_ceiling;
         let mut sim = SrunSim::new(4, cal, 1);
-        let mut heap: BinaryHeap<Reverse<(u64, u64, SrunToken)>> = BinaryHeap::new();
+        let mut heap: BinaryHeap<Reverse<(u64, u64, Token)>> = BinaryHeap::new();
         let mut seq = 0u64;
         let mut started: Vec<u64> = Vec::new();
         let mut completed = 0usize;
         let mut expected_completions = 0usize;
         let mut persistent_ids: Vec<u64> = Vec::new();
 
-        let sink = |acts: Vec<SrunAction>,
+        let sink = |acts: Vec<Action>,
                     now: u64,
-                    heap: &mut BinaryHeap<Reverse<(u64, u64, SrunToken)>>,
+                    heap: &mut BinaryHeap<Reverse<(u64, u64, Token)>>,
                     seq: &mut u64,
                     started: &mut Vec<u64>,
                     completed: &mut usize| {
             for a in acts {
                 match a {
-                    SrunAction::Timer { after, token } => {
+                    Action::Timer { after, token } => {
                         heap.push(Reverse((now + after.as_micros(), *seq, token)));
                         *seq += 1;
                     }
-                    SrunAction::Started(StepId(id)) => started.push(id),
-                    SrunAction::Completed(_) => *completed += 1,
+                    Action::Started(id) => started.push(id),
+                    Action::Completed(_) => *completed += 1,
+                    other => panic!("srun emitted {other:?}"),
                 }
             }
         };
