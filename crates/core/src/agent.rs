@@ -2371,10 +2371,10 @@ impl SimAgent {
         let (kind, part) = (inst.kind(), inst.part);
         let node = node_idx % inst.nodes().max(1);
         let now = ctx.now();
-        let lost = self.with_instance(i, ctx, |inst, acts| inst.fail_node(now, node, acts));
-        if lost.is_none() && kind == BackendKind::Prrte {
-            return; // already down: nothing new to fail
-        }
+        let Some(lost) = self.with_instance(i, ctx, |inst, acts| inst.fail_node(now, node, acts))
+        else {
+            return; // dead or already down: nothing new to fail
+        };
         self.fault_alarm(
             "fault_node",
             Severity::Warning,
@@ -2386,7 +2386,7 @@ impl SimAgent {
             // The victims' surviving ranks went back to RP's pool.
             self.pump_prrte(i, ctx);
         }
-        for id in lost.unwrap_or_default() {
+        for id in lost {
             if kind == BackendKind::Dragon {
                 // A victim that never produced a `Started` event still
                 // holds a flow-control window slot no watcher event will
@@ -2446,20 +2446,19 @@ impl SimAgent {
         let (kind, part) = (inst.kind(), inst.part);
         let node = node_idx % inst.nodes().max(1);
         let now = ctx.now();
-        let up = self.with_instance(i, ctx, |inst, acts| inst.node_up(now, node, acts));
-        if up && kind == BackendKind::Prrte {
+        if !self.with_instance(i, ctx, |inst, acts| inst.node_up(now, node, acts)) {
+            return; // dead or not down: nothing came back
+        }
+        if kind == BackendKind::Prrte {
             self.pump_prrte(i, ctx);
         }
-        let restored = up || kind != BackendKind::Prrte;
-        if restored {
-            self.fault_alarm(
-                "fault_node_cleared",
-                Severity::Info,
-                (kind, part),
-                f64::from(node),
-                format!("node {node} of {kind} partition {part} restored"),
-            );
-        }
+        self.fault_alarm(
+            "fault_node_cleared",
+            Severity::Info,
+            (kind, part),
+            f64::from(node),
+            format!("node {node} of {kind} partition {part} restored"),
+        );
     }
 
     /// Crash a whole backend instance via the chaos plane. Plan generation

@@ -1,11 +1,14 @@
 //! Telemetry acceptance tests: SLO percentile accuracy against exact
 //! percentiles recomputed from raw task records and lineage blame, and the
 //! byte-identical-JSONL determinism guarantee across backends, seeds, and
-//! harness job counts.
+//! harness job counts, and node-fault alarms raised on real transitions
+//! only.
 
 use radical_rs::analytics::blame_task;
-use radical_rs::core::{PilotConfig, SimSession};
-use radical_rs::sim::SimDuration;
+use radical_rs::core::{
+    FaultAction, FaultEvent, FaultPlan, PilotConfig, RecoveryPolicy, SimSession,
+};
+use radical_rs::sim::{SimDuration, SimTime};
 use radical_rs::workloads::{dummy_workload, mixed_workload, null_workload};
 
 const NODES: u32 = 4;
@@ -211,5 +214,73 @@ fn telemetry_does_not_depend_on_other_sinks() {
             all.flight_recorder_jsonl(),
             "{name}: flight recorder must not depend on other sinks"
         );
+    }
+}
+
+/// A node fault raises `fault_node` when the node goes down and
+/// `fault_node_cleared` when it comes back, not on a repeat: failing the
+/// same node of every partition twice and restoring it twice leaves
+/// exactly one of each per partition, on Flux and Dragon alike.
+#[test]
+fn node_fault_alarms_fire_on_real_transitions_only() {
+    for cfg in [
+        PilotConfig::flux(NODES, 2),
+        PilotConfig::flux_dragon(NODES, 2),
+    ] {
+        let partitions = cfg.total_instances();
+        let at = |secs| SimTime::from_secs(secs);
+        let mut events = Vec::new();
+        for partition in 0..partitions {
+            for (secs, down) in [(50, true), (60, true), (100, false), (110, false)] {
+                let node_idx = 0;
+                let action = if down {
+                    FaultAction::FailNode {
+                        partition,
+                        node_idx,
+                    }
+                } else {
+                    FaultAction::RestoreNode {
+                        partition,
+                        node_idx,
+                    }
+                };
+                events.push(FaultEvent {
+                    at: at(secs),
+                    action,
+                });
+            }
+        }
+        events.sort_by_key(|e| e.at);
+        let plan = FaultPlan {
+            events,
+            hang_victims: Vec::new(),
+            watchdog: SimDuration::ZERO,
+            policy: RecoveryPolicy::ResubmitElsewhere,
+            max_retries: None,
+        };
+        let report =
+            SimSession::with_tasks(cfg, mixed_workload(NODES, SimDuration::from_secs(200)))
+                .with_fault_plan(plan)
+                .with_telemetry(SimDuration::from_secs(1))
+                .run();
+        let tel = report.telemetry.as_ref().expect("telemetry attached");
+        let mut seen: Vec<(Option<u8>, Option<u32>)> = tel
+            .alarms
+            .iter()
+            .filter(|a| a.kind == "fault_node")
+            .map(|a| (a.backend, a.partition))
+            .collect();
+        let mut cleared: Vec<(Option<u8>, Option<u32>)> = tel
+            .alarms
+            .iter()
+            .filter(|a| a.kind == "fault_node_cleared")
+            .map(|a| (a.backend, a.partition))
+            .collect();
+        seen.sort();
+        cleared.sort();
+        assert_eq!(seen.len(), partitions as usize, "{seen:?}");
+        seen.dedup();
+        assert_eq!(seen.len(), partitions as usize, "one per partition");
+        assert_eq!(cleared, seen, "one clear per partition");
     }
 }
