@@ -10,7 +10,7 @@ use rp_dragonrt::{
 use rp_platform::{frontier, Allocation, Calibration};
 use rp_sim::{Action, RngStream, SimDuration, SimTime, Token};
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BTreeMap, BinaryHeap};
 
 fn random_bytes(rng: &mut RngStream, max_len: usize) -> Vec<u8> {
     let len = rng.index(max_len + 1);
@@ -91,18 +91,78 @@ fn codec_survives_bitflips() {
     }
 }
 
+/// Where one submission of a task stands.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Stage {
+    Queued,
+    Running,
+}
+
+/// The driver's books: the token heap, the stage of every live
+/// submission, and the outcome counts. Every action is checked against
+/// the stage of the submission it names, so an orphan token of a reaped
+/// attempt that leaked into its resubmission fails here.
+#[derive(Default)]
+struct Books {
+    heap: BinaryHeap<Reverse<(u64, u64, Token)>>,
+    seq: u64,
+    live: BTreeMap<u64, Stage>,
+    started: usize,
+    completed: usize,
+}
+
+impl Books {
+    fn submitted(&mut self, id: u64) {
+        assert!(
+            self.live.insert(id, Stage::Queued).is_none(),
+            "{id} live twice"
+        );
+    }
+
+    fn reaped(&mut self, id: u64) {
+        assert!(self.live.remove(&id).is_some(), "reaped {id} was not live");
+    }
+
+    fn apply(&mut self, now: u64, acts: &mut Vec<Action>) {
+        for a in acts.drain(..) {
+            match a {
+                Action::Timer { after, token } => {
+                    self.heap
+                        .push(Reverse((now + after.as_micros(), self.seq, token)));
+                    self.seq += 1;
+                }
+                Action::Started(id) => {
+                    let was = self.live.insert(id, Stage::Running);
+                    assert_eq!(was, Some(Stage::Queued), "start of {id}");
+                    self.started += 1;
+                }
+                Action::Completed(id) => {
+                    assert_eq!(self.live.remove(&id), Some(Stage::Running), "end of {id}");
+                    self.completed += 1;
+                }
+                Action::Ready => {}
+                other => panic!("dragon emitted {other:?}"),
+            }
+        }
+    }
+}
+
 /// The sim runtime conserves tasks and workers under arbitrary loads.
+/// Odd cases also take seeded node faults, node restores, crashes and
+/// restarts: each reaped task is resubmitted to the same runtime while its
+/// orphan tokens may still be in flight, and every submission must end
+/// exactly once (completed or reaped) with the runtime drained.
 #[test]
 fn dragon_sim_conserves() {
     let mut rng = RngStream::derive(0xD7A6, "dragon_sim_conserves");
+    let mut faults = RngStream::derive(0xD7A6, "dragon_sim_conserves.faults");
     for case in 0..64 {
-        let tasks: Vec<(u32, u64, bool)> = (0..1 + rng.index(59))
-            .map(|_| {
-                (
-                    1 + rng.index(19) as u32,
-                    rng.next_u64() % 100,
-                    rng.chance(0.5),
-                )
+        let tasks: Vec<DragonTask> = (0..1 + rng.index(59))
+            .map(|id| DragonTask {
+                id: id as u64,
+                workers: 1 + rng.index(19) as u32,
+                duration: SimDuration::from_secs(rng.next_u64() % 100),
+                is_function: rng.chance(0.5),
             })
             .collect();
         let alloc = Allocation {
@@ -111,76 +171,82 @@ fn dragon_sim_conserves() {
             count: 1,
         };
         let mut sim = DragonSim::new(&alloc, &Calibration::frontier(), 3);
-        let mut heap: BinaryHeap<Reverse<(u64, u64, Token)>> = BinaryHeap::new();
-        let mut seq = 0u64;
-        let mut started = 0usize;
-        let mut completed = 0usize;
+        let mut books = Books::default();
         let mut peak_busy = 0u64;
-
-        let sink = |acts: Vec<Action>,
-                    now: u64,
-                    heap: &mut BinaryHeap<Reverse<(u64, u64, Token)>>,
-                    seq: &mut u64,
-                    started: &mut usize,
-                    completed: &mut usize| {
-            for a in acts {
-                match a {
-                    Action::Timer { after, token } => {
-                        heap.push(Reverse((now + after.as_micros(), *seq, token)));
-                        *seq += 1;
-                    }
-                    Action::Started(_) => *started += 1,
-                    Action::Completed(_) => *completed += 1,
-                    Action::Ready => {}
-                    other => panic!("dragon emitted {other:?}"),
-                }
-            }
-        };
-
         let mut acts = Vec::new();
         sim.boot(&mut acts);
-        sink(
-            std::mem::take(&mut acts),
-            0,
-            &mut heap,
-            &mut seq,
-            &mut started,
-            &mut completed,
-        );
-        for (i, (workers, secs, is_function)) in tasks.iter().enumerate() {
-            sim.submit(
-                DragonTask {
-                    id: i as u64,
-                    workers: *workers,
-                    duration: SimDuration::from_secs(*secs),
-                    is_function: *is_function,
-                },
-                &mut acts,
-            );
-            sink(
-                std::mem::take(&mut acts),
-                0,
-                &mut heap,
-                &mut seq,
-                &mut started,
-                &mut completed,
-            );
+        books.apply(0, &mut acts);
+        for task in &tasks {
+            books.submitted(task.id);
+            sim.submit(*task, &mut acts);
+            books.apply(0, &mut acts);
         }
-        while let Some(Reverse((t, _, tok))) = heap.pop() {
-            sim.on_token(SimTime::from_micros(t), tok, &mut acts);
-            sink(
-                std::mem::take(&mut acts),
-                t,
-                &mut heap,
-                &mut seq,
-                &mut started,
-                &mut completed,
-            );
-            peak_busy = peak_busy.max(sim.busy_workers());
+        let mut budget = if case % 2 == 1 { 8 } else { 0 };
+        let mut lost_in_crash: Vec<u64> = Vec::new();
+        let mut now = 0;
+        loop {
+            while let Some(Reverse((t, _, tok))) = books.heap.pop() {
+                now = t;
+                sim.on_token(SimTime::from_micros(t), tok, &mut acts);
+                books.apply(t, &mut acts);
+                peak_busy = peak_busy.max(sim.busy_workers());
+                if budget == 0 || !faults.chance(0.1) {
+                    continue;
+                }
+                budget -= 1;
+                let mut resubmit = Vec::new();
+                if !sim.is_alive() {
+                    sim.restart(&mut acts);
+                    resubmit = std::mem::take(&mut lost_in_crash);
+                } else {
+                    match faults.index(3) {
+                        0 => {
+                            for id in sim.fail_node(0, &mut acts).into_iter().flatten() {
+                                books.reaped(id);
+                                resubmit.push(id);
+                            }
+                        }
+                        1 => {
+                            sim.node_up(0, &mut acts);
+                        }
+                        _ => {
+                            for id in sim.kill() {
+                                books.reaped(id);
+                                lost_in_crash.push(id);
+                            }
+                        }
+                    }
+                }
+                books.apply(t, &mut acts);
+                for id in resubmit {
+                    books.submitted(id);
+                    sim.submit(tasks[id as usize], &mut acts);
+                    books.apply(t, &mut acts);
+                }
+            }
+            // Quiescent: restart, restore the node, and drain whatever
+            // that releases.
+            if !sim.is_alive() {
+                sim.restart(&mut acts);
+                for id in lost_in_crash.drain(..) {
+                    books.submitted(id);
+                    sim.submit(tasks[id as usize], &mut acts);
+                }
+            }
+            sim.node_up(0, &mut acts);
+            books.apply(now, &mut acts);
+            if books.heap.is_empty() {
+                break;
+            }
         }
         assert!(sim.is_idle(), "case {case}");
-        assert_eq!(started, tasks.len(), "case {case}");
-        assert_eq!(completed, tasks.len(), "case {case}");
+        assert!(
+            books.live.is_empty(),
+            "case {case}: {:?} never ended",
+            books.live
+        );
+        assert!(books.started >= tasks.len(), "case {case}");
+        assert_eq!(books.completed, tasks.len(), "case {case}");
         assert_eq!(sim.busy_workers(), 0, "case {case}: workers all returned");
         assert!(
             peak_busy <= sim.worker_capacity(),

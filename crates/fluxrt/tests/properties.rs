@@ -11,7 +11,7 @@ use rp_platform::{
 };
 use rp_sim::{Action, RngStream, SimDuration, SimTime, Token};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 
 fn random_req(rng: &mut RngStream) -> ResourceRequest {
     ResourceRequest {
@@ -69,12 +69,77 @@ fn selection_always_fits() {
     }
 }
 
+/// Where one submission of a uid stands.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Stage {
+    Queued,
+    Running,
+}
+
+/// The driver's books: the token heap, the stage of every live
+/// submission, and the outcome counts. Every action is checked against
+/// the stage of the submission it names, so an orphan token of a reaped
+/// attempt that leaked into its resubmission fails here.
+#[derive(Default)]
+struct Books {
+    heap: BinaryHeap<Reverse<(u64, u64, Token)>>,
+    seq: u64,
+    live: BTreeMap<u64, Stage>,
+    starts: usize,
+    finishes: usize,
+    exceptions: usize,
+}
+
+impl Books {
+    fn submitted(&mut self, id: u64) {
+        assert!(
+            self.live.insert(id, Stage::Queued).is_none(),
+            "{id} live twice"
+        );
+    }
+
+    fn reaped(&mut self, id: u64) {
+        assert!(self.live.remove(&id).is_some(), "reaped {id} was not live");
+    }
+
+    fn apply(&mut self, now: u64, acts: &mut Vec<Action>) {
+        for a in acts.drain(..) {
+            match a {
+                Action::Timer { after, token } => {
+                    self.heap
+                        .push(Reverse((now + after.as_micros(), self.seq, token)));
+                    self.seq += 1;
+                }
+                Action::Started(id) => {
+                    let was = self.live.insert(id, Stage::Running);
+                    assert_eq!(was, Some(Stage::Queued), "start of {id}");
+                    self.starts += 1;
+                }
+                Action::Completed(id) => {
+                    assert_eq!(self.live.remove(&id), Some(Stage::Running), "end of {id}");
+                    self.finishes += 1;
+                }
+                Action::Failed { id, .. } => {
+                    assert_eq!(self.live.remove(&id), Some(Stage::Queued), "fail of {id}");
+                    self.exceptions += 1;
+                }
+                Action::Ready => {}
+            }
+        }
+    }
+}
+
 /// The instance conserves jobs: every submitted feasible job eventually
-/// emits Start and Finish exactly once, infeasible ones exactly one
-/// exception — under arbitrary job mixes.
+/// finishes exactly once, infeasible ones raise exactly one exception —
+/// under arbitrary job mixes. Odd cases also take seeded node faults,
+/// node restores, crashes and restarts: each reaped uid is resubmitted to
+/// the same instance while its orphan tokens may still be in flight, and
+/// every submission must end exactly once (finished, reaped or failed)
+/// with the instance drained.
 #[test]
 fn instance_conserves_jobs() {
     let mut rng = RngStream::derive(0xF10D, "instance_conserves_jobs");
+    let mut faults = RngStream::derive(0xF10D, "instance_conserves_jobs.faults");
     for case in 0..64 {
         let specs: Vec<(ResourceRequest, u64)> = (0..1 + rng.index(39))
             .map(|_| (random_req(&mut rng), rng.next_u64() % 50))
@@ -90,85 +155,103 @@ fn instance_conserves_jobs() {
             Box::new(EasyBackfill::default()),
             9,
         );
-        let mut heap: BinaryHeap<Reverse<(u64, u64, Token)>> = BinaryHeap::new();
-        let mut seq = 0u64;
-        let mut starts = 0usize;
-        let mut finishes = 0usize;
-        let mut exceptions = 0usize;
-        let mut feasible = 0usize;
-
-        let push = |acts: Vec<Action>,
-                    now: u64,
-                    heap: &mut BinaryHeap<Reverse<(u64, u64, Token)>>,
-                    seq: &mut u64,
-                    s: &mut usize,
-                    f: &mut usize,
-                    e: &mut usize| {
-            for a in acts {
-                match a {
-                    Action::Timer { after, token } => {
-                        heap.push(Reverse((now + after.as_micros(), *seq, token)));
-                        *seq += 1;
-                    }
-                    Action::Started(_) => *s += 1,
-                    Action::Completed(_) => *f += 1,
-                    Action::Failed { .. } => *e += 1,
-                    Action::Ready => {}
-                }
-            }
-        };
-
-        let mut acts = Vec::new();
-        inst.boot(&mut acts);
-        push(
-            std::mem::take(&mut acts),
-            0,
-            &mut heap,
-            &mut seq,
-            &mut starts,
-            &mut finishes,
-            &mut exceptions,
-        );
-        let pool_probe = ResourcePool::over_range(frontier().node, 0, 2);
-        for (i, (req, secs)) in specs.iter().enumerate() {
-            if pool_probe.can_ever_fit(req) {
-                feasible += 1;
-            }
-            let job = JobSpec {
+        let jobs: Vec<JobSpec> = specs
+            .iter()
+            .enumerate()
+            .map(|(i, (req, secs))| JobSpec {
                 id: JobId(i as u64),
                 req: *req,
                 duration: SimDuration::from_secs(*secs),
-            };
-            inst.submit(job, &mut acts);
-            push(
-                std::mem::take(&mut acts),
-                0,
-                &mut heap,
-                &mut seq,
-                &mut starts,
-                &mut finishes,
-                &mut exceptions,
-            );
+            })
+            .collect();
+        let mut books = Books::default();
+        let mut feasible = 0usize;
+        let mut acts = Vec::new();
+        inst.boot(&mut acts);
+        books.apply(0, &mut acts);
+        let pool_probe = ResourcePool::over_range(frontier().node, 0, 2);
+        for job in &jobs {
+            if pool_probe.can_ever_fit(&job.req) {
+                feasible += 1;
+            }
+            books.submitted(job.id.0);
+            inst.submit(*job, &mut acts);
+            books.apply(0, &mut acts);
         }
-        while let Some(Reverse((t, _, tok))) = heap.pop() {
-            inst.on_token(SimTime::from_micros(t), tok, &mut acts);
-            push(
-                std::mem::take(&mut acts),
-                t,
-                &mut heap,
-                &mut seq,
-                &mut starts,
-                &mut finishes,
-                &mut exceptions,
-            );
+        let mut budget = if case % 2 == 1 { 8 } else { 0 };
+        let mut lost_in_crash: Vec<u64> = Vec::new();
+        let mut now = 0;
+        loop {
+            while let Some(Reverse((t, _, tok))) = books.heap.pop() {
+                now = t;
+                let at = SimTime::from_micros(t);
+                inst.on_token(at, tok, &mut acts);
+                books.apply(t, &mut acts);
+                if budget == 0 || !faults.chance(0.1) {
+                    continue;
+                }
+                budget -= 1;
+                let mut resubmit = Vec::new();
+                if !inst.is_alive() {
+                    inst.restart(&mut acts);
+                    resubmit = std::mem::take(&mut lost_in_crash);
+                } else {
+                    let node = faults.index(2) as u32;
+                    match faults.index(3) {
+                        0 => {
+                            for id in inst.fail_node(at, node, &mut acts).into_iter().flatten() {
+                                books.reaped(id.0);
+                                resubmit.push(id.0);
+                            }
+                        }
+                        1 => {
+                            inst.node_up(at, node, &mut acts);
+                        }
+                        _ => {
+                            for id in inst.kill() {
+                                books.reaped(id.0);
+                                lost_in_crash.push(id.0);
+                            }
+                        }
+                    }
+                }
+                books.apply(t, &mut acts);
+                for id in resubmit {
+                    books.submitted(id);
+                    inst.submit(jobs[id as usize], &mut acts);
+                    books.apply(t, &mut acts);
+                }
+            }
+            // Quiescent: restart, restore every node, and drain whatever
+            // that releases.
+            let at = SimTime::from_micros(now);
+            if !inst.is_alive() {
+                inst.restart(&mut acts);
+                for id in lost_in_crash.drain(..) {
+                    books.submitted(id);
+                    inst.submit(jobs[id as usize], &mut acts);
+                }
+            }
+            for node in 0..2 {
+                inst.node_up(at, node, &mut acts);
+            }
+            books.apply(now, &mut acts);
+            if books.heap.is_empty() {
+                break;
+            }
         }
         assert!(inst.is_idle(), "case {case}: pipeline must drain");
-        assert_eq!(
-            starts, feasible,
-            "case {case}: every feasible job starts once"
+        assert!(
+            books.live.is_empty(),
+            "case {case}: {:?} never ended",
+            books.live
         );
-        assert_eq!(finishes, feasible, "case {case}");
-        assert_eq!(exceptions, specs.len() - feasible, "case {case}");
+        assert!(books.starts >= feasible, "case {case}");
+        assert_eq!(
+            books.finishes, feasible,
+            "case {case}: every feasible job finishes once"
+        );
+        assert_eq!(books.exceptions, specs.len() - feasible, "case {case}");
         assert_eq!(inst.busy_cores(), 0, "case {case}: all resources returned");
     }
 }

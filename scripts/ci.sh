@@ -30,9 +30,11 @@ rm -f "$TEST_LOG"
 # wraps instead of trapping and debug_asserts compile out: run the
 # placement differential and invariant tests, the Flux policy tests (EASY
 # backfill frees running placements into a shadow pool: the wide
-# multi-leaf path), and the engine's event-queue tests against its
-# reference model, on that build too.
-cargo test -q --offline --release -p rp-platform -p rp-fluxrt -p rp-sim
+# multi-leaf path), the engine's event-queue tests against its
+# reference model, and every backend sim's orphan-token and reap paths
+# (the seeded fault conservation tests) on that build too.
+cargo test -q --offline --release -p rp-platform -p rp-fluxrt -p rp-sim \
+    -p rp-slurm -p rp-dragonrt -p rp-prrte
 
 # Benchmark correctness gate: the standalone rp_benchmark package's tests,
 # then every workload at smoke size with per-layer tracing. The run exits
