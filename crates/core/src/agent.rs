@@ -658,14 +658,14 @@ pub struct SimAgent {
     workload: Box<dyn WorkloadSource>,
     /// Round-robin cursors, indexed by `BackendKind as usize`.
     rr: [usize; 4],
-    /// Reusable backend action buffer. Backends append into it
-    /// (out-param API) and the action routers drain it, so steady-state
-    /// event handling allocates nothing. Taken with `std::mem::take`
-    /// around each use; a reentrant call (carrier boots, failure retry
-    /// and fault paths) works on a fresh buffer, and
-    /// [`Self::restore_scratch`] keeps whichever buffer grew larger so
-    /// reentrancy can't permanently shrink the steady-state capacity.
-    scratch: Vec<Action>,
+    /// Reusable backend action buffers. Backends append into one (out-param
+    /// API) and the action routers drain it, so steady-state event
+    /// handling allocates nothing. [`Self::take_scratch`] pops a buffer
+    /// and [`Self::restore_scratch`] pushes it back after the drain; a
+    /// reentrant call (a carrier's boot inside the srun router, a PRRTE
+    /// or srun completion pumping its placer) pops the next one, so the
+    /// pool holds one buffer per nesting level and never reallocates.
+    scratch: Vec<Vec<Action>>,
     /// Cores (Dragon: workers) deployed across the non-srun partitions at
     /// start: the fixed denominator of the sampled utilization figures.
     capacity: f64,
@@ -1849,7 +1849,7 @@ impl SimAgent {
     /// Place and launch waiting PRRTE tasks (RP-side FCFS placement over
     /// the partition's pool, then FIFO through the DVM's HNP).
     fn pump_prrte(&mut self, i: usize, ctx: &mut Ctx<AgentMsg>) {
-        let mut acts = std::mem::take(&mut self.scratch);
+        let mut acts = self.take_scratch();
         let inst = &mut self.instances[i];
         let part = inst.part;
         if let Machine::Prrte(pb) = &mut inst.machine {
@@ -1880,11 +1880,11 @@ impl SimAgent {
             }
         }
         self.process_instance_actions(i, &mut acts, ctx);
-        Self::restore_scratch(&mut self.scratch, acts);
+        self.restore_scratch(acts);
     }
 
     fn pump_srun_backend(&mut self, ctx: &mut Ctx<AgentMsg>) {
-        let mut acts = std::mem::take(&mut self.scratch);
+        let mut acts = self.take_scratch();
         loop {
             let Some(sb) = self.srun_backend.as_mut() else {
                 return;
@@ -1928,7 +1928,7 @@ impl SimAgent {
             );
         }
         self.process_srun_actions(&mut acts, ctx);
-        Self::restore_scratch(&mut self.scratch, acts);
+        self.restore_scratch(acts);
     }
 
     // ----------------------------------------------------- action routing
@@ -1984,10 +1984,10 @@ impl SimAgent {
         ctx: &mut Ctx<AgentMsg>,
         f: impl FnOnce(&mut Instance, &mut Vec<Action>) -> R,
     ) -> R {
-        let mut acts = std::mem::take(&mut self.scratch);
+        let mut acts = self.take_scratch();
         let r = f(&mut self.instances[i], &mut acts);
         self.process_instance_actions(i, &mut acts, ctx);
-        Self::restore_scratch(&mut self.scratch, acts);
+        self.restore_scratch(acts);
         r
     }
 
@@ -2420,10 +2420,10 @@ impl SimAgent {
             f64::from(node_idx),
             format!("node {node_idx} of the srun allocation failed"),
         );
-        let mut acts = std::mem::take(&mut self.scratch);
+        let mut acts = self.take_scratch();
         let lost = self.site_srun.fail_node(node_idx, &mut acts);
         self.process_srun_actions(&mut acts, ctx);
-        Self::restore_scratch(&mut self.scratch, acts);
+        self.restore_scratch(acts);
         if let Some(sb) = self.srun_backend.as_mut() {
             for &id in &lost {
                 sb.release(id);
@@ -2556,16 +2556,16 @@ impl SimAgent {
         self.fail_task_fault(t, rp_lineage::FAULT_HANG, rp_lineage::NO_VALUE, ctx);
     }
 
-    /// Restore a scratch action buffer after a drain. A reentrant handler
-    /// (failure-retry path) may have parked its own — possibly larger —
-    /// buffer in the slot while this frame held `acts`; keep whichever
-    /// has more capacity so retry reentrancy can never permanently
-    /// downgrade the steady-state buffer to a fresh allocation.
-    fn restore_scratch<T>(slot: &mut Vec<T>, acts: Vec<T>) {
+    /// A drained action buffer: the pool's last, or a new one when every
+    /// pooled buffer is held by an outer frame.
+    fn take_scratch(&mut self) -> Vec<Action> {
+        self.scratch.pop().unwrap_or_default()
+    }
+
+    /// Return a buffer taken with [`Self::take_scratch`] after its drain.
+    fn restore_scratch(&mut self, acts: Vec<Action>) {
         debug_assert!(acts.is_empty(), "scratch buffer restored undrained");
-        if acts.capacity() >= slot.capacity() {
-            *slot = acts;
-        }
+        self.scratch.push(acts);
     }
 }
 
@@ -2615,14 +2615,14 @@ impl Actor<AgentMsg> for SimAgent {
                 }
                 self.note_pilot(PilotState::Bootstrapping);
                 // Launch backend instances on persistent srun slots.
-                let mut acts = std::mem::take(&mut self.scratch);
+                let mut acts = self.take_scratch();
                 for (i, inst) in self.instances.iter().enumerate() {
                     let carrier = StepId(INFRA_BASE + i as u64);
                     self.site_srun
                         .submit_persistent(carrier, inst.nodes(), &mut acts);
                 }
                 self.process_srun_actions(&mut acts, ctx);
-                Self::restore_scratch(&mut self.scratch, acts);
+                self.restore_scratch(acts);
                 // Collect services (started once the pilot is active) and
                 // the initial workload.
                 self.pending_services = self.workload.services();
@@ -2704,10 +2704,10 @@ impl Actor<AgentMsg> for SimAgent {
                 self.pump_sub_adapter(idx, ctx);
             }
             AgentMsg::Srun(token) => {
-                let mut acts = std::mem::take(&mut self.scratch);
+                let mut acts = self.take_scratch();
                 self.site_srun.on_token(token, &mut acts);
                 self.process_srun_actions(&mut acts, ctx);
-                Self::restore_scratch(&mut self.scratch, acts);
+                self.restore_scratch(acts);
             }
             AgentMsg::Instance(i, token) => {
                 let now = ctx.now();
