@@ -1333,7 +1333,8 @@ impl SimAgent {
     fn submit_tasks(&mut self, batch: Vec<TaskDescription>, ctx: &mut Ctx<AgentMsg>) {
         // Bulk submission (initial workloads arrive in one batch): the run
         // state adopts the batch as its description table and sizes the
-        // record table up front.
+        // record table up front, and the routing table is sized the same
+        // way rather than doubled past the batch as tasks route.
         let mut st = self.state.borrow_mut();
         let slots = st.submit(batch, ctx.now());
         let descs = &st.descs()[slots];
@@ -1349,6 +1350,7 @@ impl SimAgent {
             }
         }
         self.stage_q.extend(descs.iter().map(|d| d.uid));
+        self.assignment.reserve(descs.len());
         self.outstanding += descs.len();
         drop(st);
         self.pump_stagers(ctx);
