@@ -346,15 +346,19 @@ impl Instance {
         }
     }
 
-    /// Boot the backend, or after a chaos crash restart it.
-    fn boot(&mut self, restart: bool, out: &mut Vec<Action>) {
-        match (&mut self.machine, restart) {
-            (Machine::Flux(f), false) => f.boot(out),
-            (Machine::Flux(f), true) => f.restart(out),
-            (Machine::Dragon { sim, .. }, false) => sim.boot(out),
-            (Machine::Dragon { sim, .. }, true) => sim.restart(out),
-            (Machine::Prrte(pb), false) => pb.dvm.boot(out),
-            (Machine::Prrte(pb), true) => pb.dvm.restart(out),
+    /// Boot the backend — the first time, or after a chaos crash — over
+    /// its allocation minus the nodes `down` marks (the agent's mask for
+    /// this instance; empty when no fault plan is armed).
+    fn boot(&mut self, down: &[bool], out: &mut Vec<Action>) {
+        match &mut self.machine {
+            Machine::Flux(f) => f.boot(down, out),
+            Machine::Dragon { sim, .. } => sim.boot(down, out),
+            Machine::Prrte(pb) => {
+                // RP's pool outlives the DVM, but heard of no node
+                // transition while the DVM was down.
+                pb.pool.set_down_mask(down);
+                pb.dvm.boot(out);
+            }
         }
     }
 
@@ -367,20 +371,19 @@ impl Instance {
         }
     }
 
-    /// Take partition node `node` down and reap every task resident there;
-    /// returns the victims' uids, sorted. `None` when nothing changed: the
-    /// node was already down, or a Flux or Dragon backend is dead (PRRTE's
-    /// pool is RP's own and outlives its DVM).
-    fn fail_node(&mut self, now: SimTime, node: u32, out: &mut Vec<Action>) -> Option<Vec<u64>> {
+    /// Take partition node `node` of this live backend down and reap every
+    /// task resident there; returns the victims' uids, sorted. The agent's
+    /// mask has already marked the node down.
+    fn fail_node(&mut self, now: SimTime, node: u32, out: &mut Vec<Action>) -> Vec<u64> {
         match &mut self.machine {
             Machine::Flux(f) => f
                 .fail_node(now, node, out)
-                .map(|lost| lost.into_iter().map(|JobId(id)| id).collect()),
+                .into_iter()
+                .map(|JobId(id)| id)
+                .collect(),
             Machine::Dragon { sim, .. } => sim.fail_node(node, out),
             Machine::Prrte(pb) => {
-                if !pb.pool.node_down(node as usize) {
-                    return None;
-                }
+                pb.pool.node_down(node as usize);
                 // The DVM has no node model — placement lives with the
                 // agent (§5), so victim selection does too: every resident
                 // whose placement touches the node is reaped.
@@ -400,18 +403,19 @@ impl Instance {
                     pb.release(id);
                     pb.dvm.reap(id);
                 }
-                Some(victims)
+                victims
             }
         }
     }
 
-    /// Bring partition node `node` back; true when it was down (and, for
-    /// Flux and Dragon, the backend is alive).
-    fn node_up(&mut self, now: SimTime, node: u32, out: &mut Vec<Action>) -> bool {
+    /// Bring partition node `node` of this live backend back.
+    fn node_up(&mut self, now: SimTime, node: u32, out: &mut Vec<Action>) {
         match &mut self.machine {
             Machine::Flux(f) => f.node_up(now, node, out),
             Machine::Dragon { sim, .. } => sim.node_up(node, out),
-            Machine::Prrte(pb) => pb.pool.node_up(node as usize),
+            Machine::Prrte(pb) => {
+                pb.pool.node_up(node as usize);
+            }
         }
     }
 }
@@ -592,6 +596,12 @@ struct ChaosState {
     /// Fault counters, registered lazily by `enable_faults` so the
     /// OpenMetrics text of a faults-off run is unchanged.
     counters: Option<ChaosCounters>,
+    /// Node health, decided here and only obeyed by the backends: one
+    /// down-node mask per fault partition — each instance, in table
+    /// order, or on srun-only pilots the srun allocation as partition 0.
+    /// A backend hears of a transition only while it is alive; its
+    /// (re)boot builds capacity from the allocation minus its mask.
+    down: Vec<Vec<bool>>,
 }
 
 /// Metrics instruments for the chaos plane (faults-on runs only).
@@ -1062,11 +1072,20 @@ impl SimAgent {
                 "Tasks abandoned by the recovery policy",
             ),
         });
+        let down = if self.instances.is_empty() {
+            vec![vec![false; self.cfg.nodes as usize]]
+        } else {
+            self.instances
+                .iter()
+                .map(|inst| vec![false; inst.nodes() as usize])
+                .collect()
+        };
         self.chaos = Some(ChaosState {
             plan,
             avoid: FxHashMap::default(),
             parked: Vec::new(),
             counters,
+            down,
         });
     }
 
@@ -1969,13 +1988,17 @@ impl SimAgent {
     fn on_infra_carrier_live(&mut self, i: usize, ctx: &mut Ctx<AgentMsg>) {
         let slot = self.instances[i].report;
         self.state.borrow_mut().instances[slot].srun_acquired = Some(ctx.now());
-        self.boot_instance(i, false, ctx);
+        self.boot_instance(i, ctx);
     }
 
-    /// Boot (or, after a chaos crash, restart) instance `i` and route the
-    /// actions it emits.
-    fn boot_instance(&mut self, i: usize, restart: bool, ctx: &mut Ctx<AgentMsg>) {
-        self.with_instance(i, ctx, |inst, acts| inst.boot(restart, acts));
+    /// Boot (or, after a chaos crash, restart) instance `i` over its
+    /// allocation minus its down nodes, and route the actions it emits.
+    fn boot_instance(&mut self, i: usize, ctx: &mut Ctx<AgentMsg>) {
+        let mut acts = self.take_scratch();
+        let down = self.chaos.as_ref().map_or(&[][..], |c| &c.down[i]);
+        self.instances[i].boot(down, &mut acts);
+        self.process_instance_actions(i, &mut acts, ctx);
+        self.restore_scratch(acts);
     }
 
     /// Run `f` on instance `i` with the scratch action buffer, then route
@@ -2265,15 +2288,6 @@ impl SimAgent {
         }
     }
 
-    /// The instance a chaos-plan partition index names: plans count
-    /// partitions in instance-table order, and an index past the table
-    /// (always the case on srun-only pilots) names none.
-    fn fault_instance(&self, partition: u32) -> Option<usize> {
-        self.instances
-            .get(partition as usize)
-            .map(|_| partition as usize)
-    }
-
     /// Flight-recorder alarm for a fault at `backend`'s `partition`
     /// (no-op untracked).
     fn fault_alarm(
@@ -2296,11 +2310,11 @@ impl SimAgent {
             FaultAction::FailNode {
                 partition,
                 node_idx,
-            } => self.fault_fail_node(partition, node_idx, ctx),
+            } => self.fault_node(partition, node_idx, true, ctx),
             FaultAction::RestoreNode {
                 partition,
                 node_idx,
-            } => self.fault_restore_node(partition, node_idx, ctx),
+            } => self.fault_node(partition, node_idx, false, ctx),
             FaultAction::CrashBackend { partition } => self.fault_crash(partition, ctx),
             FaultAction::RestartBackend { partition } => self.fault_restart(partition, ctx),
         }
@@ -2359,33 +2373,59 @@ impl SimAgent {
         self.pump_stagers(ctx);
     }
 
-    /// Take one node down: resident tasks die (policy-driven recovery),
-    /// the node's capacity leaves its partition until `RestoreNode`.
-    fn fault_fail_node(&mut self, partition: u32, node_idx: u32, ctx: &mut Ctx<AgentMsg>) {
-        self.note_fault(rp_lineage::FAULT_NODE);
-        if self.instances.is_empty() {
-            return self.srun_fail_node(node_idx, ctx);
-        }
-        let Some(i) = self.fault_instance(partition) else {
+    /// Apply a plan's node transition: `down` fails node `node_idx` of
+    /// fault partition `partition`, `!down` restores it. The mask owns node
+    /// health, so a repeat, or an index past the mask, changes nothing,
+    /// raises no alarm and counts no injected fault. A live backend hears
+    /// of a transition now and a dead one at its restart. Tasks resident on
+    /// a failed node die (policy-driven recovery), and its capacity leaves
+    /// the partition until the restore. The site srun models a site-wide
+    /// RPC ceiling, not per-node slots, so on srun-only pilots a restore
+    /// moves only the mask and the alarm.
+    fn fault_node(&mut self, partition: u32, node_idx: u32, down: bool, ctx: &mut Ctx<AgentMsg>) {
+        let mask = self
+            .chaos
+            .as_mut()
+            .and_then(|c| c.down.get_mut(partition as usize));
+        let Some(d) = mask.and_then(|m| m.get_mut(node_idx as usize)) else {
             return;
         };
-        let inst = &self.instances[i];
-        let (kind, part) = (inst.kind(), inst.part);
-        let node = node_idx % inst.nodes().max(1);
-        let now = ctx.now();
-        let Some(lost) = self.with_instance(i, ctx, |inst, acts| inst.fail_node(now, node, acts))
-        else {
-            return; // dead or already down: nothing new to fail
+        if std::mem::replace(d, down) == down {
+            return;
+        }
+        if down {
+            self.note_fault(rp_lineage::FAULT_NODE);
+        }
+        let i = partition as usize;
+        let (at, what) = match self.instances.get(i) {
+            Some(inst) => {
+                let at = (inst.kind(), inst.part);
+                (at, format!("{} partition {}", at.0, at.1))
+            }
+            None => ((BackendKind::Srun, 0), "the srun allocation".to_string()),
         };
-        self.fault_alarm(
-            "fault_node",
-            Severity::Warning,
-            (kind, part),
-            f64::from(node),
-            format!("node {node} of {kind} partition {part} failed"),
-        );
+        let (alarm, severity, verb) = if down {
+            ("fault_node", Severity::Warning, "failed")
+        } else {
+            ("fault_node_cleared", Severity::Info, "restored")
+        };
+        let message = format!("node {node_idx} of {what} {verb}");
+        self.fault_alarm(alarm, severity, at, f64::from(node_idx), message);
+        let (kind, now) = (at.0, ctx.now());
+        let lost = match self.instances.get(i) {
+            None if down => return self.srun_fail_node(node_idx, ctx),
+            Some(inst) if inst.is_alive() && down => {
+                self.with_instance(i, ctx, |inst, acts| inst.fail_node(now, node_idx, acts))
+            }
+            Some(inst) if inst.is_alive() => {
+                self.with_instance(i, ctx, |inst, acts| inst.node_up(now, node_idx, acts));
+                Vec::new()
+            }
+            _ => return,
+        };
         if kind == BackendKind::Prrte {
-            // The victims' surviving ranks went back to RP's pool.
+            // The victims' surviving ranks, or the restored node, went
+            // back to RP's pool.
             self.pump_prrte(i, ctx);
         }
         for id in lost {
@@ -2407,21 +2447,13 @@ impl SimAgent {
                     self.dragon_slot_freed(i, ctx);
                 }
             }
-            self.fail_task_fault(TaskId(id), rp_lineage::FAULT_NODE, node.into(), ctx);
+            self.fail_task_fault(TaskId(id), rp_lineage::FAULT_NODE, node_idx.into(), ctx);
         }
     }
 
     /// A node fault on a srun-only pilot: the site srun reaps the steps
     /// resident there.
     fn srun_fail_node(&mut self, node_idx: u32, ctx: &mut Ctx<AgentMsg>) {
-        let node_idx = node_idx % self.cfg.nodes.max(1);
-        self.fault_alarm(
-            "fault_node",
-            Severity::Warning,
-            (BackendKind::Srun, 0),
-            f64::from(node_idx),
-            format!("node {node_idx} of the srun allocation failed"),
-        );
         let mut acts = self.take_scratch();
         let lost = self.site_srun.fail_node(node_idx, &mut acts);
         self.process_srun_actions(&mut acts, ctx);
@@ -2437,40 +2469,14 @@ impl SimAgent {
         self.pump_srun_backend(ctx);
     }
 
-    /// Bring a previously failed node back into its partition's pool. The
-    /// site srun models a site-wide RPC ceiling, not per-node slots:
-    /// nothing left it at failure time, so srun-only pilots do nothing.
-    fn fault_restore_node(&mut self, partition: u32, node_idx: u32, ctx: &mut Ctx<AgentMsg>) {
-        let Some(i) = self.fault_instance(partition) else {
-            return;
-        };
-        let inst = &self.instances[i];
-        let (kind, part) = (inst.kind(), inst.part);
-        let node = node_idx % inst.nodes().max(1);
-        let now = ctx.now();
-        if !self.with_instance(i, ctx, |inst, acts| inst.node_up(now, node, acts)) {
-            return; // dead or not down: nothing came back
-        }
-        if kind == BackendKind::Prrte {
-            self.pump_prrte(i, ctx);
-        }
-        self.fault_alarm(
-            "fault_node_cleared",
-            Severity::Info,
-            (kind, part),
-            f64::from(node),
-            format!("node {node} of {kind} partition {part} restored"),
-        );
-    }
-
     /// Crash a whole backend instance via the chaos plane. Plan generation
     /// degrades crashes to node failures on srun-only pilots, so those
     /// ignore it.
     fn fault_crash(&mut self, partition: u32, ctx: &mut Ctx<AgentMsg>) {
-        let Some(i) = self.fault_instance(partition) else {
-            return;
+        let i = partition as usize;
+        let Some(inst) = self.instances.get(i) else {
+            return; // plans count partitions in table order: none past it
         };
-        let inst = &self.instances[i];
         if !inst.is_alive() {
             return; // already down; nothing new to kill
         }
@@ -2506,15 +2512,12 @@ impl SimAgent {
     /// re-readiness (which does NOT re-fire pilot activation — see
     /// [`Self::instance_booted`]).
     fn fault_restart(&mut self, partition: u32, ctx: &mut Ctx<AgentMsg>) {
-        let Some(i) = self.fault_instance(partition) else {
-            return;
+        let i = partition as usize;
+        let Some(inst) = self.instances.get(i).filter(|inst| !inst.is_alive()) else {
+            return; // none past the table; a live one needs no restart
         };
-        let inst = &self.instances[i];
-        if inst.is_alive() {
-            return;
-        }
         let (kind, part) = (inst.kind(), inst.part);
-        self.boot_instance(i, true, ctx);
+        self.boot_instance(i, ctx);
         self.fault_alarm(
             "fault_crash_cleared",
             Severity::Info,

@@ -168,7 +168,10 @@ impl SimSession {
 
     /// Run under a fault plan the caller built. Its partition indices name
     /// the agent's instance table (Flux instances first, then Dragon, then
-    /// PRRTE); an index past the table names no instance and is ignored.
+    /// PRRTE; a srun-only pilot's one partition is its srun allocation),
+    /// and its node indices count from 0 within the partition. A partition
+    /// index past the table, or a node index past the partition, names
+    /// nothing and is ignored: it reaps no task and raises no alarm.
     pub fn with_fault_plan(mut self, plan: rp_chaos::FaultPlan) -> Self {
         self.faults = Some(plan);
         self

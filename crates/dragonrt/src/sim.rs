@@ -41,17 +41,20 @@ pub struct DragonTask {
 #[derive(Debug)]
 pub struct DragonSim {
     worker_capacity: u64,
-    /// `worker_capacity` plus every node's outage: the in-service shape,
-    /// which node faults only move between the two terms.
+    /// `worker_capacity` plus every node's `removed`: the in-service
+    /// shape, which node faults only move between the two terms.
     full_capacity: u64,
     free_workers: u64,
     /// Worker count of one node (capacity removed/restored per node fault).
     cores_per_node: u64,
-    /// Per-node outage state: `Some(removed)` is the worker count actually
-    /// taken out when the node failed (≤ `cores_per_node` when the model's
-    /// free+victim workers could not cover a whole node), returned verbatim
-    /// by `node_up` so capacity conservation is exact.
-    node_outage: Vec<Option<u64>>,
+    /// Nodes in the allocation: in-flight task `uid` lives on node
+    /// `uid % nodes`.
+    nodes: u64,
+    /// `(node, workers)` per down node: what the owner's mask cannot say,
+    /// the workers its failure took out (short of `cores_per_node` when
+    /// survivors held the rest), which `node_up` returns verbatim. Sized
+    /// for every node at `new`, so a node fault never allocates.
+    removed: Vec<(u32, u64)>,
     ready: bool,
     dispatch_busy: bool,
     queue: VecDeque<DragonTask>,
@@ -88,7 +91,8 @@ impl DragonSim {
             full_capacity: alloc.total_cores(),
             free_workers: alloc.total_cores(),
             cores_per_node: alloc.total_cores() / alloc.count.max(1) as u64,
-            node_outage: vec![None; alloc.count as usize],
+            nodes: u64::from(alloc.count),
+            removed: Vec::with_capacity(alloc.count as usize),
             ready: false,
             dispatch_busy: false,
             queue: VecDeque::new(),
@@ -177,35 +181,20 @@ impl DragonSim {
         lost.extend(self.in_flight.drain().map(|(id, _)| id));
         self.dispatch_busy = false;
         self.free_workers = self.worker_capacity;
+        self.ready = false;
+        self.last_reject = None;
         lost.sort_unstable();
         lost
     }
 
-    /// Restart a crashed runtime: full bootstrap over whatever capacity is
-    /// currently in service (nodes still down stay down until their own
-    /// `node_up`). Lost tasks were already returned by [`DragonSim::kill`];
-    /// stale timer tokens are swallowed. The RNG stream continues, keeping
-    /// the run deterministic.
-    pub fn restart(&mut self, out: &mut Vec<Action>) {
-        assert!(!self.alive, "restart of a live runtime");
-        self.alive = true;
-        self.ready = false;
-        self.free_workers = self.worker_capacity;
-        self.last_reject = None;
-        self.boot(out);
-    }
-
-    /// Fail one node's worth of workers. Dragon keeps no placement map, so
-    /// residency is modeled deterministically: in-flight task `uid` lives
-    /// on node `uid % alloc_nodes`. Victims are reaped (ids returned
-    /// sorted), the node's workers leave the pool, and stale timers for the
-    /// victims are tolerated. `None` when nothing changed: the runtime is
-    /// dead or the node is already down.
-    pub fn fail_node(&mut self, node_idx: u32, out: &mut Vec<Action>) -> Option<Vec<u64>> {
-        let nodes = self.node_outage.len() as u64;
-        if !self.alive || nodes == 0 || self.node_outage[node_idx as usize].is_some() {
-            return None;
-        }
+    /// Fail one node's worth of workers of this live runtime. Dragon keeps
+    /// no placement map, so residency is modeled deterministically:
+    /// in-flight task `uid` lives on node `uid % alloc_nodes`. Victims are
+    /// reaped (ids returned sorted), the node's workers leave the pool, and
+    /// stale timers for the victims are tolerated. Node health is the
+    /// caller's: it says only when the node really goes down.
+    pub fn fail_node(&mut self, node_idx: u32, out: &mut Vec<Action>) -> Vec<u64> {
+        let nodes = self.nodes;
         let mut lost: Vec<u64> = self
             .in_flight
             .keys()
@@ -230,25 +219,21 @@ impl DragonSim {
         let removed = self.cores_per_node.min(avail);
         self.free_workers = avail - removed;
         self.worker_capacity -= removed;
-        self.node_outage[node_idx as usize] = Some(removed);
+        self.removed.push((node_idx, removed));
         self.pump(out);
-        Some(lost)
+        lost
     }
 
-    /// Restore a failed node: exactly the workers removed at failure time
-    /// rejoin the pool. Returns whether the node came back: false while
-    /// dead or when the node is not down.
-    pub fn node_up(&mut self, node_idx: u32, out: &mut Vec<Action>) -> bool {
-        if !self.alive {
-            return false;
-        }
-        let Some(removed) = self.node_outage[node_idx as usize].take() else {
-            return false;
-        };
+    /// Restore a failed node of this live runtime: exactly the workers
+    /// removed at failure time rejoin the pool.
+    pub fn node_up(&mut self, node_idx: u32, out: &mut Vec<Action>) {
+        let pos = self.removed.iter().position(|&(n, _)| n == node_idx);
+        let (_, removed) = self
+            .removed
+            .swap_remove(pos.expect("node_up of an up node"));
         self.worker_capacity += removed;
         self.free_workers += removed;
         self.pump(out);
-        true
     }
 
     /// Best-effort cancellation: removes the task if it is still queued for
@@ -282,9 +267,20 @@ impl DragonSim {
         }
     }
 
-    /// Begin bootstrap (≈9 s on Frontier). Actions are appended to `out`
-    /// — callers reuse one buffer so the hot path stays allocation-free.
-    pub fn boot(&mut self, out: &mut Vec<Action>) {
+    /// Begin bootstrap (≈9 s on Frontier), the first time or after a
+    /// [`DragonSim::kill`], over the allocation's workers minus the nodes
+    /// the owner's mask `down` marks (empty: none). The RNG stream
+    /// continues across restarts, keeping the run deterministic. Actions
+    /// are appended to `out` — callers reuse one buffer so the hot path
+    /// stays allocation-free.
+    pub fn boot(&mut self, down: &[bool], out: &mut Vec<Action>) {
+        self.alive = true;
+        self.removed.clear();
+        let down = (0..).zip(down).filter(|(_, d)| **d);
+        self.removed
+            .extend(down.map(|(node, _)| (node, self.cores_per_node)));
+        self.worker_capacity = self.full_capacity - self.cores_per_node * self.removed.len() as u64;
+        self.free_workers = self.worker_capacity;
         let cost = self.boot_cost.sample(&mut self.rng);
         self.booting = true;
         out.push(Action::Timer {
@@ -477,7 +473,7 @@ mod tests {
             }
         };
         let mut acts = Vec::new();
-        sim.boot(&mut acts);
+        sim.boot(&[], &mut acts);
         sink(
             std::mem::take(&mut acts),
             0,
@@ -596,19 +592,19 @@ mod tests {
 
     /// `submit`'s bound is the in-service shape stored at `new`: node
     /// faults only move workers between the pool and the outages, and a
-    /// crash and restart move none, so the bound always equals the sum it
-    /// replaced.
+    /// restart rebuilds the pool from the owner's mask, so the bound always
+    /// equals the sum it replaced.
     #[test]
     fn full_capacity_holds_across_faults_and_restart() {
         let mut sim = runtime(2);
         let mut acts = Vec::new();
         let check = |sim: &DragonSim| {
-            let outage: u64 = sim.node_outage.iter().flatten().sum();
+            let outage: u64 = sim.removed.iter().map(|(_, w)| w).sum();
             assert_eq!(sim.worker_capacity + outage, sim.full_capacity);
             assert_eq!(sim.full_capacity, 112);
         };
         check(&sim);
-        sim.boot(&mut acts);
+        sim.boot(&[], &mut acts);
         sim.fail_node(0, &mut acts);
         assert_eq!(sim.worker_capacity(), 56);
         check(&sim);
@@ -622,7 +618,9 @@ mod tests {
         sim.submit(wide, &mut acts);
         assert_eq!(sim.kill(), vec![0]);
         check(&sim);
-        sim.restart(&mut acts);
+        // Node 0 is still down in the owner's mask: the restart keeps it out.
+        sim.boot(&[true, false], &mut acts);
+        assert_eq!(sim.worker_capacity(), 56);
         check(&sim);
         sim.fail_node(1, &mut acts);
         assert_eq!(sim.worker_capacity(), 0);
@@ -651,7 +649,7 @@ mod tests {
         let mut heap: BinaryHeap<Reverse<(u64, u64, Token)>> = BinaryHeap::new();
         let mut seq = 0u64;
         let mut acts = Vec::new();
-        sim.boot(&mut acts);
+        sim.boot(&[], &mut acts);
         for t in tasks {
             sim.submit(t, &mut acts);
         }
@@ -667,7 +665,7 @@ mod tests {
             sim.on_token(SimTime::from_micros(t), tok, &mut acts);
             if !injected && sim.busy_workers() > 20 {
                 injected = true;
-                lost = sim.fail_node(0, &mut acts).expect("node 0 was up");
+                lost = sim.fail_node(0, &mut acts);
                 assert!(!lost.is_empty());
                 assert!(lost.iter().all(|id| id % 2 == 0), "node 0 residents");
                 assert_eq!(sim.worker_capacity(), 56, "one node's workers gone");
@@ -722,7 +720,7 @@ mod tests {
         let mut heap: BinaryHeap<Reverse<(u64, u64, Token)>> = BinaryHeap::new();
         let mut seq = 0u64;
         let mut acts = Vec::new();
-        sim.boot(&mut acts);
+        sim.boot(&[], &mut acts);
         for t in null_tasks(50) {
             sim.submit(t, &mut acts);
         }
@@ -750,7 +748,7 @@ mod tests {
         }
         assert!(!sim.is_alive());
         let t0 = crash_t + 10_000_000;
-        sim.restart(&mut acts);
+        sim.boot(&[], &mut acts);
         assert!(sim.is_alive());
         for id in &lost {
             sim.submit(
@@ -788,7 +786,7 @@ mod tests {
         // narrower ones even if they'd fit (documented Dragon behavior).
         let mut sim = runtime(1);
         let mut acts = Vec::new();
-        sim.boot(&mut acts);
+        sim.boot(&[], &mut acts);
         for (id, workers, secs) in [(0, 56, 100), (1, 56, 100), (2, 1, 0)] {
             sim.submit(
                 DragonTask {

@@ -151,7 +151,11 @@ impl Books {
 /// Odd cases also take seeded node faults, node restores, crashes and
 /// restarts: each reaped task is resubmitted to the same runtime while its
 /// orphan tokens may still be in flight, and every submission must end
-/// exactly once (completed or reaped) with the runtime drained.
+/// exactly once (completed or reaped) with the runtime drained. The driver
+/// owns node health, as the agent does: it keeps the down-node mask, fails
+/// and restores nodes while the runtime is dead too, tells a live runtime
+/// only of real transitions, and each restart must size the pool from the
+/// allocation minus the mask; at quiescence every worker is back.
 #[test]
 fn dragon_sim_conserves() {
     let mut rng = RngStream::derive(0xD7A6, "dragon_sim_conserves");
@@ -168,20 +172,30 @@ fn dragon_sim_conserves() {
         let alloc = Allocation {
             spec: frontier().node,
             first: 0,
-            count: 1,
+            count: 2,
         };
         let mut sim = DragonSim::new(&alloc, &Calibration::frontier(), 3);
         let mut books = Books::default();
         let mut peak_busy = 0u64;
         let mut acts = Vec::new();
-        sim.boot(&mut acts);
+        let mut down = [false; 2];
+        sim.boot(&down, &mut acts);
+        let restart = |sim: &mut DragonSim, down: &[bool; 2], acts: &mut Vec<Action>| {
+            sim.boot(down, acts);
+            let up = down.iter().filter(|d| !**d).count() as u64;
+            assert_eq!(
+                sim.worker_capacity(),
+                56 * up,
+                "case {case}: restart obeys the mask"
+            );
+        };
         books.apply(0, &mut acts);
         for task in &tasks {
             books.submitted(task.id);
             sim.submit(*task, &mut acts);
             books.apply(0, &mut acts);
         }
-        let mut budget = if case % 2 == 1 { 8 } else { 0 };
+        let mut budget = if case % 2 == 1 { 12 } else { 0 };
         let mut lost_in_crash: Vec<u64> = Vec::new();
         let mut now = 0;
         loop {
@@ -195,27 +209,34 @@ fn dragon_sim_conserves() {
                 }
                 budget -= 1;
                 let mut resubmit = Vec::new();
-                if !sim.is_alive() {
-                    sim.restart(&mut acts);
-                    resubmit = std::mem::take(&mut lost_in_crash);
-                } else {
-                    match faults.index(3) {
-                        0 => {
-                            for id in sim.fail_node(0, &mut acts).into_iter().flatten() {
+                let node = faults.index(2);
+                match faults.index(4) {
+                    0 if !down[node] => {
+                        down[node] = true;
+                        if sim.is_alive() {
+                            for id in sim.fail_node(node as u32, &mut acts) {
                                 books.reaped(id);
                                 resubmit.push(id);
                             }
                         }
-                        1 => {
-                            sim.node_up(0, &mut acts);
-                        }
-                        _ => {
-                            for id in sim.kill() {
-                                books.reaped(id);
-                                lost_in_crash.push(id);
-                            }
+                    }
+                    1 if down[node] => {
+                        down[node] = false;
+                        if sim.is_alive() {
+                            sim.node_up(node as u32, &mut acts);
                         }
                     }
+                    2 if sim.is_alive() => {
+                        for id in sim.kill() {
+                            books.reaped(id);
+                            lost_in_crash.push(id);
+                        }
+                    }
+                    3 if !sim.is_alive() => {
+                        restart(&mut sim, &down, &mut acts);
+                        resubmit = std::mem::take(&mut lost_in_crash);
+                    }
+                    _ => {}
                 }
                 books.apply(t, &mut acts);
                 for id in resubmit {
@@ -224,16 +245,20 @@ fn dragon_sim_conserves() {
                     books.apply(t, &mut acts);
                 }
             }
-            // Quiescent: restart, restore the node, and drain whatever
+            // Quiescent: restart, restore every node, and drain whatever
             // that releases.
             if !sim.is_alive() {
-                sim.restart(&mut acts);
+                restart(&mut sim, &down, &mut acts);
                 for id in lost_in_crash.drain(..) {
                     books.submitted(id);
                     sim.submit(tasks[id as usize], &mut acts);
                 }
             }
-            sim.node_up(0, &mut acts);
+            for (node, d) in down.iter_mut().enumerate() {
+                if std::mem::take(d) {
+                    sim.node_up(node as u32, &mut acts);
+                }
+            }
             books.apply(now, &mut acts);
             if books.heap.is_empty() {
                 break;
@@ -248,6 +273,7 @@ fn dragon_sim_conserves() {
         assert!(books.started >= tasks.len(), "case {case}");
         assert_eq!(books.completed, tasks.len(), "case {case}");
         assert_eq!(sim.busy_workers(), 0, "case {case}: workers all returned");
+        assert_eq!(sim.worker_capacity(), 112, "case {case}: every node back");
         assert!(
             peak_busy <= sim.worker_capacity(),
             "case {case}: pool never oversubscribed"

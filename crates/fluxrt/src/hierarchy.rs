@@ -149,7 +149,7 @@ impl FluxTreeSim {
         let mut out = Vec::new();
         let mut acts = Vec::new();
         for i in 0..self.leaves.len() {
-            self.leaves[i].boot(&mut acts);
+            self.leaves[i].boot(&[], &mut acts);
             self.map_leaf_actions(i as u32, &mut acts, &mut out);
         }
         out

@@ -66,7 +66,7 @@ pub struct FluxInstanceSim {
     completed: u64,
     /// Deepest the ingest + sched backlog has ever been.
     queued_peak: usize,
-    /// False once killed by failure injection.
+    /// False from a [`FluxInstanceSim::kill`] until the next boot.
     alive: bool,
     /// The job the start server currently holds (set by `pump_start`,
     /// cleared when its `Started` token arrives); lets fault injection tell
@@ -185,9 +185,9 @@ impl FluxInstanceSim {
     }
 
     /// Simulate an instance crash (broker death): every job anywhere in the
-    /// pipeline is lost and returned so the caller can fail/retry it. After
-    /// this the instance ignores stale timer tokens and fails submits as
-    /// retryable.
+    /// pipeline is lost and returned so the caller can fail/retry it. Until
+    /// the next [`FluxInstanceSim::boot`] the instance ignores stale timer
+    /// tokens and fails submits as retryable.
     pub fn kill(&mut self) -> Vec<JobId> {
         self.alive = false;
         // Record exactly which timer tokens are orphaned so their arrival
@@ -220,8 +220,12 @@ impl FluxInstanceSim {
         lost.extend(self.matched.drain().map(|(id, _)| id));
         lost.extend(self.start_queue.drain(..).map(|(j, _)| j.id));
         lost.extend(self.running.drain().map(|(id, _)| id));
-        // Pool state is irrelevant now — the partition's nodes are gone.
-        // (A later `restart` rebuilds the pool from the allocation.)
+        // The broker's view of the partition dies with it: the pool comes
+        // back whole, and the next `boot` takes down what the owner's
+        // node mask says.
+        self.pool = self.alloc.pool();
+        self.ready = false;
+        self.last_reject = None;
         self.ingest_busy = false;
         self.match_busy = false;
         self.start_busy = false;
@@ -229,38 +233,14 @@ impl FluxInstanceSim {
         lost
     }
 
-    /// Restart a crashed instance: fresh pool over the same allocation,
-    /// then a full bootstrap (the paper's restart-latency model — the
-    /// caller schedules this after the configured restart delay). Jobs
-    /// lost in the crash were already returned by
-    /// [`FluxInstanceSim::kill`]; stale timer tokens from before the crash
-    /// are swallowed. The RNG stream continues, keeping the run
-    /// deterministic.
-    pub fn restart(&mut self, out: &mut Vec<Action>) {
-        assert!(!self.alive, "restart of a live instance");
-        self.alive = true;
-        self.ready = false;
-        self.pool = self.alloc.pool();
-        self.last_reject = None;
-        self.boot(out);
-    }
-
-    /// Fail node `node_idx` (pool-local index) inside this instance: its
-    /// free capacity leaves the pool and every matched/starting/running job
-    /// with a rank on it is reaped — resources freed (parking the dead
+    /// Fail node `node_idx` (pool-local index) inside this live instance:
+    /// its free capacity leaves the pool and every matched/starting/running
+    /// job with a rank on it is reaped — resources freed (parking the dead
     /// node's share), ids returned sorted so the caller can fail/retry
-    /// them. Stale timer tokens for reaped jobs are tolerated. Returns
-    /// `None` when nothing changed: the instance is dead or the node was
-    /// already down.
-    pub fn fail_node(
-        &mut self,
-        now: SimTime,
-        node_idx: u32,
-        out: &mut Vec<Action>,
-    ) -> Option<Vec<JobId>> {
-        if !self.alive || !self.pool.node_down(node_idx as usize) {
-            return None;
-        }
+    /// them. Stale timer tokens for reaped jobs are tolerated. Node health
+    /// is the caller's: it says only when the node really goes down.
+    pub fn fail_node(&mut self, now: SimTime, node_idx: u32, out: &mut Vec<Action>) -> Vec<JobId> {
+        self.pool.node_down(node_idx as usize);
         let touches = |p: &Placement| p.ranks.iter().any(|r| r.node_idx == node_idx);
         let mut victims: Vec<(JobId, Placement)> = Vec::new();
         let matched_hit: Vec<JobId> = self
@@ -312,19 +292,15 @@ impl FluxInstanceSim {
         // pool, which can unblock a queued head with nothing else in
         // flight to trigger the next match.
         self.pump_match(now, out);
-        Some(lost)
+        lost
     }
 
-    /// Restore a failed node: its capacity (including resources parked by
-    /// frees during the outage) rejoins the pool and the scheduler is
-    /// re-pumped. Returns whether the node came back: false while dead or
-    /// when the node is not down.
-    pub fn node_up(&mut self, now: SimTime, node_idx: u32, out: &mut Vec<Action>) -> bool {
-        let up = self.alive && self.pool.node_up(node_idx as usize);
-        if up {
-            self.pump_match(now, out);
-        }
-        up
+    /// Restore a failed node of this live instance: its capacity
+    /// (including resources parked by frees during the outage) rejoins the
+    /// pool and the scheduler is re-pumped.
+    pub fn node_up(&mut self, now: SimTime, node_idx: u32, out: &mut Vec<Action>) {
+        self.pool.node_up(node_idx as usize);
+        self.pump_match(now, out);
     }
 
     /// Best-effort cancellation: removes the job if it has not yet reached
@@ -381,10 +357,16 @@ impl FluxInstanceSim {
         }
     }
 
-    /// Begin bootstrap (broker tree + modules; ≈20 s on Frontier).
-    /// Actions are appended to `out` — callers reuse one buffer across
-    /// every call so the per-event hot path stays allocation-free.
-    pub fn boot(&mut self, out: &mut Vec<Action>) {
+    /// Begin bootstrap (broker tree + modules; ≈20 s on Frontier), the
+    /// first time or after a [`FluxInstanceSim::kill`], over the
+    /// allocation minus the nodes the owner's mask `down` marks (empty:
+    /// none). The RNG stream continues across restarts, keeping the run
+    /// deterministic. Actions are appended to `out` — callers reuse one
+    /// buffer across every call so the per-event hot path stays
+    /// allocation-free.
+    pub fn boot(&mut self, down: &[bool], out: &mut Vec<Action>) {
+        self.alive = true;
+        self.pool.set_down_mask(down);
         let cost = self.bootstrap_cost.sample(&mut self.rng);
         self.booting = true;
         out.push(Action::Timer {
@@ -678,7 +660,7 @@ mod tests {
             }
         };
         let mut acts = Vec::new();
-        inst.boot(&mut acts);
+        inst.boot(&[], &mut acts);
         apply(
             std::mem::take(&mut acts),
             0,
@@ -779,7 +761,7 @@ mod tests {
         let mut seq = 0u64;
         let mut peak_busy = 0u64;
         let mut acts = Vec::new();
-        inst.boot(&mut acts);
+        inst.boot(&[], &mut acts);
         for a in acts.drain(..) {
             if let Action::Timer { after, token } = a {
                 heap.push(Reverse((after.as_micros(), seq, token)));
@@ -866,7 +848,7 @@ mod tests {
         let mut heap: BinaryHeap<Reverse<(u64, u64, Token)>> = BinaryHeap::new();
         let mut seq = 0u64;
         let mut acts = Vec::new();
-        inst.boot(&mut acts);
+        inst.boot(&[], &mut acts);
         for a in acts.drain(..) {
             if let Action::Timer { after, token } = a {
                 heap.push(Reverse((after.as_micros(), seq, token)));
@@ -879,9 +861,7 @@ mod tests {
         drain_with_hook(&mut inst, &mut heap, &mut seq, |t, inst, out| {
             if !injected && inst.running_count() > 10 {
                 injected = true;
-                lost = inst
-                    .fail_node(SimTime::from_micros(t), 0, out)
-                    .expect("node 0 was up");
+                lost = inst.fail_node(SimTime::from_micros(t), 0, out);
             }
         });
         assert!(injected, "fault must have fired");
@@ -890,7 +870,7 @@ mod tests {
         assert_eq!(inst.completed_count() + lost.len() as u64, 150);
         // Node restored: the lost jobs resubmit and the pool is whole.
         let mut acts = Vec::new();
-        assert!(inst.node_up(SimTime::from_micros(0), 0, &mut acts));
+        inst.node_up(SimTime::from_micros(0), 0, &mut acts);
         let resubmits: Vec<JobSpec> = lost
             .iter()
             .map(|id| JobSpec {
@@ -913,7 +893,7 @@ mod tests {
         let mut heap: BinaryHeap<Reverse<(u64, u64, Token)>> = BinaryHeap::new();
         let mut seq = 0u64;
         let mut acts = Vec::new();
-        inst.boot(&mut acts);
+        inst.boot(&[], &mut acts);
         for a in acts.drain(..) {
             if let Action::Timer { after, token } = a {
                 heap.push(Reverse((after.as_micros(), seq, token)));
@@ -936,7 +916,7 @@ mod tests {
         assert!(!lost.is_empty());
         // Restart after a 30 s outage, then resubmit everything lost.
         let t0 = crash_t + 30_000_000;
-        inst.restart(&mut acts);
+        inst.boot(&[], &mut acts);
         assert!(inst.is_alive());
         for a in acts.drain(..) {
             if let Action::Timer { after, token } = a {

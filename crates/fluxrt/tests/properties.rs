@@ -135,7 +135,11 @@ impl Books {
 /// node restores, crashes and restarts: each reaped uid is resubmitted to
 /// the same instance while its orphan tokens may still be in flight, and
 /// every submission must end exactly once (finished, reaped or failed)
-/// with the instance drained.
+/// with the instance drained. The driver owns node health, as the agent
+/// does: it keeps the down-node mask, fails and restores nodes while the
+/// instance is dead too, tells a live instance only of real transitions,
+/// and each restart must build the pool from the allocation minus the
+/// mask; at quiescence the pool is the whole allocation again.
 #[test]
 fn instance_conserves_jobs() {
     let mut rng = RngStream::derive(0xF10D, "instance_conserves_jobs");
@@ -167,8 +171,18 @@ fn instance_conserves_jobs() {
         let mut books = Books::default();
         let mut feasible = 0usize;
         let mut acts = Vec::new();
-        inst.boot(&mut acts);
+        let mut down = [false; 2];
+        inst.boot(&down, &mut acts);
         books.apply(0, &mut acts);
+        let restart = |inst: &mut FluxInstanceSim, down: &[bool; 2], acts: &mut Vec<Action>| {
+            inst.boot(down, acts);
+            let cores = 56 * down.iter().filter(|d| **d).count() as u64;
+            assert_eq!(
+                inst.busy_cores(),
+                cores,
+                "case {case}: restart obeys the mask"
+            );
+        };
         let pool_probe = ResourcePool::over_range(frontier().node, 0, 2);
         for job in &jobs {
             if pool_probe.can_ever_fit(&job.req) {
@@ -178,7 +192,7 @@ fn instance_conserves_jobs() {
             inst.submit(*job, &mut acts);
             books.apply(0, &mut acts);
         }
-        let mut budget = if case % 2 == 1 { 8 } else { 0 };
+        let mut budget = if case % 2 == 1 { 12 } else { 0 };
         let mut lost_in_crash: Vec<u64> = Vec::new();
         let mut now = 0;
         loop {
@@ -192,28 +206,34 @@ fn instance_conserves_jobs() {
                 }
                 budget -= 1;
                 let mut resubmit = Vec::new();
-                if !inst.is_alive() {
-                    inst.restart(&mut acts);
-                    resubmit = std::mem::take(&mut lost_in_crash);
-                } else {
-                    let node = faults.index(2) as u32;
-                    match faults.index(3) {
-                        0 => {
-                            for id in inst.fail_node(at, node, &mut acts).into_iter().flatten() {
+                let node = faults.index(2);
+                match faults.index(4) {
+                    0 if !down[node] => {
+                        down[node] = true;
+                        if inst.is_alive() {
+                            for id in inst.fail_node(at, node as u32, &mut acts) {
                                 books.reaped(id.0);
                                 resubmit.push(id.0);
                             }
                         }
-                        1 => {
-                            inst.node_up(at, node, &mut acts);
-                        }
-                        _ => {
-                            for id in inst.kill() {
-                                books.reaped(id.0);
-                                lost_in_crash.push(id.0);
-                            }
+                    }
+                    1 if down[node] => {
+                        down[node] = false;
+                        if inst.is_alive() {
+                            inst.node_up(at, node as u32, &mut acts);
                         }
                     }
+                    2 if inst.is_alive() => {
+                        for id in inst.kill() {
+                            books.reaped(id.0);
+                            lost_in_crash.push(id.0);
+                        }
+                    }
+                    3 if !inst.is_alive() => {
+                        restart(&mut inst, &down, &mut acts);
+                        resubmit = std::mem::take(&mut lost_in_crash);
+                    }
+                    _ => {}
                 }
                 books.apply(t, &mut acts);
                 for id in resubmit {
@@ -226,14 +246,16 @@ fn instance_conserves_jobs() {
             // that releases.
             let at = SimTime::from_micros(now);
             if !inst.is_alive() {
-                inst.restart(&mut acts);
+                restart(&mut inst, &down, &mut acts);
                 for id in lost_in_crash.drain(..) {
                     books.submitted(id);
                     inst.submit(jobs[id as usize], &mut acts);
                 }
             }
-            for node in 0..2 {
-                inst.node_up(at, node, &mut acts);
+            for (node, d) in down.iter_mut().enumerate() {
+                if std::mem::take(d) {
+                    inst.node_up(at, node as u32, &mut acts);
+                }
             }
             books.apply(now, &mut acts);
             if books.heap.is_empty() {
@@ -252,6 +274,8 @@ fn instance_conserves_jobs() {
             "case {case}: every feasible job finishes once"
         );
         assert_eq!(books.exceptions, specs.len() - feasible, "case {case}");
+        // A down node counts as busy, so this is also every node back.
         assert_eq!(inst.busy_cores(), 0, "case {case}: all resources returned");
+        assert_eq!(inst.busy_gpus(), 0, "case {case}: all GPUs returned");
     }
 }

@@ -797,6 +797,18 @@ impl ResourcePool {
     pub fn is_node_down(&self, idx: usize) -> bool {
         self.nodes[idx].down
     }
+
+    /// Obey an owner's down-node mask: node `i` goes down when `down[i]`
+    /// and comes back up otherwise. Nodes past the mask keep their state.
+    pub fn set_down_mask(&mut self, down: &[bool]) {
+        for (idx, &d) in down.iter().enumerate() {
+            if d {
+                self.node_down(idx);
+            } else {
+                self.node_up(idx);
+            }
+        }
+    }
 }
 
 /// Lowest `n` bits set.

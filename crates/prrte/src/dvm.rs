@@ -120,41 +120,34 @@ impl PrrteDvm {
         self.queue.is_empty() && self.in_flight.is_empty()
     }
 
-    /// Uids of every resident task — queued at the HNP, mid-launch, or
-    /// running — in ascending uid order (sorted so fault-plane victim
-    /// scans are deterministic regardless of hash-map iteration order).
+    /// Uids of every resident task — queued at the HNP, or mid-launch or
+    /// running (both in `in_flight`) — each once, in ascending uid order
+    /// (sorted so fault-plane victim scans are deterministic regardless of
+    /// hash-map iteration order).
     pub fn resident_ids(&self) -> Vec<u64> {
         let mut ids: Vec<u64> = self
             .queue
             .iter()
             .map(|t| t.id)
-            .chain(self.launching)
             .chain(self.in_flight.keys().copied())
             .collect();
         ids.sort_unstable();
         ids
     }
 
-    /// Start the DVM daemons. Actions are appended to `out` — callers
-    /// reuse one buffer so the hot path stays allocation-free.
+    /// Start the DVM daemons, the first time or after a
+    /// [`PrrteDvm::kill`]. The RNG stream continues where it left off, so
+    /// a fixed fault seed replays byte-identically. Actions are appended
+    /// to `out` — callers reuse one buffer so the hot path stays
+    /// allocation-free.
     pub fn boot(&mut self, out: &mut Vec<Action>) {
+        self.alive = true;
         let cost = self.boot_cost.sample(&mut self.rng);
         self.booting = true;
         out.push(Action::Timer {
             after: cost,
             token: Token::Booted,
         });
-    }
-
-    /// Bring a killed DVM back up. The RNG stream continues where it left
-    /// off, so a fixed fault seed replays byte-identically.
-    pub fn restart(&mut self, out: &mut Vec<Action>) {
-        assert!(!self.alive, "restart of a live DVM");
-        self.alive = true;
-        self.ready = false;
-        self.hnp_busy = false;
-        self.launching = None;
-        self.boot(out);
     }
 
     /// Forcibly fail one task (queued, launching, or running) — the DVM has
@@ -238,6 +231,7 @@ impl PrrteDvm {
             self.booting = false;
         }
         self.hnp_busy = false;
+        self.ready = false;
         lost.sort_unstable();
         lost
     }
@@ -435,6 +429,20 @@ mod tests {
         assert!(!d.is_alive());
     }
 
+    /// A mid-launch task is listed once, so a node fault reaps it once.
+    #[test]
+    fn resident_ids_lists_a_launching_task_once() {
+        let mut d = dvm(4);
+        let mut acts = Vec::new();
+        d.boot(&mut acts);
+        d.on_token(SimTime::ZERO, Token::Booted, &mut acts);
+        for t in nulls(3) {
+            d.submit(t, &mut acts);
+        }
+        assert_eq!(d.launching, Some(0));
+        assert_eq!(d.resident_ids(), vec![0, 1, 2]);
+    }
+
     #[test]
     fn reap_tolerates_orphaned_timers_and_resubmission() {
         let mut d = dvm(4);
@@ -536,7 +544,7 @@ mod tests {
             }
         }
         let t0 = crash_t + 5_000_000;
-        d.restart(&mut acts);
+        d.boot(&mut acts);
         assert!(d.is_alive());
         for id in &lost {
             d.submit(

@@ -2,11 +2,11 @@
 //! arbitrary loads, serial HNP launch behavior, and kill/cancel accounting.
 //! Cases come from a fixed-seed [`RngStream`] so failures replay exactly.
 
-use rp_platform::{frontier, Allocation, Calibration};
+use rp_platform::{frontier, Allocation, Calibration, Placement, ResourcePool, ResourceRequest};
 use rp_prrte::{PrrteDvm, PrrteTask};
 use rp_sim::{Action, RngStream, SimDuration, SimTime, Token};
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 
 /// Where one submission of a task stands.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,11 +64,130 @@ impl Books {
     }
 }
 
+/// RP's side of a PRRTE partition: the DVM has no node model, so the
+/// placer over the partition's pool and the down-node mask are the
+/// driver's, as they are the agent's. Tasks wait FIFO for placement and
+/// reach the DVM only once placed; a dead DVM places nothing.
+struct Placer {
+    pool: ResourcePool,
+    down: Vec<bool>,
+    waiting: VecDeque<u64>,
+    placed: BTreeMap<u64, Placement>,
+}
+
+impl Placer {
+    fn new(alloc: &Allocation) -> Self {
+        Placer {
+            pool: alloc.pool(),
+            down: vec![false; alloc.count as usize],
+            waiting: VecDeque::new(),
+            placed: BTreeMap::new(),
+        }
+    }
+
+    fn release(&mut self, id: u64) {
+        if let Some(pl) = self.placed.remove(&id) {
+            self.pool.free(&pl);
+        }
+    }
+
+    /// Book `acts`, return finished tasks' cores, and place what fits,
+    /// until the DVM emits nothing new.
+    fn settle(
+        &mut self,
+        dvm: &mut PrrteDvm,
+        tasks: &[PrrteTask],
+        books: &mut Books,
+        now: u64,
+        acts: &mut Vec<Action>,
+    ) {
+        loop {
+            let done: Vec<u64> = acts
+                .iter()
+                .filter_map(|a| match a {
+                    Action::Completed(id) => Some(*id),
+                    _ => None,
+                })
+                .collect();
+            books.apply(now, acts);
+            for id in done {
+                self.release(id);
+            }
+            while let Some(&id) = self.waiting.front().filter(|_| dvm.is_alive()) {
+                let Some(pl) = self.pool.try_alloc(&request(id)) else {
+                    break;
+                };
+                self.waiting.pop_front();
+                self.placed.insert(id, pl);
+                books.submitted(id);
+                dvm.submit(tasks[id as usize], acts);
+            }
+            if acts.is_empty() {
+                return;
+            }
+        }
+    }
+
+    /// Mark `node` down; a live DVM loses every resident placed there.
+    fn fail_node(&mut self, dvm: &mut PrrteDvm, books: &mut Books, node: usize) {
+        if std::mem::replace(&mut self.down[node], true) || !dvm.is_alive() {
+            return;
+        }
+        self.pool.node_down(node);
+        for id in dvm.resident_ids() {
+            if self.placed[&id]
+                .ranks
+                .iter()
+                .any(|r| r.node_idx as usize == node)
+            {
+                self.release(id);
+                assert!(dvm.reap(id), "resident {id} unknown");
+                books.reaped(id);
+                self.waiting.push_back(id);
+            }
+        }
+    }
+
+    /// Mark `node` up; a live DVM's pool gets it back now.
+    fn restore(&mut self, dvm: &PrrteDvm, node: usize) {
+        if std::mem::replace(&mut self.down[node], false) && dvm.is_alive() {
+            self.pool.node_up(node);
+        }
+    }
+
+    /// Crash the DVM: its tasks' cores return and they wait for a restart.
+    fn kill(&mut self, dvm: &mut PrrteDvm, books: &mut Books) {
+        for id in dvm.kill() {
+            self.release(id);
+            books.reaped(id);
+            self.waiting.push_back(id);
+        }
+    }
+
+    /// Restart the DVM over the allocation minus the mask.
+    fn restart(&mut self, dvm: &mut PrrteDvm, acts: &mut Vec<Action>) {
+        self.pool.set_down_mask(&self.down);
+        for (node, &d) in self.down.iter().enumerate() {
+            assert_eq!(self.pool.is_node_down(node), d, "restart obeys the mask");
+        }
+        dvm.boot(acts);
+    }
+}
+
+/// The cores task `id` asks RP to place: one to a whole node.
+fn request(id: u64) -> ResourceRequest {
+    ResourceRequest::single(1 + (id * 37 % 56) as u16, 0)
+}
+
 /// Every submitted task starts and completes exactly once; the DVM drains
-/// fully. Odd cases also take seeded reaps (the agent's node-fault path),
-/// crashes and restarts: each reaped task is resubmitted to the same DVM
-/// while its orphan tokens may still be in flight, and every submission
-/// must end exactly once (completed or reaped) with the DVM drained.
+/// fully. Odd cases also take seeded node faults and restores (the agent's
+/// placer reaps a failed node's residents), crashes and restarts: each
+/// reaped task is placed and resubmitted to the same DVM while its orphan
+/// tokens may still be in flight, and every submission must end exactly
+/// once (completed or reaped) with the DVM drained. The driver owns the
+/// down-node mask and fails or restores nodes while the DVM is dead too;
+/// each restart must bring the pool to the allocation minus the mask, and
+/// at quiescence the pool is the whole allocation again.
 #[test]
 fn dvm_conserves_tasks() {
     let mut rng = RngStream::derive(0x9447, "dvm_conserves_tasks");
@@ -88,61 +207,45 @@ fn dvm_conserves_tasks() {
                 duration: SimDuration::from_secs(rng.next_u64() % 200),
             })
             .collect();
+        let mut rp = Placer::new(&alloc);
         let mut books = Books::default();
         let mut acts = Vec::new();
         dvm.boot(&mut acts);
-        books.apply(0, &mut acts);
-        for task in &tasks {
-            books.submitted(task.id);
-            dvm.submit(*task, &mut acts);
-            books.apply(0, &mut acts);
-        }
-        let mut budget = if case % 2 == 1 { 8 } else { 0 };
-        let mut lost_in_crash: Vec<u64> = Vec::new();
+        rp.waiting.extend(0..n as u64);
+        rp.settle(&mut dvm, &tasks, &mut books, 0, &mut acts);
+        let mut budget = if case % 2 == 1 { 12 } else { 0 };
         let mut now = 0;
         loop {
             while let Some(Reverse((t, _, tok))) = books.heap.pop() {
                 now = t;
                 dvm.on_token(SimTime::from_micros(t), tok, &mut acts);
-                books.apply(t, &mut acts);
+                rp.settle(&mut dvm, &tasks, &mut books, t, &mut acts);
                 if budget == 0 || !faults.chance(0.1) {
                     continue;
                 }
                 budget -= 1;
-                let mut resubmit = Vec::new();
-                if !dvm.is_alive() {
-                    dvm.restart(&mut acts);
-                    resubmit = std::mem::take(&mut lost_in_crash);
-                } else if faults.chance(0.7) {
-                    let pick = faults.index(books.live.len().max(1));
-                    if let Some(&id) = books.live.keys().nth(pick) {
-                        assert!(dvm.reap(id), "case {case}: live {id} unknown");
-                        books.reaped(id);
-                        resubmit.push(id);
-                    }
-                } else {
-                    for id in dvm.kill() {
-                        books.reaped(id);
-                        lost_in_crash.push(id);
-                    }
+                let node = faults.index(nodes as usize);
+                match faults.index(4) {
+                    0 => rp.fail_node(&mut dvm, &mut books, node),
+                    1 => rp.restore(&dvm, node),
+                    2 if dvm.is_alive() => rp.kill(&mut dvm, &mut books),
+                    3 if !dvm.is_alive() => rp.restart(&mut dvm, &mut acts),
+                    _ => {}
                 }
-                books.apply(t, &mut acts);
-                for id in resubmit {
-                    books.submitted(id);
-                    dvm.submit(tasks[id as usize], &mut acts);
-                    books.apply(t, &mut acts);
-                }
+                rp.settle(&mut dvm, &tasks, &mut books, t, &mut acts);
             }
-            // Quiescent: restart a dead DVM and drain its resubmissions.
-            if dvm.is_alive() {
+            // Quiescent: restart a dead DVM, restore every node, and drain
+            // whatever that releases.
+            if !dvm.is_alive() {
+                rp.restart(&mut dvm, &mut acts);
+            }
+            for node in 0..nodes as usize {
+                rp.restore(&dvm, node);
+            }
+            rp.settle(&mut dvm, &tasks, &mut books, now, &mut acts);
+            if books.heap.is_empty() {
                 break;
             }
-            dvm.restart(&mut acts);
-            for id in lost_in_crash.drain(..) {
-                books.submitted(id);
-                dvm.submit(tasks[id as usize], &mut acts);
-            }
-            books.apply(now, &mut acts);
         }
         assert!(dvm.is_idle(), "case {case}");
         assert!(
@@ -150,9 +253,15 @@ fn dvm_conserves_tasks() {
             "case {case}: {:?} never ended",
             books.live
         );
+        assert!(rp.waiting.is_empty() && rp.placed.is_empty(), "case {case}");
         assert!(books.started >= n, "case {case}");
         assert_eq!(books.completed, n, "case {case}");
         assert_eq!(dvm.completed_count(), n as u64, "case {case}");
+        assert_eq!(
+            (rp.pool.free_cores(), rp.pool.free_gpus()),
+            (rp.pool.total_cores(), rp.pool.total_gpus()),
+            "case {case}: the pool is the whole allocation again"
+        );
     }
 }
 

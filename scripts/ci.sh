@@ -125,12 +125,12 @@ test -s "$LINEAGE_DIR/blame_report.txt"
     > "$LINEAGE_DIR/diff_report.txt"
 grep -q "verdict: no blame segment moved" "$LINEAGE_DIR/diff_report.txt"
 
-# Chaos soak: 16 fault seeds x {flux, dragon} under a fixed fault spec.
-# Every run must finish without panics and conserve its task set (each
-# uid exactly once, every task terminal) — the binary asserts this and
-# exits nonzero otherwise. The final run writes lineage so a fault-killed
-# task narrates through `rp-explain` (uploaded as a CI artifact in
-# ci.yml).
+# Chaos soak: 16 fault seeds x {flux, dragon, prrte, srun} under a fixed
+# fault spec. Every run must finish without panics and conserve its task
+# set (each uid exactly once, every task terminal) — the binary asserts
+# this and exits nonzero otherwise. The last seed's faulted runs write
+# lineage so a fault-killed task narrates through `rp-explain` (uploaded
+# as a CI artifact in ci.yml).
 CHAOS_DIR="${CHAOS_DIR:-$(mktemp -d)}"
 ./target/release/chaos_soak --seeds 16 --lineage-dir "$CHAOS_DIR"
 test -s "$CHAOS_DIR/chaos_soak.lineage.jsonl"

@@ -6,7 +6,8 @@
 
 use radical_rs::analytics::blame_task;
 use radical_rs::core::{
-    FaultAction, FaultEvent, FaultPlan, PilotConfig, RecoveryPolicy, SimSession,
+    BackendKind, FaultAction, FaultEvent, FaultPlan, PilotConfig, RecoveryPolicy, RunReport,
+    SimSession, TaskDescription,
 };
 use radical_rs::sim::{SimDuration, SimTime};
 use radical_rs::workloads::{dummy_workload, mixed_workload, null_workload};
@@ -217,18 +218,58 @@ fn telemetry_does_not_depend_on_other_sinks() {
     }
 }
 
-/// A node fault raises `fault_node` when the node goes down and
-/// `fault_node_cleared` when it comes back, not on a repeat: failing the
-/// same node of every partition twice and restoring it twice leaves
-/// exactly one of each per partition, on Flux and Dragon alike.
+/// Alarms of `kind` in `report`, as sorted `(backend, partition)` pairs.
+fn alarms(report: &RunReport, kind: &str) -> Vec<(Option<u8>, Option<u32>)> {
+    let tel = report.telemetry.as_ref().expect("telemetry attached");
+    let mut seen: Vec<_> = tel
+        .alarms
+        .iter()
+        .filter(|a| a.kind == kind)
+        .map(|a| (a.backend, a.partition))
+        .collect();
+    seen.sort();
+    seen
+}
+
+/// A plan of `(seconds, action)` events under `ResubmitElsewhere`.
+fn plan(events: Vec<(u64, FaultAction)>) -> FaultPlan {
+    FaultPlan {
+        events: events
+            .into_iter()
+            .map(|(secs, action)| FaultEvent {
+                at: SimTime::from_secs(secs),
+                action,
+            })
+            .collect(),
+        hang_victims: Vec::new(),
+        watchdog: SimDuration::ZERO,
+        policy: RecoveryPolicy::ResubmitElsewhere,
+        max_retries: None,
+    }
+}
+
+/// Node health is one decision, the agent's, and every backend obeys it:
+/// on Flux, Dragon, PRRTE and srun alike,
+/// - `fault_node` fires when a node goes down and `fault_node_cleared`
+///   when it comes back, not on a repeat: failing the same node of every
+///   partition twice and restoring it twice leaves one of each, and one
+///   injected node fault, per partition;
+/// - a node failed before a backend crash is still down after the
+///   restart, and a restore while the backend is dead takes effect at the
+///   restart, with one alarm per transition: 112 one-core 100 s tasks
+///   submitted after the restart to a 2-node partition run in two waves
+///   (≈200 s) or in one (≈100 s);
+/// - a node index past the partition names no node: it reaps nothing and
+///   raises no alarm.
 #[test]
 fn node_fault_alarms_fire_on_real_transitions_only() {
     for cfg in [
         PilotConfig::flux(NODES, 2),
         PilotConfig::flux_dragon(NODES, 2),
+        PilotConfig::prrte(NODES),
+        PilotConfig::srun(NODES),
     ] {
         let partitions = cfg.total_instances();
-        let at = |secs| SimTime::from_secs(secs);
         let mut events = Vec::new();
         for partition in 0..partitions {
             for (secs, down) in [(50, true), (60, true), (100, false), (110, false)] {
@@ -244,43 +285,89 @@ fn node_fault_alarms_fire_on_real_transitions_only() {
                         node_idx,
                     }
                 };
-                events.push(FaultEvent {
-                    at: at(secs),
-                    action,
-                });
+                events.push((secs, action));
             }
         }
-        events.sort_by_key(|e| e.at);
-        let plan = FaultPlan {
-            events,
-            hang_victims: Vec::new(),
-            watchdog: SimDuration::ZERO,
-            policy: RecoveryPolicy::ResubmitElsewhere,
-            max_retries: None,
-        };
+        events.sort_by_key(|e| e.0);
         let report =
             SimSession::with_tasks(cfg, mixed_workload(NODES, SimDuration::from_secs(200)))
-                .with_fault_plan(plan)
+                .with_fault_plan(plan(events))
                 .with_telemetry(SimDuration::from_secs(1))
+                .with_metrics(SimDuration::from_secs(1))
                 .run();
-        let tel = report.telemetry.as_ref().expect("telemetry attached");
-        let mut seen: Vec<(Option<u8>, Option<u32>)> = tel
-            .alarms
-            .iter()
-            .filter(|a| a.kind == "fault_node")
-            .map(|a| (a.backend, a.partition))
-            .collect();
-        let mut cleared: Vec<(Option<u8>, Option<u32>)> = tel
-            .alarms
-            .iter()
-            .filter(|a| a.kind == "fault_node_cleared")
-            .map(|a| (a.backend, a.partition))
-            .collect();
-        seen.sort();
-        cleared.sort();
+        let mut seen = alarms(&report, "fault_node");
         assert_eq!(seen.len(), partitions as usize, "{seen:?}");
         seen.dedup();
         assert_eq!(seen.len(), partitions as usize, "one per partition");
-        assert_eq!(cleared, seen, "one clear per partition");
+        assert_eq!(
+            alarms(&report, "fault_node_cleared"),
+            seen,
+            "one clear per partition"
+        );
+        let injected = format!("rp_faults_injected_total{{kind=\"node_failure\"}} {partitions}\n");
+        let om = report
+            .metrics
+            .as_ref()
+            .expect("metrics attached")
+            .openmetrics();
+        assert!(om.contains(&injected), "one injected fault per partition");
+    }
+
+    let fail = |node_idx| FaultAction::FailNode {
+        partition: 0,
+        node_idx,
+    };
+    let restore = FaultAction::RestoreNode {
+        partition: 0,
+        node_idx: 0,
+    };
+    let crash = FaultAction::CrashBackend { partition: 0 };
+    let restart = FaultAction::RestartBackend { partition: 0 };
+    let wave: Vec<TaskDescription> = (0..112)
+        .map(|i| TaskDescription::dummy(i, SimDuration::from_secs(100)))
+        .collect();
+    for cfg in [
+        PilotConfig::flux(2, 1),
+        PilotConfig::dragon(2),
+        PilotConfig::prrte(2),
+        PilotConfig::srun(2),
+    ] {
+        let backend = cfg.backends[0].kind();
+        let run = |events| {
+            SimSession::with_tasks(cfg.clone(), Vec::new())
+                .submit_at(SimTime::from_secs(200), wave.clone())
+                .with_fault_plan(plan(events))
+                .with_telemetry(SimDuration::from_secs(1))
+                .run()
+        };
+        for (events, restored) in [
+            (vec![(50, fail(0)), (60, crash), (70, restart)], false),
+            (
+                vec![(50, fail(0)), (60, crash), (65, restore), (70, restart)],
+                true,
+            ),
+        ] {
+            let report = run(events);
+            let what = format!("{backend} restored={restored}");
+            assert_eq!(alarms(&report, "fault_node").len(), 1, "{what}");
+            let cleared = alarms(&report, "fault_node_cleared").len();
+            assert_eq!(cleared, usize::from(restored), "{what}");
+            assert_eq!(report.done_tasks().count(), 112, "{what}");
+            // srun tracks aggregate slots, not nodes: no capacity to check.
+            if backend != BackendKind::Srun {
+                let makespan = report.makespan().expect("tasks ran");
+                if restored {
+                    assert!(makespan < 150.0, "{what}: one wave, got {makespan}");
+                } else {
+                    assert!(makespan > 190.0, "{what}: two waves, got {makespan}");
+                }
+            }
+        }
+        // A 2-node partition has no node 2: the fault lands mid-wave and
+        // must not wrap onto node 0.
+        let report = run(vec![(250, fail(2))]);
+        assert!(alarms(&report, "fault_node").is_empty(), "{backend}");
+        assert_eq!(report.done_tasks().count(), 112, "{backend}");
+        assert!(report.tasks.iter().all(|t| t.retries == 0), "{backend}");
     }
 }
