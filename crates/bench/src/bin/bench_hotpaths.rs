@@ -89,7 +89,7 @@ fn engine_benches(out: &mut Vec<BenchEntry>) {
     const EVENTS: u64 = 100_000;
     let wall = median_wall(1.0, || {
         let mut eng = Engine::new();
-        let id = eng.add_actor(Box::new(Chain { remaining: EVENTS }));
+        let id = eng.add_actor(Chain { remaining: EVENTS });
         eng.schedule(SimTime::ZERO, id, 0);
         eng.run_until_idle(EVENTS + 10)
     });
@@ -97,7 +97,7 @@ fn engine_benches(out: &mut Vec<BenchEntry>) {
 
     let wall = median_wall(1.0, || {
         let mut eng = Engine::new();
-        let id = eng.add_actor(Box::new(Sink));
+        let id = eng.add_actor(Sink);
         for i in 0..EVENTS {
             eng.schedule(SimTime::from_micros(i % 1000), id, i);
         }
@@ -109,8 +109,8 @@ fn engine_benches(out: &mut Vec<BenchEntry>) {
     // sampler-scan cost that zero/one-sampler runs should not pay.
     let wall = median_wall(1.0, || {
         let mut eng = Engine::new();
-        let id = eng.add_actor(Box::new(Chain { remaining: EVENTS }));
-        eng.add_sampler(SimDuration::from_secs(3600), id, 0);
+        let id = eng.add_actor(Chain { remaining: EVENTS });
+        eng.add_sampler(SimDuration::from_secs(3600), 0);
         eng.schedule(SimTime::ZERO, id, 0);
         eng.run_until_idle(EVENTS + 10)
     });

@@ -38,9 +38,7 @@ use rp_serving::{ServingOutcome, ServingState, ServingTaskKind};
 use rp_sim::{Action, Actor, Ctx, Dist, FxHashMap, RngStream, SimTime, Token, UidMap};
 use rp_slurm::{SrunSim, StepId, StepRequest};
 use rp_telemetry::{SampleInput, Severity, Telemetry};
-use std::cell::RefCell;
 use std::collections::VecDeque;
-use std::rc::Rc;
 
 /// Infra step-id base for instance carriers: the srun step carrying
 /// instance `i` (its flat index in the instance table) is `INFRA_BASE + i`.
@@ -543,7 +541,7 @@ pub(crate) fn state_event_name(s: TaskState) -> &'static str {
 /// The profile's gauge tracks (built by [`SimAgent::attach_profile`]):
 /// each profile sample appends its rows to `data`.
 struct ProfileGauges {
-    data: Rc<RefCell<ProfileData>>,
+    data: ProfileData,
     /// The `agent` and `srun` tracks, then the gauge names, in
     /// [`SimAgent::attach_profile`]'s order.
     names: [Sym; 7],
@@ -619,7 +617,9 @@ struct ChaosCounters {
 pub struct SimAgent {
     cfg: PilotConfig,
     router: Router,
-    state: Rc<RefCell<RunState>>,
+    /// The run's records: the session takes them back with
+    /// [`Self::into_parts`] after the run.
+    state: RunState,
     rng: RngStream,
 
     // Pipeline servers.
@@ -695,17 +695,12 @@ pub struct SimAgent {
     chaos: Option<ChaosState>,
     /// Open-loop serving plane (None unless [`Self::enable_serving`] ran).
     /// Batch runs pay exactly one `Option` check per hook site.
-    serving: Option<Rc<RefCell<ServingState>>>,
+    serving: Option<ServingState>,
 }
 
 impl SimAgent {
-    /// Build the agent for `cfg`, feeding from `workload`, reporting into
-    /// `state`.
-    pub fn new(
-        cfg: PilotConfig,
-        workload: Box<dyn WorkloadSource>,
-        state: Rc<RefCell<RunState>>,
-    ) -> Self {
+    /// Build the agent for `cfg`, feeding from `workload`.
+    pub fn new(cfg: PilotConfig, workload: Box<dyn WorkloadSource>) -> Self {
         cfg.validate();
         let mut cluster = Cluster::new(rp_platform::frontier());
         let alloc = cluster
@@ -734,68 +729,66 @@ impl SimAgent {
         // their seeds in spec order (srun spans everything), then group
         // the table by kind.
         let mut instances = Vec::new();
-        {
-            let mut st = state.borrow_mut();
-            let non_srun = if srun_backend.is_some() {
-                0
-            } else {
-                total_partitions
-            };
-            let mut parts = if non_srun > 0 {
-                alloc.partition(non_srun)
-            } else {
-                Vec::new()
-            }
-            .into_iter();
-            for spec in &cfg.backends {
-                for part in 0..spec.partitions() {
-                    let mut next = || (parts.next().expect("enough partitions"), rng.next_u64());
-                    let machine = match *spec {
-                        BackendSpec::Srun => break,
-                        BackendSpec::Flux { backfill, .. } => {
-                            let (alloc, seed) = next();
-                            let policy: Box<dyn SchedPolicy> = if backfill {
-                                Box::new(EasyBackfill::default())
-                            } else {
-                                Box::new(Fcfs)
-                            };
-                            Machine::Flux(FluxInstanceSim::new(alloc, &cal, policy, seed))
+        let mut state = RunState::default();
+        let non_srun = if srun_backend.is_some() {
+            0
+        } else {
+            total_partitions
+        };
+        let mut parts = if non_srun > 0 {
+            alloc.partition(non_srun)
+        } else {
+            Vec::new()
+        }
+        .into_iter();
+        for spec in &cfg.backends {
+            for part in 0..spec.partitions() {
+                let mut next = || (parts.next().expect("enough partitions"), rng.next_u64());
+                let machine = match *spec {
+                    BackendSpec::Srun => break,
+                    BackendSpec::Flux { backfill, .. } => {
+                        let (alloc, seed) = next();
+                        let policy: Box<dyn SchedPolicy> = if backfill {
+                            Box::new(EasyBackfill::default())
+                        } else {
+                            Box::new(Fcfs)
+                        };
+                        Machine::Flux(FluxInstanceSim::new(alloc, &cal, policy, seed))
+                    }
+                    BackendSpec::Dragon { .. } => {
+                        let (alloc, seed) = next();
+                        Machine::Dragon {
+                            sim: DragonSim::new(&alloc, &cal, seed),
+                            alloc,
+                            inflight: 0,
+                            parked: VecDeque::new(),
                         }
-                        BackendSpec::Dragon { .. } => {
-                            let (alloc, seed) = next();
-                            Machine::Dragon {
-                                sim: DragonSim::new(&alloc, &cal, seed),
-                                alloc,
-                                inflight: 0,
-                                parked: VecDeque::new(),
-                            }
-                        }
-                        BackendSpec::Prrte { .. } => {
-                            let (alloc, seed) = next();
-                            Machine::Prrte(PrrteBackend {
-                                dvm: PrrteDvm::new(&alloc, &cal, seed),
-                                pool: alloc.pool(),
-                                waiting: VecDeque::new(),
-                                placements: UidMap::default(),
-                                lin_reject: None,
-                            })
-                        }
-                    };
-                    let inst = Instance {
-                        report: st.instances.len(),
-                        part,
-                        machine,
-                    };
-                    st.instances.push(InstanceReport {
-                        kind: spec.kind(),
-                        partition: part,
-                        nodes: inst.nodes(),
-                        srun_acquired: None,
-                        ready: None,
-                        killed: false,
-                    });
-                    instances.push(inst);
-                }
+                    }
+                    BackendSpec::Prrte { .. } => {
+                        let (alloc, seed) = next();
+                        Machine::Prrte(PrrteBackend {
+                            dvm: PrrteDvm::new(&alloc, &cal, seed),
+                            pool: alloc.pool(),
+                            waiting: VecDeque::new(),
+                            placements: UidMap::default(),
+                            lin_reject: None,
+                        })
+                    }
+                };
+                let inst = Instance {
+                    report: state.instances.len(),
+                    part,
+                    machine,
+                };
+                state.instances.push(InstanceReport {
+                    kind: spec.kind(),
+                    partition: part,
+                    nodes: inst.nodes(),
+                    srun_acquired: None,
+                    ready: None,
+                    killed: false,
+                });
+                instances.push(inst);
             }
         }
         instances.sort_by_key(Instance::kind);
@@ -875,8 +868,8 @@ impl SimAgent {
     /// agent-queue, srun-concurrency and per-partition utilization gauges
     /// into `data` as gauge rows on the `agent`, `srun`, `flux.N`,
     /// `dragon.N` and `prrte.N` tracks, stamped with the sample boundary.
-    pub fn attach_profile(&mut self, data: Rc<RefCell<ProfileData>>) {
-        let mut p = data.borrow_mut();
+    pub fn attach_profile(&mut self) {
+        let mut p = ProfileData::default();
         let names = [
             "agent",
             "srun",
@@ -892,8 +885,11 @@ impl SimAgent {
             .iter()
             .map(|inst| p.intern(&format!("{}.{}", inst.kind(), inst.part)))
             .collect();
-        drop(p);
-        self.profile = Some(ProfileGauges { data, names, parts });
+        self.profile = Some(ProfileGauges {
+            data: p,
+            names,
+            parts,
+        });
     }
 
     /// Attach a metrics registry: pipeline-server service times are
@@ -1094,42 +1090,43 @@ impl SimAgent {
     /// admits through `state`'s weighted-fair queues and maps released
     /// plan indices onto task descriptions. Sessions without serving
     /// never call this — batch runs stay byte-identical.
-    pub fn enable_serving(&mut self, state: Rc<RefCell<ServingState>>) {
+    pub fn enable_serving(&mut self, state: ServingState) {
         self.serving = Some(state);
+    }
+
+    /// End the run: hand back the run's records, the profile's gauge rows
+    /// (when profiling) and the serving books (when serving).
+    pub(crate) fn into_parts(self) -> (RunState, Option<ProfileData>, Option<ServingState>) {
+        (self.state, self.profile.map(|p| p.data), self.serving)
     }
 
     /// One serving batch arrives: offer it to the admission queues, then
     /// pump whatever the window allows into the pipeline.
     fn serving_arrive(&mut self, b: u32, ctx: &mut Ctx<AgentMsg>) {
-        if let Some(s) = &self.serving {
-            s.borrow_mut().on_batch(b);
+        if let Some(s) = &mut self.serving {
+            s.on_batch(b);
         }
         self.serving_pump(ctx);
     }
 
     /// Admit up to one release batch from the serving queues and submit
-    /// the mapped task descriptions. The admission borrow ends before
-    /// `submit_tasks` so the observability hooks can re-enter freely.
+    /// the mapped task descriptions.
     fn serving_pump(&mut self, ctx: &mut Ctx<AgentMsg>) {
-        let Some(s) = &self.serving else { return };
-        let s = Rc::clone(s);
-        let descs: Vec<TaskDescription> = {
-            let mut st = s.borrow_mut();
-            let mut released: Vec<u32> = Vec::new();
-            st.pump_into(&mut released);
-            let dur = rp_sim::SimDuration::from_secs_f64(st.spec().dur_s);
-            released
-                .iter()
-                .map(|&idx| {
-                    let uid = st.uid_for(idx);
-                    match st.plan().tasks[idx as usize].kind {
-                        ServingTaskKind::Null => TaskDescription::null(uid),
-                        ServingTaskKind::Dummy => TaskDescription::dummy(uid, dur),
-                        ServingTaskKind::Function => TaskDescription::function(uid, "serve", dur),
-                    }
-                })
-                .collect()
-        };
+        let Some(st) = &mut self.serving else { return };
+        let mut released: Vec<u32> = Vec::new();
+        st.pump_into(&mut released);
+        let dur = rp_sim::SimDuration::from_secs_f64(st.spec().dur_s);
+        let descs: Vec<TaskDescription> = released
+            .iter()
+            .map(|&idx| {
+                let uid = st.uid_for(idx);
+                match st.plan().tasks[idx as usize].kind {
+                    ServingTaskKind::Null => TaskDescription::null(uid),
+                    ServingTaskKind::Dummy => TaskDescription::dummy(uid, dur),
+                    ServingTaskKind::Function => TaskDescription::function(uid, "serve", dur),
+                }
+            })
+            .collect();
         if !descs.is_empty() {
             self.submit_tasks(descs, ctx);
         }
@@ -1139,19 +1136,13 @@ impl SimAgent {
     /// window slot exactly once (outcome read from the record's terminal
     /// state) and refill the freed capacity from the admission queues.
     fn serving_terminal(&mut self, t: TaskId, ctx: &mut Ctx<AgentMsg>) {
-        let Some(s) = &self.serving else { return };
-        let outcome = {
-            let st = self.state.borrow();
-            match st.task(t).map(|r| r.state) {
-                Some(TaskState::Done) => ServingOutcome::Done,
-                Some(TaskState::Canceled) => ServingOutcome::Canceled,
-                _ => ServingOutcome::Failed,
-            }
+        let Some(s) = &mut self.serving else { return };
+        let outcome = match self.state.task(t).map(|r| r.state) {
+            Some(TaskState::Done) => ServingOutcome::Done,
+            Some(TaskState::Canceled) => ServingOutcome::Canceled,
+            _ => ServingOutcome::Failed,
         };
-        let handled = s
-            .borrow_mut()
-            .on_terminal(t.0, ctx.now().as_secs_f64(), outcome);
-        if handled {
+        if s.on_terminal(t.0, ctx.now().as_secs_f64(), outcome) {
             self.serving_pump(ctx);
         }
     }
@@ -1159,7 +1150,7 @@ impl SimAgent {
     /// Whether the serving plane (if any) has delivered and drained every
     /// planned arrival — the extra gate on stopping persistent services.
     fn serving_drained(&self) -> bool {
-        self.serving.as_ref().is_none_or(|s| s.borrow().drained())
+        self.serving.as_ref().is_none_or(ServingState::drained)
     }
 
     /// Bump one chaos fault counter (no-op when metrics are detached).
@@ -1286,9 +1277,9 @@ impl SimAgent {
         view
     }
 
-    fn with_task<R>(&self, uid: TaskId, f: impl FnOnce(&mut TaskRecord) -> R) -> R {
-        let mut st = self.state.borrow_mut();
-        let rec = st
+    fn with_task<R>(&mut self, uid: TaskId, f: impl FnOnce(&mut TaskRecord) -> R) -> R {
+        let rec = self
+            .state
             .task_mut(uid)
             .unwrap_or_else(|| panic!("unknown task {uid}"));
         let before = rec.state;
@@ -1337,12 +1328,12 @@ impl SimAgent {
                 }
             }
             if rec.state == TaskState::Executing {
-                if let Some(s) = &self.serving {
+                if let Some(s) = &mut self.serving {
                     // Client-perceived time-to-launch: the record's own
                     // exec timestamp minus the planned arrival (idempotent
                     // across transient retry re-entries).
                     let now = rec.exec_start.unwrap_or(rec.submitted).as_secs_f64();
-                    s.borrow_mut().on_launch(uid.0, now);
+                    s.on_launch(uid.0, now);
                 }
             }
         }
@@ -1354,9 +1345,8 @@ impl SimAgent {
         // state adopts the batch as its description table and sizes the
         // record table up front, and the routing table is sized the same
         // way rather than doubled past the batch as tasks route.
-        let mut st = self.state.borrow_mut();
-        let slots = st.submit(batch, ctx.now());
-        let descs = &st.descs()[slots];
+        let slots = self.state.submit(batch, ctx.now());
+        let descs = &self.state.descs()[slots];
         // Batched observability hooks: one table borrow and one clock read
         // per submission batch instead of one per task (the whole batch
         // shares `now`, so the stream is byte-identical either way).
@@ -1371,7 +1361,6 @@ impl SimAgent {
         self.stage_q.extend(descs.iter().map(|d| d.uid));
         self.assignment.reserve(descs.len());
         self.outstanding += descs.len();
-        drop(st);
         self.pump_stagers(ctx);
     }
 
@@ -1471,8 +1460,7 @@ impl SimAgent {
         // Read what routing needs from the description table, then let it
         // go: picking a partition moves the agent's round-robin cursors.
         let (candidates, routed) = {
-            let st = self.state.borrow();
-            let desc = st.desc(t);
+            let desc = self.state.desc(t);
             if self.cfg.routing == RoutingPolicy::LeastLoaded && desc.backend_hint.is_none() {
                 (self.router.candidates(desc), None)
             } else {
@@ -1620,8 +1608,7 @@ impl SimAgent {
         match &mut self.instances[i].machine {
             Machine::Flux(_) => {
                 let job = {
-                    let st = self.state.borrow();
-                    let desc = st.desc(t);
+                    let desc = self.state.desc(t);
                     JobSpec {
                         id: JobId(t.0),
                         req: desc.req,
@@ -1670,8 +1657,7 @@ impl SimAgent {
     /// double-release).
     fn instance_booted(&mut self, i: usize, now: SimTime, ctx: &mut Ctx<AgentMsg>) {
         let first = {
-            let mut st = self.state.borrow_mut();
-            let report = &mut st.instances[self.instances[i].report];
+            let report = &mut self.state.instances[self.instances[i].report];
             let first = report.ready.is_none() && !report.killed;
             report.ready = Some(now);
             first
@@ -1686,10 +1672,7 @@ impl SimAgent {
     fn instance_ready(&mut self, ctx: &mut Ctx<AgentMsg>) {
         self.instances_pending = self.instances_pending.saturating_sub(1);
         if self.instances_pending == 0 {
-            self.state
-                .borrow_mut()
-                .pilot
-                .advance(PilotState::Active, ctx.now());
+            self.state.pilot.advance(PilotState::Active, ctx.now());
             self.note_pilot(PilotState::Active);
             self.start_services(ctx);
             self.pump_sched(ctx);
@@ -1730,10 +1713,8 @@ impl SimAgent {
                     record.partition = Some(self.instances[i].part);
                     record.started = Some(now);
                     record.failed = false;
-                    let mut st = self.state.borrow_mut();
-                    let report_idx = st.services.len();
-                    st.services.push(record.clone());
-                    drop(st);
+                    let report_idx = self.state.services.len();
+                    self.state.services.push(record.clone());
                     self.service_holds.push(ServiceHold {
                         report_idx,
                         instance: i,
@@ -1744,7 +1725,7 @@ impl SimAgent {
                 }
             }
             if record.failed {
-                self.state.borrow_mut().services.push(record);
+                self.state.services.push(record);
             }
         }
     }
@@ -1755,7 +1736,7 @@ impl SimAgent {
         let now = ctx.now();
         for hold in self.service_holds.drain(..) {
             self.instances[hold.instance].release(&hold);
-            self.state.borrow_mut().services[hold.report_idx].stopped = Some(now);
+            self.state.services[hold.report_idx].stopped = Some(now);
         }
     }
 
@@ -1767,7 +1748,6 @@ impl SimAgent {
             // already failed over elsewhere.
             let executing = self
                 .state
-                .borrow()
                 .task(*t)
                 .is_some_and(|r| r.state == TaskState::Executing);
             if executing {
@@ -1850,8 +1830,7 @@ impl SimAgent {
 
     fn push_to_dragon(&mut self, i: usize, t: TaskId, ctx: &mut Ctx<AgentMsg>) {
         let task = {
-            let st = self.state.borrow();
-            let desc = st.desc(t);
+            let desc = self.state.desc(t);
             DragonTask {
                 id: t.0,
                 workers: desc.req.total_cores().max(1) as u32,
@@ -1874,9 +1853,8 @@ impl SimAgent {
         let inst = &mut self.instances[i];
         let part = inst.part;
         if let Machine::Prrte(pb) = &mut inst.machine {
-            let st = self.state.borrow();
             while let Some(&t) = pb.waiting.front() {
-                let desc = st.desc(t);
+                let desc = self.state.desc(t);
                 let Some(pl) = pb.pool.try_alloc(&desc.req) else {
                     if let Some(l) = &self.lineage {
                         let free = (pb.pool.free_cores(), pb.pool.free_gpus());
@@ -1913,8 +1891,7 @@ impl SimAgent {
             let Some(&t) = sb.waiting.front() else {
                 break;
             };
-            let st = self.state.borrow();
-            let desc = st.desc(t);
+            let desc = self.state.desc(t);
             let need_cores = desc.req.total_cores();
             let need_gpus = desc.req.total_gpus();
             if need_cores > sb.free_core_slots || need_gpus > sb.free_gpus {
@@ -1987,7 +1964,7 @@ impl SimAgent {
     /// Instance `i`'s carrier srun acquired its slot: boot the instance.
     fn on_infra_carrier_live(&mut self, i: usize, ctx: &mut Ctx<AgentMsg>) {
         let slot = self.instances[i].report;
-        self.state.borrow_mut().instances[slot].srun_acquired = Some(ctx.now());
+        self.state.instances[slot].srun_acquired = Some(ctx.now());
         self.boot_instance(i, ctx);
     }
 
@@ -2063,15 +2040,8 @@ impl SimAgent {
         self.assignment.remove(t.0);
         self.outstanding = self.outstanding.saturating_sub(1);
         let view = self.resource_view();
-        // Swap the workload out so its callback can borrow the record
-        // in place (no per-task clone); the placeholder is a ZST.
-        let mut wl = std::mem::replace(&mut self.workload, Box::new(IdleWorkload));
-        let follow_ups = {
-            let st = self.state.borrow();
-            let rec = st.task(t).expect("recorded task");
-            wl.on_task_done(rec, &view)
-        };
-        self.workload = wl;
+        let rec = self.state.task(t).expect("recorded task");
+        let follow_ups = self.workload.on_task_done(rec, &view);
         if !follow_ups.is_empty() {
             self.submit_tasks(follow_ups, ctx);
         }
@@ -2118,12 +2088,9 @@ impl SimAgent {
     /// completion (asynchronous-cancel semantics).
     fn cancel_task(&mut self, t: TaskId, ctx: &mut Ctx<AgentMsg>) {
         let now = ctx.now();
-        let state = {
-            let st = self.state.borrow();
-            match st.task(t) {
-                Some(rec) => rec.state,
-                None => return, // unknown uid: ignore
-            }
+        let state = match self.state.task(t) {
+            Some(rec) => rec.state,
+            None => return, // unknown uid: ignore
         };
         if state.is_terminal() {
             return;
@@ -2273,7 +2240,7 @@ impl SimAgent {
                 c.given_up.inc();
             }
             if let Some(tel) = &self.telemetry {
-                let retries = self.with_task(t, |rec| rec.retries);
+                let retries = self.state.task(t).expect("recorded task").retries;
                 tel.on_fault(
                     "fault_give_up",
                     Severity::Critical,
@@ -2437,7 +2404,6 @@ impl SimAgent {
                 // drains.)
                 let submitted = self
                     .state
-                    .borrow()
                     .task(TaskId(id))
                     .is_some_and(|r| r.state == TaskState::Submitted);
                 let exec_pending = self.watcher_q[kind as usize]
@@ -2491,8 +2457,7 @@ impl SimAgent {
         );
         let lost = self.instances[i].kill();
         let was_booting = {
-            let mut st = self.state.borrow_mut();
-            let report = &mut st.instances[self.instances[i].report];
+            let report = &mut self.state.instances[self.instances[i].report];
             report.killed = true;
             report.ready.is_none()
         };
@@ -2534,7 +2499,6 @@ impl SimAgent {
     fn watchdog_check(&mut self, t: TaskId, ctx: &mut Ctx<AgentMsg>) {
         let hung = self
             .state
-            .borrow()
             .task(t)
             .is_some_and(|r| r.state == TaskState::Submitted);
         if !hung {
@@ -2590,34 +2554,20 @@ fn remove_from(q: &mut VecDeque<TaskId>, t: TaskId) -> bool {
     }
 }
 
-/// Zero-sized placeholder standing in while the real workload's
-/// `on_task_done` borrows the run state (see `on_terminal`).
-struct IdleWorkload;
-
-impl WorkloadSource for IdleWorkload {
-    fn initial(&mut self, _view: &ResourceView) -> Vec<TaskDescription> {
-        Vec::new()
-    }
-}
-
 impl Actor<AgentMsg> for SimAgent {
     fn handle(&mut self, msg: AgentMsg, ctx: &mut Ctx<AgentMsg>) {
         match msg {
             AgentMsg::Init => {
-                self.state
-                    .borrow_mut()
-                    .pilot
-                    .advance(PilotState::Launching, ctx.now());
+                self.state.pilot.advance(PilotState::Launching, ctx.now());
                 self.note_pilot(PilotState::Launching);
                 let cost = self.cfg.cal.rp_agent_bootstrap.sample(&mut self.rng);
                 ctx.timer(cost, AgentMsg::BootstrapDone);
             }
             AgentMsg::BootstrapDone => {
-                {
-                    let mut st = self.state.borrow_mut();
-                    st.agent_ready = Some(ctx.now());
-                    st.pilot.advance(PilotState::Bootstrapping, ctx.now());
-                }
+                self.state.agent_ready = Some(ctx.now());
+                self.state
+                    .pilot
+                    .advance(PilotState::Bootstrapping, ctx.now());
                 self.note_pilot(PilotState::Bootstrapping);
                 // Launch backend instances on persistent srun slots.
                 let mut acts = self.take_scratch();
@@ -2636,10 +2586,7 @@ impl Actor<AgentMsg> for SimAgent {
                 self.submit_tasks(tasks, ctx);
                 // A pilot without non-srun instances is active immediately.
                 if self.instances_pending == 0 {
-                    self.state
-                        .borrow_mut()
-                        .pilot
-                        .advance(PilotState::Active, ctx.now());
+                    self.state.pilot.advance(PilotState::Active, ctx.now());
                     self.note_pilot(PilotState::Active);
                     self.start_services(ctx);
                 }
@@ -2748,12 +2695,11 @@ impl Actor<AgentMsg> for SimAgent {
     /// `SAMPLE_*` tag); a tag whose sink is not attached is a no-op.
     fn sample(&mut self, at: SimTime, sink: u32) {
         let (g, parts) = self.gauges();
-        match (sink, &self.profile, &self.metrics, &self.telemetry) {
+        match (sink, &mut self.profile, &self.metrics, &self.telemetry) {
             (Self::SAMPLE_PROFILE, Some(pg), _, _) => {
                 let [agent, srun, queue_depth, busy_cores, busy_gpus, inflight, ceiling] = pg.names;
-                let mut p = pg.data.borrow_mut();
                 let mut gauge = |comp, what, detail| {
-                    p.events.push(rp_profiler::Event {
+                    pg.data.events.push(rp_profiler::Event {
                         at,
                         comp,
                         uid: NO_UID,
@@ -2793,16 +2739,6 @@ mod tests {
     use crate::workload::StaticWorkload;
     use rp_sim::{Engine, SimDuration};
 
-    /// Delivers to an agent the test still holds, so its flow-control
-    /// state can be read after the run.
-    struct Shared(Rc<RefCell<SimAgent>>);
-
-    impl Actor<AgentMsg> for Shared {
-        fn handle(&mut self, msg: AgentMsg, ctx: &mut Ctx<'_, AgentMsg>) {
-            self.0.borrow_mut().handle(msg, ctx);
-        }
-    }
-
     #[test]
     fn dragon_cancel_in_the_pipe_frees_its_window_slot() {
         // One node: 56 functions run, the next 64 fill the pipe window
@@ -2812,14 +2748,11 @@ mod tests {
         let tasks = (0..130)
             .map(|i| TaskDescription::function(i, "f", SimDuration::from_secs(100)))
             .collect();
-        let state = Rc::new(RefCell::new(RunState::default()));
-        let agent = Rc::new(RefCell::new(SimAgent::new(
+        let mut engine = Engine::new();
+        let id = engine.add_actor(SimAgent::new(
             PilotConfig::dragon(1),
             Box::new(StaticWorkload::new(tasks)),
-            Rc::clone(&state),
-        )));
-        let mut engine = Engine::new();
-        let id = engine.add_actor(Box::new(Shared(Rc::clone(&agent))));
+        ));
         engine.schedule(SimTime::ZERO, id, AgentMsg::Init);
         let canceled = 56..120;
         engine.schedule(
@@ -2829,12 +2762,11 @@ mod tests {
         );
         engine.run_until_idle(u64::MAX);
 
-        let st = state.borrow();
+        let agent = engine.actor();
         for uid in (0..130).filter(|u| !canceled.contains(u)) {
-            let state = st.task(TaskId(uid)).expect("submitted").state;
+            let state = agent.state.task(TaskId(uid)).expect("submitted").state;
             assert_eq!(state, TaskState::Done, "uid {uid}");
         }
-        let agent = agent.borrow();
         let Machine::Dragon {
             inflight, parked, ..
         } = &agent.instances[0].machine

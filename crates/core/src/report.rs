@@ -38,8 +38,8 @@ impl InstanceReport {
     }
 }
 
-/// Mutable run state shared between the session and the agent actor
-/// (single-threaded engine ⇒ `Rc<RefCell<RunState>>`).
+/// Mutable run state: the agent actor owns it during the run, and the
+/// session takes it back from the engine to build the [`RunReport`].
 #[derive(Debug, Default)]
 pub struct RunState {
     /// Per-task records in first-submission order: one dense table that

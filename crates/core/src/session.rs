@@ -4,13 +4,10 @@
 use crate::agent::{AgentMsg, SimAgent};
 use crate::backend::BackendKind;
 use crate::config::PilotConfig;
-use crate::report::{RunReport, RunState};
+use crate::report::RunReport;
 use crate::task::TaskDescription;
 use crate::workload::{StaticWorkload, WorkloadSource};
-use rp_profiler::ProfileData;
-use rp_sim::{Engine, SimDuration, SimTime};
-use std::cell::RefCell;
-use std::rc::Rc;
+use rp_sim::{Actor, Engine, SimDuration, SimTime};
 
 /// Event budget for one run: reaching it means the simulation never
 /// quiesces (a model bug), and the engine panics with the offending count.
@@ -195,19 +192,17 @@ impl SimSession {
 
     /// Run to quiescence and report.
     pub fn run(self) -> RunReport {
-        let state = Rc::new(RefCell::new(RunState::default()));
         let nodes = self.cfg.nodes;
         let spec = rp_platform::frontier().node;
-        let mut engine: Engine<AgentMsg> = Engine::new();
-        let mut agent = SimAgent::new(self.cfg, self.workload, state.clone());
+        let mut engine: Engine<AgentMsg, SimAgent> = Engine::new();
+        let mut agent = SimAgent::new(self.cfg, self.workload);
 
-        // Profiling: the agent's profile samples write gauge rows into
-        // `profile`; the instants are rendered from lineage after the run.
-        let profile = self.profile_every.map(|_| {
-            let data = Rc::new(RefCell::new(ProfileData::default()));
-            agent.attach_profile(Rc::clone(&data));
-            data
-        });
+        // Profiling: the agent's profile samples write gauge rows; the
+        // instants are rendered from lineage after the run.
+        let profiled = self.profile_every.is_some();
+        if profiled {
+            agent.attach_profile();
+        }
         // Metrics and telemetry are sampled the same way; sim-clock
         // timestamps keep every stream deterministic per seed.
         let registry = self.metrics_every.map(|_| {
@@ -226,7 +221,7 @@ impl SimSession {
         // Lineage reads the engine clock directly and schedules nothing,
         // so recording never perturbs the event stream. The profile and
         // the per-task metric families are folded from it after the run.
-        let lineage = (self.lineage || profile.is_some() || registry.is_some()).then(|| {
+        let lineage = (self.lineage || profiled || registry.is_some()).then(|| {
             let lin = rp_lineage::Lineage::new(engine.clock());
             agent.attach_lineage(lin.clone());
             lin
@@ -241,20 +236,16 @@ impl SimSession {
         // Realize the serving plan the same way: an inactive spec yields
         // no state at all, so serving-off runs stay byte-identical to
         // runs that never called `with_serving`.
-        let serving = self.serving.as_ref().and_then(|(sspec, serving_seed)| {
-            if !sspec.is_active() {
-                return None;
+        let batch_times: Vec<SimTime> = match &self.serving {
+            Some((sspec, serving_seed)) if sspec.is_active() => {
+                let plan = rp_serving::ServingPlan::generate(sspec, *serving_seed);
+                let times = plan.batches.iter().map(|b| b.at).collect();
+                agent.enable_serving(rp_serving::ServingState::new(sspec.clone(), plan));
+                times
             }
-            let plan = rp_serving::ServingPlan::generate(sspec, *serving_seed);
-            let batch_times: Vec<SimTime> = plan.batches.iter().map(|b| b.at).collect();
-            let state = Rc::new(RefCell::new(rp_serving::ServingState::new(
-                sspec.clone(),
-                plan,
-            )));
-            agent.enable_serving(Rc::clone(&state));
-            Some((state, batch_times))
-        });
-        let id = engine.add_actor(Box::new(agent));
+            _ => Vec::new(),
+        };
+        let id = engine.add_actor(agent);
         // One sampler per attached sink, each a gauge snapshot the agent
         // takes at the sample boundary.
         for (every, sink) in [
@@ -263,7 +254,7 @@ impl SimSession {
             (self.telemetry_every, SimAgent::SAMPLE_TELEMETRY),
         ] {
             if let Some(period) = every {
-                engine.add_sampler(period, id, sink);
+                engine.add_sampler(period, sink);
             }
         }
         engine.schedule(SimTime::ZERO, id, AgentMsg::Init);
@@ -276,20 +267,17 @@ impl SimSession {
         for (at, tasks) in self.timed_submissions {
             engine.schedule(at, id, AgentMsg::Submit(tasks));
         }
-        if let Some((_, batch_times)) = &serving {
-            for (b, at) in batch_times.iter().enumerate() {
-                engine.schedule(*at, id, AgentMsg::ServingArrive(b as u32));
-            }
+        for (b, at) in batch_times.into_iter().enumerate() {
+            engine.schedule(at, id, AgentMsg::ServingArrive(b as u32));
         }
         let end = engine.run_until_idle(MAX_EVENTS);
         if registry.is_some() {
             // The exported pipeline gauges hold the end-of-run snapshot.
-            if let Some(agent) = engine.actor_mut(id) {
-                agent.sample(end, SimAgent::SAMPLE_END);
-            }
+            engine.actor_mut().sample(end, SimAgent::SAMPLE_END);
         }
+        let (delivered, peak_queue_depth) = (engine.delivered(), engine.peak_queue_depth());
+        let (mut st, profile, serving) = engine.into_actor().into_parts();
 
-        let mut st = state.borrow_mut();
         // Close out the pilot lifecycle if it is still live (quiescence
         // with everything drained = Done).
         if !st.pilot.current().is_terminal()
@@ -317,12 +305,12 @@ impl SimSession {
                 rp_lineage::NO_DETAIL,
                 rp_lineage::NO_BACKEND,
                 rp_lineage::NO_PARTITION,
-                engine.delivered(),
+                delivered,
             );
         }
         let profile = profile.map(|data| {
             let lin = lineage.as_ref().expect("profiling attaches lineage");
-            crate::profile::render(lin, data.take())
+            crate::profile::render(lin, data)
         });
         let metrics = registry.map(|(reg, families)| {
             let lin = lineage.as_ref().expect("metrics attach lineage");
@@ -334,13 +322,13 @@ impl SimSession {
                 &[],
                 "Discrete events the engine delivered",
             )
-            .add(engine.delivered());
+            .add(delivered);
             reg.gauge(
                 "rp_engine_peak_queue_depth",
                 &[],
                 "Peak length of the engine's pending-event queue",
             )
-            .set(engine.peak_queue_depth() as f64);
+            .set(peak_queue_depth as f64);
             reg.snapshot()
         });
         let tasks = st.take_tasks();
@@ -358,7 +346,7 @@ impl SimSession {
             metrics,
             telemetry: telemetry.map(|tel| tel.snapshot()),
             lineage: lineage.map(|lin| lin.snapshot()),
-            serving: serving.map(|(state, _)| state.borrow().report()),
+            serving: serving.map(|state| state.report()),
         }
     }
 }

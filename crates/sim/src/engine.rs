@@ -1,52 +1,60 @@
-//! The actor-based discrete-event engine.
+//! The single-actor discrete-event engine.
 //!
-//! A simulation is a set of [`Actor`]s exchanging timestamped messages. The
-//! engine pops the earliest message, advances the virtual clock to its
-//! timestamp, and delivers it; the receiving actor may schedule further
-//! messages (to itself or others) at or after the current time. Ties in
-//! timestamp are broken by scheduling order (FIFO), which makes every run a
-//! pure function of the initial messages and the actors' logic — the property
-//! the experiment harness relies on for reproducibility.
+//! A simulation is one [`Actor`] driven by timestamped messages: those the
+//! driver schedules from outside, and the timers the actor sets for
+//! itself. The engine pops the earliest message, advances the virtual
+//! clock to its timestamp, and hands it to the actor, which may set
+//! further timers at or after the current time. Ties in timestamp are
+//! broken by scheduling order (FIFO), which makes every run a pure
+//! function of the initial messages and the actor's logic — the property
+//! the experiment harness relies on for reproducibility. The engine owns
+//! its actor by value, so the handler is a direct call and the driver gets
+//! the actor back, typed, with [`Engine::into_actor`].
 
 use crate::clock::SimClock;
 use crate::time::{SimDuration, SimTime};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-/// Identifies an actor registered with an [`Engine`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct ActorId(pub(crate) u32);
-
-impl ActorId {
-    /// The raw index, for diagnostics.
-    pub fn index(self) -> usize {
-        self.0 as usize
-    }
-}
+/// The token [`Engine::add_actor`] returns and [`Engine::schedule`] takes.
+/// An engine holds one actor, so the token names nothing the engine does
+/// not know already.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ActorId(());
 
 /// A simulation component. `M` is the simulation-wide message type.
 pub trait Actor<M> {
-    /// Deliver one message. `ctx` exposes the clock and outgoing mail.
+    /// Deliver one message. `ctx` exposes the clock and the actor's timers.
     fn handle(&mut self, msg: M, ctx: &mut Ctx<'_, M>);
 
-    /// Observe a sample boundary of a sampler registered on this actor
-    /// with [`Engine::add_sampler`]. `at` is the boundary and `sink` the
-    /// tag given at registration, so one actor can feed several samplers.
+    /// Observe a sample boundary of a sampler registered with
+    /// [`Engine::add_sampler`]. `at` is the boundary and `sink` the tag
+    /// given at registration, so one actor can feed several samplers.
     /// The engine calls it between deliveries, before the one that
     /// crosses `at`, so the actor's state is exactly its state at `at`.
-    /// Sampling only observes: it cannot send messages.
+    /// Sampling only observes: it cannot set timers.
     fn sample(&mut self, _at: SimTime, _sink: u32) {}
+}
+
+/// A boxed actor is an actor, so a driver may hand the engine a `Box`.
+impl<M, T: Actor<M> + ?Sized> Actor<M> for Box<T> {
+    fn handle(&mut self, msg: M, ctx: &mut Ctx<'_, M>) {
+        (**self).handle(msg, ctx);
+    }
+
+    fn sample(&mut self, at: SimTime, sink: u32) {
+        (**self).sample(at, sink);
+    }
 }
 
 /// Delivery context handed to [`Actor::handle`].
 ///
-/// It borrows the engine's event queue, so every send lands in the queue
-/// at once, stamped with the next sequence number: messages sent during
-/// one delivery keep their send order, and all of them follow everything
-/// already queued for the same instant.
+/// It borrows the engine's event queue, so every timer lands in the queue
+/// at once, stamped with the next sequence number: timers set during one
+/// delivery keep their order, and all of them follow everything already
+/// queued for the same instant.
 pub struct Ctx<'a, M> {
     now: SimTime,
-    self_id: ActorId,
     queue: &'a mut Queue<M>,
 }
 
@@ -56,42 +64,20 @@ impl<M> Ctx<'_, M> {
         self.now
     }
 
-    /// The id of the actor handling this message.
-    pub fn self_id(&self) -> ActorId {
-        self.self_id
-    }
-
-    /// Send `msg` to `dst` for delivery at the current time (after all
-    /// messages already queued for this instant — FIFO).
-    pub fn send(&mut self, dst: ActorId, msg: M) {
-        self.queue.push(self.now, dst, msg);
-    }
-
-    /// Send `msg` to `dst` for delivery after `delay`.
-    pub fn send_after(&mut self, delay: SimDuration, dst: ActorId, msg: M) {
-        self.queue.push(self.now + delay, dst, msg);
-    }
-
-    /// Send `msg` to `dst` at absolute time `at` (clamped to now if earlier:
-    /// the past is immutable).
-    pub fn send_at(&mut self, at: SimTime, dst: ActorId, msg: M) {
-        self.queue.push(at.max(self.now), dst, msg);
-    }
-
-    /// Schedule a message to this actor after `delay` (a timer).
+    /// Deliver `msg` back to this actor after `delay` (a zero delay lands
+    /// after every message already queued for this instant — FIFO).
     pub fn timer(&mut self, delay: SimDuration, msg: M) {
-        let dst = self.self_id;
-        self.send_after(delay, dst, msg);
+        self.queue.push(self.now + delay, msg);
     }
 }
 
-/// A pending delivery as the heap orders it: 24 bytes, the message itself
-/// waits in its [`Queue`] slot so sifts move keys, never messages.
+/// A pending delivery as the heap orders it; the message itself waits in
+/// its [`Queue`] slot so sifts move keys, never messages. 24 bytes by
+/// alignment.
 #[derive(Clone, Copy, PartialEq, Eq)]
 struct Key {
     at: SimTime,
     seq: u64,
-    dst: u32,
     slot: u32,
 }
 
@@ -113,9 +99,9 @@ impl Ord for Key {
 ///
 /// While a delivery runs, the top key still names the message being
 /// delivered (its slot already emptied) and `stale_top` is set. The
-/// handler's first send overwrites that key in place — one sift-down
-/// instead of a pop and a push — and reuses its slot; if the handler sends
-/// nothing, [`Engine::step`] pops the stale key afterwards.
+/// handler's first timer overwrites that key in place — one sift-down
+/// instead of a pop and a push — and reuses its slot; if the handler sets
+/// none, [`Engine::step`] pops the stale key afterwards.
 struct Queue<M> {
     heap: BinaryHeap<Key>,
     slots: Vec<Option<M>>,
@@ -135,7 +121,7 @@ impl<M> Queue<M> {
         }
     }
 
-    fn push(&mut self, at: SimTime, dst: ActorId, msg: M) {
+    fn push(&mut self, at: SimTime, msg: M) {
         let seq = self.seq;
         self.seq += 1;
         let slot = if self.stale_top {
@@ -148,12 +134,7 @@ impl<M> Queue<M> {
         };
         debug_assert!(self.slots[slot as usize].is_none(), "slot {slot} in use");
         self.slots[slot as usize] = Some(msg);
-        let key = Key {
-            at,
-            seq,
-            dst: dst.0,
-            slot,
-        };
+        let key = Key { at, seq, slot };
         if std::mem::take(&mut self.stale_top) {
             *self.heap.peek_mut().expect("a stale top key") = key;
         } else {
@@ -162,11 +143,11 @@ impl<M> Queue<M> {
     }
 }
 
-/// The event loop: owns the actors, the clock, and the event queue.
+/// The event loop: owns the actor, the clock, and the event queue.
 ///
 /// The queue is a binary heap of compact `(at, seq)` keys over a slab of
-/// messages. Actors send straight into it through [`Ctx`], and a delivery
-/// whose handler sends anything replaces its own key in place, so the
+/// messages. The actor sets timers straight into it through [`Ctx`], and
+/// a delivery whose handler sets any replaces its own key in place, so the
 /// common one-in-one-out step costs a single sift-down.
 ///
 /// ```
@@ -175,6 +156,7 @@ impl<M> Queue<M> {
 /// struct Countdown(u32);
 /// impl Actor<u32> for Countdown {
 ///     fn handle(&mut self, n: u32, ctx: &mut Ctx<u32>) {
+///         self.0 += 1;
 ///         if n > 0 {
 ///             ctx.timer(SimDuration::from_secs(1), n - 1);
 ///         }
@@ -182,17 +164,18 @@ impl<M> Queue<M> {
 /// }
 ///
 /// let mut engine = Engine::new();
-/// let actor = engine.add_actor(Box::new(Countdown(3)));
+/// let actor = engine.add_actor(Countdown(0));
 /// engine.schedule(SimTime::ZERO, actor, 3);
 /// let end = engine.run_until_idle(100);
 /// assert_eq!(end, SimTime::from_secs(3)); // three 1 s timers elapsed
+/// assert_eq!(engine.into_actor().0, 4); // the actor comes back, typed
 /// ```
-pub struct Engine<M> {
+pub struct Engine<M, A> {
     now: SimTime,
     delivered: u64,
     peak_queue: usize,
     queue: Queue<M>,
-    actors: Vec<Option<Box<dyn Actor<M>>>>,
+    actor: Option<A>,
     clock: SimClock,
     samplers: Vec<Sampler>,
     /// Earliest pending sampler boundary (`None` when no samplers are
@@ -205,17 +188,16 @@ pub struct Engine<M> {
 struct Sampler {
     period: SimDuration,
     next: SimTime,
-    actor: ActorId,
     sink: u32,
 }
 
-impl<M> Default for Engine<M> {
+impl<M, A> Default for Engine<M, A> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<M> Engine<M> {
+impl<M, A> Engine<M, A> {
     /// An empty engine at `t = 0`.
     pub fn new() -> Self {
         Engine {
@@ -223,7 +205,7 @@ impl<M> Engine<M> {
             delivered: 0,
             peak_queue: 0,
             queue: Queue::new(),
-            actors: Vec::new(),
+            actor: None,
             clock: SimClock::new(),
             samplers: Vec::new(),
             samplers_next: None,
@@ -237,37 +219,29 @@ impl<M> Engine<M> {
         self.clock.clone()
     }
 
-    /// Register a periodic sampler on `actor`: its [`Actor::sample`] is
+    /// Register a periodic sampler: the actor's [`Actor::sample`] is
     /// called with `(t, sink)` at `t = period, 2·period, …` for as long as
     /// the simulation has work. Sampling is lazy — driven by deliveries, so
     /// an idle simulation stops producing samples instead of ticking
     /// forever. A boundary is sampled *before* the delivery that crosses
-    /// it, while every actor sits in its slot, so the actor reports its
-    /// state as of the sampling instant and computes it only then.
-    pub fn add_sampler(&mut self, period: SimDuration, actor: ActorId, sink: u32) {
+    /// it, so the actor reports its state as of the sampling instant and
+    /// computes it only then.
+    pub fn add_sampler(&mut self, period: SimDuration, sink: u32) {
         assert!(!period.is_zero(), "sampler period must be positive");
-        assert!(
-            actor.index() < self.actors.len(),
-            "sampler on unknown actor"
-        );
         let next = self.now + period;
-        self.samplers.push(Sampler {
-            period,
-            next,
-            actor,
-            sink,
-        });
+        self.samplers.push(Sampler { period, next, sink });
         self.samplers_next = Some(match self.samplers_next {
             Some(t) => t.min(next),
             None => next,
         });
     }
 
-    /// Register an actor and return its address.
-    pub fn add_actor(&mut self, actor: Box<dyn Actor<M>>) -> ActorId {
-        let id = u32::try_from(self.actors.len()).expect("more than u32::MAX actors");
-        self.actors.push(Some(actor));
-        ActorId(id)
+    /// Register the engine's actor. Panics on a second call: one actor
+    /// per engine.
+    pub fn add_actor(&mut self, actor: A) -> ActorId {
+        assert!(self.actor.is_none(), "one actor per engine");
+        self.actor = Some(actor);
+        ActorId(())
     }
 
     /// The current virtual time.
@@ -292,17 +266,37 @@ impl<M> Engine<M> {
     }
 
     /// Inject a message from outside the simulation (e.g. the experiment
-    /// driver seeding initial work) at absolute time `at`.
-    pub fn schedule(&mut self, at: SimTime, dst: ActorId, msg: M) {
-        self.queue.push(at.max(self.now), dst, msg);
+    /// driver seeding initial work) at absolute time `at`, clamped to now
+    /// if earlier: the past is immutable.
+    pub fn schedule(&mut self, at: SimTime, _actor: ActorId, msg: M) {
+        self.queue.push(at.max(self.now), msg);
         self.peak_queue = self.peak_queue.max(self.queue.heap.len());
     }
 
+    /// Borrow the actor, e.g. for post-run inspection. Panics when none
+    /// is registered.
+    pub fn actor(&self) -> &A {
+        self.actor.as_ref().expect("no actor registered")
+    }
+
+    /// Mutably borrow the actor. Panics when none is registered.
+    pub fn actor_mut(&mut self) -> &mut A {
+        self.actor.as_mut().expect("no actor registered")
+    }
+
+    /// End the run and hand the actor back. Panics when none is
+    /// registered.
+    pub fn into_actor(self) -> A {
+        self.actor.expect("no actor registered")
+    }
+}
+
+impl<M, A: Actor<M>> Engine<M, A> {
     /// Deliver the next message, if any. Returns `false` when the heap is
-    /// empty. Panics if a message addresses an unknown actor — that is a
-    /// wiring bug, not a runtime condition.
+    /// empty. Panics if a message is queued while no actor is registered —
+    /// that is a wiring bug, not a runtime condition.
     pub fn step(&mut self) -> bool {
-        let Some(&Key { at, dst, slot, .. }) = self.queue.heap.peek() else {
+        let Some(&Key { at, slot, .. }) = self.queue.heap.peek() else {
             return false;
         };
         debug_assert!(at >= self.now, "event time went backwards");
@@ -316,17 +310,13 @@ impl<M> Engine<M> {
         let msg = self.queue.slots[slot as usize]
             .take()
             .expect("queued key without a message");
-        let mut actor = self.actors[dst as usize]
-            .take()
-            .unwrap_or_else(|| panic!("message to actor {dst} during its own handle()"));
+        let actor = self.actor.as_mut().expect("a message but no actor");
         self.queue.stale_top = true;
         let mut ctx = Ctx {
             now: self.now,
-            self_id: ActorId(dst),
             queue: &mut self.queue,
         };
         actor.handle(msg, &mut ctx);
-        self.actors[dst as usize] = Some(actor);
 
         if std::mem::take(&mut self.queue.stale_top) {
             self.queue.heap.pop();
@@ -337,11 +327,10 @@ impl<M> Engine<M> {
     }
 
     /// Fire every sampler boundary at or before `upto`, in chronological
-    /// order across samplers. Ties across samplers keep firing in the same
-    /// order as always (`min_by_key` returns the *last* minimal element, so
-    /// the latest-registered sampler wins a shared boundary) — callers gate
-    /// on `samplers_next`, which only short-circuits the scan, never
-    /// reorders it.
+    /// order across samplers. At a boundary several samplers share,
+    /// `min_by_key` returns the first minimal element, so they fire in
+    /// registration order — callers gate on `samplers_next`, which only
+    /// short-circuits the scan, never reorders it.
     fn fire_samplers(&mut self, upto: SimTime) {
         while let Some((i, t)) = self
             .samplers
@@ -353,9 +342,9 @@ impl<M> Engine<M> {
         {
             self.clock.set(t);
             let s = &mut self.samplers[i];
-            self.actors[s.actor.index()]
+            self.actor
                 .as_mut()
-                .expect("samplers fire between deliveries")
+                .expect("a sampler but no actor")
                 .sample(t, s.sink);
             s.next = t + s.period;
         }
@@ -397,29 +386,11 @@ impl<M> Engine<M> {
         self.clock.set(self.now);
         self.now
     }
-
-    /// Borrow a registered actor for post-run inspection.
-    ///
-    /// Returns `None` for out-of-range ids. The experiment harness uses this
-    /// to pull collected metrics out of actors after `run_until_idle`.
-    pub fn actor(&self, id: ActorId) -> Option<&dyn Actor<M>> {
-        self.actors.get(id.index()).and_then(|a| a.as_deref())
-    }
-
-    /// Mutably borrow a registered actor (e.g. to extract owned results).
-    pub fn actor_mut(&mut self, id: ActorId) -> Option<&mut (dyn Actor<M> + 'static)> {
-        match self.actors.get_mut(id.index()) {
-            Some(Some(a)) => Some(a.as_mut()),
-            _ => None,
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::cell::RefCell;
-    use std::rc::Rc;
 
     #[derive(Debug, PartialEq, Clone)]
     enum Msg {
@@ -443,25 +414,12 @@ mod tests {
         }
     }
 
-    /// `(boundary, sink, deliveries so far)` per sample, in firing order.
-    type SampleLog = Rc<RefCell<Vec<(SimTime, u32, u32)>>>;
-
     /// Counts its deliveries (replying to Ping(n) like [`Echo`]) and logs
-    /// every sample.
+    /// every sample as `(boundary, sink, deliveries so far)`.
+    #[derive(Default)]
     struct Probe {
         handled: u32,
-        samples: SampleLog,
-    }
-
-    impl Probe {
-        fn boxed() -> (Box<Self>, SampleLog) {
-            let samples = Rc::new(RefCell::new(Vec::new()));
-            let probe = Probe {
-                handled: 0,
-                samples: Rc::clone(&samples),
-            };
-            (Box::new(probe), samples)
-        }
+        samples: Vec<(SimTime, u32, u32)>,
     }
 
     impl Actor<Msg> for Probe {
@@ -475,46 +433,50 @@ mod tests {
         }
 
         fn sample(&mut self, at: SimTime, sink: u32) {
-            self.samples.borrow_mut().push((at, sink, self.handled));
+            self.samples.push((at, sink, self.handled));
+        }
+    }
+
+    /// Logs every message it is handed.
+    #[derive(Default)]
+    struct Collect {
+        seen: Vec<u32>,
+    }
+
+    impl Actor<u32> for Collect {
+        fn handle(&mut self, msg: u32, _ctx: &mut Ctx<u32>) {
+            self.seen.push(msg);
         }
     }
 
     #[test]
     fn countdown_advances_clock() {
         let mut eng = Engine::new();
-        let id = eng.add_actor(Box::new(Echo { log: vec![] }));
+        let id = eng.add_actor(Echo { log: vec![] });
         eng.schedule(SimTime::ZERO, id, Msg::Ping(3));
         let end = eng.run_until_idle(1_000);
         assert_eq!(end, SimTime::from_secs(3));
         assert_eq!(eng.delivered(), 4);
+        assert_eq!(eng.actor().log.len(), 4);
     }
 
     #[test]
     fn fifo_tie_breaking() {
-        struct Collect {
-            seen: Rc<RefCell<Vec<u32>>>,
-        }
-        impl Actor<u32> for Collect {
-            fn handle(&mut self, msg: u32, _ctx: &mut Ctx<u32>) {
-                self.seen.borrow_mut().push(msg);
-            }
-        }
-        let seen = Rc::new(RefCell::new(Vec::new()));
-        let mut eng: Engine<u32> = Engine::new();
-        let id = eng.add_actor(Box::new(Collect { seen: seen.clone() }));
+        let mut eng = Engine::new();
+        let id = eng.add_actor(Collect::default());
         for i in 0..100 {
             eng.schedule(SimTime::from_secs(5), id, i);
         }
         eng.run_until_idle(1_000);
-        // Deliveries at the same instant arrive in scheduling order.
-        assert_eq!(*seen.borrow(), (0..100).collect::<Vec<u32>>());
         assert_eq!(eng.now(), SimTime::from_secs(5));
+        // Deliveries at the same instant arrive in scheduling order.
+        assert_eq!(eng.into_actor().seen, (0..100).collect::<Vec<u32>>());
     }
 
     #[test]
     fn run_until_stops_at_horizon() {
         let mut eng = Engine::new();
-        let id = eng.add_actor(Box::new(Echo { log: vec![] }));
+        let id = eng.add_actor(Echo { log: vec![] });
         eng.schedule(SimTime::ZERO, id, Msg::Ping(10));
         eng.run_until(SimTime::from_secs(4));
         assert_eq!(eng.now(), SimTime::from_secs(4));
@@ -525,17 +487,16 @@ mod tests {
 
     #[test]
     fn run_until_advances_to_horizon_on_empty_heap() {
-        let mut eng: Engine<Msg> = Engine::new();
-        let (probe, samples) = Probe::boxed();
-        let id = eng.add_actor(probe);
-        eng.add_sampler(SimDuration::from_secs(2), id, 0);
+        let mut eng: Engine<Msg, Probe> = Engine::new();
+        eng.add_actor(Probe::default());
+        eng.add_sampler(SimDuration::from_secs(2), 0);
         // Nothing queued at all: the clock must still advance to the horizon
         // and sampler boundaries inside it must fire.
         let end = eng.run_until(SimTime::from_secs(5));
         assert_eq!(end, SimTime::from_secs(5));
         assert_eq!(eng.now(), SimTime::from_secs(5));
         assert_eq!(
-            *samples.borrow(),
+            eng.actor().samples,
             vec![(SimTime::from_secs(2), 0, 0), (SimTime::from_secs(4), 0, 0)]
         );
     }
@@ -543,7 +504,7 @@ mod tests {
     #[test]
     fn run_until_with_pending_later_event_stops_exactly_at_horizon() {
         let mut eng = Engine::new();
-        let id = eng.add_actor(Box::new(Echo { log: vec![] }));
+        let id = eng.add_actor(Echo { log: vec![] });
         eng.schedule(SimTime::from_secs(10), id, Msg::Tick);
         // The only pending event is past the horizon: it must stay queued
         // and the clock must land exactly on the horizon, not on the event.
@@ -560,66 +521,40 @@ mod tests {
 
     #[test]
     fn fan_out_preserves_fifo_across_steps() {
-        // A fan-out actor that sends several same-instant messages per
-        // delivery: the first send replaces the delivered key in place and
-        // the rest are pushed, and delivery must still follow send order.
+        // An actor that sets several same-instant timers per delivery: the
+        // first replaces the delivered key in place and the rest are
+        // pushed, and delivery must still follow the order they were set.
+        // Rounds are 0..3; the fanned-out messages are 100 and up.
         struct Fan {
-            sink: ActorId,
+            seen: Vec<u32>,
         }
         impl Actor<u32> for Fan {
             fn handle(&mut self, msg: u32, ctx: &mut Ctx<u32>) {
-                if msg < 3 {
+                if msg >= 100 {
+                    self.seen.push(msg);
+                } else if msg < 3 {
                     for k in 0..4 {
-                        ctx.send(self.sink, msg * 10 + k);
+                        ctx.timer(SimDuration::ZERO, 100 + msg * 10 + k);
                     }
                     ctx.timer(SimDuration::from_secs(1), msg + 1);
                 }
             }
         }
-        struct Collect {
-            seen: Rc<RefCell<Vec<u32>>>,
-        }
-        impl Actor<u32> for Collect {
-            fn handle(&mut self, msg: u32, _ctx: &mut Ctx<u32>) {
-                self.seen.borrow_mut().push(msg);
-            }
-        }
-        let seen = Rc::new(RefCell::new(Vec::new()));
-        let mut eng: Engine<u32> = Engine::new();
-        let sink = eng.add_actor(Box::new(Collect { seen: seen.clone() }));
-        let fan = eng.add_actor(Box::new(Fan { sink }));
-        eng.schedule(SimTime::ZERO, fan, 0);
+        let mut eng = Engine::new();
+        let id = eng.add_actor(Fan { seen: Vec::new() });
+        eng.schedule(SimTime::ZERO, id, 0);
         eng.run_until_idle(100);
         assert_eq!(
-            *seen.borrow(),
-            vec![0, 1, 2, 3, 10, 11, 12, 13, 20, 21, 22, 23]
+            eng.into_actor().seen,
+            vec![100, 101, 102, 103, 110, 111, 112, 113, 120, 121, 122, 123]
         );
-    }
-
-    #[test]
-    fn send_at_clamps_to_now() {
-        struct PastSender;
-        impl Actor<Msg> for PastSender {
-            fn handle(&mut self, msg: Msg, ctx: &mut Ctx<Msg>) {
-                if matches!(msg, Msg::Ping(1)) {
-                    // attempt to send into the past
-                    let me = ctx.self_id();
-                    ctx.send_at(SimTime::ZERO, me, Msg::Tick);
-                }
-            }
-        }
-        let mut eng = Engine::new();
-        let id = eng.add_actor(Box::new(PastSender));
-        eng.schedule(SimTime::from_secs(2), id, Msg::Ping(1));
-        let end = eng.run_until_idle(100);
-        assert_eq!(end, SimTime::from_secs(2));
     }
 
     #[test]
     fn clock_handle_tracks_deliveries() {
         let mut eng = Engine::new();
         let clock = eng.clock();
-        let id = eng.add_actor(Box::new(Echo { log: vec![] }));
+        let id = eng.add_actor(Echo { log: vec![] });
         eng.schedule(SimTime::ZERO, id, Msg::Ping(3));
         assert_eq!(clock.now(), SimTime::ZERO);
         eng.run_until_idle(100);
@@ -629,16 +564,20 @@ mod tests {
     #[test]
     fn samplers_fire_on_period_boundaries() {
         let mut eng = Engine::new();
-        let (probe, samples) = Probe::boxed();
-        let id = eng.add_actor(probe);
+        let id = eng.add_actor(Probe::default());
         eng.schedule(SimTime::ZERO, id, Msg::Ping(5));
-        eng.add_sampler(SimDuration::from_millis(1500), id, 7);
-        eng.add_sampler(SimDuration::from_secs(2), id, 9);
+        eng.add_sampler(SimDuration::from_millis(1500), 7);
+        eng.add_sampler(SimDuration::from_secs(2), 9);
         eng.run_until_idle(100);
         // Deliveries run out to t = 5 s; boundaries 1.5, 2, 3, 4 and 4.5 s
         // fire in time order, each with its sampler's tag, and the lazy
         // samplers produce nothing past quiescence.
-        let got: Vec<_> = samples.borrow().iter().map(|&(t, k, _)| (t, k)).collect();
+        let got: Vec<_> = eng
+            .actor()
+            .samples
+            .iter()
+            .map(|&(t, k, _)| (t, k))
+            .collect();
         assert_eq!(
             got,
             vec![
@@ -652,69 +591,29 @@ mod tests {
     }
 
     #[test]
-    fn samplers_observe_pre_delivery_state() {
-        // A counter actor bumps shared state at t = 1 s and t = 2 s; a 1 s
-        // sampler on another actor must see the value *before* the
-        // coincident delivery.
-        struct Bump {
-            state: Rc<RefCell<u32>>,
-        }
-        impl Actor<u32> for Bump {
-            fn handle(&mut self, _msg: u32, _ctx: &mut Ctx<u32>) {
-                *self.state.borrow_mut() += 1;
-            }
-        }
-        struct Watch {
-            state: Rc<RefCell<u32>>,
-            seen: Rc<RefCell<Vec<u32>>>,
-        }
-        impl Actor<u32> for Watch {
-            fn handle(&mut self, _msg: u32, _ctx: &mut Ctx<u32>) {}
-            fn sample(&mut self, _at: SimTime, _sink: u32) {
-                self.seen.borrow_mut().push(*self.state.borrow());
-            }
-        }
-        let state = Rc::new(RefCell::new(0u32));
-        let seen = Rc::new(RefCell::new(Vec::new()));
-        let mut eng: Engine<u32> = Engine::new();
-        let id = eng.add_actor(Box::new(Bump {
-            state: Rc::clone(&state),
-        }));
-        let watch = eng.add_actor(Box::new(Watch {
-            state,
-            seen: Rc::clone(&seen),
-        }));
-        eng.schedule(SimTime::from_secs(1), id, 0);
-        eng.schedule(SimTime::from_secs(2), id, 0);
-        eng.add_sampler(SimDuration::from_secs(1), watch, 0);
-        eng.run_until_idle(100);
-        assert_eq!(*seen.borrow(), vec![0, 1]);
-    }
-
-    #[test]
     fn sampled_actor_sees_its_state_before_the_crossing_delivery() {
         // The deliveries at t = 1 s and t = 2 s cross the sampler's
-        // boundaries and go to the sampled actor itself: each sample must
-        // run first, seeing the deliveries made strictly before it.
+        // boundaries: each sample must run first, seeing the deliveries
+        // made strictly before it.
         let mut eng = Engine::new();
-        let (probe, samples) = Probe::boxed();
-        let id = eng.add_actor(probe);
+        let id = eng.add_actor(Probe::default());
         eng.schedule(SimTime::from_micros(500_000), id, Msg::Tick);
         eng.schedule(SimTime::from_secs(1), id, Msg::Tick);
         eng.schedule(SimTime::from_secs(2), id, Msg::Tick);
-        eng.add_sampler(SimDuration::from_secs(1), id, 0);
+        eng.add_sampler(SimDuration::from_secs(1), 0);
         eng.run_until_idle(100);
         assert_eq!(
-            *samples.borrow(),
+            eng.actor().samples,
             vec![(SimTime::from_secs(1), 0, 1), (SimTime::from_secs(2), 0, 2)]
         );
     }
 
     #[test]
-    #[should_panic(expected = "unknown actor")]
-    fn sampler_on_unknown_actor_is_a_wiring_bug() {
-        let mut eng: Engine<Msg> = Engine::new();
-        eng.add_sampler(SimDuration::from_secs(1), ActorId(0), 0);
+    #[should_panic(expected = "one actor per engine")]
+    fn second_actor_is_a_wiring_bug() {
+        let mut eng: Engine<u32, Collect> = Engine::new();
+        eng.add_actor(Collect::default());
+        eng.add_actor(Collect::default());
     }
 
     #[test]
@@ -727,7 +626,7 @@ mod tests {
             }
         }
         let mut eng = Engine::new();
-        let id = eng.add_actor(Box::new(Loopy));
+        let id = eng.add_actor(Loopy);
         eng.schedule(SimTime::ZERO, id, Msg::Tick);
         eng.run_until_idle(50);
     }

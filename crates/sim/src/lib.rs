@@ -8,8 +8,9 @@
 //! provides:
 //!
 //! - [`time`]: integer-microsecond virtual clock types;
-//! - [`engine`]: an actor-based event loop with FIFO tie-breaking, making
-//!   every simulation a pure function of its inputs;
+//! - [`engine`]: an event loop driving one actor through outside messages
+//!   and its own timers, with FIFO tie-breaking, making every simulation a
+//!   pure function of its inputs;
 //! - [`clock`]: a shared read-only clock handle the engine keeps current,
 //!   so instrumentation can timestamp without signature plumbing;
 //! - [`rng`]: named, seeded random streams so components stay statistically
