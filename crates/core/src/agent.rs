@@ -2456,6 +2456,18 @@ impl SimAgent {
             format!("{kind} partition {part} crashed"),
         );
         let lost = self.instances[i].kill();
+        if kind != BackendKind::Prrte {
+            // A Flux broker's or Dragon runtime's view of its partition,
+            // service reservations included, dies with it: those services
+            // end now. RP's PRRTE pool outlives the DVM, so its holds stay.
+            let (now, services) = (ctx.now(), &mut self.state.services);
+            self.service_holds.retain(|hold| {
+                if hold.instance == i {
+                    services[hold.report_idx].stopped = Some(now);
+                }
+                hold.instance != i
+            });
+        }
         let was_booting = {
             let report = &mut self.state.instances[self.instances[i].report];
             report.killed = true;

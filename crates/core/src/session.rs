@@ -580,6 +580,53 @@ mod tests {
     }
 
     #[test]
+    fn crash_ends_the_service_holds_of_its_instance() {
+        use crate::service::ServiceDescription;
+        use crate::workload::{ResourceView, WorkloadSource};
+
+        /// One node-sized service beside 224 one-core 100 s tasks.
+        struct Held;
+        impl WorkloadSource for Held {
+            fn services(&mut self) -> Vec<ServiceDescription> {
+                vec![ServiceDescription::new(0, "learner", 56, 8)]
+            }
+            fn initial(&mut self, _view: &ResourceView) -> Vec<TaskDescription> {
+                (0..224)
+                    .map(|i| TaskDescription::dummy(i, SimDuration::from_secs(100)))
+                    .collect()
+            }
+        }
+
+        let mut plan = crash_plan(60, 0);
+        plan.events.push(FaultEvent {
+            at: SimTime::from_secs(70),
+            action: FaultAction::RestartBackend { partition: 0 },
+        });
+        for cfg in [
+            PilotConfig::flux(2, 1),
+            PilotConfig::dragon(2),
+            PilotConfig::prrte(2),
+        ] {
+            let kind = cfg.backends[0].kind();
+            let report = SimSession::new(cfg, Box::new(Held))
+                .with_fault_plan(plan.clone())
+                .run();
+            assert_eq!(report.done_tasks().count(), 224, "{kind}");
+            let service = &report.services[0];
+            assert!(!service.failed && service.started.is_some(), "{kind}");
+            // A Flux broker or a Dragon runtime takes its reservations
+            // down with it; RP's PRRTE pool outlives the DVM, so that
+            // service runs until the workload drains.
+            let stopped = if kind == BackendKind::Prrte {
+                report.last_end()
+            } else {
+                Some(SimTime::from_secs(60))
+            };
+            assert_eq!(service.stopped, stopped, "{kind}");
+        }
+    }
+
+    #[test]
     fn least_loaded_routing_spreads_executables() {
         use crate::router::RoutingPolicy;
         // All-executable workload on a hybrid pilot: TypeAware sends
