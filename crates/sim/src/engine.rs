@@ -1,14 +1,14 @@
 //! The single-actor discrete-event engine.
 //!
-//! A simulation is one [`Actor`] driven by timestamped messages: those the
-//! driver schedules from outside, and the timers the actor sets for
+//! A simulation is one [`Actor`] driven by timestamped messages: those
+//! scheduled from outside the simulation, and the timers the actor sets for
 //! itself. The engine pops the earliest message, advances the virtual
 //! clock to its timestamp, and hands it to the actor, which may set
 //! further timers at or after the current time. Ties in timestamp are
 //! broken by scheduling order (FIFO), which makes every run a pure
 //! function of the initial messages and the actor's logic — the property
 //! the experiment harness relies on for reproducibility. The engine owns
-//! its actor by value, so the handler is a direct call and the driver gets
+//! its actor by value, so the handler is a direct call and the caller gets
 //! the actor back, typed, with [`Engine::into_actor`].
 
 use crate::clock::SimClock;
@@ -19,7 +19,7 @@ use std::collections::BinaryHeap;
 /// The token [`Engine::add_actor`] returns and [`Engine::schedule`] takes.
 /// An engine holds one actor, so the token names nothing the engine does
 /// not know already.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy)]
 pub struct ActorId(());
 
 /// A simulation component. `M` is the simulation-wide message type.
@@ -36,7 +36,7 @@ pub trait Actor<M> {
     fn sample(&mut self, _at: SimTime, _sink: u32) {}
 }
 
-/// A boxed actor is an actor, so a driver may hand the engine a `Box`.
+/// A boxed actor is an actor, so a caller may hand the engine a `Box`.
 impl<M, T: Actor<M> + ?Sized> Actor<M> for Box<T> {
     fn handle(&mut self, msg: M, ctx: &mut Ctx<'_, M>) {
         (**self).handle(msg, ctx);
@@ -265,8 +265,8 @@ impl<M, A> Engine<M, A> {
         self.peak_queue
     }
 
-    /// Inject a message from outside the simulation (e.g. the experiment
-    /// driver seeding initial work) at absolute time `at`, clamped to now
+    /// Inject a message from outside the simulation (e.g. the session
+    /// seeding initial work) at absolute time `at`, clamped to now
     /// if earlier: the past is immutable.
     pub fn schedule(&mut self, at: SimTime, _actor: ActorId, msg: M) {
         self.queue.push(at.max(self.now), msg);
