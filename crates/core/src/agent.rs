@@ -253,9 +253,9 @@ impl Instance {
         backlog as f64 / self.capacity().max(1) as f64
     }
 
-    /// Add this partition's totals, and its free capacity while alive, to
-    /// a workload's resource view.
-    fn add_to_view(&self, v: &mut ResourceView) {
+    /// This partition's share of a workload's resource view: its totals,
+    /// and its free capacity while alive.
+    fn view_share(&self) -> ViewShare {
         let (total_cores, total_gpus, free_cores, free_gpus) = match &self.machine {
             Machine::Flux(f) => {
                 let (cores, gpus) = (f.allocation().total_cores(), f.allocation().total_gpus());
@@ -276,11 +276,12 @@ impl Instance {
                 pb.pool.free_gpus(),
             ),
         };
-        v.total_cores += total_cores;
-        v.total_gpus += total_gpus;
-        if self.is_alive() {
-            v.free_cores += free_cores;
-            v.free_gpus += free_gpus;
+        let alive = self.is_alive();
+        ViewShare {
+            free_cores: if alive { free_cores } else { 0 },
+            free_gpus: if alive { free_gpus } else { 0 },
+            total_cores,
+            total_gpus,
         }
     }
 
@@ -415,6 +416,77 @@ impl Instance {
                 pb.pool.node_up(node as usize);
             }
         }
+    }
+}
+
+/// One instance's contribution to a workload's [`ResourceView`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct ViewShare {
+    free_cores: u64,
+    free_gpus: u64,
+    total_cores: u64,
+    total_gpus: u64,
+}
+
+impl ViewShare {
+    fn plus(self, o: ViewShare) -> ViewShare {
+        ViewShare {
+            free_cores: self.free_cores + o.free_cores,
+            free_gpus: self.free_gpus + o.free_gpus,
+            total_cores: self.total_cores + o.total_cores,
+            total_gpus: self.total_gpus + o.total_gpus,
+        }
+    }
+
+    fn minus(self, o: ViewShare) -> ViewShare {
+        ViewShare {
+            free_cores: self.free_cores - o.free_cores,
+            free_gpus: self.free_gpus - o.free_gpus,
+            total_cores: self.total_cores - o.total_cores,
+            total_gpus: self.total_gpus - o.total_gpus,
+        }
+    }
+}
+
+/// The instances' [`ViewShare`]s and their sum, kept incrementally: the
+/// workload view is read at every terminal task, and a hybrid pilot has
+/// dozens of instances of which a task touches one or two. Every site
+/// that can change an instance's capacity or liveness [marks](Self::mark)
+/// it, and a read re-sums only the marked instances.
+struct ViewCache {
+    shares: Vec<ViewShare>,
+    sum: ViewShare,
+    marked: Vec<bool>,
+    /// The marked instances, each once.
+    stale: Vec<usize>,
+}
+
+impl ViewCache {
+    /// A cache over `n` instances, all marked.
+    fn new(n: usize) -> Self {
+        ViewCache {
+            shares: vec![ViewShare::default(); n],
+            sum: ViewShare::default(),
+            marked: vec![true; n],
+            stale: (0..n).collect(),
+        }
+    }
+
+    fn mark(&mut self, i: usize) {
+        if !std::mem::replace(&mut self.marked[i], true) {
+            self.stale.push(i);
+        }
+    }
+
+    /// The summed shares, re-reading the marked instances.
+    fn sum(&mut self, instances: &[Instance]) -> ViewShare {
+        for i in self.stale.drain(..) {
+            self.marked[i] = false;
+            let share = instances[i].view_share();
+            let old = std::mem::replace(&mut self.shares[i], share);
+            self.sum = self.sum.minus(old).plus(share);
+        }
+        self.sum
     }
 }
 
@@ -641,6 +713,8 @@ pub struct SimAgent {
     /// Every runtime instance, in kind-grouped flat order (see
     /// [`Instance`]).
     instances: Vec<Instance>,
+    /// The instances' part of the workload view (see [`ViewCache`]).
+    view: ViewCache,
     /// Flat index of each kind's first instance, indexed by
     /// `BackendKind as usize`; kind `k` owns `first[k]..first[k + 1]`
     /// (srun owns none).
@@ -838,6 +912,7 @@ impl SimAgent {
             site_srun: SrunSim::new(cfg.nodes, cal.clone(), rng.next_u64()),
             srun_backend,
             instances_pending: instances.len(),
+            view: ViewCache::new(instances.len()),
             instances,
             first,
             assignment: UidMap::default(),
@@ -1256,12 +1331,21 @@ impl SimAgent {
         (i < self.first[kind as usize + 1]).then_some(i)
     }
 
-    fn resource_view(&self) -> ResourceView {
+    fn resource_view(&mut self) -> ResourceView {
+        let shares = self.view.sum(&self.instances);
+        debug_assert_eq!(
+            shares,
+            self.instances
+                .iter()
+                .fold(ViewShare::default(), |sum, inst| sum
+                    .plus(inst.view_share())),
+            "an instance changed without marking the view cache"
+        );
         let mut view = ResourceView {
-            free_cores: 0,
-            free_gpus: 0,
-            total_cores: 0,
-            total_gpus: 0,
+            free_cores: shares.free_cores,
+            free_gpus: shares.free_gpus,
+            total_cores: shares.total_cores,
+            total_gpus: shares.total_gpus,
             nodes: self.cfg.nodes,
         };
         if let Some(sb) = &self.srun_backend {
@@ -1270,9 +1354,6 @@ impl SimAgent {
             view.free_gpus += sb.free_gpus;
             view.total_cores += sb.total_core_slots / sb.oversubscribe;
             view.total_gpus += self.cfg.nodes as u64 * rp_platform::frontier().node.gpus as u64;
-        }
-        for inst in &self.instances {
-            inst.add_to_view(&mut view);
         }
         view
     }
@@ -1710,6 +1791,7 @@ impl SimAgent {
             };
             for i in kind.map_or(0..0, |k| self.kind_range(k)) {
                 if let Some((placement, workers)) = self.instances[i].reserve(&desc.req) {
+                    self.view.mark(i);
                     record.partition = Some(self.instances[i].part);
                     record.started = Some(now);
                     record.failed = false;
@@ -1736,6 +1818,7 @@ impl SimAgent {
         let now = ctx.now();
         for hold in self.service_holds.drain(..) {
             self.instances[hold.instance].release(&hold);
+            self.view.mark(hold.instance);
             self.state.services[hold.report_idx].stopped = Some(now);
         }
     }
@@ -2004,6 +2087,9 @@ impl SimAgent {
     ) {
         let now = ctx.now();
         let kind = self.instances[i].kind();
+        // The backend ran before handing over its actions; the routing
+        // below may read the view.
+        self.view.mark(i);
         for a in acts.drain(..) {
             match a {
                 Action::Timer { after, token } => {
@@ -2145,6 +2231,8 @@ impl SimAgent {
     /// Pull `t` out of instance `i` before it launches; true when it was
     /// still queued there.
     fn cancel_queued(&mut self, i: usize, t: TaskId, ctx: &mut Ctx<AgentMsg>) -> bool {
+        // A Flux job matched and waiting to start frees its cores.
+        self.view.mark(i);
         match &mut self.instances[i].machine {
             Machine::Flux(sim) => sim.cancel(JobId(t.0)),
             Machine::Dragon { sim, parked, .. } => {
@@ -2456,6 +2544,7 @@ impl SimAgent {
             format!("{kind} partition {part} crashed"),
         );
         let lost = self.instances[i].kill();
+        self.view.mark(i);
         if kind != BackendKind::Prrte {
             // A Flux broker's or Dragon runtime's view of its partition,
             // service reservations included, dies with it: those services
@@ -2749,6 +2838,7 @@ impl Actor<AgentMsg> for SimAgent {
 mod tests {
     use super::*;
     use crate::workload::StaticWorkload;
+    use rp_chaos::FaultAction;
     use rp_sim::{Engine, SimDuration};
 
     #[test]
@@ -2787,5 +2877,181 @@ mod tests {
         };
         assert!(parked.is_empty());
         assert_eq!(*inflight, 0, "every window slot came back");
+    }
+
+    /// Reads the workload view at every terminal task and keeps a stream
+    /// of short tasks going until 250 s (functions on Dragon when hinted,
+    /// else executables); in a debug build each read checks the cached
+    /// view against a full recount. Stream uids start past `STREAM`.
+    struct ViewReader {
+        views: std::rc::Rc<std::cell::RefCell<Vec<ResourceView>>>,
+        next_uid: u64,
+        hinted: bool,
+    }
+
+    impl ViewReader {
+        const STREAM: u64 = 100_000;
+
+        fn streamed(&mut self) -> TaskDescription {
+            self.next_uid += 1;
+            let (uid, secs) = (self.next_uid, SimDuration::from_millis(500));
+            if self.hinted {
+                TaskDescription {
+                    backend_hint: Some(BackendKind::Dragon),
+                    ..TaskDescription::function(uid, "f", secs)
+                }
+            } else {
+                TaskDescription::dummy(uid, secs)
+            }
+        }
+    }
+
+    impl WorkloadSource for ViewReader {
+        fn services(&mut self) -> Vec<ServiceDescription> {
+            if !self.hinted {
+                return Vec::new();
+            }
+            [BackendKind::Flux, BackendKind::Dragon, BackendKind::Prrte]
+                .into_iter()
+                .map(|kind| ServiceDescription {
+                    backend_hint: Some(kind),
+                    ..ServiceDescription::new(kind as u64, "svc", 8, 0)
+                })
+                .collect()
+        }
+
+        fn initial(&mut self, view: &ResourceView) -> Vec<TaskDescription> {
+            self.views.borrow_mut().push(*view);
+            (0..64).map(|_| self.streamed()).collect()
+        }
+
+        fn on_task_done(&mut self, done: &TaskRecord, view: &ResourceView) -> Vec<TaskDescription> {
+            self.views.borrow_mut().push(*view);
+            let streaming = done.exec_end.is_some_and(|t| t < SimTime::from_secs(250));
+            if done.uid.0 > Self::STREAM && streaming {
+                vec![self.streamed()]
+            } else {
+                Vec::new()
+            }
+        }
+    }
+
+    /// The cached view stays equal to a full recount through every kind
+    /// of instance change — task traffic on Flux, Dragon and PRRTE,
+    /// service reservations and their release, a cancel of matched Flux
+    /// jobs, node failures and restores, a crash and a restart — and on an
+    /// srun pilot, and reads all free once the pilot drains.
+    #[test]
+    fn cached_view_matches_a_recount_through_every_change() {
+        use crate::backend::BackendSpec;
+        use crate::session::SimSession;
+        use rp_chaos::FaultEvent;
+
+        let at = SimTime::from_secs;
+        let fault = |secs, action| FaultEvent {
+            at: at(secs),
+            action,
+        };
+        let dummies = |base: u64, n: u64, secs, kind| -> Vec<TaskDescription> {
+            (base..base + n)
+                .map(|uid| TaskDescription {
+                    backend_hint: Some(kind),
+                    ..TaskDescription::dummy(uid, SimDuration::from_secs(secs))
+                })
+                .collect()
+        };
+        // Flux starts about one job a second here, so jobs wait matched
+        // for the start server long enough for reads to fall between a
+        // cancel and the next start.
+        let mut cal = rp_platform::Calibration::frontier();
+        cal.flux_start_rate_base = 1.0;
+        let hybrid = PilotConfig::new(
+            8,
+            vec![
+                BackendSpec::Flux {
+                    partitions: 2,
+                    backfill: true,
+                },
+                BackendSpec::Dragon { partitions: 1 },
+                BackendSpec::Prrte { partitions: 1 },
+            ],
+        )
+        .with_calibration(cal);
+        for (cfg, hinted) in [(hybrid, true), (PilotConfig::srun(2), false)] {
+            let views = std::rc::Rc::default();
+            let workload = ViewReader {
+                views: std::rc::Rc::clone(&views),
+                next_uid: ViewReader::STREAM,
+                hinted,
+            };
+            let mut session = SimSession::new(cfg, Box::new(workload));
+            if hinted {
+                // Flat instance order: flux.0, flux.1, dragon.0, prrte.0.
+                let events = vec![
+                    fault(
+                        130,
+                        FaultAction::FailNode {
+                            partition: 3,
+                            node_idx: 1,
+                        },
+                    ),
+                    fault(
+                        140,
+                        FaultAction::RestoreNode {
+                            partition: 3,
+                            node_idx: 1,
+                        },
+                    ),
+                    fault(
+                        150,
+                        FaultAction::FailNode {
+                            partition: 2,
+                            node_idx: 0,
+                        },
+                    ),
+                    fault(
+                        160,
+                        FaultAction::RestoreNode {
+                            partition: 2,
+                            node_idx: 0,
+                        },
+                    ),
+                    fault(170, FaultAction::CrashBackend { partition: 1 }),
+                    fault(180, FaultAction::RestartBackend { partition: 1 }),
+                ];
+                session = session
+                    .with_fault_plan(FaultPlan {
+                        events,
+                        hang_victims: Vec::new(),
+                        watchdog: SimDuration::ZERO,
+                        policy: RecoveryPolicy::ResubmitElsewhere,
+                        max_retries: None,
+                    })
+                    .submit_at(at(100), dummies(20_000, 30, 20, BackendKind::Prrte))
+                    // Flux matches this burst at once and starts it at
+                    // tens per second: the cancel catches jobs matched
+                    // and waiting for the start server.
+                    .submit_at(at(120), dummies(30_000, 200, 60, BackendKind::Flux))
+                    .cancel_at(at(122), (30_000..30_200).collect())
+                    // After the drain and the services' release, a read
+                    // that only Flux traffic precedes.
+                    .submit_at(at(400), dummies(40_000, 4, 1, BackendKind::Flux));
+            } else {
+                session = session
+                    .submit_at(at(40), dummies(30_000, 400, 60, BackendKind::Srun))
+                    .cancel_at(at(45), (30_000..30_400).collect());
+            }
+            let report = session.run();
+            assert!(report.tasks.iter().all(|t| t.state.is_terminal()));
+            assert!(report.tasks.iter().any(|t| t.state == TaskState::Canceled));
+            let views = views.borrow();
+            assert!(views.len() > 1_000, "{} reads", views.len());
+            let last = views.last().expect("read");
+            assert_eq!(
+                (last.free_cores, last.free_gpus),
+                (last.total_cores, last.total_gpus),
+                "a drained pilot is all free"
+            );
+        }
     }
 }

@@ -170,10 +170,7 @@ impl Calibration {
     pub fn frontier() -> Self {
         Calibration {
             srun_concurrency_ceiling: 112,
-            srun_step_overhead: Dist::LogNormal {
-                median: 0.70,
-                sigma: 0.30,
-            },
+            srun_step_overhead: Dist::log_normal(0.70, 0.30),
             srun_contention_exp: 0.66,
             srun_multinode_coef: 0.02,
 
@@ -181,10 +178,7 @@ impl Calibration {
                 mean: 20.0,
                 sd: 1.5,
             },
-            flux_ingest: Dist::LogNormal {
-                median: 0.00130,
-                sigma: 0.25,
-            },
+            flux_ingest: Dist::log_normal(0.00130, 0.25),
             flux_match_base_s: 0.0015,
             flux_match_per_node_s: 4.8e-6,
             flux_match_jitter: 0.10,
@@ -193,48 +187,24 @@ impl Calibration {
             flux_start_sigma: 0.45,
 
             dragon_bootstrap: Dist::Normal { mean: 9.0, sd: 0.8 },
-            dragon_dispatch_exec: Dist::LogNormal {
-                median: 0.00242,
-                sigma: 0.35,
-            },
-            dragon_dispatch_func: Dist::LogNormal {
-                median: 0.00125,
-                sigma: 0.35,
-            },
+            dragon_dispatch_exec: Dist::log_normal(0.00242, 0.35),
+            dragon_dispatch_func: Dist::log_normal(0.00125, 0.35),
             dragon_node_penalty: 0.012,
 
             prrte_dvm_base_s: 4.0,
             prrte_dvm_per_node_s: 0.004,
-            prrte_launch: Dist::LogNormal {
-                median: 0.0077,
-                sigma: 0.30,
-            },
+            prrte_launch: Dist::log_normal(0.0077, 0.30),
             prrte_node_coef: 0.002,
-            rp_prrte_adapter: Dist::LogNormal {
-                median: 0.00070,
-                sigma: 0.30,
-            },
+            rp_prrte_adapter: Dist::log_normal(0.00070, 0.30),
 
-            rp_srun_adapter: Dist::LogNormal {
-                median: 0.00060,
-                sigma: 0.30,
-            },
-            rp_flux_adapter: Dist::LogNormal {
-                median: 0.00095,
-                sigma: 0.30,
-            },
-            rp_dragon_adapter: Dist::LogNormal {
-                median: 0.00095,
-                sigma: 0.30,
-            },
+            rp_srun_adapter: Dist::log_normal(0.00060, 0.30),
+            rp_flux_adapter: Dist::log_normal(0.00095, 0.30),
+            rp_dragon_adapter: Dist::log_normal(0.00095, 0.30),
             rp_sched_base_s: 0.00026,
             rp_sched_per_partition_s: 0.000006,
             rp_sched_per_node_s: 2.4e-6,
             rp_sched_jitter: 0.10,
-            rp_watcher: Dist::LogNormal {
-                median: 0.00037,
-                sigma: 0.30,
-            },
+            rp_watcher: Dist::log_normal(0.00037, 0.30),
             rp_dragon_window: 64,
             rp_stage: Dist::Exp { mean: 0.001 },
             rp_agent_bootstrap: Dist::Normal { mean: 5.0, sd: 0.5 },
@@ -262,10 +232,7 @@ impl Calibration {
     /// nodes (log-normal around the reciprocal of the aggregate rate).
     pub fn flux_start_cost(&self, nodes: u32) -> Dist {
         let rate = self.flux_start_rate_base * (nodes.max(1) as f64).powf(self.flux_start_rate_exp);
-        Dist::LogNormal {
-            median: 1.0 / rate,
-            sigma: self.flux_start_sigma,
-        }
+        Dist::log_normal(1.0 / rate, self.flux_start_sigma)
     }
 
     /// Dragon dispatch cost across `nodes` nodes.

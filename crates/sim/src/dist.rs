@@ -4,7 +4,7 @@
 //! scheduler match, process spawn, bootstrap) as one of these distributions.
 //! Samples are **seconds** and are truncated at zero: a latency model may be
 //! noisy but can never refund time. Normal/LogNormal sampling is hand-rolled
-//! (Box–Muller) so the workspace needs no dependency beyond `rand`.
+//! (Box–Muller) over [`RngStream`], so the crate has no dependencies.
 
 use crate::rng::RngStream;
 use crate::time::SimDuration;
@@ -14,7 +14,7 @@ use crate::time::SimDuration;
 /// ```
 /// use rp_sim::{Dist, RngStream};
 ///
-/// let launch_latency = Dist::LogNormal { median: 0.010, sigma: 0.3 };
+/// let launch_latency = Dist::log_normal(0.010, 0.3);
 /// let mut rng = RngStream::derive(42, "example");
 /// let sample = launch_latency.sample(&mut rng);
 /// assert!(sample.as_secs_f64() > 0.0);
@@ -32,8 +32,10 @@ pub enum Dist {
     /// Log-normal given the **linear-scale** median and a multiplicative
     /// spread `sigma` (the sd of the underlying normal in log space).
     /// Heavy right tail — the right shape for launch latencies, which the
-    /// paper observes to have rare large excursions.
-    LogNormal { median: f64, sigma: f64 },
+    /// paper observes to have rare large excursions. `mu` is
+    /// `ln(median)`, kept so a draw takes no logarithm of its own: build
+    /// the variant with [`Dist::log_normal`], which sets it.
+    LogNormal { median: f64, sigma: f64, mu: f64 },
     /// Exponential with the given mean.
     Exp { mean: f64 },
 }
@@ -42,18 +44,26 @@ impl Dist {
     /// A distribution that always samples zero.
     pub const ZERO: Dist = Dist::Constant(0.0);
 
+    /// The log-normal with linear-scale `median` and log-space sd `sigma`.
+    pub fn log_normal(median: f64, sigma: f64) -> Dist {
+        Dist::LogNormal {
+            median,
+            sigma,
+            mu: median.ln(),
+        }
+    }
+
     /// Draw one sample, in seconds (always finite and `>= 0`).
     pub fn sample_secs(&self, rng: &mut RngStream) -> f64 {
         let x = match *self {
             Dist::Constant(s) => s,
             Dist::Uniform { lo, hi } => rng.uniform_range(lo, hi),
             Dist::Normal { mean, sd } => mean + sd * standard_normal(rng),
-            Dist::LogNormal { median, sigma } => {
-                // median = exp(mu)  =>  mu = ln(median)
+            Dist::LogNormal { median, sigma, mu } => {
                 if median <= 0.0 {
                     0.0
                 } else {
-                    (median.ln() + sigma * standard_normal(rng)).exp()
+                    (mu + sigma * standard_normal(rng)).exp()
                 }
             }
             Dist::Exp { mean } => {
@@ -85,7 +95,7 @@ impl Dist {
             // Truncation bias is negligible for the calibrated sd/mean
             // ratios used here (< 1e-3 for sd <= mean/3).
             Dist::Normal { mean, .. } => mean.max(0.0),
-            Dist::LogNormal { median, sigma } => {
+            Dist::LogNormal { median, sigma, .. } => {
                 if median <= 0.0 {
                     0.0
                 } else {
@@ -111,10 +121,7 @@ impl Dist {
                 mean: mean * k,
                 sd: sd * k,
             },
-            Dist::LogNormal { median, sigma } => Dist::LogNormal {
-                median: median * k,
-                sigma,
-            },
+            Dist::LogNormal { median, sigma, .. } => Dist::log_normal(median * k, sigma),
             Dist::Exp { mean } => Dist::Exp { mean: mean * k },
         }
     }
@@ -122,9 +129,11 @@ impl Dist {
 
 /// One standard-normal draw via Box–Muller.
 ///
-/// The second variate of each pair is discarded; primitive-cost sampling is
-/// nowhere near hot enough for that to matter, and statelessness keeps
-/// streams decoupled.
+/// The second variate of each pair is discarded: statelessness keeps
+/// streams decoupled. Draws are about a third of the DES's wall time on
+/// the hybrid mixes, most of it in `ln`, `cos` and `exp`; a cheaper
+/// normal would move every stream, so it waits for a deliberate re-pin of
+/// the goldens.
 fn standard_normal(rng: &mut RngStream) -> f64 {
     // u1 in (0, 1] so ln(u1) is finite.
     let u1 = 1.0 - rng.uniform();
@@ -159,10 +168,7 @@ mod tests {
             },
             Dist::Uniform { lo: -1.0, hi: 0.5 },
             Dist::Exp { mean: 0.1 },
-            Dist::LogNormal {
-                median: 0.01,
-                sigma: 1.0,
-            },
+            Dist::log_normal(0.01, 1.0),
         ];
         let mut rng = RngStream::derive(5, "nn");
         for d in &dists {
@@ -178,10 +184,7 @@ mod tests {
             Dist::Uniform { lo: 1.0, hi: 3.0 },
             Dist::Normal { mean: 2.0, sd: 0.3 },
             Dist::Exp { mean: 0.5 },
-            Dist::LogNormal {
-                median: 1.0,
-                sigma: 0.25,
-            },
+            Dist::log_normal(1.0, 0.25),
         ];
         for d in &cases {
             let emp = mean_of(d, 60_000);
@@ -195,10 +198,7 @@ mod tests {
 
     #[test]
     fn lognormal_has_right_tail() {
-        let d = Dist::LogNormal {
-            median: 1.0,
-            sigma: 0.8,
-        };
+        let d = Dist::log_normal(1.0, 0.8);
         let mut rng = RngStream::derive(77, "tail");
         let samples: Vec<f64> = (0..20_000).map(|_| d.sample_secs(&mut rng)).collect();
         let above = samples.iter().filter(|&&x| x > 3.0).count();
@@ -221,5 +221,67 @@ mod tests {
         let d = Dist::Constant(0.25);
         let mut rng = RngStream::derive(2, "d");
         assert_eq!(d.sample(&mut rng).as_micros(), 250_000);
+    }
+
+    /// The first draws of each variant from one seed, pinned as literals:
+    /// a change to sampling or rounding that moves a single microsecond
+    /// of any stream fails here and has to re-pin on purpose.
+    #[test]
+    fn draw_streams_are_pinned() {
+        let cases: [(Dist, [u64; 16]); 6] = [
+            (Dist::Constant(0.25), [250_000; 16]),
+            (
+                Dist::Uniform {
+                    lo: 0.001,
+                    hi: 0.005,
+                },
+                [
+                    1391, 2869, 1453, 1351, 4434, 1309, 3588, 3563, 4181, 4500, 2462, 2331, 2009,
+                    4105, 1195, 1954,
+                ],
+            ),
+            (
+                Dist::Normal {
+                    mean: 0.002,
+                    sd: 0.0005,
+                },
+                [
+                    1778, 2209, 2875, 1542, 2630, 1763, 2063, 2011, 1141, 2286, 2530, 2882, 830,
+                    2275, 1589, 2499,
+                ],
+            ),
+            (
+                Dist::log_normal(0.00095, 0.30),
+                [
+                    832, 1077, 1605, 722, 1386, 824, 986, 956, 567, 1128, 1306, 1613, 471, 1121,
+                    742, 1282,
+                ],
+            ),
+            (
+                Dist::Exp { mean: 0.001 },
+                [
+                    103, 630, 120, 92, 1955, 80, 1041, 1023, 1585, 2080, 455, 404, 291, 1498, 50,
+                    273,
+                ],
+            ),
+            (
+                Dist::log_normal(0.70, 0.30).scaled(3.7),
+                [
+                    2266982, 2935818, 4377038, 1968142, 3778847, 2247026, 2689368, 2607627,
+                    1547182, 3073986, 3560049, 4397981, 1283501, 3055043, 2023458, 3494554,
+                ],
+            ),
+        ];
+        for (d, want) in &cases {
+            let mut rng = RngStream::derive(2025, "dist-golden");
+            let got: Vec<u64> = (0..16).map(|_| d.sample(&mut rng).as_micros()).collect();
+            assert_eq!(got, want, "{d:?}");
+        }
+    }
+
+    #[test]
+    fn scaled_log_normal_recomputes_mu() {
+        let d = Dist::log_normal(0.70, 0.30).scaled(3.7);
+        assert_eq!(d, Dist::log_normal(0.70 * 3.7, 0.30));
     }
 }

@@ -106,7 +106,7 @@ impl SimDuration {
         if !s.is_finite() || s <= 0.0 {
             return SimDuration(0);
         }
-        SimDuration((s * MICROS_PER_SEC as f64).round() as u64)
+        SimDuration(round_micros(s * MICROS_PER_SEC as f64))
     }
 
     /// Microseconds in this span.
@@ -127,6 +127,23 @@ impl SimDuration {
     /// Scale by a non-negative factor, rounding to the nearest microsecond.
     pub fn mul_f64(self, k: f64) -> Self {
         SimDuration::from_secs_f64(self.as_secs_f64() * k)
+    }
+}
+
+/// `x.round() as u64` for a positive `x`, in integer arithmetic: every
+/// cost draw ends here, and `f64::round` is a libm call on baseline
+/// x86-64. Below 2^52 the fractional part `x - trunc(x)` is exact, so
+/// comparing it with one half rounds ties away from zero as `round` does;
+/// from 2^52 up every `f64` is whole, and `as` saturates past `u64::MAX`.
+fn round_micros(x: f64) -> u64 {
+    const EXACT_FRACTION_BELOW: f64 = (1u64 << 52) as f64;
+    if x < EXACT_FRACTION_BELOW {
+        // Signed conversions are single instructions on x86-64; unsigned
+        // ones are not.
+        let t = x as i64;
+        (t + i64::from(x - t as f64 >= 0.5)) as u64
+    } else {
+        x as u64
     }
 }
 
@@ -205,6 +222,109 @@ mod tests {
         assert_eq!(SimDuration::from_secs_f64(f64::NAN), SimDuration::ZERO);
         assert_eq!(SimDuration::from_secs_f64(f64::INFINITY), SimDuration::ZERO);
         assert_eq!(SimDuration::from_secs_f64(1.5).as_micros(), 1_500_000);
+    }
+
+    /// The reference the integer rounding must equal bit for bit.
+    fn libm_micros(s: f64) -> u64 {
+        if !s.is_finite() || s <= 0.0 {
+            0
+        } else {
+            (s * MICROS_PER_SEC as f64).round() as u64
+        }
+    }
+
+    #[test]
+    fn rounding_matches_libm_on_edges() {
+        let p52 = (1u64 << 52) as f64;
+        let p64 = 2f64.powi(64);
+        let mut micros = vec![
+            0.5,
+            1.5,
+            2.5,
+            1_000_000.5,
+            0.49999999999999994,
+            1.4999999999999998,
+            p52 - 0.5,
+            p52 - 1.5,
+            p52,
+            p52 + 1.0,
+            2f64.powi(53),
+            p64 - 2048.0,
+            p64,
+            p64 * 2.0,
+            f64::MAX,
+            f64::MIN_POSITIVE,
+            f64::MIN_POSITIVE / 2.0,
+            5e-324,
+        ];
+        // Every exact tie k + 0.5 over the range a tie can occur in.
+        for e in 0..52 {
+            let k = (1u64 << e) as f64;
+            micros.extend([k - 0.5, k + 0.5, k + 1.5]);
+        }
+        for &x in &micros {
+            assert_eq!(round_micros(x), x.round() as u64, "{x:e} µs");
+        }
+        let secs = [
+            0.0,
+            -0.0,
+            -1e-9,
+            -1.0,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            5e-324,
+            f64::MIN_POSITIVE,
+            0.0000005,
+            0.0000015,
+            p52 / 1e6,
+            p64 / 1e6,
+            1e300,
+            f64::MAX,
+        ];
+        for &s in micros
+            .iter()
+            .map(|x| x / 1e6)
+            .collect::<Vec<_>>()
+            .iter()
+            .chain(&secs)
+        {
+            let got = SimDuration::from_secs_f64(s).as_micros();
+            assert_eq!(got, libm_micros(s), "{s:e} s");
+        }
+        assert_eq!(SimDuration::from_secs_f64(f64::MAX).as_micros(), u64::MAX);
+        assert_eq!(SimDuration::from_secs_f64(-0.0), SimDuration::ZERO);
+    }
+
+    /// A seeded sweep of a million positive values: half log-uniform over
+    /// every binade from the subnormals to 2^77 µs, half over 2^-30 to
+    /// 2^70 µs (where draws land), a third of all snapped to exact
+    /// half-microsecond ties.
+    #[test]
+    fn rounding_matches_libm_on_a_seeded_sweep() {
+        let mut rng = crate::RngStream::derive(52, "round-sweep");
+        for i in 0..1_000_000u32 {
+            let bits = rng.next_u64();
+            // Biased exponent 1023 is 2^0.
+            let exp = if i % 2 == 0 {
+                (bits >> 52) % 1101
+            } else {
+                993 + (bits >> 52) % 101
+            };
+            let x = f64::from_bits(exp << 52 | (bits & ((1 << 52) - 1)));
+            let x = if i % 3 == 0 && x < 1e15 {
+                x.floor() + 0.5
+            } else {
+                x
+            };
+            assert_eq!(round_micros(x), x.round() as u64, "{x:e} µs");
+            let s = x / 1e6;
+            assert_eq!(
+                SimDuration::from_secs_f64(s).as_micros(),
+                libm_micros(s),
+                "{s:e} s"
+            );
+        }
     }
 
     #[test]
