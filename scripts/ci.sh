@@ -63,8 +63,14 @@ rm -rf "$DET1" "$DET2"
 # is ENFORCING — the simulation is seeded and deterministic, so any drift
 # is a real behavior change. Known-noisy micro-latency families carry
 # looser per-metric bounds in baselines/metrics.tolerances.
+# The smokes below run `rp-exp` from a scratch working directory, as the
+# determinism step does, so their quick-grid `results/` tables never
+# overwrite the committed ones. A relative artifact dir given in the
+# environment is taken from the repo root.
+SMOKE_CWD="$(mktemp -d)"
+abs_dir() { mkdir -p "$1" && (cd "$1" && pwd); }
 METRICS_DIR="$(mktemp -d)"
-./target/release/rp-exp overhead --quick --metrics-dir "$METRICS_DIR" > /dev/null
+(cd "$SMOKE_CWD" && "$RP_EXP" overhead --quick --metrics-dir "$METRICS_DIR" > /dev/null)
 test -s "$METRICS_DIR/overhead_flux_n_4.om.txt"
 ./target/release/compare_metrics baselines/metrics.txt \
     "$METRICS_DIR/overhead_flux_n_4.om.txt" \
@@ -75,8 +81,8 @@ rm -rf "$METRICS_DIR"
 # run must write the RP profile header and exactly one DONE row on the
 # agent track per `done` event in the lineage JSONL.
 PROFILE_DIR="$(mktemp -d)"
-./target/release/rp-exp flux1 --quick \
-    --profile-dir "$PROFILE_DIR/P" --lineage-dir "$PROFILE_DIR/L" > /dev/null
+(cd "$SMOKE_CWD" && "$RP_EXP" flux1 --quick \
+    --profile-dir "$PROFILE_DIR/P" --lineage-dir "$PROFILE_DIR/L" > /dev/null)
 test "$(head -n 1 "$PROFILE_DIR/P/flux_1_null_n_1.prof.csv")" = \
     "time,kind,comp,uid,event,detail"
 DONE_ROWS="$(grep -c ',I,agent,[0-9]*,DONE,' "$PROFILE_DIR/P/flux_1_null_n_1.prof.csv")"
@@ -88,16 +94,16 @@ rm -rf "$PROFILE_DIR"
 # Telemetry smoke: a quick flux_1 run with the streaming-telemetry
 # collector attached must produce non-empty JSONL time-series and a
 # self-contained HTML dashboard (uploaded as a CI artifact in ci.yml).
-TELEMETRY_DIR="${TELEMETRY_DIR:-$(mktemp -d)}"
-./target/release/rp-exp flux1 --quick --telemetry-dir "$TELEMETRY_DIR" > /dev/null
+TELEMETRY_DIR="$(abs_dir "${TELEMETRY_DIR:-$(mktemp -d)}")"
+(cd "$SMOKE_CWD" && "$RP_EXP" flux1 --quick --telemetry-dir "$TELEMETRY_DIR" > /dev/null)
 test -s "$TELEMETRY_DIR/flux_1_null_n_1.telemetry.jsonl"
 test -s "$TELEMETRY_DIR/flux_1_null_n_1.dashboard.html"
 grep -q "<!DOCTYPE html>" "$TELEMETRY_DIR/flux_1_null_n_1.dashboard.html"
 # The gauges are a snapshot taken at each sample boundary, so attaching
 # metrics must not move a byte of the telemetry export.
 TELEMETRY_MX_DIR="$(mktemp -d)"
-./target/release/rp-exp flux1 --quick --telemetry-dir "$TELEMETRY_MX_DIR/T" \
-    --metrics-dir "$TELEMETRY_MX_DIR/M" > /dev/null
+(cd "$SMOKE_CWD" && "$RP_EXP" flux1 --quick --telemetry-dir "$TELEMETRY_MX_DIR/T" \
+    --metrics-dir "$TELEMETRY_MX_DIR/M" > /dev/null)
 diff -r "$TELEMETRY_DIR" "$TELEMETRY_MX_DIR/T"
 rm -rf "$TELEMETRY_MX_DIR"
 
@@ -106,8 +112,8 @@ rm -rf "$TELEMETRY_MX_DIR"
 # report with its critical path, every task uid must narrate through
 # `rp-explain`, and two lineage dirs must diff. Artifacts are uploaded in
 # ci.yml.
-LINEAGE_DIR="${LINEAGE_DIR:-$(mktemp -d)}"
-./target/release/rp-exp flux1 --quick --lineage-dir "$LINEAGE_DIR" > /dev/null
+LINEAGE_DIR="$(abs_dir "${LINEAGE_DIR:-$(mktemp -d)}")"
+(cd "$SMOKE_CWD" && "$RP_EXP" flux1 --quick --lineage-dir "$LINEAGE_DIR" > /dev/null)
 test -s "$LINEAGE_DIR/flux_1_null_n_1.lineage.jsonl"
 test -s "$LINEAGE_DIR/flux_1_null_n_1.blame.txt"
 grep -q "critical path (segments sum exactly to makespan" \
@@ -124,6 +130,7 @@ test -s "$LINEAGE_DIR/blame_report.txt"
 ./target/release/rp-explain --diff "$LINEAGE_DIR" "$LINEAGE_DIR" \
     > "$LINEAGE_DIR/diff_report.txt"
 grep -q "verdict: no blame segment moved" "$LINEAGE_DIR/diff_report.txt"
+rm -rf "$SMOKE_CWD"
 
 # Chaos soak: 16 fault seeds x {flux, dragon, prrte, srun} under a fixed
 # fault spec. Every run must finish without panics and conserve its task
