@@ -29,15 +29,23 @@ pub enum Dist {
     Uniform { lo: f64, hi: f64 },
     /// Normal with the given mean and standard deviation, truncated at zero.
     Normal { mean: f64, sd: f64 },
-    /// Log-normal given the **linear-scale** median and a multiplicative
-    /// spread `sigma` (the sd of the underlying normal in log space).
-    /// Heavy right tail — the right shape for launch latencies, which the
-    /// paper observes to have rare large excursions. `mu` is
-    /// `ln(median)`, kept so a draw takes no logarithm of its own: build
-    /// the variant with [`Dist::log_normal`], which sets it.
-    LogNormal { median: f64, sigma: f64, mu: f64 },
+    /// Log-normal; build it with [`Dist::log_normal`]. Heavy right tail —
+    /// the right shape for launch latencies, which the paper observes to
+    /// have rare large excursions.
+    LogNormal(LogNormal),
     /// Exponential with the given mean.
     Exp { mean: f64 },
+}
+
+/// A log-normal's parameters: the **linear-scale** median, a
+/// multiplicative spread `sigma` (the sd of the underlying normal in log
+/// space) and `mu = ln(median)`, kept so a draw takes no logarithm of its
+/// own. The fields are private so that `mu` always matches `median`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct LogNormal {
+    median: f64,
+    sigma: f64,
+    mu: f64,
 }
 
 impl Dist {
@@ -46,11 +54,11 @@ impl Dist {
 
     /// The log-normal with linear-scale `median` and log-space sd `sigma`.
     pub fn log_normal(median: f64, sigma: f64) -> Dist {
-        Dist::LogNormal {
+        Dist::LogNormal(LogNormal {
             median,
             sigma,
             mu: median.ln(),
-        }
+        })
     }
 
     /// Draw one sample, in seconds (always finite and `>= 0`).
@@ -59,7 +67,7 @@ impl Dist {
             Dist::Constant(s) => s,
             Dist::Uniform { lo, hi } => rng.uniform_range(lo, hi),
             Dist::Normal { mean, sd } => mean + sd * standard_normal(rng),
-            Dist::LogNormal { median, sigma, mu } => {
+            Dist::LogNormal(LogNormal { median, sigma, mu }) => {
                 if median <= 0.0 {
                     0.0
                 } else {
@@ -95,7 +103,7 @@ impl Dist {
             // Truncation bias is negligible for the calibrated sd/mean
             // ratios used here (< 1e-3 for sd <= mean/3).
             Dist::Normal { mean, .. } => mean.max(0.0),
-            Dist::LogNormal { median, sigma, .. } => {
+            Dist::LogNormal(LogNormal { median, sigma, .. }) => {
                 if median <= 0.0 {
                     0.0
                 } else {
@@ -121,7 +129,7 @@ impl Dist {
                 mean: mean * k,
                 sd: sd * k,
             },
-            Dist::LogNormal { median, sigma, .. } => Dist::log_normal(median * k, sigma),
+            Dist::LogNormal(LogNormal { median, sigma, .. }) => Dist::log_normal(median * k, sigma),
             Dist::Exp { mean } => Dist::Exp { mean: mean * k },
         }
     }

@@ -38,7 +38,7 @@ pub mod uidmap;
 
 pub use action::{Action, Token};
 pub use clock::SimClock;
-pub use dist::Dist;
+pub use dist::{Dist, LogNormal};
 pub use engine::{Actor, ActorId, Ctx, Engine};
 pub use fxmap::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use rng::RngStream;
