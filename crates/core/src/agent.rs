@@ -3028,9 +3028,9 @@ mod tests {
                         max_retries: None,
                     })
                     .submit_at(at(100), dummies(20_000, 30, 20, BackendKind::Prrte))
-                    // Flux matches this burst at once and starts it at
-                    // tens per second: the cancel catches jobs matched
-                    // and waiting for the start server.
+                    // Flux matches this burst at once and starts about a
+                    // job a second: the cancel catches jobs matched and
+                    // waiting for the start server.
                     .submit_at(at(120), dummies(30_000, 200, 60, BackendKind::Flux))
                     .cancel_at(at(122), (30_000..30_200).collect())
                     // After the drain and the services' release, a read
